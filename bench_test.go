@@ -10,6 +10,7 @@ package remi
 //	go run ./cmd/remi-bench all          # full tables with paper comparisons
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -226,6 +227,28 @@ func BenchmarkEq1PowerLawFit(b *testing.B) {
 		if avg, n := prom.AverageFitR2(10); n == 0 || avg <= 0 {
 			b.Fatal("no fits")
 		}
+	}
+}
+
+// BenchmarkProminenceBuild measures prominence.Build (fr) on DBpedia-like KBs
+// of doubling size and reports ns/fact, which stays flat when the build is
+// linear: every remi.Load and every LiveKB.Apply pays this.
+func BenchmarkProminenceBuild(b *testing.B) {
+	for _, scale := range []float64{1, 2, 4} {
+		b.Run(fmt.Sprintf("scale%g", scale), func(b *testing.B) {
+			k, err := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: scale}).BuildKB(kb.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if prominence.Build(k, prominence.Fr).PredicateRank(1) == 0 {
+					b.Fatal("unranked predicate")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.NumFacts()), "ns/fact")
+		})
 	}
 }
 

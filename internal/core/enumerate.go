@@ -40,7 +40,7 @@ type EnumerateOptions struct {
 	// ranking (Section 3.5.2 uses 5%): atoms with such objects are not
 	// expanded into multi-atom subgraph expressions. The dense bitmap set
 	// makes the per-edge probe a shift and an AND (build one with
-	// kb.ProminentSet, or kb.EntSetFromMap for a legacy map). Nil keeps all.
+	// kb.ProminentSet or kb.NewEntSet). Nil keeps all.
 	Prominent *kb.EntSet
 	// SkipPredicate drops subgraph expressions using the predicate (used by
 	// the entity-summarization evaluation to exclude rdf:type and inverse

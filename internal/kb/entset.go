@@ -1,7 +1,5 @@
 package kb
 
-import "math/bits"
-
 // EntSet is an immutable dense set of entity ids backed by a flat bitmap
 // (one bit per entity of the KB's universe, the same word layout as
 // internal/bitseq). It replaces map[EntID]bool on membership-heavy paths —
@@ -35,18 +33,6 @@ func NewEntSet(ids []EntID, universe int) *EntSet {
 	return s
 }
 
-// EntSetFromMap builds a set from the map form (the legacy representation
-// still returned by KB.ProminentEntities for API compatibility).
-func EntSetFromMap(m map[EntID]bool, universe int) *EntSet {
-	ids := make([]EntID, 0, len(m))
-	for e, ok := range m {
-		if ok {
-			ids = append(ids, e)
-		}
-	}
-	return NewEntSet(ids, universe)
-}
-
 // Contains reports whether e is in the set. Safe on a nil receiver.
 func (s *EntSet) Contains(e EntID) bool {
 	if s == nil {
@@ -65,21 +51,4 @@ func (s *EntSet) Card() int {
 		return 0
 	}
 	return s.card
-}
-
-// Map materializes the set as a map[EntID]bool — the adapter for callers
-// that still speak the legacy map form. Each call allocates a fresh map.
-func (s *EntSet) Map() map[EntID]bool {
-	out := make(map[EntID]bool, s.Card())
-	if s == nil {
-		return out
-	}
-	for wi, w := range s.words {
-		base := wi * 64
-		for w != 0 {
-			out[EntID(base+bits.TrailingZeros64(w)+1)] = true
-			w &= w - 1
-		}
-	}
-	return out
 }

@@ -65,13 +65,11 @@ type KB struct {
 	adjReady   atomic.Bool
 	deriveMu   sync.Mutex
 
-	// promMu guards the per-fraction memos of ProminentSet and its map
-	// adapter: every miner construction asks for the same top slice of the
-	// frequency ranking, and re-sorting all entities per request is pure
-	// waste.
-	promMu      sync.Mutex
-	promMemo    map[float64]*EntSet
-	promMapMemo map[float64]map[EntID]bool
+	// promMu guards the per-fraction memo of ProminentSet: every miner
+	// construction asks for the same top slice of the frequency ranking,
+	// and re-sorting all entities per request is pure waste.
+	promMu   sync.Mutex
+	promMemo map[float64]*EntSet
 
 	// src is the snapshot image this KB's index slices alias, when the KB
 	// was opened from one (nil for built KBs). The KB holds one reference;
@@ -208,6 +206,30 @@ func (k *KB) Facts(p PredID) []Pair {
 	return k.preds[p-1].pairs
 }
 
+// SubjectRuns returns the distinct subjects of p, ascending, with the run
+// boundaries of their facts: keys[i] is the subject of the facts at
+// positions off[i]:off[i+1] of p's (S,O)-sorted fact list, so its out-degree
+// under p is off[i+1]-off[i]. Both slices are views into the CSR index —
+// read-only, and present without deriving the pair lists. off is empty when
+// p has no facts.
+func (k *KB) SubjectRuns(p PredID) (keys []EntID, off []uint32) {
+	ix := &k.preds[p-1]
+	return ix.psoKey, ix.psoOff
+}
+
+// ObjectRuns is SubjectRuns over the (O,S)-sorted list: the distinct objects
+// of p, ascending, where off[i+1]-off[i] is the conditional frequency
+// fr(keys[i]|p).
+func (k *KB) ObjectRuns(p PredID) (keys []EntID, off []uint32) {
+	ix := &k.preds[p-1]
+	return ix.posKey, ix.posOff
+}
+
+// ObjectColumn returns the O column of p's (S,O)-sorted fact list — what
+// ranging over Facts(p) and reading .O yields — as a read-only view into the
+// CSR value arena. The offsets of SubjectRuns index it.
+func (k *KB) ObjectColumn(p PredID) []EntID { return k.preds[p-1].psoVal }
+
 // PredFreq returns the number of facts of predicate p.
 func (k *KB) PredFreq(p PredID) int { return len(k.preds[p-1].psoVal) }
 
@@ -284,27 +306,6 @@ func (k *KB) ProminentSet(frac float64) *EntSet {
 	}
 	k.promMemo[frac] = s
 	return s
-}
-
-// ProminentEntities is the legacy map view of ProminentSet, kept for API
-// compatibility. Results are memoized per fraction; callers must treat the
-// returned map as read-only.
-func (k *KB) ProminentEntities(frac float64) map[EntID]bool {
-	s := k.ProminentSet(frac)
-	if s == nil {
-		return map[EntID]bool{}
-	}
-	k.promMu.Lock()
-	defer k.promMu.Unlock()
-	if m, ok := k.promMapMemo[frac]; ok {
-		return m
-	}
-	m := s.Map()
-	if k.promMapMemo == nil {
-		k.promMapMemo = make(map[float64]map[EntID]bool)
-	}
-	k.promMapMemo[frac] = m
-	return m
 }
 
 // prominentIDs selects the top frac fraction of the entity-frequency

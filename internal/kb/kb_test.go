@@ -160,17 +160,17 @@ func TestProminentEntities(t *testing.T) {
 		[3]string{"c", "p", "hub"},
 		[3]string{"d", "p", "e"},
 	)
-	top := k.ProminentEntities(0.01) // at least one survives
+	top := k.ProminentSet(0.01) // at least one survives
 	hub := k.MustEntityID("http://e/hub")
-	if !top[hub] || len(top) != 1 {
-		t.Fatalf("ProminentEntities = %v", top)
+	if !top.Contains(hub) || top.Card() != 1 {
+		t.Fatalf("ProminentSet(0.01) has %d members, hub in it: %v", top.Card(), top.Contains(hub))
 	}
-	if len(k.ProminentEntities(0)) != 0 {
+	if k.ProminentSet(0).Card() != 0 {
 		t.Fatal("zero fraction should be empty")
 	}
-	all := k.ProminentEntities(1.0)
-	if len(all) != k.NumEntities() {
-		t.Fatalf("full fraction: %d of %d", len(all), k.NumEntities())
+	all := k.ProminentSet(1.0)
+	if all.Card() != k.NumEntities() {
+		t.Fatalf("full fraction: %d of %d", all.Card(), k.NumEntities())
 	}
 }
 

@@ -23,25 +23,33 @@ func PageRank(k *kb.KB, damping float64, maxIter int, eps float64) []float64 {
 		return rank
 	}
 
-	// Adjacency: out-edges per entity (entity objects of base facts only).
+	// Out-degrees over the edges (entity objects of base facts only). The
+	// edges themselves are never copied out: every iteration below walks
+	// them in place in the CSR, in (p, s, o) order.
 	outDeg := make([]int, n+1)
-	type edge struct{ from, to kb.EntID }
-	var edges []edge
 	nodes := make([]bool, n+1)
-	for _, p := range k.Predicates() {
-		if k.IsInverse(p) {
-			continue
-		}
-		for _, pr := range k.Facts(p) {
-			if k.Kind(pr.O) == rdf.Literal {
+	eachSubject := func(visit func(s kb.EntID, objs []kb.EntID)) {
+		for _, p := range k.Predicates() {
+			if k.IsInverse(p) {
 				continue
 			}
-			edges = append(edges, edge{pr.S, pr.O})
-			outDeg[pr.S]++
-			nodes[pr.S] = true
-			nodes[pr.O] = true
+			subjs, off := k.SubjectRuns(p)
+			col := k.ObjectColumn(p)
+			for i, s := range subjs {
+				visit(s, col[off[i]:off[i+1]])
+			}
 		}
 	}
+	eachSubject(func(s kb.EntID, objs []kb.EntID) {
+		for _, o := range objs {
+			if k.Kind(o) == rdf.Literal {
+				continue
+			}
+			outDeg[s]++
+			nodes[s] = true
+			nodes[o] = true
+		}
+	})
 	nNodes := 0
 	for i := 1; i <= n; i++ {
 		if k.Kind(kb.EntID(i)) != rdf.Literal {
@@ -80,9 +88,17 @@ func PageRank(k *kb.KB, damping float64, maxIter int, eps float64) []float64 {
 				next[i] = 0
 			}
 		}
-		for _, e := range edges {
-			next[e.to] += damping * cur[e.from] / float64(outDeg[e.from])
-		}
+		eachSubject(func(s kb.EntID, objs []kb.EntID) {
+			if outDeg[s] == 0 {
+				return
+			}
+			share := damping * cur[s] / float64(outDeg[s])
+			for _, o := range objs {
+				if k.Kind(o) != rdf.Literal {
+					next[o] += share
+				}
+			}
+		})
 		delta := 0.0
 		for i := 1; i <= n; i++ {
 			delta += math.Abs(next[i] - cur[i])

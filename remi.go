@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
@@ -58,9 +59,9 @@ const (
 type System struct {
 	kb         *kb.KB
 	promFr     *prominence.Store
-	promPr     *prominence.Store
 	promCustom *prominence.Store
 	estFr      *complexity.Estimator
+	prOnce     sync.Once // builds estPr on the first MetricPr request
 	estPr      *complexity.Estimator
 	estCustom  *complexity.Estimator
 	verb       *nlg.Verbalizer
@@ -167,12 +168,13 @@ func fromKB(k *kb.KB) *System {
 	}
 }
 
-// pr structures are built lazily (PageRank costs a pass over the graph).
+// pr structures are built lazily (PageRank costs thirty passes over the
+// graph), once, by whichever request asks first; concurrent first requests
+// wait for that build.
 func (s *System) prEstimator() *complexity.Estimator {
-	if s.estPr == nil {
-		s.promPr = prominence.Build(s.kb, prominence.Pr)
-		s.estPr = complexity.New(s.kb, s.promPr, complexity.Compressed)
-	}
+	s.prOnce.Do(func() {
+		s.estPr = complexity.New(s.kb, prominence.Build(s.kb, prominence.Pr), complexity.Compressed)
+	})
 	return s.estPr
 }
 

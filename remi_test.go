@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,6 +78,35 @@ func TestMineOptions(t *testing.T) {
 	for _, alt := range res.Alternatives {
 		if alt.Expression == res.Expression {
 			t.Fatal("alternative duplicates the solution")
+		}
+	}
+}
+
+// TestMinePrConcurrentFirstUse: the pr estimator is built lazily on the first
+// MetricPr request, and several requests may be that first one (remi-serve
+// reaches this when two metric=pr requests overlap on a fresh generation).
+// Under -race this failed on the unguarded lazy assignment.
+func TestMinePrConcurrentFirstUse(t *testing.T) {
+	sys := tinySystem(t)
+	targets := []string{tinyNS + "Guyana", tinyNS + "Suriname"}
+	exprs := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range exprs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := sys.Mine(targets, WithMetric(MetricPr))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			exprs[i] = res.Expression
+		}()
+	}
+	wg.Wait()
+	for _, e := range exprs {
+		if e == "" || e != exprs[0] {
+			t.Fatalf("concurrent pr answers differ: %q", exprs)
 		}
 	}
 }
