@@ -1,10 +1,10 @@
 package remi
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper, plus the ablation benchmarks DESIGN.md calls out. The heavyweight
-// table regenerators live in internal/experiments (shared with the
-// remi-bench command); the benchmarks here run them at a reduced scale so
-// `go test -bench=.` completes on a laptop while exercising every code path.
+// paper, plus ablation benchmarks. The heavyweight table regenerators live
+// in internal/experiments (shared with the remi-bench command); the
+// benchmarks here run them at a reduced scale so `go test -bench=.`
+// completes on a laptop while exercising every code path.
 //
 //	go test -bench=. -benchmem
 //	go run ./cmd/remi-bench all          # full tables with paper comparisons

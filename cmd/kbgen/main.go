@@ -1,19 +1,19 @@
 // Command kbgen generates the synthetic datasets used by the reproduction
-// (see DESIGN.md, substitution 1) and writes them as N-Triples, binary HDT,
-// or a compiled KB snapshot.
+// (Zipf-shaped stand-ins for the paper's DBpedia and Wikidata dumps) and
+// writes them as N-Triples or a compiled KB snapshot.
 //
 // Usage:
 //
 //	kbgen -dataset dbpedia -scale 0.5 -seed 42 -out dbpedia.nt
-//	kbgen -dataset wikidata -out wikidata.hdt
+//	kbgen -dataset wikidata -out wikidata.nt
 //	kbgen -dataset tiny -out tiny.nt
 //	kbgen -dataset dbpedia -snapshot dbpedia.snap        # compiled, mmap-able
 //	kbgen -dataset tiny -out tiny.nt -snapshot tiny.snap # both forms
 //
 // -out writes raw triples (indexes are rebuilt at every load); -snapshot
 // compiles the dataset once — dictionary, CSR indexes, inverse
-// materializations — into the zero-copy snapshot that remi.Load,
-// remi-serve -kb and remi-bench reopen in O(page-in) time.
+// materializations — into the zero-copy snapshot that remi.Load and
+// remi-serve -kb reopen in O(page-in) time.
 //
 // Note on tiny: the snapshot is compiled with the demo's inverse fraction
 // (top 10%, matching `remi.GenerateDemo("tiny", ...)` and `remi-serve
@@ -29,11 +29,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/remi-kb/remi/internal/datagen"
-	"github.com/remi-kb/remi/internal/hdt"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -46,11 +44,10 @@ func main() {
 		dataset  = flag.String("dataset", "dbpedia", "dataset to generate: dbpedia | wikidata | tiny")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		scale    = flag.Float64("scale", 1.0, "class-population multiplier")
-		out      = flag.String("out", "", "triple output file (.nt or .hdt)")
+		out      = flag.String("out", "", "N-Triples output file")
 		snapPath = flag.String("snapshot", "", "compiled KB snapshot output file (indexes packed once, opened zero-copy)")
 		in       = flag.String("in", "", "compile an existing N-Triples file instead of generating a dataset (requires -snapshot; always streamed)")
 		stream   = flag.Bool("stream", false, "compile the snapshot with the bounded-memory streaming builder (external sort) instead of the in-memory builder")
-		legacy   = flag.Bool("legacy-snapshot", false, "write the snapshot in the larger version-1 format for deployments on a v1-only reader")
 	)
 	flag.Parse()
 	if *out == "" && *snapPath == "" {
@@ -81,27 +78,16 @@ func main() {
 	}
 
 	if *out != "" {
-		switch ext := strings.ToLower(filepath.Ext(*out)); ext {
-		case ".hdt":
-			h, err := hdt.Build(d.Triples)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := h.SaveFile(*out); err != nil {
-				log.Fatal(err)
-			}
-		default:
-			f, err := os.Create(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := rdf.WriteAll(f, d.Triples); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+		f, err := os.Create(*out)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := rdf.WriteAll(f, d.Triples); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%s: %d triples → %s\n", d.Name, len(d.Triples), *out)
 	}
@@ -124,12 +110,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *legacy {
-			err = writeLegacySnapshot(k, *snapPath)
-		} else {
-			err = k.WriteSnapshotFile(*snapPath)
-		}
-		if err != nil {
+		if err := k.WriteSnapshotFile(*snapPath); err != nil {
 			log.Fatal(err)
 		}
 		st, err := os.Stat(*snapPath)
@@ -149,36 +130,6 @@ func compileFile(path string, opts kb.Options) (*kb.KB, error) {
 	}
 	defer f.Close()
 	return kb.BuildStreaming(rdf.NewReader(f), opts)
-}
-
-// writeLegacySnapshot writes the v1-format image with the same tmp+rename
-// crash safety as WriteSnapshotFile.
-func writeLegacySnapshot(k *kb.KB, path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".kbgen-legacy-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := k.WriteSnapshotLegacy(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // sliceSource adapts a generated triple slice to kb.TripleSource.

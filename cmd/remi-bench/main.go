@@ -1,6 +1,6 @@
 // Command remi-bench regenerates the paper's tables and in-text findings on
-// the synthetic datasets (see DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured values).
+// the synthetic datasets; each subcommand prints the paper's figures beside
+// the measured ones. Performance is measured by benchmark/, not here.
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 //	remi-bench fit                    # Eq. 1 power-law fit quality (R²)
 //	remi-bench searchspace            # §3.2 language-bias census
 //	remi-bench all                    # everything above
-//	remi-bench bench -label after     # perf trajectory snapshot (BENCH_<date>.json)
 //
 // Common flags: -seed, -scale (dataset size multiplier), -sets, -timeout.
 package main
@@ -27,26 +26,12 @@ import (
 )
 
 func main() {
-	// Hidden re-exec entry point for the kb_scale phase: build one KB in a
-	// child process so the parent can read its peak RSS from the kernel.
-	if len(os.Args) > 1 && os.Args[1] == "_build" {
-		kbScaleChildMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "_spawn" {
-		kbScaleSpawnMain(os.Args[2:])
-		return
-	}
 	var (
 		seed    = flag.Int64("seed", 42, "experiment seed")
 		scale   = flag.Float64("scale", 0.25, "dataset scale multiplier")
 		sets    = flag.Int("sets", 0, "entity sets for table2/map/table4 (0 = experiment default)")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-set timeout for table4")
 		workers = flag.Int("workers", 0, "P-REMI/AMIE workers for table4 (0 = NumCPU)")
-		kbscale = flag.Float64("kbscale", 1.0, "bench: dataset scale for the kb_scale streaming-ingestion phase (0 disables; RSS bound meaningful from 1.0 up)")
-		jsonOut = flag.String("json", "", "bench: output file (default BENCH_<date>.json; appended when present)")
-		label   = flag.String("label", "run", "bench: snapshot label recorded in the JSON output")
-		compare = flag.String("compare", "", "bench: diff two snapshot labels (\"base,after\" or \"latest\") instead of running; non-zero exit on >15% ns/op regression")
 	)
 	flag.Parse()
 	cmd := flag.Arg(0)
@@ -170,20 +155,6 @@ func main() {
 	}
 
 	switch cmd {
-	case "bench":
-		if *compare != "" {
-			if err := runCompare(*jsonOut, *compare); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		run("bench snapshot", func() {
-			if err := runBench(*seed, *scale, *kbscale, 5*time.Second, *label, *jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		})
 	case "table2":
 		run("Table 2", table2)
 	case "map":

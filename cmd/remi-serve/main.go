@@ -10,7 +10,7 @@
 //	remi-serve -kb db=dbpedia.snap -kb wd=wikidata.snap   # multi-KB routing
 //	remi-serve -snapshot-source http://kb-store/dbpedia.snap   # replica mode
 //
-// -kb accepts N-Triples (.nt), binary HDT (.hdt) or a compiled KB snapshot
+// -kb accepts N-Triples (.nt) or a compiled KB snapshot
 // (any extension; detected by magic — produce one with kbgen -snapshot or
 // remi.System.SaveSnapshot), optionally prefixed with a registry name
 // (name=path) and repeated to serve several KBs from one process. Requests
@@ -149,7 +149,7 @@ func main() {
 	log.SetPrefix("remi-serve: ")
 
 	var kbs, snaps kbFlags
-	flag.Var(&kbs, "kb", "knowledge base file (.nt, .hdt or snapshot), optionally name=path; repeat to serve several KBs")
+	flag.Var(&kbs, "kb", "knowledge base file (.nt or snapshot), optionally name=path; repeat to serve several KBs")
 	flag.Var(&snaps, "snapshot-source", "replica mode: snapshot source (URL, directory or file), optionally name=source; repeat for several KBs")
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")

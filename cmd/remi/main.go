@@ -4,7 +4,7 @@
 // Usage:
 //
 //	remi -kb data.nt -targets http://e/Paris
-//	remi -kb data.hdt -targets http://e/Guyana,http://e/Suriname -workers 8
+//	remi -kb data.snap -targets http://e/Guyana,http://e/Suriname -workers 8
 //	remi -demo tiny -targets http://tiny.demo/resource/Rennes,http://tiny.demo/resource/Nantes
 //
 // Flags select the prominence metric (fr|pr), the language bias
@@ -28,7 +28,7 @@ func main() {
 	log.SetPrefix("remi: ")
 
 	var (
-		kbPath   = flag.String("kb", "", "knowledge base file (.nt or .hdt)")
+		kbPath   = flag.String("kb", "", "knowledge base file (N-Triples or compiled snapshot)")
 		demo     = flag.String("demo", "", "use a bundled demo dataset instead of -kb (tiny|dbpedia|wikidata)")
 		seed     = flag.Int64("seed", 42, "seed for -demo datasets")
 		scale    = flag.Float64("scale", 0, "scale for -demo datasets (0 = default)")

@@ -1,13 +1,10 @@
 package remi
 
-// Integration tests spanning the full pipeline: dataset generation → HDT
-// round trip → indexing → prominence/complexity → mining → verbalization →
-// SPARQL, plus cross-algorithm agreement between REMI and the AMIE+
-// baseline.
+// Integration tests spanning the full pipeline: dataset generation →
+// indexing → prominence/complexity → mining → verbalization → SPARQL, plus
+// cross-algorithm agreement between REMI and the AMIE+ baseline.
 
 import (
-	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -21,46 +18,6 @@ import (
 	"github.com/remi-kb/remi/internal/prominence"
 	"github.com/remi-kb/remi/internal/rdf"
 )
-
-// TestPipelineHDTRoundTripMining: results must be identical whether the KB
-// was loaded from memory or through the binary HDT format.
-func TestPipelineHDTRoundTripMining(t *testing.T) {
-	dir := t.TempDir()
-	d := datagen.DBpediaLike(datagen.Config{Seed: 77, Scale: 0.05})
-
-	direct, err := FromTriples(d.Triples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "kb.hdt")
-	if err := direct.SaveHDT(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumEntities() != direct.NumEntities() || loaded.NumPredicates() != direct.NumPredicates() {
-		t.Fatalf("dictionary changed through HDT: %d/%d vs %d/%d",
-			loaded.NumEntities(), loaded.NumPredicates(), direct.NumEntities(), direct.NumPredicates())
-	}
-
-	targets := []string{d.Members["Person"][0]}
-	r1, err := direct.Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := loaded.Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Found != r2.Found {
-		t.Fatalf("HDT round trip changed mining outcome: %v vs %v", r1.Found, r2.Found)
-	}
-	if r1.Found && math.Abs(r1.Bits-r2.Bits) > 1e-9 {
-		t.Fatalf("HDT round trip changed Ĉ: %f vs %f", r1.Bits, r2.Bits)
-	}
-}
 
 // TestREMIAgreesWithAMIE: on a small KB, whenever REMI (standard bias)
 // finds an RE, AMIE+ must also find one, and REMI's solution must be among

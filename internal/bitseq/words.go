@@ -1,11 +1,11 @@
+// Package bitseq provides word-level bulk operations over raw little-endian
+// bit vectors ([]uint64, bit i of the vector = word i/64, bit i%64). They
+// back the dense representation of internal/bindset.
 package bitseq
 
 import "math/bits"
 
-// Word-level bulk operations over raw little-endian bit vectors
-// ([]uint64, bit i of the vector = word i/64, bit i%64). They back the dense
-// representation of internal/bindset the same way the Bits type backs the
-// HDT triple indexes: one package owns all the bit machinery.
+const wordBits = 64
 
 // AndWords stores a AND b into dst and returns the number of set bits of the
 // result. The three slices must have the same length; dst may alias a or b.

@@ -1,58 +1,20 @@
-package hdt
+// Package frontcoding stores a sorted set of RDF terms as front-coded blocks
+// with random access: the term table of KB snapshots (internal/kb).
+package frontcoding
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
 // Front coding compresses a sorted string section by storing, for every
 // string except block heads, only the length of the prefix shared with its
-// predecessor plus the remaining suffix. Blocks of blockSize strings keep
-// random access cheap while achieving most of the compression.
-const blockSize = 16
-
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-// writeSection front-codes a sorted term section.
-func writeSection(w *bufio.Writer, terms []rdf.Term) error {
-	if err := writeUvarint(w, uint64(len(terms))); err != nil {
-		return err
-	}
-	var prev []byte
-	for i, t := range terms {
-		cur := serializeTerm(t)
-		if i%blockSize == 0 {
-			if err := writeUvarint(w, uint64(len(cur))); err != nil {
-				return err
-			}
-			if _, err := w.Write(cur); err != nil {
-				return err
-			}
-		} else {
-			common := commonPrefix(prev, cur)
-			if err := writeUvarint(w, uint64(common)); err != nil {
-				return err
-			}
-			if err := writeUvarint(w, uint64(len(cur)-common)); err != nil {
-				return err
-			}
-			if _, err := w.Write(cur[common:]); err != nil {
-				return err
-			}
-		}
-		prev = cur
-	}
-	return nil
-}
+// predecessor plus the remaining suffix. Blocks of BlockSize strings keep
+// random access cheap while achieving most of the compression: random access
+// decodes at most BlockSize-1 delta entries after one block head.
+const BlockSize = 16
 
 func commonPrefix(a, b []byte) int {
 	n := len(a)
@@ -66,19 +28,41 @@ func commonPrefix(a, b []byte) int {
 	return i
 }
 
-// BlockSize is the front-coding block length: random access decodes at most
-// BlockSize-1 delta entries after one block head.
-const BlockSize = blockSize
-
 // SerializeTerm renders a term as a kind-prefixed byte string ('I'/'L'/'B' +
 // value), the canonical form used for front coding. Note the byte order of
 // the kind prefixes differs from rdf.Term.Compare's kind order; use
 // CompareSerializedTerm, never bytes.Compare, to order serialized terms
 // consistently with live ones.
-func SerializeTerm(t rdf.Term) []byte { return serializeTerm(t) }
+func SerializeTerm(t rdf.Term) []byte {
+	out := make([]byte, 0, len(t.Value)+1)
+	switch t.Kind {
+	case rdf.IRI:
+		out = append(out, 'I')
+	case rdf.Literal:
+		out = append(out, 'L')
+	case rdf.Blank:
+		out = append(out, 'B')
+	}
+	return append(out, t.Value...)
+}
 
 // DeserializeTerm reverses SerializeTerm.
-func DeserializeTerm(b []byte) (rdf.Term, error) { return deserializeTerm(b) }
+func DeserializeTerm(b []byte) (rdf.Term, error) {
+	if len(b) == 0 {
+		return rdf.Term{}, fmt.Errorf("frontcoding: empty serialized term")
+	}
+	v := string(b[1:])
+	switch b[0] {
+	case 'I':
+		return rdf.NewIRI(v), nil
+	case 'L':
+		return rdf.NewLiteral(v), nil
+	case 'B':
+		return rdf.NewBlank(v), nil
+	default:
+		return rdf.Term{}, fmt.Errorf("frontcoding: unknown term kind byte %q", b[0])
+	}
+}
 
 // CompareSerializedTerm orders a serialized term against a live term using
 // rdf.Term.Compare semantics (IRI < Literal < Blank, then value bytes),
@@ -87,7 +71,7 @@ func DeserializeTerm(b []byte) (rdf.Term, error) { return deserializeTerm(b) }
 // not an input error.
 func CompareSerializedTerm(b []byte, t rdf.Term) int {
 	if len(b) == 0 {
-		panic("hdt: empty serialized term")
+		panic("frontcoding: empty serialized term")
 	}
 	var kind rdf.Kind
 	switch b[0] {
@@ -98,7 +82,7 @@ func CompareSerializedTerm(b []byte, t rdf.Term) int {
 	case 'B':
 		kind = rdf.Blank
 	default:
-		panic(fmt.Sprintf("hdt: unknown term kind byte %q", b[0]))
+		panic(fmt.Sprintf("frontcoding: unknown term kind byte %q", b[0]))
 	}
 	if kind != t.Kind {
 		if kind < t.Kind {
@@ -130,8 +114,8 @@ func CompareSerializedTerm(b []byte, t rdf.Term) int {
 
 // FCBuilder accumulates serialized terms — appended in the order they will
 // be searched in — into a front-coded blob plus block start offsets, the
-// random-access layout FCSet reads. Unlike writeSection it carries no count
-// prefix: blob and offsets are stored as separate snapshot sections.
+// random-access layout FCSet reads. It carries no count prefix: blob and
+// offsets are stored as separate snapshot sections.
 type FCBuilder struct {
 	blob []byte
 	offs []uint64
@@ -141,7 +125,7 @@ type FCBuilder struct {
 
 // Append front-codes one serialized term.
 func (fb *FCBuilder) Append(cur []byte) {
-	if fb.n%blockSize == 0 {
+	if fb.n%BlockSize == 0 {
 		fb.offs = append(fb.offs, uint64(len(fb.blob)))
 		fb.blob = binary.AppendUvarint(fb.blob, uint64(len(cur)))
 		fb.blob = append(fb.blob, cur...)
@@ -175,20 +159,23 @@ type FCSet struct {
 // NewFCSet validates the block-offset structure (count, monotonicity,
 // bounds) against the blob and entry count. The slices are retained.
 func NewFCSet(blob []byte, blockOffs []uint64, n int) (*FCSet, error) {
-	blocks := (n + blockSize - 1) / blockSize
+	if n < 0 {
+		return nil, fmt.Errorf("frontcoding: negative entry count %d", n)
+	}
+	blocks := (n + BlockSize - 1) / BlockSize
 	if len(blockOffs) != blocks+1 {
-		return nil, fmt.Errorf("hdt: front-coded set of %d entries needs %d block offsets, got %d", n, blocks+1, len(blockOffs))
+		return nil, fmt.Errorf("frontcoding: front-coded set of %d entries needs %d block offsets, got %d", n, blocks+1, len(blockOffs))
 	}
 	if blocks > 0 && blockOffs[0] != 0 {
-		return nil, fmt.Errorf("hdt: front-coded set first block offset %d, want 0", blockOffs[0])
+		return nil, fmt.Errorf("frontcoding: front-coded set first block offset %d, want 0", blockOffs[0])
 	}
 	for i := 1; i < len(blockOffs); i++ {
 		if blockOffs[i] < blockOffs[i-1] {
-			return nil, fmt.Errorf("hdt: front-coded block offsets not monotonic at %d", i)
+			return nil, fmt.Errorf("frontcoding: front-coded block offsets not monotonic at %d", i)
 		}
 	}
 	if blockOffs[len(blockOffs)-1] != uint64(len(blob)) {
-		return nil, fmt.Errorf("hdt: front-coded block offsets end at %d, want blob size %d", blockOffs[len(blockOffs)-1], len(blob))
+		return nil, fmt.Errorf("frontcoding: front-coded block offsets end at %d, want blob size %d", blockOffs[len(blockOffs)-1], len(blob))
 	}
 	return &FCSet{blob: blob, offs: blockOffs, n: n}, nil
 }
@@ -202,7 +189,7 @@ func (s *FCSet) TermAt(i int) (rdf.Term, error) {
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return deserializeTerm(b)
+	return DeserializeTerm(b)
 }
 
 // entryAt returns the serialized bytes of entry i, reusing scratch when it
@@ -210,15 +197,15 @@ func (s *FCSet) TermAt(i int) (rdf.Term, error) {
 // the same scratch.
 func (s *FCSet) entryAt(i int, scratch []byte) ([]byte, error) {
 	if i < 0 || i >= s.n {
-		return nil, fmt.Errorf("hdt: front-coded entry %d out of range (%d entries)", i, s.n)
+		return nil, fmt.Errorf("frontcoding: front-coded entry %d out of range (%d entries)", i, s.n)
 	}
-	block := i / blockSize
+	block := i / BlockSize
 	c := blockCursor{data: s.blob[s.offs[block]:s.offs[block+1]]}
 	cur, err := c.head(scratch)
 	if err != nil {
 		return nil, err
 	}
-	for k := 0; k < i%blockSize; k++ {
+	for k := 0; k < i%BlockSize; k++ {
 		cur, err = c.next(cur)
 		if err != nil {
 			return nil, err
@@ -261,9 +248,9 @@ func (s *FCSet) Search(cmp func(serialized []byte) int) (int, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	limit := s.n - block*blockSize
-	if limit > blockSize {
-		limit = blockSize
+	limit := s.n - block*BlockSize
+	if limit > BlockSize {
+		limit = BlockSize
 	}
 	for k := 0; k < limit; k++ {
 		if k > 0 {
@@ -274,12 +261,12 @@ func (s *FCSet) Search(cmp func(serialized []byte) int) (int, bool, error) {
 		}
 		switch c := cmp(cur); {
 		case c == 0:
-			return block*blockSize + k, true, nil
+			return block*BlockSize + k, true, nil
 		case c > 0:
-			return block*blockSize + k, false, nil
+			return block*BlockSize + k, false, nil
 		}
 	}
-	return block*blockSize + limit, false, nil
+	return block*BlockSize + limit, false, nil
 }
 
 // Each calls f with every entry index and its serialized bytes — valid only
@@ -287,11 +274,11 @@ func (s *FCSet) Search(cmp func(serialized []byte) int) (int, bool, error) {
 // decode pass, far cheaper than n TermAt calls.
 func (s *FCSet) Each(f func(i int, serialized []byte) bool) error {
 	var cur []byte
-	for block := 0; block*blockSize < s.n; block++ {
+	for block := 0; block*BlockSize < s.n; block++ {
 		c := blockCursor{data: s.blob[s.offs[block]:s.offs[block+1]]}
-		limit := s.n - block*blockSize
-		if limit > blockSize {
-			limit = blockSize
+		limit := s.n - block*BlockSize
+		if limit > BlockSize {
+			limit = BlockSize
 		}
 		var err error
 		for k := 0; k < limit; k++ {
@@ -303,7 +290,7 @@ func (s *FCSet) Each(f func(i int, serialized []byte) bool) error {
 			if err != nil {
 				return err
 			}
-			if !f(block*blockSize+k, cur) {
+			if !f(block*BlockSize+k, cur) {
 				return nil
 			}
 		}
@@ -320,7 +307,7 @@ type blockCursor struct {
 func (c *blockCursor) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.data[c.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("hdt: corrupt front-coded block (bad uvarint at %d)", c.pos)
+		return 0, fmt.Errorf("frontcoding: corrupt front-coded block (bad uvarint at %d)", c.pos)
 	}
 	c.pos += n
 	return v, nil
@@ -331,8 +318,8 @@ func (c *blockCursor) head(scratch []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(c.pos)+l > uint64(len(c.data)) {
-		return nil, fmt.Errorf("hdt: corrupt front-coded block (head length %d overruns block)", l)
+	if l > uint64(len(c.data)-c.pos) {
+		return nil, fmt.Errorf("frontcoding: corrupt front-coded block (head length %d overruns block)", l)
 	}
 	cur := append(scratch[:0], c.data[c.pos:c.pos+int(l)]...)
 	c.pos += int(l)
@@ -349,62 +336,12 @@ func (c *blockCursor) next(prev []byte) ([]byte, error) {
 		return nil, err
 	}
 	if common > uint64(len(prev)) {
-		return nil, fmt.Errorf("hdt: corrupt front coding (prefix %d > prev %d)", common, len(prev))
+		return nil, fmt.Errorf("frontcoding: corrupt front coding (prefix %d > prev %d)", common, len(prev))
 	}
-	if uint64(c.pos)+suffixLen > uint64(len(c.data)) {
-		return nil, fmt.Errorf("hdt: corrupt front-coded block (suffix %d overruns block)", suffixLen)
+	if suffixLen > uint64(len(c.data)-c.pos) {
+		return nil, fmt.Errorf("frontcoding: corrupt front-coded block (suffix %d overruns block)", suffixLen)
 	}
 	cur := append(prev[:common], c.data[c.pos:c.pos+int(suffixLen)]...)
 	c.pos += int(suffixLen)
 	return cur, nil
-}
-
-// readSection decodes a section written by writeSection.
-func readSection(r *bufio.Reader) ([]rdf.Term, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<31 {
-		return nil, fmt.Errorf("hdt: unreasonable section size %d", n)
-	}
-	terms := make([]rdf.Term, 0, n)
-	var prev []byte
-	for i := uint64(0); i < n; i++ {
-		var cur []byte
-		if i%blockSize == 0 {
-			l, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			cur = make([]byte, l)
-			if _, err := io.ReadFull(r, cur); err != nil {
-				return nil, err
-			}
-		} else {
-			common, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			suffixLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			if common > uint64(len(prev)) {
-				return nil, fmt.Errorf("hdt: corrupt front coding (prefix %d > prev %d)", common, len(prev))
-			}
-			cur = make([]byte, common+suffixLen)
-			copy(cur, prev[:common])
-			if _, err := io.ReadFull(r, cur[common:]); err != nil {
-				return nil, err
-			}
-		}
-		t, err := deserializeTerm(cur)
-		if err != nil {
-			return nil, err
-		}
-		terms = append(terms, t)
-		prev = cur
-	}
-	return terms, nil
 }

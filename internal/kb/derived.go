@@ -1,16 +1,16 @@
 package kb
 
 // Derived arrays: the per-predicate pair lists and the per-entity adjacency
-// arena are exact functions of the CSR pso indexes, so the v2 snapshot
-// format does not store them (they were ~40% of the v1 file). Built KBs and
-// v1 snapshots still populate them eagerly; a v2-backed KB reconstructs each
-// on first use, outside OpenSnapshot, so opening stays O(page-in) and
-// mining-only processes that never touch Facts/AdjacencyOf never pay.
+// arena are exact functions of the CSR pso indexes, so the snapshot format
+// does not store them. Built and patched KBs populate them eagerly; a
+// snapshot-backed KB reconstructs each on first use, outside OpenSnapshot,
+// so opening stays O(page-in) and mining-only processes that never touch
+// Facts/AdjacencyOf never pay.
 //
 // Reconstruction replays the same visit order the in-memory Build uses —
 // predicates ascending, subjects ascending within a predicate, objects
 // ascending within a subject — so the derived arrays are element-identical
-// to eagerly built ones (the format-equivalence tests assert this).
+// to eagerly built ones (TestSnapshotRoundTripLazyV2 asserts this).
 
 // ensurePairs and ensureAdjacency make the derived arrays present, deriving
 // them at most once.

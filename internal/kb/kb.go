@@ -56,11 +56,11 @@ type KB struct {
 	lblPred  PredID
 
 	// pairsReady/adjReady report whether the per-predicate pair lists and
-	// the adjacency arena are populated. Built KBs and v1 snapshots carry
-	// them eagerly; v2 snapshots omit both sections (they are exactly
-	// reconstructible from the CSR arenas, together ~40% of the file) and
-	// derive them on first use under deriveMu. Readers load the flag before
-	// touching the fields, so the one-time fill publishes safely.
+	// the adjacency arena are populated. Built and patched KBs carry them
+	// eagerly; snapshots store neither (they are exactly reconstructible
+	// from the CSR arenas) and a snapshot-backed KB derives them on first
+	// use under deriveMu. Readers load the flag before touching the fields,
+	// so the one-time fill publishes safely.
 	pairsReady atomic.Bool
 	adjReady   atomic.Bool
 	deriveMu   sync.Mutex
@@ -198,7 +198,7 @@ func (k *KB) HasFact(p PredID, s, o EntID) bool {
 }
 
 // Facts returns the sorted (subject, object) pairs of predicate p. The
-// returned slice is shared; callers must not modify it. For v2
+// returned slice is shared; callers must not modify it. For
 // snapshot-backed KBs the pair lists are derived from the CSR indexes on
 // first call (one linear pass over all predicates).
 func (k *KB) Facts(p PredID) []Pair {
@@ -248,7 +248,7 @@ func (k *KB) EntityFreq(e EntID) int { return int(k.entFreq[e-1]) }
 // AdjacencyOf returns the (predicate, object) pairs with e as subject,
 // including materialized inverse predicates, sorted by (P,O). The returned
 // slice is a constant-time view into the adjacency arena; callers must not
-// modify it. For v2 snapshot-backed KBs the arena is rebuilt from the CSR
+// modify it. For snapshot-backed KBs the arena is rebuilt from the CSR
 // indexes on the first call (one counting pass plus one placement pass).
 func (k *KB) AdjacencyOf(e EntID) []PO {
 	k.ensureAdjacency()

@@ -1,25 +1,25 @@
 package kb
 
-// fcTerms adapts a front-coded term set (internal/hdt) to the rdf.LazyTerms
-// interface backing a lazy dictionary. The set's entries are serialized terms
-// in ascending term order, typically aliasing an mmap'd snapshot section, so
-// no per-entity structure exists in the heap: Decode walks one 16-entry block
-// and Lookup binary-searches block heads.
+// fcTerms adapts a front-coded term set (internal/frontcoding) to the
+// rdf.LazyTerms interface backing a lazy dictionary. The set's entries are
+// serialized terms in ascending term order, typically aliasing an mmap'd
+// snapshot section, so no per-entity structure exists in the heap: Decode
+// walks one 16-entry block and Lookup binary-searches block heads.
 //
 // Decode errors surface as panics rather than error returns: the bytes sit
 // behind the snapshot container's CRC-64, so a malformed entry means a writer
 // bug (or memory corruption), not bad user input — the same contract as
-// hdt.CompareSerializedTerm.
+// frontcoding.CompareSerializedTerm.
 
 import (
 	"fmt"
 
-	"github.com/remi-kb/remi/internal/hdt"
+	"github.com/remi-kb/remi/internal/frontcoding"
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
 type fcTerms struct {
-	set *hdt.FCSet
+	set *frontcoding.FCSet
 }
 
 func (f *fcTerms) Len() int { return f.set.Len() }
@@ -34,7 +34,7 @@ func (f *fcTerms) TermAtRank(rank int) rdf.Term {
 
 func (f *fcTerms) RankOf(t rdf.Term) (int, bool) {
 	i, found, err := f.set.Search(func(serialized []byte) int {
-		return hdt.CompareSerializedTerm(serialized, t)
+		return frontcoding.CompareSerializedTerm(serialized, t)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("kb: corrupt front-coded term block: %v", err))
@@ -44,7 +44,7 @@ func (f *fcTerms) RankOf(t rdf.Term) (int, bool) {
 
 func (f *fcTerms) EachTerm(fn func(rank int, t rdf.Term) bool) {
 	err := f.set.Each(func(i int, serialized []byte) bool {
-		t, derr := hdt.DeserializeTerm(serialized)
+		t, derr := frontcoding.DeserializeTerm(serialized)
 		if derr != nil {
 			panic(fmt.Sprintf("kb: corrupt front-coded term block: %v", derr))
 		}

@@ -116,7 +116,7 @@ func mergePairs(base, adds, dels []Pair, label string) ([]Pair, error) {
 // copy.
 func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 	// The merges below read the base's pair lists and adjacency arena;
-	// derive them first if this KB came from a v2 snapshot (one-time linear
+	// derive them first if this KB came from a snapshot (one-time linear
 	// pass, already paid by any KB that has served mining traffic).
 	k.ensurePairs()
 	k.ensureAdjacency()

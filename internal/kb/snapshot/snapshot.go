@@ -32,7 +32,7 @@ import (
 )
 
 // Magic is the 8-byte file signature; the trailing newline guards against
-// text-mode mangling, mirroring the GOHDT magic.
+// text-mode mangling.
 const Magic = "REMISNP\n"
 
 const (
@@ -47,9 +47,10 @@ const (
 	// format without stranding old readers (they skip unknown sections)
 	// until a layout change truly requires a cut-off.
 	MinReaderVersion = 2
-	// oldestSupported is the oldest file version this reader still accepts:
-	// v1 images remain fully readable.
-	oldestSupported = 1
+	// oldestSupported is the oldest file version this reader still accepts.
+	// Version-1 images (raw term table, stored pair lists and adjacency)
+	// are refused: re-pack them from their N-Triples source.
+	oldestSupported = 2
 )
 
 // headerSize is the fixed byte length of the file header.
@@ -90,10 +91,10 @@ type Writer struct {
 // (Version, MinReaderVersion) pair.
 func NewWriter() *Writer { return &Writer{version: Version, minReader: MinReaderVersion} }
 
-// SetVersion overrides the header's format/min-reader pair, for writers
-// emitting an older layout on purpose (compatibility exports and the
-// old-vs-new format tests). It does not change what sections are written —
-// the caller owns layout/version consistency.
+// SetVersion overrides the header's format/min-reader pair (the version
+// negotiation tests stamp images older and newer than this reader with it).
+// It does not change what sections are written — the caller owns
+// layout/version consistency.
 func (w *Writer) SetVersion(version, minReader uint32) {
 	w.version = version
 	w.minReader = minReader

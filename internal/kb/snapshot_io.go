@@ -2,15 +2,14 @@ package kb
 
 // KB snapshots: zero-copy serialization of a built KB into the sectioned
 // container of internal/kb/snapshot. WriteSnapshot persists everything the
-// accessors read — the dictionary string table (plus its term-order
-// permutation, so Lookup needs no rebuilt hash map), the kind array,
-// predicate names, per-predicate CSR indexes concatenated into shared
-// arenas, the adjacency arena and the frequency statistics. OpenSnapshot
-// maps the file and casts the sections straight into the []EntID/[]uint32
-// slices the binary searches walk: cold start costs page-in I/O plus one
-// checksum pass instead of N-Triples parsing, deduplication and the global
-// (p,s,o) sort. Datasets are packed once (kbgen -snapshot, System.
-// SaveSnapshot) and opened many times.
+// accessors read and cannot derive — the front-coded dictionary (plus its
+// term-order permutation, so Lookup needs no rebuilt hash map), the kind
+// array, predicate names, per-predicate CSR indexes concatenated into shared
+// arenas and the frequency statistics. OpenSnapshot maps the file and casts
+// the sections straight into the []EntID/[]uint32 slices the binary searches
+// walk: cold start costs page-in I/O plus one checksum pass instead of
+// N-Triples parsing, deduplication and the global (p,s,o) sort. Datasets are
+// packed once (kbgen -snapshot, System.SaveSnapshot) and opened many times.
 
 import (
 	"fmt"
@@ -19,7 +18,7 @@ import (
 	"path/filepath"
 	"unsafe"
 
-	"github.com/remi-kb/remi/internal/hdt"
+	"github.com/remi-kb/remi/internal/frontcoding"
 	"github.com/remi-kb/remi/internal/kb/snapshot"
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -27,37 +26,29 @@ import (
 // Section ids of the KB snapshot layout (format-stable; see the package
 // comment of internal/kb/snapshot for the container framing).
 //
-// Format version 2 replaced the raw term table (secTermOffs + secTermBlob)
-// with front-coded term blocks (secTermRank + secTermFC + secTermFCOff) and
-// stopped writing the three sections that are exact functions of the pso CSR
-// arrays (secAdjOff, secAdjArena, secPairs — see derived.go). Version-1
-// images keep all their sections and remain fully readable.
+// Ids 3, 4, 10, 11 and 13 belonged to the retired version-1 layout (raw term
+// table, stored adjacency and pair lists) and are not reused.
 const (
 	secMeta       snapshot.SectionID = 1  // []uint64: counts and special predicate ids
 	secKinds      snapshot.SectionID = 2  // []rdf.Kind, one per entity
-	secTermOffs   snapshot.SectionID = 3  // v1: []uint64, len nEnt+1: term blob boundaries
-	secTermBlob   snapshot.SectionID = 4  // v1: term values, concatenated
 	secTermSorted snapshot.SectionID = 5  // []rdf.ID: ids in ascending term order
 	secPredOffs   snapshot.SectionID = 6  // []uint64, len nPred+1: name blob boundaries
 	secPredBlob   snapshot.SectionID = 7  // predicate names, concatenated
 	secBaseOf     snapshot.SectionID = 8  // []PredID: inverse -> base mapping
 	secEntFreq    snapshot.SectionID = 9  // []uint32: base-fact occurrences
-	secAdjOff     snapshot.SectionID = 10 // v1: []uint32, len nEnt+1
-	secAdjArena   snapshot.SectionID = 11 // v1: []PO
 	secPredCounts snapshot.SectionID = 12 // []uint32, 3 per predicate: nPairs, nPsoKey, nPosKey
-	secPairs      snapshot.SectionID = 13 // v1: []Pair, all predicates concatenated
 	secPsoKey     snapshot.SectionID = 14 // []EntID arena
 	secPsoOff     snapshot.SectionID = 15 // []uint32 arena (per-predicate runs of nPsoKey+1)
 	secPsoVal     snapshot.SectionID = 16 // []EntID arena
 	secPosKey     snapshot.SectionID = 17 // []EntID arena
 	secPosOff     snapshot.SectionID = 18 // []uint32 arena (per-predicate runs of nPosKey+1)
 	secPosVal     snapshot.SectionID = 19 // []EntID arena
-	secTermRank   snapshot.SectionID = 20 // v2: []uint32, rank[id-1] = position in term order
-	secTermFC     snapshot.SectionID = 21 // v2: front-coded serialized terms, ascending term order
-	secTermFCOff  snapshot.SectionID = 22 // v2: []uint64 block start offsets + final end offset
+	secTermRank   snapshot.SectionID = 20 // []uint32, rank[id-1] = position in term order
+	secTermFC     snapshot.SectionID = 21 // front-coded serialized terms, ascending term order
+	secTermFCOff  snapshot.SectionID = 22 // []uint64 block start offsets + final end offset
 )
 
-// metaWords is the number of uint64 fields in secMeta for format version 1.
+// metaWords is the number of uint64 fields in secMeta.
 // Readers accept longer metas (future fields append; old readers ignore).
 const metaWords = 6
 
@@ -78,10 +69,10 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	// block at rank[id-1]; Lookup binary-searches block heads.
 	sorted := k.dict.SortedByTerm()
 	rank := make([]uint32, len(k.kind))
-	var fcb hdt.FCBuilder
+	var fcb frontcoding.FCBuilder
 	for r, id := range sorted {
 		rank[id-1] = uint32(r)
-		fcb.Append(hdt.SerializeTerm(k.dict.Decode(id)))
+		fcb.Append(frontcoding.SerializeTerm(k.dict.Decode(id)))
 	}
 	blob, blockOffs, _ := fcb.Finish()
 	sw.Add(secTermRank, snapshot.Bytes(rank))
@@ -92,49 +83,7 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	return err
 }
 
-// WriteSnapshotLegacy serializes the KB in the version-1 format: raw term
-// blob with per-entity offsets, and the pair lists plus adjacency arena
-// stored eagerly. Kept for downgrade exports to deployments still running a
-// v1-only reader (and as the old side of the format-equivalence tests);
-// images are ~2x larger than WriteSnapshot's.
-func (k *KB) WriteSnapshotLegacy(w io.Writer) error {
-	k.ensurePairs()
-	k.ensureAdjacency()
-	sw := snapshot.NewWriter()
-	sw.SetVersion(1, 1)
-	k.addCommonSections(sw)
-
-	// Dictionary, v1 layout: concatenated values + boundary offsets.
-	nEnt := len(k.kind)
-	termOffs := make([]uint64, nEnt+1)
-	values := make([]string, nEnt)
-	total := 0
-	for i := 0; i < nEnt; i++ {
-		values[i] = k.dict.Decode(rdf.ID(i + 1)).Value
-		total += len(values[i])
-		termOffs[i+1] = uint64(total)
-	}
-	termBlob := make([]byte, 0, total)
-	for _, v := range values {
-		termBlob = append(termBlob, v...)
-	}
-	sw.Add(secTermOffs, snapshot.Bytes(termOffs))
-	sw.Add(secTermBlob, termBlob)
-
-	// Derived sections v1 stores eagerly.
-	sw.Add(secAdjOff, snapshot.Bytes(k.adjOff))
-	sw.Add(secAdjArena, snapshot.Bytes(k.adjArena))
-	pairs := make([]Pair, 0, k.nFacts)
-	for i := range k.preds {
-		pairs = append(pairs, k.preds[i].pairs...)
-	}
-	sw.Add(secPairs, snapshot.Bytes(pairs))
-
-	_, err := sw.WriteTo(w)
-	return err
-}
-
-// addCommonSections adds every section shared by the v1 and v2 layouts.
+// addCommonSections adds every section but the dictionary's term blocks.
 func (k *KB) addCommonSections(sw *snapshot.Writer) {
 	nEnt := len(k.kind)
 	nPred := len(k.predNames)
@@ -273,7 +222,7 @@ func OpenSnapshotWith(path string, opts SnapshotOptions) (*KB, error) {
 }
 
 // IsSnapshotFile reports whether path starts with the snapshot magic
-// (format sniffing for loaders that accept .nt, .hdt and snapshots alike).
+// (format sniffing for loaders that accept N-Triples and snapshots alike).
 func IsSnapshotFile(path string) bool { return snapshot.SniffFile(path) }
 
 // secView fetches a section and casts it, enforcing an exact element count
@@ -294,7 +243,7 @@ func secView[T any](r *snapshot.Reader, id snapshot.SectionID, name string, want
 }
 
 // checkAscending validates that ids ascend strictly — the invariant every
-// binary search in the accessors depends on. Like the frozen-dictionary
+// binary search in the accessors depends on. Like the dictionary's
 // permutation check, this exists because an out-of-order array in a
 // well-checksummed image (future/buggy writer) would not crash: it would
 // make lookups silently miss existing facts.
@@ -350,13 +299,11 @@ func blobString(blob []byte, lo, hi uint64) string {
 // zero-copy views; the per-predicate bookkeeping (predicate index map, id
 // list, slice headers) is small.
 //
-// Version 2 images get a fully lazy dictionary: the front-coded term blocks
-// stay in the image, Decode/Lookup work block-at-a-time, and open allocates
-// no O(entities) term structure — open cost is the container checksum pass
-// plus page-in. Version 1 images keep the eager path: the dictionary's
-// []rdf.Term table is filled in one linear pass (string headers only; the
-// bytes stay in the image), and the stored pair + adjacency sections are
-// viewed directly.
+// The dictionary is fully lazy: the front-coded term blocks stay in the
+// image, Decode/Lookup work block-at-a-time, and open allocates no
+// O(entities) term structure — open cost is the container checksum pass
+// plus page-in. Pair lists and adjacency are derived on first use
+// (derived.go).
 func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	meta, err := secView[uint64](r, secMeta, "meta", -1)
 	if err != nil {
@@ -371,7 +318,6 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	if uint64(nEnt) != meta[0] || uint64(nPred) != meta[1] || uint64(nFacts) != meta[3] {
 		return nil, fmt.Errorf("meta section: counts overflow int")
 	}
-	v2 := r.Version() >= 2
 
 	kinds, err := secView[rdf.Kind](r, secKinds, "kinds", nEnt)
 	if err != nil {
@@ -381,70 +327,47 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dict *rdf.Dictionary
-	if v2 {
-		rank, err := secView[uint32](r, secTermRank, "term ranks", nEnt)
+	rank, err := secView[uint32](r, secTermRank, "term ranks", nEnt)
+	if err != nil {
+		return nil, err
+	}
+	fcBlob, ok := r.Section(secTermFC)
+	if !ok {
+		return nil, fmt.Errorf("missing front-coded term section")
+	}
+	blocks := (nEnt + frontcoding.BlockSize - 1) / frontcoding.BlockSize
+	fcOffs, err := secView[uint64](r, secTermFCOff, "term block offsets", blocks+1)
+	if err != nil {
+		return nil, err
+	}
+	set, err := frontcoding.NewFCSet(fcBlob, fcOffs, nEnt)
+	if err != nil {
+		return nil, err
+	}
+	// Block heads must ascend in term order and agree with the kind
+	// table: a cheap n/16 spot check standing in for the full O(n)
+	// order validation the lazy open deliberately skips. (An
+	// out-of-order array would not crash — it would make lookups
+	// silently miss existing terms.)
+	var prev rdf.Term
+	for b := 0; b < blocks; b++ {
+		head, err := set.TermAt(b * frontcoding.BlockSize)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("term block %d: %w", b, err)
 		}
-		fcBlob, ok := r.Section(secTermFC)
-		if !ok {
-			return nil, fmt.Errorf("missing front-coded term section")
+		if b > 0 && prev.Compare(head) >= 0 {
+			return nil, fmt.Errorf("term blocks: heads not ascending at block %d", b)
 		}
-		blocks := (nEnt + hdt.BlockSize - 1) / hdt.BlockSize
-		fcOffs, err := secView[uint64](r, secTermFCOff, "term block offsets", blocks+1)
-		if err != nil {
-			return nil, err
+		if id := sorted[b*frontcoding.BlockSize]; id == 0 || int(id) > nEnt {
+			return nil, fmt.Errorf("term order: id %d out of range", id)
+		} else if kinds[id-1] != head.Kind {
+			return nil, fmt.Errorf("term blocks: head kind mismatch at block %d", b)
 		}
-		set, err := hdt.NewFCSet(fcBlob, fcOffs, nEnt)
-		if err != nil {
-			return nil, err
-		}
-		// Block heads must ascend in term order and agree with the kind
-		// table: a cheap n/16 spot check standing in for the full O(n)
-		// order validation the lazy open deliberately skips. (An
-		// out-of-order array would not crash — it would make lookups
-		// silently miss existing terms.)
-		var prev rdf.Term
-		for b := 0; b < blocks; b++ {
-			head, err := set.TermAt(b * hdt.BlockSize)
-			if err != nil {
-				return nil, fmt.Errorf("term block %d: %w", b, err)
-			}
-			if b > 0 && prev.Compare(head) >= 0 {
-				return nil, fmt.Errorf("term blocks: heads not ascending at block %d", b)
-			}
-			if id := sorted[b*hdt.BlockSize]; id == 0 || int(id) > nEnt {
-				return nil, fmt.Errorf("term order: id %d out of range", id)
-			} else if kinds[id-1] != head.Kind {
-				return nil, fmt.Errorf("term blocks: head kind mismatch at block %d", b)
-			}
-			prev = head
-		}
-		dict, err = rdf.NewLazyDictionary(&fcTerms{set: set}, sorted, rank)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		termOffs, err := secView[uint64](r, secTermOffs, "term offsets", nEnt+1)
-		if err != nil {
-			return nil, err
-		}
-		termBlob, ok := r.Section(secTermBlob)
-		if !ok {
-			return nil, fmt.Errorf("missing term blob section")
-		}
-		if err := checkOffsets("term offsets", termOffs, 0, uint64(len(termBlob))); err != nil {
-			return nil, err
-		}
-		terms := make([]rdf.Term, nEnt)
-		for i := range terms {
-			terms[i] = rdf.Term{Kind: kinds[i], Value: blobString(termBlob, termOffs[i], termOffs[i+1])}
-		}
-		dict, err = rdf.NewFrozenDictionary(terms, sorted)
-		if err != nil {
-			return nil, err
-		}
+		prev = head
+	}
+	dict, err := rdf.NewLazyDictionary(&fcTerms{set: set}, sorted, rank)
+	if err != nil {
+		return nil, err
 	}
 
 	predOffs, err := secView[uint64](r, secPredOffs, "predicate offsets", nPred+1)
@@ -471,22 +394,6 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var adjOff []uint32
-	var adjArena []PO
-	var pairs []Pair
-	if !v2 {
-		adjOff, err = secView[uint32](r, secAdjOff, "adjacency offsets", nEnt+1)
-		if err != nil {
-			return nil, err
-		}
-		adjArena, err = secView[PO](r, secAdjArena, "adjacency arena", nFacts)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkOffsets("adjacency offsets", adjOff, 0, uint64(nFacts)); err != nil {
-			return nil, err
-		}
-	}
 
 	counts, err := secView[uint32](r, secPredCounts, "predicate counts", nPred*3)
 	if err != nil {
@@ -500,12 +407,6 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	}
 	if nPairs != nFacts {
 		return nil, fmt.Errorf("predicate counts: %d pairs, meta says %d facts", nPairs, nFacts)
-	}
-	if !v2 {
-		pairs, err = secView[Pair](r, secPairs, "pairs", nPairs)
-		if err != nil {
-			return nil, err
-		}
 	}
 	psoKey, err := secView[EntID](r, secPsoKey, "pso keys", nPsoKeys)
 	if err != nil {
@@ -539,14 +440,8 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 		nFacts:   nFacts,
 		nBase:    int(meta[2]),
 		entFreq:  entFreq,
-		adjOff:   adjOff,
-		adjArena: adjArena,
 		typePred: PredID(meta[4]),
 		lblPred:  PredID(meta[5]),
-	}
-	if !v2 {
-		k.pairsReady.Store(true)
-		k.adjReady.Store(true)
 	}
 	if int(k.typePred) > nPred || int(k.lblPred) > nPred {
 		return nil, fmt.Errorf("meta section: special predicate id out of range")
@@ -572,9 +467,6 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 		nsk := int(counts[p*3+1])
 		nok := int(counts[p*3+2])
 		ix := &k.preds[p]
-		if !v2 {
-			ix.pairs = pairs[cPair : cPair+np : cPair+np]
-		}
 		ix.psoKey = psoKey[cPsoKey : cPsoKey+nsk : cPsoKey+nsk]
 		ix.psoOff = psoOff[cPsoOff : cPsoOff+nsk+1 : cPsoOff+nsk+1]
 		ix.psoVal = psoVal[cPair : cPair+np : cPair+np]
@@ -601,31 +493,13 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 		}
 		// Facts(p) consumers assume the pair list is (S,O)-sorted and
 		// duplicate-free (e.g. the Closed2/Closed3 adjacent-subject dedup).
-		// v2 derives pairs from the pso arrays, whose key/run checks above
-		// establish the same invariant.
-		for i := 1; i < np && !v2; i++ {
-			a, b := ix.pairs[i-1], ix.pairs[i]
-			if a.S > b.S || (a.S == b.S && a.O >= b.O) {
-				return nil, fmt.Errorf("pairs (predicate %d): not (S,O)-sorted at %d", p+1, i)
-			}
-		}
+		// Pairs are derived from the pso arrays, whose key/run checks above
+		// establish that invariant.
 		cPair += np
 		cPsoKey += nsk
 		cPsoOff += nsk + 1
 		cPosKey += nok
 		cPosOff += nok + 1
-	}
-	// Adjacency runs must ascend by (P,O) — the enumerator walks them
-	// assuming predicate-grouped order. (v2: no stored arena; the derivation
-	// in derived.go produces this order by construction.)
-	for e := 1; e < len(adjOff); e++ {
-		run := adjArena[adjOff[e-1]:adjOff[e]]
-		for i := 1; i < len(run); i++ {
-			a, b := run[i-1], run[i]
-			if a.P > b.P || (a.P == b.P && a.O >= b.O) {
-				return nil, fmt.Errorf("adjacency (entity %d): not (P,O)-sorted at %d", e, i)
-			}
-		}
 	}
 	return k, nil
 }

@@ -7,12 +7,15 @@ package kb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/remi-kb/remi/internal/kb/snapshot"
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
@@ -59,7 +62,7 @@ func checkSameKB(t testing.TB, want, got *KB) {
 		if got.EntityFreq(e) != want.EntityFreq(e) {
 			t.Fatalf("EntityFreq(%d) = %d, want %d", e, got.EntityFreq(e), want.EntityFreq(e))
 		}
-		// Dictionary reverse direction, including the frozen binary search.
+		// Dictionary reverse direction, including the block-head search.
 		id, ok := got.EntityID(want.Term(e))
 		if !ok || id != e {
 			t.Fatalf("EntityID(%v) = %d,%v, want %d", want.Term(e), id, ok, e)
@@ -188,7 +191,7 @@ func TestSnapshotEmptyKB(t *testing.T) {
 }
 
 // TestSnapshotRepack writes a snapshot FROM a snapshot-opened KB (the
-// pack-a-frozen-dictionary path, which reuses the persisted term-order
+// pack-a-lazy-dictionary path, which reuses the persisted term-order
 // permutation instead of re-sorting) and checks the second generation is
 // still identical to the original builder KB.
 func TestSnapshotRepack(t *testing.T) {
@@ -261,6 +264,35 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 	if IsSnapshotFile(filepath.Join(dir, "junk.snap")) {
 		t.Fatal("IsSnapshotFile accepted wrong magic")
+	}
+
+	// Damage the CRC does not catch: the checksum is not a MAC, so a hostile
+	// image carries a valid one. Re-pack the pristine sections with the first
+	// term block's head length overwritten by the uvarint of 2^64-1; open
+	// must return an error (it used to panic slicing the block).
+	r, err := snapshot.Open(filepath.Join(dir, "ok.snap"), snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sw := snapshot.NewWriter()
+	for id := secMeta; id <= secTermFCOff; id++ {
+		b, ok := r.Section(id)
+		if id == secTermFC {
+			b = append([]byte(nil), b...)
+			binary.PutUvarint(b, ^uint64(0))
+		}
+		if ok {
+			sw.Add(id, b)
+		}
+	}
+	var hostile bytes.Buffer
+	if _, err := sw.WriteTo(&hostile); err != nil {
+		t.Fatal(err)
+	}
+	err = tryOpen("hostile.snap", hostile.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "head length") {
+		t.Fatalf("re-checksummed head-length overflow: got %v, want a front-coding error", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/kb/snapshot"
@@ -50,16 +51,10 @@ func genStreamTriples(n int, seed int64) []rdf.Triple {
 	return out
 }
 
-func snapshotBytes(t *testing.T, k *KB, legacy bool) []byte {
+func snapshotBytes(t *testing.T, k *KB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if legacy {
-		err = k.WriteSnapshotLegacy(&buf)
-	} else {
-		err = k.WriteSnapshot(&buf)
-	}
-	if err != nil {
+	if err := k.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("write snapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -90,15 +85,12 @@ func TestBuildStreamingMatchesInMemory(t *testing.T) {
 					mem.NumFacts(), mem.NumBaseFacts(), mem.NumEntities(), mem.NumPredicates())
 			}
 			// The strong equivalence check: pack-once images must be
-			// byte-identical, in both format versions (legacy exercises the
-			// lazily derived pair lists and adjacency arena too).
-			if !bytes.Equal(snapshotBytes(t, st, false), snapshotBytes(t, mem, false)) {
-				t.Errorf("v2 snapshot bytes differ between streamed and in-memory builds")
+			// byte-identical.
+			if !bytes.Equal(snapshotBytes(t, st), snapshotBytes(t, mem)) {
+				t.Errorf("snapshot bytes differ between streamed and in-memory builds")
 			}
-			if !bytes.Equal(snapshotBytes(t, st, true), snapshotBytes(t, mem, true)) {
-				t.Errorf("legacy snapshot bytes differ between streamed and in-memory builds")
-			}
-			// Spot-check accessors (post-derivation).
+			// The pair lists and adjacency arena are not in the image:
+			// compare them through the accessors.
 			for _, p := range mem.Predicates() {
 				if mem.PredicateName(p) != st.PredicateName(p) {
 					t.Fatalf("predicate %d name mismatch", p)
@@ -148,128 +140,86 @@ func TestSnapshotRoundTripLazyV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromTriples: %v", err)
 	}
-	dir := t.TempDir()
-	v2Path := dir + "/kb.v2.snap"
-	v1Path := dir + "/kb.v1.snap"
-	f, err := os.Create(v2Path)
+	path := t.TempDir() + "/kb.snap"
+	if err := os.WriteFile(path, snapshotBytes(t, mem), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k, err := OpenSnapshot(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open: %v", err)
 	}
-	if err := mem.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	f, err = os.Create(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.WriteSnapshotLegacy(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	defer k.Close()
 
-	st1, _ := os.Stat(v1Path)
-	st2, _ := os.Stat(v2Path)
-	if st2.Size() >= st1.Size() {
-		t.Errorf("v2 snapshot (%d bytes) not smaller than legacy (%d bytes)", st2.Size(), st1.Size())
+	if k.NumFacts() != mem.NumFacts() || k.NumEntities() != mem.NumEntities() {
+		t.Fatalf("counts differ after round-trip")
 	}
-
-	k2, err := OpenSnapshot(v2Path)
-	if err != nil {
-		t.Fatalf("open v2: %v", err)
+	// Dictionary equivalence both directions.
+	for e := EntID(1); int(e) <= mem.NumEntities(); e++ {
+		want := mem.Term(e)
+		if got := k.Term(e); got != want {
+			t.Fatalf("entity %d decodes to %v, want %v", e, got, want)
+		}
+		id, ok := k.EntityID(want)
+		if !ok || id != e {
+			t.Fatalf("lookup of %v: got (%d,%v), want (%d,true)", want, id, ok, e)
+		}
 	}
-	defer k2.Close()
-	k1, err := OpenSnapshot(v1Path)
-	if err != nil {
-		t.Fatalf("open v1: %v", err)
+	if _, ok := k.EntityID(rdf.NewIRI("http://ex.org/absent")); ok {
+		t.Fatalf("lookup of absent term succeeded")
 	}
-	defer k1.Close()
-
-	for _, k := range []*KB{k1, k2} {
-		if k.NumFacts() != mem.NumFacts() || k.NumEntities() != mem.NumEntities() {
-			t.Fatalf("counts differ after round-trip")
+	// Derived arrays equal the eager ones.
+	for _, p := range mem.Predicates() {
+		mf, kf := mem.Facts(p), k.Facts(p)
+		if len(mf) != len(kf) {
+			t.Fatalf("predicate %d: %d vs %d facts", p, len(mf), len(kf))
 		}
-		// Dictionary equivalence both directions.
-		for e := EntID(1); int(e) <= mem.NumEntities(); e++ {
-			want := mem.Term(e)
-			if got := k.Term(e); got != want {
-				t.Fatalf("entity %d decodes to %v, want %v", e, got, want)
-			}
-			id, ok := k.EntityID(want)
-			if !ok || id != e {
-				t.Fatalf("lookup of %v: got (%d,%v), want (%d,true)", want, id, ok, e)
+		for i := range mf {
+			if mf[i] != kf[i] {
+				t.Fatalf("predicate %d fact %d differs", p, i)
 			}
 		}
-		if _, ok := k.EntityID(rdf.NewIRI("http://ex.org/absent")); ok {
-			t.Fatalf("lookup of absent term succeeded")
+	}
+	for e := EntID(1); int(e) <= mem.NumEntities(); e++ {
+		ma, ka := mem.AdjacencyOf(e), k.AdjacencyOf(e)
+		if len(ma) != len(ka) {
+			t.Fatalf("entity %d adjacency length differs", e)
 		}
-		// Derived arrays equal the eager ones.
-		for _, p := range mem.Predicates() {
-			mf, kf := mem.Facts(p), k.Facts(p)
-			if len(mf) != len(kf) {
-				t.Fatalf("predicate %d: %d vs %d facts", p, len(mf), len(kf))
-			}
-			for i := range mf {
-				if mf[i] != kf[i] {
-					t.Fatalf("predicate %d fact %d differs", p, i)
-				}
+		for i := range ma {
+			if ma[i] != ka[i] {
+				t.Fatalf("entity %d adjacency %d differs", e, i)
 			}
 		}
-		for e := EntID(1); int(e) <= mem.NumEntities(); e++ {
-			ma, ka := mem.AdjacencyOf(e), k.AdjacencyOf(e)
-			if len(ma) != len(ka) {
-				t.Fatalf("entity %d adjacency length differs", e)
-			}
-			for i := range ma {
-				if ma[i] != ka[i] {
-					t.Fatalf("entity %d adjacency %d differs", e, i)
-				}
-			}
-		}
-		// Entities must enumerate every id without materializing terms.
-		if got := len(k.Entities(nil)); got != mem.NumEntities() {
-			t.Fatalf("Entities: %d ids, want %d", got, mem.NumEntities())
-		}
+	}
+	// Entities must enumerate every id without materializing terms.
+	if got := len(k.Entities(nil)); got != mem.NumEntities() {
+		t.Fatalf("Entities: %d ids, want %d", got, mem.NumEntities())
 	}
 }
 
 func TestSnapshotVersionNegotiation(t *testing.T) {
-	trs := genStreamTriples(200, 3)
-	mem, err := FromTriples(trs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	// The header is judged before any section is interpreted: a file
+	// demanding a future reader is rejected, and so is a version-1 file —
+	// with the error that tells the operator to re-pack it.
+	for _, tc := range []struct {
+		version, minReader uint32
+		wantErr            string
+	}{
+		{99, 99, "requires reader version"},
+		{1, 1, "re-pack the KB"},
+	} {
+		var buf bytes.Buffer
+		sw := snapshot.NewWriter()
+		sw.SetVersion(tc.version, tc.minReader)
+		sw.Add(1, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		if _, err := sw.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := fmt.Sprintf("%s/v%d.snap", t.TempDir(), tc.version)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSnapshot(path); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("opening a version=%d minReader=%d snapshot: got %v, want %q", tc.version, tc.minReader, err, tc.wantErr)
+		}
 	}
-	dir := t.TempDir()
-
-	// A file demanding a future reader must be rejected.
-	var buf bytes.Buffer
-	sw := snapshot.NewWriter()
-	sw.SetVersion(99, 99)
-	sw.Add(1, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if _, err := sw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	future := dir + "/future.snap"
-	if err := os.WriteFile(future, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSnapshot(future); err == nil {
-		t.Fatalf("opening a minReader=99 snapshot succeeded")
-	}
-
-	// A legacy v1 file written by this code must still open.
-	v1 := dir + "/v1.snap"
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.WriteSnapshotLegacy(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	k, err := OpenSnapshot(v1)
-	if err != nil {
-		t.Fatalf("open v1: %v", err)
-	}
-	k.Close()
 }

@@ -19,22 +19,20 @@ const NoID ID = 0
 // It is safe for concurrent reads after the build phase is complete.
 //
 // A Dictionary comes in several physical forms with one behavior: the
-// mutable builder form keeps a hash index for Encode/Lookup; the frozen form
-// (NewFrozenDictionary, used by v1 KB snapshots) carries no map at all —
-// Lookup binary-searches a precomputed term-order permutation, so reopening
-// a snapshot never pays a per-term hashing pass; the lazy form
-// (NewLazyDictionary, used by v2 KB snapshots) holds no term slice either —
-// terms are decoded on demand from a LazyTerms source (e.g. front-coded
-// blocks in an mmap'd snapshot), so opening is O(page-in) in the term table.
-// Finally, ExtendDictionary layers a small set of appended terms over any of
-// the other forms without copying their lookup structures: the live-KB delta
-// layer uses it to add entities without rebuilding a multi-million-term
-// index.
+// mutable builder form keeps a hash index for Encode/Lookup; the lazy form
+// (NewLazyDictionary, used by KB snapshots) carries neither a map nor a term
+// slice — terms are decoded on demand from a LazyTerms source (e.g.
+// front-coded blocks in an mmap'd snapshot) and Lookup searches that source,
+// so opening is O(page-in) in the term table and never pays a per-term
+// hashing pass. Finally, ExtendDictionary layers a small set of appended
+// terms over either of the other forms without copying their lookup
+// structures: the live-KB delta layer uses it to add entities without
+// rebuilding a multi-million-term index.
 type Dictionary struct {
 	terms []Term      // terms[i] has ID i+1; nil in the lazy and extended forms
 	index map[Term]ID // term -> ID; only the builder form carries it
 	// sorted holds the IDs permuted into ascending Term.Compare order; the
-	// frozen and lazy forms carry it (Lookup's binary-search index).
+	// lazy form carries it (Lookup maps a rank in the source back to an ID).
 	sorted []ID
 	// lazy/rank form the lazy view: terms are decoded on demand from the
 	// source, and rank[i] is the term-order rank of ID i+1 (the inverse of
@@ -84,7 +82,7 @@ func (d *Dictionary) Len() int {
 }
 
 // Encode returns the ID for t, inserting it if absent. Only the builder form
-// is mutable; encoding against a frozen, lazy or extended dictionary is a
+// is mutable; encoding against a lazy or extended dictionary is a
 // programming error and panics.
 func (d *Dictionary) Encode(t Term) ID {
 	if d.index == nil {
@@ -115,51 +113,11 @@ func (d *Dictionary) Lookup(t Term) (ID, bool) {
 		id, ok := d.index[t]
 		return id, ok
 	}
-	if d.lazy != nil {
-		r, ok := d.lazy.RankOf(t)
-		if !ok {
-			return NoID, false
-		}
-		return d.sorted[r], true
+	r, ok := d.lazy.RankOf(t)
+	if !ok {
+		return NoID, false
 	}
-	// Frozen form: binary search the term-order permutation. Compare is a
-	// total order consistent with equality, so the probe is exact.
-	lo, hi := 0, len(d.sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d.terms[d.sorted[mid]-1].Compare(t) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d.sorted) && d.terms[d.sorted[lo]-1] == t {
-		return d.sorted[lo], true
-	}
-	return NoID, false
-}
-
-// NewFrozenDictionary builds the immutable lookup form from a term table
-// (ordered by ID) and the permutation of IDs in ascending Term.Compare
-// order, as stored in a KB snapshot. The permutation is validated to be
-// in-range and strictly term-ascending (which also forces it to be
-// duplicate-free, both in ids and in term values): a malformed permutation
-// would not crash but would make binary-search lookups silently miss
-// existing terms, so it is rejected here at open time instead. The slices
-// are retained, not copied.
-func NewFrozenDictionary(terms []Term, sorted []ID) (*Dictionary, error) {
-	if len(terms) != len(sorted) {
-		return nil, fmt.Errorf("rdf: frozen dictionary has %d terms but %d sorted ids", len(terms), len(sorted))
-	}
-	for i, id := range sorted {
-		if id == NoID || int(id) > len(terms) {
-			return nil, fmt.Errorf("rdf: frozen dictionary sorted id %d out of range at %d", id, i)
-		}
-		if i > 0 && terms[sorted[i-1]-1].Compare(terms[id-1]) >= 0 {
-			return nil, fmt.Errorf("rdf: frozen dictionary permutation not strictly term-ascending at %d", i)
-		}
-	}
-	return &Dictionary{terms: terms, sorted: sorted}, nil
+	return d.sorted[r], true
 }
 
 // NewLazyDictionary builds the on-demand lookup form from a LazyTerms source
@@ -189,8 +147,8 @@ func NewLazyDictionary(lazy LazyTerms, sorted []ID, rank []uint32) (*Dictionary,
 
 // ExtendDictionary returns a read-only dictionary holding every term of
 // base plus extra terms appended in order (ids base.Len()+1, ...). The
-// base's lookup structure — hash map or frozen binary-search permutation —
-// is reused, not copied; only the appended tail gets its own small index,
+// base's lookup structure — hash map or lazy term source — is reused,
+// not copied; only the appended tail gets its own small index,
 // so extending a multi-million-term dictionary by a handful of terms is
 // O(len(extra)). Encode on the result panics (it is a view, not a
 // builder), and base must not grow afterwards: the view's id space starts
@@ -214,7 +172,7 @@ func ExtendDictionary(base *Dictionary, extra []Term) (*Dictionary, error) {
 
 // SortedByTerm returns the IDs permuted into ascending Term.Compare order —
 // the binary-search index a snapshot writer persists so that reopening needs
-// no hashing pass at all. A frozen dictionary already carries the
+// no hashing pass at all. A lazy dictionary already carries the
 // permutation, so re-packing a snapshot-loaded KB skips the sort.
 func (d *Dictionary) SortedByTerm() []ID {
 	if d.sorted != nil && d.base == nil {
@@ -283,8 +241,8 @@ func (d *Dictionary) Decode(id ID) Term {
 	return d.terms[id-1]
 }
 
-// Terms returns the terms ordered by ID. For the builder and frozen forms
-// this is the backing slice and callers must not modify it; the lazy and
+// Terms returns the terms ordered by ID. For the builder form this is
+// the backing slice and callers must not modify it; the lazy and
 // extended forms materialize a fresh O(n) slice per call, so iterate with
 // EachTerm instead when the order does not matter.
 func (d *Dictionary) Terms() []Term {
@@ -355,7 +313,7 @@ func (d *Dictionary) DecodeTriple(tr IDTriple) Triple {
 	return Triple{S: d.Decode(tr.S), P: d.Decode(tr.P), O: d.Decode(tr.O)}
 }
 
-// SortTriples sorts ID triples in (S,P,O) order, the canonical HDT order.
+// SortTriples sorts ID triples in (S,P,O) order.
 func SortTriples(ts []IDTriple) {
 	sort.Slice(ts, func(i, j int) bool {
 		a, b := ts[i], ts[j]

@@ -1,7 +1,7 @@
 package rdf
 
-// Direct unit coverage of the dictionary's four physical forms (builder,
-// frozen, lazy, extended) and the borrowed-read ingestion path. The KB
+// Direct unit coverage of the dictionary's three physical forms (builder,
+// lazy, extended) and the borrowed-read ingestion path. The KB
 // builders exercise all of this indirectly, but the invariants — shared ID
 // space, inverse permutations, read-only panics, borrow-until-next-read —
 // deserve in-package pinning.
@@ -33,9 +33,9 @@ func (s sliceLazyTerms) EachTerm(f func(rank int, t Term) bool) {
 	}
 }
 
-// buildDictForms returns the same three-term dictionary in every read form:
+// buildDictForms returns the same three-term dictionary in both base forms:
 // insertion order C, A, B (IDs 1..3), ascending term order A, B, C.
-func buildDictForms(t *testing.T) (builder, frozen, lazy *Dictionary) {
+func buildDictForms(t *testing.T) (builder, lazy *Dictionary) {
 	t.Helper()
 	builder = NewDictionary()
 	for _, v := range []string{"http://e/C", "http://e/A", "http://e/B"} {
@@ -43,27 +43,22 @@ func buildDictForms(t *testing.T) (builder, frozen, lazy *Dictionary) {
 	}
 	terms := slices.Clone(builder.Terms())
 	sorted := builder.SortedByTerm() // A=2, B=3, C=1
-	var err error
-	frozen, err = NewFrozenDictionary(terms, sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
 	asc := make(sliceLazyTerms, len(sorted))
 	rank := make([]uint32, len(sorted))
 	for r, id := range sorted {
 		asc[r] = terms[id-1]
 		rank[id-1] = uint32(r)
 	}
-	lazy, err = NewLazyDictionary(asc, slices.Clone(sorted), rank)
+	lazy, err := NewLazyDictionary(asc, slices.Clone(sorted), rank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return builder, frozen, lazy
+	return builder, lazy
 }
 
 func TestDictionaryFormsAgree(t *testing.T) {
-	builder, frozen, lazy := buildDictForms(t)
-	forms := map[string]*Dictionary{"builder": builder, "frozen": frozen, "lazy": lazy}
+	builder, lazy := buildDictForms(t)
+	forms := map[string]*Dictionary{"builder": builder, "lazy": lazy}
 	for name, d := range forms {
 		if d.Len() != 3 {
 			t.Fatalf("%s: Len = %d, want 3", name, d.Len())
@@ -100,31 +95,16 @@ func TestDictionaryFormsAgree(t *testing.T) {
 		}
 	}
 
-	// Read-only forms must reject Encode loudly.
-	for _, name := range []string{"frozen", "lazy"} {
-		d := forms[name]
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Encode on a read-only dictionary did not panic", name)
-				}
-			}()
-			d.Encode(NewIRI("http://e/new"))
-		}()
-	}
+	// The read-only form must reject Encode loudly.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("lazy: Encode on a read-only dictionary did not panic")
+		}
+	}()
+	lazy.Encode(NewIRI("http://e/new"))
 }
 
 func TestDictionaryValidationRejectsBadPermutations(t *testing.T) {
-	terms := []Term{NewIRI("http://e/C"), NewIRI("http://e/A"), NewIRI("http://e/B")}
-	if _, err := NewFrozenDictionary(terms, []ID{2, 3}); err == nil {
-		t.Fatal("frozen: length mismatch accepted")
-	}
-	if _, err := NewFrozenDictionary(terms, []ID{2, 3, 9}); err == nil {
-		t.Fatal("frozen: out-of-range id accepted")
-	}
-	if _, err := NewFrozenDictionary(terms, []ID{1, 3, 2}); err == nil {
-		t.Fatal("frozen: non-ascending permutation accepted")
-	}
 	asc := sliceLazyTerms{NewIRI("http://e/A"), NewIRI("http://e/B"), NewIRI("http://e/C")}
 	if _, err := NewLazyDictionary(asc, []ID{2, 3, 1}, []uint32{1, 0}); err == nil {
 		t.Fatal("lazy: length mismatch accepted")
@@ -138,8 +118,8 @@ func TestDictionaryValidationRejectsBadPermutations(t *testing.T) {
 }
 
 func TestExtendDictionaryOverEveryBaseForm(t *testing.T) {
-	builder, frozen, lazy := buildDictForms(t)
-	for name, base := range map[string]*Dictionary{"builder": builder, "frozen": frozen, "lazy": lazy} {
+	builder, lazy := buildDictForms(t)
+	for name, base := range map[string]*Dictionary{"builder": builder, "lazy": lazy} {
 		ext, err := ExtendDictionary(base, []Term{NewIRI("http://e/D"), NewBlank("tail")})
 		if err != nil {
 			t.Fatalf("%s: extend: %v", name, err)

@@ -57,43 +57,59 @@ func TestMineBatchGolden(t *testing.T) {
 		want[i] = decode[MineResponse](t, rec)
 	}
 
-	batch := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
-	rec := postJSON(t, batch.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: sets})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
-	}
-	out := decode[BatchMineResponse](t, rec)
-	if len(out.Results) != len(sets) {
-		t.Fatalf("batch returned %d results for %d sets", len(out.Results), len(sets))
-	}
-	for i := range sets {
-		got := out.Results[i]
-		if got.Error != "" || got.Response == nil {
-			t.Fatalf("set %d: unexpected error entry %+v", i, got)
-		}
-		// Golden identity covers everything the search produces; stats and
-		// the served-from flags legitimately differ (the batch shares one
-		// evaluator and dedups the repeat).
-		if got.Response.Found != want[i].Found ||
-			!reflect.DeepEqual(got.Response.Solution, want[i].Solution) ||
-			!reflect.DeepEqual(got.Response.Alternatives, want[i].Alternatives) ||
-			!reflect.DeepEqual(got.Response.Exceptions, want[i].Exceptions) {
-			t.Fatalf("set %d: batch result differs from sequential /v1/mine:\nbatch: %+v\nsequential: %+v",
-				i, got.Response, want[i])
-		}
-	}
-	if !out.Results[6].Response.Deduplicated {
-		t.Fatal("repeated set not flagged deduplicated")
-	}
-	st := out.Stats
-	if st.Sets != 8 || st.Mined != 7 || st.Deduplicated != 1 || st.Errors != 0 {
-		t.Fatalf("batch stats: %+v", st)
-	}
-	if st.QueueBuildMS < 0 || st.SearchMS < 0 {
-		t.Fatalf("negative phase totals: %+v", st)
-	}
-	if out.KB != DefaultKBName {
-		t.Fatalf("batch KB = %q", out.KB)
+	// The guarded configuration arms the watchdog, a per-client quota and an
+	// interactive queue reserve, none of them binding on eight sets: guards
+	// that do not fire must change no answer.
+	for name, opts := range map[string]Options{
+		"default": {DefaultTimeout: 10 * time.Second},
+		"guarded": {
+			DefaultTimeout:     10 * time.Second,
+			WatchdogGrace:      30 * time.Second,
+			QuotaRate:          1e6,
+			QuotaBurst:         1 << 20,
+			InteractiveReserve: 1,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			batch := tinyServer(t, opts)
+			rec := postJSON(t, batch.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: sets})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
+			}
+			out := decode[BatchMineResponse](t, rec)
+			if len(out.Results) != len(sets) {
+				t.Fatalf("batch returned %d results for %d sets", len(out.Results), len(sets))
+			}
+			for i := range sets {
+				got := out.Results[i]
+				if got.Error != "" || got.Response == nil {
+					t.Fatalf("set %d: unexpected error entry %+v", i, got)
+				}
+				// Golden identity covers everything the search produces; stats and
+				// the served-from flags legitimately differ (the batch shares one
+				// evaluator and dedups the repeat).
+				if got.Response.Found != want[i].Found ||
+					!reflect.DeepEqual(got.Response.Solution, want[i].Solution) ||
+					!reflect.DeepEqual(got.Response.Alternatives, want[i].Alternatives) ||
+					!reflect.DeepEqual(got.Response.Exceptions, want[i].Exceptions) {
+					t.Fatalf("set %d: batch result differs from sequential /v1/mine:\nbatch: %+v\nsequential: %+v",
+						i, got.Response, want[i])
+				}
+			}
+			if !out.Results[6].Response.Deduplicated {
+				t.Fatal("repeated set not flagged deduplicated")
+			}
+			st := out.Stats
+			if st.Sets != 8 || st.Mined != 7 || st.Deduplicated != 1 || st.Errors != 0 {
+				t.Fatalf("batch stats: %+v", st)
+			}
+			if st.QueueBuildMS < 0 || st.SearchMS < 0 {
+				t.Fatalf("negative phase totals: %+v", st)
+			}
+			if out.KB != DefaultKBName {
+				t.Fatalf("batch KB = %q", out.KB)
+			}
+		})
 	}
 }
 

@@ -39,10 +39,10 @@ import (
 
 // LiveOptions tunes OpenLive.
 type LiveOptions struct {
-	// Source is the fallback KB source (N-Triples, HDT by extension, or a
-	// snapshot sniffed by magic) parsed when <dir>/<name>.snap does not
-	// exist yet — the first boot of a live KB. Later boots prefer the
-	// snapshot, which already folds every compacted mutation.
+	// Source is the fallback KB source (N-Triples, or a snapshot sniffed
+	// by magic) parsed when <dir>/<name>.snap does not exist yet — the
+	// first boot of a live KB. Later boots prefer the snapshot, which
+	// already folds every compacted mutation.
 	Source string
 	// Build are the KB build options used when parsing Source (nil means
 	// kb.DefaultOptions(): inverse materialization for the top 1%).

@@ -4,7 +4,7 @@ package remi
 // enumeration, common-ness filtering, Ĉ scoring and the cost sort) over the
 // Table 4 extended workload — the phase the CSR index relayout targets.
 // RankedCandidates is exactly buildQueue plus two result copies, so this
-// tracks queue_build_ms in the BENCH_*.json snapshots without the DFS noise.
+// times what benchmark/ reports as core.queue_build_share, without the DFS.
 
 import (
 	"testing"

@@ -9,7 +9,7 @@
 // complexity model, sequential and parallel miners); a minimal session looks
 // like:
 //
-//	sys, err := remi.Load("dbpedia.nt")                       // or .hdt
+//	sys, err := remi.Load("dbpedia.nt")                       // or a snapshot
 //	res, err := sys.Mine([]string{"http://dbpedia.org/resource/Paris"})
 //	fmt.Println(res.Expression, res.NL, res.Bits)
 package remi
@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
-	"github.com/remi-kb/remi/internal/hdt"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/nlg"
 	"github.com/remi-kb/remi/internal/prominence"
@@ -67,9 +65,9 @@ type System struct {
 	verb       *nlg.Verbalizer
 }
 
-// Load reads a knowledge base from an N-Triples (.nt, .ntriples), binary
-// HDT (.hdt) or KB snapshot file and indexes it with the paper's defaults
-// (inverse facts materialized for the top 1% most frequent objects).
+// Load reads a knowledge base from an N-Triples or KB snapshot file and
+// indexes it with the paper's defaults (inverse facts materialized for the
+// top 1% most frequent objects).
 // Snapshots are detected by their magic bytes regardless of extension and
 // open zero-copy (mmap where available) with the indexes — inverse
 // materialization included — exactly as they were packed; see
@@ -82,29 +80,20 @@ func Load(path string) (*System, error) {
 		}
 		return fromKB(k), nil
 	}
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".hdt":
-		h, err := hdt.LoadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("remi: loading %s: %w", path, err)
-		}
-		return FromTriples(h.Triples())
-	default:
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		// N-Triples go through the streaming builder: the raw triple slice
-		// of a web-scale dump is never held in memory (bounded run spills
-		// plus a k-way merge), and the result is element-identical to the
-		// in-memory build.
-		k, err := kb.BuildStreaming(rdf.NewReader(f), kb.DefaultOptions())
-		if err != nil {
-			return nil, fmt.Errorf("remi: parsing %s: %w", path, err)
-		}
-		return fromKB(k), nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	// N-Triples go through the streaming builder: the raw triple slice
+	// of a web-scale dump is never held in memory (bounded run spills
+	// plus a k-way merge), and the result is element-identical to the
+	// in-memory build.
+	k, err := kb.BuildStreaming(rdf.NewReader(f), kb.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("remi: parsing %s: %w", path, err)
+	}
+	return fromKB(k), nil
 }
 
 // FromTriples indexes an in-memory triple set.
@@ -193,22 +182,3 @@ func (s *System) WriteSnapshot(w io.Writer) error { return s.kb.WriteSnapshot(w)
 
 // SaveSnapshot writes the KB snapshot to path (see WriteSnapshot).
 func (s *System) SaveSnapshot(path string) error { return s.kb.WriteSnapshotFile(path) }
-
-// SaveHDT writes the KB's base facts to a binary HDT-style file.
-func (s *System) SaveHDT(path string) error {
-	var triples []rdf.Triple
-	for _, p := range s.kb.Predicates() {
-		if s.kb.IsInverse(p) {
-			continue
-		}
-		pTerm := rdf.NewIRI(s.kb.PredicateName(p))
-		for _, pair := range s.kb.Facts(p) {
-			triples = append(triples, rdf.Triple{S: s.kb.Term(pair.S), P: pTerm, O: s.kb.Term(pair.O)})
-		}
-	}
-	h, err := hdt.Build(triples)
-	if err != nil {
-		return err
-	}
-	return h.SaveFile(path)
-}

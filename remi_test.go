@@ -180,11 +180,11 @@ func TestLoadAndSaveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sys := tinySystem(t)
 
-	hdtPath := filepath.Join(dir, "tiny.hdt")
-	if err := sys.SaveHDT(hdtPath); err != nil {
+	snapPath := filepath.Join(dir, "tiny.snap")
+	if err := sys.SaveSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	sys2, err := Load(hdtPath)
+	sys2, err := Load(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestLoadAndSaveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatal("mining after HDT round trip failed")
+		t.Fatal("mining after snapshot round trip failed")
 	}
 }
 

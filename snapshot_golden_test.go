@@ -19,7 +19,7 @@ func TestSnapshotGoldenTinyMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "tiny.kbsnap") // deliberately not .nt/.hdt: magic sniffing must route it
+	path := filepath.Join(t.TempDir(), "tiny.kbsnap") // deliberately not .nt: magic sniffing must route it
 	if err := sys.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
