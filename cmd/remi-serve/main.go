@@ -80,6 +80,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -94,8 +95,8 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/cluster"
 	"github.com/remi-kb/remi/internal/server"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // kbFlag is one -kb occurrence: an optional registry name and a path.
@@ -213,14 +214,14 @@ func main() {
 			load: func() (*remi.System, error) { return remi.Load(path) },
 		})
 	}
-	var pullers []*cluster.Puller
+	var pullers []*server.Puller
 	for _, sf := range snaps {
 		for _, src := range sources {
 			if src.name == sf.name {
 				log.Fatalf("KB %q is served by both -snapshot-source and another flag", sf.name)
 			}
 		}
-		p := cluster.NewPuller(sf.name, sf.path, *snapCache)
+		p := server.NewPuller(sf.name, sf.path, *snapCache)
 		pullers = append(pullers, p)
 		sources = append(sources, kbSource{name: sf.name, load: p.Load})
 	}
@@ -463,20 +464,14 @@ func main() {
 func bootingHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeBootJSON(w, http.StatusOK, `{"status":"ok","booting":true}`)
+		wire.WriteJSON(w, http.StatusOK, json.RawMessage(`{"status":"ok","booting":true}`))
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeBootJSON(w, http.StatusServiceUnavailable, `{"status":"booting"}`)
+		wire.WriteJSON(w, http.StatusServiceUnavailable, json.RawMessage(`{"status":"booting"}`))
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		writeBootJSON(w, http.StatusServiceUnavailable, `{"error":"server is booting: knowledge bases not yet loaded"}`)
+		wire.SetRetryAfter(w, time.Second)
+		wire.WriteError(w, http.StatusServiceUnavailable, errors.New("server is booting: knowledge bases not yet loaded"))
 	})
 	return mux
-}
-
-func writeBootJSON(w http.ResponseWriter, status int, body string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintln(w, body)
 }

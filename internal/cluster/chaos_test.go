@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server"
-	"github.com/remi-kb/remi/internal/server/faults"
 )
 
 // chaosHarness is a full in-process fleet: n real remi-serve servers over

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 )
 
 // readyBody is the slice of a replica's /readyz answer the prober cares

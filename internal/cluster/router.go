@@ -1,35 +1,23 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand/v2"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
-// Wire headers of the routing tier. The router generates X-Request-Id when
-// the client didn't send one and stamps it on both tiers' responses;
-// X-Timeout-Budget-Ms carries the remaining client deadline so a replica
-// never works past it (and retries never stack their own timeouts on top);
-// X-Remi-Replica names the replica that actually served a routed response.
-const (
-	HeaderRequestID     = "X-Request-Id"
-	HeaderTimeoutBudget = "X-Timeout-Budget-Ms"
-	HeaderReplica       = "X-Remi-Replica"
-)
+// HeaderReplica names the replica that actually served a routed response
+// (the request-id and timeout-budget headers both tiers speak are package
+// wire's).
+const HeaderReplica = "X-Remi-Replica"
 
 // Replica names one remi-serve instance the router forwards to.
 type Replica struct {
@@ -215,59 +203,69 @@ func New(replicas []Replica, opts Options) (*Router, error) {
 }
 
 // ServeHTTP dispatches: router-local endpoints answer in place, job
-// endpoints fan out by id, everything else routes by dedup key.
+// endpoints fan out by id, everything else routes by dedup key. The request
+// id is accepted or minted here and travels to the replica on the request's
+// own header.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get(HeaderRequestID)
-	if reqID == "" {
-		reqID = newRequestID()
-	}
-	w.Header().Set(HeaderRequestID, reqID)
+	wire.EnsureRequestID(w, r)
 	switch {
 	case r.URL.Path == "/healthz":
 		rt.handleHealth(w)
 	case r.URL.Path == "/readyz":
 		rt.handleReady(w)
 	case r.URL.Path == "/router/stats":
-		writeJSON(w, http.StatusOK, rt.Stats())
+		wire.WriteJSON(w, http.StatusOK, rt.Stats())
 	case strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-		rt.forwardJob(w, r, reqID)
+		rt.forwardJob(w, r)
 	default:
-		rt.forwardKeyed(w, r, reqID)
+		rt.forwardKeyed(w, r)
 	}
-}
-
-// newRequestID is 8 random bytes hex-encoded: short enough to read in a
-// log line, long enough that collisions within a trace window don't
-// happen.
-func newRequestID() string {
-	var b [8]byte
-	_, _ = rand.Read(b[:])
-	return hex.EncodeToString(b[:])
 }
 
 // routeBody is the superset of every POST body the router forwards; it
 // parses leniently (unknown fields pass through untouched — the replica
 // validates) and only extracts what affinity needs.
 type routeBody struct {
-	Targets    []string   `json:"targets"`
-	Sets       [][]string `json:"sets"`
-	Entity     string     `json:"entity"`
-	KB         string     `json:"kb"`
-	Metric     string     `json:"metric"`
-	Language   string     `json:"language"`
-	Workers    int        `json:"workers"`
-	TimeoutMS  int64      `json:"timeout_ms"`
-	TopK       int        `json:"top_k"`
-	Exceptions int        `json:"exceptions"`
-	Size       int        `json:"size"`
+	wire.MineRequest
+	Sets   [][]string `json:"sets"`
+	Entity string     `json:"entity"`
+	Size   int        `json:"size"`
+}
+
+// key is the body's share of the route key: the replicas' own dedup key of
+// the canonicalised query (wire.MineRequest.Key), so every spelling of one
+// query — and its sync, async and stream forms — hashes to the replica
+// whose result cache holds it. A batch concatenates its sets' keys; a
+// summary is keyed on its entity and size as well.
+func (rb *routeBody) key() string {
+	q := rb.MineRequest
+	q.Canonicalize()
+	var b strings.Builder
+	if rb.Entity != "" {
+		b.WriteString("e:")
+		b.WriteString(rb.Entity)
+		b.WriteByte('|')
+		b.WriteString(strconv.Itoa(rb.Size))
+		b.WriteByte('|')
+	}
+	if len(rb.Sets) == 0 {
+		q.Normalize()
+		b.WriteString(q.Key())
+	}
+	for _, set := range rb.Sets {
+		q.Targets = set
+		q.Normalize()
+		b.WriteString(q.Key())
+		b.WriteByte(0)
+	}
+	return b.String()
 }
 
 // routeKey derives the consistent-hash key for a request: the KB name plus
-// the same normalized query identity the replicas deduplicate on, so
-// identical queries land on the same replica's result cache regardless of
-// endpoint (sync, async and stream forms of one query share affinity).
-// GET endpoints key on KB + path + query. The error return is a
-// client-visible status (non-zero means: don't forward, answer it).
+// the same query identity the replicas deduplicate on, so identical queries
+// land on the same replica's result cache regardless of endpoint. GET
+// endpoints key on KB + path + query. The error return is a client-visible
+// status (non-zero means: don't forward, answer it).
 func (rt *Router) routeKey(r *http.Request, body []byte) (key string, stream bool, status int, err error) {
 	path := r.URL.Path
 	kb := ""
@@ -285,389 +283,36 @@ func (rt *Router) routeKey(r *http.Request, body []byte) (key string, stream boo
 		if kb == "" {
 			kb = rb.KB
 		}
-		return kb + "\x00" + bodyKey(&rb), stream, 0, nil
+		return kb + "\x00" + rb.key(), stream, 0, nil
 	}
-	// GETs (describe, stats) and empty-body POSTs: path + canonical query.
-	q := r.URL.Query()
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(kb)
-	b.WriteByte(0)
-	b.WriteString(path)
-	for _, k := range keys {
-		b.WriteByte(0)
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strings.Join(q[k], ","))
-	}
-	return b.String(), stream, 0, nil
-}
-
-// bodyKey mirrors the replicas' dedup key construction (length-prefixed
-// normalized targets plus every result-affecting option) without
-// importing the server package: the two only need to agree with
-// themselves, but building them the same way means one query's sync,
-// async and batch forms hash together.
-func bodyKey(rb *routeBody) string {
-	var b strings.Builder
-	writeSet := func(set []string) {
-		set = append([]string(nil), set...)
-		sort.Strings(set)
-		for i, t := range set {
-			if i > 0 && t == set[i-1] {
-				continue
-			}
-			b.WriteString(strconv.Itoa(len(t)))
-			b.WriteByte(':')
-			b.WriteString(t)
-		}
-	}
-	writeSet(rb.Targets)
-	for _, set := range rb.Sets {
-		b.WriteByte('[')
-		writeSet(set)
-		b.WriteByte(']')
-	}
-	if rb.Entity != "" {
-		b.WriteString("e:")
-		b.WriteString(rb.Entity)
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(rb.Size))
-	}
-	b.WriteString(rb.Metric)
-	b.WriteByte('|')
-	b.WriteString(rb.Language)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(rb.Workers))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(rb.TimeoutMS, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(rb.TopK))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(rb.Exceptions))
-	return b.String()
-}
-
-// attemptResult is one forward's outcome plus the cancel that releases its
-// per-attempt context — the caller must invoke cancel (via close) once the
-// response body is consumed or abandoned.
-type attemptResult struct {
-	rep    *replica
-	resp   *http.Response
-	err    error
-	dur    time.Duration
-	cancel context.CancelFunc
-}
-
-func (a *attemptResult) close() {
-	if a.resp != nil {
-		io.Copy(io.Discard, io.LimitReader(a.resp.Body, 1<<16))
-		a.resp.Body.Close()
-	}
-	if a.cancel != nil {
-		a.cancel()
-	}
+	// GETs (describe, stats) and empty-body POSTs: path + canonical query
+	// (Encode sorts by parameter name).
+	return kb + "\x00" + path + "\x00" + r.URL.Query().Encode(), stream, 0, nil
 }
 
 // forwardKeyed buffers the body, derives the routing key and runs the
 // robustness envelope.
-func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, reqID string) {
+func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
 		var err error
 		body, err = io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes+1))
 		if err != nil {
-			rt.writeError(w, reqID, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 			return
 		}
 		if int64(len(body)) > rt.opts.MaxBodyBytes {
-			rt.writeError(w, reqID, http.StatusRequestEntityTooLarge,
+			wire.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", rt.opts.MaxBodyBytes))
 			return
 		}
 	}
 	key, stream, status, err := rt.routeKey(r, body)
 	if status != 0 {
-		rt.writeError(w, reqID, status, err)
+		wire.WriteError(w, status, err)
 		return
 	}
-	rt.forward(w, r, reqID, key, body, stream)
-}
-
-// forward is the robustness envelope: walk the key's ring sequence over
-// the healthy replicas, breaker-gated, with backoff between attempts, a
-// hedged second request on the first try, and the whole walk bounded by
-// the client's timeout budget. The first usable response passes through
-// unchanged; only a fleet with nothing to try answers 503.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, reqID, key string, body []byte, stream bool) {
-	rt.nForwards.Add(1)
-	seq := rt.ring.Sequence(key)
-	primaryName := seq[0]
-	cands := make([]*replica, 0, len(seq))
-	for _, name := range seq {
-		if rep := rt.byName[name]; rep.healthy() {
-			cands = append(cands, rep)
-		}
-	}
-	if len(cands) == 0 {
-		rt.nUnavailable.Add(1)
-		setRetryAfter(w, rt.opts.ProbeInterval)
-		rt.writeError(w, reqID, http.StatusServiceUnavailable, errors.New("no healthy replicas"))
-		return
-	}
-
-	ctx := r.Context()
-	if budget := clientBudget(r, stream, rt.opts.DefaultTimeout); budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
-
-	attempted := false
-	var lastErr error
-	for i := 0; i < rt.opts.MaxAttempts; i++ {
-		rep := cands[i%len(cands)]
-		if !rep.breaker.Allow() {
-			continue
-		}
-		if attempted {
-			rt.nRetries.Add(1)
-			if !sleepBackoff(ctx, rt.opts.RetryBaseDelay, rt.opts.RetryMaxDelay, i) {
-				break // budget exhausted mid-backoff
-			}
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		var res attemptResult
-		if !attempted && !stream && !rt.opts.HedgeDisabled && len(cands) > 1 {
-			res = rt.attemptHedged(ctx, r, body, reqID, rep, cands[(i+1)%len(cands)], primaryName)
-		} else {
-			res = rt.attempt(ctx, r, body, reqID, rep, rep.name == primaryName)
-		}
-		attempted = true
-		if usable(res) {
-			res.rep.breaker.Report(true)
-			rt.lat.observe(res.dur)
-			if res.rep.name != primaryName {
-				rt.nFailovers.Add(1)
-			}
-			rt.writeResponse(w, res, stream)
-			return
-		}
-		res.rep.breaker.Report(false)
-		res.rep.failures.Add(1)
-		if res.err != nil {
-			lastErr = res.err
-		} else {
-			lastErr = fmt.Errorf("replica %s answered %s", res.rep.name, res.resp.Status)
-		}
-		res.close()
-	}
-	switch {
-	case !attempted:
-		rt.nUnavailable.Add(1)
-		setRetryAfter(w, rt.opts.BreakerCooldown)
-		rt.writeError(w, reqID, http.StatusServiceUnavailable, errors.New("all replica circuit breakers open"))
-	case ctx.Err() != nil:
-		rt.writeError(w, reqID, http.StatusGatewayTimeout,
-			fmt.Errorf("timeout budget exhausted after retries: %w", lastErr))
-	default:
-		rt.writeError(w, reqID, http.StatusBadGateway,
-			fmt.Errorf("all forward attempts failed: %w", lastErr))
-	}
-}
-
-// clientBudget is the deadline the router owes the client: an explicit
-// X-Timeout-Budget-Ms wins; non-streaming requests fall back to the
-// default, streams run unbounded unless the client bounded them.
-func clientBudget(r *http.Request, stream bool, def time.Duration) time.Duration {
-	if h := r.Header.Get(HeaderTimeoutBudget); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
-	}
-	if stream {
-		return 0
-	}
-	return def
-}
-
-// sleepBackoff parks for the i-th retry's jittered exponential delay;
-// false means the context expired first.
-func sleepBackoff(ctx context.Context, base, max time.Duration, i int) bool {
-	d := base << (i - 1)
-	if d > max || d <= 0 {
-		d = max
-	}
-	// Full jitter over [d/2, d): desynchronizes routers retrying into the
-	// same recovering replica.
-	d = d/2 + time.Duration(mrand.Int64N(int64(d/2)+1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// usable reports whether an attempt's outcome should be passed to the
-// client rather than retried. Transport errors and 500/502 retry; a 503
-// without Retry-After is an instance-local refusal (e.g. a draining
-// replica between probes) and fails over; everything else — success, any
-// 4xx, a 429 or 503 carrying a Retry-After hint, a 504 — passes through
-// unchanged, because retrying those elsewhere would either duplicate work
-// past the client's deadline or storm a replica that is deliberately
-// shedding.
-func usable(res attemptResult) bool {
-	if res.err != nil {
-		return false
-	}
-	switch res.resp.StatusCode {
-	case http.StatusInternalServerError, http.StatusBadGateway:
-		return false
-	case http.StatusServiceUnavailable:
-		return res.resp.Header.Get("Retry-After") != ""
-	}
-	return true
-}
-
-// attempt forwards the buffered request to one replica under its own
-// cancellable context. The replica-fault points fire only when the target
-// is the key's ring primary, so chaos tests can take "the primary" down
-// without blinding the whole fleet.
-func (rt *Router) attempt(ctx context.Context, r *http.Request, body []byte, reqID string, rep *replica, primary bool) attemptResult {
-	actx, cancel := context.WithCancel(ctx)
-	res := attemptResult{rep: rep, cancel: cancel}
-	rep.forwards.Add(1)
-	start := time.Now()
-	if primary && faults.Armed() {
-		_ = faults.Fire(actx, faults.ReplicaSlow) // delay-only point
-		if err := faults.Fire(actx, faults.ReplicaDown); err != nil {
-			res.err = fmt.Errorf("replica %s: %w", rep.name, err)
-			res.dur = time.Since(start)
-			return res
-		}
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(actx, r.Method, rep.base+r.URL.RequestURI(), rd)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	req.Header = r.Header.Clone()
-	req.Header.Set(HeaderRequestID, reqID)
-	if dl, ok := actx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(HeaderTimeoutBudget, strconv.FormatInt(ms, 10))
-	}
-	res.resp, res.err = rt.client.Do(req)
-	res.dur = time.Since(start)
-	return res
-}
-
-// attemptHedged races the primary attempt against a hedge to the next
-// candidate: if the primary hasn't answered within the hedge delay
-// (EWMA-p99-derived, i.e. "already slower than almost everything we've
-// seen"), a second identical request starts and whichever usable response
-// lands first wins; the loser's context is cancelled so the fleet doesn't
-// finish work nobody will read.
-func (rt *Router) attemptHedged(ctx context.Context, r *http.Request, body []byte, reqID string, prim, backup *replica, primaryName string) attemptResult {
-	hedged := false
-	primCtx, primCancel := context.WithCancel(ctx)
-	hedCtx, hedCancel := context.WithCancel(ctx)
-	ch := make(chan attemptResult, 2)
-	go func() { ch <- rt.attempt(primCtx, r, body, reqID, prim, prim.name == primaryName) }()
-	t := time.NewTimer(rt.hedgeDelay())
-	defer t.Stop()
-	var first attemptResult
-	select {
-	case first = <-ch:
-	case <-ctx.Done():
-		first = <-ch
-	case <-t.C:
-		if backup.breaker.Allow() {
-			hedged = true
-			rt.nHedges.Add(1)
-			go func() { ch <- rt.attempt(hedCtx, r, body, reqID, backup, backup.name == primaryName) }()
-		}
-		first = <-ch
-	}
-	if !hedged {
-		hedCancel()
-		return chainCancel(first, primCancel)
-	}
-	if usable(first) {
-		// Cancel the straggler and discard its eventual result. A
-		// cancellation we caused is not evidence about the replica, so
-		// the discard reports only genuine outcomes to its breaker.
-		var winCancel, loseCancel context.CancelFunc
-		if first.rep == backup {
-			rt.nHedgeWins.Add(1)
-			winCancel, loseCancel = hedCancel, primCancel
-		} else {
-			winCancel, loseCancel = primCancel, hedCancel
-		}
-		loseCancel()
-		go func() {
-			late := <-ch
-			if late.err == nil || !errors.Is(late.err, context.Canceled) {
-				late.rep.breaker.Report(usable(late))
-			}
-			late.close()
-		}()
-		return chainCancel(first, winCancel)
-	}
-	// The first finisher failed: report it and settle on the other. The
-	// survivor's hedge context must outlive its body read, so it rides
-	// along in the result's cancel; the loser's is released now.
-	first.rep.breaker.Report(false)
-	first.rep.failures.Add(1)
-	first.close()
-	second := <-ch
-	if second.rep == backup {
-		primCancel()
-		return chainCancel(second, hedCancel)
-	}
-	hedCancel()
-	return chainCancel(second, primCancel)
-}
-
-// chainCancel appends extra context releases to a result's cancel so they
-// run when the result is closed (after its body is consumed), not before.
-func chainCancel(res attemptResult, extra context.CancelFunc) attemptResult {
-	inner := res.cancel
-	res.cancel = func() {
-		if inner != nil {
-			inner()
-		}
-		extra()
-	}
-	return res
-}
-
-// hedgeDelay is the current hedge trigger: fixed when configured, else the
-// latency tracker's p99, else the fallback until enough samples arrived.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.opts.HedgeDelay > 0 {
-		return rt.opts.HedgeDelay
-	}
-	if p := rt.lat.p99(); p > 0 {
-		return p
-	}
-	return rt.opts.HedgeFallback
+	rt.forward(w, r, key, body, stream)
 }
 
 // writeResponse passes a replica's response to the client unchanged,
@@ -702,68 +347,6 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// forwardJob routes job-lifecycle requests. Job ids are replica-local
-// (each replica runs its own registry), so the router walks the id's ring
-// sequence and treats a 404 as "not here, ask the next one"; only when
-// every reachable replica disclaims the id does the last 404 pass through.
-func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request, reqID string) {
-	rt.nForwards.Add(1)
-	stream := strings.HasSuffix(r.URL.Path, "/stream")
-	ctx := r.Context()
-	if budget := clientBudget(r, stream, rt.opts.DefaultTimeout); budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
-	seq := rt.ring.Sequence("job|" + strings.TrimPrefix(r.URL.Path, "/v1/jobs/"))
-	var notFound *attemptResult
-	var lastErr error
-	attempted := false
-	for _, name := range seq {
-		rep := rt.byName[name]
-		if !rep.healthy() || !rep.breaker.Allow() {
-			continue
-		}
-		res := rt.attempt(ctx, r, nil, reqID, rep, false)
-		attempted = true
-		if res.err == nil && res.resp.StatusCode == http.StatusNotFound {
-			rep.breaker.Report(true)
-			if notFound != nil {
-				notFound.close()
-			}
-			notFound = &res
-			continue
-		}
-		if usable(res) {
-			rep.breaker.Report(true)
-			if notFound != nil {
-				notFound.close()
-			}
-			rt.writeResponse(w, res, stream)
-			return
-		}
-		rep.breaker.Report(false)
-		rep.failures.Add(1)
-		if res.err != nil {
-			lastErr = res.err
-		} else {
-			lastErr = fmt.Errorf("replica %s answered %s", rep.name, res.resp.Status)
-		}
-		res.close()
-	}
-	switch {
-	case notFound != nil:
-		rt.writeResponse(w, *notFound, false)
-	case !attempted:
-		rt.nUnavailable.Add(1)
-		setRetryAfter(w, rt.opts.ProbeInterval)
-		rt.writeError(w, reqID, http.StatusServiceUnavailable, errors.New("no healthy replicas"))
-	default:
-		rt.writeError(w, reqID, http.StatusBadGateway,
-			fmt.Errorf("all forward attempts failed: %w", lastErr))
-	}
-}
-
 // handleHealth is router liveness: always 200 while the process answers.
 func (rt *Router) handleHealth(w http.ResponseWriter) {
 	healthy := 0
@@ -772,7 +355,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter) {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"role":     "router",
 		"replicas": len(rt.replicas),
@@ -785,12 +368,12 @@ func (rt *Router) handleHealth(w http.ResponseWriter) {
 func (rt *Router) handleReady(w http.ResponseWriter) {
 	for _, rep := range rt.replicas {
 		if rep.healthy() {
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+			wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 			return
 		}
 	}
-	setRetryAfter(w, rt.opts.ProbeInterval)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no healthy replicas"})
+	wire.SetRetryAfter(w, rt.opts.ProbeInterval)
+	wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no healthy replicas"})
 }
 
 // RouterStats is the body of GET /router/stats.
@@ -851,27 +434,4 @@ func (rt *Router) Stats() RouterStats {
 		}
 	}
 	return st
-}
-
-// writeError answers a router-originated failure in the same JSON shape
-// the replicas use, request id included, so clients parse one error format
-// across the tiers.
-func (rt *Router) writeError(w http.ResponseWriter, reqID string, status int, err error) {
-	writeJSON(w, status, map[string]any{"error": err.Error(), "request_id": reqID})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// setRetryAfter mirrors the replicas' hint format: whole seconds, floored
-// at 1.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }

@@ -14,7 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // scriptReplica is a controllable fake remi-serve instance: by default it
@@ -44,13 +45,13 @@ func (f *scriptReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Path == "/readyz" {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 		return
 	}
 	f.hits.Add(1)
-	f.lastReqID.Store(r.Header.Get(HeaderRequestID))
-	f.lastBudget.Store(r.Header.Get(HeaderTimeoutBudget))
-	writeJSON(w, http.StatusOK, map[string]any{"replica": f.name})
+	f.lastReqID.Store(r.Header.Get(wire.HeaderRequestID))
+	f.lastBudget.Store(r.Header.Get(wire.HeaderTimeoutBudget))
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": f.name})
 }
 
 func (f *scriptReplica) script(h http.HandlerFunc) { f.custom.Store(h) }
@@ -166,22 +167,22 @@ func TestRouterPassThroughAndHeaders(t *testing.T) {
 	if byName(fleet, serving) == nil {
 		t.Fatalf("%s names unknown replica %q", HeaderReplica, serving)
 	}
-	if rec.Header().Get(HeaderRequestID) == "" {
+	if rec.Header().Get(wire.HeaderRequestID) == "" {
 		t.Fatal("router did not mint a request id")
 	}
 	// The serving replica saw the same id the client got back, and a
 	// default budget (non-streaming request without an explicit one).
 	srv := byName(fleet, serving)
-	if srv.lastID() != rec.Header().Get(HeaderRequestID) {
-		t.Fatalf("replica saw id %q, client got %q", srv.lastID(), rec.Header().Get(HeaderRequestID))
+	if srv.lastID() != rec.Header().Get(wire.HeaderRequestID) {
+		t.Fatalf("replica saw id %q, client got %q", srv.lastID(), rec.Header().Get(wire.HeaderRequestID))
 	}
 	if b, _ := srv.lastBudget.Load().(string); b == "" {
 		t.Fatal("replica received no timeout budget for a non-streaming request")
 	}
 
 	// A client-supplied id passes through both tiers untouched.
-	rec = doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{HeaderRequestID: "trace-42"})
-	if got := rec.Header().Get(HeaderRequestID); got != "trace-42" {
+	rec = doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{wire.HeaderRequestID: "trace-42"})
+	if got := rec.Header().Get(wire.HeaderRequestID); got != "trace-42" {
 		t.Fatalf("client-supplied request id came back as %q", got)
 	}
 }
@@ -204,11 +205,11 @@ func TestRouterFailoverOnPrimaryFailure(t *testing.T) {
 		minTry int64
 	}{
 		{"http 500", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
+			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
 		}, 1},
 		{"bare 503", func(w http.ResponseWriter, r *http.Request) {
 			// No Retry-After: an instance-local refusal, e.g. draining.
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "draining"})
+			wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "draining"})
 		}, 1},
 	}
 	for _, tc := range cases {
@@ -274,7 +275,7 @@ func TestRouterPassThroughStatuses(t *testing.T) {
 					w.Header().Set("Retry-After", row.retryAfter)
 				}
 				w.Header().Set("X-Conformance", "yes")
-				writeJSON(w, row.status, map[string]any{"error": "scripted"})
+				wire.WriteJSON(w, row.status, map[string]any{"error": "scripted"})
 			})
 			rt := newTestRouter(t, fleet, fastOpts())
 			rec := doRouted(rt, "POST", "/v1/mine", mineBody, nil)
@@ -297,13 +298,13 @@ func TestRouterPassThroughStatuses(t *testing.T) {
 func TestRouterRetriesExhaustedAnswer502(t *testing.T) {
 	fleet := newFleet(t, "only")
 	fleet[0].script(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
 	})
 	opts := fastOpts()
 	opts.MaxAttempts = 2
 	rt := newTestRouter(t, fleet, opts)
 
-	rec := doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{HeaderRequestID: "give-up"})
+	rec := doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{wire.HeaderRequestID: "give-up"})
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502: %s", rec.Code, rec.Body.String())
 	}
@@ -330,14 +331,14 @@ func TestRouterTimeoutBudget(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replica": "slow"})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": "slow"})
 	})
 	opts := fastOpts()
 	opts.MaxAttempts = 2
 	rt := newTestRouter(t, fleet, opts)
 
 	start := time.Now()
-	rec := doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{HeaderTimeoutBudget: "80"})
+	rec := doRouted(rt, "POST", "/v1/mine", mineBody, map[string]string{wire.HeaderTimeoutBudget: "80"})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
@@ -445,7 +446,7 @@ func TestRouterHedgeWin(t *testing.T) {
 	byName(fleet, primary).script(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(3 * time.Second):
-			writeJSON(w, http.StatusOK, map[string]any{"replica": "slow-primary"})
+			wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": "slow-primary"})
 		case <-r.Context().Done():
 			select {
 			case primaryCancelled <- struct{}{}:
@@ -483,7 +484,7 @@ func TestRouterHedgeSettlesOnSecondWhenFirstFails(t *testing.T) {
 	primary := ringPrimary(t, rt, "/v1/mine", mineBody)
 	byName(fleet, primary).script(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(20 * time.Millisecond) // past the hedge trigger, then fail
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
 	})
 	backupName := ""
 	for _, f := range fleet {
@@ -491,7 +492,7 @@ func TestRouterHedgeSettlesOnSecondWhenFirstFails(t *testing.T) {
 			backupName = f.name
 			f.script(func(w http.ResponseWriter, r *http.Request) {
 				time.Sleep(60 * time.Millisecond) // slower than the failing primary
-				writeJSON(w, http.StatusOK, map[string]any{"replica": f.name})
+				wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": f.name})
 			})
 		}
 	}
@@ -515,7 +516,7 @@ func TestRouterHedgeRespectsBackupBreaker(t *testing.T) {
 	primary := ringPrimary(t, rt, "/v1/mine", mineBody)
 	byName(fleet, primary).script(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(30 * time.Millisecond)
-		writeJSON(w, http.StatusOK, map[string]any{"replica": primary})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": primary})
 	})
 	for _, rep := range rt.replicas {
 		if rep.name != primary {
@@ -541,7 +542,7 @@ func TestRouterHedgeRespectsBackupBreaker(t *testing.T) {
 func TestRouterJobFanOut(t *testing.T) {
 	job := `{"id":"j-1","state":"done","kind":"mine"}`
 	notFound := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "no such job"})
+		wire.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no such job"})
 	}
 
 	t.Run("found on a non-primary replica", func(t *testing.T) {
@@ -576,7 +577,7 @@ func TestRouterJobFanOut(t *testing.T) {
 	t.Run("a failing replica is skipped", func(t *testing.T) {
 		fleet := newFleet(t, "r1", "r2")
 		fleet[0].script(func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
+			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": "boom"})
 		})
 		fleet[1].script(notFound)
 		rt := newTestRouter(t, fleet, fastOpts())
@@ -689,6 +690,27 @@ func TestRouteKeyAffinity(t *testing.T) {
 	}
 }
 
+// TestRouteAliasesShareAPrimary: every spelling of one query that a replica
+// serves from one result-cache entry must hash to one replica, or the
+// second spelling misses the cache the first one warmed.
+func TestRouteAliasesShareAPrimary(t *testing.T) {
+	rt := newTestRouter(t, newFleet(t, "r1", "r2", "r3"), fastOpts())
+	for i := 0; i < 32; i++ {
+		targets := fmt.Sprintf(`"targets":["http://x/e%d","http://x/e%d"]`, i, i+100)
+		want := ringPrimary(t, rt, "/v1/mine", "{"+targets+"}")
+		for _, alias := range []string{
+			`"metric":""`, `"metric":"fr"`,
+			`"language":""`, `"language":"remi"`, `"language":"extended"`,
+			`"top_k":0`, `"top_k":1`, `"workers":0`, `"workers":1`,
+		} {
+			body := "{" + targets + "," + alias + "}"
+			if got := ringPrimary(t, rt, "/v1/mine", body); got != want {
+				t.Fatalf("%s routes to %s, the plain query to %s", body, got, want)
+			}
+		}
+	}
+}
+
 func TestClientBudget(t *testing.T) {
 	req := httptest.NewRequest("POST", "/v1/mine", nil)
 	if got := clientBudget(req, false, time.Minute); got != time.Minute {
@@ -697,14 +719,14 @@ func TestClientBudget(t *testing.T) {
 	if got := clientBudget(req, true, time.Minute); got != 0 {
 		t.Fatalf("stream without explicit budget = %v, want unbounded", got)
 	}
-	req.Header.Set(HeaderTimeoutBudget, "250")
+	req.Header.Set(wire.HeaderTimeoutBudget, "250")
 	if got := clientBudget(req, false, time.Minute); got != 250*time.Millisecond {
 		t.Fatalf("explicit budget = %v", got)
 	}
 	if got := clientBudget(req, true, time.Minute); got != 250*time.Millisecond {
 		t.Fatalf("explicit budget on a stream = %v", got)
 	}
-	req.Header.Set(HeaderTimeoutBudget, "garbage")
+	req.Header.Set(wire.HeaderTimeoutBudget, "garbage")
 	if got := clientBudget(req, false, time.Minute); got != time.Minute {
 		t.Fatalf("unparseable budget fell through to %v", got)
 	}
@@ -741,10 +763,10 @@ func TestProbeHealthTransitions(t *testing.T) {
 	// Degraded but serving: stays routable, surfaces in stats.
 	fleet[0].script(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "degraded": true})
+			wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "degraded": true})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replica": "r1"})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"replica": "r1"})
 	})
 	rt.ProbeNow(ctx)
 	if st := rt.Stats().Replicas["r1"]; !st.Healthy || !st.Degraded {
@@ -756,7 +778,7 @@ func TestProbeHealthTransitions(t *testing.T) {
 
 	// Draining (503 from /readyz): out of routing.
 	fleet[0].script(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 	})
 	rt.ProbeNow(ctx)
 	if st := rt.Stats().Replicas["r1"]; st.Healthy || st.ProbeFailures < 1 || st.LastProbeError == "" {

@@ -60,16 +60,6 @@ type Config struct {
 	// alternatives survive (used by the Section 4.1.2 study, which shows
 	// users several REs encountered during search-space traversal).
 	TopK int
-	// ParallelQueueMinProbes is the floor on candidate·extra-target HoldsFor
-	// probes below which buildQueue stays sequential: under it, the
-	// goroutine fan-out costs more than it saves. Zero selects the built-in
-	// default (4096), which was tuned on a 1-CPU container where the
-	// parallel path never engages at benchmark scale — deployments on
-	// many-core machines should re-tune this against their own workload
-	// (lower it to engage the fan-out earlier). Negative values disable the
-	// parallel queue build outright. The queue is byte-identical either way;
-	// only the build time changes.
-	ParallelQueueMinProbes int
 	// Trace receives search events when non-nil (used by the Figure 1
 	// walk-through); honored by the sequential miner only.
 	Trace TraceFunc
@@ -279,13 +269,12 @@ type scored struct {
 }
 
 // queueBlock is the number of candidate indices a queue-build worker claims
-// per round. parallelQueueMinProbes is the default floor on
-// candidate·extra-target HoldsFor probes below which the goroutine fan-out
-// costs more than it saves (overridable per miner via
-// Config.ParallelQueueMinProbes); parallelQueueMinCands additionally lets
-// giant single-target queues parallelize their Ĉ scoring even with no
-// filter work (scoring a warm estimator cache is a ~20ns lock-free load, so
-// only very large queues pay for the fan there).
+// per round. parallelQueueMinProbes is the floor on candidate·extra-target
+// HoldsFor probes below which the goroutine fan-out costs more than it
+// saves; parallelQueueMinCands additionally lets giant single-target queues
+// parallelize their Ĉ scoring even with no filter work (scoring a warm
+// estimator cache is a ~20ns lock-free load, so only very large queues pay
+// for the fan there).
 const (
 	queueBlock             = 256
 	parallelQueueMinProbes = 4096
@@ -408,12 +397,8 @@ func (m *Miner) buildQueueBatch(ctx context.Context, targets []kb.EntID, qb *que
 func (m *Miner) scoreQueue(ctx context.Context, cands []expr.Subgraph, rest []kb.EntID, qb *queueBufs) ([]scored, bool) {
 	var out []scored
 	probes := len(cands) * len(rest)
-	minProbes := m.cfg.ParallelQueueMinProbes
-	if minProbes == 0 {
-		minProbes = parallelQueueMinProbes
-	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && minProbes > 0 &&
-		(probes >= minProbes || len(cands) >= parallelQueueMinCands) {
+	if workers := runtime.GOMAXPROCS(0); workers > 1 &&
+		(probes >= parallelQueueMinProbes || len(cands) >= parallelQueueMinCands) {
 		var timedOut bool
 		if out, timedOut = m.scoreQueueParallel(ctx, cands, rest, workers, qb); timedOut {
 			return nil, true

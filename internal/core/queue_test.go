@@ -82,41 +82,6 @@ func TestParallelQueueBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelQueueMinProbesKnob covers the Config override of the fan-out
-// floor: the queue must stay byte-identical across "always parallel"
-// (floor 1), the default floor, and "parallel disabled" (negative floor).
-func TestParallelQueueMinProbesKnob(t *testing.T) {
-	m, targets := queueTestMiner(t, 13)
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	buildWith := func(minProbes int) []scored {
-		cfg := m.cfg
-		cfg.ParallelQueueMinProbes = minProbes
-		mm := NewMiner(m.K, m.Est, cfg)
-		q, timedOut := mm.buildQueue(context.Background(), targets, &queueBufs{})
-		if timedOut {
-			t.Fatal("queue build timed out without a deadline")
-		}
-		return q
-	}
-	want := buildWith(-1) // sequential reference
-	if len(want) == 0 {
-		t.Fatal("empty queue: the fixture lost its common candidates")
-	}
-	for _, minProbes := range []int{0, 1} {
-		got := buildWith(minProbes)
-		if len(got) != len(want) {
-			t.Fatalf("minProbes=%d: queue len %d, want %d", minProbes, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].g != want[i].g || got[i].cost != want[i].cost {
-				t.Fatalf("minProbes=%d: queue[%d] differs", minProbes, i)
-			}
-		}
-	}
-}
-
 // TestParallelQueueBuildMatchesSequentialFilter cross-checks the fan-out
 // against the plain CommonSubgraphs + score loop it replaced.
 func TestParallelQueueBuildMatchesSequentialFilter(t *testing.T) {

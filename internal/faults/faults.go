@@ -1,10 +1,10 @@
-// Package faults compiles named failure points into the serving stack so
-// the chaos suite can prove degraded behavior instead of hoping for it:
-// a test arms a point (an injected error, a panic, a delay, or a block
-// that models wedged code), drives the server through its public surface,
-// and asserts the documented containment — old-generation serving after a
-// failed reload, a watchdog-killed stuck job, a bounded event log under a
-// stalled stream consumer.
+// Package faults compiles named failure points into the fleet so the chaos
+// suites can prove degraded behavior instead of hoping for it: a test arms
+// a point (an injected error, a panic, a delay, or a block that models
+// wedged code), drives the system through its public surface, and asserts
+// the documented containment. It imports only the standard library, so
+// every layer — storage, server, router — fires its points without linking
+// any of the others.
 //
 // Production pays one atomic load per failure point while nothing is
 // armed: every entry into the package goes through Armed(), which reads a
@@ -14,7 +14,36 @@
 //
 // The points are deliberately few and named after the failure they model,
 // not after the code line they live on — call sites may move, the chaos
-// suite's vocabulary should not.
+// suite's vocabulary should not. This is the one list of them, by the
+// layer that fires each, with the chaos test that arms it (the constants
+// below document the degraded behavior each test asserts):
+//
+// Storage (internal/wal, the root package's LiveKB):
+//
+//	wal.sync       TestSyncFaultLeavesLogUsable (wal), TestLiveKBSyncFailureNeverAcks,
+//	               TestFactsChaosWalSyncFailure (server)
+//	wal.torn       TestTornFaultRefusesAndRecovers (wal), TestLiveKBTornWriteRecovery,
+//	               TestFactsChaosTornAppend (server)
+//	compact.crash  TestLiveKBCompactionAndCrash, TestCompileChaosCrashContainment (server)
+//	delta.apply    TestLiveKBDeltaApplyFaultLeavesNoTrace
+//
+// Server (internal/server):
+//
+//	reload.open     TestChaosReloadLastKnownGood, TestChaosReloadBackoffDoubles
+//	reload.corrupt  TestChaosReloadLastKnownGood
+//	reload.slow     TestChaosReloadSlowDoesNotBlockServing
+//	mine.panic      TestChaosMinePanicContained
+//	job.stuck       TestChaosWatchdogKillsStuckMine, TestChaosWatchdogFailedJobDocument,
+//	                TestChaosQuotaVsSaturation, TestChaosBatchPriorityReserve,
+//	                TestChaosGracefulDrain
+//	stream.stall    TestChaosStreamStallBoundedLog
+//	fetch.corrupt   TestPullerCorruptPullRejected, TestChaosCorruptPullLastKnownGood (cluster)
+//
+// Router (internal/cluster):
+//
+//	replica.down   TestChaosPrimaryDownGoldenAnswers, TestChaosBreakerLifecycle
+//	replica.slow   TestChaosSlowPrimaryHedged
+//	probe.timeout  TestProbeTimeoutFault
 package faults
 
 import (
@@ -24,11 +53,11 @@ import (
 	"time"
 )
 
-// Point names one failure point compiled into the serving stack.
+// Point names one failure point compiled into the fleet.
 type Point string
 
-// The failure points of the serving stack. Each is documented with the
-// degraded behavior the chaos suite asserts when it is armed.
+// The failure points. Each is documented with the degraded behavior the
+// chaos suite asserts when it is armed.
 const (
 	// ReloadOpen fails a KB reload before the source is read: a missing
 	// file, a permission error, a snapshot whose open fails. Degraded

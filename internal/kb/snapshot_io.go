@@ -312,12 +312,18 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	if len(meta) < metaWords {
 		return nil, fmt.Errorf("meta section: %d words, want >= %d", len(meta), metaWords)
 	}
+	// Every count is the length of at least one section, so none can exceed
+	// the image. Checking that here also rejects values that would turn
+	// negative as an int, and keeps each length derived below (nPred+1,
+	// nPred*3) a real length rather than secView's negative "any length".
+	for _, i := range []int{0, 1, 3} {
+		if meta[i] > uint64(r.Size()) {
+			return nil, fmt.Errorf("meta section: count %d exceeds the %d-byte image", meta[i], r.Size())
+		}
+	}
 	nEnt := int(meta[0])
 	nPred := int(meta[1])
 	nFacts := int(meta[3])
-	if uint64(nEnt) != meta[0] || uint64(nPred) != meta[1] || uint64(nFacts) != meta[3] {
-		return nil, fmt.Errorf("meta section: counts overflow int")
-	}
 
 	kinds, err := secView[rdf.Kind](r, secKinds, "kinds", nEnt)
 	if err != nil {

@@ -267,32 +267,45 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 
 	// Damage the CRC does not catch: the checksum is not a MAC, so a hostile
-	// image carries a valid one. Re-pack the pristine sections with the first
-	// term block's head length overwritten by the uvarint of 2^64-1; open
-	// must return an error (it used to panic slicing the block).
+	// image carries a valid one. Each case re-packs the pristine sections with
+	// one of them rewritten; open must return an error (both used to panic).
 	r, err := snapshot.Open(filepath.Join(dir, "ok.snap"), snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sw := snapshot.NewWriter()
-	for id := secMeta; id <= secTermFCOff; id++ {
-		b, ok := r.Section(id)
-		if id == secTermFC {
-			b = append([]byte(nil), b...)
-			binary.PutUvarint(b, ^uint64(0))
+	for _, tc := range []struct {
+		name    string
+		sec     snapshot.SectionID
+		rewrite func(b []byte)
+		want    string
+	}{
+		// The first term block's head length becomes the uvarint of 2^64-1
+		// (open used to panic slicing the block).
+		{"headlen", secTermFC, func(b []byte) { binary.PutUvarint(b, ^uint64(0)) }, "head length"},
+		// The predicate count becomes 2^63, negative as an int (open used to
+		// panic allocating the predicate tables).
+		{"npred", secMeta, func(b []byte) { binary.NativeEndian.PutUint64(b[8:], 1<<63) }, "meta section"},
+	} {
+		sw := snapshot.NewWriter()
+		for id := secMeta; id <= secTermFCOff; id++ {
+			b, ok := r.Section(id)
+			if id == tc.sec {
+				b = append([]byte(nil), b...)
+				tc.rewrite(b)
+			}
+			if ok {
+				sw.Add(id, b)
+			}
 		}
-		if ok {
-			sw.Add(id, b)
+		var hostile bytes.Buffer
+		if _, err := sw.WriteTo(&hostile); err != nil {
+			t.Fatal(err)
 		}
-	}
-	var hostile bytes.Buffer
-	if _, err := sw.WriteTo(&hostile); err != nil {
-		t.Fatal(err)
-	}
-	err = tryOpen("hostile.snap", hostile.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "head length") {
-		t.Fatalf("re-checksummed head-length overflow: got %v, want a front-coding error", err)
+		err := tryOpen("hostile-"+tc.name+".snap", hostile.Bytes())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("re-checksummed %s damage: got %v, want a %q error", tc.name, err, tc.want)
+		}
 	}
 }
 

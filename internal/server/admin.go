@@ -17,6 +17,7 @@ import (
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // errNotLive rejects mutation-plane requests against a KB registered
@@ -100,12 +101,7 @@ func parseFactOps(in []FactOp) ([]delta.Op, error) {
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.cFacts.requests.Add(1)
 	var q FactsRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cFacts, status, err)
+	if !s.decode(w, r, &s.cFacts, &q) {
 		return
 	}
 	e, err := s.kbFromRequest(r, q.KB)
@@ -151,7 +147,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	e.reloadMu.Unlock()
 	s.retire(old)
 	st := e.live.Stats()
-	writeJSON(w, http.StatusOK, FactsResponse{
+	wire.WriteJSON(w, http.StatusOK, FactsResponse{
 		KB:         e.name,
 		Applied:    len(ops),
 		Changed:    changed,
@@ -170,15 +166,8 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.cCompile.requests.Add(1)
 	var q CompileRequest
-	if r.ContentLength != 0 {
-		if tooLarge, err := decodeBody(w, r, &q); err != nil {
-			status := http.StatusBadRequest
-			if tooLarge {
-				status = http.StatusRequestEntityTooLarge
-			}
-			s.writeError(w, &s.cCompile, status, err)
-			return
-		}
+	if r.ContentLength != 0 && !s.decode(w, r, &s.cCompile, &q) {
+		return
 	}
 	e, err := s.kbFromRequest(r, q.KB)
 	if err != nil {
@@ -207,7 +196,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	e.reloadMu.Unlock()
 	s.retire(old)
 	st := e.live.Stats()
-	writeJSON(w, http.StatusOK, CompileResponse{
+	wire.WriteJSON(w, http.StatusOK, CompileResponse{
 		KB:          e.name,
 		Generation:  gen,
 		Compactions: st.Compactions,

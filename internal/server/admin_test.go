@@ -19,7 +19,8 @@ import (
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/datagen"
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 const tinyOnt = "http://tiny.demo/ontology/"
@@ -75,7 +76,7 @@ func TestFactsEndpointDurableAck(t *testing.T) {
 		{Op: "retract", S: "<" + tinyNS + "Rennes>", P: "<" + tinyOnt + "mayor>", O: "<" + tinyNS + "MayorRennes>"},
 	}})
 	req := httptest.NewRequest("POST", "/v1/kb/geo/facts", strings.NewReader(string(body)))
-	req.Header.Set(headerRequestID, "facts-req-1")
+	req.Header.Set(wire.HeaderRequestID, "facts-req-1")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -184,7 +185,7 @@ func TestFactsValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("POST", "/v1/kb/geo/facts", strings.NewReader(tc.body))
-		req.Header.Set(headerRequestID, "vreq-"+tc.name)
+		req.Header.Set(wire.HeaderRequestID, "vreq-"+tc.name)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
@@ -214,7 +215,7 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 
 	req := httptest.NewRequest("POST", "/v1/kb/geo/admin/compile", nil)
-	req.Header.Set(headerRequestID, "compile-req-1")
+	req.Header.Set(wire.HeaderRequestID, "compile-req-1")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {

@@ -1,74 +1,23 @@
 package server
 
 import (
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
-// MineRequest is the body of POST /v1/mine.
-type MineRequest struct {
-	// Targets are the entity IRIs to describe (required, deduplicated).
-	Targets []string `json:"targets"`
-	// KB routes the request to a registered knowledge base (optional; the
-	// default KB when empty, and it must agree with a /v1/kb/{name}/ path).
-	KB string `json:"kb,omitempty"`
-	// Metric selects the prominence signal: "fr" (default) or "pr".
-	Metric string `json:"metric,omitempty"`
-	// Language selects the bias: "remi" (default) or "standard".
-	Language string `json:"language,omitempty"`
-	// Workers requests P-REMI parallelism (0 = server default).
-	Workers int `json:"workers,omitempty"`
-	// TimeoutMS bounds the mining run; 0 uses the server default and values
-	// above the server maximum are clamped.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// TopK also returns the k-1 next-best expressions.
-	TopK int `json:"top_k,omitempty"`
-	// Exceptions relaxes unambiguity: up to n extra matches are tolerated.
-	Exceptions int `json:"exceptions,omitempty"`
-}
+// MineRequest is the body of POST /v1/mine; the shape, and what makes two
+// requests the same query, is the tiers' shared contract (wire.MineRequest).
+type MineRequest wire.MineRequest
 
 // normalize sorts and deduplicates the targets in place so that equal
 // queries share one dedup key regardless of target order.
-func (q *MineRequest) normalize() {
-	sort.Strings(q.Targets)
-	w := 0
-	for i, t := range q.Targets {
-		if i == 0 || t != q.Targets[w-1] {
-			q.Targets[w] = t
-			w++
-		}
-	}
-	q.Targets = q.Targets[:w]
-}
+func (q *MineRequest) normalize() { (*wire.MineRequest)(q).Normalize() }
 
-// key is the in-flight deduplication key: the sorted target IRIs plus every
-// option that affects the result, so only truly identical queries share a
-// mining run. Targets are length-prefixed so no crafted IRI (e.g. one
-// containing a separator) can collide with a different target list.
-func (q *MineRequest) key() string {
-	var b strings.Builder
-	for _, t := range q.Targets {
-		b.WriteString(strconv.Itoa(len(t)))
-		b.WriteByte(':')
-		b.WriteString(t)
-	}
-	b.WriteString(q.Metric)
-	b.WriteByte('|')
-	b.WriteString(q.Language)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.Workers))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(q.TimeoutMS, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.TopK))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.Exceptions))
-	return b.String()
-}
+// key is the in-flight deduplication key of the request as it stands
+// (mineOptions canonicalises it first); see wire.MineRequest.Key.
+func (q *MineRequest) key() string { return (*wire.MineRequest)(q).Key() }
 
 // Solution is the wire form of remi.Solution.
 type Solution struct {
@@ -411,13 +360,9 @@ func wireResult(res *remi.Result, deduped, cached bool) *MineResponse {
 	return out
 }
 
-// ErrorResponse is the body of every non-2xx response. RequestID echoes
-// the X-Request-Id the request carried (or was assigned), so an error can
-// be correlated across the router and replica tiers.
-type ErrorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
+// ErrorResponse is the body of every non-2xx response, on this tier and
+// the router's alike.
+type ErrorResponse = wire.ErrorResponse
 
 // AsyncMineRequest is the body of POST /v1/mine:async and /v1/mine:stream:
 // exactly one of Targets (a single mining task) or Sets (a batch) must be
@@ -434,14 +379,16 @@ type AsyncMineRequest struct {
 	Exceptions int        `json:"exceptions,omitempty"`
 }
 
-// single and batch convert the async body into the blocking request shapes.
+// single converts the async body into the blocking single-set request; for
+// a batch body it is the KB and options the sets share.
 func (q *AsyncMineRequest) single() MineRequest {
 	return MineRequest{Targets: q.Targets, KB: q.KB, Metric: q.Metric, Language: q.Language,
 		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
 }
 
-func (q *AsyncMineRequest) batch() BatchMineRequest {
-	return BatchMineRequest{Sets: q.Sets, KB: q.KB, Metric: q.Metric, Language: q.Language,
+// shared is the KB and options every set of the batch is mined under.
+func (q *BatchMineRequest) shared() MineRequest {
+	return MineRequest{KB: q.KB, Metric: q.Metric, Language: q.Language,
 		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
 }
 

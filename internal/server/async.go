@@ -9,8 +9,9 @@ import (
 	"strings"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // This file is the asynchronous face of the job subsystem:
@@ -65,12 +66,7 @@ func (s *Server) jobResponse(j *jobs.Job) *JobResponse {
 // decodeAsync decodes and shape-checks a mine:async / mine:stream body.
 func (s *Server) decodeAsync(w http.ResponseWriter, r *http.Request, c *counter) (*AsyncMineRequest, bool) {
 	var q AsyncMineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, c, status, err)
+	if !s.decode(w, r, c, &q) {
 		return nil, false
 	}
 	if (len(q.Targets) == 0) == (len(q.Sets) == 0) {
@@ -110,22 +106,18 @@ func (s *Server) asyncSingle(w http.ResponseWriter, r *http.Request, q *AsyncMin
 			Kind: jobKindMine, Meta: jobMeta{kb: mq.e.name, requestID: mq.reqID}, Retain: true, Detached: true,
 		})
 		j.Complete(res, nil)
-		writeJSON(w, http.StatusAccepted, s.jobResponse(j))
+		wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(j))
 		return
 	}
 	j, _, err := s.submitMine(mq, true)
 	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineAsync, err)
-			return
-		}
-		s.writeError(w, &s.cMineAsync, errStatus(err), err)
+		s.submitFailed(w, &s.cMineAsync, err)
 		return
 	}
 	// The submitter's reference is dropped right away — retention, not
 	// interest, keeps an async job alive.
 	s.jobs.Release(j)
-	writeJSON(w, http.StatusAccepted, s.jobResponse(j))
+	wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(j))
 }
 
 // batchKey derives the parent flight key of an async batch from its member
@@ -147,8 +139,7 @@ func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMine
 	if !s.admitMining(w, r, &s.cMineAsync, len(q.Sets)) {
 		return
 	}
-	bq := q.batch()
-	p, status, err := s.buildBatchPlan(r, &bq)
+	p, status, err := s.buildBatchPlan(r, q.Sets, q.single())
 	if err != nil {
 		s.writeError(w, &s.cMineAsync, status, err)
 		return
@@ -163,22 +154,18 @@ func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMine
 		Retain: true, Detached: true,
 	})
 	if joined {
-		writeJSON(w, http.StatusAccepted, s.jobResponse(parent))
+		wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(parent))
 		return
 	}
 	if err := s.submitBatchJobs(p); err != nil {
 		// Admission failed: finalize the parent so its flight key retires
 		// and nothing dangles (it ages out with the TTL).
 		parent.Complete(nil, err)
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineAsync, err)
-			return
-		}
-		s.writeError(w, &s.cMineAsync, errStatus(err), err)
+		s.submitFailed(w, &s.cMineAsync, err)
 		return
 	}
 	go s.runBatchCoordinator(parent, p)
-	writeJSON(w, http.StatusAccepted, s.jobResponse(parent))
+	wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(parent))
 }
 
 // entryEvent wires one batch entry as a stream event.
@@ -188,6 +175,33 @@ func entryEvent(i int, item BatchMineItem) StreamEvent {
 		Response: item.Response, Error: item.Error, Status: item.Status}
 }
 
+// streamEntries runs a submitted batch plan to the end, emitting one entry
+// event per input set: the entries known before mining (validation
+// failures, cache hits) first, then member completions in finish order,
+// then the in-batch repeats of finished sets. It returns ctx.Err() when the
+// caller's context ended first (the plan's jobs are released either way).
+func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(StreamEvent)) error {
+	for i := range p.items {
+		if p.items[i].Response != nil || p.items[i].Error != "" {
+			emit(entryEvent(i, p.items[i]))
+		}
+	}
+	ctxErr := s.collectBatch(ctx, p, func(i int, item BatchMineItem) {
+		p.fill(i, item)
+		emit(entryEvent(i, item))
+	})
+	s.finishBatch(ctx, p)
+	if ctxErr != nil {
+		return ctxErr
+	}
+	for i := range p.items {
+		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
+			emit(entryEvent(i, p.items[i]))
+		}
+	}
+	return nil
+}
+
 // runBatchCoordinator drives an async batch off the request goroutine: it
 // streams entry completions into the parent's event log, assembles the
 // final batch document, and completes the parent. Waiting happens here —
@@ -195,47 +209,36 @@ func entryEvent(i int, item BatchMineItem) StreamEvent {
 // the parent (DELETE /v1/jobs/{id}) abandons the members and, through
 // them, the mining phase.
 func (s *Server) runBatchCoordinator(parent *jobs.Job, p *batchPlan) {
-	ctx := parent.Context()
-	// Entries known before mining (validation failures, cache hits) stream
-	// first, then member completions in finish order.
-	for i := range p.items {
-		if p.items[i].Response != nil || p.items[i].Error != "" {
-			parent.Emit(streamEntry, entryEvent(i, p.items[i]))
-		}
-	}
-	ctxErr := s.collectBatch(ctx, p, func(i int, item BatchMineItem) {
-		p.fill(i, item)
-		parent.Emit(streamEntry, entryEvent(i, item))
-	})
-	s.finishBatch(ctx, p)
-	if ctxErr != nil {
+	emit := func(ev StreamEvent) { parent.Emit(streamEntry, ev) }
+	if s.streamEntries(parent.Context(), p, emit) != nil {
 		return // parent cancelled; Complete below would be a no-op anyway
-	}
-	for i := range p.items {
-		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
-			parent.Emit(streamEntry, entryEvent(i, p.items[i]))
-		}
 	}
 	parent.Complete(&BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg}, nil)
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+// jobFromPath counts a /v1/jobs/{id}… request and resolves its job,
+// answering 404 itself when the id is unknown (or already expired).
+func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	s.cJobs.requests.Add(1)
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, &s.cJobs, http.StatusNotFound,
 			fmt.Errorf("no such job %q", r.PathValue("id")))
+	}
+	return j, ok
+}
+
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.jobFromPath(w, r)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(j))
+	wire.WriteJSON(w, http.StatusOK, s.jobResponse(j))
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	s.cJobs.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
+	j, ok := s.jobFromPath(w, r)
 	if !ok {
-		s.writeError(w, &s.cJobs, http.StatusNotFound,
-			fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	if prev, ok := s.jobs.Cancel(j); !ok && prev != jobs.StateCancelled {
@@ -245,15 +248,12 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s already finished (%s)", j.ID(), prev))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(j))
+	wire.WriteJSON(w, http.StatusOK, s.jobResponse(j))
 }
 
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	s.cJobs.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
+	j, ok := s.jobFromPath(w, r)
 	if !ok {
-		s.writeError(w, &s.cJobs, http.StatusNotFound,
-			fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	// The subscriber's reference keeps the watched run from being abandoned
@@ -304,11 +304,7 @@ func (s *Server) streamSingle(w http.ResponseWriter, r *http.Request, q *AsyncMi
 	}
 	j, joined, err := s.submitMine(mq, false)
 	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineStream, err)
-			return
-		}
-		s.writeError(w, &s.cMineStream, errStatus(err), err)
+		s.submitFailed(w, &s.cMineStream, err)
 		return
 	}
 	if joined {
@@ -339,18 +335,13 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *AsyncMin
 	if !s.admitMining(w, r, &s.cMineStream, len(q.Sets)) {
 		return
 	}
-	bq := q.batch()
-	p, status, err := s.buildBatchPlan(r, &bq)
+	p, status, err := s.buildBatchPlan(r, q.Sets, q.single())
 	if err != nil {
 		s.writeError(w, &s.cMineStream, status, err)
 		return
 	}
 	if err := s.submitBatchJobs(p); err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineStream, err)
-			return
-		}
-		s.writeError(w, &s.cMineStream, errStatus(err), err)
+		s.submitFailed(w, &s.cMineStream, err)
 		return
 	}
 	sw, ok := s.newStream(w, r, &s.cMineStream)
@@ -358,23 +349,8 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *AsyncMin
 		s.releaseBatch(p)
 		return
 	}
-	for i := range p.items {
-		if p.items[i].Response != nil || p.items[i].Error != "" {
-			sw.send(entryEvent(i, p.items[i]))
-		}
-	}
-	ctxErr := s.collectBatch(r.Context(), p, func(i int, item BatchMineItem) {
-		p.fill(i, item)
-		sw.send(entryEvent(i, item))
-	})
-	s.finishBatch(r.Context(), p)
-	if ctxErr != nil {
+	if s.streamEntries(r.Context(), p, func(ev StreamEvent) { sw.send(ev) }) != nil {
 		return
-	}
-	for i := range p.items {
-		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
-			sw.send(entryEvent(i, p.items[i]))
-		}
 	}
 	sw.send(StreamEvent{Event: streamDone, KB: p.e.name, Stats: &p.agg})
 }

@@ -679,9 +679,6 @@ func TestAsyncCacheHitJob(t *testing.T) {
 // released, retiring their flight keys instead of leaving them parked.
 func TestBatchSaturationReleasesPlan(t *testing.T) {
 	s := tinyServer(t, Options{JobWorkers: 1, JobQueueDepth: 1, ResultCache: -1})
-	if names := s.KBNames(); len(names) != 1 || names[0] != DefaultKBName {
-		t.Fatalf("KBNames = %v, want [%s]", names, DefaultKBName)
-	}
 	release := make(chan struct{})
 	real := s.sys().MineContext
 	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {

@@ -9,8 +9,9 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // errBatchAborted finalizes batch members whose mining phase exited before
@@ -61,29 +62,21 @@ func (p *batchPlan) fill(i int, item BatchMineItem) {
 // collapse in-batch repeats onto the first occurrence of their key, serve
 // cache hits, and collect the sets that actually need mining. On error the
 // returned status is the HTTP code to answer with.
-func (s *Server) buildBatchPlan(r *http.Request, q *BatchMineRequest) (*batchPlan, int, error) {
-	e, err := s.kbFromRequest(r, q.KB)
+func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineRequest) (*batchPlan, int, error) {
+	e, err := s.kbFromRequest(r, shared.KB)
 	if err != nil {
 		return nil, errStatus(err), err
 	}
-	if len(q.Sets) == 0 {
+	if len(sets) == 0 {
 		return nil, http.StatusBadRequest, errors.New("sets is required")
 	}
-	if len(q.Sets) > s.opts.MaxBatchSets {
+	if len(sets) > s.opts.MaxBatchSets {
 		return nil, http.StatusBadRequest,
-			fmt.Errorf("%d sets exceed the batch limit of %d", len(q.Sets), s.opts.MaxBatchSets)
+			fmt.Errorf("%d sets exceed the batch limit of %d", len(sets), s.opts.MaxBatchSets)
 	}
 	// Validate and canonicalize the shared options once; the canonical
 	// fields then feed every per-set dedup/cache key.
-	shared := MineRequest{
-		KB:         e.name,
-		Metric:     q.Metric,
-		Language:   q.Language,
-		Workers:    q.Workers,
-		TimeoutMS:  q.TimeoutMS,
-		TopK:       q.TopK,
-		Exceptions: q.Exceptions,
-	}
+	shared.KB = e.name
 	opts, err := s.mineOptions(&shared)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -93,14 +86,14 @@ func (s *Server) buildBatchPlan(r *http.Request, q *BatchMineRequest) (*batchPla
 		shared:     shared,
 		opts:       opts,
 		reqID:      requestIDOf(r),
-		items:      make([]BatchMineItem, len(q.Sets)),
-		agg:        BatchMineStats{Sets: len(q.Sets)},
-		keyOf:      make([]string, len(q.Sets)),
-		firstOfKey: make(map[string]int, len(q.Sets)),
+		items:      make([]BatchMineItem, len(sets)),
+		agg:        BatchMineStats{Sets: len(sets)},
+		keyOf:      make([]string, len(sets)),
+		firstOfKey: make(map[string]int, len(sets)),
 		waits:      make(map[int]*jobs.Job),
 		joined:     make(map[int]bool),
 	}
-	for i, targets := range q.Sets {
+	for i, targets := range sets {
 		qi := shared
 		qi.Targets = targets
 		qi.normalize()
@@ -332,28 +325,19 @@ func (s *Server) finishBatch(ctx context.Context, p *batchPlan) {
 func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 	s.cMineBatch.requests.Add(1)
 	var q BatchMineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cMineBatch, status, err)
+	if !s.decode(w, r, &s.cMineBatch, &q) {
 		return
 	}
 	if !s.admitMining(w, r, &s.cMineBatch, len(q.Sets)) {
 		return
 	}
-	p, status, err := s.buildBatchPlan(r, &q)
+	p, status, err := s.buildBatchPlan(r, q.Sets, q.shared())
 	if err != nil {
 		s.writeError(w, &s.cMineBatch, status, err)
 		return
 	}
 	if err := s.submitBatchJobs(p); err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineBatch, err)
-			return
-		}
-		s.writeError(w, &s.cMineBatch, errStatus(err), err)
+		s.submitFailed(w, &s.cMineBatch, err)
 		return
 	}
 	ctxErr := s.collectBatch(r.Context(), p, p.fill)
@@ -364,5 +348,5 @@ func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &s.cMineBatch, errStatus(ctxErr), ctxErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg})
+	wire.WriteJSON(w, http.StatusOK, BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg})
 }

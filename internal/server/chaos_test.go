@@ -14,7 +14,7 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
 )
 

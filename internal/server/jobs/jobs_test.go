@@ -625,7 +625,7 @@ func TestDrain(t *testing.T) {
 	waitFor(t, "job running", func() bool { return j.State() == StateRunning })
 
 	r.Drain()
-	if !r.Draining() {
+	if !r.Snapshot().Draining {
 		t.Fatal("Draining() false after Drain")
 	}
 	if _, _, err := r.Submit(SubmitOpts{Run: nil}); !errors.Is(err, ErrDraining) {

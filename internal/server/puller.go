@@ -1,4 +1,4 @@
-package cluster
+package server
 
 import (
 	"context"
@@ -14,9 +14,8 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/kb"
-	"github.com/remi-kb/remi/internal/server"
-	"github.com/remi-kb/remi/internal/server/faults"
 )
 
 // Puller keeps one replica KB fresh from a snapshot source: it downloads
@@ -61,7 +60,7 @@ func (p *Puller) Name() string { return p.name }
 func (p *Puller) CurrentPath() string { return filepath.Join(p.cacheDir, p.name+".snap") }
 
 // Load performs one pull-verify-swap cycle. It has the signature
-// Server.ReloadKB wants; returning server.ErrKBUnchanged tells the server
+// Server.ReloadKB wants; returning ErrKBUnchanged tells the server
 // the image didn't change.
 func (p *Puller) Load() (*remi.System, error) {
 	p.mu.Lock()
@@ -72,7 +71,7 @@ func (p *Puller) Load() (*remi.System, error) {
 	}
 	defer os.Remove(tmp) // no-op once renamed into place
 	if p.loaded && hash == p.lastHash {
-		return nil, server.ErrKBUnchanged
+		return nil, ErrKBUnchanged
 	}
 	// Verify off to the side: a NoMmap open reads the whole image onto the
 	// heap and runs every structural check (CRC, section bounds, ordering

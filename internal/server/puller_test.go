@@ -1,4 +1,4 @@
-package cluster
+package server
 
 import (
 	"errors"
@@ -7,30 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/server"
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 )
-
-var (
-	tinyOnce sync.Once
-	tinySys  *remi.System
-	tinyErr  error
-)
-
-// tinySystem shares one generated demo KB across the package's tests
-// (building it is the expensive part).
-func tinySystem(t *testing.T) *remi.System {
-	t.Helper()
-	tinyOnce.Do(func() { tinySys, tinyErr = remi.GenerateDemo("tiny", 42, 0) })
-	if tinyErr != nil {
-		t.Fatal(tinyErr)
-	}
-	return tinySys
-}
 
 // tinySnapshot writes the shared demo KB as <dir>/<name>.snap and returns
 // the file path.
@@ -63,7 +44,7 @@ func TestPullerFileSourceAndUnchanged(t *testing.T) {
 	}
 
 	// An identical re-pull is the benign no-op signal, not a reload.
-	if _, err := p.Load(); !errors.Is(err, server.ErrKBUnchanged) {
+	if _, err := p.Load(); !errors.Is(err, ErrKBUnchanged) {
 		t.Fatalf("re-pull of identical image: %v, want ErrKBUnchanged", err)
 	}
 }
@@ -146,7 +127,7 @@ func TestPullerCorruptPullRejected(t *testing.T) {
 		t.Fatal("corrupt re-pull succeeded")
 	}
 	disarm()
-	if _, err := p.Load(); !errors.Is(err, server.ErrKBUnchanged) {
+	if _, err := p.Load(); !errors.Is(err, ErrKBUnchanged) {
 		t.Fatalf("clean re-pull after corruption: %v, want ErrKBUnchanged", err)
 	}
 }

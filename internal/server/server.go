@@ -12,14 +12,9 @@ package server
 
 import (
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +22,8 @@ import (
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/lru"
-	"github.com/remi-kb/remi/internal/server/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // StatusClientClosedRequest is returned when the client went away before
@@ -159,9 +154,6 @@ const (
 	defaultMaxBatchSets  = 64
 	defaultBatchWorkers  = 4
 	defaultResultCache   = 1024
-	defaultJobWorkers    = 4
-	defaultJobQueue      = 64
-	defaultJobTTL        = 5 * time.Minute
 	defaultQuotaBurst    = 10
 	defaultReloadBackoff = time.Second
 	maxReloadBackoff     = 5 * time.Minute
@@ -172,20 +164,6 @@ const (
 	maxBodyBytes = 1 << 20
 )
 
-// kbNameRE validates registry names: they appear in URL paths and cache
-// keys, so they stay short and URL-safe.
-var kbNameRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
-
-// ValidateKBName reports whether name is usable as a registry name.
-// Commands should call it on user-supplied names before constructing a
-// server, so a bad flag is an error message rather than a panic.
-func ValidateKBName(name string) error {
-	if !kbNameRE.MatchString(name) {
-		return fmt.Errorf("invalid KB name %q (want [A-Za-z0-9._-]{1,64})", name)
-	}
-	return nil
-}
-
 type counter struct {
 	requests atomic.Int64
 	errors   atomic.Int64
@@ -194,36 +172,6 @@ type counter struct {
 func (c *counter) stats() EndpointStats {
 	return EndpointStats{Requests: c.requests.Load(), Errors: c.errors.Load()}
 }
-
-// kbEntry is one registered knowledge base: its live System plus the
-// generation tag that scopes cache invalidation to this KB.
-type kbEntry struct {
-	name   string
-	sysPtr atomic.Pointer[remi.System]
-	// generation counts swaps of this KB; it prefixes every cache and
-	// flight key derived from it, so a reload makes the old entries — and
-	// only this KB's — unreachable.
-	generation atomic.Int64
-	// requests counts requests routed to this KB (all endpoints).
-	requests atomic.Int64
-
-	// Last-known-good reload state. A failed reload leaves sysPtr and
-	// generation untouched — the old System keeps serving byte-identical
-	// results — and quarantines the source with exponential backoff.
-	reloadMu        sync.Mutex   // serializes reloads of this KB
-	failStreak      int          // consecutive failed reloads (guarded by reloadMu)
-	reloadFailures  atomic.Int64 // total failed reloads since start
-	lastGoodGen     atomic.Int64 // generation of the last successful load
-	quarantineUntil atomic.Int64 // unix nanos; 0 = not quarantined
-
-	// Live (mutable) KB state: nil for snapshot/file-backed entries. When
-	// set, the admin mutation plane (facts, compile) operates on this KB.
-	live              *remi.LiveKB
-	compacting        atomic.Bool  // one compile at a time per KB
-	lastCompactionGen atomic.Int64 // generation installed by the last compile
-}
-
-func (e *kbEntry) sys() *remi.System { return e.sysPtr.Load() }
 
 // mineFunc abstracts System.MineContext so tests can substitute a
 // controllable miner.
@@ -309,15 +257,6 @@ func NewNamed(name string, sys *remi.System, opts Options) *Server {
 	if opts.ResultCache == 0 {
 		opts.ResultCache = defaultResultCache
 	}
-	if opts.JobWorkers <= 0 {
-		opts.JobWorkers = defaultJobWorkers
-	}
-	if opts.JobQueueDepth <= 0 {
-		opts.JobQueueDepth = defaultJobQueue
-	}
-	if opts.JobTTL <= 0 {
-		opts.JobTTL = defaultJobTTL
-	}
 	if opts.QuotaBurst <= 0 {
 		opts.QuotaBurst = defaultQuotaBurst
 	}
@@ -355,231 +294,6 @@ func NewNamed(name string, sys *remi.System, opts Options) *Server {
 // Close stops the job subsystem: queued and running jobs are cancelled,
 // workers drained. The HTTP handler must not serve requests afterwards.
 func (s *Server) Close() { s.jobs.Close() }
-
-// AddKB registers an additional knowledge base under name. Register every
-// KB before the handler starts serving traffic; names must be URL-safe
-// ([A-Za-z0-9._-], at most 64 bytes) and unique.
-func (s *Server) AddKB(name string, sys *remi.System) error {
-	if err := ValidateKBName(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.kbs[name]; ok {
-		return fmt.Errorf("KB %q already registered", name)
-	}
-	e := &kbEntry{name: name}
-	e.sysPtr.Store(sys)
-	s.kbs[name] = e
-	return nil
-}
-
-// KBNames lists the registered knowledge bases (unordered).
-func (s *Server) KBNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.kbs))
-	for name := range s.kbs {
-		names = append(names, name)
-	}
-	return names
-}
-
-// lookupKB returns the registry entry for name ("" = the default KB).
-func (s *Server) lookupKB(name string) (*kbEntry, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if name == "" {
-		name = s.defaultName
-	}
-	e := s.kbs[name]
-	if e == nil {
-		return nil, fmt.Errorf("%w %q", ErrUnknownKB, name)
-	}
-	return e, nil
-}
-
-// kbFromRequest resolves the KB a request routes to: the /v1/kb/{kb}/ path
-// segment, the request's kb field, the ?kb= query parameter, or the
-// default KB, in that order. Any two sources that disagree are rejected
-// rather than silently overridden — a client never gets answers from a KB
-// other than the one it named.
-func (s *Server) kbFromRequest(r *http.Request, bodyKB string) (*kbEntry, error) {
-	name := ""
-	for _, src := range []struct{ where, name string }{
-		{"path", r.PathValue("kb")},
-		{"body", bodyKB},
-		{"query parameter", r.URL.Query().Get("kb")},
-	} {
-		switch {
-		case src.name == "":
-		case name == "":
-			name = src.name
-		case src.name != name:
-			return nil, fmt.Errorf("%w: the %s names %q but the request routes to %q",
-				errKBConflict, src.where, src.name, name)
-		}
-	}
-	e, err := s.lookupKB(name)
-	if err != nil {
-		return nil, err
-	}
-	e.requests.Add(1)
-	return e, nil
-}
-
-// sys returns the default KB's System (kept for embedders and tests of the
-// single-KB configuration).
-func (s *Server) sys() *remi.System {
-	e, err := s.lookupKB("")
-	if err != nil {
-		return nil
-	}
-	return e.sys()
-}
-
-// mineContext routes to the test override when set, otherwise to the
-// entry's current System.
-func (s *Server) mineContext(e *kbEntry, ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
-	if s.mine != nil {
-		return s.mine(ctx, targets, opts...)
-	}
-	return e.sys().MineContext(ctx, targets, opts...)
-}
-
-// mineBatchEachContext routes to the test override when set, otherwise to
-// the entry's current System.
-func (s *Server) mineBatchEachContext(e *kbEntry, ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
-	if s.mineBatchEach != nil {
-		return s.mineBatchEach(ctx, sets, each, opts...)
-	}
-	return e.sys().MineBatchEach(ctx, sets, each, opts...)
-}
-
-// SwapSystem replaces the default knowledge base (see SwapKB).
-func (s *Server) SwapSystem(sys *remi.System) {
-	s.mu.RLock()
-	name := s.defaultName
-	s.mu.RUnlock()
-	_ = s.SwapKB(name, sys)
-}
-
-// SwapKB replaces one registered knowledge base (a KB reload) and
-// invalidates every cached result and in-flight dedup key scoped to it: the
-// KB's generation tag changes, so runs and entries of the old System can no
-// longer be reached, even by requests racing with the swap. Other KBs keep
-// their cache entries.
-func (s *Server) SwapKB(name string, sys *remi.System) error {
-	e, err := s.lookupKB(name)
-	if err != nil {
-		return err
-	}
-	e.reloadMu.Lock()
-	old := e.sys()
-	e.swapIn(sys)
-	e.reloadMu.Unlock()
-	s.retire(old)
-	return nil
-}
-
-// swapIn installs sys as the entry's live System: a successful load, so the
-// generation advances, becomes the last known good one, and any reload
-// quarantine is lifted. Callers hold e.reloadMu.
-func (e *kbEntry) swapIn(sys *remi.System) {
-	e.sysPtr.Store(sys)
-	e.lastGoodGen.Store(e.generation.Add(1))
-	e.failStreak = 0
-	e.quarantineUntil.Store(0)
-}
-
-// ReloadKB replaces one registered knowledge base from a loader with
-// last-known-good semantics: the loader runs first, and only a System it
-// delivers without error is swapped in (SwapKB rules: the generation
-// advances, the old cache entries become unreachable). A loader failure
-// changes nothing visible — the old generation keeps serving the exact
-// results it always did — and quarantines the source: further reload
-// attempts are refused with errReloadQuarantined until an exponential
-// backoff (ReloadBackoff, doubling per consecutive failure, capped at
-// ReloadBackoffMax) has passed. Failures are counted per KB and surfaced
-// as reload_failures / last_good_generation under /v1/stats.
-func (s *Server) ReloadKB(name string, load func() (*remi.System, error)) error {
-	e, err := s.lookupKB(name)
-	if err != nil {
-		return err
-	}
-	e.reloadMu.Lock()
-	defer e.reloadMu.Unlock()
-	if until := e.quarantineUntil.Load(); until != 0 {
-		if rem := time.Until(time.Unix(0, until)); rem > 0 {
-			return fmt.Errorf("%w: KB %q retries in %s (%d consecutive failure(s))",
-				errReloadQuarantined, name, rem.Round(time.Millisecond), e.failStreak)
-		}
-	}
-	sys, err := s.loadGuarded(load)
-	if errors.Is(err, ErrKBUnchanged) {
-		// The source is fine and identical to what serves: no swap, no
-		// generation bump (caches stay warm), and the streak resets.
-		e.failStreak = 0
-		e.quarantineUntil.Store(0)
-		return nil
-	}
-	if err != nil {
-		e.reloadFailures.Add(1)
-		e.failStreak++
-		backoff := s.opts.ReloadBackoff << (e.failStreak - 1)
-		if backoff <= 0 || backoff > s.opts.ReloadBackoffMax {
-			backoff = s.opts.ReloadBackoffMax
-		}
-		e.quarantineUntil.Store(time.Now().Add(backoff).UnixNano())
-		return fmt.Errorf("reload of KB %q failed (still serving generation %d, retry in %s): %w",
-			name, e.generation.Load(), backoff, err)
-	}
-	old := e.sys()
-	e.swapIn(sys)
-	s.retire(old)
-	return nil
-}
-
-// loadGuarded runs a KB loader through the reload failure points: a slow
-// source delays, an open failure aborts before the load, a corrupt source
-// aborts after it. Disarmed, the three Fire calls are three atomic loads.
-func (s *Server) loadGuarded(load func() (*remi.System, error)) (*remi.System, error) {
-	ctx := context.Background()
-	_ = faults.Fire(ctx, faults.ReloadSlow) // delay-only point
-	if err := faults.Fire(ctx, faults.ReloadOpen); err != nil {
-		return nil, fmt.Errorf("opening KB source: %w", err)
-	}
-	sys, err := load()
-	if err != nil {
-		return nil, err
-	}
-	if err := faults.Fire(ctx, faults.ReloadCorrupt); err != nil {
-		return nil, fmt.Errorf("validating KB source: %w", err)
-	}
-	return sys, nil
-}
-
-// StartDrain begins graceful shutdown: readiness (/readyz) flips to 503 so
-// load balancers stop routing here, mining endpoints refuse new work with
-// 503, and the job subsystem stops admitting — while everything already
-// in flight (queued and running jobs, open streams, pollable results)
-// proceeds normally. Wait for quiescence with DrainWait, then Close.
-func (s *Server) StartDrain() {
-	s.draining.Store(true)
-	s.jobs.Drain()
-}
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// DrainWait blocks until every tracked job has finished or ctx ends.
-func (s *Server) DrainWait(ctx context.Context) error { return s.jobs.DrainWait(ctx) }
-
-// cacheKey tags a normalized query key with the KB it runs on and that KB's
-// current generation.
-func (s *Server) cacheKey(e *kbEntry, key string) string {
-	return e.name + "#" + strconv.FormatInt(e.generation.Load(), 10) + "|" + key
-}
 
 // Handler returns the routing table of the service. Every endpoint is
 // mounted twice — at its plain path (serving the KB the request names, or
@@ -629,50 +343,25 @@ func (s *Server) Handler() http.Handler {
 	return s.withRequestEnvelope(mux)
 }
 
-// Cross-tier wire headers, mirrored by the cluster router: X-Request-Id is
-// accepted from the caller (the router generates one) or minted here, and
-// echoed on every response — job docs, stream events and error bodies
-// carry it too, so a failure traces across tiers. X-Timeout-Budget-Ms is
-// the caller's remaining deadline; honoring it here means a router retry
-// never runs past what the client was promised.
-const (
-	headerRequestID     = "X-Request-Id"
-	headerTimeoutBudget = "X-Timeout-Budget-Ms"
-)
-
-// withRequestEnvelope wraps the mux with the cross-tier request envelope:
-// every request gets a request id (accepted or minted) visible to handlers
-// via the request header and already stamped on the response, and an
-// explicit timeout budget becomes the request context's deadline.
+// withRequestEnvelope wraps the mux with the cross-tier request envelope
+// (see package wire): every request gets a request id (accepted or minted)
+// visible to handlers via the request header and already stamped on the
+// response, and an explicit timeout budget becomes the request context's
+// deadline.
 func (s *Server) withRequestEnvelope(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(headerRequestID)
-		if id == "" {
-			id = newRequestID()
-			r.Header.Set(headerRequestID, id)
-		}
-		w.Header().Set(headerRequestID, id)
-		if h := r.Header.Get(headerTimeoutBudget); h != "" {
-			if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
-				defer cancel()
-				r = r.WithContext(ctx)
-			}
+		wire.EnsureRequestID(w, r)
+		if budget := wire.TimeoutBudget(r); budget > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), budget)
+			defer cancel()
+			r = r.WithContext(ctx)
 		}
 		next.ServeHTTP(w, r)
 	})
 }
 
-// newRequestID is 8 random bytes hex-encoded — short enough for a log
-// line, unique enough for a trace window.
-func newRequestID() string {
-	var b [8]byte
-	_, _ = cryptorand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
-
 // requestIDOf reads the request's id; the envelope guarantees it is set.
-func requestIDOf(r *http.Request) string { return r.Header.Get(headerRequestID) }
+func requestIDOf(r *http.Request) string { return r.Header.Get(wire.HeaderRequestID) }
 
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	s.cNotFound.requests.Add(1)
@@ -691,21 +380,10 @@ func (s *Server) methodNotAllowed(c *counter, allow string) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// writeError maps an error to a status and JSON body, counting it. The
-// request id rides along (the envelope stamped it on the response header
-// before the handler ran) so a client can quote one token when reporting
-// a cross-tier failure.
+// writeError maps an error to a status and JSON body, counting it.
 func (s *Server) writeError(w http.ResponseWriter, c *counter, status int, err error) {
 	c.errors.Add(1)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), RequestID: w.Header().Get(headerRequestID)})
+	wire.WriteError(w, status, err)
 }
 
 // errStatus classifies request-processing errors.
@@ -737,565 +415,4 @@ func errStatus(err error) int {
 	default:
 		return http.StatusUnprocessableEntity
 	}
-}
-
-// metricOptions canonicalizes a metric name and returns the matching facade
-// options (shared by mine and summarize).
-func metricOptions(metric string) (canonical string, opts []remi.MineOption, err error) {
-	switch metric {
-	case "", "fr":
-		return "fr", nil, nil
-	case "pr":
-		return "pr", []remi.MineOption{remi.WithMetric(remi.MetricPr)}, nil
-	default:
-		return "", nil, fmt.Errorf("unknown metric %q (fr|pr)", metric)
-	}
-}
-
-// mineOptions validates the request against the server limits and builds
-// the facade options. It also rewrites the request's option fields to their
-// effective canonical values (metric/language aliases resolved, defaults
-// and clamps applied), so the dedup key built afterwards matches every
-// semantically identical query.
-func (s *Server) mineOptions(q *MineRequest) ([]remi.MineOption, error) {
-	canonical, opts, err := metricOptions(q.Metric)
-	if err != nil {
-		return nil, err
-	}
-	q.Metric = canonical
-	switch q.Language {
-	case "", "remi", "extended":
-		q.Language = "remi"
-	case "standard":
-		opts = append(opts, remi.WithLanguage(remi.LanguageStandard))
-	default:
-		return nil, fmt.Errorf("unknown language %q (remi|standard)", q.Language)
-	}
-	if q.Workers < 0 || q.TopK < 0 || q.Exceptions < 0 || q.TimeoutMS < 0 {
-		return nil, errors.New("workers, top_k, exceptions and timeout_ms must be non-negative")
-	}
-	workers := q.Workers
-	if workers == 0 {
-		workers = s.opts.DefaultWorkers
-	}
-	if s.opts.MaxWorkers > 0 && workers > s.opts.MaxWorkers {
-		workers = s.opts.MaxWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	q.Workers = workers
-	if workers > 1 {
-		opts = append(opts, remi.WithWorkers(workers))
-	}
-	if q.TopK > s.opts.MaxTopK {
-		q.TopK = s.opts.MaxTopK
-	}
-	if q.TopK < 2 {
-		q.TopK = 1 // 0 and 1 both mean "best solution only"
-	} else {
-		opts = append(opts, remi.WithTopK(q.TopK))
-	}
-	if q.Exceptions > s.opts.MaxExceptions {
-		q.Exceptions = s.opts.MaxExceptions
-	}
-	if q.Exceptions > 0 {
-		opts = append(opts, remi.WithExceptions(q.Exceptions))
-	}
-	timeout := s.opts.DefaultTimeout
-	if q.TimeoutMS > 0 {
-		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
-	}
-	if s.opts.MaxTimeout > 0 && (timeout <= 0 || timeout > s.opts.MaxTimeout) {
-		timeout = s.opts.MaxTimeout
-	}
-	q.TimeoutMS = timeout.Milliseconds()
-	if timeout > 0 {
-		opts = append(opts, remi.WithTimeout(timeout))
-	}
-	return opts, nil
-}
-
-// decodeBody decodes a size-capped JSON request body, reporting whether the
-// payload exceeded the cap.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (tooLarge bool, err error) {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		return errors.As(err, &maxErr), fmt.Errorf("decoding request: %w", err)
-	}
-	return false, nil
-}
-
-// mineQuery is a validated single-target-set mining request bound to its
-// KB, carrying the facade options and the unified flight/cache key.
-type mineQuery struct {
-	e     *kbEntry
-	q     MineRequest
-	opts  []remi.MineOption
-	key   string
-	reqID string
-}
-
-// prepareMine validates an already-decoded MineRequest against the server
-// limits, resolves its KB and builds the flight key. On error the returned
-// status is the HTTP code to answer with.
-func (s *Server) prepareMine(r *http.Request, q MineRequest) (*mineQuery, int, error) {
-	e, err := s.kbFromRequest(r, q.KB)
-	if err != nil {
-		return nil, errStatus(err), err
-	}
-	q.KB = e.name
-	q.normalize()
-	if len(q.Targets) == 0 {
-		return nil, http.StatusBadRequest, errors.New("targets is required")
-	}
-	if len(q.Targets) > s.opts.MaxTargets {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("%d targets exceed the limit of %d", len(q.Targets), s.opts.MaxTargets)
-	}
-	opts, err := s.mineOptions(&q)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return &mineQuery{e: e, q: q, opts: opts, key: s.cacheKey(e, q.key()), reqID: requestIDOf(r)}, 0, nil
-}
-
-// cachedResult consults the result LRU (nil-safe).
-func (s *Server) cachedResult(key string) (*remi.Result, bool) {
-	if s.results == nil {
-		return nil, false
-	}
-	return s.results.Get(key)
-}
-
-// jobMeta travels with every job so poll and stream responses can report
-// which KB the job ran against — and which request created it — without
-// reaching back into the request.
-type jobMeta struct {
-	kb        string
-	requestID string
-}
-
-// Job kinds, visible in poll responses.
-const (
-	jobKindMine       = "mine"
-	jobKindMineBatch  = "mine_batch"
-	jobKindBatchPhase = "batch_phase"
-)
-
-// submitMine admits one single-set mining run into the job subsystem under
-// its flight key: concurrent identical queries — blocking, async, streaming
-// or batch members alike — join the same job and share one evaluator pass.
-// retain keeps the finished job pollable past the last waiter (async
-// submissions); blocking callers let it drop with their interest.
-func (s *Server) submitMine(mq *mineQuery, retain bool) (*jobs.Job, bool, error) {
-	return s.jobs.Submit(jobs.SubmitOpts{
-		Key:      mq.key,
-		Kind:     jobKindMine,
-		Meta:     jobMeta{kb: mq.e.name, requestID: mq.reqID},
-		Retain:   retain,
-		Deadline: s.jobDeadline(time.Duration(mq.q.TimeoutMS) * time.Millisecond),
-		Run:      s.mineRun(mq),
-	})
-}
-
-// jobDeadline converts a run's effective timeout into a watchdog deadline.
-// With the watchdog disabled (no grace configured) every deadline is zero,
-// so runs keep their cooperative timeouts but are never force-killed —
-// exactly the pre-watchdog behavior.
-func (s *Server) jobDeadline(timeout time.Duration) time.Duration {
-	if s.opts.WatchdogGrace <= 0 {
-		return 0
-	}
-	return timeout
-}
-
-// mineRun is the pool-executed body of a single-set mining job. Each new
-// incumbent is emitted into the job's event log for streaming subscribers;
-// the completed result feeds the stats aggregates and the result LRU exactly
-// as the blocking path always did.
-func (s *Server) mineRun(mq *mineQuery) jobs.RunFunc {
-	return func(ctx context.Context, j *jobs.Job) (any, error) {
-		// Chaos hooks: a wedged evaluator (ignores ctx until disarmed) and an
-		// evaluator bug (panic → ErrPanicked → 500). One atomic load each
-		// while disarmed.
-		if err := faults.Fire(ctx, faults.JobStuck); err != nil {
-			return nil, err
-		}
-		if err := faults.Fire(ctx, faults.MinePanic); err != nil {
-			return nil, err
-		}
-		s.mineRuns.Add(1)
-		opts := append(mq.opts[:len(mq.opts):len(mq.opts)], remi.WithProgress(func(p remi.Progress) {
-			j.Emit(streamProgress, StreamEvent{Event: streamProgress,
-				Kind: p.Kind, Expression: p.Expression, Bits: p.Bits})
-		}))
-		res, err := s.mineContext(mq.e, ctx, mq.q.Targets, opts...)
-		if err == nil {
-			s.recordRun(res, true)
-			// Only complete searches are worth remembering: a timed-out run
-			// holds whatever the deadline allowed, and a retry with more
-			// budget deserves a fresh search.
-			if s.results != nil && !res.Stats.TimedOut {
-				s.results.Put(mq.key, res)
-			}
-		}
-		return res, err
-	}
-}
-
-// setRetryAfter writes a Retry-After header in whole seconds, rounded up
-// and floored at 1 — "Retry-After: 0" invites an immediate retry storm, the
-// opposite of what a shed response wants.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// shedLoad answers an admission-control rejection: 429 plus a Retry-After
-// hint derived from the pool's average run time and current backlog.
-func (s *Server) shedLoad(w http.ResponseWriter, c *counter, err error) {
-	setRetryAfter(w, s.jobs.RetryAfter())
-	s.writeError(w, c, http.StatusTooManyRequests, err)
-}
-
-// admitMining is the gate every mining endpoint passes before doing work:
-// a draining server refuses with 503 (the instance is going away), then the
-// client's quota bucket is charged units (1 per single mine, 1 per batch
-// target set). A quota rejection answers 429 with a Retry-After derived
-// from the client's own deficit — deliberately distinct from the pool-wide
-// backlog estimate a saturation 429 carries.
-func (s *Server) admitMining(w http.ResponseWriter, r *http.Request, c *counter, units int) bool {
-	if s.draining.Load() {
-		s.writeError(w, c, http.StatusServiceUnavailable, errDraining)
-		return false
-	}
-	if s.quota == nil {
-		return true
-	}
-	key := clientKey(r)
-	ok, retry := s.quota.allow(key, float64(units))
-	if ok {
-		return true
-	}
-	s.quotaRejected.Add(1)
-	setRetryAfter(w, retry)
-	s.writeError(w, c, http.StatusTooManyRequests,
-		fmt.Errorf("%w for client %q", errQuotaExceeded, key))
-	return false
-}
-
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	s.cMine.requests.Add(1)
-	var q MineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cMine, status, err)
-		return
-	}
-	if !s.admitMining(w, r, &s.cMine, 1) {
-		return
-	}
-	mq, status, err := s.prepareMine(r, q)
-	if err != nil {
-		s.writeError(w, &s.cMine, status, err)
-		return
-	}
-	if res, ok := s.cachedResult(mq.key); ok {
-		writeJSON(w, http.StatusOK, wireResult(res, false, true))
-		return
-	}
-	j, joined, err := s.submitMine(mq, false)
-	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMine, err)
-			return
-		}
-		s.writeError(w, &s.cMine, errStatus(err), err)
-		return
-	}
-	if joined {
-		s.dedupedHits.Add(1)
-	}
-	v, err := s.jobs.Wait(r.Context(), j)
-	if err != nil {
-		s.writeError(w, &s.cMine, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireResult(v.(*remi.Result), joined, false))
-}
-
-// recordRun folds one completed mining run into the aggregate stats.
-// includeCache is false for batch entries: their per-set cache counters may
-// attribute a concurrent neighbor's lookups, so the batch handler folds the
-// exact whole-batch totals in separately (recordBatchCache) instead of
-// summing the approximate per-set values.
-func (s *Server) recordRun(res *remi.Result, includeCache bool) {
-	st := wireStats(res.Stats)
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	s.agg.Candidates += int64(res.Stats.Candidates)
-	s.agg.Visited += res.Stats.Visited
-	s.agg.RETests += res.Stats.RETests
-	if includeCache {
-		s.agg.CacheHits += res.Stats.CacheHits
-		s.agg.CacheMisses += res.Stats.CacheMisses
-	}
-	s.agg.TotalSearchMS += st.SearchMS
-	s.agg.TotalQueueMS += st.QueueBuildMS
-	if res.Stats.TimedOut {
-		s.agg.TimedOut++
-	}
-	if res.Found {
-		s.agg.SolutionsFound++
-	}
-	s.lastRun = &st
-	s.lastAt = time.Now()
-}
-
-// recordBatchCache folds one batch's exact evaluator totals into the
-// aggregate cache counters (see recordRun).
-func (s *Server) recordBatchCache(hits, misses uint64) {
-	s.aggMu.Lock()
-	s.agg.CacheHits += hits
-	s.agg.CacheMisses += misses
-	s.aggMu.Unlock()
-}
-
-func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
-	s.cSummarize.requests.Add(1)
-	var q SummarizeRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cSummarize, status, err)
-		return
-	}
-	e, err := s.kbFromRequest(r, q.KB)
-	if err != nil {
-		s.writeError(w, &s.cSummarize, errStatus(err), err)
-		return
-	}
-	if q.Entity == "" {
-		s.writeError(w, &s.cSummarize, http.StatusBadRequest, errors.New("entity is required"))
-		return
-	}
-	if q.Size <= 0 {
-		q.Size = defaultSummary
-	}
-	if q.Size > maxSummary {
-		q.Size = maxSummary
-	}
-	_, opts, err := metricOptions(q.Metric)
-	if err != nil {
-		s.writeError(w, &s.cSummarize, http.StatusBadRequest, err)
-		return
-	}
-	entries, err := e.sys().SummarizeContext(r.Context(), q.Entity, q.Size, opts...)
-	if err != nil {
-		s.writeError(w, &s.cSummarize, errStatus(err), err)
-		return
-	}
-	out := SummarizeResponse{Entity: q.Entity, Features: make([]Feature, len(entries))}
-	for i, en := range entries {
-		out.Features[i] = Feature{Predicate: en.Predicate, Object: en.Object}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	s.cDescribe.requests.Add(1)
-	e, err := s.kbFromRequest(r, "")
-	if err != nil {
-		s.writeError(w, &s.cDescribe, errStatus(err), err)
-		return
-	}
-	entity := r.URL.Query().Get("entity")
-	if entity == "" {
-		s.writeError(w, &s.cDescribe, http.StatusBadRequest, errors.New("query parameter entity is required"))
-		return
-	}
-	label, err := e.sys().Describe(entity)
-	if err != nil {
-		s.writeError(w, &s.cDescribe, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DescribeResponse{Entity: entity, Label: label})
-}
-
-// kbInfo snapshots one registry entry for the stats endpoints.
-func (s *Server) kbInfo(e *kbEntry) KBInfo {
-	sys := e.sys()
-	info := KBInfo{
-		Facts:              sys.NumFacts(),
-		Entities:           sys.NumEntities(),
-		Predicates:         sys.NumPredicates(),
-		Generation:         e.generation.Load(),
-		Requests:           e.requests.Load(),
-		Default:            e.name == s.defaultName,
-		ReloadFailures:     e.reloadFailures.Load(),
-		LastGoodGeneration: e.lastGoodGen.Load(),
-	}
-	if e.live != nil {
-		st := e.live.Stats()
-		info.Live = true
-		info.FactsApplied = st.FactsApplied
-		info.WalBytes = st.WalBytes
-		info.WalRecords = st.WalRecords
-		info.RecoveryReplayed = st.RecoveryReplayed
-		info.LastCompactionGeneration = e.lastCompactionGen.Load()
-		info.PendingAdds = st.PendingAdds
-		info.PendingDels = st.PendingDels
-	}
-	if until := e.quarantineUntil.Load(); until > 0 {
-		// Ceiling, not truncation: while the reload path still refuses, the
-		// stats must not claim the quarantine is over.
-		if left := time.Until(time.Unix(0, until)); left > 0 {
-			info.QuarantinedForMS = int64((left + time.Millisecond - 1) / time.Millisecond)
-		}
-	}
-	return info
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.cStats.requests.Add(1)
-	// /v1/kb/{kb}/stats (or ?kb=) narrows the response to one KB.
-	if r.PathValue("kb") != "" || r.URL.Query().Get("kb") != "" {
-		e, err := s.kbFromRequest(r, "")
-		if err != nil {
-			s.writeError(w, &s.cStats, errStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, KBStatsResponse{Name: e.name, KBInfo: s.kbInfo(e)})
-		return
-	}
-	var out StatsResponse
-	out.UptimeSeconds = time.Since(s.started).Seconds()
-	out.KB.Facts = s.sys().NumFacts()
-	out.KB.Entities = s.sys().NumEntities()
-	out.KB.Predicates = s.sys().NumPredicates()
-	s.mu.RLock()
-	out.KBs = make(map[string]KBInfo, len(s.kbs))
-	for name, e := range s.kbs {
-		out.KBs[name] = s.kbInfo(e)
-	}
-	s.mu.RUnlock()
-	out.Endpoints = map[string]EndpointStats{
-		"mine":          s.cMine.stats(),
-		"facts":         s.cFacts.stats(),
-		"admin_compile": s.cCompile.stats(),
-		"mine_batch":    s.cMineBatch.stats(),
-		"mine_async":    s.cMineAsync.stats(),
-		"mine_stream":   s.cMineStream.stats(),
-		"jobs":          s.cJobs.stats(),
-		"summarize":     s.cSummarize.stats(),
-		"describe":      s.cDescribe.stats(),
-		"stats":         s.cStats.stats(),
-		"healthz":       s.cHealth.stats(),
-		"readyz":        s.cReady.stats(),
-		"not_found":     s.cNotFound.stats(),
-	}
-	js := s.jobs.Snapshot()
-	out.Jobs = &JobsStats{
-		Workers:       js.Workers,
-		QueueCapacity: js.QueueCapacity,
-		Queued:        js.Queued,
-		Running:       js.Running,
-		Tracked:       js.Tracked,
-		Submitted:     js.Submitted,
-		External:      js.External,
-		Joined:        js.Joined,
-		Rejected:      js.Rejected,
-		Completed:     js.Completed,
-		Failed:        js.Failed,
-		Cancelled:     js.Cancelled,
-		Expired:       js.Expired,
-		AvgRunMS:      js.AvgRunMS,
-		RejectedBatch: js.RejectedBatch,
-		WatchdogKills: js.WatchdogKilled,
-		Draining:      js.Draining,
-	}
-	out.Draining = s.draining.Load()
-	if s.quota != nil {
-		out.Quota = &QuotaStats{
-			Enabled:    true,
-			RatePerSec: s.quota.rate,
-			Burst:      s.quota.burst,
-			Clients:    s.quota.clients(),
-			Rejected:   s.quotaRejected.Load(),
-		}
-	}
-	s.aggMu.Lock()
-	out.Mining = s.agg
-	out.Mining.LastRun = s.lastRun
-	if !s.lastAt.IsZero() {
-		out.Mining.LastRunUnixNS = s.lastAt.UnixNano()
-	}
-	s.aggMu.Unlock()
-	out.Mining.Runs = s.mineRuns.Load()
-	out.Mining.DedupedHits = s.dedupedHits.Load()
-	if s.results != nil {
-		hits, misses := s.results.Stats()
-		out.ResultCache = ResultCacheStats{
-			Enabled: true,
-			Size:    s.results.Len(),
-			Hits:    hits,
-			Misses:  misses,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleHealth is liveness: the process is up and can answer — always 200,
-// draining or not. Orchestrators use it to decide whether to restart the
-// process; routing decisions belong to /readyz.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.cHealth.requests.Add(1)
-	s.mu.RLock()
-	kbCount := len(s.kbs)
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"facts":    s.sys().NumFacts(),
-		"entities": s.sys().NumEntities(),
-		"kbs":      kbCount,
-		"draining": s.draining.Load(),
-	})
-}
-
-// handleReady is readiness: whether this instance should receive new
-// traffic. Draining answers 503 so load balancers take it out of rotation
-// while /healthz keeps reporting the process alive.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.cReady.requests.Add(1)
-	if s.draining.Load() {
-		s.writeError(w, &s.cReady, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	// degraded: still correct to route to (last-known-good generations keep
-	// serving), but at least one KB source is quarantined after failed
-	// reloads — a router surfaces it so operators see staleness early.
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "degraded": s.anyQuarantined()})
-}
-
-// anyQuarantined reports whether any registered KB currently refuses
-// reloads after failures (it keeps serving its last known good system).
-func (s *Server) anyQuarantined() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	now := time.Now().UnixNano()
-	for _, e := range s.kbs {
-		if until := e.quarantineUntil.Load(); until != 0 && until > now {
-			return true
-		}
-	}
-	return false
 }

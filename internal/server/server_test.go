@@ -21,9 +21,9 @@ var (
 	tinySys  *remi.System
 )
 
-// tinyServer shares one generated tiny KB across tests (building it is the
-// expensive part) but gives each test a fresh Server with fresh counters.
-func tinyServer(t *testing.T, opts Options) *Server {
+// tinySystem shares one generated tiny KB across tests (building it is the
+// expensive part).
+func tinySystem(t *testing.T) *remi.System {
 	t.Helper()
 	tinyOnce.Do(func() {
 		var err error
@@ -32,7 +32,14 @@ func tinyServer(t *testing.T, opts Options) *Server {
 			t.Fatal(err)
 		}
 	})
-	s := New(tinySys, opts)
+	return tinySys
+}
+
+// tinyServer gives each test a fresh Server with fresh counters over the
+// shared tiny KB.
+func tinyServer(t *testing.T, opts Options) *Server {
+	t.Helper()
+	s := New(tinySystem(t), opts)
 	t.Cleanup(s.Close)
 	return s
 }
@@ -428,7 +435,7 @@ func TestStatsAndHealth(t *testing.T) {
 
 // TestMineResultCache: a repeated identical query is served from the
 // completed-result LRU (marked cached, no new mining run), hit/miss counters
-// surface in /v1/stats, and SwapSystem fully invalidates the cache.
+// surface in /v1/stats, and SwapKB fully invalidates the cache.
 func TestMineResultCache(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
@@ -467,10 +474,12 @@ func TestMineResultCache(t *testing.T) {
 	}
 
 	// A KB reload invalidates everything: the same query mines again.
-	s.SwapSystem(s.sys())
+	if err := s.SwapKB(DefaultKBName, s.sys()); err != nil {
+		t.Fatal(err)
+	}
 	third := decode[MineResponse](t, postJSON(t, h, "/v1/mine", body))
 	if third.Cached {
-		t.Fatal("cache survived SwapSystem")
+		t.Fatal("cache survived SwapKB")
 	}
 	if runs := s.mineRuns.Load(); runs != 2 {
 		t.Fatalf("runs after swap = %d", runs)

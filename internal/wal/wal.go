@@ -27,7 +27,7 @@ import (
 	"os"
 	"sync"
 
-	"github.com/remi-kb/remi/internal/server/faults"
+	"github.com/remi-kb/remi/internal/faults"
 )
 
 // headerSize is the per-record frame overhead: length + CRC32.

@@ -30,10 +30,10 @@ import (
 	"path/filepath"
 	"sync"
 
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
-	"github.com/remi-kb/remi/internal/server/faults"
 	"github.com/remi-kb/remi/internal/wal"
 )
 

@@ -16,10 +16,10 @@ import (
 	"testing"
 
 	"github.com/remi-kb/remi/internal/datagen"
+	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
-	"github.com/remi-kb/remi/internal/server/faults"
 )
 
 // liveBuildOpts disables inverse materialization: a fresh parse recomputes
