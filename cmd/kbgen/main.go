@@ -9,6 +9,7 @@
 //	kbgen -dataset tiny -out tiny.nt
 //	kbgen -dataset dbpedia -snapshot dbpedia.snap        # compiled, mmap-able
 //	kbgen -dataset tiny -out tiny.nt -snapshot tiny.snap # both forms
+//	kbgen -in dump.nt -snapshot dump.snap                # compile an existing dump
 //
 // -out writes raw triples (indexes are rebuilt at every load); -snapshot
 // compiles the dataset once — dictionary, CSR indexes, inverse
@@ -26,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -47,7 +47,6 @@ func main() {
 		out      = flag.String("out", "", "N-Triples output file")
 		snapPath = flag.String("snapshot", "", "compiled KB snapshot output file (indexes packed once, opened zero-copy)")
 		in       = flag.String("in", "", "compile an existing N-Triples file instead of generating a dataset (requires -snapshot; always streamed)")
-		stream   = flag.Bool("stream", false, "compile the snapshot with the bounded-memory streaming builder (external sort) instead of the in-memory builder")
 	)
 	flag.Parse()
 	if *out == "" && *snapPath == "" {
@@ -95,15 +94,10 @@ func main() {
 	if *snapPath != "" {
 		var k *kb.KB
 		var err error
-		name := ""
-		switch {
-		case *in != "":
-			name = *in
-			k, err = compileFile(*in, opts)
-		case *stream:
-			name = d.Name
-			k, err = kb.BuildStreaming(&sliceSource{trs: d.Triples}, opts)
-		default:
+		name := *in
+		if name != "" {
+			k, err = compileFile(name, opts)
+		} else {
 			name = d.Name
 			k, err = d.BuildKB(opts)
 		}
@@ -130,19 +124,4 @@ func compileFile(path string, opts kb.Options) (*kb.KB, error) {
 	}
 	defer f.Close()
 	return kb.BuildStreaming(rdf.NewReader(f), opts)
-}
-
-// sliceSource adapts a generated triple slice to kb.TripleSource.
-type sliceSource struct {
-	trs []rdf.Triple
-	i   int
-}
-
-func (s *sliceSource) Read() (rdf.Triple, error) {
-	if s.i >= len(s.trs) {
-		return rdf.Triple{}, io.EOF
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, nil
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestLiteralAlg2CanBeSuboptimal documents the single-consumption behavior
-// of the verbatim Algorithm 2 (see DESIGN.md §6.1): when ρ1∧ρ2 is not an RE
-// but both ρ1∧ρ2∧ρ3 and ρ1∧ρ3 are, the linear scan finds the former and
-// cannot go back for the cheaper latter. The tree-complete DFS finds the
+// of the verbatim Algorithm 2: when ρ1∧ρ2 is not an RE but both ρ1∧ρ2∧ρ3
+// and ρ1∧ρ3 are, the linear scan finds the former and cannot go back for
+// the cheaper latter. The tree-complete DFS finds the
 // optimum. The test constructs exactly that configuration and asserts the
 // tree DFS is never worse — and that when the pathology triggers, the two
 // variants disagree in the expected direction.

@@ -40,7 +40,7 @@ type Config struct {
 	MaxCandidates int
 	// LiteralAlg2 switches DFS-REMI to the literal, single-consumption
 	// pseudocode of Algorithm 2 instead of the tree-complete DFS that the
-	// Figure 1 narrative describes (see DESIGN.md); kept for ablations.
+	// Figure 1 narrative describes; kept for ablations.
 	LiteralAlg2 bool
 	// MaxStarsPerPath caps star derivations per intermediate entity.
 	MaxStarsPerPath int
@@ -866,8 +866,9 @@ outer:
 
 // dfsRemiLiteral is the verbatim Algorithm 2 of the paper: a single linear
 // scan over the remaining queue with a stack, double-popping when an RE is
-// found. It can return a slightly suboptimal RE in rare configurations (see
-// DESIGN.md) and exists for ablation experiments. It reports whether any RE
+// found. It can return a slightly suboptimal RE in rare configurations
+// (TestLiteralAlg2CanBeSuboptimal constructs one) and exists for ablation
+// experiments. It reports whether any RE
 // was found during the scan. The stack carries its binding sets
 // incrementally — a push costs one scratch intersection with the new
 // conjunct instead of re-evaluating the whole conjunction.

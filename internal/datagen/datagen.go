@@ -1,9 +1,9 @@
 // Package datagen produces the seeded synthetic datasets that substitute
-// for DBpedia 2016-10 and the Wikidata dump in the paper's evaluation (see
-// DESIGN.md, substitution 1). The generators preserve the statistical shape
-// the algorithms are sensitive to: Zipfian entity and predicate frequencies
-// (the regime behind Eq. 1), the evaluation classes, literal attributes,
-// type assertions, blank nodes, and dense cross-class links.
+// for DBpedia 2016-10 and the Wikidata dump in the paper's evaluation. The
+// generators preserve the statistical shape the algorithms are sensitive
+// to: Zipfian entity and predicate frequencies (the regime behind Eq. 1),
+// the evaluation classes, literal attributes, type assertions, blank nodes,
+// and dense cross-class links.
 package datagen
 
 import (

@@ -1,10 +1,9 @@
 // Package experiments wires the full reproduction pipeline: it materializes
 // the synthetic DBpedia-like and Wikidata-like datasets, builds their
 // prominence stores and estimators, and implements one entry point per
-// table/figure of the paper (see DESIGN.md's per-experiment index). Both the
-// remi-bench command and the repository-level benchmarks call into this
-// package so that printed tables and testing.B benchmarks share one
-// implementation.
+// table/figure of the paper. Both the remi-bench command and the
+// repository-level benchmarks call into this package so that printed tables
+// and testing.B benchmarks share one implementation.
 package experiments
 
 import (

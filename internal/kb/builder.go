@@ -1,12 +1,7 @@
 package kb
 
 import (
-	"fmt"
-	"runtime"
-	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -38,48 +33,21 @@ func DefaultOptions() Options {
 	}
 }
 
-// Builder accumulates triples and produces an indexed KB.
+// Builder accumulates triples and produces an indexed KB. It is the
+// never-spilling front end of the one builder in stream.go: Add is that
+// builder's ingest with an unreachable spill threshold, Build its finish.
 type Builder struct {
-	dict      *rdf.Dictionary
-	predNames []string
-	predIdx   map[string]PredID
-	triples   []triple
-}
-
-type triple struct {
-	s EntID
-	p PredID
-	o EntID
+	in *ingest
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		dict:    rdf.NewDictionary(),
-		predIdx: make(map[string]PredID),
-	}
+	return &Builder{in: newIngest(math.MaxInt, "")}
 }
 
 // Add inserts one triple. Predicates must be IRIs; literal subjects are
 // rejected.
-func (b *Builder) Add(tr rdf.Triple) error {
-	if tr.P.Kind != rdf.IRI {
-		return fmt.Errorf("kb: predicate must be an IRI: %s", tr)
-	}
-	if tr.S.Kind == rdf.Literal {
-		return fmt.Errorf("kb: literal subject: %s", tr)
-	}
-	p, ok := b.predIdx[tr.P.Value]
-	if !ok {
-		b.predNames = append(b.predNames, tr.P.Value)
-		p = PredID(len(b.predNames))
-		b.predIdx[tr.P.Value] = p
-	}
-	s := EntID(b.dict.Encode(tr.S))
-	o := EntID(b.dict.Encode(tr.O))
-	b.triples = append(b.triples, triple{s, p, o})
-	return nil
-}
+func (b *Builder) Add(tr rdf.Triple) error { return b.in.add(tr) }
 
 // AddAll inserts a batch of triples, stopping at the first error.
 func (b *Builder) AddAll(trs []rdf.Triple) error {
@@ -92,196 +60,14 @@ func (b *Builder) AddAll(trs []rdf.Triple) error {
 }
 
 // Build indexes the accumulated triples. The Builder must not be reused
-// afterwards. The CSR indexes (see csr.go) are built once here: one global
-// (p,s,o) sort fixes the pso orientation and the adjacency arena order for
-// free; the pos orientation needs one extra per-predicate sort, which is
-// fanned across a worker pool alongside the adjacency fill.
+// afterwards.
 func (b *Builder) Build(opts Options) *KB {
-	k := &KB{
-		dict:      b.dict,
-		predNames: b.predNames,
-		predIdx:   b.predIdx,
-		baseOf:    make([]PredID, len(b.predNames)),
-	}
-	// Cache term kinds.
-	terms := b.dict.Terms()
-	k.kind = make([]rdf.Kind, len(terms))
-	for i, t := range terms {
-		k.kind[i] = t.Kind
-	}
-	// Dedup base triples.
-	sort.Slice(b.triples, func(i, j int) bool {
-		a, c := b.triples[i], b.triples[j]
-		if a.p != c.p {
-			return a.p < c.p
-		}
-		if a.s != c.s {
-			return a.s < c.s
-		}
-		return a.o < c.o
-	})
-	base := b.triples[:0]
-	for i, tr := range b.triples {
-		if i == 0 || tr != b.triples[i-1] {
-			base = append(base, tr)
-		}
-	}
-	k.nBase = len(base)
-
-	// Base frequencies (before inverse materialization so the prominence
-	// signal reflects the original KB only).
-	k.entFreq = make([]uint32, len(terms))
-	for _, tr := range base {
-		k.entFreq[tr.s-1]++
-		k.entFreq[tr.o-1]++
-	}
-
-	// Inverse materialization for prominent objects.
-	all := base
-	if opts.InverseTopFraction > 0 {
-		prominent := k.ProminentSet(opts.InverseTopFraction)
-		inv := make([]PredID, len(b.predNames)) // base p -> inverse id, lazily
-		var extra []triple
-		for _, tr := range base {
-			// RDF compliance: inverses are only defined for entity objects
-			// (footnote 3 of the paper).
-			if k.kind[tr.o-1] == rdf.Literal || !prominent.Contains(tr.o) {
-				continue
-			}
-			ip := inv[tr.p-1]
-			if ip == 0 {
-				name := k.predNames[tr.p-1] + InverseMarker
-				k.predNames = append(k.predNames, name)
-				k.baseOf = append(k.baseOf, tr.p)
-				ip = PredID(len(k.predNames))
-				k.predIdx[name] = ip
-				inv[tr.p-1] = ip
-			}
-			extra = append(extra, triple{s: tr.o, p: ip, o: tr.s})
-		}
-		all = append(all, extra...)
-	}
-
-	sort.Slice(all, func(i, j int) bool {
-		a, c := all[i], all[j]
-		if a.p != c.p {
-			return a.p < c.p
-		}
-		if a.s != c.s {
-			return a.s < c.s
-		}
-		return a.o < c.o
-	})
-	k.nFacts = len(all)
-	k.buildIndexes(all)
-	k.pairsReady.Store(true)
-	k.adjReady.Store(true)
-
-	k.predIDs = make([]PredID, len(k.predNames))
-	for i := range k.predIDs {
-		k.predIDs[i] = PredID(i + 1)
-	}
-	if opts.TypePredicate != "" {
-		k.typePred = k.predIdx[opts.TypePredicate]
-	}
-	if opts.LabelPredicate != "" {
-		k.lblPred = k.predIdx[opts.LabelPredicate]
+	k, err := b.in.finish(opts)
+	if err != nil {
+		// finish fails only on run-file I/O, and this ingest never spills.
+		panic("kb: in-memory build failed: " + err.Error())
 	}
 	return k
-}
-
-// buildIndexes packs the (p,s,o)-sorted fact list into the CSR indexes.
-// Per-predicate work (the pos re-sort is the expensive part) is distributed
-// over a worker pool; the adjacency arena is filled concurrently on the
-// calling goroutine since it reads `all` across predicate boundaries.
-func (k *KB) buildIndexes(all []triple) {
-	nPred := len(k.predNames)
-	k.preds = make([]predIndex, nPred)
-
-	// Predicate run boundaries within the sorted fact list.
-	starts := make([]int, nPred+1)
-	for i := range starts {
-		starts[i] = -1
-	}
-	for i, tr := range all {
-		if starts[tr.p-1] < 0 {
-			starts[tr.p-1] = i
-		}
-	}
-	starts[nPred] = len(all)
-	for i := nPred - 1; i >= 0; i-- {
-		if starts[i] < 0 {
-			starts[i] = starts[i+1]
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nPred {
-		workers = nPred
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(atomic.AddInt64(&next, 1) - 1)
-				if p >= nPred {
-					return
-				}
-				k.preds[p] = buildPredIndex(all[starts[p]:starts[p+1]])
-			}
-		}()
-	}
-	k.buildAdjacency(all)
-	wg.Wait()
-}
-
-// buildPredIndex packs one predicate's (s,o)-sorted triple run into both CSR
-// orientations.
-func buildPredIndex(run []triple) predIndex {
-	var ix predIndex
-	ix.pairs = make([]Pair, len(run))
-	for i, tr := range run {
-		ix.pairs[i] = Pair{S: tr.s, O: tr.o}
-	}
-	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(ix.pairs, false)
-	byObject := make([]Pair, len(ix.pairs))
-	copy(byObject, ix.pairs)
-	slices.SortFunc(byObject, func(a, b Pair) int {
-		if a.O != b.O {
-			return int(a.O) - int(b.O)
-		}
-		return int(a.S) - int(b.S)
-	})
-	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
-	return ix
-}
-
-// buildAdjacency fills the flat adjacency arena with one counting pass and
-// one placement pass. Because `all` is sorted by (p,s,o), each subject's run
-// receives its entries in ascending (P,O) order — no per-entity sort needed.
-func (k *KB) buildAdjacency(all []triple) {
-	n := len(k.kind)
-	k.adjOff = make([]uint32, n+1)
-	for _, tr := range all {
-		k.adjOff[tr.s]++
-	}
-	for i := 1; i <= n; i++ {
-		k.adjOff[i] += k.adjOff[i-1]
-	}
-	k.adjArena = make([]PO, len(all))
-	cur := make([]uint32, n)
-	copy(cur, k.adjOff[:n])
-	for _, tr := range all {
-		pos := cur[tr.s-1]
-		cur[tr.s-1]++
-		k.adjArena[pos] = PO{P: tr.p, O: tr.o}
-	}
 }
 
 // FromTriples builds a KB directly from parsed triples.

@@ -1,5 +1,7 @@
 package kb
 
+import "slices"
+
 // CSR (compressed sparse row) fact indexes. The KB used to keep its
 // per-(predicate,key) posting lists in hash maps (pso/pos keyed by a packed
 // uint64, subjAdj keyed by EntID). Every probe on the mining hot path — an
@@ -26,7 +28,7 @@ package kb
 
 // predIndex holds both CSR orientations of one predicate's facts.
 type predIndex struct {
-	pairs  []Pair   // sorted by (S,O); backs Facts and PredFreq
+	pairs  []Pair   // sorted by (S,O); backs Facts, derived on first touch
 	psoKey []EntID  // distinct subjects, ascending
 	psoOff []uint32 // len(psoKey)+1 run boundaries into psoVal
 	psoVal []EntID  // objects grouped by subject, each run ascending
@@ -98,4 +100,21 @@ func packCSR(pairs []Pair, byObject bool) (keys []EntID, off []uint32, vals []En
 	}
 	off = append(off, uint32(n))
 	return keys, off, vals
+}
+
+// packPredIndex packs one predicate's (S,O)-sorted, duplicate-free pair run
+// into both CSR orientations. The input is not retained, so a caller can
+// reuse it as scratch.
+func packPredIndex(pairs []Pair) predIndex {
+	var ix predIndex
+	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs, false)
+	byObject := slices.Clone(pairs)
+	slices.SortFunc(byObject, func(a, b Pair) int {
+		if a.O != b.O {
+			return int(a.O) - int(b.O)
+		}
+		return int(a.S) - int(b.S)
+	})
+	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
+	return ix
 }

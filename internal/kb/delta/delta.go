@@ -120,9 +120,6 @@ func New(base *kb.KB) *Overlay {
 	return ov
 }
 
-// Base returns the KB the overlay edits.
-func (ov *Overlay) Base() *kb.KB { return ov.base }
-
 // PendingAdds returns the number of facts added over the base (inverse
 // mirrors included); PendingDels the number retracted from it.
 func (ov *Overlay) PendingAdds() int { return pairCount(ov.adds) }
@@ -301,173 +298,6 @@ func (ov *Overlay) HasFact(p kb.PredID, s, o kb.EntID) bool {
 	}
 	return ov.inBase(p, s, o) && ov.base.HasFact(p, s, o)
 }
-
-// subjRun returns the slice of a (S,O)-sorted pair list with subject s.
-func subjRun(ps []kb.Pair, s kb.EntID) []kb.Pair {
-	lo, _ := searchPair(ps, s, 0)
-	hi := lo
-	for hi < len(ps) && ps[hi].S == s {
-		hi++
-	}
-	return ps[lo:hi]
-}
-
-// Objects returns the sorted objects o with p(s,o) in the merged view.
-// When the delta does not touch the run, the base's zero-copy view is
-// returned; otherwise a fresh slice is allocated.
-func (ov *Overlay) Objects(p kb.PredID, s kb.EntID) []kb.EntID {
-	var base []kb.EntID
-	if int(p) <= ov.basePreds && int(s) <= ov.baseEnts {
-		base = ov.base.Objects(p, s)
-	}
-	ad := subjRun(ov.adds[p], s)
-	dl := subjRun(ov.dels[p], s)
-	if len(ad) == 0 && len(dl) == 0 {
-		return base
-	}
-	out := make([]kb.EntID, 0, len(base)+len(ad)-len(dl))
-	i, a, d := 0, 0, 0
-	for i < len(base) || a < len(ad) {
-		if i < len(base) && d < len(dl) && base[i] == dl[d].O {
-			i++
-			d++
-			continue
-		}
-		if a < len(ad) && (i >= len(base) || ad[a].O < base[i]) {
-			out = append(out, ad[a].O)
-			a++
-		} else {
-			out = append(out, base[i])
-			i++
-		}
-	}
-	return out
-}
-
-// Subjects returns the sorted subjects s with p(s,o) in the merged view.
-// The delta sides are scanned linearly: add/del sets are bounded by the
-// WAL between compactions, the base side stays a CSR run lookup.
-func (ov *Overlay) Subjects(p kb.PredID, o kb.EntID) []kb.EntID {
-	var base []kb.EntID
-	if int(p) <= ov.basePreds && int(o) <= ov.baseEnts {
-		base = ov.base.Subjects(p, o)
-	}
-	var ad, dl []kb.EntID
-	for _, pr := range ov.adds[p] {
-		if pr.O == o {
-			ad = append(ad, pr.S)
-		}
-	}
-	for _, pr := range ov.dels[p] {
-		if pr.O == o {
-			dl = append(dl, pr.S)
-		}
-	}
-	if len(ad) == 0 && len(dl) == 0 {
-		return base
-	}
-	out := make([]kb.EntID, 0, len(base)+len(ad)-len(dl))
-	i, a, d := 0, 0, 0
-	for i < len(base) || a < len(ad) {
-		if i < len(base) && d < len(dl) && base[i] == dl[d] {
-			i++
-			d++
-			continue
-		}
-		if a < len(ad) && (i >= len(base) || ad[a] < base[i]) {
-			out = append(out, ad[a])
-			a++
-		} else {
-			out = append(out, base[i])
-			i++
-		}
-	}
-	return out
-}
-
-// ObjFreq returns the merged conditional frequency fr(o|p).
-func (ov *Overlay) ObjFreq(p kb.PredID, o kb.EntID) int {
-	n := 0
-	if int(p) <= ov.basePreds && int(o) <= ov.baseEnts {
-		n = ov.base.ObjFreq(p, o)
-	}
-	for _, pr := range ov.adds[p] {
-		if pr.O == o {
-			n++
-		}
-	}
-	for _, pr := range ov.dels[p] {
-		if pr.O == o {
-			n--
-		}
-	}
-	return n
-}
-
-// AdjacencyOf returns the merged (predicate, object) adjacency of e,
-// sorted by (P,O). Untouched entities get the base's zero-copy view.
-func (ov *Overlay) AdjacencyOf(e kb.EntID) []kb.PO {
-	var base []kb.PO
-	if int(e) <= ov.baseEnts {
-		base = ov.base.AdjacencyOf(e)
-	}
-	var ad, dl []kb.PO
-	for _, p := range ov.touchedPreds() {
-		for _, pr := range subjRun(ov.adds[p], e) {
-			ad = append(ad, kb.PO{P: p, O: pr.O})
-		}
-		for _, pr := range subjRun(ov.dels[p], e) {
-			dl = append(dl, kb.PO{P: p, O: pr.O})
-		}
-	}
-	if len(ad) == 0 && len(dl) == 0 {
-		return base
-	}
-	out := make([]kb.PO, 0, len(base)+len(ad)-len(dl))
-	i, a, d := 0, 0, 0
-	for i < len(base) || a < len(ad) {
-		if i < len(base) && d < len(dl) && base[i] == dl[d] {
-			i++
-			d++
-			continue
-		}
-		takeBase := a >= len(ad)
-		if !takeBase && i < len(base) {
-			b, x := base[i], ad[a]
-			takeBase = b.P < x.P || (b.P == x.P && b.O < x.O)
-		}
-		if takeBase {
-			out = append(out, base[i])
-			i++
-		} else {
-			out = append(out, ad[a])
-			a++
-		}
-	}
-	return out
-}
-
-// touchedPreds returns the sorted predicate ids with pending edits.
-func (ov *Overlay) touchedPreds() []kb.PredID {
-	seen := make(map[kb.PredID]bool, len(ov.adds)+len(ov.dels))
-	for p := range ov.adds {
-		seen[p] = true
-	}
-	for p := range ov.dels {
-		seen[p] = true
-	}
-	out := make([]kb.PredID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Empty reports whether the overlay records no pending fact edits. Minted
-// terms whose facts were all retracted again do not count: they produce
-// dictionary entries but no facts, and a compaction folds them away.
-func (ov *Overlay) Empty() bool { return len(ov.adds) == 0 && len(ov.dels) == 0 }
 
 // Materialize folds the overlay into a new immutable KB via ApplyPatch.
 // The base is untouched and both KBs are independently closeable; the

@@ -1,16 +1,18 @@
 package kb
 
 // Derived arrays: the per-predicate pair lists and the per-entity adjacency
-// arena are exact functions of the CSR pso indexes, so the snapshot format
-// does not store them. Built and patched KBs populate them eagerly; a
-// snapshot-backed KB reconstructs each on first use, outside OpenSnapshot,
-// so opening stays O(page-in) and mining-only processes that never touch
-// Facts/AdjacencyOf never pay.
+// arena are exact functions of the CSR pso indexes, so neither the builder
+// nor the snapshot format produces them. Every KB — built, reopened from a
+// snapshot or patched — reconstructs each on first use, so building and
+// opening stay free of them and a process that never touches
+// Facts/AdjacencyOf (snapshot packing, a compaction fold) never pays. The
+// one shortcut is ApplyPatch, whose merges read and write pair lists anyway:
+// its result shares the base's lists and keeps the merged ones.
 //
-// Reconstruction replays the same visit order the in-memory Build uses —
-// predicates ascending, subjects ascending within a predicate, objects
-// ascending within a subject — so the derived arrays are element-identical
-// to eagerly built ones (TestSnapshotRoundTripLazyV2 asserts this).
+// Reconstruction visits predicates ascending, subjects ascending within a
+// predicate, objects ascending within a subject — the (p,s,o) order of the
+// builder's merged stream — so pair lists come out (S,O)-sorted and every
+// adjacency run (P,O)-sorted with no sort.
 
 // ensurePairs and ensureAdjacency make the derived arrays present, deriving
 // them at most once.

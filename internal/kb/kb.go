@@ -56,11 +56,11 @@ type KB struct {
 	lblPred  PredID
 
 	// pairsReady/adjReady report whether the per-predicate pair lists and
-	// the adjacency arena are populated. Built and patched KBs carry them
-	// eagerly; snapshots store neither (they are exactly reconstructible
-	// from the CSR arenas) and a snapshot-backed KB derives them on first
-	// use under deriveMu. Readers load the flag before touching the fields,
-	// so the one-time fill publishes safely.
+	// the adjacency arena are populated. Neither the builder nor a snapshot
+	// carries them (they are exactly reconstructible from the CSR arenas):
+	// a KB derives each on first use under deriveMu (derived.go). Readers
+	// load the flag before touching the fields, so the one-time fill
+	// publishes safely.
 	pairsReady atomic.Bool
 	adjReady   atomic.Bool
 	deriveMu   sync.Mutex
@@ -198,9 +198,9 @@ func (k *KB) HasFact(p PredID, s, o EntID) bool {
 }
 
 // Facts returns the sorted (subject, object) pairs of predicate p. The
-// returned slice is shared; callers must not modify it. For
-// snapshot-backed KBs the pair lists are derived from the CSR indexes on
-// first call (one linear pass over all predicates).
+// returned slice is shared; callers must not modify it. The pair lists are
+// derived from the CSR indexes on first call (one linear pass over all
+// predicates).
 func (k *KB) Facts(p PredID) []Pair {
 	k.ensurePairs()
 	return k.preds[p-1].pairs
@@ -248,8 +248,8 @@ func (k *KB) EntityFreq(e EntID) int { return int(k.entFreq[e-1]) }
 // AdjacencyOf returns the (predicate, object) pairs with e as subject,
 // including materialized inverse predicates, sorted by (P,O). The returned
 // slice is a constant-time view into the adjacency arena; callers must not
-// modify it. For snapshot-backed KBs the arena is rebuilt from the CSR
-// indexes on the first call (one counting pass plus one placement pass).
+// modify it. The arena is built from the CSR indexes on the first call (one
+// counting pass plus one placement pass).
 func (k *KB) AdjacencyOf(e EntID) []PO {
 	k.ensureAdjacency()
 	if e == 0 || int(e) >= len(k.adjOff) {
@@ -310,9 +310,8 @@ func (k *KB) ProminentSet(frac float64) *EntSet {
 
 // prominentIDs selects the top frac fraction of the entity-frequency
 // ranking (ties broken by ascending id, at least one entity for positive
-// fractions). It is shared by ProminentSet and the streaming builder's
-// inverse-materialization decision, which must match the in-memory build
-// exactly.
+// fractions). It is shared by ProminentSet and the builder's
+// inverse-materialization decision.
 func prominentIDs(entFreq []uint32, frac float64) []EntID {
 	n := len(entFreq)
 	type ef struct {

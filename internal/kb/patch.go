@@ -4,16 +4,17 @@ package kb
 // (internal/kb/delta). A Patch is a resolved, dictionary-encoded edit set;
 // ApplyPatch folds it into a new KB copy-on-write. The design goal is the
 // LSM property the ROADMAP asks for: per-predicate granularity means a
-// mutation batch touching two predicates re-packs two CSR indexes and the
-// adjacency arena, while every untouched predicate's index arrays — the
-// overwhelming majority of a real KB — are shared with the base by slice
-// header. The base KB itself is never modified; old generations keep
-// serving byte-identical answers while the new one is assembled.
+// mutation batch touching two predicates re-packs two CSR indexes, while
+// every untouched predicate's index arrays — the overwhelming majority of a
+// real KB — are shared with the base by slice header; the adjacency arena
+// is not patched but derived from the new indexes on first touch
+// (derived.go), like any other KB's. The base KB itself is never modified;
+// old generations keep serving byte-identical answers while the new one is
+// assembled.
 
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -38,35 +39,12 @@ type Patch struct {
 	Dels       map[PredID][]Pair
 }
 
-// Empty reports whether the patch changes nothing.
-func (p *Patch) Empty() bool {
-	return len(p.ExtraTerms) == 0 && len(p.ExtraPreds) == 0 && len(p.Adds) == 0 && len(p.Dels) == 0
-}
-
 // cmpPairSO orders pairs by (S,O) — the Facts/pso order.
 func cmpPairSO(a, b Pair) int {
 	if a.S != b.S {
 		return int(a.S) - int(b.S)
 	}
 	return int(a.O) - int(b.O)
-}
-
-// indexFromPairs packs a (S,O)-sorted, duplicate-free pair list into both
-// CSR orientations (the patch-side counterpart of buildPredIndex).
-func indexFromPairs(pairs []Pair) predIndex {
-	var ix predIndex
-	ix.pairs = pairs
-	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs, false)
-	byObject := make([]Pair, len(pairs))
-	copy(byObject, pairs)
-	slices.SortFunc(byObject, func(a, b Pair) int {
-		if a.O != b.O {
-			return int(a.O) - int(b.O)
-		}
-		return int(a.S) - int(b.S)
-	})
-	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
-	return ix
 }
 
 // mergePairs folds sorted add/del lists into a sorted base pair list,
@@ -115,11 +93,11 @@ func mergePairs(base, adds, dels []Pair, label string) ([]Pair, error) {
 // of order. An empty patch returns a shallow, independently closeable
 // copy.
 func (k *KB) ApplyPatch(p Patch) (*KB, error) {
-	// The merges below read the base's pair lists and adjacency arena;
-	// derive them first if this KB came from a snapshot (one-time linear
-	// pass, already paid by any KB that has served mining traffic).
+	// The merges below read the base's pair lists, and the result shares
+	// the untouched ones: derive them first if nothing has yet (one-time
+	// linear pass, already paid by any KB that has served mining traffic).
+	// The result's adjacency arena is left to its own first touch.
 	k.ensurePairs()
-	k.ensureAdjacency()
 	nEnt := len(k.kind)
 	nEnt2 := nEnt + len(p.ExtraTerms)
 	nPred := len(k.predNames)
@@ -200,16 +178,16 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		touched[pid] = true
 	}
 	for pid := range touched {
-		adds, dels := p.Adds[pid], p.Dels[pid]
-		if int(pid) > nPred {
-			preds2[pid-1] = indexFromPairs(slices.Clone(adds))
-			continue
+		var base []Pair // a new predicate has none
+		if int(pid) <= nPred {
+			base = k.preds[pid-1].pairs
 		}
-		merged, err := mergePairs(k.preds[pid-1].pairs, adds, dels, predNames2[pid-1])
+		merged, err := mergePairs(base, p.Adds[pid], p.Dels[pid], predNames2[pid-1])
 		if err != nil {
 			return nil, err
 		}
-		preds2[pid-1] = indexFromPairs(merged)
+		preds2[pid-1] = packPredIndex(merged)
+		preds2[pid-1].pairs = merged
 	}
 
 	// Base-fact statistics: inverse predicates hold mirrored facts only,
@@ -244,62 +222,6 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		}
 	}
 
-	// Adjacency: one merged counting-free pass. Bucketing the edits by
-	// subject in ascending predicate order keeps each per-subject list
-	// (P,O)-sorted for free, so the per-entity merge is linear.
-	adjOff2, adjArena2 := k.adjOff, k.adjArena
-	if totalAdds+totalDels > 0 || len(p.ExtraTerms) > 0 {
-		pids := make([]PredID, 0, len(touched))
-		for pid := range touched {
-			pids = append(pids, pid)
-		}
-		slices.Sort(pids)
-		addPO := make(map[EntID][]PO)
-		delPO := make(map[EntID][]PO)
-		for _, pid := range pids {
-			for _, pr := range p.Adds[pid] {
-				addPO[pr.S] = append(addPO[pr.S], PO{P: pid, O: pr.O})
-			}
-			for _, pr := range p.Dels[pid] {
-				delPO[pr.S] = append(delPO[pr.S], PO{P: pid, O: pr.O})
-			}
-		}
-		adjOff2 = make([]uint32, nEnt2+1)
-		adjArena2 = make([]PO, 0, len(k.adjArena)+totalAdds-totalDels)
-		for e := 1; e <= nEnt2; e++ {
-			var baseRun []PO
-			if e <= nEnt {
-				baseRun = k.adjArena[k.adjOff[e-1]:k.adjOff[e]]
-			}
-			ad, dl := addPO[EntID(e)], delPO[EntID(e)]
-			if len(ad) == 0 && len(dl) == 0 {
-				adjArena2 = append(adjArena2, baseRun...)
-			} else {
-				i, a, d := 0, 0, 0
-				for i < len(baseRun) || a < len(ad) {
-					if i < len(baseRun) && d < len(dl) && baseRun[i] == dl[d] {
-						i++
-						d++
-						continue
-					}
-					takeBase := a >= len(ad)
-					if !takeBase && i < len(baseRun) {
-						b, x := baseRun[i], ad[a]
-						takeBase = b.P < x.P || (b.P == x.P && b.O < x.O)
-					}
-					if takeBase {
-						adjArena2 = append(adjArena2, baseRun[i])
-						i++
-					} else {
-						adjArena2 = append(adjArena2, ad[a])
-						a++
-					}
-				}
-			}
-			adjOff2[e] = uint32(len(adjArena2))
-		}
-	}
-
 	k2 := &KB{
 		dict:      dict2,
 		kind:      kind2,
@@ -308,8 +230,6 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		predIDs:   predIDs2,
 		baseOf:    baseOf2,
 		preds:     preds2,
-		adjOff:    adjOff2,
-		adjArena:  adjArena2,
 		nFacts:    k.nFacts + totalAdds - totalDels,
 		nBase:     nBase2,
 		entFreq:   entFreq2,
@@ -317,7 +237,6 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		lblPred:   k.lblPred,
 	}
 	k2.pairsReady.Store(true)
-	k2.adjReady.Store(true)
 	if k.src != nil {
 		// The new KB aliases arrays inside the base's snapshot image (at
 		// minimum every untouched predicate index), so it holds its own

@@ -2,6 +2,8 @@ package kb
 
 import (
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/rdf"
@@ -226,5 +228,125 @@ func TestApplyPatchSnapshotRefCounting(t *testing.T) {
 	// Double close is a no-op.
 	if err := derived.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dumpDerived renders the two derived arrays of k by name, one line per
+// adjacency entry and one per pair-list entry, sorted. adjFirst picks which
+// of the two is touched first.
+func dumpDerived(k *KB, adjFirst bool) []string {
+	name := func(e EntID) string { return k.Term(e).String() }
+	var out []string
+	adj := func() {
+		for e := EntID(1); int(e) <= k.NumEntities(); e++ {
+			for _, po := range k.AdjacencyOf(e) {
+				out = append(out, "adj "+name(e)+" "+k.PredicateName(po.P)+" "+name(po.O))
+			}
+		}
+	}
+	facts := func() {
+		for _, p := range k.Predicates() {
+			for _, pr := range k.Facts(p) {
+				out = append(out, "fact "+name(pr.S)+" "+k.PredicateName(p)+" "+name(pr.O))
+			}
+		}
+	}
+	if adjFirst {
+		adj()
+		facts()
+	} else {
+		facts()
+		adj()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestPatchedKBConcurrentFirstTouch: ApplyPatch leaves the adjacency arena
+// (and, through the base, possibly the pair lists) to first touch, and a
+// fresh generation's first touch is concurrent mining traffic. Eight
+// goroutines race for it; each must read what a flat rebuild holds.
+func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
+	trs := genStreamTriples(800, 5)
+	build := func(trs []rdf.Triple) *KB {
+		k, err := FromTriples(trs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	base := build(trs)
+	nEnt, nPred := EntID(base.NumEntities()), PredID(base.NumPredicates())
+	newTerm, newPred := rdf.NewIRI("http://ex.org/new"), "http://ex.org/pNew"
+
+	// Retract one fact of each of predicate 1's first three subjects; give
+	// the first two subjects of predicate 2 the new term as an object; state
+	// one fact of a new predicate. Subject-ascending, so (S,O)-sorted.
+	subj1, _ := base.SubjectRuns(1)
+	var dels []Pair
+	for _, s := range subj1[:3] {
+		dels = append(dels, Pair{S: s, O: base.Objects(1, s)[0]})
+	}
+	subj2, _ := base.SubjectRuns(2)
+	adds := []Pair{{S: subj2[0], O: nEnt + 1}, {S: subj2[1], O: nEnt + 1}}
+	patch := Patch{
+		ExtraTerms: []rdf.Term{newTerm},
+		ExtraPreds: []string{newPred},
+		Adds:       map[PredID][]Pair{2: adds, nPred + 1: {{S: subj2[0], O: nEnt + 1}}},
+		Dels:       map[PredID][]Pair{1: dels},
+	}
+
+	// The same edits on the triple list, for the flat rebuild.
+	term := func(e EntID) rdf.Term {
+		if e == nEnt+1 {
+			return newTerm
+		}
+		return base.Term(e)
+	}
+	gone := make(map[rdf.Triple]bool)
+	for _, pr := range dels {
+		gone[rdf.Triple{S: term(pr.S), P: rdf.NewIRI(base.PredicateName(1)), O: term(pr.O)}] = true
+	}
+	var edited []rdf.Triple
+	for _, tr := range trs {
+		if !gone[tr] {
+			edited = append(edited, tr)
+		}
+	}
+	for _, pr := range adds {
+		edited = append(edited, rdf.Triple{S: term(pr.S), P: rdf.NewIRI(base.PredicateName(2)), O: newTerm})
+	}
+	edited = append(edited, rdf.Triple{S: term(subj2[0]), P: rdf.NewIRI(newPred), O: newTerm})
+
+	for _, tc := range []struct {
+		name  string
+		patch Patch
+		flat  []rdf.Triple
+	}{
+		{"edits", patch, edited},
+		{"edit-free", Patch{}, trs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := dumpDerived(build(tc.flat), true)
+			// A base nothing has touched, so the patch meets underived lists.
+			k2, err := build(trs).ApplyPatch(tc.patch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if got := dumpDerived(k2, g%2 == 0); !slices.Equal(got, want) {
+						t.Errorf("goroutine %d: %d derived entries differ from the flat rebuild's %d", g, len(got), len(want))
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		})
 	}
 }

@@ -62,31 +62,9 @@ const metaWords = 6
 // arenas (a pack-once copy).
 func (k *KB) WriteSnapshot(w io.Writer) error {
 	sw := snapshot.NewWriter()
-	k.addCommonSections(sw)
-
-	// Dictionary, v2 layout: terms serialized with their kind prefix and
-	// front-coded in ascending term order. Decode(id) walks one 16-entry
-	// block at rank[id-1]; Lookup binary-searches block heads.
-	sorted := k.dict.SortedByTerm()
-	rank := make([]uint32, len(k.kind))
-	var fcb frontcoding.FCBuilder
-	for r, id := range sorted {
-		rank[id-1] = uint32(r)
-		fcb.Append(frontcoding.SerializeTerm(k.dict.Decode(id)))
-	}
-	blob, blockOffs, _ := fcb.Finish()
-	sw.Add(secTermRank, snapshot.Bytes(rank))
-	sw.Add(secTermFC, blob)
-	sw.Add(secTermFCOff, snapshot.Bytes(blockOffs))
-
-	_, err := sw.WriteTo(w)
-	return err
-}
-
-// addCommonSections adds every section but the dictionary's term blocks.
-func (k *KB) addCommonSections(sw *snapshot.Writer) {
 	nEnt := len(k.kind)
 	nPred := len(k.predNames)
+	sorted := k.dict.SortedByTerm()
 
 	meta := []uint64{
 		uint64(nEnt), uint64(nPred), uint64(k.nBase),
@@ -94,7 +72,7 @@ func (k *KB) addCommonSections(sw *snapshot.Writer) {
 	}
 	sw.Add(secMeta, snapshot.Bytes(meta))
 	sw.Add(secKinds, snapshot.Bytes(k.kind))
-	sw.Add(secTermSorted, snapshot.Bytes(k.dict.SortedByTerm()))
+	sw.Add(secTermSorted, snapshot.Bytes(sorted))
 
 	predOffs := make([]uint64, nPred+1)
 	total := 0
@@ -145,6 +123,23 @@ func (k *KB) addCommonSections(sw *snapshot.Writer) {
 	sw.Add(secPosKey, snapshot.Bytes(posKey))
 	sw.Add(secPosOff, snapshot.Bytes(posOff))
 	sw.Add(secPosVal, snapshot.Bytes(posVal))
+
+	// Dictionary: terms serialized with their kind prefix and front-coded
+	// in ascending term order. Decode(id) walks one 16-entry block at
+	// rank[id-1]; Lookup binary-searches block heads.
+	rank := make([]uint32, nEnt)
+	var fcb frontcoding.FCBuilder
+	for r, id := range sorted {
+		rank[id-1] = uint32(r)
+		fcb.Append(frontcoding.SerializeTerm(k.dict.Decode(id)))
+	}
+	blob, blockOffs, _ := fcb.Finish()
+	sw.Add(secTermRank, snapshot.Bytes(rank))
+	sw.Add(secTermFC, blob)
+	sw.Add(secTermFCOff, snapshot.Bytes(blockOffs))
+
+	_, err := sw.WriteTo(w)
+	return err
 }
 
 // WriteSnapshotFile writes the snapshot to path crash-safely: the bytes go

@@ -1,23 +1,31 @@
 package kb
 
-// Streaming KB construction: external-sort ingestion for inputs whose raw
-// triple slice does not fit comfortably in memory (DBpedia-class N-Triples
-// dumps). The in-memory Builder holds every parsed triple until Build;
-// BuildStreaming instead dictionary-encodes each triple on arrival into a
-// fixed-size buffer of 12-byte (p,s,o) records, spills sorted deduplicated
-// runs to temp files when the buffer fills, and k-way merges the runs twice:
+// The one CSR builder. Every KB that is not reopened from a snapshot or
+// patched from another KB is made here, by the KB recipe of Section 4 of the
+// paper: deduplicate, count base-fact frequencies, materialize p⁻¹(o,s) for
+// the prominent objects. The work is split in two halves:
 //
-//	pass A  counts base facts and entity frequencies (the prominence input)
-//	pass B  builds each predicate's CSR index from its merged (s,o) run and
-//	        collects the inverse-materialization pairs for prominent objects
+//	ingest  validates each triple, interns its predicate, dictionary-encodes
+//	        subject and object on arrival and buffers the 12-byte (p,s,o)
+//	        record; a full buffer is sorted, deduplicated and spilled to a
+//	        temp run file
+//	finish  sorts what is buffered (or spills it, when earlier runs exist)
+//	        and walks the merged, globally deduplicated (p,s,o) stream twice:
+//	  pass A  counts base facts and entity frequencies (the prominence input)
+//	  pass B  packs each predicate's CSR index from its merged (s,o) run and
+//	          collects the inverse pairs of prominent objects
 //
-// Only one predicate's pair list is in memory at a time during pass B, and
-// the pair lists + adjacency arena of the result are left to lazy derivation
-// (derived.go), so peak memory is the dictionary plus the final CSR arrays —
-// never the full triple slice. The output is indistinguishable from the
-// in-memory build: the same dedup, the same (p,s,o) global order, the same
-// first-touch inverse-predicate ids, element-identical indexes and therefore
-// byte-identical snapshots (asserted by tests and the kb_scale bench phase).
+// BuildStreamingWith is a read loop over the ingest with the spill threshold
+// of its StreamConfig, for inputs whose raw triple slice does not fit
+// comfortably in memory (DBpedia-class N-Triples dumps): only one
+// predicate's pair list is in memory at a time during pass B, so peak memory
+// is the dictionary plus the final CSR arrays. Builder and FromTriples
+// (builder.go) are the same ingest with a threshold that is never reached.
+// Whether runs were spilled is invisible in the result: the same dedup, the
+// same (p,s,o) global order, the same first-touch inverse-predicate ids,
+// element-identical indexes and therefore byte-identical snapshots (asserted
+// by TestBuildStreamingMatchesInMemory). The pair lists and the adjacency
+// arena are never built here; derived.go makes them on first touch.
 
 import (
 	"container/heap"
@@ -33,7 +41,7 @@ import (
 
 // borrowedSource is implemented by sources (like *rdf.Reader) whose
 // ReadBorrowed yields triples with term values that may alias an internal
-// buffer, valid only until the next read. Safe here because the builder
+// buffer, valid only until the next read. Safe here because the ingest
 // copies every term into its own storage before reading again.
 type borrowedSource interface {
 	ReadBorrowed() (rdf.Triple, error)
@@ -77,43 +85,12 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 	if maxBuf <= 0 {
 		maxBuf = DefaultMaxBufferedTriples
 	}
+	in := newIngest(maxBuf, cfg.TmpDir)
+	defer in.removeRuns()
 
-	// Ingest: encode terms and predicates in arrival order (identical
-	// first-touch id assignment to Builder.Add), spill sorted runs.
-	dict := rdf.NewDictionary()
-	predIdx := make(map[string]PredID)
-	var predNames []string
-	buf := make([]triple, 0, min(maxBuf, 1<<16))
-	var runs []*os.File
-	cleanup := func() {
-		for _, f := range runs {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}
-	defer cleanup()
-
-	spill := func() error {
-		sortDedupTriples(&buf)
-		f, err := os.CreateTemp(cfg.TmpDir, "kb-stream-run-*")
-		if err != nil {
-			return err
-		}
-		runs = append(runs, f)
-		w := newRunWriter(f)
-		for _, tr := range buf {
-			w.write(tr)
-		}
-		if err := w.flush(); err != nil {
-			return fmt.Errorf("kb: spill run: %w", err)
-		}
-		buf = buf[:0]
-		return nil
-	}
-
-	// Every term is copied into builder-owned storage (the dictionary
-	// clones on insert, predicates are cloned below) before the next read,
-	// so prefer a source's borrowed-read path when it offers one: for
+	// Every term is copied into ingest-owned storage (the dictionary clones
+	// on insert, so does the predicate table) before the next read, so
+	// prefer a source's borrowed-read path when it offers one: for
 	// *rdf.Reader that skips the per-line string allocation, which is
 	// otherwise half the allocation bill of the whole build.
 	read := src.Read
@@ -128,56 +105,127 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 		if err != nil {
 			return nil, err
 		}
-		if tr.P.Kind != rdf.IRI {
-			return nil, fmt.Errorf("kb: predicate must be an IRI: %s", tr)
-		}
-		if tr.S.Kind == rdf.Literal {
-			return nil, fmt.Errorf("kb: literal subject: %s", tr)
-		}
-		p, ok := predIdx[tr.P.Value]
-		if !ok {
-			name := strings.Clone(tr.P.Value)
-			predNames = append(predNames, name)
-			p = PredID(len(predNames))
-			predIdx[name] = p
-		}
-		s := EntID(dict.Encode(tr.S))
-		o := EntID(dict.Encode(tr.O))
-		buf = append(buf, triple{s, p, o})
-		if len(buf) >= maxBuf {
-			if err := spill(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(runs) > 0 && len(buf) > 0 {
-		if err := spill(); err != nil {
+		if err := in.add(tr); err != nil {
 			return nil, err
 		}
 	}
-	// Single-run case: the whole (deduplicated) input fit in the buffer;
-	// iterate it in place, no disk round-trip.
-	if len(runs) == 0 {
-		sortDedupTriples(&buf)
+	return in.finish(opts)
+}
+
+// triple is one dictionary-encoded fact, the record the ingest buffers and
+// the run files store.
+type triple struct {
+	s EntID
+	p PredID
+	o EntID
+}
+
+// ingest accumulates encoded triples for one build. Terms and predicates
+// take ids in arrival order, so the ids — and with them every index and
+// snapshot byte — depend on the input order alone, never on maxBuf.
+type ingest struct {
+	dict      *rdf.Dictionary
+	predNames []string
+	predIdx   map[string]PredID
+	buf       []triple
+	maxBuf    int // spill threshold, in triples
+	tmpDir    string
+	runs      []*os.File // spilled runs, each sorted and deduplicated
+}
+
+func newIngest(maxBuf int, tmpDir string) *ingest {
+	return &ingest{
+		dict:    rdf.NewDictionary(),
+		predIdx: make(map[string]PredID),
+		maxBuf:  maxBuf,
+		tmpDir:  tmpDir,
+	}
+}
+
+// add validates, encodes and buffers one triple, spilling a run when the
+// buffer reaches the threshold. Predicates must be IRIs; literal subjects
+// are rejected.
+func (in *ingest) add(tr rdf.Triple) error {
+	if tr.P.Kind != rdf.IRI {
+		return fmt.Errorf("kb: predicate must be an IRI: %s", tr)
+	}
+	if tr.S.Kind == rdf.Literal {
+		return fmt.Errorf("kb: literal subject: %s", tr)
+	}
+	p, ok := in.predIdx[tr.P.Value]
+	if !ok {
+		name := strings.Clone(tr.P.Value)
+		in.predNames = append(in.predNames, name)
+		p = PredID(len(in.predNames))
+		in.predIdx[name] = p
+	}
+	s := EntID(in.dict.Encode(tr.S))
+	o := EntID(in.dict.Encode(tr.O))
+	in.buf = append(in.buf, triple{s, p, o})
+	if len(in.buf) >= in.maxBuf {
+		return in.spill()
+	}
+	return nil
+}
+
+// spill writes the buffer, sorted and deduplicated, to a new run file.
+func (in *ingest) spill() error {
+	sortDedupTriples(&in.buf)
+	f, err := os.CreateTemp(in.tmpDir, "kb-stream-run-*")
+	if err != nil {
+		return err
+	}
+	in.runs = append(in.runs, f)
+	w := newRunWriter(f)
+	for _, tr := range in.buf {
+		w.write(tr)
+	}
+	if err := w.flush(); err != nil {
+		return fmt.Errorf("kb: spill run: %w", err)
+	}
+	in.buf = in.buf[:0]
+	return nil
+}
+
+func (in *ingest) removeRuns() {
+	for _, f := range in.runs {
+		f.Close()
+		os.Remove(f.Name())
+	}
+}
+
+// finish indexes the accumulated triples; the ingest must not be used
+// afterwards. It can fail only on run-file I/O, so never when nothing was
+// spilled.
+func (in *ingest) finish(opts Options) (*KB, error) {
+	// Single-run case: the whole input fit in the buffer; iterate it in
+	// place, no disk round-trip.
+	if len(in.runs) == 0 {
+		sortDedupTriples(&in.buf)
+	} else if len(in.buf) > 0 {
+		if err := in.spill(); err != nil {
+			return nil, err
+		}
 	}
 
-	nPred := len(predNames)
+	nPred := len(in.predNames)
 	k := &KB{
-		dict:      dict,
-		predNames: predNames,
-		predIdx:   predIdx,
+		dict:      in.dict,
+		predNames: in.predNames,
+		predIdx:   in.predIdx,
 		baseOf:    make([]PredID, nPred),
 	}
-	terms := dict.Terms()
+	terms := in.dict.Terms()
 	k.kind = make([]rdf.Kind, len(terms))
 	for i, t := range terms {
 		k.kind[i] = t.Kind
 	}
 
 	// Pass A: base-fact count and entity frequencies over the merged,
-	// globally deduplicated stream.
+	// globally deduplicated stream (before inverse materialization, so the
+	// prominence signal reflects the original KB only).
 	k.entFreq = make([]uint32, len(terms))
-	err := eachMerged(runs, buf, func(tr triple) error {
+	err := eachMerged(in.runs, in.buf, func(tr triple) error {
 		k.nBase++
 		k.entFreq[tr.s-1]++
 		k.entFreq[tr.o-1]++
@@ -194,27 +242,29 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 
 	// Pass B: per-predicate CSR builds. The merged stream arrives in
 	// (p,s,o) order, so each predicate's pairs form one contiguous sorted
-	// run; inverse pairs are collected per inverse predicate (first-touch
-	// assignment in base order, exactly like Builder.Build) and indexed
-	// after the base predicates, preserving the global predicate order.
+	// run; inverse pairs are collected per inverse predicate (ids assigned
+	// on first touch, in base order) and indexed after the base predicates,
+	// preserving the global predicate order.
 	k.preds = make([]predIndex, nPred)
 	inv := make([]PredID, nPred)
 	var invPairs [][]Pair // invPairs[g] belongs to predicate nPred+g+1
 	scratch := make([]Pair, 0, 1<<12)
 	var curPred PredID
-	finish := func() {
+	flush := func() {
 		if curPred != 0 {
-			k.preds[curPred-1] = indexFromSortedRun(scratch)
+			k.preds[curPred-1] = packPredIndex(scratch)
 			k.nFacts += len(scratch)
 		}
 		scratch = scratch[:0]
 	}
-	err = eachMerged(runs, buf, func(tr triple) error {
+	err = eachMerged(in.runs, in.buf, func(tr triple) error {
 		if tr.p != curPred {
-			finish()
+			flush()
 			curPred = tr.p
 		}
 		scratch = append(scratch, Pair{S: tr.s, O: tr.o})
+		// RDF compliance: inverses are only defined for entity objects
+		// (footnote 3 of the paper).
 		if prominent != nil && k.kind[tr.o-1] != rdf.Literal && prominent.Contains(tr.o) {
 			ip := inv[tr.p-1]
 			if ip == 0 {
@@ -233,19 +283,16 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 	if err != nil {
 		return nil, err
 	}
-	finish()
+	flush()
 
 	k.preds = append(k.preds, make([]predIndex, len(invPairs))...)
 	for g, pairs := range invPairs {
 		slices.SortFunc(pairs, cmpPairSO)
-		k.preds[nPred+g] = indexFromSortedRun(pairs)
+		k.preds[nPred+g] = packPredIndex(pairs)
 		k.nFacts += len(pairs)
 		invPairs[g] = nil
 	}
 
-	// The pair lists and adjacency arena stay lazy (derived.go): the
-	// snapshot-packing path never needs them, and a mining process derives
-	// them once on first use.
 	k.predIDs = make([]PredID, len(k.predNames))
 	for i := range k.predIDs {
 		k.predIDs[i] = PredID(i + 1)
@@ -257,24 +304,6 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 		k.lblPred = k.predIdx[opts.LabelPredicate]
 	}
 	return k, nil
-}
-
-// indexFromSortedRun packs one predicate's (s,o)-sorted pair run into both
-// CSR orientations without retaining the input slice (unlike indexFromPairs,
-// so the caller can reuse its scratch buffer and the pair list stays lazy).
-func indexFromSortedRun(pairs []Pair) predIndex {
-	var ix predIndex
-	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs, false)
-	byObject := make([]Pair, len(pairs))
-	copy(byObject, pairs)
-	slices.SortFunc(byObject, func(a, b Pair) int {
-		if a.O != b.O {
-			return int(a.O) - int(b.O)
-		}
-		return int(a.S) - int(b.S)
-	})
-	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
-	return ix
 }
 
 // sortDedupTriples sorts a run by (p,s,o) and removes adjacent duplicates

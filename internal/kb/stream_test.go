@@ -6,6 +6,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -120,16 +122,209 @@ func TestBuildStreamingMatchesInMemory(t *testing.T) {
 	}
 }
 
+// naiveKB is what Section 4 of the paper says a KB built from a triple list
+// holds, computed from sets of strings with no code of this package: terms
+// are named by their N-Triples form, predicates by their IRI.
+type naiveKB struct {
+	nBase int
+	freq  map[string]int     // term -> occurrences in base facts (as s or o)
+	facts map[[3]string]bool // (s, predicate name, o): base facts plus inverses
+}
+
+// buildNaive applies the documented recipe: deduplicate; count base-fact
+// frequencies; rank every term by frequency, ties to the earlier first
+// appearance (subject before object within a triple); materialize p⁻¹(o,s)
+// for every base fact whose object is among the top max(1, ⌊n·frac⌋) terms
+// and is not a literal.
+func buildNaive(trs []rdf.Triple, frac float64) naiveKB {
+	base := make(map[[3]string]bool)
+	firstSeen := make(map[string]int)
+	literal := make(map[string]bool)
+	for _, tr := range trs {
+		for _, t := range []rdf.Term{tr.S, tr.O} {
+			if _, ok := firstSeen[t.String()]; !ok {
+				firstSeen[t.String()] = len(firstSeen)
+				literal[t.String()] = t.Kind == rdf.Literal
+			}
+		}
+		base[[3]string{tr.S.String(), tr.P.Value, tr.O.String()}] = true
+	}
+	n := naiveKB{nBase: len(base), freq: make(map[string]int), facts: make(map[[3]string]bool)}
+	for f := range base {
+		n.freq[f[0]]++
+		n.freq[f[2]]++
+	}
+	ranked := make([]string, 0, len(firstSeen))
+	for name := range firstSeen {
+		ranked = append(ranked, name)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
+		if n.freq[a] != n.freq[b] {
+			return n.freq[a] > n.freq[b]
+		}
+		return firstSeen[a] < firstSeen[b]
+	})
+	top := make(map[string]bool)
+	for _, name := range ranked[:max(1, int(float64(len(ranked))*frac))] {
+		top[name] = true
+	}
+	for f := range base {
+		n.facts[f] = true
+		if top[f[2]] && !literal[f[2]] {
+			n.facts[[3]string{f[2], f[1] + InverseMarker, f[0]}] = true
+		}
+	}
+	return n
+}
+
+// checkAgainstNaive compares every accessor of k that the recipe determines
+// with the oracle, by name: ids are the builder's business.
+func checkAgainstNaive(t *testing.T, k *KB, want naiveKB) {
+	t.Helper()
+	if k.NumBaseFacts() != want.nBase || k.NumFacts() != len(want.facts) || k.NumEntities() != len(want.freq) {
+		t.Fatalf("counts: %d base, %d facts, %d terms; oracle %d, %d, %d",
+			k.NumBaseFacts(), k.NumFacts(), k.NumEntities(), want.nBase, len(want.facts), len(want.freq))
+	}
+	name := func(e EntID) string { return k.Term(e).String() }
+	objects := make(map[[2]string][]string)  // (predicate, subject) -> objects
+	subjects := make(map[[2]string][]string) // (predicate, object) -> subjects
+	adjacency := make(map[string][]string)   // subject -> "predicate object"
+	preds := make(map[string]bool)
+	for f := range want.facts {
+		objects[[2]string{f[1], f[0]}] = append(objects[[2]string{f[1], f[0]}], f[2])
+		subjects[[2]string{f[1], f[2]}] = append(subjects[[2]string{f[1], f[2]}], f[0])
+		adjacency[f[0]] = append(adjacency[f[0]], f[1]+" "+f[2])
+		preds[f[1]] = true
+	}
+	if k.NumPredicates() != len(preds) {
+		t.Fatalf("%d predicates, oracle %d", k.NumPredicates(), len(preds))
+	}
+	// same reports whether got (in id order) and want hold the same names.
+	same := func(got, want []string) bool {
+		sort.Strings(got)
+		sort.Strings(want)
+		return slices.Equal(got, want)
+	}
+	for e := EntID(1); int(e) <= k.NumEntities(); e++ {
+		if k.EntityFreq(e) != want.freq[name(e)] {
+			t.Fatalf("EntityFreq(%s) = %d, oracle %d", name(e), k.EntityFreq(e), want.freq[name(e)])
+		}
+		adj := k.AdjacencyOf(e)
+		if !slices.IsSortedFunc(adj, func(a, b PO) int {
+			if a.P != b.P {
+				return int(a.P) - int(b.P)
+			}
+			return int(a.O) - int(b.O)
+		}) {
+			t.Fatalf("AdjacencyOf(%s) not (P,O)-sorted", name(e))
+		}
+		var got []string
+		for _, po := range adj {
+			got = append(got, k.PredicateName(po.P)+" "+name(po.O))
+		}
+		if !same(got, adjacency[name(e)]) {
+			t.Fatalf("AdjacencyOf(%s) = %v, oracle %v", name(e), got, adjacency[name(e)])
+		}
+		for _, p := range k.Predicates() {
+			pn := k.PredicateName(p)
+			if !preds[pn] {
+				t.Fatalf("predicate %q is not in the oracle", pn)
+			}
+			if bp := k.BaseOf(p); (bp != 0) != strings.HasSuffix(pn, InverseMarker) ||
+				(bp != 0 && k.PredicateName(bp)+InverseMarker != pn) {
+				t.Fatalf("BaseOf(%q) = %d", pn, bp)
+			}
+			for _, dir := range []struct {
+				what string
+				ids  []EntID
+				want []string
+			}{
+				{"Objects", k.Objects(p, e), objects[[2]string{pn, name(e)}]},
+				{"Subjects", k.Subjects(p, e), subjects[[2]string{pn, name(e)}]},
+			} {
+				if !slices.IsSorted(dir.ids) {
+					t.Fatalf("%s(%s, %s) not sorted", dir.what, pn, name(e))
+				}
+				var got []string
+				for _, x := range dir.ids {
+					got = append(got, name(x))
+				}
+				if !same(got, dir.want) {
+					t.Fatalf("%s(%s, %s) = %v, oracle %v", dir.what, pn, name(e), got, dir.want)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildMatchesNaiveOracle is the check TestBuildStreamingMatchesInMemory
+// cannot make now that both of its sides are one builder: the result is what
+// the recipe says, whichever front end fed the builder and whether or not it
+// spilled.
+func TestBuildMatchesNaiveOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		trs := genStreamTriples(3000, seed)
+		for _, frac := range []float64{0.10, 0.5, 0.9} { // at 0.9 literals rank in the top set
+			want := buildNaive(trs, frac)
+			opts := Options{InverseTopFraction: frac}
+			for _, front := range []struct {
+				name  string
+				build func() (*KB, error)
+			}{
+				{"FromTriples", func() (*KB, error) { return FromTriples(trs, opts) }},
+				{"BuildStreaming", func() (*KB, error) { return BuildStreaming(&sliceSource{trs: trs}, opts) }},
+				{"spilled", func() (*KB, error) {
+					return BuildStreamingWith(&sliceSource{trs: trs}, opts, StreamConfig{MaxBufferedTriples: 7, TmpDir: t.TempDir()})
+				}},
+			} {
+				t.Run(fmt.Sprintf("seed=%d/f=%g/%s", seed, frac, front.name), func(t *testing.T) {
+					k, err := front.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstNaive(t, k, want)
+				})
+			}
+		}
+	}
+}
+
+// TestBuildStreamingRejectsBadTriples: every front end feeds the one ingest,
+// so all of them refuse the same triples with the same words — also when the
+// bad triple arrives after runs have been spilled.
 func TestBuildStreamingRejectsBadTriples(t *testing.T) {
 	lit := rdf.NewLiteral("x")
-	iri := rdf.NewIRI("http://ex.org/a")
-	cases := []rdf.Triple{
-		{S: lit, P: rdf.NewIRI("http://ex.org/p"), O: iri}, // literal subject
-		{S: iri, P: lit, O: iri},                           // literal predicate
-	}
-	for _, tr := range cases {
-		if _, err := BuildStreaming(&sliceSource{trs: []rdf.Triple{tr}}, DefaultOptions()); err == nil {
-			t.Errorf("expected error for %v", tr)
+	good := genStreamTriples(20, 3)
+	for _, tc := range []struct {
+		name string
+		bad  rdf.Triple
+		want string
+	}{
+		{"literal subject", rdf.Triple{S: lit, P: iri("p"), O: iri("a")}, "kb: literal subject: "},
+		{"literal predicate", rdf.Triple{S: iri("a"), P: lit, O: iri("a")}, "kb: predicate must be an IRI: "},
+		{"blank predicate", rdf.Triple{S: iri("a"), P: rdf.NewBlank("b"), O: iri("a")}, "kb: predicate must be an IRI: "},
+	} {
+		trs := append(slices.Clone(good), tc.bad)
+		want := tc.want + tc.bad.String()
+		for _, front := range []struct {
+			name  string
+			build func() error
+		}{
+			{"FromTriples", func() error { _, err := FromTriples(trs, DefaultOptions()); return err }},
+			{"Builder", func() error { return NewBuilder().AddAll(trs) }},
+			{"BuildStreaming", func() error {
+				_, err := BuildStreaming(&sliceSource{trs: trs}, DefaultOptions())
+				return err
+			}},
+			{"spilled", func() error {
+				_, err := BuildStreamingWith(&sliceSource{trs: trs}, DefaultOptions(), StreamConfig{MaxBufferedTriples: 7, TmpDir: t.TempDir()})
+				return err
+			}},
+		} {
+			if err := front.build(); err == nil || err.Error() != want {
+				t.Errorf("%s through %s: error %v, want %q", tc.name, front.name, err, want)
+			}
 		}
 	}
 }

@@ -296,50 +296,3 @@ func (d *Dictionary) EachTerm(f func(id ID, t Term) bool) {
 		}
 	}
 }
-
-// IDTriple is a triple encoded against a Dictionary: subject and object use
-// the term ID space and P uses the same space (predicates are terms too).
-type IDTriple struct {
-	S, P, O ID
-}
-
-// EncodeTriple encodes the terms of tr.
-func (d *Dictionary) EncodeTriple(tr Triple) IDTriple {
-	return IDTriple{S: d.Encode(tr.S), P: d.Encode(tr.P), O: d.Encode(tr.O)}
-}
-
-// DecodeTriple reverses EncodeTriple.
-func (d *Dictionary) DecodeTriple(tr IDTriple) Triple {
-	return Triple{S: d.Decode(tr.S), P: d.Decode(tr.P), O: d.Decode(tr.O)}
-}
-
-// SortTriples sorts ID triples in (S,P,O) order.
-func SortTriples(ts []IDTriple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		return a.O < b.O
-	})
-}
-
-// DedupTriples sorts and removes duplicate ID triples in place, returning the
-// deduplicated slice.
-func DedupTriples(ts []IDTriple) []IDTriple {
-	if len(ts) == 0 {
-		return ts
-	}
-	SortTriples(ts)
-	w := 1
-	for i := 1; i < len(ts); i++ {
-		if ts[i] != ts[i-1] {
-			ts[w] = ts[i]
-			w++
-		}
-	}
-	return ts[:w]
-}

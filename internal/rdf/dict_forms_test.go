@@ -167,18 +167,6 @@ func TestExtendDictionaryOverEveryBaseForm(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeTripleRoundTrip(t *testing.T) {
-	d := NewDictionary()
-	tr := NewTriple(NewIRI("http://e/s"), NewIRI("http://e/p"), NewLiteral("v"))
-	enc := d.EncodeTriple(tr)
-	if enc.S == NoID || enc.P == NoID || enc.O == NoID {
-		t.Fatalf("EncodeTriple handed out NoID: %+v", enc)
-	}
-	if got := d.DecodeTriple(enc); got != tr {
-		t.Fatalf("DecodeTriple = %v, want %v", got, tr)
-	}
-}
-
 func TestTermKindPredicates(t *testing.T) {
 	if IRI.String() != "iri" || Literal.String() != "literal" || Blank.String() != "blank" {
 		t.Fatalf("Kind names: %s %s %s", IRI, Literal, Blank)

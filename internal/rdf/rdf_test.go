@@ -178,33 +178,6 @@ func TestDictionaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestDedupTriples(t *testing.T) {
-	d := NewDictionary()
-	mk := func(s, p, o string) IDTriple {
-		return d.EncodeTriple(NewTriple(NewIRI(s), NewIRI(p), NewIRI(o)))
-	}
-	ts := []IDTriple{mk("a", "p", "b"), mk("a", "p", "b"), mk("a", "q", "c"), mk("a", "p", "b")}
-	got := DedupTriples(ts)
-	if len(got) != 2 {
-		t.Fatalf("got %d triples, want 2", len(got))
-	}
-}
-
-func TestSortTriplesOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ts := make([]IDTriple, 100)
-	for i := range ts {
-		ts[i] = IDTriple{S: ID(rng.Intn(10) + 1), P: ID(rng.Intn(5) + 1), O: ID(rng.Intn(20) + 1)}
-	}
-	SortTriples(ts)
-	for i := 1; i < len(ts); i++ {
-		a, b := ts[i-1], ts[i]
-		if a.S > b.S || (a.S == b.S && a.P > b.P) || (a.S == b.S && a.P == b.P && a.O > b.O) {
-			t.Fatalf("not sorted at %d: %v %v", i, a, b)
-		}
-	}
-}
-
 func TestLocalName(t *testing.T) {
 	cases := []struct {
 		term Term

@@ -2,8 +2,7 @@
 // evaluation (Sections 4.1.1–4.1.3). The original studies asked computer
 // science students, researchers and university staff to rank descriptions by
 // simplicity, grade their interestingness, and choose between variants; this
-// reproduction replaces the humans with seeded simulated users (see
-// DESIGN.md, substitution 3).
+// reproduction replaces the humans with seeded simulated users.
 //
 // Each simulated user perceives a latent "true" intuitiveness of a
 // description — derived from the generator's hidden popularity ground truth

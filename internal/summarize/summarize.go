@@ -1,9 +1,9 @@
 // Package summarize implements the entity-summarization evaluation of
 // Section 4.1.4: FACES-style and LinkSUM-style baseline summarizers, a
 // simulated expert gold standard (substituting for the 7-expert FACES/
-// LinkSUM benchmark, DESIGN.md substitution 4), the published quality
-// metric (average overlap with the reference summaries at the object and
-// predicate–object levels), and the merged-gold precision measures.
+// LinkSUM benchmark), the published quality metric (average overlap with
+// the reference summaries at the object and predicate–object levels), and
+// the merged-gold precision measures.
 package summarize
 
 import (

@@ -37,15 +37,13 @@ type mineConfig struct {
 	timeout    time.Duration
 	topK       int
 	exact      bool
-	cutoff     float64
-	maxCands   int
 	exceptions int
 	batchConc  int
 	progress   func(Progress)
 }
 
 func defaultMineConfig() mineConfig {
-	return mineConfig{metric: MetricFr, language: LanguageExtended, workers: 1, cutoff: 0.05}
+	return mineConfig{metric: MetricFr, language: LanguageExtended, workers: 1}
 }
 
 // WithMetric selects Ĉfr (default) or Ĉpr.
@@ -71,13 +69,6 @@ func WithTopK(k int) MineOption { return func(c *mineConfig) { c.topK = k } }
 // WithExactRanks disables the Eq. 1 power-law rank compression and uses the
 // exact conditional rankings (slower to build, slightly sharper Ĉ).
 func WithExactRanks() MineOption { return func(c *mineConfig) { c.exact = true } }
-
-// WithProminentCutoff overrides the fraction of top entities whose atoms
-// are not expanded (Section 3.5.2; default 0.05, 0 disables the heuristic).
-func WithProminentCutoff(f float64) MineOption { return func(c *mineConfig) { c.cutoff = f } }
-
-// WithMaxCandidates caps the priority queue (0 = unlimited).
-func WithMaxCandidates(n int) MineOption { return func(c *mineConfig) { c.maxCands = n } }
 
 // Progress is one coarse search-progress notification delivered to a
 // WithProgress subscriber while a mine is still running.
@@ -410,8 +401,6 @@ func (s *System) coreConfig(cfg mineConfig) core.Config {
 	c.Workers = cfg.workers
 	c.Timeout = cfg.timeout
 	c.TopK = cfg.topK
-	c.ProminentCutoff = cfg.cutoff
-	c.MaxCandidates = cfg.maxCands
 	c.MaxExceptions = cfg.exceptions
 	if cfg.progress != nil {
 		fn := cfg.progress

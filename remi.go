@@ -85,10 +85,10 @@ func Load(path string) (*System, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// N-Triples go through the streaming builder: the raw triple slice
-	// of a web-scale dump is never held in memory (bounded run spills
-	// plus a k-way merge), and the result is element-identical to the
-	// in-memory build.
+	// N-Triples stream through the builder: the raw triple slice of a
+	// web-scale dump is never held in memory (bounded run spills plus a
+	// k-way merge), and the result is element-identical to FromTriples
+	// over the same triples.
 	k, err := kb.BuildStreaming(rdf.NewReader(f), kb.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("remi: parsing %s: %w", path, err)
