@@ -7,8 +7,7 @@ import (
 )
 
 // TestMineBatchFacade: MineBatch entries are identical to per-set
-// MineContext calls, failures stay per-set, and in-batch repeats are
-// flagged and share the converted result.
+// MineContext calls, repeats included, and failures stay per-set.
 func TestMineBatchFacade(t *testing.T) {
 	sys := tinySystem(t)
 	sets := [][]string{
@@ -19,7 +18,7 @@ func TestMineBatchFacade(t *testing.T) {
 		{},                                     // empty: per-set error
 		{tinyNS + "Lyon", tinyNS + "Marseille"},
 	}
-	br, err := sys.MineBatch(context.Background(), sets, WithBatchConcurrency(2))
+	br, err := sys.MineBatch(context.Background(), sets, nil, WithBatchConcurrency(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +55,14 @@ func TestMineBatchFacade(t *testing.T) {
 				i, e.Result.Solution, want.Solution)
 		}
 	}
-	if !br.Entries[2].Deduplicated || br.Deduped != 1 {
-		t.Fatalf("repeat not deduplicated: entry=%+v deduped=%d", br.Entries[2], br.Deduped)
-	}
-	if br.Entries[2].Result != br.Entries[0].Result {
-		t.Fatal("repeated set did not share the converted result")
-	}
-	if br.QueueBuild <= 0 {
-		t.Fatalf("batch queue-build total not recorded: %v", br.QueueBuild)
+	if br.CacheMisses == 0 {
+		t.Fatal("batch evaluator totals not recorded")
 	}
 }
 
-// TestMineBatchEachFacade: the streaming variant delivers every entry
-// exactly once, invalid sets first, and the streamed entries are the same
-// values the returned BatchResult holds.
+// TestMineBatchEachFacade: a non-nil each receives every entry exactly
+// once, invalid sets included, and the streamed entries are the same values
+// the returned BatchResult holds.
 func TestMineBatchEachFacade(t *testing.T) {
 	sys := tinySystem(t)
 	sets := [][]string{
@@ -78,14 +71,12 @@ func TestMineBatchEachFacade(t *testing.T) {
 		{tinyNS + "Paris"},
 		{tinyNS + "Nantes", tinyNS + "Rennes"}, // repeat of set 0
 	}
-	var order []int
 	got := make(map[int]BatchEntry)
-	br, err := sys.MineBatchEach(context.Background(), sets, func(i int, e BatchEntry) {
+	br, err := sys.MineBatch(context.Background(), sets, func(i int, e BatchEntry) {
 		if _, dup := got[i]; dup {
 			t.Errorf("set %d delivered twice", i)
 		}
 		got[i] = e
-		order = append(order, i)
 	}, WithBatchConcurrency(2))
 	if err != nil {
 		t.Fatal(err)
@@ -93,20 +84,17 @@ func TestMineBatchEachFacade(t *testing.T) {
 	if len(got) != len(sets) {
 		t.Fatalf("callback fired for %d sets, want %d", len(got), len(sets))
 	}
-	if len(order) == 0 || order[0] != 1 {
-		t.Fatalf("invalid set not delivered first: order %v", order)
-	}
 	if !errors.Is(got[1].Err, ErrUnknownEntity) {
 		t.Fatalf("set 1: err = %v, want ErrUnknownEntity", got[1].Err)
 	}
 	for i, e := range br.Entries {
 		g := got[i]
-		if (g.Err == nil) != (e.Err == nil) || g.Result != e.Result || g.Deduplicated != e.Deduplicated {
+		if (g.Err == nil) != (e.Err == nil) || g.Result != e.Result {
 			t.Fatalf("set %d: streamed entry %+v differs from returned %+v", i, g, e)
 		}
 	}
-	if !br.Entries[3].Deduplicated || br.Entries[3].Result != br.Entries[0].Result {
-		t.Fatalf("repeat not shared: %+v", br.Entries[3])
+	if br.Entries[3].Result.Expression != br.Entries[0].Result.Expression {
+		t.Fatalf("repeat mined %q, first occurrence %q", br.Entries[3].Result.Expression, br.Entries[0].Result.Expression)
 	}
 }
 
@@ -148,7 +136,7 @@ func TestWithProgress(t *testing.T) {
 // per set (there is nothing per-set about them).
 func TestMineBatchFacadeBadOptions(t *testing.T) {
 	sys := tinySystem(t)
-	_, err := sys.MineBatch(context.Background(), [][]string{{tinyNS + "Paris"}}, WithMetric(MetricCustom))
+	_, err := sys.MineBatch(context.Background(), [][]string{{tinyNS + "Paris"}}, nil, WithMetric(MetricCustom))
 	if err == nil {
 		t.Fatal("MetricCustom without SetProminence accepted")
 	}

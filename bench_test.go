@@ -10,6 +10,7 @@ package remi
 //	go run ./cmd/remi-bench all          # full tables with paper comparisons
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -366,6 +367,53 @@ func benchRankMode(b *testing.B, mode complexity.Mode) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBatchSplit splits what a batch buys: one op mines the same 64
+// Table-4-style sets on one thread with a fresh miner per set, with
+// MineBatch on one miner, and with a plain MineContext loop on one miner.
+// batch ≈ loop < fresh says the gain is the evaluator cache one miner keeps
+// across sets, not anything batch-specific (all three share one estimator,
+// so its Ĉ memo is warm everywhere).
+func BenchmarkBatchSplit(b *testing.B) {
+	env := lab().DBpedia()
+	sets := table4Sets(b, env, 64)
+	ids := make([][]kb.EntID, len(sets))
+	for i, s := range sets {
+		ids[i] = s.IDs
+	}
+	cfg := core.DefaultConfig()
+	cfg.Timeout = 10 * time.Second
+	ctx := context.Background()
+	mine := func(b *testing.B, m *core.Miner, set []kb.EntID) {
+		if _, err := m.MineContext(ctx, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, set := range ids {
+				mine(b, core.NewMiner(env.KB, env.EstFr, cfg), set)
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, o := range core.NewMiner(env.KB, env.EstFr, cfg).MineBatch(ctx, ids, 1) {
+				if o.Err != nil {
+					b.Fatal(o.Err)
+				}
+			}
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := core.NewMiner(env.KB, env.EstFr, cfg)
+			for _, set := range ids {
+				mine(b, m, set)
+			}
+		}
+	})
 }
 
 // BenchmarkPREMIScaling sweeps the worker count (Section 3.4).

@@ -163,7 +163,6 @@ func main() {
 		maxWorkers   = flag.Int("max-workers", 32, "upper bound on request-supplied worker counts (0 = none)")
 		maxTargets   = flag.Int("max-targets", 64, "maximum targets per mine request (and per batch set)")
 		maxBatchSets = flag.Int("batch-sets", 64, "maximum target sets per mine:batch request")
-		batchWorkers = flag.Int("batch-workers", 4, "worker pool fanning a batch's target sets")
 		resultCache  = flag.Int("result-cache", 1024, "completed-result LRU entries (negative = disabled)")
 		jobWorkers   = flag.Int("job-workers", 4, "worker pool executing mining jobs (all request kinds)")
 		jobQueue     = flag.Int("job-queue", 64, "admitted jobs that may wait for a worker before 429s")
@@ -276,7 +275,6 @@ func main() {
 			MaxWorkers:     *maxWorkers,
 			MaxTargets:     *maxTargets,
 			MaxBatchSets:   *maxBatchSets,
-			BatchWorkers:   *batchWorkers,
 			ResultCache:    *resultCache,
 			JobWorkers:     *jobWorkers,
 			JobQueueDepth:  *jobQueue,

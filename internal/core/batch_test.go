@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,67 +105,44 @@ func TestMineBatchGoldenEquivalence(t *testing.T) {
 					t.Fatalf("set %d: %d candidates, want %d", i, res.Stats.Candidates, want[i].ncands)
 				}
 			}
-			// The repeat (set 3) must share set 0's search, not rerun it.
-			if outs[3].Result != outs[0].Result || !outs[3].Deduplicated {
-				t.Fatalf("repeated set not deduplicated: %+v", outs[3])
-			}
-			if outs[0].Deduplicated {
-				t.Fatal("first occurrence marked deduplicated")
-			}
 		})
 	}
 }
 
-// TestMineBatchSharesQueueWork white-boxes the batch cache: sets sharing
-// their first target must reuse its scored anchor list (skipping
-// enumeration, scoring and the sort), an identical set must reuse the
-// finished queue — and the shared path must still produce the exact queue
-// the unshared build computes.
-func TestMineBatchSharesQueueWork(t *testing.T) {
+// TestMineBatchSharesEvaluator pins what a batch buys: one miner's
+// evaluator serves every set, so a serial batch computes fewer binding sets
+// than a fresh miner per set, and still gives the same answers.
+func TestMineBatchSharesEvaluator(t *testing.T) {
 	m, _ := queueTestMiner(t, 37)
 	sets := batchFixtureSets(t, m)
-
-	bc := newBatchCache()
-	for _, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		if _, err := m.mineSet(context.Background(), normalizeTargets(set), bc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	anchorHits, queueHits := bc.hits()
-	// Sets 1 and 2 share set 0's anchor; set 6 shares set 5's.
-	if anchorHits < 3 {
-		t.Fatalf("anchor-list hits = %d, want >= 3", anchorHits)
-	}
-	// Set 3 repeats set 0 exactly.
-	if queueHits < 1 {
-		t.Fatalf("queue hits = %d, want >= 1", queueHits)
-	}
-
-	// Cached queues must be byte-identical to the unshared build.
+	want := make([]*Result, len(sets))
+	var fresh uint64
 	for i, set := range sets {
 		if len(set) == 0 {
 			continue
 		}
-		tgt := normalizeTargets(set)
-		cached, ok := bc.getQueue(tgt)
-		if !ok {
-			t.Fatalf("set %d: no cached queue", i)
+		mm := NewMiner(m.K, m.Est, m.cfg)
+		res, err := mm.MineContext(context.Background(), set)
+		if err != nil {
+			t.Fatalf("set %d: %v", i, err)
 		}
-		plain, timedOut := m.buildQueue(context.Background(), tgt, &queueBufs{})
-		if timedOut {
-			t.Fatalf("set %d: unshared build timed out", i)
+		want[i] = res
+		fresh += mm.Ev.Computes()
+	}
+	batch := NewMiner(m.K, m.Est, m.cfg)
+	for i, o := range batch.MineBatch(context.Background(), sets, 1) {
+		if want[i] == nil {
+			continue
 		}
-		if len(cached) != len(plain) {
-			t.Fatalf("set %d: cached queue len %d, unshared %d", i, len(cached), len(plain))
+		if o.Err != nil {
+			t.Fatalf("set %d: %v", i, o.Err)
 		}
-		for j := range cached {
-			if cached[j].g != plain[j].g || cached[j].cost != plain[j].cost {
-				t.Fatalf("set %d: queue[%d] differs between cached and unshared build", i, j)
-			}
+		if got, w := o.Result.Expression.Format(m.K), want[i].Expression.Format(m.K); got != w || o.Result.Bits != want[i].Bits {
+			t.Fatalf("set %d: batch %q (%v bits), fresh miner %q (%v bits)", i, got, o.Result.Bits, w, want[i].Bits)
 		}
+	}
+	if got := batch.Ev.Computes(); got >= fresh {
+		t.Fatalf("batch computed %d binding sets, fresh miners %d: the evaluator is not shared", got, fresh)
 	}
 }
 
@@ -225,12 +203,10 @@ func TestMineBatchPerSetCacheCounters(t *testing.T) {
 	outs := m.MineBatch(context.Background(), sets, 1)
 	_, hits, misses := m.Ev.Stats()
 	var sumHits, sumMisses uint64
-	seen := make(map[*Result]bool)
 	for i, o := range outs {
-		if o.Err != nil || seen[o.Result] {
+		if o.Err != nil {
 			continue
 		}
-		seen[o.Result] = true
 		st := o.Result.Stats
 		if st.CacheHits > hits || st.CacheMisses > misses {
 			t.Fatalf("set %d reports more cache traffic (%d/%d) than the whole evaluator (%d/%d)",
@@ -248,26 +224,95 @@ func TestMineBatchPerSetCacheCounters(t *testing.T) {
 	}
 }
 
-// TestMineBatchPanicIsolation: a panic inside a batch worker (here forced
-// with a nil estimator, which the queue scoring dereferences) becomes an
-// ErrMinePanic outcome on each affected set instead of killing the process
-// — MineBatch's pool goroutines are the one mining path with no recovery
-// above them. Recovery is per job, so a panicking set cannot take its
-// batch neighbors down either.
+// TestMineBatchPanicIsolation: a panic inside one set's search (here the
+// trace callback panics on the first node the whole batch visits) becomes
+// that set's ErrMinePanic outcome instead of killing the process, and its
+// neighbors — mined concurrently on the same miner — still return the
+// answers a fresh miner gives.
 func TestMineBatchPanicIsolation(t *testing.T) {
 	m, _ := queueTestMiner(t, 59)
 	sets := batchFixtureSets(t, m)
-	mm := NewMiner(m.K, nil, m.cfg)
-	outs := mm.MineBatch(context.Background(), sets, 2)
+	var fired atomic.Bool
+	cfg := m.cfg
+	cfg.TraceMask = MaskOf(EventVisit)
+	cfg.Trace = func(Event) {
+		if fired.CompareAndSwap(false, true) {
+			panic("first visit")
+		}
+	}
+	outs := NewMiner(m.K, m.Est, cfg).MineBatch(context.Background(), sets, 2)
+	panicked := 0
 	for i, o := range outs {
-		if len(sets[i]) == 0 {
+		switch {
+		case len(sets[i]) == 0:
 			if !errors.Is(o.Err, ErrNoTargets) {
 				t.Fatalf("empty set %d: err = %v", i, o.Err)
 			}
-			continue
+		case errors.Is(o.Err, ErrMinePanic):
+			panicked++
+		case o.Err != nil:
+			t.Fatalf("set %d: err = %v", i, o.Err)
+		default:
+			want, err := NewMiner(m.K, m.Est, m.cfg).MineContext(context.Background(), sets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, w := o.Result.Expression.Format(m.K), want.Expression.Format(m.K); got != w {
+				t.Fatalf("set %d: neighbor of a panicking set mined %q, want %q", i, got, w)
+			}
 		}
-		if !errors.Is(o.Err, ErrMinePanic) {
-			t.Fatalf("set %d: err = %v, want ErrMinePanic", i, o.Err)
+	}
+	if panicked != 1 {
+		t.Fatalf("%d sets failed with ErrMinePanic, want exactly the one that panicked", panicked)
+	}
+}
+
+// TestMinePanicReachesCaller: a panic on a goroutine the miner spawns — the
+// parallel queue scoring (here a nil estimator, which the scoring
+// dereferences) or a P-REMI worker (here a panicking trace callback) — is
+// re-raised on the goroutine that called MineContext, where the caller's
+// recover sees it, instead of killing the process. Run with -cpu 1,4,8: the
+// queue scoring fans out only when GOMAXPROCS > 1.
+func TestMinePanicReachesCaller(t *testing.T) {
+	m, _ := queueTestMiner(t, 67)
+	sets := batchFixtureSets(t, m)
+	premi := m.cfg
+	premi.Workers = 4
+	premi.Trace = func(Event) { panic("trace callback") }
+	cases := []struct {
+		name  string
+		miner *Miner
+		// reaches reports whether a plain miner's run on the set gets to the
+		// code that panics.
+		reaches func(*Result) bool
+	}{
+		{"queue scoring", NewMiner(m.K, nil, m.cfg), func(r *Result) bool { return r.Stats.Candidates > 0 }},
+		{"P-REMI worker", NewMiner(m.K, m.Est, premi), func(r *Result) bool { return r.Stats.Visited > 0 }},
+	}
+	for _, c := range cases {
+		reached := 0
+		for i, set := range sets {
+			if len(set) == 0 {
+				continue
+			}
+			ref, err := NewMiner(m.K, m.Est, m.cfg).MineContext(context.Background(), set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				c.miner.MineContext(context.Background(), set)
+				return nil
+			}()
+			if want := c.reaches(ref); (p != nil) != want {
+				t.Fatalf("%s: set %d: recovered %v, want a panic: %v", c.name, i, p, want)
+			}
+			if p != nil {
+				reached++
+			}
+		}
+		if reached == 0 {
+			t.Fatalf("%s: no set of the fixture reached the panicking code", c.name)
 		}
 	}
 }
@@ -275,14 +320,13 @@ func TestMineBatchPanicIsolation(t *testing.T) {
 // TestMineBatchEachStreams: the per-set callback fires exactly once per
 // slot, serialized, with the same outcome the returned slice reports — the
 // contract streaming handlers rely on to push entries while the batch still
-// runs. In-batch repeats must arrive back-to-back after their original.
+// runs.
 func TestMineBatchEachStreams(t *testing.T) {
 	m, _ := queueTestMiner(t, 61)
 	sets := batchFixtureSets(t, m)
 	for _, conc := range []int{1, 4} {
 		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
 			mm := NewMiner(m.K, m.Est, m.cfg)
-			var order []int
 			got := make(map[int]BatchOutcome)
 			outs := mm.MineBatchEach(context.Background(), sets, conc, func(slot int, o BatchOutcome) {
 				// Serialized delivery: plain map/slice writes must be safe.
@@ -290,7 +334,6 @@ func TestMineBatchEachStreams(t *testing.T) {
 					t.Errorf("slot %d delivered twice", slot)
 				}
 				got[slot] = o
-				order = append(order, slot)
 			})
 			if len(got) != len(sets) {
 				t.Fatalf("callback fired for %d slots, want %d", len(got), len(sets))
@@ -299,17 +342,6 @@ func TestMineBatchEachStreams(t *testing.T) {
 				if got[i] != o {
 					t.Fatalf("slot %d: callback outcome %+v != returned %+v", i, got[i], o)
 				}
-			}
-			// Set 3 repeats set 0: its delivery must directly follow set 0's.
-			for pos, slot := range order {
-				if slot == 0 {
-					if pos+1 >= len(order) || order[pos+1] != 3 {
-						t.Fatalf("repeat slot 3 not delivered right after slot 0: order %v", order)
-					}
-				}
-			}
-			if !got[3].Deduplicated || got[3].Result != got[0].Result {
-				t.Fatalf("repeat slot not shared: %+v", got[3])
 			}
 		})
 	}

@@ -61,7 +61,7 @@ type Config struct {
 	// users several REs encountered during search-space traversal).
 	TopK int
 	// Trace receives search events when non-nil (used by the Figure 1
-	// walk-through); honored by the sequential miner only.
+	// walk-through). P-REMI workers call it concurrently.
 	Trace TraceFunc
 	// TraceMask narrows which event kinds Trace receives; the zero mask
 	// delivers everything. Progress-only subscribers (e.g. streaming
@@ -305,27 +305,7 @@ func putQueueBufs(qb *queueBufs) { queueBufPool.Put(qb) }
 // arrays and compacted in enumeration order, so the queue is byte-identical
 // to the sequential build regardless of scheduling.
 func (m *Miner) buildQueue(ctx context.Context, targets []kb.EntID, qb *queueBufs) ([]scored, bool) {
-	return m.buildQueueShared(ctx, targets, qb, nil)
-}
-
-// buildQueueShared is buildQueue with an optional batch cache (nil outside
-// MineBatch; see buildQueueBatch for the shared path).
-func (m *Miner) buildQueueShared(ctx context.Context, targets []kb.EntID, qb *queueBufs, bc *batchCache) ([]scored, bool) {
-	if bc != nil {
-		return m.buildQueueBatch(ctx, targets, qb, bc)
-	}
-	cands := appendSubgraphsOf(qb.cands[:0], m.K, targets[0], m.enumerateOptions())
-	qb.cands = cands
-	out, timedOut := m.scoreQueue(ctx, cands, targets[1:], qb)
-	if timedOut {
-		return nil, true
-	}
-	return m.truncateQueue(out), false
-}
-
-// enumerateOptions is the miner's fixed candidate-enumeration setup.
-func (m *Miner) enumerateOptions() EnumerateOptions {
-	return EnumerateOptions{
+	qb.cands = appendSubgraphsOf(qb.cands[:0], m.K, targets[0], EnumerateOptions{
 		Language:        m.cfg.Language,
 		Prominent:       m.prominent,
 		MaxStarsPerPath: m.cfg.MaxStarsPerPath,
@@ -333,60 +313,16 @@ func (m *Miner) enumerateOptions() EnumerateOptions {
 		// would be circular ("the entity labelled Paris"), so the label
 		// predicate never enters the language.
 		SkipPredID: m.K.LabelPredicate(),
+	})
+	out, timedOut := m.scoreQueue(ctx, qb.cands, targets[1:], qb)
+	if timedOut {
+		return nil, true
 	}
-}
-
-// truncateQueue applies the MaxCandidates safety valve (the queue is
-// cost-sorted first in the default configuration, so the cheapest survive).
-func (m *Miner) truncateQueue(out []scored) []scored {
+	// The MaxCandidates safety valve: the queue is cost-sorted first in the
+	// default configuration, so the cheapest survive.
 	if m.cfg.MaxCandidates > 0 && len(out) > m.cfg.MaxCandidates {
 		out = out[:m.cfg.MaxCandidates]
 	}
-	return out
-}
-
-// buildQueueBatch builds the queue through the MineBatch sharing cache.
-// Two layers are memoized, both immutable and both byte-identical to what
-// the unshared build computes. (1) Finished queues per normalized target
-// set: an exact repeat costs nothing. (2) The scored, cost-sorted candidate
-// list per first (minimum-id) target — the untruncated queue of {anchor}.
-// A set sharing its anchor with an earlier set of the batch reduces to
-// filtering that list by its remaining targets: enumeration, Ĉ scoring and
-// the sort are all skipped, because common(T) = common({anchor}) filtered
-// by the rest, and filtering a deterministically sorted list commutes with
-// sorting the filtered one. This is the shared "one pass" of per-KB
-// queue-prep work that makes a batch cheaper than N independent calls when
-// a caller disambiguates overlapping candidate sets.
-func (m *Miner) buildQueueBatch(ctx context.Context, targets []kb.EntID, qb *queueBufs, bc *batchCache) ([]scored, bool) {
-	if q, ok := bc.getQueue(targets); ok {
-		return q, false
-	}
-	base, ok := bc.getAnchor(targets[0])
-	if !ok {
-		cands := appendSubgraphsOf(qb.cands[:0], m.K, targets[0], m.enumerateOptions())
-		qb.cands = cands
-		all, timedOut := m.scoreQueue(ctx, cands, nil, qb)
-		if timedOut {
-			return nil, true
-		}
-		// Escape the pooled buffer: the cached list must survive this call.
-		base = append([]scored(nil), all...)
-		bc.putAnchor(targets[0], base)
-	}
-	rest := targets[1:]
-	out := qb.out[:0]
-	for i := range base {
-		if i%1024 == 0 && expired(ctx) {
-			return nil, true
-		}
-		if !holdsForAll(m.K, base[i].g, rest) {
-			continue
-		}
-		out = append(out, base[i])
-	}
-	qb.out = out
-	out = append([]scored(nil), m.truncateQueue(out)...)
-	bc.putQueue(targets, out)
 	return out, false
 }
 
@@ -454,11 +390,9 @@ func (m *Miner) scoreQueueParallel(ctx context.Context, cands []expr.Subgraph, r
 	}
 	var next int64
 	var bail atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var wg workerGroup
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for {
 				lo := int(atomic.AddInt64(&next, queueBlock)) - queueBlock
 				if lo >= len(cands) || bail.Load() {
@@ -481,7 +415,7 @@ func (m *Miner) scoreQueueParallel(ctx context.Context, cands []expr.Subgraph, r
 					keep[i] = true
 				}
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	if bail.Load() {
@@ -495,6 +429,40 @@ func (m *Miner) scoreQueueParallel(ctx context.Context, cands []expr.Subgraph, r
 	}
 	qb.out = out
 	return out, false
+}
+
+// workerGroup runs the goroutines one search fans out (queue scoring,
+// P-REMI workers) and carries the first panic among them back to the
+// goroutine that waits for them. Left on the spawned goroutine, a panic
+// bypasses every recover above the miner's caller — MineBatchEach's per-set
+// one, the job pool's — and kills the process.
+type workerGroup struct {
+	wg    sync.WaitGroup
+	once  sync.Once
+	cause any
+}
+
+// Go runs f on a new goroutine, capturing a panic instead of crashing.
+func (g *workerGroup) Go(f func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				g.once.Do(func() { g.cause = p })
+			}
+		}()
+		f()
+	}()
+}
+
+// Wait waits for every goroutine started by Go, then re-raises the first
+// captured panic on the calling goroutine.
+func (g *workerGroup) Wait() {
+	g.wg.Wait()
+	if g.cause != nil {
+		panic(g.cause)
+	}
 }
 
 // expired reports whether the search context has ended — by cancellation
@@ -544,27 +512,9 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
 	}
-	return m.mineSet(ctx, normalizeTargets(targets), nil)
-}
-
-// normalizeTargets sorts a copy of targets and collapses duplicates, the
-// canonical form every search (and every batch dedup key) runs on.
-func normalizeTargets(targets []kb.EntID) []kb.EntID {
-	tgt := expr.SortIDs(append([]kb.EntID(nil), targets...))
-	w := 1
-	for i := 1; i < len(tgt); i++ {
-		if tgt[i] != tgt[i-1] {
-			tgt[w] = tgt[i]
-			w++
-		}
-	}
-	return tgt[:w]
-}
-
-// mineSet runs one search over a normalized (sorted, duplicate-free,
-// non-empty) target set. Config.Timeout is applied here, per set, so each
-// set of a batch gets its own budget. bc is nil outside MineBatch.
-func (m *Miner) mineSet(ctx context.Context, tgt []kb.EntID, bc *batchCache) (*Result, error) {
+	tgt := normalizeTargets(targets)
+	// Config.Timeout is applied per call, so each set of a batch gets its
+	// own budget.
 	if m.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.Timeout)
@@ -585,7 +535,7 @@ func (m *Miner) mineSet(ctx context.Context, tgt []kb.EntID, bc *batchCache) (*R
 	qb := getQueueBufs()
 	defer putQueueBufs(qb)
 	t0 := time.Now()
-	queue, timedOut := m.buildQueueShared(ctx, tgt, qb, bc)
+	queue, timedOut := m.buildQueue(ctx, tgt, qb)
 	res.Stats.QueueBuild = time.Since(t0)
 	res.Stats.Candidates = len(queue)
 	if timedOut {
@@ -606,6 +556,20 @@ func (m *Miner) mineSet(ctx context.Context, tgt []kb.EntID, bc *batchCache) (*R
 		res.Bits = m.Est.Expression(res.Expression)
 	}
 	return res, nil
+}
+
+// normalizeTargets sorts a copy of targets and collapses duplicates, the
+// canonical form every search runs on.
+func normalizeTargets(targets []kb.EntID) []kb.EntID {
+	tgt := expr.SortIDs(append([]kb.EntID(nil), targets...))
+	w := 1
+	for i := 1; i < len(tgt); i++ {
+		if tgt[i] != tgt[i-1] {
+			tgt[w] = tgt[i]
+			w++
+		}
+	}
+	return tgt[:w]
 }
 
 // solvableSuffixes computes, for every queue index i, whether the subtree

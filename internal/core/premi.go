@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"github.com/remi-kb/remi/internal/complexity"
@@ -42,11 +41,9 @@ func (m *Miner) mineParallel(ctx context.Context, queue []scored, targets []kb.E
 	noSolutionFloor := int64(len(queue)) // atomic: lowest index proven solution-free
 	perWorker := make([]Stats, workers)
 
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var wg workerGroup
 	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
+		wg.Go(func() {
 			st := &perWorker[w]
 			sc := getScratch() // per-worker scratch: never shared while held
 			defer putScratch(sc)
@@ -83,7 +80,7 @@ func (m *Miner) mineParallel(ctx context.Context, queue []scored, targets []kb.E
 					}
 				}
 			}
-		}(w)
+		})
 	}
 	wg.Wait()
 

@@ -109,13 +109,13 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 	releaseBatch := make(chan struct{})
 	var mineCalls, batchCalls atomic.Int32
 	realMine := s.sys().MineContext
-	realBatch := s.sys().MineBatchEach
+	realBatch := s.sys().MineBatch
 	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		mineCalls.Add(1)
 		<-releaseMine
 		return realMine(ctx, targets, opts...)
 	}
-	s.mineBatchEach = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+	s.mineBatch = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
 		batchCalls.Add(1)
 		<-releaseBatch
 		return realBatch(ctx, sets, each, opts...)

@@ -194,11 +194,11 @@ func (s *Server) releaseBatch(p *batchPlan) {
 	}
 }
 
-// batchPhaseRun mines the plan's new member sets in one facade pass —
-// keeping the queue-prep and evaluator-cache sharing MineBatchEach provides
-// — and completes each member as its set finishes, so waiters (this batch's
-// collector, joined single requests, other batches) unblock per set rather
-// than per batch.
+// batchPhaseRun mines the plan's new member sets in one facade pass — one
+// miner whose evaluator cache stays warm across the sets, fanned across as
+// many goroutines as the job pool has workers — and completes each member as
+// its set finishes, so waiters (this batch's collector, joined single
+// requests, other batches) unblock per set rather than per batch.
 func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members []*jobs.Job) jobs.RunFunc {
 	return func(ctx context.Context, phase *jobs.Job) (any, error) {
 		defer func() {
@@ -220,8 +220,8 @@ func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members
 		if err := faults.Fire(ctx, faults.MinePanic); err != nil {
 			return nil, err
 		}
-		bopts := append(p.opts[:len(p.opts):len(p.opts)], remi.WithBatchConcurrency(s.opts.BatchWorkers))
-		br, err := s.mineBatchEachContext(p.e, ctx, sets, func(bi int, entry remi.BatchEntry) {
+		bopts := append(p.opts[:len(p.opts):len(p.opts)], remi.WithBatchConcurrency(s.jobs.Snapshot().Workers))
+		br, err := s.mineBatchContext(p.e, ctx, sets, func(bi int, entry remi.BatchEntry) {
 			m := members[bi]
 			if entry.Err != nil {
 				m.Complete(nil, entry.Err)

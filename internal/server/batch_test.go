@@ -207,7 +207,7 @@ func TestMineBatchValidation(t *testing.T) {
 // instead of a partial document nobody reads.
 func TestMineBatchCancelledContext(t *testing.T) {
 	s := tinyServer(t, Options{})
-	s.mineBatchEach = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+	s.mineBatch = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}

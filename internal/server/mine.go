@@ -28,13 +28,13 @@ func (s *Server) mineContext(e *kbEntry, ctx context.Context, targets []string, 
 	return e.sys().MineContext(ctx, targets, opts...)
 }
 
-// mineBatchEachContext routes to the test override when set, otherwise to
-// the entry's current System.
-func (s *Server) mineBatchEachContext(e *kbEntry, ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
-	if s.mineBatchEach != nil {
-		return s.mineBatchEach(ctx, sets, each, opts...)
+// mineBatchContext routes to the test override when set, otherwise to the
+// entry's current System.
+func (s *Server) mineBatchContext(e *kbEntry, ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+	if s.mineBatch != nil {
+		return s.mineBatch(ctx, sets, each, opts...)
 	}
-	return e.sys().MineBatchEach(ctx, sets, each, opts...)
+	return e.sys().MineBatch(ctx, sets, each, opts...)
 }
 
 // metricOptions validates a metric name and returns the matching facade

@@ -91,9 +91,6 @@ type Options struct {
 	// MaxBatchSets caps the number of target sets per mine:batch request
 	// (0 = the built-in default of 64).
 	MaxBatchSets int
-	// BatchWorkers bounds the worker pool a batch request fans its target
-	// sets across (0 = the built-in default of 4).
-	BatchWorkers int
 	// ResultCache is the capacity (entries) of the LRU of completed mine
 	// responses, keyed by the same normalized query key as the in-flight
 	// dedup plus the KB name: a repeated identical query is served from
@@ -152,7 +149,6 @@ const (
 	defaultMaxTopK       = 25
 	defaultMaxExceptions = 100
 	defaultMaxBatchSets  = 64
-	defaultBatchWorkers  = 4
 	defaultResultCache   = 1024
 	defaultQuotaBurst    = 10
 	defaultReloadBackoff = time.Second
@@ -177,8 +173,8 @@ func (c *counter) stats() EndpointStats {
 // controllable miner.
 type mineFunc func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error)
 
-// mineBatchEachFunc abstracts System.MineBatchEach for tests.
-type mineBatchEachFunc func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error)
+// mineBatchFunc abstracts System.MineBatch for tests.
+type mineBatchFunc func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error)
 
 // Server handles the REMI HTTP API. Create with New (optionally AddKB more
 // knowledge bases) and mount Handler.
@@ -187,10 +183,10 @@ type Server struct {
 	kbs         map[string]*kbEntry
 	defaultName string
 
-	mine          mineFunc          // test override (nil in production)
-	mineBatchEach mineBatchEachFunc // test override (nil in production)
-	opts          Options
-	started       time.Time
+	mine      mineFunc      // test override (nil in production)
+	mineBatch mineBatchFunc // test override (nil in production)
+	opts      Options
+	started   time.Time
 	// jobs is the unified execution subsystem: every mining run — blocking
 	// single, batch entry, async, streaming — is a job in this registry,
 	// sharing one flight-key namespace and one admission-controlled pool.
@@ -250,9 +246,6 @@ func NewNamed(name string, sys *remi.System, opts Options) *Server {
 	}
 	if opts.MaxBatchSets <= 0 {
 		opts.MaxBatchSets = defaultMaxBatchSets
-	}
-	if opts.BatchWorkers <= 0 {
-		opts.BatchWorkers = defaultBatchWorkers
 	}
 	if opts.ResultCache == 0 {
 		opts.ResultCache = defaultResultCache

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/remi-kb/remi/internal/complexity"
@@ -85,11 +84,11 @@ type Progress struct {
 
 // WithProgress streams coarse search progress (currently: each improvement
 // of the incumbent solution) to fn while the mine runs. Delivery is
-// synchronous from the search loop, so fn must be fast; it is driven by the
-// sequential miner only (WithWorkers > 1 mines without progress events).
-// The subscription is mask-narrowed inside the core, so it adds no per-node
-// allocations to the search hot path. Within MineBatch, sets may run
-// concurrently and share fn, which must then be safe for concurrent use.
+// synchronous from the search loop, so fn must be fast. The subscription is
+// mask-narrowed inside the core, so it adds no per-node allocations to the
+// search hot path. With WithWorkers > 1 every P-REMI worker delivers to fn,
+// and a MineBatch that mines sets concurrently (see WithBatchConcurrency)
+// shares fn across them; then fn must be safe for concurrent use.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -152,15 +151,10 @@ func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...M
 	for _, o := range opts {
 		o(&cfg)
 	}
-	targets := make([]kb.EntID, 0, len(targetIRIs))
-	for _, iri := range targetIRIs {
-		id, ok := s.kb.EntityID(rdf.NewIRI(iri))
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownEntity, iri)
-		}
-		targets = append(targets, id)
+	targets, err := s.entityIDs(targetIRIs)
+	if err != nil {
+		return nil, err
 	}
-
 	est, err := s.estimator(cfg)
 	if err != nil {
 		return nil, err
@@ -171,6 +165,20 @@ func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...M
 		return nil, err
 	}
 	return s.resultOf(res, cfg, targets), nil
+}
+
+// entityIDs resolves target IRIs to entity ids (ErrUnknownEntity for an
+// IRI the KB does not name).
+func (s *System) entityIDs(iris []string) ([]kb.EntID, error) {
+	ids := make([]kb.EntID, 0, len(iris))
+	for _, iri := range iris {
+		id, ok := s.kb.EntityID(rdf.NewIRI(iri))
+		if !ok {
+			return nil, fmt.Errorf("%w %q", ErrUnknownEntity, iri)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // resultOf converts a core result to the facade form (renderings, SPARQL,
@@ -204,28 +212,18 @@ func (s *System) resultOf(res *core.Result, cfg mineConfig, targets []kb.EntID) 
 
 // BatchEntry is the outcome of one target set of a MineBatch call.
 type BatchEntry struct {
-	// Result is set when the set was mined (or shared a search with an
-	// identical set); nil when Err is set.
+	// Result is set when the set was mined; nil when Err is set.
 	Result *Result
 	// Err isolates per-set failures: an unknown target IRI
-	// (ErrUnknownEntity) or an empty set (ErrEmptyTargetSet). Other sets of
-	// the batch are unaffected.
+	// (ErrUnknownEntity), an empty set (ErrEmptyTargetSet) or a search that
+	// panicked (ErrMinePanicked). Other sets of the batch are unaffected.
 	Err error
-	// Deduplicated marks a set served by an identical earlier set of the
-	// same batch.
-	Deduplicated bool
 }
 
 // BatchResult is the outcome of MineBatch: one entry per input set, in
-// input order, plus batch-level aggregates.
+// input order, plus the batch's evaluator totals.
 type BatchResult struct {
 	Entries []BatchEntry
-	// Deduped counts entries served by an identical earlier set.
-	Deduped int
-	// QueueBuild and Search sum the per-set phase times of the searches the
-	// batch actually executed (deduplicated sets add nothing).
-	QueueBuild time.Duration
-	Search     time.Duration
 	// CacheHits and CacheMisses are the exact evaluator totals across the
 	// whole batch. Per-entry stats carry per-set deltas, which may
 	// attribute a concurrent neighbor's lookups; these totals never
@@ -234,30 +232,23 @@ type BatchResult struct {
 	CacheMisses uint64
 }
 
-// MineBatch mines a referring expression for every target set in one call.
-// A single miner serves the whole batch, so the per-KB work that repeated
-// MineContext calls would redo is shared: the evaluator's binding-set cache
-// stays warm across sets (striped with miss coalescing when sets run
-// concurrently — see WithBatchConcurrency), identical sets collapse onto one
-// search, and sets sharing their first target share the candidate
-// enumeration behind the queue build. Per-set results are byte-identical to
-// sequential MineContext calls.
+// MineBatch mines a referring expression for every target set in one call:
+// one miner serves the whole batch and each set is an ordinary mine on it,
+// so per-set results are byte-identical to MineContext calls. What the
+// batch buys is that miner's evaluator: its binding-set cache stays warm
+// from one set to the next (striped, with miss coalescing when sets run
+// concurrently; see WithBatchConcurrency).
+//
+// A non-nil each is invoked once per input set, as soon as that set's entry
+// is known, while later sets may still be mining. Invocations are
+// serialized — never concurrent with each other — so the callback may
+// write shared state without locking. The returned BatchResult holds every
+// entry in input order either way.
 //
 // Failures are isolated per set (BatchEntry.Err); MineBatch itself errors
 // only on invalid options. Cancelling ctx stops every set; WithTimeout
 // budgets each set separately.
-func (s *System) MineBatch(ctx context.Context, targetSets [][]string, opts ...MineOption) (*BatchResult, error) {
-	return s.MineBatchEach(ctx, targetSets, nil, opts...)
-}
-
-// MineBatchEach is MineBatch with per-set streaming delivery: each is
-// invoked once per input set, as soon as that set's entry is known, while
-// later sets may still be mining. Invocations are serialized — never
-// concurrent with each other — so the callback may write shared state
-// without locking; entries for invalid sets (unknown IRI, empty set) are
-// delivered before any search starts. The returned BatchResult still holds
-// every entry in input order. A nil each makes it exactly MineBatch.
-func (s *System) MineBatchEach(ctx context.Context, targetSets [][]string, each func(i int, e BatchEntry), opts ...MineOption) (*BatchResult, error) {
+func (s *System) MineBatch(ctx context.Context, targetSets [][]string, each func(i int, e BatchEntry), opts ...MineOption) (*BatchResult, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -268,77 +259,33 @@ func (s *System) MineBatchEach(ctx context.Context, targetSets [][]string, each 
 	}
 	miner := core.NewMiner(s.kb, est, s.coreConfig(cfg))
 
-	idSets := make([][]kb.EntID, len(targetSets))
-	resolveErrs := make([]error, len(targetSets))
-	for i, iris := range targetSets {
-		ids := make([]kb.EntID, 0, len(iris))
-		for _, iri := range iris {
-			id, ok := s.kb.EntityID(rdf.NewIRI(iri))
-			if !ok {
-				resolveErrs[i] = fmt.Errorf("%w %q", ErrUnknownEntity, iri)
-				ids = nil
-				break
-			}
-			ids = append(ids, id)
-		}
-		idSets[i] = ids // nil/empty sets come back as ErrNoTargets outcomes
-	}
-
-	// entryOf maps one core outcome to the facade entry. Result conversion
-	// is cached per *core.Result (in-batch repeats share it), so calling it
-	// twice for a slot — once for streaming, once for the returned slice —
-	// does the expensive rendering work only once. The core serializes each
-	// callbacks, so convMu only guards against the final assembly loop.
-	var convMu sync.Mutex
-	conv := make(map[*core.Result]*Result, len(targetSets))
-	entryOf := func(i int, o core.BatchOutcome) BatchEntry {
-		switch {
-		case resolveErrs[i] != nil:
-			return BatchEntry{Err: resolveErrs[i]}
-		case errors.Is(o.Err, core.ErrNoTargets):
-			return BatchEntry{Err: ErrEmptyTargetSet}
-		case errors.Is(o.Err, core.ErrMinePanic):
-			return BatchEntry{Err: fmt.Errorf("%w: %v", ErrMinePanicked, o.Err)}
-		case o.Err != nil:
-			return BatchEntry{Err: fmt.Errorf("remi: %w", o.Err)}
-		default:
-			convMu.Lock()
-			res, seen := conv[o.Result]
-			if !seen {
-				res = s.resultOf(o.Result, cfg, idSets[i])
-				conv[o.Result] = res
-			}
-			convMu.Unlock()
-			return BatchEntry{Result: res, Deduplicated: o.Deduplicated}
-		}
-	}
-	var coreEach func(int, core.BatchOutcome)
-	if each != nil {
-		coreEach = func(slot int, o core.BatchOutcome) { each(slot, entryOf(slot, o)) }
-	}
-
-	outs := miner.MineBatchEach(ctx, idSets, cfg.batchConc, coreEach)
-	// The miner is exclusive to this call, so the evaluator delta across it
-	// is the batch's exact cache traffic.
-	_, brHits, brMisses := miner.Ev.Stats()
 	br := &BatchResult{Entries: make([]BatchEntry, len(targetSets))}
-	br.CacheHits, br.CacheMisses = brHits, brMisses
-	aggSeen := make(map[*core.Result]bool, len(outs))
-	for i, o := range outs {
-		e := entryOf(i, o)
-		br.Entries[i] = e
-		if e.Err != nil {
-			continue
-		}
-		if !aggSeen[o.Result] {
-			aggSeen[o.Result] = true
-			br.QueueBuild += e.Result.Stats.QueueBuild
-			br.Search += e.Result.Stats.Search
-		}
-		if e.Deduplicated {
-			br.Deduped++
-		}
+	idSets := make([][]kb.EntID, len(targetSets))
+	for i, iris := range targetSets {
+		// An unresolvable set goes to the miner as nil, which answers it at
+		// once; its entry keeps the resolution error.
+		idSets[i], br.Entries[i].Err = s.entityIDs(iris)
 	}
+	miner.MineBatchEach(ctx, idSets, cfg.batchConc, func(i int, o core.BatchOutcome) {
+		e := &br.Entries[i]
+		switch {
+		case e.Err != nil: // unresolved: keep the ErrUnknownEntity
+		case errors.Is(o.Err, core.ErrNoTargets):
+			e.Err = ErrEmptyTargetSet
+		case errors.Is(o.Err, core.ErrMinePanic):
+			e.Err = fmt.Errorf("%w: %v", ErrMinePanicked, o.Err)
+		case o.Err != nil:
+			e.Err = fmt.Errorf("remi: %w", o.Err)
+		default:
+			e.Result = s.resultOf(o.Result, cfg, idSets[i])
+		}
+		if each != nil {
+			each(i, *e)
+		}
+	})
+	// The miner is exclusive to this call, so its evaluator totals are the
+	// batch's exact cache traffic.
+	_, br.CacheHits, br.CacheMisses = miner.Ev.Stats()
 	return br, nil
 }
 
