@@ -12,6 +12,9 @@ package remi
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +25,7 @@ import (
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/experiments"
 	"github.com/remi-kb/remi/internal/kb"
+	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/prominence"
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -414,6 +418,87 @@ func BenchmarkBatchSplit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLiveApply times the write path of a live KB the way the
+// benchmark's live_mixed workload drives it, without its reads: one op is an
+// Apply of 16 mutations drawn from the dataset's own triples (8 upserts that
+// re-link a subject to another object of the same predicate, 4 upserts of a
+// new subject, 4 retracts) on a scale-2 DBpediaLike KB opened from a
+// snapshot, and every fifth op also compacts. ns/op averages both kinds;
+// apply-p50-ms is the median Apply alone, compact-ms the mean compaction.
+//
+//	go test -run '^$' -bench LiveApply -benchtime 50x .
+func BenchmarkLiveApply(b *testing.B) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 2})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	snap := filepath.Join(dir, "base.snap")
+	if err := k.WriteSnapshotFile(snap); err != nil {
+		b.Fatal(err)
+	}
+	l, err := OpenLive(filepath.Join(dir, "live"), "bench", LiveOptions{Source: snap})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+
+	var named []rdf.Triple // blank-node labels are not stable names
+	byPred := make(map[rdf.Term][]rdf.Triple)
+	for _, t := range d.Triples {
+		if t.S.Kind != rdf.Blank && t.O.Kind != rdf.Blank {
+			named = append(named, t)
+			byPred[t.P] = append(byPred[t.P], t)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() rdf.Triple { return named[rng.Intn(len(named))] }
+	batch := func(i int) []delta.Op {
+		ops := make([]delta.Op, 0, 16)
+		for j := 0; j < 8; j++ {
+			a := pick()
+			same := byPred[a.P]
+			ops = append(ops, delta.Op{S: a.S, P: a.P, O: same[rng.Intn(len(same))].O})
+		}
+		for j := 0; j < 4; j++ {
+			a := pick()
+			s := rdf.NewIRI(fmt.Sprintf("http://bench.remi.local/live/E%d-%d", i, j))
+			ops = append(ops, delta.Op{S: s, P: a.P, O: a.O})
+		}
+		for j := 0; j < 4; j++ {
+			a := pick()
+			ops = append(ops, delta.Op{Retract: true, S: a.S, P: a.P, O: a.O})
+		}
+		return ops
+	}
+
+	ctx := context.Background()
+	var applies []time.Duration
+	var compacting time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if _, _, err := l.Apply(ctx, batch(i), ""); err != nil {
+			b.Fatal(err)
+		}
+		applies = append(applies, time.Since(start))
+		if (i+1)%5 == 0 {
+			start = time.Now()
+			if _, err := l.Compact(ctx); err != nil {
+				b.Fatal(err)
+			}
+			compacting += time.Since(start)
+		}
+	}
+	b.StopTimer()
+	slices.Sort(applies)
+	b.ReportMetric(float64(applies[len(applies)/2].Microseconds())/1000, "apply-p50-ms")
+	if n := b.N / 5; n > 0 {
+		b.ReportMetric(float64(compacting.Microseconds())/1000/float64(n), "compact-ms")
+	}
 }
 
 // BenchmarkPREMIScaling sweeps the worker count (Section 3.4).

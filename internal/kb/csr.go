@@ -103,18 +103,15 @@ func packCSR(pairs []Pair, byObject bool) (keys []EntID, off []uint32, vals []En
 }
 
 // packPredIndex packs one predicate's (S,O)-sorted, duplicate-free pair run
-// into both CSR orientations. The input is not retained, so a caller can
-// reuse it as scratch.
+// into both CSR orientations, sorting a copy for the object one: the
+// builder's path. A patched predicate merges its object runs instead
+// (mergeObjectRuns). The input is not retained, so a caller can reuse it as
+// scratch.
 func packPredIndex(pairs []Pair) predIndex {
 	var ix predIndex
 	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs, false)
 	byObject := slices.Clone(pairs)
-	slices.SortFunc(byObject, func(a, b Pair) int {
-		if a.O != b.O {
-			return int(a.O) - int(b.O)
-		}
-		return int(a.S) - int(b.S)
-	})
+	slices.SortFunc(byObject, cmpPairOS)
 	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
 	return ix
 }

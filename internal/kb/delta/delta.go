@@ -303,23 +303,8 @@ func (ov *Overlay) HasFact(p kb.PredID, s, o kb.EntID) bool {
 // The base is untouched and both KBs are independently closeable; the
 // returned KB answers every accessor exactly as a freshly built KB holding
 // the merged fact set would (modulo the frozen-prominence inverse policy
-// above). The overlay remains usable and may keep accumulating edits.
+// above). The overlay remains usable and may keep accumulating edits: the
+// patch hands ApplyPatch the overlay's own lists, which it does not retain.
 func (ov *Overlay) Materialize() (*kb.KB, error) {
-	p := kb.Patch{
-		ExtraTerms: ov.newTerms,
-		ExtraPreds: ov.newPreds,
-	}
-	if len(ov.adds) > 0 {
-		p.Adds = make(map[kb.PredID][]kb.Pair, len(ov.adds))
-		for pid, prs := range ov.adds {
-			p.Adds[pid] = slices.Clone(prs)
-		}
-	}
-	if len(ov.dels) > 0 {
-		p.Dels = make(map[kb.PredID][]kb.Pair, len(ov.dels))
-		for pid, prs := range ov.dels {
-			p.Dels[pid] = slices.Clone(prs)
-		}
-	}
-	return ov.base.ApplyPatch(p)
+	return ov.base.ApplyPatch(kb.Patch{ExtraTerms: ov.newTerms, ExtraPreds: ov.newPreds, Adds: ov.adds, Dels: ov.dels})
 }

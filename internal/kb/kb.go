@@ -310,34 +310,35 @@ func (k *KB) ProminentSet(frac float64) *EntSet {
 
 // prominentIDs selects the top frac fraction of the entity-frequency
 // ranking (ties broken by ascending id, at least one entity for positive
-// fractions). It is shared by ProminentSet and the builder's
-// inverse-materialization decision.
+// fractions) for ProminentSet and the builder's inverse set, which want a
+// set, not a ranking: a histogram of the frequencies gives the cut-off t,
+// and one pass keeps every entity above t and the lowest ids at t. Time is
+// O(entities + the largest frequency), which is at most 2·base facts.
 func prominentIDs(entFreq []uint32, frac float64) []EntID {
 	n := len(entFreq)
-	type ef struct {
-		e EntID
-		f uint32
+	top := min(max(int(float64(n)*frac), 1), n)
+	var maxF uint32
+	for _, f := range entFreq {
+		maxF = max(maxF, f)
 	}
-	all := make([]ef, n)
-	for i := 0; i < n; i++ {
-		all[i] = ef{EntID(i + 1), entFreq[i]}
+	count := make([]uint32, maxF+1)
+	for _, f := range entFreq {
+		count[f]++
 	}
-	slices.SortFunc(all, func(a, b ef) int {
-		if a.f != b.f {
-			return int(b.f) - int(a.f)
+	t, above := maxF, 0
+	for above+int(count[t]) < top {
+		above += int(count[t])
+		t--
+	}
+	atT := top - above // how many of the entities at frequency t make the cut
+	ids := make([]EntID, 0, top)
+	for i, f := range entFreq {
+		if f > t || (f == t && atT > 0) {
+			if f == t {
+				atT--
+			}
+			ids = append(ids, EntID(i+1))
 		}
-		return int(a.e) - int(b.e)
-	})
-	top := int(float64(n) * frac)
-	if top < 1 {
-		top = 1
-	}
-	if top > n {
-		top = n
-	}
-	ids := make([]EntID, top)
-	for i, x := range all[:top] {
-		ids[i] = x.e
 	}
 	return ids
 }

@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/rdf"
@@ -171,6 +173,51 @@ func TestProminentEntities(t *testing.T) {
 	all := k.ProminentSet(1.0)
 	if all.Card() != k.NumEntities() {
 		t.Fatalf("full fraction: %d of %d", all.Card(), k.NumEntities())
+	}
+}
+
+// prominentIDsBySort is the ranking prominentIDs replaced, kept as its
+// reference: sort every entity by descending frequency, ties by ascending
+// id, and take the first max(1, ⌊n·frac⌋), at most n.
+func prominentIDsBySort(entFreq []uint32, frac float64) []EntID {
+	n := len(entFreq)
+	all := make([]EntID, n)
+	for i := range all {
+		all[i] = EntID(i + 1)
+	}
+	slices.SortFunc(all, func(a, b EntID) int {
+		if entFreq[a-1] != entFreq[b-1] {
+			return int(entFreq[b-1]) - int(entFreq[a-1])
+		}
+		return int(a) - int(b)
+	})
+	top := int(float64(n) * frac)
+	if top < 1 {
+		top = 1
+	}
+	if top > n {
+		top = n
+	}
+	return all[:top]
+}
+
+// TestProminentIDsMatchesSort: the counting selection picks the set the
+// sort picks, on frequency tables from tie-heavy to spread out, with zeros,
+// at fractions from 0.01 to 1.5.
+func TestProminentIDsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		freq := make([]uint32, rng.Intn(300))
+		spread := []int{1, 2, 5, 50, 100000}[rng.Intn(5)]
+		for i := range freq {
+			freq[i] = uint32(rng.Intn(spread))
+		}
+		frac := 0.01 + rng.Float64()*1.49
+		got, want := prominentIDs(freq, frac), prominentIDsBySort(freq, frac)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, spread %d, frac %g): got %v, want %v", trial, len(freq), spread, frac, got, want)
+		}
 	}
 }
 

@@ -2,19 +2,20 @@ package kb
 
 // Patch materialization: the KB-side half of the live-KB delta layer
 // (internal/kb/delta). A Patch is a resolved, dictionary-encoded edit set;
-// ApplyPatch folds it into a new KB copy-on-write. The design goal is the
-// LSM property the ROADMAP asks for: per-predicate granularity means a
-// mutation batch touching two predicates re-packs two CSR indexes, while
-// every untouched predicate's index arrays — the overwhelming majority of a
-// real KB — are shared with the base by slice header; the adjacency arena
-// is not patched but derived from the new indexes on first touch
-// (derived.go), like any other KB's. The base KB itself is never modified;
-// old generations keep serving byte-identical answers while the new one is
+// ApplyPatch folds it into a new KB copy-on-write: a touched predicate's
+// CSR index is rebuilt by linear merges over its own facts plus one sort of
+// its edits, never of its facts (mergePairs, mergeObjectRuns), while every
+// untouched predicate's index arrays — the overwhelming majority of a real
+// KB — are shared with the base by slice header. The adjacency arena is not
+// patched but derived from the new indexes on first touch (derived.go),
+// like any other KB's. The base KB itself is never modified; old
+// generations keep serving byte-identical answers while the new one is
 // assembled.
 
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -31,7 +32,7 @@ import (
 //
 // ApplyPatch re-validates the membership invariants during its merges (a
 // violated one returns an error rather than a corrupt KB), but sortedness
-// is trusted.
+// is trusted. It neither modifies nor retains the patch's slices and maps.
 type Patch struct {
 	ExtraTerms []rdf.Term
 	ExtraPreds []string
@@ -47,11 +48,19 @@ func cmpPairSO(a, b Pair) int {
 	return int(a.O) - int(b.O)
 }
 
+// cmpPairOS orders pairs by (O,S) — the pos order.
+func cmpPairOS(a, b Pair) int {
+	if a.O != b.O {
+		return int(a.O) - int(b.O)
+	}
+	return int(a.S) - int(b.S)
+}
+
 // mergePairs folds sorted add/del lists into a sorted base pair list,
 // verifying membership as it goes: an add that already exists or a del
-// that doesn't is an invariant violation and errors out.
+// that doesn't (there may be more dels than facts) errors out.
 func mergePairs(base, adds, dels []Pair, label string) ([]Pair, error) {
-	out := make([]Pair, 0, len(base)+len(adds)-len(dels))
+	out := make([]Pair, 0, max(0, len(base)+len(adds)-len(dels)))
 	i, a, d := 0, 0, 0
 	for i < len(base) || a < len(adds) {
 		if i < len(base) && d < len(dels) {
@@ -84,6 +93,54 @@ func mergePairs(base, adds, dels []Pair, label string) ([]Pair, error) {
 		return nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
 	}
 	return out, nil
+}
+
+// mergeObjectRuns builds a patched predicate's object orientation in one
+// pass: ix's object runs list its base facts in (O,S) order, so merging them
+// with the edits sorted that way gives what packPredIndex packs from the n
+// merged facts. A run no edit touches is copied whole. A retract finding no
+// fact here, after mergePairs found it, means the base's orientations differ.
+func mergeObjectRuns(ix *predIndex, adds, dels []Pair, n int, label string) (keys []EntID, off []uint32, vals []EntID, err error) {
+	adds = slices.SortedFunc(slices.Values(adds), cmpPairOS)
+	dels = slices.SortedFunc(slices.Values(dels), cmpPairOS)
+	keys = make([]EntID, 0, len(ix.posKey)+len(adds))
+	off = make([]uint32, 0, len(ix.posKey)+len(adds)+1)
+	vals = make([]EntID, 0, n)
+	emit := func(o EntID, subjects ...EntID) {
+		if len(keys) == 0 || keys[len(keys)-1] != o {
+			keys = append(keys, o)
+			off = append(off, uint32(len(vals)))
+		}
+		vals = append(vals, subjects...)
+	}
+	a, d := 0, 0
+	for i, o := range ix.posKey {
+		for ; a < len(adds) && adds[a].O < o; a++ {
+			emit(adds[a].O, adds[a].S)
+		}
+		run := ix.posVal[ix.posOff[i]:ix.posOff[i+1]]
+		if (a == len(adds) || adds[a].O != o) && (d == len(dels) || dels[d].O != o) {
+			emit(o, run...)
+			continue
+		}
+		for _, s := range run {
+			for ; a < len(adds) && adds[a].O == o && adds[a].S < s; a++ {
+				emit(o, adds[a].S)
+			}
+			if d < len(dels) && dels[d] == (Pair{S: s, O: o}) {
+				d++
+			} else {
+				emit(o, s)
+			}
+		}
+	}
+	for ; a < len(adds); a++ {
+		emit(adds[a].O, adds[a].S)
+	}
+	if d != len(dels) {
+		return nil, nil, nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
+	}
+	return keys, append(off, uint32(len(vals))), vals, nil
 }
 
 // ApplyPatch returns a new KB equal to k with the patch folded in. k is
@@ -178,16 +235,21 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		touched[pid] = true
 	}
 	for pid := range touched {
-		var base []Pair // a new predicate has none
+		var base predIndex // a new predicate has no facts
 		if int(pid) <= nPred {
-			base = k.preds[pid-1].pairs
+			base = k.preds[pid-1]
 		}
-		merged, err := mergePairs(base, p.Adds[pid], p.Dels[pid], predNames2[pid-1])
+		merged, err := mergePairs(base.pairs, p.Adds[pid], p.Dels[pid], predNames2[pid-1])
 		if err != nil {
 			return nil, err
 		}
-		preds2[pid-1] = packPredIndex(merged)
-		preds2[pid-1].pairs = merged
+		ix := &preds2[pid-1]
+		ix.pairs = merged
+		ix.psoKey, ix.psoOff, ix.psoVal = packCSR(merged, false)
+		ix.posKey, ix.posOff, ix.posVal, err = mergeObjectRuns(&base, p.Adds[pid], p.Dels[pid], len(merged), predNames2[pid-1])
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Base-fact statistics: inverse predicates hold mirrored facts only,

@@ -1,7 +1,10 @@
 package kb
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -147,6 +150,8 @@ func TestApplyPatchRejectsInvariantViolations(t *testing.T) {
 		{"add of existing fact", Patch{Adds: map[PredID][]Pair{cityIn: {{S: lyon, O: france}}}}},
 		{"retract of absent fact", Patch{Dels: map[PredID][]Pair{cityIn: {{S: lyon, O: germany}}}}},
 		{"retract past end of run", Patch{Dels: map[PredID][]Pair{cityIn: {{S: 1 << 20, O: 1}}}}},
+		// Predicate 1 has two facts: more retracts than facts and adds.
+		{"more retracts than facts", Patch{Dels: map[PredID][]Pair{1: {{S: 1, O: 1}, {S: 1, O: 2}, {S: 1, O: 3}}}}},
 		{"predicate id out of range", Patch{Adds: map[PredID][]Pair{PredID(99): {{S: lyon, O: france}}}}},
 		{"del on new predicate", Patch{ExtraPreds: []string{"http://e/x"}, Dels: map[PredID][]Pair{PredID(k.NumPredicates() + 1): {{S: lyon, O: france}}}}},
 		{"entity id out of range", Patch{Adds: map[PredID][]Pair{cityIn: {{S: lyon, O: EntID(99)}}}}},
@@ -348,5 +353,112 @@ func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 			close(start)
 			wg.Wait()
 		})
+	}
+}
+
+// randomPatch draws an edit set against k: three new terms, two new
+// predicates with random facts, and for every existing predicate (inverses
+// included) either nothing, a full retraction, or a random mix of retracts
+// and adds. It returns the patch, each predicate's merged fact list computed
+// from sets rather than by ApplyPatch's merges, and the touched predicates.
+func randomPatch(rng *rand.Rand, k *KB) (Patch, [][]Pair, []PredID) {
+	nEnt, nPred := k.NumEntities(), k.NumPredicates()
+	p := Patch{Adds: map[PredID][]Pair{}, Dels: map[PredID][]Pair{}}
+	for i := 0; i < 3; i++ {
+		p.ExtraTerms = append(p.ExtraTerms, rdf.NewIRI(fmt.Sprintf("http://ex.org/new%d-%d", nEnt, i)))
+	}
+	p.ExtraPreds = []string{fmt.Sprintf("http://ex.org/pNew%d-0", nPred), fmt.Sprintf("http://ex.org/pNew%d-1", nPred)}
+	nEnt2, nPred2 := nEnt+len(p.ExtraTerms), nPred+len(p.ExtraPreds)
+	merged := make([][]Pair, nPred2)
+	var touched []PredID
+	for pid := PredID(1); int(pid) <= nPred2; pid++ {
+		var facts []Pair
+		if int(pid) <= nPred {
+			facts = k.Facts(pid)
+		}
+		mode := 2 // a new predicate only gets adds
+		if int(pid) <= nPred {
+			mode = rng.Intn(3)
+		}
+		if mode == 0 {
+			merged[pid-1] = facts
+			continue
+		}
+		touched = append(touched, pid)
+		have := make(map[Pair]bool, len(facts))
+		for _, f := range facts {
+			if mode == 1 || rng.Intn(3) == 0 {
+				p.Dels[pid] = append(p.Dels[pid], f)
+			} else {
+				have[f] = true
+			}
+		}
+		if mode == 2 {
+			for range 1 + rng.Intn(12) {
+				f := Pair{S: EntID(1 + rng.Intn(nEnt2)), O: EntID(1 + rng.Intn(nEnt2))}
+				if !have[f] && !slices.Contains(facts, f) {
+					have[f] = true
+					p.Adds[pid] = append(p.Adds[pid], f)
+				}
+			}
+		}
+		slices.SortFunc(p.Adds[pid], cmpPairSO)
+		for f := range have {
+			merged[pid-1] = append(merged[pid-1], f)
+		}
+		slices.SortFunc(merged[pid-1], cmpPairSO)
+	}
+	return p, merged, touched
+}
+
+// TestPatchedIndexMatchesPacked: a patched base predicate's object runs are
+// merged from the base's rather than sorted; the result must be exactly what
+// packPredIndex packs from the merged facts, for built and snapshot-opened
+// bases, inverse predicates, full retractions and new predicates, and for a
+// patch applied to a patched KB.
+func TestPatchedIndexMatchesPacked(t *testing.T) {
+	var sawInverse, sawEmptied, sawNew bool
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		built, err := FromTriples(genStreamTriples(600, seed), Options{InverseTopFraction: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "kb.snap")
+		if err := built.WriteSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		for _, k := range []*KB{built, opened} {
+			for round := 0; round < 2; round++ { // the second round patches the first's result
+				patch, merged, touched := randomPatch(rng, k)
+				k2, err := k.ApplyPatch(patch)
+				if err != nil {
+					t.Fatalf("seed %d round %d: %v", seed, round, err)
+				}
+				defer k2.Close()
+				for _, pid := range touched {
+					got := k2.preds[pid-1]
+					if !slices.Equal(got.pairs, merged[pid-1]) {
+						t.Fatalf("seed %d round %d predicate %d: merged facts differ", seed, round, pid)
+					}
+					got.pairs = nil
+					if want := packPredIndex(merged[pid-1]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d round %d predicate %d: index\n got %+v\nwant %+v", seed, round, pid, got, want)
+					}
+					sawInverse = sawInverse || (int(pid) <= k.NumPredicates() && k.IsInverse(pid))
+					sawEmptied = sawEmptied || (len(merged[pid-1]) == 0 && int(pid) <= k.NumPredicates() && k.PredFreq(pid) > 0)
+					sawNew = sawNew || int(pid) > k.NumPredicates()
+				}
+				k = k2
+			}
+		}
+	}
+	if !sawInverse || !sawEmptied || !sawNew {
+		t.Fatalf("cases not covered: inverse %v, fully retracted %v, new predicate %v", sawInverse, sawEmptied, sawNew)
 	}
 }

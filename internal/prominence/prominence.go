@@ -59,7 +59,9 @@ const (
 // Store holds every ranking needed by the complexity estimator. Build one
 // per (KB, Metric) pair. Every ranking is computed eagerly by Build, in time
 // linear in the KB's CSR runs (plus one sort per predicate), and immutable
-// afterwards, so a Store is safe for concurrent use without locking.
+// afterwards, so a Store is safe for concurrent use without locking. Rebuild
+// makes a patched KB's fr store from its predecessor's, sorting only the
+// predicates whose object runs the patch touched.
 type Store struct {
 	K      *kb.KB
 	Metric Metric
@@ -94,8 +96,17 @@ type joinRanks struct {
 
 // Build constructs the full ranking store for k under metric m.
 func Build(k *kb.KB, m Metric) *Store {
-	return build(k, m, nil)
+	return build(k, m, nil, nil)
 }
+
+// Rebuild constructs the fr store of k, equal bit for bit to Build(k, Fr).
+// Under fr a predicate's conditional ranking and fit depend on its object
+// runs alone, so a predicate whose ObjectRuns keys and offsets are the very
+// arrays prev's KB holds (KB arrays are immutable; ApplyPatch shares an
+// untouched predicate's) shares prev's instead of being ranked again; prev
+// must still hold its KB open, and a nil or non-fr prev lends nothing. The
+// other rankings are computed afresh.
+func Rebuild(k *kb.KB, prev *Store) *Store { return build(k, Fr, nil, prev) }
 
 // BuildWithScores constructs a store whose entity prominence comes from a
 // caller-supplied source (scores need not be normalized; higher is more
@@ -103,14 +114,14 @@ func Build(k *kb.KB, m Metric) *Store {
 // pseudo-score below the smallest positive custom score, mirroring the
 // paper's "we use fr whenever pr is undefined" rule.
 func BuildWithScores(k *kb.KB, score func(kb.EntID) float64) *Store {
-	return build(k, Custom, score)
+	return build(k, Custom, score, nil)
 }
 
-func build(k *kb.KB, m Metric, score func(kb.EntID) float64) *Store {
+func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store {
 	s := &Store{K: k, Metric: m, custom: score}
 	s.buildPredicateRanking()
 	s.buildEntityScores()
-	s.buildConditionalRankings()
+	s.buildConditionalRankings(prev)
 	s.buildJoinRanks()
 	return s
 }
@@ -186,8 +197,9 @@ func (s *Store) PredicateRank(p kb.PredID) int { return s.predRank[p-1] }
 // prominence (conditional frequency under fr; entity score under pr), and
 // fits the Eq. 1 power law on (log2 score, log2 rank). The distinct objects
 // and their frequencies are the keys and run lengths of the KB's object
-// runs, so a predicate costs one sort of its (score, object) records.
-func (s *Store) buildConditionalRankings() {
+// runs, so a predicate costs one sort of its (score, object) records — or
+// nothing, when prev (an fr store, see Rebuild) ranked the same runs.
+func (s *Store) buildConditionalRankings(prev *Store) {
 	nP := s.K.NumPredicates()
 	s.condRank = make([][]uint32, nP)
 	s.fits = make([]stats.Linear, nP)
@@ -195,7 +207,14 @@ func (s *Store) buildConditionalRankings() {
 
 	total, widest := 0, 0
 	for pi := 0; pi < nP; pi++ {
-		objs, _ := s.K.ObjectRuns(kb.PredID(pi + 1))
+		objs, off := s.K.ObjectRuns(kb.PredID(pi + 1))
+		if prev != nil && prev.Metric == Fr && pi < len(prev.condRank) {
+			prevObjs, prevOff := prev.K.ObjectRuns(kb.PredID(pi + 1))
+			if sameArray(objs, prevObjs) && sameArray(off, prevOff) {
+				s.condRank[pi], s.fits[pi], s.fitOK[pi] = prev.condRank[pi], prev.fits[pi], prev.fitOK[pi]
+				continue
+			}
+		}
 		total += len(objs)
 		widest = max(widest, len(objs))
 	}
@@ -209,6 +228,9 @@ func (s *Store) buildConditionalRankings() {
 	ys := make([]float64, 0, widest)
 
 	for pi := 0; pi < nP; pi++ {
+		if s.condRank[pi] != nil { // shared with prev; a built ranking is never nil
+			continue
+		}
 		objs, off := s.K.ObjectRuns(kb.PredID(pi + 1))
 		recs = recs[:0]
 		for i, o := range objs {
@@ -249,6 +271,11 @@ func (s *Store) buildConditionalRankings() {
 			s.fitOK[pi] = true
 		}
 	}
+}
+
+// sameArray reports whether a and b are the same view of the same memory.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // CondRank returns the exact 1-based rank of object o among the objects of

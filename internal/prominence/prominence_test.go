@@ -3,6 +3,7 @@ package prominence
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -568,10 +569,22 @@ func refPageRank(k *kb.KB, damping float64, maxIter int, eps float64) []float64 
 // End of the reference implementation.
 // ---------------------------------------------------------------------------
 
+// rankings is what diffStores reads of a store: the methods *Store and
+// *refStore share.
+type rankings interface {
+	EntityScore(kb.EntID) float64
+	PredicateRank(kb.PredID) int
+	CondDomainSize(kb.PredID) int
+	Fit(kb.PredID) (stats.Linear, bool)
+	CondRank(kb.PredID, kb.EntID) (int, bool)
+	EstimatedLogRank(kb.PredID, kb.EntID) float64
+	JoinRank(JoinKind, kb.PredID, kb.PredID) (int, int, bool)
+}
+
 // diffStores compares every observable of a built Store with the reference
-// builder's on the same KB. Floats are compared with ==: the new builder must
-// accumulate in the same order, not merely land close.
-func diffStores(t *testing.T, got *Store, want *refStore) {
+// builder's (or another Store's) on the same KB. Floats are compared with ==:
+// the new builder must accumulate in the same order, not merely land close.
+func diffStores(t *testing.T, got *Store, want rankings) {
 	t.Helper()
 	k := got.K
 	for e := kb.EntID(1); int(e) <= k.NumEntities(); e++ {
@@ -763,5 +776,84 @@ func TestBuildAllocsIndependentOfSize(t *testing.T) {
 	}
 	if limit := float64(8*nPLarge + 64); large > limit {
 		t.Fatalf("%.0f allocations for %d predicates, want O(nP) (≤ %.0f)", large, nPLarge, limit)
+	}
+}
+
+// nextGeneration patches k the way a write batch does, rotating through
+// three kinds of edit on one random predicate: new subjects pointing at one
+// of its objects, a retraction of every third fact (inverse predicates
+// included), and a predicate nobody has seen. It returns the new KB and the
+// predicates the patch touched.
+func nextGeneration(t *testing.T, rng *rand.Rand, k *kb.KB, gen int) (*kb.KB, map[kb.PredID]bool) {
+	t.Helper()
+	nEnt, nP := kb.EntID(k.NumEntities()), kb.PredID(k.NumPredicates())
+	p := kb.PredID(1 + rng.Intn(int(nP)))
+	for k.PredFreq(p) == 0 {
+		p = kb.PredID(1 + rng.Intn(int(nP)))
+	}
+	facts := k.Facts(p)
+	patch := kb.Patch{Adds: map[kb.PredID][]kb.Pair{}, Dels: map[kb.PredID][]kb.Pair{}}
+	switch gen % 3 {
+	case 0:
+		o := facts[rng.Intn(len(facts))].O
+		for i := kb.EntID(1); i <= 3; i++ {
+			patch.ExtraTerms = append(patch.ExtraTerms, rdf.NewIRI(fmt.Sprintf("http://new/g%d/%d", gen, i)))
+			patch.Adds[p] = append(patch.Adds[p], kb.Pair{S: nEnt + i, O: o})
+		}
+	case 1:
+		for i := 0; i < len(facts); i += 3 {
+			patch.Dels[p] = append(patch.Dels[p], facts[i])
+		}
+	default:
+		patch.ExtraPreds = []string{fmt.Sprintf("http://new/pred%d", gen)}
+		patch.Adds[nP+1] = []kb.Pair{{S: 1, O: 2}, {S: 3, O: 2}, {S: 3, O: 4}}
+	}
+	k2, err := k.ApplyPatch(patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { k2.Close() })
+	touched := make(map[kb.PredID]bool)
+	for pid := range patch.Adds {
+		touched[pid] = true
+	}
+	for pid := range patch.Dels {
+		touched[pid] = true
+	}
+	return k2, touched
+}
+
+// TestRebuildMatchesBuild: across a chain of ApplyPatch generations over a
+// snapshot-opened base, the store Rebuild makes from the previous
+// generation's equals a fresh Build(k, Fr) on every observable, bit for bit.
+// It also shares exactly the right rankings: every predicate the patch left
+// alone keeps the previous store's, a touched one is ranked again, and a
+// store of another KB lends nothing.
+func TestRebuildMatchesBuild(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		built, err := datagen.DBpediaLike(datagen.Config{Seed: seed, Scale: 0.04}).BuildKB(kb.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		k, prev := reopened(t, built), Build(built, Fr)
+		// A pr store ranked the same runs, but pr ranks are not fr ranks.
+		diffStores(t, Rebuild(k, Build(k, Pr)), Build(k, Fr))
+		var touched map[kb.PredID]bool // nil: prev belongs to another KB
+		for gen := 0; gen < 7; gen++ {
+			s := Rebuild(k, prev)
+			diffStores(t, s, Build(k, Fr))
+			for pi, rank := range s.condRank {
+				if len(rank) == 0 {
+					continue
+				}
+				shared := pi < len(prev.condRank) && sameArray(rank, prev.condRank[pi])
+				if want := touched != nil && pi < len(prev.condRank) && !touched[kb.PredID(pi+1)]; shared != want {
+					t.Fatalf("seed %d generation %d predicate %d: ranking shared with the previous store %v, want %v", seed, gen, pi+1, shared, want)
+				}
+			}
+			prev = s
+			k, touched = nextGeneration(t, rng, k, gen)
+		}
 	}
 }

@@ -254,12 +254,14 @@ func (l *LiveKB) System() *System {
 // materializeLocked folds the overlay into a fresh System. Callers hold
 // l.mu. The result always owns its KB (ApplyPatch never returns the base
 // itself), so retiring a swapped-out System can Close it unconditionally.
+// The current System, still open, lends the fr rankings of the predicates
+// the overlay leaves untouched: those share their arrays through the base.
 func (l *LiveKB) materializeLocked() (*System, error) {
 	k, err := l.overlay.Materialize()
 	if err != nil {
 		return nil, err
 	}
-	return fromKB(k), nil
+	return fromKB(k, l.cur), nil
 }
 
 // Apply durably applies one mutation batch: validate, fsync to the WAL

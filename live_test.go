@@ -187,7 +187,7 @@ func TestLiveKBMutatedMiningGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshSys := fromKB(fresh)
+	freshSys := fromKB(fresh, nil)
 	defer freshSys.Close()
 
 	liveSys := live.System()

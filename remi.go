@@ -78,7 +78,7 @@ func Load(path string) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("remi: loading %s: %w", path, err)
 		}
-		return fromKB(k), nil
+		return fromKB(k, nil), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -93,7 +93,7 @@ func Load(path string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remi: parsing %s: %w", path, err)
 	}
-	return fromKB(k), nil
+	return fromKB(k, nil), nil
 }
 
 // FromTriples indexes an in-memory triple set.
@@ -102,7 +102,7 @@ func FromTriples(triples []rdf.Triple) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromKB(k), nil
+	return fromKB(k, nil), nil
 }
 
 // FromNTriples parses N-Triples text (one statement per line).
@@ -144,11 +144,17 @@ func GenerateDemo(dataset string, seed int64, scale float64) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromKB(k), nil
+	return fromKB(k, nil), nil
 }
 
-func fromKB(k *kb.KB) *System {
-	promFr := prominence.Build(k, prominence.Fr)
+// fromKB builds the System serving k, reusing the fr rankings of prev, the
+// System of the KB k was patched from, where it can (prominence.Rebuild).
+func fromKB(k *kb.KB, prev *System) *System {
+	var prevFr *prominence.Store
+	if prev != nil {
+		prevFr = prev.promFr
+	}
+	promFr := prominence.Rebuild(k, prevFr)
 	return &System{
 		kb:     k,
 		promFr: promFr,

@@ -79,7 +79,7 @@ func TestSnapshotGoldenDBpediaMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := fromKB(k)
+	sys := fromKB(k, nil)
 	for i, set := range sets {
 		res, err := sys.Mine(set.IRIs)
 		if err != nil {
