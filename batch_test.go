@@ -3,11 +3,13 @@ package remi
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
-// TestMineBatchFacade: MineBatch entries are identical to per-set
-// MineContext calls, repeats included, and failures stay per-set.
+// TestMineBatchFacade: a batch mined on one Miner from two goroutines gives
+// per-set results identical to System.MineContext, repeats included, and
+// failures stay per-set.
 func TestMineBatchFacade(t *testing.T) {
 	sys := tinySystem(t)
 	sets := [][]string{
@@ -18,83 +20,92 @@ func TestMineBatchFacade(t *testing.T) {
 		{},                                     // empty: per-set error
 		{tinyNS + "Lyon", tinyNS + "Marseille"},
 	}
-	br, err := sys.MineBatch(context.Background(), sets, nil, WithBatchConcurrency(2))
+	m, err := sys.NewMiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Entries) != len(sets) {
-		t.Fatalf("%d entries for %d sets", len(br.Entries), len(sets))
+	results := make([]*Result, len(sets))
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(sets); i += 2 {
+				results[i], errs[i] = m.MineContext(context.Background(), sets[i])
+			}
+		}(w)
 	}
+	wg.Wait()
 	for i, set := range sets {
-		e := br.Entries[i]
 		switch i {
 		case 3:
-			if !errors.Is(e.Err, ErrUnknownEntity) {
-				t.Fatalf("set %d: err = %v, want ErrUnknownEntity", i, e.Err)
+			if !errors.Is(errs[i], ErrUnknownEntity) {
+				t.Fatalf("set %d: err = %v, want ErrUnknownEntity", i, errs[i])
 			}
 			continue
 		case 4:
-			if !errors.Is(e.Err, ErrEmptyTargetSet) {
-				t.Fatalf("set %d: err = %v, want ErrEmptyTargetSet", i, e.Err)
+			if errs[i] == nil {
+				t.Fatalf("set %d: empty set mined without error", i)
 			}
 			continue
 		}
-		if e.Err != nil {
-			t.Fatalf("set %d: unexpected error %v", i, e.Err)
+		if errs[i] != nil {
+			t.Fatalf("set %d: unexpected error %v", i, errs[i])
 		}
 		want, err := sys.MineContext(context.Background(), set)
 		if err != nil {
 			t.Fatalf("sequential set %d: %v", i, err)
 		}
-		if e.Result.Found != want.Found {
-			t.Fatalf("set %d: found %v, want %v", i, e.Result.Found, want.Found)
+		got := results[i]
+		if got.Found != want.Found {
+			t.Fatalf("set %d: found %v, want %v", i, got.Found, want.Found)
 		}
-		if e.Result.Expression != want.Expression || e.Result.Bits != want.Bits ||
-			e.Result.NL != want.NL || e.Result.SPARQL != want.SPARQL {
+		if got.Expression != want.Expression || got.Bits != want.Bits ||
+			got.NL != want.NL || got.SPARQL != want.SPARQL {
 			t.Fatalf("set %d: batch solution %+v differs from sequential %+v",
-				i, e.Result.Solution, want.Solution)
+				i, got.Solution, want.Solution)
 		}
 	}
-	if br.CacheMisses == 0 {
-		t.Fatal("batch evaluator totals not recorded")
+	if _, misses := m.CacheStats(); misses == 0 {
+		t.Fatal("miner evaluator totals not recorded")
 	}
 }
 
-// TestMineBatchEachFacade: a non-nil each receives every entry exactly
-// once, invalid sets included, and the streamed entries are the same values
-// the returned BatchResult holds.
-func TestMineBatchEachFacade(t *testing.T) {
+// TestMinerSharesEvaluator pins what a batch buys: one Miner's evaluator
+// serves every set, so it computes fewer binding sets than a fresh miner
+// per set, and still gives the same answers.
+func TestMinerSharesEvaluator(t *testing.T) {
 	sys := tinySystem(t)
 	sets := [][]string{
 		{tinyNS + "Rennes", tinyNS + "Nantes"},
-		{tinyNS + "Nowhere"}, // unknown entity: delivered before mining
+		{tinyNS + "Rennes", tinyNS + "Nantes", tinyNS + "Paris"},
+		{tinyNS + "Lyon", tinyNS + "Marseille"},
+		{tinyNS + "Lyon"},
 		{tinyNS + "Paris"},
-		{tinyNS + "Nantes", tinyNS + "Rennes"}, // repeat of set 0
 	}
-	got := make(map[int]BatchEntry)
-	br, err := sys.MineBatch(context.Background(), sets, func(i int, e BatchEntry) {
-		if _, dup := got[i]; dup {
-			t.Errorf("set %d delivered twice", i)
-		}
-		got[i] = e
-	}, WithBatchConcurrency(2))
+	m, err := sys.NewMiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(sets) {
-		t.Fatalf("callback fired for %d sets, want %d", len(got), len(sets))
-	}
-	if !errors.Is(got[1].Err, ErrUnknownEntity) {
-		t.Fatalf("set 1: err = %v, want ErrUnknownEntity", got[1].Err)
-	}
-	for i, e := range br.Entries {
-		g := got[i]
-		if (g.Err == nil) != (e.Err == nil) || g.Result != e.Result {
-			t.Fatalf("set %d: streamed entry %+v differs from returned %+v", i, g, e)
+	var fresh uint64
+	for i, set := range sets {
+		want, err := sys.MineContext(context.Background(), set)
+		if err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		fresh += want.Stats.CacheMisses
+		got, err := m.MineContext(context.Background(), set)
+		if err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		if got.Expression != want.Expression || got.Bits != want.Bits {
+			t.Fatalf("set %d: miner %q (%v bits), fresh %q (%v bits)", i, got.Expression, got.Bits, want.Expression, want.Bits)
 		}
 	}
-	if br.Entries[3].Result.Expression != br.Entries[0].Result.Expression {
-		t.Fatalf("repeat mined %q, first occurrence %q", br.Entries[3].Result.Expression, br.Entries[0].Result.Expression)
+	hits, misses := m.CacheStats()
+	if misses >= fresh || hits == 0 {
+		t.Fatalf("shared miner: %d misses, %d hits; fresh miners: %d misses: the evaluator is not shared", misses, hits, fresh)
 	}
 }
 
@@ -132,11 +143,11 @@ func TestWithProgress(t *testing.T) {
 	}
 }
 
-// TestMineBatchFacadeBadOptions: invalid options fail the whole batch, not
-// per set (there is nothing per-set about them).
+// TestMineBatchFacadeBadOptions: invalid options fail NewMiner, before any
+// set is mined (there is nothing per-set about them).
 func TestMineBatchFacadeBadOptions(t *testing.T) {
 	sys := tinySystem(t)
-	_, err := sys.MineBatch(context.Background(), [][]string{{tinyNS + "Paris"}}, nil, WithMetric(MetricCustom))
+	_, err := sys.NewMiner(WithMetric(MetricCustom))
 	if err == nil {
 		t.Fatal("MetricCustom without SetProminence accepted")
 	}

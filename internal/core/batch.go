@@ -11,9 +11,9 @@ import (
 )
 
 // ErrMinePanic wraps a panic recovered from one set's search inside
-// MineBatch: the batch's worker goroutines run outside any server-side
-// recovery, so an unrecovered panic there would kill the whole process
-// instead of failing one set. Test with errors.Is.
+// MineBatch: the batch's worker goroutines have no recovery above them, so
+// an unrecovered panic there would kill the whole process instead of
+// failing one set. Test with errors.Is.
 var ErrMinePanic = errors.New("core: mining run panicked")
 
 // BatchOutcome is the result of one target set within a MineBatch call.
@@ -43,20 +43,8 @@ type BatchOutcome struct {
 // returns its partial result with Stats.TimedOut set, like MineContext).
 //
 // MineBatch may enable evaluator miss coalescing (when concurrency > 1), so
-// it must not run concurrently with other Mine calls on the same Miner;
-// facade callers construct a Miner per batch.
+// it must not run concurrently with other Mine calls on the same Miner.
 func (m *Miner) MineBatch(ctx context.Context, sets [][]kb.EntID, concurrency int) []BatchOutcome {
-	return m.MineBatchEach(ctx, sets, concurrency, nil)
-}
-
-// MineBatchEach is MineBatch with per-set completion delivery: each is
-// invoked once per input slot, as soon as that slot's outcome is known, and
-// the returned slice still holds every outcome in input order. Invocations
-// are serialized (never concurrent with each other), so the callback may
-// write to shared state without its own locking. Streaming servers use this
-// to push entries to clients while later sets are still mining. A nil each
-// makes it exactly MineBatch.
-func (m *Miner) MineBatchEach(ctx context.Context, sets [][]kb.EntID, concurrency int, each func(slot int, o BatchOutcome)) []BatchOutcome {
 	out := make([]BatchOutcome, len(sets))
 	if concurrency < 1 {
 		concurrency = runtime.GOMAXPROCS(0)
@@ -72,25 +60,16 @@ func (m *Miner) MineBatchEach(ctx context.Context, sets [][]kb.EntID, concurrenc
 		m.Ev.EnableCoalescing()
 	}
 
-	var eachMu sync.Mutex // serializes each() across worker goroutines
 	run := func(i int) {
-		res, err := func() (res *Result, err error) {
-			// One set's panic fails its own outcome, not the process (and
-			// not its batch neighbors): these goroutines are the server's
-			// only mining path with no recovery above them.
-			defer func() {
-				if p := recover(); p != nil {
-					res, err = nil, fmt.Errorf("%w: %v", ErrMinePanic, p)
-				}
-			}()
-			return m.MineContext(ctx, sets[i])
+		// One set's panic fails its own outcome, not the process (and not
+		// its batch neighbors): these goroutines have no recovery above them.
+		defer func() {
+			if p := recover(); p != nil {
+				out[i] = BatchOutcome{Err: fmt.Errorf("%w: %v", ErrMinePanic, p)}
+			}
 		}()
-		eachMu.Lock()
+		res, err := m.MineContext(ctx, sets[i])
 		out[i] = BatchOutcome{Result: res, Err: err}
-		if each != nil {
-			each(i, out[i])
-		}
-		eachMu.Unlock()
 	}
 	if concurrency <= 1 {
 		for i := range sets {

@@ -317,36 +317,6 @@ func TestMinePanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestMineBatchEachStreams: the per-set callback fires exactly once per
-// slot, serialized, with the same outcome the returned slice reports — the
-// contract streaming handlers rely on to push entries while the batch still
-// runs.
-func TestMineBatchEachStreams(t *testing.T) {
-	m, _ := queueTestMiner(t, 61)
-	sets := batchFixtureSets(t, m)
-	for _, conc := range []int{1, 4} {
-		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
-			mm := NewMiner(m.K, m.Est, m.cfg)
-			got := make(map[int]BatchOutcome)
-			outs := mm.MineBatchEach(context.Background(), sets, conc, func(slot int, o BatchOutcome) {
-				// Serialized delivery: plain map/slice writes must be safe.
-				if _, dup := got[slot]; dup {
-					t.Errorf("slot %d delivered twice", slot)
-				}
-				got[slot] = o
-			})
-			if len(got) != len(sets) {
-				t.Fatalf("callback fired for %d slots, want %d", len(got), len(sets))
-			}
-			for i, o := range outs {
-				if got[i] != o {
-					t.Fatalf("slot %d: callback outcome %+v != returned %+v", i, got[i], o)
-				}
-			}
-		})
-	}
-}
-
 // TestMineBatchEmpty covers the zero-set batch.
 func TestMineBatchEmpty(t *testing.T) {
 	m, _ := queueTestMiner(t, 47)

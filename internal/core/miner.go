@@ -434,7 +434,7 @@ func (m *Miner) scoreQueueParallel(ctx context.Context, cands []expr.Subgraph, r
 // workerGroup runs the goroutines one search fans out (queue scoring,
 // P-REMI workers) and carries the first panic among them back to the
 // goroutine that waits for them. Left on the spawned goroutine, a panic
-// bypasses every recover above the miner's caller — MineBatchEach's per-set
+// bypasses every recover above the miner's caller — MineBatch's per-set
 // one, the job pool's — and kills the process.
 type workerGroup struct {
 	wg    sync.WaitGroup
@@ -526,8 +526,8 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	// a serial batch the per-set values partition the evaluator totals
 	// exactly. Sets running concurrently observe overlapping windows, so
 	// their per-set values may attribute neighbors' lookups (bounded by the
-	// pool width); callers needing exact batch totals should measure the
-	// evaluator delta across the whole MineBatch call, as the facade does.
+	// pool width); callers needing exact batch totals read the evaluator's
+	// own counters, as the facade's Miner.CacheStats does.
 	_, hits0, misses0 := m.Ev.Stats()
 	// The queue and its candidate buffer are pooled: they die with this
 	// call (everything escaping into res is cloned), so the search borrows

@@ -35,7 +35,8 @@
 //	mine.panic      TestChaosMinePanicContained
 //	job.stuck       TestChaosWatchdogKillsStuckMine, TestChaosWatchdogFailedJobDocument,
 //	                TestChaosQuotaVsSaturation, TestChaosBatchPriorityReserve,
-//	                TestChaosGracefulDrain
+//	                TestChaosGracefulDrain, TestBatchSetWatchdogPerSet,
+//	                TestBatchPartialAdmission, TestBatchSetAfterSwapMinesCurrentGeneration
 //	stream.stall    TestChaosStreamStallBoundedLog
 //	fetch.corrupt   TestPullerCorruptPullRejected, TestChaosCorruptPullLastKnownGood (cluster)
 //

@@ -269,8 +269,9 @@ type JobsStats struct {
 	Queued        int `json:"queued"`
 	Running       int `json:"running"`
 	Tracked       int `json:"tracked"`
-	// Submitted counts pool submissions, External the jobs executed outside
-	// the pool (batch members), Joined the callers deduplicated onto an
+	// Submitted counts pool submissions (one per new batch set), External
+	// the jobs completed outside the pool (async batch parents, cache hits
+	// born done), Joined the callers deduplicated onto an
 	// in-flight job, Rejected the submissions shed with 429.
 	Submitted int64 `json:"submitted"`
 	External  int64 `json:"external"`

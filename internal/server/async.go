@@ -120,9 +120,9 @@ func (s *Server) asyncSingle(w http.ResponseWriter, r *http.Request, q *AsyncMin
 	wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(j))
 }
 
-// batchKey derives the parent flight key of an async batch from its member
-// keys, so two identical concurrent async batches share one job. Member
-// keys are length-prefixed internally, so joining them cannot collide with
+// batchKey derives the parent flight key of an async batch from its sets'
+// keys, so two identical concurrent async batches share one job. Set keys
+// are length-prefixed internally, so joining them cannot collide with
 // a different partition of the same bytes; the prefix keeps the parent out
 // of the single-mine key space.
 func batchKey(p *batchPlan) string {
@@ -177,9 +177,10 @@ func entryEvent(i int, item BatchMineItem) StreamEvent {
 
 // streamEntries runs a submitted batch plan to the end, emitting one entry
 // event per input set: the entries known before mining (validation
-// failures, cache hits) first, then member completions in finish order,
-// then the in-batch repeats of finished sets. It returns ctx.Err() when the
-// caller's context ended first (the plan's jobs are released either way).
+// failures, cache hits, refused sets) first, then mine completions in
+// finish order, then the in-batch repeats of finished sets. It returns
+// ctx.Err() when the caller's context ended first (the plan's jobs are
+// released either way).
 func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(StreamEvent)) error {
 	for i := range p.items {
 		if p.items[i].Response != nil || p.items[i].Error != "" {
@@ -190,7 +191,7 @@ func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(Stre
 		p.fill(i, item)
 		emit(entryEvent(i, item))
 	})
-	s.finishBatch(ctx, p)
+	s.finishBatch(p)
 	if ctxErr != nil {
 		return ctxErr
 	}
@@ -206,8 +207,8 @@ func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(Stre
 // streams entry completions into the parent's event log, assembles the
 // final batch document, and completes the parent. Waiting happens here —
 // never on a pool worker — and under the parent's context, so cancelling
-// the parent (DELETE /v1/jobs/{id}) abandons the members and, through
-// them, the mining phase.
+// the parent (DELETE /v1/jobs/{id}) drops the coordinator's references and
+// abandons every set's mine job nobody else is waiting on.
 func (s *Server) runBatchCoordinator(parent *jobs.Job, p *batchPlan) {
 	emit := func(ev StreamEvent) { parent.Emit(streamEntry, ev) }
 	if s.streamEntries(parent.Context(), p, emit) != nil {

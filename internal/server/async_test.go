@@ -105,20 +105,20 @@ func sameMineOutcome(t *testing.T, label string, got, want *MineResponse) {
 // both callers in either direction.
 func TestBatchJoinsSingleFlight(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
-	releaseMine := make(chan struct{})
-	releaseBatch := make(chan struct{})
-	var mineCalls, batchCalls atomic.Int32
+	releaseA := make(chan struct{})
+	releaseB := make(chan struct{})
+	var mineCalls atomic.Int32
 	realMine := s.sys().MineContext
-	realBatch := s.sys().MineBatch
+	// Both directions' runs go through the one hook; each blocks on its own
+	// release so the joining caller can arrive while the run is in flight.
 	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		mineCalls.Add(1)
-		<-releaseMine
+		if targets[0] == tinyNS+"Paris" {
+			<-releaseB
+		} else {
+			<-releaseA
+		}
 		return realMine(ctx, targets, opts...)
-	}
-	s.mineBatch = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
-		batchCalls.Add(1)
-		<-releaseBatch
-		return realBatch(ctx, sets, each, opts...)
 	}
 	h := s.Handler()
 
@@ -142,14 +142,11 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 		j, ok := s.jobs.Lookup(keyA)
 		return ok && j.Refs() == 2
 	})
-	close(releaseMine)
+	close(releaseA)
 	wg.Wait()
 
 	if got := mineCalls.Load(); got != 1 {
 		t.Fatalf("direction 1: %d mining runs, want 1 shared pass", got)
-	}
-	if got := batchCalls.Load(); got != 0 {
-		t.Fatalf("direction 1: the joined batch entry started %d batch passes", got)
 	}
 	single := decode[MineResponse](t, singleA)
 	if !single.Found || single.Deduplicated {
@@ -186,14 +183,11 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 		j, ok := s.jobs.Lookup(keyB)
 		return ok && j.Refs() == 2
 	})
-	close(releaseBatch)
+	close(releaseB)
 	wg.Wait()
 
-	if got := batchCalls.Load(); got != 1 {
-		t.Fatalf("direction 2: %d batch passes, want 1", got)
-	}
-	if got := mineCalls.Load(); got != 1 {
-		t.Fatalf("direction 2: the joined single started a mining run (total %d)", got)
+	if got := mineCalls.Load(); got != 2 {
+		t.Fatalf("direction 2: %d mining runs in total, want 2 (the joined single started one)", got)
 	}
 	singleJoined := decode[MineResponse](t, singleB)
 	if !singleJoined.Deduplicated {

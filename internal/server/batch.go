@@ -6,23 +6,29 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
-// errBatchAborted finalizes batch members whose mining phase exited before
-// delivering them (phase failure, cancellation, panic).
-var errBatchAborted = errors.New("batch mining phase aborted")
+// batchMiner is the one facade miner a batch's new sets mine on, so its
+// evaluator cache stays warm from set to set. It is bound to the System
+// that was current when the batch was planned: a set that starts after a
+// swap mines on the current generation instead (see mineContext), and its
+// cache counts are kept here so the batch's totals stay exact.
+type batchMiner struct {
+	sys                        *remi.System
+	m                          *remi.Miner
+	outsideHits, outsideMisses atomic.Uint64
+}
 
 // batchPlan is one validated mine:batch request decomposed into per-set
 // outcomes: validation failures and cache hits are answered in place,
 // repeats collapse onto their first occurrence, and the remainder becomes
-// member jobs in the unified registry — joinable by (and joining) every
-// other mining path — mined together by one pool-executed phase job.
+// ordinary mine jobs in the unified registry — joinable by (and joining)
+// every other mining path — that share one miner.
 type batchPlan struct {
 	e      *kbEntry
 	shared MineRequest
@@ -36,9 +42,9 @@ type batchPlan struct {
 	runIdx     []int      // first-occurrence indexes that need mining
 	runSets    [][]string // their normalized target sets
 
-	waits  map[int]*jobs.Job // member job per runnable index
-	joined map[int]bool      // member joined a foreign in-flight run
-	phase  *jobs.Job         // pool job mining the new members (nil if none)
+	waits  map[int]*jobs.Job // mine job per admitted runnable index
+	joined map[int]bool      // the set joined a foreign in-flight run
+	miner  *batchMiner       // shared by the new sets (nil if none)
 }
 
 // fill records one per-set outcome into its slot and aggregate bucket.
@@ -124,60 +130,46 @@ func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineReq
 	return p, 0, nil
 }
 
-// submitBatchJobs registers the plan's runnable sets in the unified
-// registry: each becomes an externally-executed member job under the same
-// flight key single /v1/mine requests use — so a batch entry joins a mine
-// already in flight, and a later single request joins a batch entry — and
-// the genuinely new members are mined by one pool-executed phase job they
-// are bound to. On error nothing is left running and every planned member
-// reference is released.
+// submitBatchJobs submits each runnable set as an ordinary mine job under
+// the flight key single /v1/mine requests use — so a batch set joins a mine
+// already in flight, and a later single request joins a batch set — and
+// the genuinely new sets mine on one shared miner. A set the queue refuses
+// gets its own error entry; only when no new set was admitted does the
+// whole request fail, with every planned reference released.
 func (s *Server) submitBatchJobs(p *batchPlan) error {
-	var newIdx []int
-	var newSets [][]string
-	var members []*jobs.Job
-	// The watchdog bound covers the whole phase: per-set budgets overlap
-	// under concurrency, so serial execution of every new set is the worst
-	// honest case — anything past that is a wedged evaluator. Members share
-	// the phase bound (a member may legitimately finish last in the batch).
-	phaseDeadline := s.jobDeadline(time.Duration(p.shared.TimeoutMS) * time.Millisecond * time.Duration(len(p.runIdx)))
+	if len(p.runIdx) == 0 {
+		return nil
+	}
+	sys := p.e.sys()
+	m, err := sys.NewMiner(p.opts...)
+	if err != nil {
+		return err
+	}
+	p.miner = &batchMiner{sys: sys, m: m}
+	var refused error
+	admitted := false
 	for pos, i := range p.runIdx {
-		j, joined := s.jobs.External(jobs.SubmitOpts{
-			Key:      p.keyOf[i],
-			Kind:     jobKindMine,
-			Meta:     jobMeta{kb: p.e.name, requestID: p.reqID},
-			Deadline: phaseDeadline,
-		})
+		q := p.shared
+		q.Targets = p.runSets[pos]
+		j, joined, err := s.submitMine(&mineQuery{e: p.e, q: q, opts: p.opts,
+			key: p.keyOf[i], reqID: p.reqID, batch: p.miner}, false)
+		if err != nil {
+			refused = err
+			p.fill(i, BatchMineItem{Error: err.Error(), Status: errStatus(err)})
+			continue
+		}
 		p.waits[i] = j
 		if joined {
 			p.joined[i] = true
 			s.dedupedHits.Add(1)
-			continue
+		} else {
+			admitted = true
 		}
-		newIdx = append(newIdx, i)
-		newSets = append(newSets, p.runSets[pos])
-		members = append(members, j)
 	}
-	if len(members) == 0 {
-		return nil
-	}
-	phase, _, err := s.jobs.Submit(jobs.SubmitOpts{
-		Kind:     jobKindBatchPhase,
-		Meta:     jobMeta{kb: p.e.name, requestID: p.reqID},
-		Run:      s.batchPhaseRun(p, newIdx, newSets, members),
-		Priority: jobs.PriorityBatch,
-		Deadline: phaseDeadline,
-	})
-	if err != nil {
-		for _, m := range members {
-			m.Complete(nil, err)
-		}
+	if refused != nil && !admitted {
 		s.releaseBatch(p)
-		return err
+		return refused
 	}
-	for _, m := range members {
-		s.jobs.Bind(m, phase)
-	}
-	p.phase = phase
 	return nil
 }
 
@@ -188,67 +180,11 @@ func (s *Server) releaseBatch(p *batchPlan) {
 		s.jobs.Release(j)
 	}
 	p.waits = make(map[int]*jobs.Job)
-	if p.phase != nil {
-		s.jobs.Release(p.phase)
-		p.phase = nil
-	}
 }
 
-// batchPhaseRun mines the plan's new member sets in one facade pass — one
-// miner whose evaluator cache stays warm across the sets, fanned across as
-// many goroutines as the job pool has workers — and completes each member as
-// its set finishes, so waiters (this batch's collector, joined single
-// requests, other batches) unblock per set rather than per batch.
-func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members []*jobs.Job) jobs.RunFunc {
-	return func(ctx context.Context, phase *jobs.Job) (any, error) {
-		defer func() {
-			// Whatever ends this run — error, cancellation, panic — no member
-			// may dangle unfinished. Complete is a no-op on delivered ones.
-			cause := errBatchAborted
-			if err := ctx.Err(); err != nil {
-				cause = fmt.Errorf("%w: %v", errBatchAborted, err)
-			}
-			for _, m := range members {
-				m.Complete(nil, cause)
-			}
-		}()
-		// Chaos hooks after the containment defer: an injected panic or wedge
-		// must exercise the same member cleanup a real evaluator bug would.
-		if err := faults.Fire(ctx, faults.JobStuck); err != nil {
-			return nil, err
-		}
-		if err := faults.Fire(ctx, faults.MinePanic); err != nil {
-			return nil, err
-		}
-		bopts := append(p.opts[:len(p.opts):len(p.opts)], remi.WithBatchConcurrency(s.jobs.Snapshot().Workers))
-		br, err := s.mineBatchContext(p.e, ctx, sets, func(bi int, entry remi.BatchEntry) {
-			m := members[bi]
-			if entry.Err != nil {
-				m.Complete(nil, entry.Err)
-				return
-			}
-			res := entry.Result
-			s.mineRuns.Add(1)
-			s.recordRun(res, false)
-			if s.results != nil && !res.Stats.TimedOut {
-				s.results.Put(p.keyOf[idx[bi]], res)
-			}
-			m.Complete(res, nil)
-		}, bopts...)
-		if err != nil {
-			return nil, err
-		}
-		// Cache traffic is folded once from the exact whole-batch totals
-		// (per-entry counters can attribute a concurrent neighbor's lookups
-		// and would overcount).
-		s.recordBatchCache(br.CacheHits, br.CacheMisses)
-		return br, nil
-	}
-}
-
-// collectBatch waits for every member job and delivers outcomes in
+// collectBatch waits for every set's mine job and delivers outcomes in
 // completion order through deliver (never concurrently). It returns
-// ctx.Err() when the caller's context ended first; member references are
+// ctx.Err() when the caller's context ended first; job references are
 // dropped either way, so undelivered runs are abandoned per the registry's
 // interest rules.
 func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i int, item BatchMineItem)) error {
@@ -282,18 +218,17 @@ func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i 
 	return ctx.Err()
 }
 
-// finishBatch waits out the phase job for the exact whole-batch evaluator
-// totals and fills the repeat entries: duplicates of an earlier set share
-// its outcome, flagged as deduplicated (error outcomes are shared
-// verbatim). Safe with a nil phase or an already-ended context.
-func (s *Server) finishBatch(ctx context.Context, p *batchPlan) {
-	if p.phase != nil {
-		if v, err := s.jobs.Wait(ctx, p.phase); err == nil {
-			if br, ok := v.(*remi.BatchResult); ok && br != nil {
-				p.agg.CacheHits, p.agg.CacheMisses = br.CacheHits, br.CacheMisses
-			}
-		}
-		p.phase = nil
+// finishBatch folds the shared miner's exact evaluator totals into the
+// batch stats and fills the repeat entries: duplicates of an earlier set
+// share its outcome, flagged as deduplicated (error outcomes are shared
+// verbatim).
+func (s *Server) finishBatch(p *batchPlan) {
+	if b := p.miner; b != nil {
+		hits, misses := b.m.CacheStats()
+		// Sets mined outside the shared miner already counted their own.
+		s.recordBatchCache(hits, misses)
+		p.agg.CacheHits = hits + b.outsideHits.Load()
+		p.agg.CacheMisses = misses + b.outsideMisses.Load()
 	}
 	for i := range p.items {
 		key := p.keyOf[i]
@@ -316,12 +251,12 @@ func (s *Server) finishBatch(ctx context.Context, p *batchPlan) {
 }
 
 // handleMineBatch is POST /v1/mine:batch: many target sets, one KB, one
-// shared mining pass, one JSON document with one entry per input set,
+// shared miner, one JSON document with one entry per input set,
 // order-preserving. Per-set failures (empty set, oversized set, unknown
-// entity) occupy their own entry and never fail the batch. Each runnable
-// set is a member job in the unified registry, so identical work in flight
-// anywhere — a single mine, another batch, an async job — is joined rather
-// than repeated; the new sets share one mining phase on the worker pool.
+// entity, a set the queue refused) occupy their own entry and never fail
+// the batch. Each runnable set is an ordinary mine job in the unified
+// registry, so identical work in flight anywhere — a single mine, another
+// batch, an async job — is joined rather than repeated.
 func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 	s.cMineBatch.requests.Add(1)
 	var q BatchMineRequest
@@ -341,7 +276,7 @@ func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctxErr := s.collectBatch(r.Context(), p, p.fill)
-	s.finishBatch(r.Context(), p)
+	s.finishBatch(p)
 	if ctxErr != nil {
 		// The client went away (or its deadline passed) mid-batch: the
 		// per-set results are partial at best, and nobody is reading.

@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/faults"
 )
 
 // newJSONRequest builds a request without serving it, for tests that need
@@ -207,7 +210,7 @@ func TestMineBatchValidation(t *testing.T) {
 // instead of a partial document nobody reads.
 func TestMineBatchCancelledContext(t *testing.T) {
 	s := tinyServer(t, Options{})
-	s.mineBatch = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -354,5 +357,215 @@ func TestMultiKBSummarizeAndDescribe(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("describe unknown kb: %d", rec.Code)
+	}
+}
+
+// TestBatchSetAfterSwapMinesCurrentGeneration: every search reads a System
+// that was current when it started. A batch planned on one generation
+// whose sets start only after a write swapped in the next (and the old one
+// was retired and closed) mines on the new generation, not on the batch's
+// shared miner: the set naming an entity the write created is found.
+func TestBatchSetAfterSwapMinesCurrentGeneration(t *testing.T) {
+	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1,
+		JobWorkers: 1, RetireGrace: 5 * time.Millisecond})
+	h := s.Handler()
+	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
+	defer disarm()
+
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		done <- postJSON(t, h, "/v1/kb/geo/mine:batch", BatchMineRequest{Sets: [][]string{
+			{tinyNS + "Rennes", tinyNS + "Nantes"},
+			{tinyNS + "Atlantis"},
+		}})
+	}()
+	// The first set holds the only worker before reading any System.
+	waitFor(t, func() bool { return faults.Hits(faults.JobStuck) == 1 })
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+		upsertJSON(tinyNS+"Atlantis", tinyOnt+"sunkIn", tinyNS+"SouthAmerica"),
+	}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("facts: %d %s", rec.Code, rec.Body.String())
+	}
+	time.Sleep(30 * time.Millisecond) // the planned generation is now closed
+	disarm()
+
+	brec := <-done
+	if brec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", brec.Code, brec.Body.String())
+	}
+	out := decode[BatchMineResponse](t, brec)
+	for i, item := range out.Results {
+		if item.Response == nil || !item.Response.Found {
+			t.Fatalf("set %d after the swap: %+v, want an answer from the current generation", i, item)
+		}
+	}
+	if got := out.Results[1].Response.Solution.Expression; !strings.Contains(got, "sunkIn") {
+		t.Fatalf("Atlantis mined %q, want the fact the write added", got)
+	}
+	if out.Stats.Mined != 2 || out.Stats.CacheMisses == 0 {
+		t.Fatalf("batch stats %+v, want 2 mined with their cache traffic counted", out.Stats)
+	}
+}
+
+// TestBatchesShareThePool: a batch set is one pool job, so concurrent
+// batches never run more searches at once than the pool has workers.
+func TestBatchesShareThePool(t *testing.T) {
+	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1, JobWorkers: 2})
+	real := s.sys().MineContext
+	var mu sync.Mutex
+	running, peak := 0, 0
+	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		defer func() { mu.Lock(); running--; mu.Unlock() }()
+		time.Sleep(5 * time.Millisecond) // long enough for oversubscription to show
+		return real(ctx, targets, opts...)
+	}
+	h := s.Handler()
+	cities := []string{"Paris", "Berlin", "London", "Rennes", "Nantes", "Lyon",
+		"Marseille", "Hamburg", "Georgetown", "Paramaribo", "Brasilia", "BuenosAires"}
+	var wg sync.WaitGroup
+	for b := 0; b < 3; b++ {
+		sets := make([][]string, 4)
+		for i := range sets {
+			sets[i] = []string{tinyNS + cities[4*b+i]}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: sets})
+			if rec.Code != http.StatusOK {
+				t.Errorf("batch: %d %s", rec.Code, rec.Body.String())
+				return
+			}
+			if st := decode[BatchMineResponse](t, rec).Stats; st.Mined != 4 {
+				t.Errorf("batch stats %+v, want 4 mined", st)
+			}
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if peak > 2 {
+		t.Fatalf("%d searches ran at once on a 2-worker pool", peak)
+	}
+	if st := s.jobs.Snapshot(); st.Submitted != 12 {
+		t.Fatalf("jobs submitted = %d, want one per set (12)", st.Submitted)
+	}
+}
+
+// TestBatchSetWatchdogPerSet: a wedged set is failed by the watchdog after
+// its own timeout plus grace — not the batch's summed budget — in its own
+// 504 entry, while its neighbors answer.
+func TestBatchSetWatchdogPerSet(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	s := chaosServer(t, Options{DefaultTimeout: timeout, ResultCache: -1,
+		JobWorkers: 1, WatchdogGrace: 50 * time.Millisecond})
+	h := s.Handler()
+	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
+	defer disarm()
+
+	start := time.Now()
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		done <- postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+			{tinyNS + "Rennes", tinyNS + "Nantes"}, {tinyNS + "Paris"}, {tinyNS + "Lyon"},
+		}})
+	}()
+	waitFor(t, func() bool { return s.jobs.Snapshot().WatchdogKilled == 1 })
+	killedAfter := time.Since(start)
+	disarm() // the wedge was the first set's alone
+	if killedAfter >= 3*timeout {
+		t.Fatalf("stuck set killed after %v, want about timeout+grace, not 3 × %v", killedAfter, timeout)
+	}
+	rec := <-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	out := decode[BatchMineResponse](t, rec)
+	killed := 0
+	for i, item := range out.Results {
+		switch {
+		case item.Status == http.StatusGatewayTimeout:
+			killed++
+		case item.Response == nil || !item.Response.Found:
+			t.Fatalf("neighbor set %d: %+v, want an answer", i, item)
+		}
+	}
+	if killed != 1 {
+		t.Fatalf("%d sets answered 504, want the one wedged set: %+v", killed, out.Results)
+	}
+}
+
+// TestBatchPartialAdmission: sets the queue refuses get their own 429
+// entries; the batch is answered 200 because one new set was admitted.
+func TestBatchPartialAdmission(t *testing.T) {
+	s := chaosServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1,
+		JobWorkers: 1, JobQueueDepth: 1})
+	h := s.Handler()
+	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
+	defer disarm()
+	if rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Berlin"}}); rec.Code != http.StatusAccepted {
+		t.Fatalf("blocking job: %d %s", rec.Code, rec.Body.String())
+	}
+	waitFor(t, func() bool { st := s.jobs.Snapshot(); return st.Running == 1 && st.Queued == 0 })
+
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		done <- postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+			{tinyNS + "Rennes", tinyNS + "Nantes"}, {tinyNS + "Paris"}, {tinyNS + "Lyon"},
+		}})
+	}()
+	waitFor(t, func() bool { return s.jobs.Snapshot().Rejected == 2 })
+	disarm()
+	rec := <-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s, want 200 with per-set refusals", rec.Code, rec.Body.String())
+	}
+	out := decode[BatchMineResponse](t, rec)
+	if r := out.Results[0].Response; r == nil || !r.Found {
+		t.Fatalf("admitted set: %+v", out.Results[0])
+	}
+	for _, i := range []int{1, 2} {
+		if out.Results[i].Status != http.StatusTooManyRequests || out.Results[i].Error == "" {
+			t.Fatalf("refused set %d: %+v, want a 429 entry", i, out.Results[i])
+		}
+	}
+	if st := out.Stats; st.Mined != 1 || st.Errors != 2 {
+		t.Fatalf("batch stats %+v, want 1 mined, 2 errors", st)
+	}
+}
+
+// TestBatchSharesEvaluatorOverHTTP: the sets of one batch mine on one
+// evaluator, so overlapping sets hit its cache and compute fewer binding
+// sets than the same sets sent as separate /v1/mine calls.
+func TestBatchSharesEvaluatorOverHTTP(t *testing.T) {
+	sets := [][]string{
+		{tinyNS + "Rennes", tinyNS + "Nantes"},
+		{tinyNS + "Rennes", tinyNS + "Nantes", tinyNS + "Paris"},
+		{tinyNS + "Rennes", tinyNS + "Paris"},
+		{tinyNS + "Lyon", tinyNS + "Marseille"},
+		{tinyNS + "Lyon"},
+	}
+	single := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
+	var separate uint64
+	for i, set := range sets {
+		rec := postJSON(t, single.Handler(), "/v1/mine", MineRequest{Targets: set})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("set %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		separate += decode[MineResponse](t, rec).Stats.CacheMisses
+	}
+	batch := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1, JobWorkers: 1})
+	rec := postJSON(t, batch.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: sets})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	st := decode[BatchMineResponse](t, rec).Stats
+	if st.Mined != len(sets) || st.CacheHits == 0 || st.CacheMisses >= separate {
+		t.Fatalf("batch stats %+v; separate calls computed %d binding sets: the evaluator is not shared", st, separate)
 	}
 }

@@ -247,8 +247,9 @@ func TestChaosWatchdogFailedJobDocument(t *testing.T) {
 
 // TestChaosMinePanicContained: an evaluator bug (panic inside a pool run)
 // becomes a 500 for the waiter; the pool and the process survive and the
-// next request is served normally. The batch face delivers the panic as
-// per-entry 500s without failing the whole endpoint.
+// next request is served normally. In a batch every set is its own pool
+// job, so each set's panic is its own 500 entry and the batch still
+// answers 200.
 func TestChaosMinePanicContained(t *testing.T) {
 	s := chaosServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
@@ -261,13 +262,21 @@ func TestChaosMinePanicContained(t *testing.T) {
 	if er := decode[ErrorResponse](t, rec); !strings.Contains(er.Error, "panicked") {
 		t.Fatalf("panicked mine error %q does not say so", er.Error)
 	}
-	brec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Nantes"}}})
+	brec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Nantes"}, {tinyNS + "Paris"}}})
 	if brec.Code != http.StatusOK {
-		t.Fatalf("batch with panicking phase: %d %s", brec.Code, brec.Body.String())
+		t.Fatalf("batch with panicking sets: %d %s", brec.Code, brec.Body.String())
 	}
 	br := decode[BatchMineResponse](t, brec)
-	if len(br.Results) != 1 || br.Results[0].Status != http.StatusInternalServerError {
-		t.Fatalf("batch entry after panic: %+v, want per-entry 500", br.Results)
+	if len(br.Results) != 2 || br.Stats.Errors != 2 {
+		t.Fatalf("batch after panics: %+v, want two error entries", br)
+	}
+	for i, item := range br.Results {
+		if item.Status != http.StatusInternalServerError || !strings.Contains(item.Error, "panicked") {
+			t.Fatalf("batch entry %d after panic: %+v, want its own 500", i, item)
+		}
+	}
+	if got := faults.Hits(faults.MinePanic); got != 3 {
+		t.Fatalf("mine.panic fired %d times, want once per run (3)", got)
 	}
 
 	disarm()

@@ -29,7 +29,6 @@ type Job struct {
 	external bool
 	wdKilled bool // watchdog failed this job and freed its worker slot
 	refs     int
-	parent   *Job // phase job pinned while this member is unfinished
 	result   any
 	err      error
 	created  time.Time
@@ -113,7 +112,7 @@ func (j *Job) Refs() int {
 
 // Complete finalizes an externally-executed job with its outcome (err nil
 // → StateDone, else StateFailed). It is a no-op on an already-finished job
-// — owners may complete members that were cancelled or abandoned in the
+// — owners may complete jobs that were cancelled or abandoned in the
 // meantime without checking first.
 func (j *Job) Complete(v any, err error) {
 	j.r.mu.Lock()

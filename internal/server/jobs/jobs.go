@@ -1,5 +1,5 @@
 // Package jobs is the unified execution subsystem of the REMI service:
-// every mining run — blocking single mine, batch entry, async job,
+// every mining run — blocking single mine, batch set, async job,
 // streaming request — becomes a Job in one Registry, so all of them share
 // a single flight-key namespace (identical concurrent queries collapse
 // onto one evaluator pass no matter which endpoint submitted them), one
@@ -12,9 +12,9 @@
 //   - Submit enqueues a RunFunc on the registry's worker pool. When the
 //     bounded queue is full the submission is rejected with ErrSaturated —
 //     the server turns that into 429 + Retry-After.
-//   - External registers a job whose work happens elsewhere (a batch
-//     phase completes its member entries as each set finishes mining);
-//     the owner reports the outcome with Job.Complete.
+//   - External registers a job whose work happens elsewhere: an async
+//     batch's parent, completed by its coordinator, or a job born done from
+//     a cache hit. The owner reports the outcome with Job.Complete.
 //
 // Interest in a job is reference-counted. Submit/External hand the caller
 // one reference (unless Detached); Wait and Release drop it. When the last
@@ -23,9 +23,8 @@
 // its context cancelled (and its key retired so new arrivals do not join a
 // dying run) — exactly the context-aware singleflight semantics the
 // server's old flightGroup provided, now shared by every mining path.
-// Bind adds a structural reference: an unfinished batch member pins the
-// phase job mining it, so the phase's context is cancelled only when every
-// member has been completed, cancelled or abandoned.
+// A batch set is an ordinary pool job; its interest is its waiter's
+// reference, as for a single mine.
 //
 // Pool-executed RunFuncs must never wait on other jobs: with a saturated
 // pool, a running job waiting on a queued one deadlocks. Waiting belongs
@@ -434,21 +433,6 @@ func (r *Registry) Release(j *Job) {
 	r.mu.Unlock()
 }
 
-// Bind makes an unfinished member job pin parent: parent gains a reference
-// that is released when the member finishes (whichever way). Batch phases
-// are bound this way by their member entries, so a phase keeps mining
-// while any member still has an interested caller, and is abandoned when
-// the last one goes.
-func (r *Registry) Bind(member, parent *Job) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if member.state.Finished() || parent.state.Finished() || member.parent != nil {
-		return
-	}
-	member.parent = parent
-	parent.refs++
-}
-
 // Wait blocks until j finishes or ctx ends, then drops the caller's
 // reference. Once finished it returns the job's outcome (ErrCancelled for
 // a cancelled job); on ctx expiry it returns ctx.Err(), and if the caller
@@ -504,7 +488,7 @@ func (r *Registry) decRefLocked(j *Job) {
 		// Retained jobs outlive their submitter by design.
 	case j.state == StateQueued, j.external:
 		// Nothing is executing: cancel outright. A queued job is skipped by
-		// the worker that dequeues it; an external member's owner may still
+		// the worker that dequeues it; an external job's owner may still
 		// Complete it later, which is then a no-op.
 		r.finalizeLocked(j, StateCancelled, nil, ErrCancelled)
 	default:
@@ -541,10 +525,6 @@ func (r *Registry) finalizeLocked(j *Job, state State, result any, err error) {
 	close(j.done)
 	j.notifyLocked()
 	j.cancel()
-	if p := j.parent; p != nil {
-		j.parent = nil
-		r.decRefLocked(p)
-	}
 	if j.refs <= 0 && !j.retain {
 		r.dropLocked(j)
 	}

@@ -265,90 +265,6 @@ func TestCancelRunningJobStopsIt(t *testing.T) {
 	}
 }
 
-// TestExternalMemberAndBind models a batch: member entries are external
-// jobs completed by a pool-executed phase; the phase is pinned by its
-// members and abandoned when the last interested caller goes away.
-func TestExternalMemberAndBind(t *testing.T) {
-	r := testRegistry(t, Options{Workers: 1})
-	m1, joined := r.External(SubmitOpts{Key: "set1", Kind: "mine"})
-	if joined {
-		t.Fatal("fresh member reported joined")
-	}
-	m2, _ := r.External(SubmitOpts{Key: "set2", Kind: "mine"})
-
-	phaseGo := make(chan struct{})
-	phase, _, err := r.Submit(SubmitOpts{Detached: true, Kind: "batch_phase",
-		Run: func(ctx context.Context, j *Job) (any, error) {
-			<-phaseGo
-			m1.Complete("r1", nil)
-			m2.Complete("r2", nil)
-			return "phase", nil
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Bind(m1, phase)
-	r.Bind(m2, phase)
-
-	// A single /v1/mine arriving now must join member m1 via the key.
-	single, joined, err := r.Submit(SubmitOpts{Key: "set1", Run: nil})
-	if err != nil || !joined || single != m1 {
-		t.Fatalf("single did not join the batch member: joined=%v err=%v", joined, err)
-	}
-
-	close(phaseGo)
-	if v, err := r.Wait(context.Background(), m1); err != nil || v != "r1" {
-		t.Fatalf("member1 Wait = (%v, %v)", v, err)
-	}
-	if v, err := r.Wait(context.Background(), single); err != nil || v != "r1" {
-		t.Fatalf("joined single Wait = (%v, %v)", v, err)
-	}
-	if v, err := r.Wait(context.Background(), m2); err != nil || v != "r2" {
-		t.Fatalf("member2 Wait = (%v, %v)", v, err)
-	}
-	waitFor(t, "phase job to finish", func() bool { return phase.State() == StateDone })
-}
-
-// TestAbandonedMembersCancelPhase: when every member of a batch loses its
-// last caller, the phase job's context is cancelled so the mining stops.
-func TestAbandonedMembersCancelPhase(t *testing.T) {
-	r := testRegistry(t, Options{Workers: 1})
-	m1, _ := r.External(SubmitOpts{Key: "a"})
-	m2, _ := r.External(SubmitOpts{Key: "b"})
-	phaseStop := make(chan struct{})
-	phase, _, err := r.Submit(SubmitOpts{Detached: true,
-		Run: func(ctx context.Context, j *Job) (any, error) {
-			<-ctx.Done()
-			close(phaseStop)
-			m1.Complete(nil, ctx.Err())
-			m2.Complete(nil, ctx.Err())
-			return nil, ctx.Err()
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Bind(m1, phase)
-	r.Bind(m2, phase)
-	waitFor(t, "phase running", func() bool { return phase.State() == StateRunning })
-
-	r.Release(m1) // member abandoned: hard-cancelled, phase keeps going for m2
-	if st := m1.State(); st != StateCancelled {
-		t.Fatalf("abandoned member state = %v, want cancelled", st)
-	}
-	select {
-	case <-phaseStop:
-		t.Fatal("phase cancelled while a member had a caller")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	r.Release(m2) // last interest gone: phase context must end
-	select {
-	case <-phaseStop:
-	case <-time.After(5 * time.Second):
-		t.Fatal("phase not cancelled after all members were abandoned")
-	}
-}
-
 // TestRetainedJobSurvivesAndExpires: async jobs outlive their submitter,
 // stay pollable after finishing, and are GC'd once the TTL passes.
 func TestRetainedJobSurvivesAndExpires(t *testing.T) {

@@ -19,22 +19,27 @@ import (
 // handlers (/v1/mine, /v1/summarize, /v1/describe). The batch, async and
 // streaming handlers (batch.go, async.go) build on the same pieces.
 
-// mineContext routes to the test override when set, otherwise to the
-// entry's current System.
-func (s *Server) mineContext(e *kbEntry, ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+// mineContext runs one search on the entry's System as current now. A
+// batch set planned on that same System mines on the batch's shared miner
+// (shared reports it); any other search, a batch set that starts after a
+// swap included, mines on a fresh miner with opts. The test override, when
+// set, replaces both.
+func (s *Server) mineContext(ctx context.Context, mq *mineQuery, opts ...remi.MineOption) (res *remi.Result, shared bool, err error) {
 	if s.mine != nil {
-		return s.mine(ctx, targets, opts...)
+		res, err = s.mine(ctx, mq.q.Targets, opts...)
+		return res, false, err
 	}
-	return e.sys().MineContext(ctx, targets, opts...)
-}
-
-// mineBatchContext routes to the test override when set, otherwise to the
-// entry's current System.
-func (s *Server) mineBatchContext(e *kbEntry, ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
-	if s.mineBatch != nil {
-		return s.mineBatch(ctx, sets, each, opts...)
+	sys := mq.e.sys()
+	if b := mq.batch; b != nil && b.sys == sys {
+		res, err = b.m.MineContext(ctx, mq.q.Targets)
+		return res, true, err
 	}
-	return e.sys().MineBatch(ctx, sets, each, opts...)
+	res, err = sys.MineContext(ctx, mq.q.Targets, opts...)
+	if err == nil && mq.batch != nil {
+		mq.batch.outsideHits.Add(res.Stats.CacheHits)
+		mq.batch.outsideMisses.Add(res.Stats.CacheMisses)
+	}
+	return res, false, err
 }
 
 // metricOptions validates a metric name and returns the matching facade
@@ -124,13 +129,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *counter, v an
 }
 
 // mineQuery is a validated single-target-set mining request bound to its
-// KB, carrying the facade options and the unified flight/cache key.
+// KB, carrying the facade options and the unified flight/cache key. A
+// batch set also carries its batch's shared miner.
 type mineQuery struct {
 	e     *kbEntry
 	q     MineRequest
 	opts  []remi.MineOption
 	key   string
 	reqID string
+	batch *batchMiner
 }
 
 // prepareMine validates an already-decoded MineRequest against the server
@@ -175,22 +182,28 @@ type jobMeta struct {
 
 // Job kinds, visible in poll responses.
 const (
-	jobKindMine       = "mine"
-	jobKindMineBatch  = "mine_batch"
-	jobKindBatchPhase = "batch_phase"
+	jobKindMine      = "mine"
+	jobKindMineBatch = "mine_batch"
 )
 
 // submitMine admits one single-set mining run into the job subsystem under
 // its flight key: concurrent identical queries — blocking, async, streaming
-// or batch members alike — join the same job and share one evaluator pass.
+// or batch sets alike — join the same job and share one evaluator pass.
 // retain keeps the finished job pollable past the last waiter (async
-// submissions); blocking callers let it drop with their interest.
+// submissions); blocking callers let it drop with their interest. The
+// watchdog deadline is the run's own timeout, and a batch set is admitted
+// at batch priority.
 func (s *Server) submitMine(mq *mineQuery, retain bool) (*jobs.Job, bool, error) {
+	prio := jobs.PriorityInteractive
+	if mq.batch != nil {
+		prio = jobs.PriorityBatch
+	}
 	return s.jobs.Submit(jobs.SubmitOpts{
 		Key:      mq.key,
 		Kind:     jobKindMine,
 		Meta:     jobMeta{kb: mq.e.name, requestID: mq.reqID},
 		Retain:   retain,
+		Priority: prio,
 		Deadline: s.jobDeadline(time.Duration(mq.q.TimeoutMS) * time.Millisecond),
 		Run:      s.mineRun(mq),
 	})
@@ -227,9 +240,11 @@ func (s *Server) mineRun(mq *mineQuery) jobs.RunFunc {
 			j.Emit(streamProgress, StreamEvent{Event: streamProgress,
 				Kind: p.Kind, Expression: p.Expression, Bits: p.Bits})
 		}))
-		res, err := s.mineContext(mq.e, ctx, mq.q.Targets, opts...)
+		res, shared, err := s.mineContext(ctx, mq, opts...)
 		if err == nil {
-			s.recordRun(res, true)
+			// A shared miner's per-set cache counts may include concurrent
+			// neighbors' lookups; its batch folds the exact totals instead.
+			s.recordRun(res, !shared)
 			// Only complete searches are worth remembering: a timed-out run
 			// holds whatever the deadline allowed, and a retry with more
 			// budget deserves a fresh search.

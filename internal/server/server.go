@@ -173,9 +173,6 @@ func (c *counter) stats() EndpointStats {
 // controllable miner.
 type mineFunc func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error)
 
-// mineBatchFunc abstracts System.MineBatch for tests.
-type mineBatchFunc func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error)
-
 // Server handles the REMI HTTP API. Create with New (optionally AddKB more
 // knowledge bases) and mount Handler.
 type Server struct {
@@ -183,10 +180,9 @@ type Server struct {
 	kbs         map[string]*kbEntry
 	defaultName string
 
-	mine      mineFunc      // test override (nil in production)
-	mineBatch mineBatchFunc // test override (nil in production)
-	opts      Options
-	started   time.Time
+	mine    mineFunc // test override (nil in production)
+	opts    Options
+	started time.Time
 	// jobs is the unified execution subsystem: every mining run — blocking
 	// single, batch entry, async, streaming — is a job in this registry,
 	// sharing one flight-key namespace and one admission-controlled pool.
@@ -388,8 +384,6 @@ func errStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errKBConflict):
 		return http.StatusBadRequest
-	case errors.Is(err, remi.ErrEmptyTargetSet):
-		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest
 	case errors.Is(err, context.DeadlineExceeded):
@@ -402,8 +396,7 @@ func errStatus(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, jobs.ErrCancelled), errors.Is(err, jobs.ErrClosed):
 		return http.StatusConflict
-	case errors.Is(err, jobs.ErrPanicked), errors.Is(err, remi.ErrMinePanicked),
-		errors.Is(err, errBatchAborted):
+	case errors.Is(err, jobs.ErrPanicked):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity

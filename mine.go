@@ -18,14 +18,6 @@ import (
 // IRI does not name an entity of the loaded KB; test with errors.Is.
 var ErrUnknownEntity = errors.New("remi: unknown entity")
 
-// ErrEmptyTargetSet marks a target set with no entities inside a MineBatch
-// call (the per-set analogue of the error Mine returns for empty input).
-var ErrEmptyTargetSet = errors.New("remi: empty target set")
-
-// ErrMinePanicked marks a per-set mining panic recovered inside MineBatch:
-// the failing set carries this error while the rest of the batch completes.
-var ErrMinePanicked = errors.New("remi: mining run panicked")
-
 // MineOption customizes one Mine or Summarize call.
 type MineOption func(*mineConfig)
 
@@ -37,7 +29,6 @@ type mineConfig struct {
 	topK       int
 	exact      bool
 	exceptions int
-	batchConc  int
 	progress   func(Progress)
 }
 
@@ -54,13 +45,9 @@ func WithLanguage(l Language) MineOption { return func(c *mineConfig) { c.langua
 // WithWorkers enables P-REMI with n parallel exploration threads.
 func WithWorkers(n int) MineOption { return func(c *mineConfig) { c.workers = n } }
 
-// WithTimeout bounds the mining call (0 = unlimited). Inside MineBatch the
-// budget applies per target set, not to the batch as a whole.
+// WithTimeout bounds the mining call (0 = unlimited). On a Miner the budget
+// applies to each MineContext call, not to the Miner's lifetime.
 func WithTimeout(d time.Duration) MineOption { return func(c *mineConfig) { c.timeout = d } }
-
-// WithBatchConcurrency bounds the worker pool MineBatch fans its target sets
-// across (0 = GOMAXPROCS, 1 = serial). Ignored by Mine and MineContext.
-func WithBatchConcurrency(n int) MineOption { return func(c *mineConfig) { c.batchConc = n } }
 
 // WithTopK also returns the k-1 next-best referring expressions.
 func WithTopK(k int) MineOption { return func(c *mineConfig) { c.topK = k } }
@@ -87,8 +74,8 @@ type Progress struct {
 // synchronous from the search loop, so fn must be fast. The subscription is
 // mask-narrowed inside the core, so it adds no per-node allocations to the
 // search hot path. With WithWorkers > 1 every P-REMI worker delivers to fn,
-// and a MineBatch that mines sets concurrently (see WithBatchConcurrency)
-// shares fn across them; then fn must be safe for concurrent use.
+// and a Miner called from several goroutines shares fn across them; then fn
+// must be safe for concurrent use.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -147,24 +134,69 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
 // whichever limit fires first ends the run.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
+	m, err := s.newMiner(opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.MineContext(ctx, targetIRIs)
+}
+
+// Miner mines target sets on one System with one evaluator, whose
+// binding-set cache (the paper's LRU query cache, §3.5.2) stays warm from
+// one set to the next: what a batch of overlapping sets shares. Every
+// answer equals what System.MineContext gives for the same set.
+type Miner struct {
+	s   *System
+	cfg mineConfig
+	m   *core.Miner
+}
+
+// NewMiner builds a Miner with opts applied to every call. It is safe for
+// concurrent use: concurrent calls coalesce their evaluator misses, so sets
+// mined side by side compute each shared binding set once.
+func (s *System) NewMiner(opts ...MineOption) (*Miner, error) {
+	m, err := s.newMiner(opts)
+	if err != nil {
+		return nil, err
+	}
+	m.m.Ev.EnableCoalescing()
+	return m, nil
+}
+
+// newMiner builds a Miner for one goroutine (no miss coalescing).
+func (s *System) newMiner(opts []MineOption) (*Miner, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
 		o(&cfg)
-	}
-	targets, err := s.entityIDs(targetIRIs)
-	if err != nil {
-		return nil, err
 	}
 	est, err := s.estimator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	miner := core.NewMiner(s.kb, est, s.coreConfig(cfg))
-	res, err := miner.MineContext(ctx, targets)
+	return &Miner{s: s, cfg: cfg, m: core.NewMiner(s.kb, est, s.coreConfig(cfg))}, nil
+}
+
+// MineContext mines one target set on the Miner, as System.MineContext
+// does. Stats.CacheHits and CacheMisses are the evaluator's traffic during
+// this call, which may include concurrent neighbors' lookups; CacheStats
+// has the exact totals.
+func (m *Miner) MineContext(ctx context.Context, targetIRIs []string) (*Result, error) {
+	targets, err := m.s.entityIDs(targetIRIs)
 	if err != nil {
 		return nil, err
 	}
-	return s.resultOf(res, cfg, targets), nil
+	res, err := m.m.MineContext(ctx, targets)
+	if err != nil {
+		return nil, err
+	}
+	return m.s.resultOf(res, m.cfg, targets), nil
+}
+
+// CacheStats reports the evaluator's cache hits and misses over every call
+// on this Miner.
+func (m *Miner) CacheStats() (hits, misses uint64) {
+	_, hits, misses = m.m.Ev.Stats()
+	return hits, misses
 }
 
 // entityIDs resolves target IRIs to entity ids (ErrUnknownEntity for an
@@ -182,8 +214,7 @@ func (s *System) entityIDs(iris []string) ([]kb.EntID, error) {
 }
 
 // resultOf converts a core result to the facade form (renderings, SPARQL,
-// exceptions) — the single conversion shared by MineContext and MineBatch,
-// so batch responses are byte-identical to sequential ones.
+// exceptions).
 func (s *System) resultOf(res *core.Result, cfg mineConfig, targets []kb.EntID) *Result {
 	out := &Result{
 		Found: res.Found(),
@@ -208,85 +239,6 @@ func (s *System) resultOf(res *core.Result, cfg mineConfig, targets []kb.EntID) 
 		}
 	}
 	return out
-}
-
-// BatchEntry is the outcome of one target set of a MineBatch call.
-type BatchEntry struct {
-	// Result is set when the set was mined; nil when Err is set.
-	Result *Result
-	// Err isolates per-set failures: an unknown target IRI
-	// (ErrUnknownEntity), an empty set (ErrEmptyTargetSet) or a search that
-	// panicked (ErrMinePanicked). Other sets of the batch are unaffected.
-	Err error
-}
-
-// BatchResult is the outcome of MineBatch: one entry per input set, in
-// input order, plus the batch's evaluator totals.
-type BatchResult struct {
-	Entries []BatchEntry
-	// CacheHits and CacheMisses are the exact evaluator totals across the
-	// whole batch. Per-entry stats carry per-set deltas, which may
-	// attribute a concurrent neighbor's lookups; these totals never
-	// double-count.
-	CacheHits   uint64
-	CacheMisses uint64
-}
-
-// MineBatch mines a referring expression for every target set in one call:
-// one miner serves the whole batch and each set is an ordinary mine on it,
-// so per-set results are byte-identical to MineContext calls. What the
-// batch buys is that miner's evaluator: its binding-set cache stays warm
-// from one set to the next (striped, with miss coalescing when sets run
-// concurrently; see WithBatchConcurrency).
-//
-// A non-nil each is invoked once per input set, as soon as that set's entry
-// is known, while later sets may still be mining. Invocations are
-// serialized — never concurrent with each other — so the callback may
-// write shared state without locking. The returned BatchResult holds every
-// entry in input order either way.
-//
-// Failures are isolated per set (BatchEntry.Err); MineBatch itself errors
-// only on invalid options. Cancelling ctx stops every set; WithTimeout
-// budgets each set separately.
-func (s *System) MineBatch(ctx context.Context, targetSets [][]string, each func(i int, e BatchEntry), opts ...MineOption) (*BatchResult, error) {
-	cfg := defaultMineConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	est, err := s.estimator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	miner := core.NewMiner(s.kb, est, s.coreConfig(cfg))
-
-	br := &BatchResult{Entries: make([]BatchEntry, len(targetSets))}
-	idSets := make([][]kb.EntID, len(targetSets))
-	for i, iris := range targetSets {
-		// An unresolvable set goes to the miner as nil, which answers it at
-		// once; its entry keeps the resolution error.
-		idSets[i], br.Entries[i].Err = s.entityIDs(iris)
-	}
-	miner.MineBatchEach(ctx, idSets, cfg.batchConc, func(i int, o core.BatchOutcome) {
-		e := &br.Entries[i]
-		switch {
-		case e.Err != nil: // unresolved: keep the ErrUnknownEntity
-		case errors.Is(o.Err, core.ErrNoTargets):
-			e.Err = ErrEmptyTargetSet
-		case errors.Is(o.Err, core.ErrMinePanic):
-			e.Err = fmt.Errorf("%w: %v", ErrMinePanicked, o.Err)
-		case o.Err != nil:
-			e.Err = fmt.Errorf("remi: %w", o.Err)
-		default:
-			e.Result = s.resultOf(o.Result, cfg, idSets[i])
-		}
-		if each != nil {
-			each(i, *e)
-		}
-	})
-	// The miner is exclusive to this call, so its evaluator totals are the
-	// batch's exact cache traffic.
-	_, br.CacheHits, br.CacheMisses = miner.Ev.Stats()
-	return br, nil
 }
 
 // exceptionsOf lists the entities matched by e beyond the targets.
