@@ -15,8 +15,9 @@ package kb
 //	  pass B  packs each predicate's CSR index from its merged (s,o) run and
 //	          collects the inverse pairs of prominent objects
 //
-// BuildStreamingWith is a read loop over the ingest with the spill threshold
-// of its StreamConfig, for inputs whose raw triple slice does not fit
+// BuildStreamingWith feeds the ingest (parsing ahead on a second goroutine
+// when the source is an *rdf.Reader) with the spill threshold of its
+// StreamConfig, for inputs whose raw triple slice does not fit
 // comfortably in memory (DBpedia-class N-Triples dumps): only one
 // predicate's pair list is in memory at a time during pass B, so peak memory
 // is the dictionary plus the final CSR arrays. Builder and FromTriples
@@ -39,12 +40,10 @@ import (
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
-// borrowedSource is implemented by sources (like *rdf.Reader) whose
-// ReadBorrowed yields triples with term values that may alias an internal
-// buffer, valid only until the next read. Safe here because the ingest
-// copies every term into its own storage before reading again.
-type borrowedSource interface {
-	ReadBorrowed() (rdf.Triple, error)
+// blockSource is implemented by *rdf.Reader, which parses a line-aligned
+// block of input at a time into a buffer the caller hands it.
+type blockSource interface {
+	ReadBlock(*rdf.Block) error
 }
 
 // TripleSource yields triples one at a time, returning io.EOF after the
@@ -88,17 +87,14 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 	in := newIngest(maxBuf, cfg.TmpDir)
 	defer in.removeRuns()
 
-	// Every term is copied into ingest-owned storage (the dictionary clones
-	// on insert, so does the predicate table) before the next read, so
-	// prefer a source's borrowed-read path when it offers one: for
-	// *rdf.Reader that skips the per-line string allocation, which is
-	// otherwise half the allocation bill of the whole build.
-	read := src.Read
-	if bs, ok := src.(borrowedSource); ok {
-		read = bs.ReadBorrowed
+	if bs, ok := src.(blockSource); ok {
+		if err := in.addBlocks(bs); err != nil {
+			return nil, err
+		}
+		return in.finish(opts)
 	}
 	for {
-		tr, err := read()
+		tr, err := src.Read()
 		if err == io.EOF {
 			break
 		}
@@ -110,6 +106,59 @@ func BuildStreamingWith(src TripleSource, opts Options, cfg StreamConfig) (*KB, 
 		}
 	}
 	return in.finish(opts)
+}
+
+// addBlocks parses on a second goroutine while this one encodes the blocks
+// in input order, so ids are those of a plain read loop, and the first error
+// in input order wins. Four blocks circulate (parsing, two queued so that an
+// uneven block does not stall either side, encoding), so the parser always
+// finds a free one; the ingest copies every term it keeps, so a block can go
+// back once encoded. The parser has exited when addBlocks returns.
+func (in *ingest) addBlocks(src blockSource) error {
+	type parsed struct {
+		b   *rdf.Block
+		err error
+	}
+	full := make(chan parsed, 2)
+	free := make(chan *rdf.Block, 4)
+	for range cap(free) {
+		free <- new(rdf.Block)
+	}
+	stop, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			b := <-free
+			err := src.ReadBlock(b)
+			select {
+			case full <- parsed{b, err}:
+			case <-stop:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-exited
+	}()
+	for {
+		p := <-full
+		for _, tr := range p.b.Triples {
+			if err := in.add(tr); err != nil {
+				return err
+			}
+		}
+		if p.err == io.EOF {
+			return nil
+		}
+		if p.err != nil {
+			return p.err
+		}
+		free <- p.b
+	}
 }
 
 // triple is one dictionary-encoded fact, the record the ingest buffers and

@@ -2,14 +2,18 @@ package kb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"github.com/remi-kb/remi/internal/kb/snapshot"
 	"github.com/remi-kb/remi/internal/rdf"
@@ -325,6 +329,124 @@ func TestBuildStreamingRejectsBadTriples(t *testing.T) {
 			if err := front.build(); err == nil || err.Error() != want {
 				t.Errorf("%s through %s: error %v, want %q", tc.name, front.name, err, want)
 			}
+		}
+	}
+}
+
+// readerDoc renders n generated triples as N-Triples text of several of the
+// reader's 256 KiB blocks, cycling through the awkward line forms so that
+// whichever line a block ends on is one of them: CRLF endings, blank and
+// comment lines, escapes, trailing comments. One line is longer than a
+// block, and the text has no final newline.
+func readerDoc(n int) []string {
+	pad := strings.Repeat("padding ", 100)
+	var lines []string
+	for i, tr := range genStreamTriples(n, 5) {
+		ln := tr.String()
+		switch i % 6 {
+		case 1:
+			ln += "\r"
+		case 2:
+			lines = append(lines, ln, "")
+			continue
+		case 3:
+			lines = append(lines, ln, "# "+pad)
+			continue
+		case 4:
+			ln = fmt.Sprintf(`%s %s "café\t\"%d\"\U0001F600" .`, tr.S, tr.P, i%9)
+		case 5:
+			ln += " # " + pad
+		}
+		lines = append(lines, ln)
+		if i == n/2 {
+			lines = append(lines, fmt.Sprintf(`%s %s "%s" .`, tr.S, tr.P, strings.Repeat("long ", 60_000)))
+		}
+	}
+	return lines
+}
+
+// TestBuildStreamingFromReader: text parsed ahead on the reader's goroutine
+// and encoded in input order builds the very KB that parsing the text first
+// and building from the slice gives, spilled or not.
+func TestBuildStreamingFromReader(t *testing.T) {
+	text := strings.Join(readerDoc(2500), "\n")
+	if len(text) < 3*256<<10 {
+		t.Fatalf("the text is %d bytes, fewer than three blocks", len(text))
+	}
+	trs, err := rdf.ReadAll(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := FromTriples(trs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []StreamConfig{{}, {MaxBufferedTriples: 7, TmpDir: t.TempDir()}} {
+		k, err := BuildStreamingWith(rdf.NewReader(strings.NewReader(text)), DefaultOptions(), cfg)
+		if err != nil {
+			t.Fatalf("maxBuf=%d: %v", cfg.MaxBufferedTriples, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, k), snapshotBytes(t, mem)) {
+			t.Errorf("maxBuf=%d: snapshot differs from FromTriples(ReadAll(text))", cfg.MaxBufferedTriples)
+		}
+	}
+}
+
+// endlessBlocks is a block source that never ends; its first block carries
+// a literal subject, which the ingest refuses.
+type endlessBlocks struct{ n int }
+
+func (e *endlessBlocks) Read() (rdf.Triple, error) { return rdf.Triple{}, io.EOF }
+
+func (e *endlessBlocks) ReadBlock(b *rdf.Block) error {
+	e.n++
+	b.Triples = append(b.Triples[:0], genStreamTriples(50, int64(e.n))...)
+	if e.n == 1 {
+		b.Triples[10].S = rdf.NewLiteral("x")
+	}
+	return nil
+}
+
+// TestBuildStreamingFromReaderErrors: the first error in input order is the
+// one reported, and the parsing goroutine is gone when the build returns.
+func TestBuildStreamingFromReaderErrors(t *testing.T) {
+	base := runtime.NumGoroutine()
+	lines := readerDoc(2500)
+	clean := strings.Join(lines, "\n")
+	// Two bad lines: one in the first block, one blocks later.
+	lines[9] = "<http://ex.org/a> <http://ex.org/p> ."
+	lines[len(lines)-10] = "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> <http://ex.org/c> ."
+	text := strings.Join(lines, "\n")
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		src  TripleSource
+		want func(error) bool
+	}{
+		{"bad line", rdf.NewReader(strings.NewReader(text)), func(err error) bool {
+			return strings.HasPrefix(err.Error(), "line 10: ")
+		}},
+		{"bad line, spilled", rdf.NewReader(strings.NewReader(text)), func(err error) bool {
+			return strings.HasPrefix(err.Error(), "line 10: ")
+		}},
+		{"read error", rdf.NewReader(io.MultiReader(strings.NewReader(clean[:len(clean)/2]), iotest.ErrReader(boom))),
+			func(err error) bool { return errors.Is(err, boom) }},
+		{"ingest error", &endlessBlocks{}, func(err error) bool {
+			return strings.HasPrefix(err.Error(), "kb: literal subject: ")
+		}},
+	} {
+		cfg := StreamConfig{}
+		if strings.HasSuffix(tc.name, "spilled") {
+			cfg = StreamConfig{MaxBufferedTriples: 7, TmpDir: t.TempDir()}
+		}
+		if _, err := BuildStreamingWith(tc.src, DefaultOptions(), cfg); err == nil || !tc.want(err) {
+			t.Errorf("%s: error %v", tc.name, err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the build, %d before", tc.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -117,12 +117,25 @@ func BuildWithScores(k *kb.KB, score func(kb.EntID) float64) *Store {
 	return build(k, Custom, score, nil)
 }
 
+// build runs the join ranks on a second goroutine beside the other rankings:
+// the two halves take about the same time, write disjoint fields and read
+// only the KB's immutable arrays. A panic in either reaches the caller.
 func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store {
 	s := &Store{K: k, Metric: m, custom: score}
+	var joinPanic any
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		defer func() { joinPanic = recover() }()
+		s.buildJoinRanks()
+	}()
 	s.buildPredicateRanking()
 	s.buildEntityScores()
 	s.buildConditionalRankings(prev)
-	s.buildJoinRanks()
+	<-joined
+	if joinPanic != nil {
+		panic(joinPanic)
+	}
 	return s
 }
 

@@ -2,8 +2,11 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unsafe"
 )
@@ -173,7 +176,8 @@ func hexVal(c byte) int {
 }
 
 // ParseTripleLine parses one N-Triples statement. It returns ok=false for
-// blank lines and comment lines starting with '#'.
+// blank lines and comment lines starting with '#', and ignores a comment
+// after the statement.
 func ParseTripleLine(line string) (tr Triple, ok bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
@@ -211,15 +215,22 @@ func ParseTripleLine(line string) (tr Triple, ok bool, err error) {
 // terms, keeping quoted literals (which may contain spaces) intact. It
 // returns the first three terms by value and the total count found —
 // allocation-free, since the streaming ingest path calls it once per input
-// line and a per-line slice was a third of the whole build's garbage.
+// line and a per-line slice was a third of the whole build's garbage. A
+// comment ('#' where a term would start, N-Triples 1.1 whitespace) ends the
+// statement, and so does a '.' followed by nothing but such a comment.
 func splitTerms(line string) (fields [3]string, n int) {
 	i := 0
 	for i < len(line) {
 		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
 			i++
 		}
-		if i >= len(line) {
+		if i >= len(line) || line[i] == '#' {
 			break
+		}
+		if line[i] == '.' {
+			if rest := strings.TrimLeft(line[i+1:], " \t"); rest == "" || rest[0] == '#' {
+				break
+			}
 		}
 		start := i
 		if line[i] == '"' {
@@ -255,62 +266,135 @@ func splitTerms(line string) (fields [3]string, n int) {
 	return fields, n
 }
 
-// Reader streams triples from an N-Triples document.
+// A block gathers blockSize bytes of input before it is cut at its last
+// newline; a longer line makes a longer block, up to maxLine.
+const blockSize, maxLine = 256 << 10, 16 << 20
+
+var errLineTooLong = errors.New("rdf: line longer than 16 MiB")
+
+// Block is a line-aligned stretch of an N-Triples document, parsed. The
+// escape-free term values of Triples alias the block's own buffer, so they
+// stay valid until the block is passed to ReadBlock again.
+type Block struct {
+	Triples []Triple
+	buf     []byte
+}
+
+// Reader streams triples from an N-Triples document. It reads the input in
+// line-aligned blocks of about 256 KiB and parses a block at a time.
 type Reader struct {
-	sc   *bufio.Scanner
-	line int
+	r     io.Reader
+	carry []byte // the partial line that ended the last block
+	line  int    // lines parsed so far
+	err   error  // sticky: io.EOF or the first read or parse error
+	cur   Block  // the block Read and ReadBorrowed serve from
+	next  int    // index of the next triple of cur to serve
 }
 
 // NewReader wraps r in a streaming N-Triples reader.
 func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc}
+	return &Reader{r: r}
 }
 
-// Read returns the next triple, or io.EOF when the input is exhausted.
+// ReadBlock parses the next block of input into b, reusing b's buffers, and
+// returns io.EOF once the input is exhausted. On a parse error b holds the
+// triples of the lines before the bad one, and the error, which names that
+// line, is returned by this and every later call. A Reader is read either
+// by blocks or by Read/ReadBorrowed, not both.
+func (r *Reader) ReadBlock(b *Block) error {
+	b.Triples = b.Triples[:0]
+	if r.err != nil {
+		return r.err
+	}
+	chunk, err := r.fill(b)
+	for len(chunk) > 0 {
+		ln := chunk
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
+			ln, chunk = chunk[:i], chunk[i+1:]
+		} else {
+			chunk = nil
+		}
+		r.line++
+		if len(ln) == 0 {
+			continue
+		}
+		tr, ok, perr := ParseTripleLine(unsafe.String(&ln[0], len(ln)))
+		if len(ln) > maxLine {
+			perr = errLineTooLong
+		}
+		if perr != nil {
+			err = fmt.Errorf("line %d: %w", r.line, perr)
+			break
+		}
+		if ok {
+			b.Triples = append(b.Triples, tr)
+		}
+	}
+	r.err = err
+	if err == io.EOF && len(b.Triples) > 0 {
+		return nil
+	}
+	return err
+}
+
+// fill reads into b's buffer, after the carried partial line, until it holds
+// blockSize bytes and a newline, or the input ends. It returns the whole
+// lines and carries the rest; at the end of input (err != nil) it returns
+// everything. It stops early, returning the partial line too, once that
+// line alone exceeds maxLine.
+func (r *Reader) fill(b *Block) (chunk []byte, err error) {
+	buf := append(b.buf[:0], r.carry...)
+	last := -1 // index of the last newline in buf; the carry holds none
+	for err == nil && (len(buf) < blockSize || last < 0) && len(buf)-last-1 <= maxLine {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, blockSize)
+		}
+		var n int
+		n, err = r.r.Read(buf[len(buf):cap(buf)])
+		if i := bytes.LastIndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+			last = len(buf) + i
+		}
+		buf = buf[:len(buf)+n]
+	}
+	b.buf = buf
+	if err != nil || len(buf)-last-1 > maxLine {
+		last = len(buf) - 1 // the input ended, or the caller rejects the long line
+	}
+	r.carry = append(r.carry[:0], buf[last+1:]...)
+	return buf[:last+1], err
+}
+
+// Read returns the next triple, or io.EOF when the input is exhausted. The
+// triple's values share one fresh allocation and hold no reference to the
+// reader's buffers.
 func (r *Reader) Read() (Triple, error) {
-	for r.sc.Scan() {
-		r.line++
-		tr, ok, err := ParseTripleLine(r.sc.Text())
-		if err != nil {
-			return Triple{}, fmt.Errorf("line %d: %w", r.line, err)
-		}
-		if ok {
-			return tr, nil
-		}
+	tr, err := r.ReadBorrowed()
+	if err != nil {
+		return tr, err
 	}
-	if err := r.sc.Err(); err != nil {
-		return Triple{}, err
-	}
-	return Triple{}, io.EOF
+	var all strings.Builder
+	all.Grow(len(tr.S.Value) + len(tr.P.Value) + len(tr.O.Value))
+	all.WriteString(tr.S.Value)
+	all.WriteString(tr.P.Value)
+	all.WriteString(tr.O.Value)
+	v, s, p := all.String(), len(tr.S.Value), len(tr.S.Value)+len(tr.P.Value)
+	tr.S.Value, tr.P.Value, tr.O.Value = v[:s], v[s:p], v[p:]
+	return tr, nil
 }
 
-// ReadBorrowed is Read without the per-line string allocation: escape-free
-// term values alias the reader's internal buffer and are only valid until
-// the next Read or ReadBorrowed call. Callers that retain a term must copy
-// it (strings.Clone) first. Bulk ingestion wants this — the line strings
-// are otherwise half of everything a streamed KB build allocates.
+// ReadBorrowed is Read without the copy: escape-free term values alias the
+// reader's current block and are only valid until the next Read or
+// ReadBorrowed call. Callers that retain a term must copy it
+// (strings.Clone) first.
 func (r *Reader) ReadBorrowed() (Triple, error) {
-	for r.sc.Scan() {
-		r.line++
-		b := r.sc.Bytes()
-		var line string
-		if len(b) > 0 {
-			line = unsafe.String(&b[0], len(b))
-		}
-		tr, ok, err := ParseTripleLine(line)
-		if err != nil {
-			return Triple{}, fmt.Errorf("line %d: %w", r.line, err)
-		}
-		if ok {
-			return tr, nil
+	for r.next == len(r.cur.Triples) {
+		r.next = 0
+		if err := r.ReadBlock(&r.cur); err != nil && len(r.cur.Triples) == 0 {
+			return Triple{}, err
 		}
 	}
-	if err := r.sc.Err(); err != nil {
-		return Triple{}, err
-	}
-	return Triple{}, io.EOF
+	r.next++
+	return r.cur.Triples[r.next-1], nil
 }
 
 // ReadAll parses every triple in the input.
