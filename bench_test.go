@@ -25,6 +25,7 @@ import (
 	"github.com/remi-kb/remi/internal/core"
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/experiments"
+	"github.com/remi-kb/remi/internal/expr"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/prominence"
@@ -279,6 +280,58 @@ func BenchmarkBuildStreaming(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(facts), "ns/fact")
 }
+
+// BenchmarkBindingSet times expr.BindingSet, the evaluation under every
+// cache miss of the DFS, one sub-benchmark per subgraph shape. The KB is the
+// DBpedia-like one at scale 4 (where benchmark/ mines). The subgraphs are
+// the queues of single targets drawn with a fixed seed from the evaluation
+// classes: 256 of them, and more until every shape has turned up (three
+// closed atoms are rare: a handful of queues in the whole KB hold one).
+// Each op evaluates the next distinct subgraph of the shape, uncached.
+func BenchmarkBindingSet(b *testing.B) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 4})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Compressed)
+	m := core.NewMiner(k, est, core.DefaultConfig())
+	rng := rand.New(rand.NewSource(1))
+	classes := experiments.EvalClasses(d.Name)
+	byShape := make(map[expr.Shape][]expr.Subgraph)
+	seen := make(map[expr.Subgraph]bool)
+	for drawn := 0; drawn < 256 || len(byShape) < 5; drawn++ {
+		if drawn == 1<<16 {
+			b.Fatalf("%d targets drawn and only %d shapes seen", drawn, len(byShape))
+		}
+		members := d.Members[classes[rng.Intn(len(classes))]]
+		id, ok := k.EntityID(rdf.NewIRI(members[rng.Intn(len(members))]))
+		if !ok {
+			b.Fatal("class member missing from the KB")
+		}
+		gs, _ := m.RankedCandidates([]kb.EntID{id})
+		for _, g := range gs {
+			if !seen[g] {
+				seen[g] = true
+				byShape[g.Shape] = append(byShape[g.Shape], g)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		shape expr.Shape
+	}{{"atom", expr.Atom1}, {"path", expr.Path}, {"pathstar", expr.PathStar}, {"closed2", expr.Closed2}, {"closed3", expr.Closed3}} {
+		gs := byShape[c.shape]
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bindingsSeen += expr.BindingSet(k, gs[i%len(gs)]).Card()
+			}
+		})
+	}
+}
+
+// bindingsSeen keeps BenchmarkBindingSet's evaluations observable.
+var bindingsSeen int
 
 // --- Section 3.2: search-space census ------------------------------------------
 

@@ -2,6 +2,7 @@ package bindset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -252,6 +253,25 @@ func TestGallop(t *testing.T) {
 	}{{1, 0}, {2, 0}, {3, 1}, {8, 3}, {15, 7}, {16, 7}, {17, 8}} {
 		if got := Gallop(b, tc.x); got != tc.want {
 			t.Errorf("Gallop(%d) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+}
+
+// TestAppendIntersection checks both kernels, the branch-free merge and the
+// gallop past GallopRatio, against the map reference, and that what dst
+// already holds is kept.
+func TestAppendIntersection(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	prefix := []kb.EntID{9, 3}
+	for round := 0; round < 300; round++ {
+		a := randomIDs(rng, 4000, rng.Intn(60))
+		b := randomIDs(rng, 4000, rng.Intn(2000))
+		want := append(slices.Clone(prefix), refIntersect(a, b)...)
+		for _, args := range [][2][]kb.EntID{{a, b}, {b, a}} {
+			got := AppendIntersection(slices.Clone(prefix), args[0], args[1])
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d (|a|=%d, |b|=%d): got %v, want %v", round, len(a), len(b), got, want)
+			}
 		}
 	}
 }

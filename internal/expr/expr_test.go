@@ -190,7 +190,7 @@ func TestClosed3Eval(t *testing.T) {
 }
 
 // TestHoldsForMatchesBindings is the agreement property between the two
-// evaluation paths on randomized KBs.
+// evaluation paths on randomized KBs, for all five shapes.
 func TestHoldsForMatchesBindings(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -209,10 +209,17 @@ func TestHoldsForMatchesBindings(t *testing.T) {
 				subgraphs = append(subgraphs, NewAtom1(kb.PredID(pi), kb.EntID(ei)))
 				for pj := 1; pj <= k.NumPredicates(); pj++ {
 					subgraphs = append(subgraphs, NewPath(kb.PredID(pi), kb.PredID(pj), kb.EntID(ei)))
+					for pk := 1; pk <= k.NumPredicates(); pk++ {
+						ek := 1 + rng.Intn(k.NumEntities())
+						subgraphs = append(subgraphs, NewPathStar(kb.PredID(pi), kb.PredID(pj), kb.EntID(ei), kb.PredID(pk), kb.EntID(ek)))
+					}
 				}
 			}
 			for pj := pi + 1; pj <= k.NumPredicates(); pj++ {
 				subgraphs = append(subgraphs, NewClosed2(kb.PredID(pi), kb.PredID(pj)))
+				for pk := pj + 1; pk <= k.NumPredicates(); pk++ {
+					subgraphs = append(subgraphs, NewClosed3(kb.PredID(pi), kb.PredID(pj), kb.PredID(pk)))
+				}
 			}
 		}
 		for _, g := range subgraphs {

@@ -17,42 +17,7 @@ import (
 
 // IntersectSorted returns the intersection of two ascending EntID slices.
 func IntersectSorted(a, b []kb.EntID) []kb.EntID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	// One exact-bound allocation instead of append growth.
-	out := make([]kb.EntID, 0, len(a))
-	if len(b) >= bindset.GallopRatio*len(a) {
-		j := 0
-		for _, x := range a {
-			j += bindset.Gallop(b[j:], x)
-			if j >= len(b) {
-				break
-			}
-			if b[j] == x {
-				out = append(out, x)
-				j++
-			}
-		}
-		return out
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return bindset.AppendIntersection(make([]kb.EntID, 0, min(len(a), len(b))), a, b)
 }
 
 // ContainsSorted reports whether the ascending slice a contains v.

@@ -230,6 +230,11 @@ func (k *KB) ObjectRuns(p PredID) (keys []EntID, off []uint32) {
 // CSR value arena. The offsets of SubjectRuns index it.
 func (k *KB) ObjectColumn(p PredID) []EntID { return k.preds[p-1].psoVal }
 
+// SubjectColumn is ObjectColumn over the (O,S)-sorted list: the S column,
+// grouped into the ascending subject runs that the offsets of ObjectRuns
+// index, so Subjects(p, keys[i]) is col[off[i]:off[i+1]].
+func (k *KB) SubjectColumn(p PredID) []EntID { return k.preds[p-1].posVal }
+
 // PredFreq returns the number of facts of predicate p.
 func (k *KB) PredFreq(p PredID) int { return len(k.preds[p-1].psoVal) }
 

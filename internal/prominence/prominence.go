@@ -124,6 +124,10 @@ func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store
 	s := &Store{K: k, Metric: m, custom: score}
 	var joinPanic any
 	joined := make(chan struct{})
+	// A panic in this goroutine's half (a caller's score included) must not
+	// leave build while the join half still reads the KB: the caller may
+	// close an mmap'd snapshot under it once it recovers.
+	defer func() { <-joined }()
 	go func() {
 		defer close(joined)
 		defer func() { joinPanic = recover() }()

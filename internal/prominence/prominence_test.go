@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -855,5 +856,37 @@ func TestRebuildMatchesBuild(t *testing.T) {
 			prev = s
 			k, touched = nextGeneration(t, rng, k, gen)
 		}
+	}
+}
+
+// TestBuildPanicWaitsForJoinHalf: a panic in the half of build that runs on
+// the caller's goroutine (here a caller-supplied score) reaches the caller
+// only after the join half has stopped reading the KB, so a caller that
+// recovers and then closes an mmap'd snapshot cannot pull the pages from
+// under a running goroutine. The goroutine count is back at its baseline as
+// soon as recover returns, bar the join goroutine's last instructions after
+// it signals (a few Gosched calls), far less than the join half's running
+// time on this KB.
+func TestBuildPanicWaitsForJoinHalf(t *testing.T) {
+	k, err := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 2}).BuildKB(kb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for round := 0; round < 5; round++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "score failed" {
+					t.Fatalf("round %d: recovered %v, want the score's panic", round, r)
+				}
+				for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+					runtime.Gosched()
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Fatalf("round %d: %d goroutines after recover, baseline %d: the join half outlived build", round, n, base)
+				}
+			}()
+			BuildWithScores(k, func(kb.EntID) float64 { panic("score failed") })
+		}()
 	}
 }
