@@ -177,39 +177,19 @@ func (ev evaluator) xCandidates(r Rule) []kb.EntID {
 	if best != nil {
 		return best
 	}
-	// Fall back to all subjects (or objects) of a predicate mentioning x.
+	// Fall back to all subjects (or objects) of a predicate mentioning x:
+	// the keys of its CSR runs, distinct and ascending.
 	for _, a := range r.Body {
 		if a.S.IsVar && a.S.Var == 0 {
-			return ev.distinctSubjects(a.P)
+			subjects, _ := ev.k.SubjectRuns(a.P)
+			return subjects
 		}
 		if a.O.IsVar && a.O.Var == 0 {
-			return ev.distinctObjects(a.P)
+			objects, _ := ev.k.ObjectRuns(a.P)
+			return objects
 		}
 	}
 	return nil
-}
-
-func (ev evaluator) distinctSubjects(p kb.PredID) []kb.EntID {
-	var out []kb.EntID
-	for _, pr := range ev.k.Facts(p) {
-		if len(out) == 0 || out[len(out)-1] != pr.S {
-			out = append(out, pr.S)
-		}
-	}
-	return out
-}
-
-func (ev evaluator) distinctObjects(p kb.PredID) []kb.EntID {
-	seen := make(map[kb.EntID]struct{})
-	var out []kb.EntID
-	for _, pr := range ev.k.Facts(p) {
-		if _, dup := seen[pr.O]; !dup {
-			seen[pr.O] = struct{}{}
-			out = append(out, pr.O)
-		}
-	}
-	sortIDs(out)
-	return out
 }
 
 // backtrack extends the partial variable binding until every atom is

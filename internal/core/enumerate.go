@@ -1,8 +1,9 @@
 // Package core implements the paper's primary contribution: the REMI and
 // P-REMI algorithms (Section 3.3 and 3.4) that mine the most intuitive
 // referring expression for a set of target entities, together with the
-// subgraph-expression enumeration, its pruning heuristics (Section 3.5.2)
-// and the search-space census used for the Section 3.2 observations.
+// subgraph-expression enumeration and its pruning heuristics (Section
+// 3.5.2). The Section 3.2 search-space census built on the enumeration lives
+// in internal/experiments.
 package core
 
 import (

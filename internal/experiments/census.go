@@ -1,7 +1,7 @@
-package core
+package experiments
 
 import (
-	"github.com/remi-kb/remi/internal/expr"
+	"github.com/remi-kb/remi/internal/core"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -21,8 +21,8 @@ type CensusBias struct {
 // two-variable shapes add length-3 chains p0(x,y) ∧ p1(y,z) ∧ p2(z,I2),
 // the canonical 2-variable subgraph expression rooted at x.
 func Census(k *kb.KB, t kb.EntID, bias CensusBias, prominent *kb.EntSet) int {
-	opts := EnumerateOptions{Language: ExtendedLanguage, Prominent: prominent}
-	subs := SubgraphsOf(k, t, opts)
+	opts := core.EnumerateOptions{Language: core.ExtendedLanguage, Prominent: prominent}
+	subs := core.SubgraphsOf(k, t, opts)
 	count := 0
 	for _, g := range subs {
 		if g.Atoms() <= bias.MaxAtoms {
@@ -92,16 +92,6 @@ func RunCensus(k *kb.KB, entities []kb.EntID, biases []CensusBias, prominentCuto
 			total += Census(k, t, b, prominent)
 		}
 		out[i] = CensusReport{Bias: b, Total: total}
-	}
-	return out
-}
-
-// SubgraphCounts tallies the enumeration output by shape, used by the
-// Table 1 verification test and the enumeration benchmarks.
-func SubgraphCounts(k *kb.KB, t kb.EntID, opts EnumerateOptions) map[expr.Shape]int {
-	out := make(map[expr.Shape]int)
-	for _, g := range SubgraphsOf(k, t, opts) {
-		out[g.Shape]++
 	}
 	return out
 }

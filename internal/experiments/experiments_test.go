@@ -3,6 +3,10 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"github.com/remi-kb/remi/internal/datagen"
+	"github.com/remi-kb/remi/internal/kb"
+	"github.com/remi-kb/remi/internal/rdf"
 )
 
 // testLab returns a small lab shared by the tests in this file.
@@ -152,5 +156,21 @@ func TestSampleSetsProportions(t *testing.T) {
 	}
 	if count[1] < count[2] || count[2] < count[3] {
 		t.Errorf("size proportions off: %v (want 50/30/20 shape)", count)
+	}
+}
+
+// TestCensusMonotone: widening the bias never shrinks the census.
+func TestCensusMonotone(t *testing.T) {
+	d := datagen.TinyGeo()
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paris, _ := k.EntityID(rdf.NewIRI("http://tiny.demo/resource/Paris"))
+	c2 := Census(k, paris, CensusBias{MaxAtoms: 2, MaxExtraVars: 1}, nil)
+	c3 := Census(k, paris, CensusBias{MaxAtoms: 3, MaxExtraVars: 1}, nil)
+	c3v2 := Census(k, paris, CensusBias{MaxAtoms: 3, MaxExtraVars: 2}, nil)
+	if !(c2 <= c3 && c3 <= c3v2) {
+		t.Fatalf("census not monotone: %d %d %d", c2, c3, c3v2)
 	}
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"github.com/remi-kb/remi/internal/core"
-	"github.com/remi-kb/remi/internal/kb"
-)
+import "github.com/remi-kb/remi/internal/kb"
 
 // FitRow reports the Eq. 1 power-law fit quality for one (dataset, metric)
 // pair; the paper reports average R² of 0.85 (DBpedia, fr), 0.88 (Wikidata,
@@ -62,12 +59,12 @@ func SearchSpaceCensus(lab *Lab, entities int, seed int64) []CensusRow {
 	for _, s := range sets {
 		ids = append(ids, s.IDs[0])
 	}
-	biases := []core.CensusBias{
+	biases := []CensusBias{
 		{MaxAtoms: 2, MaxExtraVars: 1},
 		{MaxAtoms: 3, MaxExtraVars: 1},
 		{MaxAtoms: 3, MaxExtraVars: 2},
 	}
-	reports := core.RunCensus(env.KB, ids, biases, 0.05)
+	reports := RunCensus(env.KB, ids, biases, 0.05)
 	labels := []string{"≤2 atoms, 1 var", "≤3 atoms, 1 var (REMI)", "≤3 atoms, 2 vars"}
 	rows := make([]CensusRow, len(reports))
 	for i, r := range reports {

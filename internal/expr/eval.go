@@ -94,7 +94,7 @@ func pathBindings(k *kb.KB, p kb.PredID, ys []kb.EntID, sc *pathScratch, univers
 // that a(s,o), b(s,o) and, unless c is 0, c(s,o) hold. It walks the
 // sparsest predicate's subject runs, gallops the others' subject keys in
 // step and tests the object runs of each shared subject for a common
-// element, so it never derives the pair lists.
+// element.
 func closedSubjects(k *kb.KB, a, b, c kb.PredID) []kb.EntID {
 	if k.PredFreq(b) < k.PredFreq(a) {
 		a, b = b, a

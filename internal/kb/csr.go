@@ -2,13 +2,8 @@ package kb
 
 import "slices"
 
-// CSR (compressed sparse row) fact indexes. The KB used to keep its
-// per-(predicate,key) posting lists in hash maps (pso/pos keyed by a packed
-// uint64, subjAdj keyed by EntID). Every probe on the mining hot path — an
-// Objects lookup per atom, a HasFact per closed-shape test, an AdjacencyOf
-// per enumerated entity — paid a hash, a bucket walk and a pointer chase.
-// The layout below replaces all of that with immutable flat arrays built
-// once at load time:
+// CSR (compressed sparse row) fact indexes. A KB stores its facts only in
+// these immutable flat arrays, built at load time or merged by ApplyPatch:
 //
 //	predIndex (one per predicate)
 //	  psoKey ─┐  distinct subjects, ascending
@@ -16,19 +11,18 @@ import "slices"
 //	  psoVal ─┘  the O column of the (S,O)-sorted fact list
 //	  posKey/posOff/posVal: the same, keyed by object over the S column
 //
-//	adjacency (one arena for the whole KB)
+//	adjacency (one arena for the whole KB, derived on first touch)
 //	  adjOff ──  indexed by EntID: adjArena[adjOff[e-1]:adjOff[e]]
 //	  adjArena   flat []PO runs, each sorted by (P,O)
 //
-// A lookup is now a binary search over a contiguous key array (cache-line
-// friendly, no hashing) returning a slice view into the value arena, and the
-// per-entity adjacency is a constant-time offset pair. HasFact is a second
-// binary search inside the returned run. ObjFreq reads a run length from two
-// adjacent offsets without touching the values at all.
+// A lookup is a binary search over a contiguous key array returning a slice
+// view into the value arena, and the per-entity adjacency is a constant-time
+// offset pair. HasFact is a second binary search inside the returned run.
+// ObjFreq reads a run length from two adjacent offsets without touching the
+// values at all. There is no (S,O) pair list: Facts walks the subject runs.
 
 // predIndex holds both CSR orientations of one predicate's facts.
 type predIndex struct {
-	pairs  []Pair   // sorted by (S,O); backs Facts, derived on first touch
 	psoKey []EntID  // distinct subjects, ascending
 	psoOff []uint32 // len(psoKey)+1 run boundaries into psoVal
 	psoVal []EntID  // objects grouped by subject, each run ascending
@@ -72,46 +66,56 @@ func runLen(keys []EntID, off []uint32, key EntID) int {
 	return 0
 }
 
-// packCSR packs one orientation of a predicate's fact list into a CSR run
-// index. pairs must already be sorted by the key column (S when byObject is
-// false, O when true), then by the value column.
-func packCSR(pairs []Pair, byObject bool) (keys []EntID, off []uint32, vals []EntID) {
-	n := len(pairs)
-	key := func(p Pair) EntID { return p.S }
-	val := func(p Pair) EntID { return p.O }
-	if byObject {
-		key, val = val, key
-	}
+// packCSR packs (S,O)-sorted pairs into one CSR orientation keyed by S:
+// packPredIndex passes a predicate's facts for pso and swapPairs of them for
+// pos.
+func packCSR(pairs []Pair) (keys []EntID, off []uint32, vals []EntID) {
 	distinct := 0
 	for i := range pairs {
-		if i == 0 || key(pairs[i]) != key(pairs[i-1]) {
+		if i == 0 || pairs[i].S != pairs[i-1].S {
 			distinct++
 		}
 	}
 	keys = make([]EntID, 0, distinct)
 	off = make([]uint32, 0, distinct+1)
-	vals = make([]EntID, n)
+	vals = make([]EntID, len(pairs))
 	for i, p := range pairs {
-		if i == 0 || key(p) != key(pairs[i-1]) {
-			keys = append(keys, key(p))
+		if i == 0 || p.S != pairs[i-1].S {
+			keys = append(keys, p.S)
 			off = append(off, uint32(i))
 		}
-		vals[i] = val(p)
+		vals[i] = p.O
 	}
-	off = append(off, uint32(n))
+	off = append(off, uint32(len(pairs)))
 	return keys, off, vals
 }
 
+// swapPairs returns a copy of pairs with S and O exchanged, (S,O)-sorted:
+// facts or edits in the key order of the pos orientation.
+func swapPairs(pairs []Pair) []Pair {
+	out := make([]Pair, len(pairs))
+	for i, p := range pairs {
+		out[i] = Pair{S: p.O, O: p.S}
+	}
+	slices.SortFunc(out, cmpPairSO)
+	return out
+}
+
+// cmpPairSO orders pairs by (S,O): the order of a CSR orientation.
+func cmpPairSO(a, b Pair) int {
+	if a.S != b.S {
+		return int(a.S) - int(b.S)
+	}
+	return int(a.O) - int(b.O)
+}
+
 // packPredIndex packs one predicate's (S,O)-sorted, duplicate-free pair run
-// into both CSR orientations, sorting a copy for the object one: the
-// builder's path. A patched predicate merges its object runs instead
-// (mergeObjectRuns). The input is not retained, so a caller can reuse it as
-// scratch.
+// into both CSR orientations: the builder's path. A patched predicate merges
+// its runs instead (mergeRuns). The input is not retained, so a caller can
+// reuse it as scratch.
 func packPredIndex(pairs []Pair) predIndex {
 	var ix predIndex
-	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs, false)
-	byObject := slices.Clone(pairs)
-	slices.SortFunc(byObject, cmpPairOS)
-	ix.posKey, ix.posOff, ix.posVal = packCSR(byObject, true)
+	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs)
+	ix.posKey, ix.posOff, ix.posVal = packCSR(swapPairs(pairs))
 	return ix
 }

@@ -113,8 +113,9 @@ func New(base *kb.KB) *Overlay {
 			continue
 		}
 		ov.inv[bp] = p
-		for _, pr := range base.Facts(p) {
-			ov.invSubj[pr.S] = true
+		subjects, _ := base.SubjectRuns(p)
+		for _, s := range subjects {
+			ov.invSubj[s] = true
 		}
 	}
 	return ov

@@ -1,8 +1,9 @@
 // Package kb implements the in-memory knowledge-base layer REMI queries:
-// dictionary-encoded facts with subject/object indexes per predicate,
-// materialized inverse predicates for prominent objects (Section 4 of the
-// paper), per-entity adjacency lists for the subgraph-expression enumerator,
-// and the frequency statistics that feed the prominence rankings.
+// dictionary-encoded facts, stored only as a subject and an object CSR
+// index per predicate, materialized inverse predicates for prominent objects
+// (Section 4 of the paper), per-entity adjacency lists for the
+// subgraph-expression enumerator, and the frequency statistics that feed the
+// prominence rankings.
 package kb
 
 import (
@@ -46,7 +47,7 @@ type KB struct {
 	predIDs   []PredID // 1..NumPredicates, built once (see Predicates)
 	baseOf    []PredID // baseOf[p-1] != 0 when p is an inverse predicate
 
-	preds    []predIndex // preds[p-1]: CSR pso/pos indexes + fact list
+	preds    []predIndex // preds[p-1]: CSR pso/pos indexes
 	adjOff   []uint32    // adjacency run boundaries, indexed by EntID
 	adjArena []PO        // flat (p,o) runs, each sorted by (P,O)
 	nFacts   int         // total facts including inverse materializations
@@ -55,15 +56,13 @@ type KB struct {
 	typePred PredID
 	lblPred  PredID
 
-	// pairsReady/adjReady report whether the per-predicate pair lists and
-	// the adjacency arena are populated. Neither the builder nor a snapshot
-	// carries them (they are exactly reconstructible from the CSR arenas):
-	// a KB derives each on first use under deriveMu (derived.go). Readers
-	// load the flag before touching the fields, so the one-time fill
-	// publishes safely.
-	pairsReady atomic.Bool
-	adjReady   atomic.Bool
-	deriveMu   sync.Mutex
+	// adjReady reports whether the adjacency arena is populated. Neither
+	// the builder nor a snapshot carries it (it is exactly reconstructible
+	// from the pso arenas): a KB derives it on first use under deriveMu
+	// (derived.go). Readers load the flag before touching the fields, so
+	// the one-time fill publishes safely.
+	adjReady atomic.Bool
+	deriveMu sync.Mutex
 
 	// promMu guards the per-fraction memo of ProminentSet: every miner
 	// construction asks for the same top slice of the frequency ranking,
@@ -197,21 +196,26 @@ func (k *KB) HasFact(p PredID, s, o EntID) bool {
 	return i < len(objs) && objs[i] == o
 }
 
-// Facts returns the sorted (subject, object) pairs of predicate p. The
-// returned slice is shared; callers must not modify it. The pair lists are
-// derived from the CSR indexes on first call (one linear pass over all
-// predicates).
+// Facts returns the (S,O)-sorted (subject, object) pairs of predicate p in
+// a new slice the caller owns, walking p's subject runs. Mining reads the
+// runs themselves (SubjectRuns, ObjectColumn); Facts serves AMIE's
+// disconnected-body fallback and tests.
 func (k *KB) Facts(p PredID) []Pair {
-	k.ensurePairs()
-	return k.preds[p-1].pairs
+	ix := &k.preds[p-1]
+	out := make([]Pair, 0, len(ix.psoVal))
+	for i, s := range ix.psoKey {
+		for _, o := range ix.psoVal[ix.psoOff[i]:ix.psoOff[i+1]] {
+			out = append(out, Pair{S: s, O: o})
+		}
+	}
+	return out
 }
 
 // SubjectRuns returns the distinct subjects of p, ascending, with the run
 // boundaries of their facts: keys[i] is the subject of the facts at
 // positions off[i]:off[i+1] of p's (S,O)-sorted fact list, so its out-degree
-// under p is off[i+1]-off[i]. Both slices are views into the CSR index —
-// read-only, and present without deriving the pair lists. off is empty when
-// p has no facts.
+// under p is off[i+1]-off[i]. Both slices are read-only views into the CSR
+// index. off is empty when p has no facts.
 func (k *KB) SubjectRuns(p PredID) (keys []EntID, off []uint32) {
 	ix := &k.preds[p-1]
 	return ix.psoKey, ix.psoOff
@@ -225,9 +229,8 @@ func (k *KB) ObjectRuns(p PredID) (keys []EntID, off []uint32) {
 	return ix.posKey, ix.posOff
 }
 
-// ObjectColumn returns the O column of p's (S,O)-sorted fact list — what
-// ranging over Facts(p) and reading .O yields — as a read-only view into the
-// CSR value arena. The offsets of SubjectRuns index it.
+// ObjectColumn returns the O column of p's (S,O)-sorted fact list as a
+// read-only view into the CSR value arena. The offsets of SubjectRuns index it.
 func (k *KB) ObjectColumn(p PredID) []EntID { return k.preds[p-1].psoVal }
 
 // SubjectColumn is ObjectColumn over the (O,S)-sorted list: the S column,

@@ -2,9 +2,9 @@ package kb
 
 // Patch materialization: the KB-side half of the live-KB delta layer
 // (internal/kb/delta). A Patch is a resolved, dictionary-encoded edit set;
-// ApplyPatch folds it into a new KB copy-on-write: a touched predicate's
-// CSR index is rebuilt by linear merges over its own facts plus one sort of
-// its edits, never of its facts (mergePairs, mergeObjectRuns), while every
+// ApplyPatch folds it into a new KB copy-on-write: each orientation of a
+// touched predicate's CSR index is one linear merge of its base runs with
+// the sorted edits (mergeRuns), never a sort of its facts, while every
 // untouched predicate's index arrays — the overwhelming majority of a real
 // KB — are shared with the base by slice header. The adjacency arena is not
 // patched but derived from the new indexes on first touch (derived.go),
@@ -15,7 +15,6 @@ package kb
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -40,107 +39,54 @@ type Patch struct {
 	Dels       map[PredID][]Pair
 }
 
-// cmpPairSO orders pairs by (S,O) — the Facts/pso order.
-func cmpPairSO(a, b Pair) int {
-	if a.S != b.S {
-		return int(a.S) - int(b.S)
-	}
-	return int(a.O) - int(b.O)
-}
-
-// cmpPairOS orders pairs by (O,S) — the pos order.
-func cmpPairOS(a, b Pair) int {
-	if a.O != b.O {
-		return int(a.O) - int(b.O)
-	}
-	return int(a.S) - int(b.S)
-}
-
-// mergePairs folds sorted add/del lists into a sorted base pair list,
-// verifying membership as it goes: an add that already exists or a del
-// that doesn't (there may be more dels than facts) errors out.
-func mergePairs(base, adds, dels []Pair, label string) ([]Pair, error) {
-	out := make([]Pair, 0, max(0, len(base)+len(adds)-len(dels)))
-	i, a, d := 0, 0, 0
-	for i < len(base) || a < len(adds) {
-		if i < len(base) && d < len(dels) {
-			switch c := cmpPairSO(base[i], dels[d]); {
-			case c == 0:
-				i++
-				d++
-				continue
-			case c > 0:
-				return nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
-			}
+// mergeRuns folds sorted edits into one CSR orientation of a predicate:
+// keys/off/vals are its base runs, and in adds and dels (both (S,O)-sorted)
+// S is the key and O the value. A run no edit touches is copied whole. It
+// verifies membership as it goes: an add that already exists, or a retract
+// that matches no fact, errors out. A retract only advances on a match, so
+// an absent one stops every later one and is left over at the end.
+func mergeRuns(keys []EntID, off []uint32, vals []EntID, adds, dels []Pair, label string) (keys2 []EntID, off2 []uint32, vals2 []EntID, err error) {
+	keys2 = make([]EntID, 0, len(keys)+len(adds))
+	off2 = make([]uint32, 0, len(keys)+len(adds)+1)
+	vals2 = make([]EntID, 0, max(0, len(vals)+len(adds)-len(dels)))
+	emit := func(key EntID, vs ...EntID) {
+		if len(keys2) == 0 || keys2[len(keys2)-1] != key {
+			keys2 = append(keys2, key)
+			off2 = append(off2, uint32(len(vals2)))
 		}
-		takeBase := a >= len(adds)
-		if !takeBase && i < len(base) {
-			c := cmpPairSO(base[i], adds[a])
-			if c == 0 {
-				return nil, fmt.Errorf("kb: patch %s: add of existing fact (%d,%d)", label, adds[a].S, adds[a].O)
-			}
-			takeBase = c < 0
-		}
-		if takeBase {
-			out = append(out, base[i])
-			i++
-		} else {
-			out = append(out, adds[a])
-			a++
-		}
-	}
-	if d != len(dels) {
-		return nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
-	}
-	return out, nil
-}
-
-// mergeObjectRuns builds a patched predicate's object orientation in one
-// pass: ix's object runs list its base facts in (O,S) order, so merging them
-// with the edits sorted that way gives what packPredIndex packs from the n
-// merged facts. A run no edit touches is copied whole. A retract finding no
-// fact here, after mergePairs found it, means the base's orientations differ.
-func mergeObjectRuns(ix *predIndex, adds, dels []Pair, n int, label string) (keys []EntID, off []uint32, vals []EntID, err error) {
-	adds = slices.SortedFunc(slices.Values(adds), cmpPairOS)
-	dels = slices.SortedFunc(slices.Values(dels), cmpPairOS)
-	keys = make([]EntID, 0, len(ix.posKey)+len(adds))
-	off = make([]uint32, 0, len(ix.posKey)+len(adds)+1)
-	vals = make([]EntID, 0, n)
-	emit := func(o EntID, subjects ...EntID) {
-		if len(keys) == 0 || keys[len(keys)-1] != o {
-			keys = append(keys, o)
-			off = append(off, uint32(len(vals)))
-		}
-		vals = append(vals, subjects...)
+		vals2 = append(vals2, vs...)
 	}
 	a, d := 0, 0
-	for i, o := range ix.posKey {
-		for ; a < len(adds) && adds[a].O < o; a++ {
-			emit(adds[a].O, adds[a].S)
+	for i, key := range keys {
+		for ; a < len(adds) && adds[a].S < key; a++ {
+			emit(adds[a].S, adds[a].O)
 		}
-		run := ix.posVal[ix.posOff[i]:ix.posOff[i+1]]
-		if (a == len(adds) || adds[a].O != o) && (d == len(dels) || dels[d].O != o) {
-			emit(o, run...)
+		run := vals[off[i]:off[i+1]]
+		if (a == len(adds) || adds[a].S != key) && (d == len(dels) || dels[d].S != key) {
+			emit(key, run...)
 			continue
 		}
-		for _, s := range run {
-			for ; a < len(adds) && adds[a].O == o && adds[a].S < s; a++ {
-				emit(o, adds[a].S)
+		for _, v := range run {
+			for ; a < len(adds) && adds[a].S == key && adds[a].O < v; a++ {
+				emit(key, adds[a].O)
 			}
-			if d < len(dels) && dels[d] == (Pair{S: s, O: o}) {
+			if a < len(adds) && adds[a] == (Pair{S: key, O: v}) {
+				return nil, nil, nil, fmt.Errorf("kb: patch %s: add of existing fact (%d,%d)", label, key, v)
+			}
+			if d < len(dels) && dels[d] == (Pair{S: key, O: v}) {
 				d++
 			} else {
-				emit(o, s)
+				emit(key, v)
 			}
 		}
 	}
 	for ; a < len(adds); a++ {
-		emit(adds[a].O, adds[a].S)
+		emit(adds[a].S, adds[a].O)
 	}
 	if d != len(dels) {
 		return nil, nil, nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
 	}
-	return keys, append(off, uint32(len(vals))), vals, nil
+	return keys2, append(off2, uint32(len(vals2))), vals2, nil
 }
 
 // ApplyPatch returns a new KB equal to k with the patch folded in. k is
@@ -150,11 +96,6 @@ func mergeObjectRuns(ix *predIndex, adds, dels []Pair, n int, label string) (key
 // of order. An empty patch returns a shallow, independently closeable
 // copy.
 func (k *KB) ApplyPatch(p Patch) (*KB, error) {
-	// The merges below read the base's pair lists, and the result shares
-	// the untouched ones: derive them first if nothing has yet (one-time
-	// linear pass, already paid by any KB that has served mining traffic).
-	// The result's adjacency arena is left to its own first touch.
-	k.ensurePairs()
 	nEnt := len(k.kind)
 	nEnt2 := nEnt + len(p.ExtraTerms)
 	nPred := len(k.predNames)
@@ -239,14 +180,14 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		if int(pid) <= nPred {
 			base = k.preds[pid-1]
 		}
-		merged, err := mergePairs(base.pairs, p.Adds[pid], p.Dels[pid], predNames2[pid-1])
+		adds, dels, name := p.Adds[pid], p.Dels[pid], predNames2[pid-1]
+		ix := &preds2[pid-1]
+		var err error
+		ix.psoKey, ix.psoOff, ix.psoVal, err = mergeRuns(base.psoKey, base.psoOff, base.psoVal, adds, dels, name)
 		if err != nil {
 			return nil, err
 		}
-		ix := &preds2[pid-1]
-		ix.pairs = merged
-		ix.psoKey, ix.psoOff, ix.psoVal = packCSR(merged, false)
-		ix.posKey, ix.posOff, ix.posVal, err = mergeObjectRuns(&base, p.Adds[pid], p.Dels[pid], len(merged), predNames2[pid-1])
+		ix.posKey, ix.posOff, ix.posVal, err = mergeRuns(base.posKey, base.posOff, base.posVal, swapPairs(adds), swapPairs(dels), name+" (object runs)")
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +239,6 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		typePred:  k.typePred,
 		lblPred:   k.lblPred,
 	}
-	k2.pairsReady.Store(true)
 	if k.src != nil {
 		// The new KB aliases arrays inside the base's snapshot image (at
 		// minimum every untouched predicate index), so it holds its own

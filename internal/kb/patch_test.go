@@ -236,9 +236,9 @@ func TestApplyPatchSnapshotRefCounting(t *testing.T) {
 	}
 }
 
-// dumpDerived renders the two derived arrays of k by name, one line per
-// adjacency entry and one per pair-list entry, sorted. adjFirst picks which
-// of the two is touched first.
+// dumpDerived renders k's adjacency arena and its facts by name, one line
+// per adjacency entry and one per fact, sorted. adjFirst picks which of the
+// two is read first.
 func dumpDerived(k *KB, adjFirst bool) []string {
 	name := func(e EntID) string { return k.Term(e).String() }
 	var out []string
@@ -268,8 +268,8 @@ func dumpDerived(k *KB, adjFirst bool) []string {
 }
 
 // TestPatchedKBConcurrentFirstTouch: ApplyPatch leaves the adjacency arena
-// (and, through the base, possibly the pair lists) to first touch, and a
-// fresh generation's first touch is concurrent mining traffic. Eight
+// to first touch, and a fresh generation's first touch is concurrent mining
+// traffic. Eight
 // goroutines race for it; each must read what a flat rebuild holds.
 func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 	trs := genStreamTriples(800, 5)
@@ -333,7 +333,8 @@ func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := dumpDerived(build(tc.flat), true)
-			// A base nothing has touched, so the patch meets underived lists.
+			// A base nothing has touched, so the patch meets an underived
+			// adjacency arena.
 			k2, err := build(trs).ApplyPatch(tc.patch)
 			if err != nil {
 				t.Fatal(err)
@@ -442,11 +443,10 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 				}
 				defer k2.Close()
 				for _, pid := range touched {
-					got := k2.preds[pid-1]
-					if !slices.Equal(got.pairs, merged[pid-1]) {
+					if !slices.Equal(k2.Facts(pid), merged[pid-1]) {
 						t.Fatalf("seed %d round %d predicate %d: merged facts differ", seed, round, pid)
 					}
-					got.pairs = nil
+					got := k2.preds[pid-1]
 					if want := packPredIndex(merged[pid-1]); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d round %d predicate %d: index\n got %+v\nwant %+v", seed, round, pid, got, want)
 					}

@@ -54,9 +54,9 @@ const metaWords = 6
 
 // WriteSnapshot serializes the KB in the current (version 2) format: the
 // dictionary becomes front-coded serialized-term blocks plus the rank
-// permutation (no raw blob, no per-entity offset table), and the pair lists
-// and adjacency arena are not written at all — a reader derives them from the
-// pso CSR on first use. The CSR arenas are handed to the container as views
+// permutation (no raw blob, no per-entity offset table), and the adjacency
+// arena is not written at all — a reader derives it from the pso CSR on
+// first use. The CSR arenas are handed to the container as views
 // over the live index arrays wherever the in-memory layout is already
 // contiguous; only the per-predicate arrays are concatenated into shared
 // arenas (a pack-once copy).
@@ -238,24 +238,29 @@ func secView[T any](r *snapshot.Reader, id snapshot.SectionID, name string, want
 }
 
 // checkAscending validates that ids ascend strictly — the invariant every
-// binary search in the accessors depends on. Like the dictionary's
-// permutation check, this exists because an out-of-order array in a
-// well-checksummed image (future/buggy writer) would not crash: it would
-// make lookups silently miss existing facts.
-func checkAscending(name string, ids []EntID) error {
+// binary search in the accessors depends on — and lie in 1..nEnt, which,
+// given the order, is a check of the two ends. Like the dictionary's
+// permutation check, this exists because a well-checksummed image
+// (future/buggy writer) could otherwise open and then make lookups silently
+// miss existing facts, or panic on the first dictionary decode or adjacency
+// derivation of an out-of-range id.
+func checkAscending(name string, ids []EntID, nEnt int) error {
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
 			return fmt.Errorf("%s: not strictly ascending at %d", name, i)
 		}
 	}
+	if len(ids) > 0 && (ids[0] == 0 || int(ids[len(ids)-1]) > nEnt) {
+		return fmt.Errorf("%s: entity id out of range 1..%d", name, nEnt)
+	}
 	return nil
 }
 
-// checkRunsAscending validates that every CSR value run (vals sliced by the
-// off boundaries) ascends strictly.
-func checkRunsAscending(name string, off []uint32, vals []EntID) error {
+// checkRunsAscending validates every CSR value run (vals sliced by the off
+// boundaries) with checkAscending.
+func checkRunsAscending(name string, off []uint32, vals []EntID, nEnt int) error {
 	for r := 1; r < len(off); r++ {
-		if err := checkAscending(name, vals[off[r-1]:off[r]]); err != nil {
+		if err := checkAscending(name, vals[off[r-1]:off[r]], nEnt); err != nil {
 			return err
 		}
 	}
@@ -297,8 +302,7 @@ func blobString(blob []byte, lo, hi uint64) string {
 // The dictionary is fully lazy: the front-coded term blocks stay in the
 // image, Decode/Lookup work block-at-a-time, and open allocates no
 // O(entities) term structure — open cost is the container checksum pass
-// plus page-in. Pair lists and adjacency are derived on first use
-// (derived.go).
+// plus page-in. The adjacency arena is derived on first use (derived.go).
 func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	meta, err := secView[uint64](r, secMeta, "meta", -1)
 	if err != nil {
@@ -480,22 +484,18 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 		if err := checkOffsets(fmt.Sprintf("pos offsets (predicate %d)", p+1), ix.posOff, 0, uint64(np)); err != nil {
 			return nil, err
 		}
-		if err := checkAscending(fmt.Sprintf("pso keys (predicate %d)", p+1), ix.psoKey); err != nil {
+		if err := checkAscending(fmt.Sprintf("pso keys (predicate %d)", p+1), ix.psoKey, nEnt); err != nil {
 			return nil, err
 		}
-		if err := checkAscending(fmt.Sprintf("pos keys (predicate %d)", p+1), ix.posKey); err != nil {
+		if err := checkAscending(fmt.Sprintf("pos keys (predicate %d)", p+1), ix.posKey, nEnt); err != nil {
 			return nil, err
 		}
-		if err := checkRunsAscending(fmt.Sprintf("pso values (predicate %d)", p+1), ix.psoOff, ix.psoVal); err != nil {
+		if err := checkRunsAscending(fmt.Sprintf("pso values (predicate %d)", p+1), ix.psoOff, ix.psoVal, nEnt); err != nil {
 			return nil, err
 		}
-		if err := checkRunsAscending(fmt.Sprintf("pos values (predicate %d)", p+1), ix.posOff, ix.posVal); err != nil {
+		if err := checkRunsAscending(fmt.Sprintf("pos values (predicate %d)", p+1), ix.posOff, ix.posVal, nEnt); err != nil {
 			return nil, err
 		}
-		// Facts(p) consumers assume the pair list is (S,O)-sorted and
-		// duplicate-free (e.g. the Closed2/Closed3 adjacent-subject dedup).
-		// Pairs are derived from the pso arrays, whose key/run checks above
-		// establish that invariant.
 		cPair += np
 		cPsoKey += nsk
 		cPsoOff += nsk + 1

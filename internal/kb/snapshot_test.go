@@ -309,6 +309,38 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestOpenSnapshotRejectsOutOfRangeIDs: an image whose CSR arrays stay
+// sorted but name an entity id outside 1..NumEntities carries a valid
+// checksum, so open itself must refuse it: opened, it would panic on the
+// first AdjacencyOf or Term, or disagree silently between orientations.
+func TestOpenSnapshotRejectsOutOfRangeIDs(t *testing.T) {
+	for _, arr := range []string{"psoKey", "psoVal", "posKey", "posVal"} {
+		for _, high := range []bool{false, true} {
+			k := randomKB(t, rand.New(rand.NewSource(3)), 200, 20, 4, 0.2)
+			ix := &k.preds[0]
+			ids := map[string][]EntID{"psoKey": ix.psoKey, "psoVal": ix.psoVal, "posKey": ix.posKey, "posVal": ix.posVal}[arr]
+			// The first id becomes 0 or the last NumEntities+1, so the
+			// arrays stay sorted.
+			at, bad := 0, EntID(0)
+			if high {
+				at, bad = len(ids)-1, EntID(k.NumEntities()+1)
+			}
+			ids[at] = bad
+			path := filepath.Join(t.TempDir(), "kb.snap")
+			if err := k.WriteSnapshotFile(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := OpenSnapshot(path)
+			if err == nil {
+				got.Close()
+				t.Errorf("%s with id %d: opened", arr, bad)
+			} else if !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s with id %d: got %v, want an out-of-range error", arr, bad, err)
+			}
+		}
+	}
+}
+
 // FuzzSnapshotRoundTrip drives the round trip from fuzzed triple streams,
 // mirroring FuzzCSRIndexes: every KB the builder accepts must survive the
 // snapshot round trip bit-exactly.

@@ -25,8 +25,8 @@ package kb
 // Whether runs were spilled is invisible in the result: the same dedup, the
 // same (p,s,o) global order, the same first-touch inverse-predicate ids,
 // element-identical indexes and therefore byte-identical snapshots (asserted
-// by TestBuildStreamingMatchesInMemory). The pair lists and the adjacency
-// arena are never built here; derived.go makes them on first touch.
+// by TestBuildStreamingMatchesInMemory). The adjacency arena is never built
+// here; derived.go makes it on first touch.
 
 import (
 	"container/heap"

@@ -95,8 +95,8 @@ func TestBuildStreamingMatchesInMemory(t *testing.T) {
 			if !bytes.Equal(snapshotBytes(t, st), snapshotBytes(t, mem)) {
 				t.Errorf("snapshot bytes differ between streamed and in-memory builds")
 			}
-			// The pair lists and adjacency arena are not in the image:
-			// compare them through the accessors.
+			// The facts and the adjacency arena are compared through the
+			// accessors too.
 			for _, p := range mem.Predicates() {
 				if mem.PredicateName(p) != st.PredicateName(p) {
 					t.Fatalf("predicate %d name mismatch", p)

@@ -654,8 +654,8 @@ func diffAllMetrics(t *testing.T, k *kb.KB) {
 	diffStores(t, BuildWithScores(k, custom), refBuild(k, Custom, custom))
 }
 
-// reopened writes k as a v2 snapshot and opens it again: the pair lists are
-// absent from such a KB until something asks for Facts.
+// reopened writes k as a v2 snapshot and opens it again: the adjacency arena
+// is absent from such a KB until something asks for it.
 func reopened(t *testing.T, k *kb.KB) *kb.KB {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "kb.snap")
@@ -731,9 +731,8 @@ func TestBuildMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The patched form gets a reopened KB of its own: building the
-			// patch reads Facts, and the snapshot form should meet Build with
-			// its pair lists still underived.
+			// The patched form gets a reopened KB of its own, so the
+			// snapshot form meets Build with nothing derived.
 			snap := reopened(t, built)
 			for _, form := range []struct {
 				name string
