@@ -453,8 +453,7 @@ func benchRankMode(b *testing.B, mode complexity.Mode) {
 // Table-4-style sets on one thread with a fresh miner per set, with
 // MineBatch on one miner, and with a plain MineContext loop on one miner.
 // batch ≈ loop < fresh says the gain is the evaluator cache one miner keeps
-// across sets, not anything batch-specific (all three share one estimator,
-// so its Ĉ memo is warm everywhere).
+// across sets, not anything batch-specific (all three share one estimator).
 func BenchmarkBatchSplit(b *testing.B) {
 	env := lab().DBpedia()
 	sets := table4Sets(b, env, 64)

@@ -31,8 +31,8 @@ func WithExceptions(n int) MineOption { return func(c *mineConfig) { c.exception
 // SetProminence installs caller-supplied prominence scores (IRI → score,
 // higher = more prominent), enabling WithMetric(MetricCustom). This is the
 // hook for the paper's envisioned external sources — search-engine ranks,
-// localized corpora — without retraining anything: the complexity estimator
-// is rebuilt over the new ranking.
+// localized corpora — without retraining anything: mines that start after
+// the call rank over the new scores; mines already running keep the old.
 func (s *System) SetProminence(scores map[string]float64) error {
 	if len(scores) == 0 {
 		return fmt.Errorf("remi: empty prominence map")
@@ -46,9 +46,7 @@ func (s *System) SetProminence(scores map[string]float64) error {
 	if len(byID) == 0 {
 		return fmt.Errorf("remi: no prominence score matches a KB entity")
 	}
-	store := prominence.BuildWithScores(s.kb, func(e kb.EntID) float64 { return byID[e] })
-	s.promCustom = store
-	s.estCustom = complexity.New(s.kb, store, complexity.Compressed)
+	s.promCustom.Store(prominence.BuildWithScores(s.kb, func(e kb.EntID) float64 { return byID[e] }))
 	return nil
 }
 

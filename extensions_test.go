@@ -173,6 +173,41 @@ func TestSetProminenceValidation(t *testing.T) {
 	}
 }
 
+// TestSetProminenceDuringMines: System is safe for concurrent use, so
+// replacing the custom scores while MetricCustom mines run must be free of
+// data races (run under -race) and every mine must still succeed.
+func TestSetProminenceDuringMines(t *testing.T) {
+	sys := tinySystem(t)
+	scores := func(i int) map[string]float64 {
+		return map[string]float64{tinyNS + "Epitech": float64(1 + i%7), tinyNS + "Brittany": 3}
+	}
+	if err := sys.SetProminence(scores(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= 50; i++ {
+			if err := sys.SetProminence(scores(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 50; i++ {
+		res, err := sys.Mine([]string{tinyNS + "Rennes", tinyNS + "Nantes"}, WithMetric(MetricCustom))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			t.Fatal("custom-metric mining found nothing")
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSPARQLRendering(t *testing.T) {
 	sys := tinySystem(t)
 	res, err := sys.Mine([]string{tinyNS + "Guyana", tinyNS + "Suriname"})

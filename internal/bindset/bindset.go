@@ -75,9 +75,6 @@ func FromSorted(ids []kb.EntID, universe int) Set {
 	return s
 }
 
-// Universe returns the entity-universe size the set was built against.
-func (s Set) Universe() int { return s.universe }
-
 // Card returns the number of elements (O(1) for both representations).
 func (s Set) Card() int { return s.card }
 

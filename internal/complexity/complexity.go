@@ -14,8 +14,6 @@ package complexity
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/remi-kb/remi/internal/expr"
 	"github.com/remi-kb/remi/internal/kb"
@@ -36,55 +34,14 @@ const (
 // Ĉ(⊤) = ∞ so that any RE improves on "no solution yet").
 var Infinite = math.Inf(1)
 
-// costSlot pairs a subgraph expression with its memoized Ĉ; the zero
-// Subgraph (P0 == 0, impossible for a real expression) marks an empty slot.
-type costSlot struct {
-	g    expr.Subgraph
-	cost float64
-}
-
-// costTable is an immutable open-addressing map from Subgraph to cost.
-// Once published through the Estimator's atomic pointer it is never
-// mutated, so readers probe it without any synchronization — and without
-// the runtime's generic struct hashing, which profiles show dominating a
-// map-based cache on the queue-build hot path (one lookup per candidate).
-type costTable struct {
-	slots []costSlot
-	n     int
-}
-
-func (t *costTable) get(g expr.Subgraph) (float64, bool) {
-	mask := uint64(len(t.slots) - 1)
-	i := g.Hash() & mask
-	for {
-		s := &t.slots[i]
-		if s.g.P0 == 0 {
-			return 0, false
-		}
-		if s.g == g {
-			return s.cost, true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Estimator computes Ĉ for subgraph expressions and expressions. It caches
-// per-subgraph costs and is safe for concurrent use.
-//
-// The cache is a snapshot-plus-overflow scheme tuned for the queue build,
-// which scores whole candidate blocks (possibly from several goroutines)
-// against a warm cache: reads probe an atomically published immutable
-// costTable — lock-free, with the cheap shared subgraph hash — while
-// misses compute under a mutex into a small overflow map that is
-// periodically rebuilt into a fresh snapshot.
+// Estimator computes Ĉ for subgraph expressions and expressions. Ĉ is a
+// pure function of the prominence store (each term is a few array reads and
+// at most a binary search), so an Estimator holds no state beyond its three
+// fields and is safe for concurrent use.
 type Estimator struct {
 	K    *kb.KB
 	Prom *prominence.Store
 	Mode Mode
-
-	snap     atomic.Pointer[costTable]
-	mu       sync.Mutex
-	overflow map[expr.Subgraph]float64
 }
 
 // New returns an estimator over the given prominence store.
@@ -94,100 +51,6 @@ func New(k *kb.KB, prom *prominence.Store, mode Mode) *Estimator {
 
 // Metric returns the prominence metric (fr or pr) behind this estimator.
 func (c *Estimator) Metric() prominence.Metric { return c.Prom.Metric }
-
-// Subgraph returns Ĉ(g) in bits.
-func (c *Estimator) Subgraph(g expr.Subgraph) float64 {
-	if snap := c.snap.Load(); snap != nil {
-		if v, ok := snap.get(g); ok {
-			return v
-		}
-	}
-	c.mu.Lock()
-	if v, ok := c.overflow[g]; ok {
-		c.mu.Unlock()
-		return v
-	}
-	// Re-check the snapshot under the lock: a promote may have published
-	// this key between our lock-free miss and here.
-	if snap := c.snap.Load(); snap != nil {
-		if v, ok := snap.get(g); ok {
-			c.mu.Unlock()
-			return v
-		}
-	}
-	c.mu.Unlock()
-	// Compute outside the lock so distinct subgraphs are costed in
-	// parallel on a cold cache; a racing duplicate compute of the same
-	// subgraph is deterministic, and the first stored value wins.
-	v := c.compute(g)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.overflow[g]; ok {
-		return cur
-	}
-	// A promote may have raced with the compute and moved this key from
-	// the overflow into a fresh snapshot; storing it again would duplicate
-	// the entry across both levels, so probe the current snapshot too.
-	if snap := c.snap.Load(); snap != nil {
-		if cur, ok := snap.get(g); ok {
-			return cur
-		}
-	}
-	if c.overflow == nil {
-		c.overflow = make(map[expr.Subgraph]float64)
-	}
-	c.overflow[g] = v
-	// Promote once the overflow is no longer small relative to the
-	// snapshot: rebuild both into a fresh immutable table so subsequent
-	// hits are lock-free again. Readers that loaded an older snapshot
-	// pointer at worst fall through to the mutex and hit the overflow. The
-	// snapshot is re-loaded under the lock — promotes only happen with mu
-	// held, so this pointer is current and no racing promote's entries can
-	// be dropped.
-	snap := c.snap.Load()
-	snapN := 0
-	if snap != nil {
-		snapN = snap.n
-	}
-	if len(c.overflow) >= 64 && len(c.overflow) >= snapN/4 {
-		c.promote(snap)
-	}
-	return v
-}
-
-// promote rebuilds the published snapshot from the previous one plus the
-// overflow map. Called with mu held; the new table is built at ≤ 0.5 load.
-func (c *Estimator) promote(prev *costTable) {
-	n := len(c.overflow)
-	if prev != nil {
-		n += prev.n
-	}
-	capacity := 64
-	for capacity < 2*n {
-		capacity *= 2
-	}
-	t := &costTable{slots: make([]costSlot, capacity), n: n}
-	mask := uint64(capacity - 1)
-	insert := func(g expr.Subgraph, cost float64) {
-		i := g.Hash() & mask
-		for t.slots[i].g.P0 != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = costSlot{g: g, cost: cost}
-	}
-	if prev != nil {
-		for _, s := range prev.slots {
-			if s.g.P0 != 0 {
-				insert(s.g, s.cost)
-			}
-		}
-	}
-	for g, cost := range c.overflow {
-		insert(g, cost)
-	}
-	c.snap.Store(t)
-	c.overflow = make(map[expr.Subgraph]float64)
-}
 
 // Expression returns Ĉ(e) = Σᵢ Ĉ(ρᵢ) (the simplification discussed in
 // Section 3.1: common sub-paths are charged once per occurrence, which is
@@ -204,7 +67,8 @@ func (c *Estimator) Expression(e expr.Expression) float64 {
 	return sum
 }
 
-func (c *Estimator) compute(g expr.Subgraph) float64 {
+// Subgraph returns Ĉ(g) in bits.
+func (c *Estimator) Subgraph(g expr.Subgraph) float64 {
 	switch g.Shape {
 	case expr.Atom1:
 		// Ĉ(p0(x,I0)) = l(p0) + l(I0|p0).
@@ -259,15 +123,4 @@ func (c *Estimator) entityBits(p kb.PredID, i kb.EntID) float64 {
 		return math.Log2(float64(r))
 	}
 	return math.Log2(float64(c.Prom.CondDomainSize(p) + 1))
-}
-
-// CacheSize reports the number of memoized subgraph costs.
-func (c *Estimator) CacheSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.overflow)
-	if cur := c.snap.Load(); cur != nil {
-		n += cur.n
-	}
-	return n
 }

@@ -191,20 +191,6 @@ func TestCompressedCloseToExact(t *testing.T) {
 	}
 }
 
-func TestCostCaching(t *testing.T) {
-	k, est := setup(t, Exact)
-	p := k.MustPredicateID("http://e/p")
-	popular := k.MustEntityID("http://e/popular")
-	g := expr.NewAtom1(p, popular)
-	a := est.Subgraph(g)
-	if est.CacheSize() == 0 {
-		t.Fatal("cost not cached")
-	}
-	if b := est.Subgraph(g); a != b {
-		t.Fatal("cached cost differs")
-	}
-}
-
 func TestCostDeterminismProperty(t *testing.T) {
 	k, est := setup(t, Compressed)
 	nP, nE := k.NumPredicates(), k.NumEntities()

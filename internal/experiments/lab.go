@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"github.com/remi-kb/remi/internal/complexity"
@@ -167,12 +166,5 @@ func TopOfClass(env *Env, class string, n int) []kb.EntID {
 			out = append(out, id)
 		}
 	}
-	return out
-}
-
-// SortedCopy returns a sorted copy of ids.
-func SortedCopy(ids []kb.EntID) []kb.EntID {
-	out := append([]kb.EntID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -130,8 +130,8 @@ func NewClosed3(p0, p1, p2 kb.PredID) Subgraph {
 func (g Subgraph) Atoms() int { return g.Shape.Atoms() }
 
 // Hash returns a well-mixed 64-bit hash of the subgraph expression, shared
-// by the open-addressing tables that key on Subgraph (the enumerator's
-// dedup set and the complexity estimator's cost cache). It is much cheaper
+// by the tables that key on Subgraph (the enumerator's dedup set and the
+// evaluator's cache stripes). It is much cheaper
 // than the runtime's generic struct hashing on this hot a path: the three
 // packed field words are combined with distinct odd multipliers, then one
 // xor-shift-multiply finalizer spreads them — enough mixing for power-of-2

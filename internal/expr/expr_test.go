@@ -368,9 +368,6 @@ func TestSetOps(t *testing.T) {
 	if !HasIntersection(a, b) || HasIntersection([]kb.EntID{1}, []kb.EntID{2}) {
 		t.Fatal("HasIntersection wrong")
 	}
-	if !ContainsSorted(a, 5) || ContainsSorted(a, 6) {
-		t.Fatal("ContainsSorted wrong")
-	}
 	if !EqualSorted(a, []kb.EntID{1, 3, 5, 7}) || EqualSorted(a, b) {
 		t.Fatal("EqualSorted wrong")
 	}

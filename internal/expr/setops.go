@@ -2,7 +2,6 @@ package expr
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/kb"
@@ -18,12 +17,6 @@ import (
 // IntersectSorted returns the intersection of two ascending EntID slices.
 func IntersectSorted(a, b []kb.EntID) []kb.EntID {
 	return bindset.AppendIntersection(make([]kb.EntID, 0, min(len(a), len(b))), a, b)
-}
-
-// ContainsSorted reports whether the ascending slice a contains v.
-func ContainsSorted(a []kb.EntID, v kb.EntID) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
 }
 
 // HasIntersection reports whether two ascending slices share an element,

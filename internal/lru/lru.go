@@ -165,24 +165,3 @@ func (c *Cache[K, V]) Stats() (hits, misses uint64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// Purge empties the cache (statistics are preserved; the arena is recycled
-// through the free list rather than released).
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var zero entry[K, V]
-	for i := range c.arena {
-		c.arena[i] = zero
-		c.arena[i].next = int32(i) + 1
-		c.arena[i].prev = none
-	}
-	if n := len(c.arena); n > 0 {
-		c.arena[n-1].next = none
-		c.free = 0
-	} else {
-		c.free = none
-	}
-	c.head, c.tail = none, none
-	c.items = make(map[K]int32)
-}

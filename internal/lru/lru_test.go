@@ -66,18 +66,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[string, int](4)
-	c.Put("a", 1)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("purge did not empty the cache")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("value survived purge")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New[int, int](64)
 	var wg sync.WaitGroup

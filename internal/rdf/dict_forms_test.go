@@ -174,9 +174,6 @@ func TestTermKindPredicates(t *testing.T) {
 	if got := Kind(9).String(); !strings.Contains(got, "9") {
 		t.Fatalf("unknown kind renders as %q", got)
 	}
-	if !NewIRI("x").IsEntity() || !NewBlank("b").IsEntity() || NewLiteral("l").IsEntity() {
-		t.Fatal("IsEntity: IRIs and blanks are entities, literals are not")
-	}
 	if NewIRI("a").Compare(NewLiteral("a")) >= 0 || NewLiteral("a").Compare(NewBlank("a")) >= 0 {
 		t.Fatal("kind order must be IRI < Literal < Blank")
 	}

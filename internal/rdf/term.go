@@ -56,10 +56,6 @@ func NewLiteral(lex string) Term { return Term{Kind: Literal, Value: lex} }
 // NewBlank returns a blank-node term with the given label.
 func NewBlank(label string) Term { return Term{Kind: Blank, Value: label} }
 
-// IsEntity reports whether the term can appear in the entity set I∪B,
-// i.e. it is an IRI or a blank node (not a literal).
-func (t Term) IsEntity() bool { return t.Kind != Literal }
-
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
 	switch t.Kind {

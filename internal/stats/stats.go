@@ -143,23 +143,3 @@ func AveragePrecisionSingle[T comparable](ranking []T, relevant T) float64 {
 	}
 	return 0
 }
-
-// Percentile returns the p-th percentile (0..100) of xs using nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted))) - 1)
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}

@@ -131,16 +131,3 @@ func TestAveragePrecisionSingle(t *testing.T) {
 		t.Fatalf("AP(first) = %f", got)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Fatal("extremes wrong")
-	}
-	if Percentile(xs, 50) != 3 {
-		t.Fatalf("median = %f", Percentile(xs, 50))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile")
-	}
-}

@@ -274,22 +274,20 @@ func (s *System) solution(e expr.Expression, bits float64) Solution {
 }
 
 func (s *System) estimator(cfg mineConfig) (*complexity.Estimator, error) {
-	var est *complexity.Estimator
+	store := s.promFr
 	switch cfg.metric {
 	case MetricPr:
-		est = s.prEstimator()
+		store = s.prStore()
 	case MetricCustom:
-		if s.estCustom == nil {
+		if store = s.promCustom.Load(); store == nil {
 			return nil, fmt.Errorf("remi: WithMetric(MetricCustom) requires a prior SetProminence call to install the custom scores")
 		}
-		est = s.estCustom
-	default:
-		est = s.estFr
 	}
+	mode := complexity.Compressed
 	if cfg.exact {
-		est = complexity.New(est.K, est.Prom, complexity.Exact)
+		mode = complexity.Exact
 	}
-	return est, nil
+	return complexity.New(s.kb, store, mode), nil
 }
 
 func (s *System) coreConfig(cfg mineConfig) core.Config {

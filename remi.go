@@ -20,8 +20,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/nlg"
@@ -57,11 +57,9 @@ const (
 type System struct {
 	kb         *kb.KB
 	promFr     *prominence.Store
-	promCustom *prominence.Store
-	estFr      *complexity.Estimator
-	prOnce     sync.Once // builds estPr on the first MetricPr request
-	estPr      *complexity.Estimator
-	estCustom  *complexity.Estimator
+	prOnce     sync.Once // builds promPr on the first MetricPr request
+	promPr     *prominence.Store
+	promCustom atomic.Pointer[prominence.Store] // set by SetProminence
 	verb       *nlg.Verbalizer
 }
 
@@ -154,23 +152,15 @@ func fromKB(k *kb.KB, prev *System) *System {
 	if prev != nil {
 		prevFr = prev.promFr
 	}
-	promFr := prominence.Rebuild(k, prevFr)
-	return &System{
-		kb:     k,
-		promFr: promFr,
-		estFr:  complexity.New(k, promFr, complexity.Compressed),
-		verb:   nlg.New(k),
-	}
+	return &System{kb: k, promFr: prominence.Rebuild(k, prevFr), verb: nlg.New(k)}
 }
 
 // pr structures are built lazily (PageRank costs thirty passes over the
 // graph), once, by whichever request asks first; concurrent first requests
 // wait for that build.
-func (s *System) prEstimator() *complexity.Estimator {
-	s.prOnce.Do(func() {
-		s.estPr = complexity.New(s.kb, prominence.Build(s.kb, prominence.Pr), complexity.Compressed)
-	})
-	return s.estPr
+func (s *System) prStore() *prominence.Store {
+	s.prOnce.Do(func() { s.promPr = prominence.Build(s.kb, prominence.Pr) })
+	return s.promPr
 }
 
 // NumFacts returns the number of stored facts (inverse materializations
