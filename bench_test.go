@@ -495,47 +495,55 @@ func BenchmarkBatchSplit(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveApply times the write path of a live KB the way the
-// benchmark's live_mixed workload drives it, without its reads: one op is an
-// Apply of 16 mutations drawn from the dataset's own triples (8 upserts that
-// re-link a subject to another object of the same predicate, 4 upserts of a
-// new subject, 4 retracts) on a scale-2 DBpediaLike KB opened from a
-// snapshot, and every fifth op also compacts. ns/op averages both kinds;
-// apply-p50-ms is the median Apply alone, compact-ms the mean compaction.
-//
-//	go test -run '^$' -bench LiveApply -benchtime 50x .
-func BenchmarkLiveApply(b *testing.B) {
+// liveBench is the write workload BenchmarkLiveApply and
+// BenchmarkLiveApplyNoCompaction share: a scale-2 DBpediaLike KB written as
+// a snapshot, and 16-op batches drawn from the dataset's own triples (8
+// upserts that re-link a subject to another object of the same predicate, 4
+// upserts of a new subject, 4 retracts).
+type liveBench struct {
+	dir, snap string
+	named     []rdf.Triple // blank-node labels are not stable names
+	byPred    map[rdf.Term][]rdf.Triple
+}
+
+func newLiveBench(b *testing.B) *liveBench {
 	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 2})
 	k, err := d.BuildKB(kb.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	snap := filepath.Join(dir, "base.snap")
-	if err := k.WriteSnapshotFile(snap); err != nil {
+	lb := &liveBench{dir: b.TempDir(), byPred: make(map[rdf.Term][]rdf.Triple)}
+	lb.snap = filepath.Join(lb.dir, "base.snap")
+	if err := k.WriteSnapshotFile(lb.snap); err != nil {
 		b.Fatal(err)
 	}
-	l, err := OpenLive(filepath.Join(dir, "live"), "bench", LiveOptions{Source: snap})
+	for _, t := range d.Triples {
+		if t.S.Kind != rdf.Blank && t.O.Kind != rdf.Blank {
+			lb.named = append(lb.named, t)
+			lb.byPred[t.P] = append(lb.byPred[t.P], t)
+		}
+	}
+	return lb
+}
+
+// open starts a fresh live KB over the snapshot.
+func (lb *liveBench) open(b *testing.B, name string) *LiveKB {
+	l, err := OpenLive(filepath.Join(lb.dir, name), "bench", LiveOptions{Source: lb.snap})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer l.Close()
+	return l
+}
 
-	var named []rdf.Triple // blank-node labels are not stable names
-	byPred := make(map[rdf.Term][]rdf.Triple)
-	for _, t := range d.Triples {
-		if t.S.Kind != rdf.Blank && t.O.Kind != rdf.Blank {
-			named = append(named, t)
-			byPred[t.P] = append(byPred[t.P], t)
-		}
-	}
+// batches returns the batch sequence, the same on every call.
+func (lb *liveBench) batches() func(i int) []delta.Op {
 	rng := rand.New(rand.NewSource(1))
-	pick := func() rdf.Triple { return named[rng.Intn(len(named))] }
-	batch := func(i int) []delta.Op {
+	pick := func() rdf.Triple { return lb.named[rng.Intn(len(lb.named))] }
+	return func(i int) []delta.Op {
 		ops := make([]delta.Op, 0, 16)
 		for j := 0; j < 8; j++ {
 			a := pick()
-			same := byPred[a.P]
+			same := lb.byPred[a.P]
 			ops = append(ops, delta.Op{S: a.S, P: a.P, O: same[rng.Intn(len(same))].O})
 		}
 		for j := 0; j < 4; j++ {
@@ -549,6 +557,25 @@ func BenchmarkLiveApply(b *testing.B) {
 		}
 		return ops
 	}
+}
+
+func p50ms(ds []time.Duration) float64 {
+	slices.Sort(ds)
+	return float64(ds[len(ds)/2].Microseconds()) / 1000
+}
+
+// BenchmarkLiveApply times the write path of a live KB the way the
+// benchmark's live_mixed workload drives it, without its reads: one op is an
+// Apply of one liveBench batch on a live KB opened from the snapshot, and
+// every fifth op also compacts. ns/op averages both kinds; apply-p50-ms is
+// the median Apply alone, compact-ms the mean compaction.
+//
+//	go test -run '^$' -bench LiveApply -benchtime 50x .
+func BenchmarkLiveApply(b *testing.B) {
+	lb := newLiveBench(b)
+	l := lb.open(b, "live")
+	defer l.Close()
+	batch := lb.batches()
 
 	ctx := context.Background()
 	var applies []time.Duration
@@ -569,11 +596,48 @@ func BenchmarkLiveApply(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	slices.Sort(applies)
-	b.ReportMetric(float64(applies[len(applies)/2].Microseconds())/1000, "apply-p50-ms")
+	b.ReportMetric(p50ms(applies), "apply-p50-ms")
 	if n := b.N / 5; n > 0 {
 		b.ReportMetric(float64(compacting.Microseconds())/1000/float64(n), "compact-ms")
 	}
+}
+
+// BenchmarkLiveApplyNoCompaction is BenchmarkLiveApply's no-compaction arm:
+// one op drives 100 batches into a fresh live KB and never compacts. It
+// reports the median Apply over batches 1–5 and over batches 96–100 of
+// every op, so the two read the same if a write costs its batch and not
+// the history since the last snapshot. ns/op is the 100 applies.
+//
+//	go test -run '^$' -bench LiveApplyNoCompaction -benchtime 3x .
+func BenchmarkLiveApplyNoCompaction(b *testing.B) {
+	lb := newLiveBench(b)
+	ctx := context.Background()
+	var first, last []time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := lb.open(b, fmt.Sprintf("live-%d", i))
+		batch := lb.batches()
+		b.StartTimer()
+		for j := 0; j < 100; j++ {
+			start := time.Now()
+			if _, _, err := l.Apply(ctx, batch(j), ""); err != nil {
+				b.Fatal(err)
+			}
+			switch d := time.Since(start); {
+			case j < 5:
+				first = append(first, d)
+			case j >= 95:
+				last = append(last, d)
+			}
+		}
+		b.StopTimer()
+		l.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(p50ms(first), "apply-p50-ms-1-5")
+	b.ReportMetric(p50ms(last), "apply-p50-ms-96-100")
 }
 
 // BenchmarkPREMIScaling sweeps the worker count (Section 3.4).

@@ -69,7 +69,9 @@ func TestLivePathAllocIndependentOfUntouchedFacts(t *testing.T) {
 			k2.Close()
 		})
 		fresh := open()
-		newAlloc = alloc(func() { New(fresh) })
+		var ov *Overlay
+		newAlloc = alloc(func() { ov = New(fresh) })
+		ov.Close()
 		return base.NumFacts(), patchAlloc, newAlloc
 	}
 

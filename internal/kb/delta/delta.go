@@ -1,11 +1,11 @@
-// Package delta implements the mutable overlay of the live-KB layer: a
-// per-predicate add/retract edit set over an immutable base KB. The overlay
-// is the in-memory twin of the write-ahead log — the server replays WAL
-// records into an Overlay at boot and applies acked mutations to it at
-// runtime — and materializes into a queryable *kb.KB through
-// kb.(*KB).ApplyPatch, so mining over a mutated KB runs against the same
-// CSR machinery (and produces the same answers) as mining over a freshly
-// parsed KB holding the same facts.
+// Package delta implements the write half of the live-KB layer: it turns a
+// batch of term-level mutations into one kb.Patch against the newest KB
+// generation and folds it in through kb.(*KB).ApplyPatch, so a live KB is a
+// chain of ordinary CSR KBs, each patched from the one before. Mining reads
+// a generation exactly as it reads a freshly parsed KB holding the same
+// facts. The overlay is the in-memory twin of the write-ahead log: the
+// server replays WAL records through Apply at boot and applies acked
+// mutations through it at runtime.
 //
 // # Semantics
 //
@@ -14,6 +14,8 @@
 // an error. Idempotence is what makes at-least-once WAL replay safe — a
 // crash between fsync and the in-memory apply means the record is replayed
 // on the next boot, and replaying an already-applied batch changes nothing.
+// Within a batch, ops take effect in order: an upsert followed by a retract
+// of the same fact nets out, though both count as changes.
 //
 // # Inverse predicates
 //
@@ -21,22 +23,26 @@
 // (Section 4 of the paper). The overlay keeps that structure coherent under
 // a frozen-prominence policy: an added or retracted fact p(s,o) is mirrored
 // into p⁻¹(o,s) exactly when the base has an inverse for p, o is not a
-// literal, and o already appears as the subject of some inverse fact in the
-// base (i.e. o was in the prominent set when the base was built). Entities
-// that only become prominent through live mutations gain their inverses at
-// the next full rebuild, not incrementally — prominence is a global ranking
-// and recomputing it per mutation would defeat the point of a delta layer.
-// New predicates introduced through the overlay get no inverse until a
-// rebuild for the same reason.
+// literal, and o appears as the subject of some inverse fact in the base
+// (i.e. o was in the prominent set when the base was built). The set is
+// read from the compaction base, never from a later generation, so a
+// retract cannot drop an entity out of it. Entities that only become
+// prominent through live mutations gain their inverses at the next full
+// rebuild, not incrementally — prominence is a global ranking and
+// recomputing it per mutation would defeat the point of a delta layer. New
+// predicates introduced through the overlay get no inverse until a rebuild
+// for the same reason.
 //
 // # Concurrency
 //
 // An Overlay is not safe for concurrent use. The server serializes all
-// mutations per KB and serves reads from materialized (immutable) KBs, so
-// the overlay itself is only ever touched under the mutation lock.
+// mutations per KB and serves reads from generations handed out by
+// Materialize, so the overlay itself is only ever touched under the
+// mutation lock.
 package delta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -66,24 +72,13 @@ func (op Op) String() string {
 	return fmt.Sprintf("%s %s %s %s", verb, op.S, op.P, op.O)
 }
 
-// Overlay is a mutable edit set over an immutable base KB. The zero value
-// is not usable; construct with New.
+// Overlay is the newest generation of a live KB plus what it needs to
+// derive the next one. The zero value is not usable; construct with New.
 type Overlay struct {
-	base      *kb.KB
-	baseEnts  int
-	basePreds int
-
-	// Terms and predicates minted by the overlay, in id order: newTerms[i]
-	// has id baseEnts+i+1, newPreds[i] has id basePreds+i+1.
-	newTerms  []rdf.Term
-	newTermID map[rdf.Term]kb.EntID
-	newPreds  []string
-	newPredID map[string]kb.PredID
-
-	// adds[p] and dels[p] are (S,O)-sorted and disjoint: a pair is never in
-	// both, adds are absent from the base, dels are present in it.
-	adds map[kb.PredID][]kb.Pair
-	dels map[kb.PredID][]kb.Pair
+	// base is the compaction base: the mirroring rule and the pending
+	// counters are relative to it. cur is the newest generation, on which
+	// the overlay holds one reference.
+	base, cur *kb.KB
 
 	// inv maps each base predicate to its materialized inverse (when one
 	// exists); invSubj holds the entities appearing as subject of at least
@@ -91,21 +86,22 @@ type Overlay struct {
 	// gates mirroring.
 	inv     map[kb.PredID]kb.PredID
 	invSubj map[kb.EntID]bool
+
+	// pendingAdds and pendingDels count the facts (mirrors included) that
+	// cur holds and base lacks, and the reverse.
+	pendingAdds, pendingDels int
 }
 
-// New returns an empty overlay over base. The base must stay reachable and
-// unchanged for the overlay's lifetime.
+// New returns an overlay whose first generation is base. The base must stay
+// reachable and unchanged for the overlay's lifetime; the overlay takes its
+// own reference on it, released by Close.
 func New(base *kb.KB) *Overlay {
+	cur, _ := base.ApplyPatch(kb.Patch{}) // an empty patch cannot fail
 	ov := &Overlay{
-		base:      base,
-		baseEnts:  base.NumEntities(),
-		basePreds: base.NumPredicates(),
-		newTermID: make(map[rdf.Term]kb.EntID),
-		newPredID: make(map[string]kb.PredID),
-		adds:      make(map[kb.PredID][]kb.Pair),
-		dels:      make(map[kb.PredID][]kb.Pair),
-		inv:       make(map[kb.PredID]kb.PredID),
-		invSubj:   make(map[kb.EntID]bool),
+		base:    base,
+		cur:     cur,
+		inv:     make(map[kb.PredID]kb.PredID),
+		invSubj: make(map[kb.EntID]bool),
 	}
 	for _, p := range base.Predicates() {
 		bp := base.BaseOf(p)
@@ -121,26 +117,18 @@ func New(base *kb.KB) *Overlay {
 	return ov
 }
 
-// PendingAdds returns the number of facts added over the base (inverse
-// mirrors included); PendingDels the number retracted from it.
-func (ov *Overlay) PendingAdds() int { return pairCount(ov.adds) }
+// PendingAdds returns the number of facts the newest generation holds over
+// the base (inverse mirrors included).
+func (ov *Overlay) PendingAdds() int { return ov.pendingAdds }
 
-// PendingDels returns the number of base facts retracted by the overlay.
-func (ov *Overlay) PendingDels() int { return pairCount(ov.dels) }
+// PendingDels returns the number of base facts the newest generation lacks.
+func (ov *Overlay) PendingDels() int { return ov.pendingDels }
 
-// NewTerms returns the number of terms minted by the overlay.
-func (ov *Overlay) NewTerms() int { return len(ov.newTerms) }
+// NewTerms returns the number of terms minted since the base.
+func (ov *Overlay) NewTerms() int { return ov.cur.NumEntities() - ov.base.NumEntities() }
 
-// NewPreds returns the number of predicates minted by the overlay.
-func (ov *Overlay) NewPreds() int { return len(ov.newPreds) }
-
-func pairCount(m map[kb.PredID][]kb.Pair) int {
-	n := 0
-	for _, prs := range m {
-		n += len(prs)
-	}
-	return n
-}
+// NewPreds returns the number of predicates minted since the base.
+func (ov *Overlay) NewPreds() int { return ov.cur.NumPredicates() - ov.base.NumPredicates() }
 
 // Validate checks a batch of ops against the rules of the data model
 // without mutating the overlay: P must be an IRI and must not name (or
@@ -156,7 +144,7 @@ func (ov *Overlay) Validate(ops []Op) error {
 		if strings.Contains(op.P.Value, kb.InverseMarker) {
 			return fmt.Errorf("%w: op %d (%s): predicate names an inverse; mutate the base predicate instead", ErrInvalidOp, i, op)
 		}
-		if p, ok := ov.predID(op.P.Value, false); ok && int(p) <= ov.basePreds && ov.base.IsInverse(p) {
+		if p, ok := ov.cur.PredicateID(op.P.Value); ok && ov.cur.IsInverse(p) {
 			return fmt.Errorf("%w: op %d (%s): predicate is a materialized inverse; mutate the base predicate instead", ErrInvalidOp, i, op)
 		}
 		if op.S.Kind == rdf.Literal {
@@ -166,146 +154,144 @@ func (ov *Overlay) Validate(ops []Op) error {
 	return nil
 }
 
-// Apply validates ops and folds them into the overlay. It returns the
-// number of ops that changed state (idempotent re-applications are counted
-// as applied but change nothing). On a validation error the overlay is
-// untouched: validation is a pure pre-pass and mutation is infallible.
+// fact is one encoded triple p(s,o).
+type fact struct {
+	p    kb.PredID
+	s, o kb.EntID
+}
+
+// batch folds one Apply's ops against the newest generation: ids minted by
+// the batch, and the state each touched fact ends the batch in.
+type batch struct {
+	cur     *kb.KB
+	terms   []rdf.Term
+	termIDs map[rdf.Term]kb.EntID
+	preds   []string
+	predIDs map[string]kb.PredID
+	state   map[fact]bool
+}
+
+// Apply validates ops, folds them into one patch against the newest
+// generation and makes the patched KB the newest. It returns the number of
+// ops that changed state (idempotent re-applications are counted as applied
+// but change nothing). On error the overlay is untouched: validation is a
+// pure pre-pass, and the generation is swapped only once the patch applied.
 func (ov *Overlay) Apply(ops []Op) (changed int, err error) {
 	if err := ov.Validate(ops); err != nil {
 		return 0, err
 	}
+	b := &batch{cur: ov.cur, termIDs: map[rdf.Term]kb.EntID{}, predIDs: map[string]kb.PredID{}, state: map[fact]bool{}}
 	for _, op := range ops {
-		if ov.applyOne(op) {
+		if ov.applyOne(b, op) {
 			changed++
 		}
 	}
+	patch := kb.Patch{ExtraTerms: b.terms, ExtraPreds: b.preds, Adds: map[kb.PredID][]kb.Pair{}, Dels: map[kb.PredID][]kb.Pair{}}
+	adds, dels := ov.pendingAdds, ov.pendingDels
+	for f, present := range b.state {
+		if present == holds(ov.cur, f) {
+			continue // the batch netted out on f
+		}
+		edits, step := patch.Adds, 1
+		if !present {
+			edits, step = patch.Dels, -1
+		}
+		edits[f.p] = append(edits[f.p], kb.Pair{S: f.s, O: f.o})
+		// A base fact coming back closes a pending retract; any other
+		// change opens or closes a pending add.
+		if holds(ov.base, f) {
+			dels -= step
+		} else {
+			adds += step
+		}
+	}
+	for _, m := range []map[kb.PredID][]kb.Pair{patch.Adds, patch.Dels} {
+		for _, prs := range m {
+			slices.SortFunc(prs, func(a, b kb.Pair) int { return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O)) })
+		}
+	}
+	next, err := ov.cur.ApplyPatch(patch)
+	if err != nil {
+		return 0, err
+	}
+	ov.cur.Close()
+	ov.cur, ov.pendingAdds, ov.pendingDels = next, adds, dels
 	return changed, nil
 }
 
-func (ov *Overlay) applyOne(op Op) bool {
-	if op.Retract {
-		s, ok1 := ov.entID(op.S, false)
-		p, ok2 := ov.predID(op.P.Value, false)
-		o, ok3 := ov.entID(op.O, false)
-		if !ok1 || !ok2 || !ok3 || !ov.HasFact(p, s, o) {
-			return false // unknown term or absent fact: retract is a no-op
-		}
-		ov.delFact(p, s, o)
-		if ip, ok := ov.inv[p]; ok && op.O.Kind != rdf.Literal && ov.invSubj[o] && ov.HasFact(ip, o, s) {
-			ov.delFact(ip, o, s)
-		}
-		return true
-	}
-	s, _ := ov.entID(op.S, true)
-	p, _ := ov.predID(op.P.Value, true)
-	o, _ := ov.entID(op.O, true)
-	if ov.HasFact(p, s, o) {
+// applyOne folds op into the batch and reports whether it changed a fact.
+// An upsert mints ids for its unknown terms; a retract naming one is a
+// no-op.
+func (ov *Overlay) applyOne(b *batch, op Op) bool {
+	present := !op.Retract
+	s, ok1 := b.entID(op.S, present)
+	p, ok2 := b.predID(op.P.Value, present)
+	o, ok3 := b.entID(op.O, present)
+	if !ok1 || !ok2 || !ok3 || !b.set(fact{p, s, o}, present) {
 		return false
 	}
-	ov.addFact(p, s, o)
-	if ip, ok := ov.inv[p]; ok && op.O.Kind != rdf.Literal && ov.invSubj[o] && !ov.HasFact(ip, o, s) {
-		ov.addFact(ip, o, s)
+	if ip, ok := ov.inv[p]; ok && op.O.Kind != rdf.Literal && ov.invSubj[o] {
+		b.set(fact{ip, o, s}, present)
 	}
 	return true
 }
 
-// entID resolves a term against base dictionary then overlay-minted terms,
-// minting a new id when alloc is set.
-func (ov *Overlay) entID(t rdf.Term, alloc bool) (kb.EntID, bool) {
-	if id, ok := ov.base.EntityID(t); ok {
+// set records that f ends up present or absent and reports whether that
+// changed its state.
+func (b *batch) set(f fact, present bool) bool {
+	was, ok := b.state[f]
+	if !ok {
+		was = holds(b.cur, f)
+	}
+	b.state[f] = present
+	return was != present
+}
+
+// holds reports whether k has fact f; ids minted after k have no facts in it.
+func holds(k *kb.KB, f fact) bool {
+	return int(f.p) <= k.NumPredicates() && k.HasFact(f.p, f.s, f.o)
+}
+
+// entID resolves a term against the newest generation then the batch's
+// minted terms, minting a new id when alloc is set.
+func (b *batch) entID(t rdf.Term, alloc bool) (kb.EntID, bool) {
+	if id, ok := b.cur.EntityID(t); ok {
 		return id, true
 	}
-	if id, ok := ov.newTermID[t]; ok {
+	if id, ok := b.termIDs[t]; ok {
 		return id, true
 	}
 	if !alloc {
 		return 0, false
 	}
-	ov.newTerms = append(ov.newTerms, t)
-	id := kb.EntID(ov.baseEnts + len(ov.newTerms))
-	ov.newTermID[t] = id
+	b.terms = append(b.terms, t)
+	id := kb.EntID(b.cur.NumEntities() + len(b.terms))
+	b.termIDs[t] = id
 	return id, true
 }
 
-func (ov *Overlay) predID(name string, alloc bool) (kb.PredID, bool) {
-	if p, ok := ov.base.PredicateID(name); ok {
+func (b *batch) predID(name string, alloc bool) (kb.PredID, bool) {
+	if p, ok := b.cur.PredicateID(name); ok {
 		return p, true
 	}
-	if p, ok := ov.newPredID[name]; ok {
+	if p, ok := b.predIDs[name]; ok {
 		return p, true
 	}
 	if !alloc {
 		return 0, false
 	}
-	ov.newPreds = append(ov.newPreds, name)
-	p := kb.PredID(ov.basePreds + len(ov.newPreds))
-	ov.newPredID[name] = p
+	b.preds = append(b.preds, name)
+	p := kb.PredID(b.cur.NumPredicates() + len(b.preds))
+	b.predIDs[name] = p
 	return p, true
 }
 
-// addFact records p(s,o) as present: a pending retract is cancelled,
-// otherwise the pair joins the add set. Caller guarantees the fact is
-// currently absent from the merged view.
-func (ov *Overlay) addFact(p kb.PredID, s, o kb.EntID) {
-	if i, ok := searchPair(ov.dels[p], s, o); ok {
-		ov.dels[p] = slices.Delete(ov.dels[p], i, i+1)
-		if len(ov.dels[p]) == 0 {
-			delete(ov.dels, p)
-		}
-		return
-	}
-	i, _ := searchPair(ov.adds[p], s, o)
-	ov.adds[p] = slices.Insert(ov.adds[p], i, kb.Pair{S: s, O: o})
-}
-
-// delFact records p(s,o) as absent: a pending add is cancelled, otherwise
-// the pair (a base fact) joins the del set. Caller guarantees the fact is
-// currently present in the merged view.
-func (ov *Overlay) delFact(p kb.PredID, s, o kb.EntID) {
-	if i, ok := searchPair(ov.adds[p], s, o); ok {
-		ov.adds[p] = slices.Delete(ov.adds[p], i, i+1)
-		if len(ov.adds[p]) == 0 {
-			delete(ov.adds, p)
-		}
-		return
-	}
-	i, _ := searchPair(ov.dels[p], s, o)
-	ov.dels[p] = slices.Insert(ov.dels[p], i, kb.Pair{S: s, O: o})
-}
-
-// searchPair binary-searches a (S,O)-sorted pair list.
-func searchPair(ps []kb.Pair, s, o kb.EntID) (int, bool) {
-	return slices.BinarySearchFunc(ps, kb.Pair{S: s, O: o}, func(a, b kb.Pair) int {
-		if a.S != b.S {
-			return int(a.S) - int(b.S)
-		}
-		return int(a.O) - int(b.O)
-	})
-}
-
-// inBase reports whether (p, s, o) all fall inside the base id spaces —
-// overlay-minted ids have no base index entries at all.
-func (ov *Overlay) inBase(p kb.PredID, s, o kb.EntID) bool {
-	return int(p) <= ov.basePreds && int(s) <= ov.baseEnts && int(o) <= ov.baseEnts
-}
-
-// HasFact reports whether p(s,o) holds in the merged base+delta view.
-func (ov *Overlay) HasFact(p kb.PredID, s, o kb.EntID) bool {
-	if _, ok := searchPair(ov.adds[p], s, o); ok {
-		return true
-	}
-	if _, ok := searchPair(ov.dels[p], s, o); ok {
-		return false
-	}
-	return ov.inBase(p, s, o) && ov.base.HasFact(p, s, o)
-}
-
-// Materialize folds the overlay into a new immutable KB via ApplyPatch.
-// The base is untouched and both KBs are independently closeable; the
-// returned KB answers every accessor exactly as a freshly built KB holding
-// the merged fact set would (modulo the frozen-prominence inverse policy
-// above). The overlay remains usable and may keep accumulating edits: the
-// patch hands ApplyPatch the overlay's own lists, which it does not retain.
+// Materialize returns the newest generation as a KB of its own: a shallow
+// copy holding its own reference on any backing snapshot, so the caller
+// closes it independently of the overlay and of later generations.
 func (ov *Overlay) Materialize() (*kb.KB, error) {
-	return ov.base.ApplyPatch(kb.Patch{ExtraTerms: ov.newTerms, ExtraPreds: ov.newPreds, Adds: ov.adds, Dels: ov.dels})
+	return ov.cur.ApplyPatch(kb.Patch{})
 }
+
+// Close releases the overlay's reference on its newest generation.
+func (ov *Overlay) Close() error { return ov.cur.Close() }

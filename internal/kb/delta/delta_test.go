@@ -2,9 +2,11 @@ package delta
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/kb"
@@ -48,15 +50,24 @@ func dumpBaseFacts(k *kb.KB) []string {
 	return out
 }
 
-// dumpAllFacts includes materialized inverse facts, with the inverse
-// predicate's display name as the predicate term.
-func dumpAllFacts(k *kb.KB) []string {
-	var out []string
+// allTriples decodes every fact of k, materialized inverse facts included
+// with the inverse predicate's display name as the predicate term.
+func allTriples(k *kb.KB) []rdf.Triple {
+	var out []rdf.Triple
 	for _, p := range k.Predicates() {
 		name := rdf.NewIRI(k.PredicateName(p))
 		for _, pr := range k.Facts(p) {
-			out = append(out, tripleKey(rdf.Triple{S: k.Term(pr.S), P: name, O: k.Term(pr.O)}))
+			out = append(out, rdf.Triple{S: k.Term(pr.S), P: name, O: k.Term(pr.O)})
 		}
+	}
+	return out
+}
+
+// dumpAllFacts is allTriples as sorted keys.
+func dumpAllFacts(k *kb.KB) []string {
+	var out []string
+	for _, x := range allTriples(k) {
+		out = append(out, tripleKey(x))
 	}
 	sort.Strings(out)
 	return out
@@ -196,56 +207,240 @@ func TestOverlayGoldenEquivalence(t *testing.T) {
 	}
 }
 
-func TestOverlayRandomizedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ents := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	preds := []string{"p", "q", "r"}
+// chainModel is the naive triple model a live KB must track: the fact set
+// by term-level key, inverse facts included, under the frozen mirroring
+// rule (a fact p(s,o) is mirrored when the base has p's inverse and o was a
+// subject of some inverse fact in the base), plus the terms and predicates
+// minted since the base, in id order.
+type chainModel struct {
+	facts      map[string]rdf.Triple
+	baseFacts  map[string]bool
+	invName    map[string]string // base predicate name → its inverse's name
+	prominent  map[rdf.Term]bool
+	known      map[rdf.Term]bool
+	knownPreds map[string]bool
+	terms      []rdf.Term
+	preds      []string
+}
 
-	var baseTrs []rdf.Triple
-	seen := map[string]rdf.Triple{}
-	for i := 0; i < 40; i++ {
-		x := tr(ents[rng.Intn(len(ents))], preds[rng.Intn(len(preds))], iri(ents[rng.Intn(len(ents))]))
-		if _, dup := seen[tripleKey(x)]; !dup {
-			seen[tripleKey(x)] = x
-			baseTrs = append(baseTrs, x)
-		}
+func newChainModel(base *kb.KB) *chainModel {
+	m := &chainModel{facts: map[string]rdf.Triple{}, baseFacts: map[string]bool{}, invName: map[string]string{},
+		prominent: map[rdf.Term]bool{}, known: map[rdf.Term]bool{}, knownPreds: map[string]bool{}}
+	for _, x := range allTriples(base) {
+		m.facts[tripleKey(x)] = x
+		m.baseFacts[tripleKey(x)] = true
 	}
-	base := build(t, 0, baseTrs)
-	ov := New(base)
-
-	// effective mirrors what the overlay should hold.
-	effective := map[string]rdf.Triple{}
-	for k, v := range seen {
-		effective[k] = v
+	for _, e := range base.Entities(nil) {
+		m.known[base.Term(e)] = true
 	}
-
-	for round := 0; round < 6; round++ {
-		var ops []Op
-		for i := 0; i < 15; i++ {
-			x := tr(ents[rng.Intn(len(ents))], preds[rng.Intn(len(preds))], iri(ents[rng.Intn(len(ents))]))
-			retract := rng.Intn(2) == 0
-			ops = append(ops, Op{Retract: retract, S: x.S, P: x.P, O: x.O})
-			if retract {
-				delete(effective, tripleKey(x))
-			} else {
-				effective[tripleKey(x)] = x
+	for _, p := range base.Predicates() {
+		m.knownPreds[base.PredicateName(p)] = true
+		if bp := base.BaseOf(p); bp != 0 {
+			m.invName[base.PredicateName(bp)] = base.PredicateName(p)
+			subjects, _ := base.SubjectRuns(p)
+			for _, s := range subjects {
+				m.prominent[base.Term(s)] = true
 			}
 		}
-		if _, err := ov.Apply(ops); err != nil {
-			t.Fatal(err)
-		}
+	}
+	return m
+}
 
-		mutated, err := ov.Materialize()
+// apply folds one op into the model and reports whether it changed the
+// fact set. An upsert mints its unknown terms and predicate even when a
+// later op of the batch retracts the fact again.
+func (m *chainModel) apply(op Op) bool {
+	if !op.Retract {
+		for _, t := range []rdf.Term{op.S, op.O} {
+			if !m.known[t] {
+				m.known[t] = true
+				m.terms = append(m.terms, t)
+			}
+		}
+		if !m.knownPreds[op.P.Value] {
+			m.knownPreds[op.P.Value] = true
+			m.preds = append(m.preds, op.P.Value)
+		}
+	}
+	set := func(x rdf.Triple) {
+		if op.Retract {
+			delete(m.facts, tripleKey(x))
+		} else {
+			m.facts[tripleKey(x)] = x
+		}
+	}
+	x := rdf.Triple{S: op.S, P: op.P, O: op.O}
+	if _, has := m.facts[tripleKey(x)]; has != op.Retract {
+		return false
+	}
+	set(x)
+	if inv, ok := m.invName[op.P.Value]; ok && op.O.Kind != rdf.Literal && m.prominent[op.O] {
+		set(rdf.Triple{S: op.O, P: rdf.NewIRI(inv), O: op.S})
+	}
+	return true
+}
+
+// dump returns the model's sorted fact keys, its base (non-inverse) fact
+// count, and the facts it holds over and lacks from the base.
+func (m *chainModel) dump() (all []string, base, adds, dels int) {
+	for key, x := range m.facts {
+		all = append(all, key)
+		if !strings.Contains(x.P.Value, kb.InverseMarker) {
+			base++
+		}
+		if !m.baseFacts[key] {
+			adds++
+		}
+	}
+	for key := range m.baseFacts {
+		if _, ok := m.facts[key]; !ok {
+			dels++
+		}
+	}
+	sort.Strings(all)
+	return all, base, adds, dels
+}
+
+// TestOverlayRandomizedEquivalence drives random histories through the
+// chain of generations and checks every generation against the naive
+// model: the decoded facts, the id spaces, changed and the stats. Without
+// inverses it also checks every accessor against a fresh build of the same
+// facts. The histories mix literal objects, new terms and predicates,
+// upsert-then-retract inside one batch, and a retract-all of a predicate
+// followed by its re-add.
+func TestOverlayRandomizedEquivalence(t *testing.T) {
+	for _, frac := range []float64{0, 0.4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("frac=%v/seed=%d", frac, seed), func(t *testing.T) {
+				checkRandomHistory(t, frac, seed)
+			})
+		}
+	}
+}
+
+func checkRandomHistory(t *testing.T, frac float64, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ents := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	newEnts := []string{"n1", "n2", "n3", "n4"}
+	preds := []string{"p", "q", "r"}
+	newPreds := []string{"s", "t"}
+	obj := func(pool []string) rdf.Term {
+		if rng.Intn(5) == 0 {
+			return lit(fmt.Sprintf("L%d", rng.Intn(3)))
+		}
+		return iri(pool[rng.Intn(len(pool))])
+	}
+
+	var baseTrs []rdf.Triple
+	for i := 0; i < 40; i++ {
+		baseTrs = append(baseTrs, tr(ents[rng.Intn(len(ents))], preds[rng.Intn(len(preds))], obj(ents)))
+	}
+	base := build(t, frac, baseTrs)
+	model := newChainModel(base)
+	if frac > 0 && len(model.invName) == 0 {
+		t.Fatal("test setup: the base materialized no inverses")
+	}
+	ov := New(base)
+	defer ov.Close()
+
+	allEnts, allPreds := append(slices.Clone(ents), newEnts...), append(slices.Clone(preds), newPreds...)
+	randomOp := func() Op {
+		x := tr(allEnts[rng.Intn(len(allEnts))], allPreds[rng.Intn(len(allPreds))], obj(allEnts))
+		return Op{Retract: rng.Intn(3) == 0, S: x.S, P: x.P, O: x.O}
+	}
+	// retractAll retracts every current fact of base predicate q; the next
+	// batch re-adds them.
+	var qFacts []Op
+	retractAll := func() []Op {
+		qFacts = nil
+		var ops []Op
+		for _, x := range model.facts {
+			if x.P == iri("q") {
+				qFacts = append(qFacts, Op{S: x.S, P: x.P, O: x.O})
+				ops = append(ops, Op{Retract: true, S: x.S, P: x.P, O: x.O})
+			}
+		}
+		return ops
+	}
+
+	var prev *kb.KB
+	var prevDump []string
+	for round := 0; round < 12; round++ {
+		var ops []Op
+		switch round {
+		case 4:
+			ops = retractAll()
+		case 5:
+			ops = qFacts
+		default:
+			for i := 0; i < 15; i++ {
+				op := randomOp()
+				ops = append(ops, op)
+				if !op.Retract && rng.Intn(4) == 0 {
+					op.Retract = true
+					ops = append(ops, op)
+				}
+			}
+		}
+		wantChanged := 0
+		for _, op := range ops {
+			if model.apply(op) {
+				wantChanged++
+			}
+		}
+		changed, err := ov.Apply(ops)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		wantTrs := make([]rdf.Triple, 0, len(effective))
-		for _, x := range effective {
-			wantTrs = append(wantTrs, x)
+		if changed != wantChanged {
+			t.Fatalf("round %d: changed = %d, want %d", round, changed, wantChanged)
 		}
-		want := build(t, 0, wantTrs)
-		assertGoldenEquivalent(t, mutated, want)
+		if round == 4 && (len(ops) == 0 || len(ov.cur.Facts(base.MustPredicateID(iri("q").Value))) != 0) {
+			t.Fatalf("round 4: retract-all of %d facts left q with facts", len(ops))
+		}
+
+		got, err := ov.Materialize()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		wantAll, wantBase, wantAdds, wantDels := model.dump()
+		if g := dumpAllFacts(got); !slices.Equal(g, wantAll) {
+			t.Fatalf("round %d: fact sets differ:\n got: %v\nwant: %v", round, g, wantAll)
+		}
+		if got.NumBaseFacts() != wantBase {
+			t.Fatalf("round %d: NumBaseFacts = %d, want %d", round, got.NumBaseFacts(), wantBase)
+		}
+		if got.NumEntities() != base.NumEntities()+len(model.terms) || got.NumPredicates() != base.NumPredicates()+len(model.preds) {
+			t.Fatalf("round %d: %d entities and %d predicates, want %d and %d", round,
+				got.NumEntities(), got.NumPredicates(), base.NumEntities()+len(model.terms), base.NumPredicates()+len(model.preds))
+		}
+		for i, term := range model.terms {
+			if g := got.Term(kb.EntID(base.NumEntities() + 1 + i)); g != term {
+				t.Fatalf("round %d: new term %d is %v, want %v", round, i, g, term)
+			}
+		}
+		for i, name := range model.preds {
+			if g := got.PredicateName(kb.PredID(base.NumPredicates() + 1 + i)); g != name {
+				t.Fatalf("round %d: new predicate %d is %s, want %s", round, i, g, name)
+			}
+		}
+		if ov.PendingAdds() != wantAdds || ov.PendingDels() != wantDels || ov.NewTerms() != len(model.terms) || ov.NewPreds() != len(model.preds) {
+			t.Fatalf("round %d: stats adds=%d dels=%d terms=%d preds=%d, want %d %d %d %d", round,
+				ov.PendingAdds(), ov.PendingDels(), ov.NewTerms(), ov.NewPreds(), wantAdds, wantDels, len(model.terms), len(model.preds))
+		}
+		if frac == 0 {
+			assertGoldenEquivalent(t, got, build(t, 0, slices.Collect(maps.Values(model.facts))))
+		}
+		// A generation handed out earlier is untouched by later patches.
+		if prev != nil {
+			if g := dumpAllFacts(prev); !slices.Equal(g, prevDump) {
+				t.Fatalf("round %d: the previous generation changed under a later patch", round)
+			}
+			prev.Close()
+		}
+		prev, prevDump = got, wantAll
 	}
+	prev.Close()
 }
 
 func TestOverlayInverseMirroring(t *testing.T) {
@@ -266,22 +461,22 @@ func TestOverlayInverseMirroring(t *testing.T) {
 	}
 	lyon := base.MustEntityID("http://e/lyon")
 	france := base.MustEntityID("http://e/france")
-	if !ov.HasFact(capOf, lyon, france) || !ov.HasFact(invCapOf, france, lyon) {
-		t.Fatal("mirror fact missing from overlay view")
-	}
 	mutated, err := ov.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mutated.HasFact(invCapOf, france, lyon) {
+	if !mutated.HasFact(capOf, lyon, france) || !mutated.HasFact(invCapOf, france, lyon) {
 		t.Fatal("mirror fact missing from materialized KB")
+	}
+	if ov.PendingAdds() != 2 {
+		t.Fatalf("PendingAdds = %d, want the fact and its mirror", ov.PendingAdds())
 	}
 
 	// Retract removes both directions.
 	if _, err := ov.Apply([]Op{{Retract: true, S: iri("lyon"), P: iri("capitalOf"), O: iri("france")}}); err != nil {
 		t.Fatal(err)
 	}
-	if ov.HasFact(capOf, lyon, france) || ov.HasFact(invCapOf, france, lyon) {
+	if m, _ := ov.Materialize(); m.HasFact(capOf, lyon, france) || m.HasFact(invCapOf, france, lyon) {
 		t.Fatal("retract left a direction behind")
 	}
 	if ov.PendingAdds()+ov.PendingDels() != 0 {
@@ -340,40 +535,6 @@ func TestOverlayValidation(t *testing.T) {
 	}
 	if ov.PendingAdds()+ov.PendingDels() != 0 {
 		t.Fatal("mixed batch partially applied")
-	}
-}
-
-func TestOverlayMergedAccessorsMatchMaterialized(t *testing.T) {
-	base := build(t, 0, baseTriples())
-	ov := New(base)
-	ops := []Op{
-		{S: iri("lyon"), P: iri("capitalOf"), O: iri("gaul")},
-		{S: iri("seine"), P: iri("riverOf"), O: iri("paris")},
-		{Retract: true, S: iri("paris"), P: iri("cityIn"), O: iri("france")},
-		{S: iri("marseille"), P: iri("cityIn"), O: iri("france")},
-	}
-	if _, err := ov.Apply(ops); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ov.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overlay ids and materialized ids coincide by construction (same
-	// allocation order), so the views can be compared directly.
-	for _, p := range m.Predicates() {
-		for _, pr := range m.Facts(p) {
-			if !ov.HasFact(p, pr.S, pr.O) {
-				t.Fatalf("overlay missing fact %d(%d,%d)", p, pr.S, pr.O)
-			}
-		}
-	}
-	// The retracted base fact must be absent from both views.
-	cityIn := base.MustPredicateID("http://e/cityIn")
-	paris := base.MustEntityID("http://e/paris")
-	france := base.MustEntityID("http://e/france")
-	if ov.HasFact(cityIn, paris, france) || m.HasFact(cityIn, paris, france) {
-		t.Fatal("retracted fact still visible")
 	}
 }
 

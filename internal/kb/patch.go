@@ -1,7 +1,8 @@
 package kb
 
 // Patch materialization: the KB-side half of the live-KB delta layer
-// (internal/kb/delta). A Patch is a resolved, dictionary-encoded edit set;
+// (internal/kb/delta), where each write batch becomes one Patch against the
+// newest generation. A Patch is a resolved, dictionary-encoded edit set;
 // ApplyPatch folds it into a new KB copy-on-write: each orientation of a
 // touched predicate's CSR index is one linear merge of its base runs with
 // the sorted edits (mergeRuns), never a sort of its facts, while every
@@ -19,15 +20,17 @@ import (
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
-// Patch is an edit set against the base KB it was built for, already
-// dictionary-encoded and normalized by the producer (the delta overlay):
+// Patch is an edit set against the KB it was built for, already
+// dictionary-encoded and normalized: the delta overlay builds one per write
+// batch, netting the batch's ops out against that KB, so an edit that a
+// later op of the batch undoes never reaches the patch.
 //
-//   - ExtraTerms are new terms absent from the base dictionary; they take
+//   - ExtraTerms are new terms absent from the KB's dictionary; they take
 //     ids NumEntities+1.. in order.
 //   - ExtraPreds are new predicate names (base predicates, no inverses);
 //     they take ids NumPredicates+1.. in order.
-//   - Adds[p] is (S,O)-sorted, duplicate-free and disjoint from the base
-//     facts of p; Dels[p] is (S,O)-sorted and every pair is a base fact.
+//   - Adds[p] is (S,O)-sorted, duplicate-free and disjoint from the KB's
+//     facts of p; Dels[p] is (S,O)-sorted and every pair is a fact of p.
 //
 // ApplyPatch re-validates the membership invariants during its merges (a
 // violated one returns an error rather than a corrupt KB), but sortedness

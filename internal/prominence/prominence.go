@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/rdf"
@@ -117,6 +118,11 @@ func BuildWithScores(k *kb.KB, score func(kb.EntID) float64) *Store {
 	return build(k, Custom, score, nil)
 }
 
+// joinHalves counts the join halves still reading a KB: build's second
+// goroutine holds it from its start until buildJoinRanks returns or panics.
+// Tests read it to check that build never unwinds before its join half ends.
+var joinHalves atomic.Int32
+
 // build runs the join ranks on a second goroutine beside the other rankings:
 // the two halves take about the same time, write disjoint fields and read
 // only the KB's immutable arrays. A panic in either reaches the caller.
@@ -128,9 +134,11 @@ func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store
 	// leave build while the join half still reads the KB: the caller may
 	// close an mmap'd snapshot under it once it recovers.
 	defer func() { <-joined }()
+	joinHalves.Add(1)
 	go func() {
 		defer close(joined)
 		defer func() { joinPanic = recover() }()
+		defer joinHalves.Add(-1)
 		s.buildJoinRanks()
 	}()
 	s.buildPredicateRanking()

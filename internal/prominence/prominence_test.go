@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -862,27 +861,21 @@ func TestRebuildMatchesBuild(t *testing.T) {
 // the caller's goroutine (here a caller-supplied score) reaches the caller
 // only after the join half has stopped reading the KB, so a caller that
 // recovers and then closes an mmap'd snapshot cannot pull the pages from
-// under a running goroutine. The goroutine count is back at its baseline as
-// soon as recover returns, bar the join goroutine's last instructions after
-// it signals (a few Gosched calls), far less than the join half's running
-// time on this KB.
+// under a running goroutine. The join half leaves joinHalves before it
+// signals build, so the count is exactly zero once recover returns.
 func TestBuildPanicWaitsForJoinHalf(t *testing.T) {
 	k, err := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 2}).BuildKB(kb.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		func() {
 			defer func() {
 				if r := recover(); r != "score failed" {
 					t.Fatalf("round %d: recovered %v, want the score's panic", round, r)
 				}
-				for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
-					runtime.Gosched()
-				}
-				if n := runtime.NumGoroutine(); n > base {
-					t.Fatalf("round %d: %d goroutines after recover, baseline %d: the join half outlived build", round, n, base)
+				if n := joinHalves.Load(); n != 0 {
+					t.Fatalf("round %d: %d join halves still reading the KB after recover: the join half outlived build", round, n)
 				}
 			}()
 			BuildWithScores(k, func(kb.EntID) float64 { panic("score failed") })

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -41,7 +42,8 @@ type Dictionary struct {
 	rank []uint32
 	// base/extra/extraTerms form the extended view: extraTerms is the
 	// appended tail (ids base.Len()+1, ...), extra indexes only the tail,
-	// and everything else falls back to base.
+	// and everything else falls back to base, which is never itself an
+	// extended view.
 	base       *Dictionary
 	extra      map[Term]ID
 	extraTerms []Term
@@ -154,9 +156,16 @@ func NewLazyDictionary(lazy LazyTerms, sorted []ID, rank []uint32) (*Dictionary,
 // builder), and base must not grow afterwards: the view's id space starts
 // where base's ended. Extra terms already present in base (or repeated)
 // are rejected.
+//
+// Extending an extended dictionary re-extends its root with both tails,
+// copying the earlier tail's index, so a chain of extensions (one per
+// live-KB generation) stays one level deep: Lookup and Decode never
+// recurse more than once.
 func ExtendDictionary(base *Dictionary, extra []Term) (*Dictionary, error) {
-	idx := make(map[Term]ID, len(extra))
-	tail := make([]Term, 0, len(extra))
+	root, tail, idx := base, make([]Term, 0, len(extra)), make(map[Term]ID, len(extra))
+	if base.base != nil {
+		root, tail, idx = base.base, slices.Clip(base.extraTerms), maps.Clone(base.extra)
+	}
 	for _, t := range extra {
 		if _, ok := base.Lookup(t); ok {
 			return nil, fmt.Errorf("rdf: extend: term %s already in base dictionary", t)
@@ -165,9 +174,9 @@ func ExtendDictionary(base *Dictionary, extra []Term) (*Dictionary, error) {
 			return nil, fmt.Errorf("rdf: extend: duplicate term %s", t)
 		}
 		tail = append(tail, t)
-		idx[t] = ID(base.Len() + len(tail))
+		idx[t] = ID(root.Len() + len(tail))
 	}
-	return &Dictionary{base: base, extra: idx, extraTerms: tail}, nil
+	return &Dictionary{base: root, extra: idx, extraTerms: tail}, nil
 }
 
 // SortedByTerm returns the IDs permuted into ascending Term.Compare order —

@@ -7,6 +7,7 @@ package rdf
 // deserve in-package pinning.
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -164,6 +165,64 @@ func TestExtendDictionaryOverEveryBaseForm(t *testing.T) {
 	}
 	if _, err := ExtendDictionary(builder, []Term{NewIRI("http://e/X"), NewIRI("http://e/X")}); err == nil {
 		t.Fatal("extending with a duplicate tail term must fail")
+	}
+}
+
+// TestExtendDictionaryChainStaysFlat: a live KB extends its dictionary once
+// per generation. A thousand chained extensions must hang off the root, not
+// off each other, and answer every accessor as one extension by all the
+// terms does; each link keeps its own id space.
+func TestExtendDictionaryChainStaysFlat(t *testing.T) {
+	_, root := buildDictForms(t)
+	var all []Term
+	d := root
+	var mid *Dictionary
+	for i := range 1000 {
+		batch := []Term{
+			NewIRI(fmt.Sprintf("http://e/n%d", i)),
+			NewLiteral(fmt.Sprintf("v%d", 999-i)),
+			NewBlank(fmt.Sprintf("b%d", i%7*1000+i)),
+		}
+		all = append(all, batch...)
+		var err error
+		if d, err = ExtendDictionary(d, batch); err != nil {
+			t.Fatalf("link %d: %v", i, err)
+		}
+		if i == 499 {
+			mid = d
+		}
+	}
+	if d.base != root {
+		t.Fatal("chained extension is not rooted at the base dictionary")
+	}
+	once, err := ExtendDictionary(root, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != once.Len() || d.Len() != 3+len(all) {
+		t.Fatalf("Len = %d, single extension %d", d.Len(), once.Len())
+	}
+	for id := ID(1); int(id) <= once.Len(); id++ {
+		term := once.Decode(id)
+		if got := d.Decode(id); got != term {
+			t.Fatalf("Decode(%d) = %v, want %v", id, got, term)
+		}
+		if got, ok := d.Lookup(term); !ok || got != id {
+			t.Fatalf("Lookup(%v) = %d,%v, want %d", term, got, ok, id)
+		}
+	}
+	if got, want := d.SortedByTerm(), once.SortedByTerm(); !slices.Equal(got, want) {
+		t.Fatal("SortedByTerm differs from the single extension's")
+	}
+	// Earlier links are untouched by later ones.
+	if mid.Len() != 3+1500 {
+		t.Fatalf("link 500 Len = %d after later extensions", mid.Len())
+	}
+	if _, ok := mid.Lookup(all[1500]); ok {
+		t.Fatal("link 500 sees a term appended after it")
+	}
+	if _, err := ExtendDictionary(d, []Term{all[0]}); err == nil {
+		t.Fatal("re-extending with a term from an earlier link must fail")
 	}
 }
 

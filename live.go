@@ -1,30 +1,33 @@
 package remi
 
 // Live knowledge bases: the crash-safe mutable layer over the immutable
-// snapshot machinery. A LiveKB owns three pieces of state in one directory:
+// snapshot machinery. A LiveKB owns three pieces of state:
 //
 //	<dir>/<name>.snap   the immutable base (CSR snapshot, mmap-opened)
 //	<dir>/<name>.wal    the write-ahead log of mutations since the snapshot
-//	in memory           a delta.Overlay holding the same mutations, applied
+//	in memory           the newest generation: the base patched by every
+//	                    logged batch in turn, one patch per batch
 //
 // The durability contract is ack-after-fsync: a mutation batch is appended
 // and fsynced to the WAL before it is applied in memory or acknowledged to
 // the caller, so an acknowledged fact survives any crash. Recovery is
 // replay: boot opens the snapshot (or the original source when no snapshot
-// exists yet), then re-applies every intact WAL record to a fresh overlay.
+// exists yet), then re-applies every intact WAL record, in order, through
+// the same per-batch patch a live write takes.
 // Replay is idempotent — mutations are upserts/retracts, so a record that
 // was applied before the crash re-applies as a no-op — which makes the
 // at-least-once semantics of a torn-tail-truncating log safe.
 //
-// Compaction (Compact) folds base+delta into a new snapshot: write to a
-// temp file, fsync, rename over <name>.snap, and only then truncate the
-// WAL. A crash between the rename and the truncate leaves both a complete
-// snapshot and a stale WAL; the next boot replays the WAL onto the new
-// snapshot and idempotence absorbs the overlap.
+// Compaction (Compact) writes the newest generation as the new snapshot:
+// write to a temp file, fsync, rename over <name>.snap, and only then
+// truncate the WAL. A crash between the rename and the truncate leaves both
+// a complete snapshot and a stale WAL; the next boot replays the WAL onto
+// the new snapshot and idempotence absorbs the overlap.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,8 +67,11 @@ type LiveStats struct {
 	RecoveryReplayed     int64
 	// Compactions counts successful Compact calls since open.
 	Compactions int64
-	// PendingAdds/PendingDels/NewTerms/NewPreds size the in-memory overlay
-	// (what the next compaction will fold into the snapshot).
+	// PendingAdds and PendingDels count the facts (inverse mirrors
+	// included) the current generation holds over the last snapshot, and
+	// the snapshot's facts it no longer holds; NewTerms and NewPreds count
+	// the terms and predicates minted since. All four drop to zero after a
+	// successful compaction.
 	PendingAdds int
 	PendingDels int
 	NewTerms    int
@@ -158,7 +164,7 @@ func decodeRecord(payload []byte) ([]delta.Op, string, error) {
 // OpenLive opens (or creates) the live KB <name> rooted at dir: the base
 // loads from <dir>/<name>.snap when present (the product of the last
 // compaction), else from opts.Source; then the WAL is opened, its torn
-// tail truncated, and every intact record replayed into the overlay.
+// tail truncated, and every intact record replayed through the overlay.
 // Records that no longer validate (written by an older build against a
 // different base) are skipped rather than failing the boot — the WAL is a
 // redo log, not a schema.
@@ -195,13 +201,12 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 		}
 		l.recoveryReplayed++
 	}
-	sys, err := l.materializeLocked()
+	k, err := l.overlay.Materialize()
 	if err != nil {
-		l.log.Close()
-		base.Close()
+		l.Close()
 		return nil, err
 	}
-	l.cur = sys
+	l.cur = fromKB(k, nil)
 	return l, nil
 }
 
@@ -251,22 +256,9 @@ func (l *LiveKB) System() *System {
 	return l.cur
 }
 
-// materializeLocked folds the overlay into a fresh System. Callers hold
-// l.mu. The result always owns its KB (ApplyPatch never returns the base
-// itself), so retiring a swapped-out System can Close it unconditionally.
-// The current System, still open, lends the fr rankings of the predicates
-// the overlay leaves untouched: those share their arrays through the base.
-func (l *LiveKB) materializeLocked() (*System, error) {
-	k, err := l.overlay.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	return fromKB(k, l.cur), nil
-}
-
 // Apply durably applies one mutation batch: validate, fsync to the WAL
-// (the ack point), fold into the overlay, materialize. It returns the new
-// System serving base+delta and the number of ops that changed state
+// (the ack point), patch the newest generation with it. It returns a new
+// System serving that generation and the number of ops that changed state
 // (idempotent re-sends ack with changed=0). On error nothing is
 // acknowledged: a validation or staging failure writes nothing, and a WAL
 // failure may leave an unacked record that replay surfaces later — which
@@ -301,63 +293,58 @@ func (l *LiveKB) Apply(ctx context.Context, ops []delta.Op, requestID string) (s
 	if err != nil {
 		return nil, 0, fmt.Errorf("remi: applying validated batch (invariant violation): %w", err)
 	}
-	sys, err = l.materializeLocked()
+	k, err := l.overlay.Materialize()
 	if err != nil {
-		return nil, 0, fmt.Errorf("remi: materializing after apply (invariant violation): %w", err)
+		return nil, 0, err
 	}
 	l.factsApplied += int64(len(ops))
-	l.cur = sys
-	return sys, changed, nil
+	// The current System, still open, lends the fr rankings of every
+	// predicate the batch left alone: the two generations share its arrays.
+	l.cur = fromKB(k, l.cur)
+	return l.cur, changed, nil
 }
 
-// Compact folds base+delta into a new snapshot and truncates the WAL, in
-// that order: the snapshot is written to a temp file and atomically
-// renamed over <name>.snap, and only once it is durable does the WAL
-// shrink. A crash (or injected fault) after the rename but before the
+// Compact writes the generation it serves as the new snapshot and
+// truncates the WAL, in that order: the snapshot is written to a temp file
+// and atomically renamed over <name>.snap, and only once it is durable does
+// the WAL shrink. A crash (or injected fault) after the rename but before the
 // truncate loses nothing — the next boot opens the new snapshot and
 // replays the stale WAL records as no-ops. On success the returned System
-// serves from the new snapshot and the overlay is empty.
+// serves from the new snapshot, which is the new base.
 func (l *LiveKB) Compact(ctx context.Context) (*System, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, fmt.Errorf("remi: live KB %q is closed", l.name)
 	}
-	folded, err := l.overlay.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	if err := folded.WriteSnapshotFile(l.snapPath()); err != nil {
-		folded.Close()
+	if err := l.cur.SaveSnapshot(l.snapPath()); err != nil {
 		return nil, fmt.Errorf("remi: writing compacted snapshot: %w", err)
 	}
 	if err := faults.Fire(ctx, faults.CompactCrash); err != nil {
-		folded.Close()
 		return nil, fmt.Errorf("remi: compaction interrupted after snapshot publish (WAL intact; reboot replays it idempotently): %w", err)
 	}
 	if err := l.log.Truncate(); err != nil {
-		folded.Close()
 		return nil, fmt.Errorf("remi: truncating wal after compaction: %w", err)
 	}
 	newBase, err := kb.OpenSnapshot(l.snapPath())
 	if err != nil {
-		folded.Close()
 		return nil, fmt.Errorf("remi: reopening compacted snapshot: %w", err)
 	}
-	folded.Close()
-	oldBase := l.base
-	l.base = newBase
-	l.overlay = delta.New(newBase)
-	l.compactions++
-	sys, err := l.materializeLocked()
+	overlay := delta.New(newBase)
+	k, err := overlay.Materialize()
 	if err != nil {
-		return nil, fmt.Errorf("remi: materializing after compaction: %w", err)
+		overlay.Close()
+		newBase.Close()
+		return nil, err
 	}
-	l.cur = sys
-	// Generations derived from the old base hold their own snapshot refs;
-	// dropping ours reclaims the old mapping once they retire.
-	oldBase.Close()
-	return sys, nil
+	// Generations already handed out hold their own snapshot refs; dropping
+	// ours reclaims the old mapping once they retire.
+	l.overlay.Close()
+	l.base.Close()
+	l.base, l.overlay = newBase, overlay
+	l.compactions++
+	l.cur = fromKB(k, l.cur)
+	return l.cur, nil
 }
 
 // Stats snapshots the KB's live counters.
@@ -378,7 +365,7 @@ func (l *LiveKB) Stats() LiveStats {
 	}
 }
 
-// Close releases the WAL handle and the base KB reference. Systems handed
+// Close releases the WAL handle and the KB references. Systems handed
 // out by Apply/Compact/System stay valid (they own their references) but
 // no further mutations are accepted.
 func (l *LiveKB) Close() error {
@@ -388,11 +375,7 @@ func (l *LiveKB) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.log.Close()
-	if cerr := l.base.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(l.log.Close(), l.overlay.Close(), l.base.Close())
 }
 
 // Close releases the System's reference on its backing snapshot mapping,

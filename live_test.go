@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/datagen"
@@ -396,4 +398,119 @@ func TestLiveKBCompactionAndCrash(t *testing.T) {
 		t.Fatalf("RecoveryReplayed = %d after clean compaction", st.RecoveryReplayed)
 	}
 	assertSameGolden(t, "boot from compacted snapshot", mineGolden(t, final.System(), sets), want)
+}
+
+// assertSameKB compares two KBs element for element: the id spaces, the
+// facts of every predicate by id, and the per-entity statistics.
+func assertSameKB(t *testing.T, label string, got, want *kb.KB) {
+	t.Helper()
+	if got.NumEntities() != want.NumEntities() || got.NumPredicates() != want.NumPredicates() ||
+		got.NumFacts() != want.NumFacts() || got.NumBaseFacts() != want.NumBaseFacts() {
+		t.Fatalf("%s: sizes %d/%d/%d/%d, want %d/%d/%d/%d", label,
+			got.NumEntities(), got.NumPredicates(), got.NumFacts(), got.NumBaseFacts(),
+			want.NumEntities(), want.NumPredicates(), want.NumFacts(), want.NumBaseFacts())
+	}
+	for e := kb.EntID(1); int(e) <= want.NumEntities(); e++ {
+		if got.Term(e) != want.Term(e) || got.EntityFreq(e) != want.EntityFreq(e) {
+			t.Fatalf("%s: entity %d is %v (freq %d), want %v (freq %d)", label, e,
+				got.Term(e), got.EntityFreq(e), want.Term(e), want.EntityFreq(e))
+		}
+	}
+	for _, p := range want.Predicates() {
+		if got.PredicateName(p) != want.PredicateName(p) || got.BaseOf(p) != want.BaseOf(p) {
+			t.Fatalf("%s: predicate %d is %s, want %s", label, p, got.PredicateName(p), want.PredicateName(p))
+		}
+		if g, w := got.Facts(p), want.Facts(p); !slices.Equal(g, w) {
+			t.Fatalf("%s: predicate %s holds %d facts, want %d", label, want.PredicateName(p), len(g), len(w))
+		}
+	}
+}
+
+// TestLiveKBChainReplayAndCompactMatch drives a history of random batches
+// (re-linked and new subjects, a new predicate, retracts, literal objects)
+// over a KB with materialized inverses, with no compaction in between. A
+// reopen that replays the WAL must rebuild the live generation exactly and
+// answer the golden sets the same; Compact's reopened snapshot must match
+// that generation element for element.
+func TestLiveKBChainReplayAndCompactMatch(t *testing.T) {
+	dir := t.TempDir()
+	d := datagen.DBpediaLike(datagen.Config{Seed: 3, Scale: 0.2})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(dir, "src.snap")
+	if err := k.WriteSnapshotFile(src); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir, "chain", LiveOptions{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	var named []rdf.Triple
+	for _, tr := range d.Triples {
+		if tr.S.Kind != rdf.Blank && tr.O.Kind != rdf.Blank {
+			named = append(named, tr)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	pick := func() rdf.Triple { return named[rng.Intn(len(named))] }
+	ctx := context.Background()
+	for i := range 12 {
+		var ops []delta.Op
+		for j := range 6 {
+			a, b := pick(), pick()
+			s := rdf.NewIRI(fmt.Sprintf("http://dbpedia.demo/resource/Live_%d_%d", i, j%3))
+			ops = append(ops,
+				delta.Op{S: a.S, P: a.P, O: b.O},
+				delta.Op{S: s, P: b.P, O: b.O},
+				delta.Op{Retract: true, S: b.S, P: b.P, O: b.O},
+				delta.Op{S: s, P: rdf.NewIRI("http://dbpedia.demo/ontology/liveNote"), O: rdf.NewLiteral(fmt.Sprint(i))},
+			)
+		}
+		if _, _, err := live.Apply(ctx, ops, fmt.Sprintf("req-%d", i)); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	gen := live.System()
+	mirrored := false
+	for _, p := range k.Predicates() {
+		if k.IsInverse(p) && len(gen.kb.Facts(p)) != len(k.Facts(p)) {
+			mirrored = true
+		}
+	}
+	if !mirrored {
+		t.Fatal("test setup: no batch touched an inverse predicate")
+	}
+	sets := [][]string{
+		{"http://dbpedia.demo/resource/Person_5", "http://dbpedia.demo/resource/Person_7"},
+		{"http://dbpedia.demo/resource/Film_10"},
+		{"http://dbpedia.demo/resource/Live_11_0"},
+		{"http://dbpedia.demo/resource/Live_3_1", "http://dbpedia.demo/resource/Live_3_2"},
+	}
+	want := mineGolden(t, gen, sets)
+
+	reopened, err := OpenLive(dir, "chain", LiveOptions{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Stats(); st.RecoveryReplayed != 12 {
+		t.Fatalf("RecoveryReplayed = %d, want 12", st.RecoveryReplayed)
+	}
+	assertSameKB(t, "replayed vs live", reopened.System().kb, gen.kb)
+	assertSameGolden(t, "replayed vs live", mineGolden(t, reopened.System(), sets), want)
+	if g, w := reopened.Stats(), live.Stats(); g.PendingAdds != w.PendingAdds || g.PendingDels != w.PendingDels ||
+		g.NewTerms != w.NewTerms || g.NewPreds != w.NewPreds {
+		t.Fatalf("replayed stats %+v, live %+v", g, w)
+	}
+
+	compacted, err := live.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameKB(t, "compacted vs live", compacted.kb, gen.kb)
+	assertSameGolden(t, "compacted vs live", mineGolden(t, compacted, sets), want)
 }
