@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestMineBatchFacade: a batch mined on one Miner from two goroutines gives
-// per-set results identical to System.MineContext, repeats included, and
-// failures stay per-set.
+// TestMineBatchFacade: a batch mined through System.MineContext from two
+// goroutines gives per-set results identical to mining each set alone,
+// repeats included, and failures stay per-set.
 func TestMineBatchFacade(t *testing.T) {
 	sys := tinySystem(t)
 	sets := [][]string{
@@ -20,10 +20,6 @@ func TestMineBatchFacade(t *testing.T) {
 		{},                                     // empty: per-set error
 		{tinyNS + "Lyon", tinyNS + "Marseille"},
 	}
-	m, err := sys.NewMiner()
-	if err != nil {
-		t.Fatal(err)
-	}
 	results := make([]*Result, len(sets))
 	errs := make([]error, len(sets))
 	var wg sync.WaitGroup
@@ -32,7 +28,7 @@ func TestMineBatchFacade(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(sets); i += 2 {
-				results[i], errs[i] = m.MineContext(context.Background(), sets[i])
+				results[i], errs[i] = sys.MineContext(context.Background(), sets[i])
 			}
 		}(w)
 	}
@@ -67,45 +63,9 @@ func TestMineBatchFacade(t *testing.T) {
 				i, got.Solution, want.Solution)
 		}
 	}
-	if _, misses := m.CacheStats(); misses == 0 {
-		t.Fatal("miner evaluator totals not recorded")
-	}
-}
-
-// TestMinerSharesEvaluator pins what a batch buys: one Miner's evaluator
-// serves every set, so it computes fewer binding sets than a fresh miner
-// per set, and still gives the same answers.
-func TestMinerSharesEvaluator(t *testing.T) {
-	sys := tinySystem(t)
-	sets := [][]string{
-		{tinyNS + "Rennes", tinyNS + "Nantes"},
-		{tinyNS + "Rennes", tinyNS + "Nantes", tinyNS + "Paris"},
-		{tinyNS + "Lyon", tinyNS + "Marseille"},
-		{tinyNS + "Lyon"},
-		{tinyNS + "Paris"},
-	}
-	m, err := sys.NewMiner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh uint64
-	for i, set := range sets {
-		want, err := sys.MineContext(context.Background(), set)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-		fresh += want.Stats.CacheMisses
-		got, err := m.MineContext(context.Background(), set)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-		if got.Expression != want.Expression || got.Bits != want.Bits {
-			t.Fatalf("set %d: miner %q (%v bits), fresh %q (%v bits)", i, got.Expression, got.Bits, want.Expression, want.Bits)
-		}
-	}
-	hits, misses := m.CacheStats()
-	if misses >= fresh || hits == 0 {
-		t.Fatalf("shared miner: %d misses, %d hits; fresh miners: %d misses: the evaluator is not shared", misses, hits, fresh)
+	if results[2].Expression != results[0].Expression || results[2].Bits != results[0].Bits {
+		t.Fatalf("reordered repeat %q (%v bits) differs from set 0 %q (%v bits)",
+			results[2].Expression, results[2].Bits, results[0].Expression, results[0].Bits)
 	}
 }
 
@@ -143,12 +103,11 @@ func TestWithProgress(t *testing.T) {
 	}
 }
 
-// TestMineBatchFacadeBadOptions: invalid options fail NewMiner, before any
-// set is mined (there is nothing per-set about them).
+// TestMineBatchFacadeBadOptions: MetricCustom before any SetProminence call
+// fails every mine, whichever set it names.
 func TestMineBatchFacadeBadOptions(t *testing.T) {
 	sys := tinySystem(t)
-	_, err := sys.NewMiner(WithMetric(MetricCustom))
-	if err == nil {
+	if _, err := sys.Mine([]string{tinyNS + "Paris"}, WithMetric(MetricCustom)); err == nil {
 		t.Fatal("MetricCustom without SetProminence accepted")
 	}
 }

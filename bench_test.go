@@ -389,46 +389,6 @@ func benchCache(b *testing.B, size int) {
 	}
 }
 
-// BenchmarkAblationDFSTree/Literal compares the tree-complete DFS with the
-// verbatim Algorithm 2 scan.
-func BenchmarkAblationDFSTree(b *testing.B)    { benchDFS(b, false) }
-func BenchmarkAblationDFSLiteral(b *testing.B) { benchDFS(b, true) }
-
-func benchDFS(b *testing.B, literal bool) {
-	env := lab().DBpedia()
-	sets := table4Sets(b, env, 6)
-	cfg := core.DefaultConfig()
-	cfg.LiteralAlg2 = literal
-	cfg.Timeout = 10 * time.Second
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := core.NewMiner(env.KB, env.EstFr, cfg)
-		if _, err := m.Mine(sets[i%len(sets)].IDs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationQueueSorted/Unsorted isolates the ascending-Ĉ queue
-// order (line 2 of Algorithm 1) that makes side/cost pruning effective.
-func BenchmarkAblationQueueSorted(b *testing.B)   { benchQueueOrder(b, false) }
-func BenchmarkAblationQueueUnsorted(b *testing.B) { benchQueueOrder(b, true) }
-
-func benchQueueOrder(b *testing.B, unsorted bool) {
-	env := lab().DBpedia()
-	sets := table4Sets(b, env, 6)
-	cfg := core.DefaultConfig()
-	cfg.UnsortedQueue = unsorted
-	cfg.Timeout = 10 * time.Second
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := core.NewMiner(env.KB, env.EstFr, cfg)
-		if _, err := m.Mine(sets[i%len(sets)].IDs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationRankExact/Compressed compares exact conditional rankings
 // with the Eq. 1 power-law compression used to price tail entities.
 func BenchmarkAblationRankExact(b *testing.B)      { benchRankMode(b, complexity.Exact) }

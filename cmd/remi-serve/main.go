@@ -65,8 +65,8 @@
 // queues shed load with 429 + Retry-After) and shares one flight-key
 // namespace: concurrent identical queries join a single run no matter which
 // endpoint carried them. A client disconnect or timeout cancels the
-// underlying mining run, and a batch request mines all its target sets in
-// one shared pass.
+// underlying mining run, and a batch request mines each of its target sets
+// as an ordinary mine at batch priority.
 //
 // Fault tolerance: SIGHUP reloads every KB through a last-known-good path —
 // a failed reload keeps the current generation serving and quarantines the

@@ -1,22 +1,79 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/expr"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/prominence"
 )
 
+// literalScan is the verbatim Algorithm 2 of the paper: a single linear
+// scan over the queue from rho with a stack, double-popping when an RE is
+// found. Unlike the miner's tree-complete dfsRemi it consumes each
+// candidate once, so it can return a suboptimal RE
+// (TestLiteralAlg2CanBeSuboptimal constructs one). The stack carries its
+// binding sets incrementally: a push is one intersection with the new
+// conjunct.
+func literalScan(m *Miner, queue []scored, rho int, targets []kb.EntID, bnd *bound) {
+	var stack []scored
+	var cur expr.Expression
+	curCost := 0.0
+	var binds []bindset.Set // binds[d] = bindings of cur[:d+1]
+	pop := func() {
+		curCost -= stack[len(stack)-1].cost
+		stack = stack[:len(stack)-1]
+		cur = cur[:len(cur)-1]
+		binds = binds[:len(binds)-1]
+	}
+	for _, s := range queue[rho:] {
+		b := m.Ev.Bindings(s.g)
+		if len(binds) > 0 {
+			b = bindset.Intersect(binds[len(binds)-1], b)
+		}
+		stack = append(stack, s)
+		cur = append(cur, s.g)
+		curCost += s.cost
+		binds = append(binds, b)
+		if b.Card() <= len(targets)+m.cfg.MaxExceptions {
+			bnd.Offer(cur, curCost)
+			pop() // pruning by depth
+			if len(stack) == 0 {
+				return // the second pop of Algorithm 2 removes ⊤: done
+			}
+			pop() // side pruning
+		}
+	}
+}
+
+// mineLiteralAlg2 is Algorithm 1's root loop over the miner's cost-sorted
+// queue with literalScan in place of the tree-complete DFS.
+func mineLiteralAlg2(m *Miner, targets []kb.EntID) *Result {
+	tgt := normalizeTargets(targets)
+	queue, _ := m.buildQueue(context.Background(), tgt, &queueBufs{})
+	bnd := newBound(1)
+	for i := range queue {
+		if queue[i].cost >= bnd.Cost() {
+			break
+		}
+		literalScan(m, queue, i, tgt, bnd)
+	}
+	res := &Result{Bits: complexity.Infinite}
+	if res.Expression, _ = bnd.Get(); res.Found() {
+		res.Bits = m.Est.Expression(res.Expression)
+	}
+	return res
+}
+
 // TestLiteralAlg2CanBeSuboptimal documents the single-consumption behavior
 // of the verbatim Algorithm 2: when ρ1∧ρ2 is not an RE but both ρ1∧ρ2∧ρ3
 // and ρ1∧ρ3 are, the linear scan finds the former and cannot go back for
-// the cheaper latter. The tree-complete DFS finds the
-// optimum. The test constructs exactly that configuration and asserts the
-// tree DFS is never worse — and that when the pathology triggers, the two
-// variants disagree in the expected direction.
+// the cheaper latter, while the tree-complete DFS finds the optimum. The
+// test constructs exactly that configuration and asserts both answers.
 func TestLiteralAlg2CanBeSuboptimal(t *testing.T) {
 	// Targets T = {a}. Candidate subexpressions (by increasing cost):
 	//   ρ1 = p(x, v)  matches {a, b, c}
@@ -35,63 +92,30 @@ func TestLiteralAlg2CanBeSuboptimal(t *testing.T) {
 	prom := prominence.Build(k, prominence.Fr)
 	est := complexity.New(k, prom, complexity.Exact)
 	a := k.MustEntityID("http://e/a")
+	cfg := DefaultConfig()
+	cfg.ProminentCutoff = 0 // keep every candidate
+	m := NewMiner(k, est, cfg)
 
-	mine := func(literal bool) *Result {
-		cfg := DefaultConfig()
-		cfg.ProminentCutoff = 0 // keep every candidate
-		cfg.LiteralAlg2 = literal
-		m := NewMiner(k, est, cfg)
-		res, err := m.Mine([]kb.EntID{a})
-		if err != nil {
-			t.Fatal(err)
+	tree, err := m.Mine([]kb.EntID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := mineLiteralAlg2(m, []kb.EntID{a})
+	for _, c := range []struct {
+		name string
+		res  *Result
+		want string
+		bits float64
+	}{
+		{"literal Alg2", lit, "p(x, v) ∧ q(x, w) ∧ r(x, u)", 2.5850},
+		{"tree DFS", tree, "p(x, v) ∧ r(x, u)", 1.5850},
+	} {
+		if got := c.res.Expression.Format(k); got != c.want || math.Abs(c.res.Bits-c.bits) > 1e-4 {
+			t.Errorf("%s: %s at %.4f bits, want %s at %.4f bits", c.name, got, c.res.Bits, c.want, c.bits)
 		}
-		return res
-	}
-
-	tree := mine(false)
-	lit := mine(true)
-	if !tree.Found() || !lit.Found() {
-		t.Fatalf("both variants must find an RE (tree %v, literal %v)", tree.Found(), lit.Found())
-	}
-	if tree.Bits > lit.Bits+1e-9 {
-		t.Fatalf("tree DFS (%f bits, %s) worse than literal Alg2 (%f bits, %s)",
-			tree.Bits, tree.Expression.Format(k), lit.Bits, lit.Expression.Format(k))
-	}
-	// The optimum here uses 2 subgraph expressions at most (ρ_x alone could
-	// be an RE via q/r single atoms; verify the tree result is a strict RE).
-	ev := expr.NewEvaluator(k, 64)
-	if !ev.IsRE(tree.Expression, []kb.EntID{a}) {
-		t.Fatalf("tree result not an RE: %s", tree.Expression.Format(k))
-	}
-	if math.IsInf(tree.Bits, 1) {
-		t.Fatal("tree result has infinite cost")
-	}
-}
-
-// TestQueueOrderAblation: with an unsorted queue the result must still be
-// Ĉ-minimal (the cost bound guarantees it), only slower — this pins the
-// correctness half of the queue-order ablation.
-func TestQueueOrderAblation(t *testing.T) {
-	k, est := tinySetup(t)
-	targets := []kb.EntID{mustID(t, k, "Guyana"), mustID(t, k, "Suriname")}
-
-	sorted := DefaultConfig()
-	unsorted := DefaultConfig()
-	unsorted.UnsortedQueue = true
-
-	rs, err := NewMiner(k, est, sorted).Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := NewMiner(k, est, unsorted).Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Found() != ru.Found() {
-		t.Fatal("queue order changed feasibility")
-	}
-	if rs.Found() && math.Abs(rs.Bits-ru.Bits) > 1e-9 {
-		t.Fatalf("queue order changed the optimum: %f vs %f", rs.Bits, ru.Bits)
+		if !m.Ev.IsRE(c.res.Expression, []kb.EntID{a}) {
+			t.Errorf("%s: %s is not an RE", c.name, c.res.Expression.Format(k))
+		}
 	}
 }
 

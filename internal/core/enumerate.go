@@ -52,10 +52,6 @@ type EnumerateOptions struct {
 	// which is checked once per adjacency edge on the queue-build hot path.
 	// Zero skips none; it composes with SkipPredicate.
 	SkipPredID kb.PredID
-	// MaxStarsPerPath caps the number of path+star extensions derived per
-	// intermediate entity to keep pathological hubs tractable. Zero means
-	// no cap.
-	MaxStarsPerPath int
 }
 
 // SubgraphsOf enumerates every subgraph expression of entity t in the
@@ -163,17 +159,9 @@ func appendSubgraphsOf(out []expr.Subgraph, k *kb.KB, t kb.EntID, opts Enumerate
 			for _, t1 := range tails {
 				add(expr.NewPath(p0, t1.P, t1.O))
 			}
-			starBudget := opts.MaxStarsPerPath
 			for i := 0; i < len(tails); i++ {
 				for j := i + 1; j < len(tails); j++ {
 					add(expr.NewPathStar(p0, tails[i].P, tails[i].O, tails[j].P, tails[j].O))
-					if starBudget > 0 {
-						starBudget--
-						if starBudget == 0 {
-							i = len(tails) // stop both loops
-							break
-						}
-					}
 				}
 			}
 		}
@@ -223,28 +211,6 @@ func appendSubgraphsOf(out []expr.Subgraph, k *kb.KB, t kb.EntID, opts Enumerate
 			}
 		}
 		lo = hi
-	}
-	return out
-}
-
-// CommonSubgraphs enumerates the subgraph expressions common to all target
-// entities (line 1 of Algorithm 1): the subgraphs of the first target
-// filtered by a match test on every other target. The miner's queue build
-// runs the same filter fanned across a worker pool (see buildQueue); this
-// sequential form is kept for callers that want the plain routine.
-func CommonSubgraphs(k *kb.KB, targets []kb.EntID, opts EnumerateOptions) []expr.Subgraph {
-	if len(targets) == 0 {
-		return nil
-	}
-	cands := SubgraphsOf(k, targets[0], opts)
-	if len(targets) == 1 {
-		return cands
-	}
-	out := cands[:0]
-	for _, g := range cands {
-		if holdsForAll(k, g, targets[1:]) {
-			out = append(out, g)
-		}
 	}
 	return out
 }

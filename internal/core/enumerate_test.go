@@ -236,26 +236,6 @@ func TestSelfLoopSkipped(t *testing.T) {
 	}
 }
 
-// TestMaxStarsPerPathCap bounds the quadratic star derivation.
-func TestMaxStarsPerPathCap(t *testing.T) {
-	triples := [][3]string{{"t", "p", "y"}}
-	tails := []string{"a", "b", "c", "d", "e", "f"}
-	for i, o := range tails {
-		triples = append(triples, [3]string{"y", "q" + tails[i], o})
-	}
-	k := buildSmall(t, triples)
-	tID := k.MustEntityID("http://e/t")
-
-	unbounded := SubgraphCounts(k, tID, EnumerateOptions{Language: ExtendedLanguage})
-	if unbounded[expr.PathStar] != 15 { // C(6,2)
-		t.Fatalf("unbounded stars = %d want 15", unbounded[expr.PathStar])
-	}
-	capped := SubgraphCounts(k, tID, EnumerateOptions{Language: ExtendedLanguage, MaxStarsPerPath: 4})
-	if capped[expr.PathStar] > 4 {
-		t.Fatalf("capped stars = %d want ≤ 4", capped[expr.PathStar])
-	}
-}
-
 // TestFigure1TraceSequence replays the Figure 1 exploration and checks the
 // structural properties of the event stream: the queue is visited in
 // ascending cost order at the top level, an RE event always follows a visit

@@ -38,17 +38,6 @@ type Config struct {
 	// MaxCandidates caps the priority queue as a safety valve (0 = no cap;
 	// candidates are cost-sorted first, so the cheapest survive).
 	MaxCandidates int
-	// LiteralAlg2 switches DFS-REMI to the literal, single-consumption
-	// pseudocode of Algorithm 2 instead of the tree-complete DFS that the
-	// Figure 1 narrative describes; kept for ablations.
-	LiteralAlg2 bool
-	// MaxStarsPerPath caps star derivations per intermediate entity.
-	MaxStarsPerPath int
-	// UnsortedQueue skips the cost sort of the priority queue (line 2 of
-	// Algorithm 1) and explores candidates in enumeration order. The result
-	// is still the least complex RE (the cost bound guarantees it), but the
-	// DFS prunings lose their power — kept for the queue-order ablation.
-	UnsortedQueue bool
 	// MaxExceptions relaxes the unambiguity constraint (the paper's §6
 	// future work: "relax the unambiguity constraint to mine REs with
 	// exceptions"): a returned expression must still match every target but
@@ -259,9 +248,6 @@ func NewMiner(k *kb.KB, est *complexity.Estimator, cfg Config) *Miner {
 	return m
 }
 
-// Config returns the miner configuration.
-func (m *Miner) Config() Config { return m.cfg }
-
 // scored pairs a candidate subgraph expression with its Ĉ cost.
 type scored struct {
 	g    expr.Subgraph
@@ -306,9 +292,8 @@ func putQueueBufs(qb *queueBufs) { queueBufPool.Put(qb) }
 // to the sequential build regardless of scheduling.
 func (m *Miner) buildQueue(ctx context.Context, targets []kb.EntID, qb *queueBufs) ([]scored, bool) {
 	qb.cands = appendSubgraphsOf(qb.cands[:0], m.K, targets[0], EnumerateOptions{
-		Language:        m.cfg.Language,
-		Prominent:       m.prominent,
-		MaxStarsPerPath: m.cfg.MaxStarsPerPath,
+		Language:  m.cfg.Language,
+		Prominent: m.prominent,
 		// Labels are names, not descriptions: an RE built on rdfs:label
 		// would be circular ("the entity labelled Paris"), so the label
 		// predicate never enters the language.
@@ -318,8 +303,8 @@ func (m *Miner) buildQueue(ctx context.Context, targets []kb.EntID, qb *queueBuf
 	if timedOut {
 		return nil, true
 	}
-	// The MaxCandidates safety valve: the queue is cost-sorted first in the
-	// default configuration, so the cheapest survive.
+	// The MaxCandidates safety valve: the queue is cost-sorted first, so the
+	// cheapest survive.
 	if m.cfg.MaxCandidates > 0 && len(out) > m.cfg.MaxCandidates {
 		out = out[:m.cfg.MaxCandidates]
 	}
@@ -328,8 +313,8 @@ func (m *Miner) buildQueue(ctx context.Context, targets []kb.EntID, qb *queueBuf
 
 // scoreQueue filters the enumerated candidates down to those common to the
 // extra targets and scores the survivors, fanning large queues across a
-// worker pool, then cost-sorts the result (unless the queue-order ablation
-// is on). The returned slice aliases qb's pooled storage.
+// worker pool, then cost-sorts the result. The returned slice aliases qb's
+// pooled storage.
 func (m *Miner) scoreQueue(ctx context.Context, cands []expr.Subgraph, rest []kb.EntID, qb *queueBufs) ([]scored, bool) {
 	var out []scored
 	probes := len(cands) * len(rest)
@@ -352,21 +337,19 @@ func (m *Miner) scoreQueue(ctx context.Context, cands []expr.Subgraph, rest []kb
 		}
 		qb.out = out
 	}
-	if !m.cfg.UnsortedQueue {
-		slices.SortFunc(out, func(a, b scored) int {
-			// Ĉ values are non-negative (log2 of 1-based ranks), so their
-			// IEEE-754 bit patterns order identically to the floats — one
-			// integer compare instead of two float branches.
-			ca, cb := math.Float64bits(a.cost), math.Float64bits(b.cost)
-			if ca != cb {
-				if ca < cb {
-					return -1
-				}
-				return 1
+	slices.SortFunc(out, func(a, b scored) int {
+		// Ĉ values are non-negative (log2 of 1-based ranks), so their
+		// IEEE-754 bit patterns order identically to the floats — one
+		// integer compare instead of two float branches.
+		ca, cb := math.Float64bits(a.cost), math.Float64bits(b.cost)
+		if ca != cb {
+			if ca < cb {
+				return -1
 			}
-			return expr.Compare(a.g, b.g)
-		})
-	}
+			return 1
+		}
+		return expr.Compare(a.g, b.g)
+	})
 	return out, false
 }
 
@@ -521,13 +504,10 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 		defer cancel()
 	}
 	res := &Result{Bits: complexity.Infinite}
-	// Cache counters are reported per set as deltas of the evaluator's
-	// cumulative stats: on a fresh miner the delta is the total, and inside
-	// a serial batch the per-set values partition the evaluator totals
-	// exactly. Sets running concurrently observe overlapping windows, so
-	// their per-set values may attribute neighbors' lookups (bounded by the
-	// pool width); callers needing exact batch totals read the evaluator's
-	// own counters, as the facade's Miner.CacheStats does.
+	// Cache counters are reported as deltas of the evaluator's cumulative
+	// stats: on a fresh miner the delta is the total, and across MineBatch's
+	// sets on one miner the per-set values partition the evaluator totals
+	// when the sets run one at a time.
 	_, hits0, misses0 := m.Ev.Stats()
 	// The queue and its candidate buffer are pooled: they die with this
 	// call (everything escaping into res is cloned), so the search borrows
@@ -694,10 +674,6 @@ func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb
 			st.PrunedCost += uint64(len(queue) - i)
 			break
 		}
-		if m.cfg.LiteralAlg2 {
-			m.dfsRemiLiteral(ctx, queue, i, targets, sc, bnd, st)
-			continue
-		}
 		// Room for a handful of conjuncts up front: the DFS extends the
 		// prefix in place (append + reslice), so a roomy root buffer makes
 		// typical descents allocation-free.
@@ -756,8 +732,8 @@ outer:
 		// Gather a window of children currently under the shared bound and
 		// intersect the prefix bindings against all of them in one batch
 		// kernel call (word-at-a-time for bitmap prefixes). The queue is
-		// cost-ascending in the default configuration, so the window ends
-		// exactly where cost pruning would stop the scan.
+		// cost-ascending, so the window ends exactly where cost pruning
+		// would stop the scan.
 		bound := bnd.Cost()
 		n := 0
 		for n < win && i+n < len(queue) && prefixCost+queue[i+n].cost < bound {
@@ -826,73 +802,6 @@ outer:
 		}
 	}
 	return subtreeMin, found
-}
-
-// dfsRemiLiteral is the verbatim Algorithm 2 of the paper: a single linear
-// scan over the remaining queue with a stack, double-popping when an RE is
-// found. It can return a slightly suboptimal RE in rare configurations
-// (TestLiteralAlg2CanBeSuboptimal constructs one) and exists for ablation
-// experiments. It reports whether any RE
-// was found during the scan. The stack carries its binding sets
-// incrementally — a push costs one scratch intersection with the new
-// conjunct instead of re-evaluating the whole conjunction.
-func (m *Miner) dfsRemiLiteral(ctx context.Context, queue []scored, rho int, targets []kb.EntID,
-	sc *dfsScratch, bnd *bound, st *Stats) bool {
-
-	var stack []scored
-	cur := expr.Expression(nil)
-	curCost := 0.0
-	found := false
-	var binds []bindset.Set // binds[d] = bindings of cur[:d+1]
-
-	push := func(s scored) {
-		stack = append(stack, s)
-		cur = append(cur, s.g)
-		curCost += s.cost
-		d := len(stack) - 1
-		gb := m.Ev.Bindings(s.g)
-		if d == 0 {
-			binds = append(binds, gb)
-			return
-		}
-		lvl := sc.level(d)
-		lvl.IntersectInto(binds[d-1], gb)
-		binds = append(binds, *lvl)
-	}
-	pop := func() {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur = cur[:len(cur)-1]
-		curCost -= s.cost
-		binds = binds[:len(binds)-1]
-	}
-
-	for i := rho; i < len(queue); i++ {
-		if expired(ctx) {
-			st.TimedOut = true
-			break
-		}
-		push(queue[i])
-		st.Visited++
-		st.RETests++
-		m.trace(EventVisit, cur, curCost)
-		if binds[len(binds)-1].Card() <= len(targets)+m.cfg.MaxExceptions {
-			found = true
-			m.trace(EventRE, cur, curCost)
-			if bnd.Offer(cur, curCost) {
-				m.trace(EventNewBest, cur, curCost)
-			}
-			pop() // pruning by depth
-			st.PrunedDepth++
-			if len(stack) == 0 {
-				// The second pop of Algorithm 2 removes ⊤: exploration done.
-				return found
-			}
-			pop() // side pruning
-			st.PrunedSide++
-		}
-	}
-	return found
 }
 
 func (m *Miner) topK() int {

@@ -265,18 +265,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestLiteralAlg2FindsREs(t *testing.T) {
 	k, est := tinySetup(t)
-	cfg := DefaultConfig()
-	cfg.LiteralAlg2 = true
-	m := NewMiner(k, est, cfg)
+	m := NewMiner(k, est, DefaultConfig())
 	for _, names := range [][]string{{"Paris"}, {"Rennes", "Nantes"}, {"Guyana", "Suriname"}} {
 		var targets []kb.EntID
 		for _, n := range names {
 			targets = append(targets, mustID(t, k, n))
 		}
-		res, err := m.Mine(targets)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mineLiteralAlg2(m, targets)
 		if !res.Found() {
 			t.Fatalf("literal Alg2 found nothing for %v", names)
 		}

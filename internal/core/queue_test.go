@@ -82,6 +82,27 @@ func TestParallelQueueBuildDeterministic(t *testing.T) {
 	}
 }
 
+// CommonSubgraphs enumerates the subgraph expressions common to all target
+// entities (line 1 of Algorithm 1): the subgraphs of the first target
+// filtered by a match test on every other target. It is the sequential
+// reference for the miner's fanned-out queue build (see buildQueue).
+func CommonSubgraphs(k *kb.KB, targets []kb.EntID, opts EnumerateOptions) []expr.Subgraph {
+	if len(targets) == 0 {
+		return nil
+	}
+	cands := SubgraphsOf(k, targets[0], opts)
+	if len(targets) == 1 {
+		return cands
+	}
+	out := cands[:0]
+	for _, g := range cands {
+		if holdsForAll(k, g, targets[1:]) {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
 // TestParallelQueueBuildMatchesSequentialFilter cross-checks the fan-out
 // against the plain CommonSubgraphs + score loop it replaced.
 func TestParallelQueueBuildMatchesSequentialFilter(t *testing.T) {
@@ -89,9 +110,6 @@ func TestParallelQueueBuildMatchesSequentialFilter(t *testing.T) {
 	opts := EnumerateOptions{Language: m.cfg.Language, Prominent: m.prominent, SkipPredID: m.K.LabelPredicate()}
 	want := CommonSubgraphs(m.K, targets, opts)
 	got, _ := m.buildQueue(context.Background(), targets, &queueBufs{})
-	if m.cfg.UnsortedQueue {
-		t.Fatal("fixture must use the sorted queue")
-	}
 	// buildQueue sorts; compare as sets with exact costs.
 	wantCost := make(map[expr.Subgraph]float64, len(want))
 	for _, g := range want {

@@ -67,12 +67,6 @@ func (sc *dfsScratch) batch(d int) *batchSets {
 	return sc.levels[d]
 }
 
-// level returns the first scratch set of depth d (the single-set view used
-// by the literal Algorithm 2 scan, which pushes one conjunct per depth).
-func (sc *dfsScratch) level(d int) *bindset.Set {
-	return &sc.batch(d).sets[0]
-}
-
 // suffix returns the ping-pong batch pair of the solvable-suffix sweep.
 func (sc *dfsScratch) suffix() [2]*batchSets {
 	if sc.sfx[0] == nil {

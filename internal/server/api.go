@@ -67,9 +67,9 @@ type SummarizeRequest struct {
 	Metric string `json:"metric,omitempty"`
 }
 
-// BatchMineRequest is the body of POST /v1/mine:batch: many target sets
-// mined in one shared pass. The option fields apply to every set (the
-// timeout budgets each set separately).
+// BatchMineRequest is the body of POST /v1/mine:batch: many target sets,
+// each mined as an ordinary mine at batch priority. The option fields apply
+// to every set (the timeout budgets each set separately).
 type BatchMineRequest struct {
 	// Sets are the target sets, one mining task each (required; capped by
 	// the server's MaxBatchSets, each set by MaxTargets).
@@ -106,9 +106,8 @@ type BatchMineStats struct {
 	// searches.
 	QueueBuildMS float64 `json:"queue_build_ms"`
 	SearchMS     float64 `json:"search_ms"`
-	// CacheHits and CacheMisses are the exact evaluator totals across the
-	// executed searches (the per-result stats carry per-set deltas, which
-	// under a concurrent pool may attribute a neighbor's lookups).
+	// CacheHits and CacheMisses sum the evaluator counts of the executed
+	// searches.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }

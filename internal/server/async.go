@@ -191,7 +191,7 @@ func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(Stre
 		p.fill(i, item)
 		emit(entryEvent(i, item))
 	})
-	s.finishBatch(p)
+	p.fillRepeats()
 	if ctxErr != nil {
 		return ctxErr
 	}

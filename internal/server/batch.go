@@ -6,29 +6,17 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/server/jobs"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
-// batchMiner is the one facade miner a batch's new sets mine on, so its
-// evaluator cache stays warm from set to set. It is bound to the System
-// that was current when the batch was planned: a set that starts after a
-// swap mines on the current generation instead (see mineContext), and its
-// cache counts are kept here so the batch's totals stay exact.
-type batchMiner struct {
-	sys                        *remi.System
-	m                          *remi.Miner
-	outsideHits, outsideMisses atomic.Uint64
-}
-
 // batchPlan is one validated mine:batch request decomposed into per-set
 // outcomes: validation failures and cache hits are answered in place,
 // repeats collapse onto their first occurrence, and the remainder becomes
 // ordinary mine jobs in the unified registry — joinable by (and joining)
-// every other mining path — that share one miner.
+// every other mining path.
 type batchPlan struct {
 	e      *kbEntry
 	shared MineRequest
@@ -44,7 +32,6 @@ type batchPlan struct {
 
 	waits  map[int]*jobs.Job // mine job per admitted runnable index
 	joined map[int]bool      // the set joined a foreign in-flight run
-	miner  *batchMiner       // shared by the new sets (nil if none)
 }
 
 // fill records one per-set outcome into its slot and aggregate bucket.
@@ -61,6 +48,8 @@ func (p *batchPlan) fill(i int, item BatchMineItem) {
 		p.agg.Mined++
 		p.agg.QueueBuildMS += item.Response.Stats.QueueBuildMS
 		p.agg.SearchMS += item.Response.Stats.SearchMS
+		p.agg.CacheHits += item.Response.Stats.CacheHits
+		p.agg.CacheMisses += item.Response.Stats.CacheMisses
 	}
 }
 
@@ -132,27 +121,18 @@ func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineReq
 
 // submitBatchJobs submits each runnable set as an ordinary mine job under
 // the flight key single /v1/mine requests use — so a batch set joins a mine
-// already in flight, and a later single request joins a batch set — and
-// the genuinely new sets mine on one shared miner. A set the queue refuses
-// gets its own error entry; only when no new set was admitted does the
-// whole request fail, with every planned reference released.
+// already in flight, and a later single request joins a batch set. A set
+// the queue refuses gets its own error entry; only when no new set was
+// admitted does the whole request fail, with every planned reference
+// released.
 func (s *Server) submitBatchJobs(p *batchPlan) error {
-	if len(p.runIdx) == 0 {
-		return nil
-	}
-	sys := p.e.sys()
-	m, err := sys.NewMiner(p.opts...)
-	if err != nil {
-		return err
-	}
-	p.miner = &batchMiner{sys: sys, m: m}
 	var refused error
 	admitted := false
 	for pos, i := range p.runIdx {
 		q := p.shared
 		q.Targets = p.runSets[pos]
 		j, joined, err := s.submitMine(&mineQuery{e: p.e, q: q, opts: p.opts,
-			key: p.keyOf[i], reqID: p.reqID, batch: p.miner}, false)
+			key: p.keyOf[i], reqID: p.reqID, batch: true}, false)
 		if err != nil {
 			refused = err
 			p.fill(i, BatchMineItem{Error: err.Error(), Status: errStatus(err)})
@@ -218,18 +198,10 @@ func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i 
 	return ctx.Err()
 }
 
-// finishBatch folds the shared miner's exact evaluator totals into the
-// batch stats and fills the repeat entries: duplicates of an earlier set
-// share its outcome, flagged as deduplicated (error outcomes are shared
+// fillRepeats fills the repeat entries: duplicates of an earlier set share
+// its outcome, flagged as deduplicated (error outcomes are shared
 // verbatim).
-func (s *Server) finishBatch(p *batchPlan) {
-	if b := p.miner; b != nil {
-		hits, misses := b.m.CacheStats()
-		// Sets mined outside the shared miner already counted their own.
-		s.recordBatchCache(hits, misses)
-		p.agg.CacheHits = hits + b.outsideHits.Load()
-		p.agg.CacheMisses = misses + b.outsideMisses.Load()
-	}
+func (p *batchPlan) fillRepeats() {
 	for i := range p.items {
 		key := p.keyOf[i]
 		if key == "" {
@@ -251,12 +223,12 @@ func (s *Server) finishBatch(p *batchPlan) {
 }
 
 // handleMineBatch is POST /v1/mine:batch: many target sets, one KB, one
-// shared miner, one JSON document with one entry per input set,
-// order-preserving. Per-set failures (empty set, oversized set, unknown
-// entity, a set the queue refused) occupy their own entry and never fail
-// the batch. Each runnable set is an ordinary mine job in the unified
-// registry, so identical work in flight anywhere — a single mine, another
-// batch, an async job — is joined rather than repeated.
+// JSON document with one entry per input set, order-preserving. Per-set
+// failures (empty set, oversized set, unknown entity, a set the queue
+// refused) occupy their own entry and never fail the batch. Each runnable
+// set is an ordinary mine job in the unified registry, so identical work in
+// flight anywhere — a single mine, another batch, an async job — is joined
+// rather than repeated.
 func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 	s.cMineBatch.requests.Add(1)
 	var q BatchMineRequest
@@ -276,7 +248,7 @@ func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctxErr := s.collectBatch(r.Context(), p, p.fill)
-	s.finishBatch(p)
+	p.fillRepeats()
 	if ctxErr != nil {
 		// The client went away (or its deadline passed) mid-batch: the
 		// per-set results are partial at best, and nobody is reading.

@@ -19,29 +19,6 @@ import (
 // handlers (/v1/mine, /v1/summarize, /v1/describe). The batch, async and
 // streaming handlers (batch.go, async.go) build on the same pieces.
 
-// mineContext runs one search on the entry's System as current now. A
-// batch set planned on that same System mines on the batch's shared miner
-// (shared reports it); any other search, a batch set that starts after a
-// swap included, mines on a fresh miner with opts. The test override, when
-// set, replaces both.
-func (s *Server) mineContext(ctx context.Context, mq *mineQuery, opts ...remi.MineOption) (res *remi.Result, shared bool, err error) {
-	if s.mine != nil {
-		res, err = s.mine(ctx, mq.q.Targets, opts...)
-		return res, false, err
-	}
-	sys := mq.e.sys()
-	if b := mq.batch; b != nil && b.sys == sys {
-		res, err = b.m.MineContext(ctx, mq.q.Targets)
-		return res, true, err
-	}
-	res, err = sys.MineContext(ctx, mq.q.Targets, opts...)
-	if err == nil && mq.batch != nil {
-		mq.batch.outsideHits.Add(res.Stats.CacheHits)
-		mq.batch.outsideMisses.Add(res.Stats.CacheMisses)
-	}
-	return res, false, err
-}
-
 // metricOptions validates a metric name and returns the matching facade
 // options (shared by mine and summarize).
 func metricOptions(metric string) ([]remi.MineOption, error) {
@@ -129,15 +106,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *counter, v an
 }
 
 // mineQuery is a validated single-target-set mining request bound to its
-// KB, carrying the facade options and the unified flight/cache key. A
-// batch set also carries its batch's shared miner.
+// KB, carrying the facade options and the unified flight/cache key. batch
+// marks a batch set, which is admitted at batch priority.
 type mineQuery struct {
 	e     *kbEntry
 	q     MineRequest
 	opts  []remi.MineOption
 	key   string
 	reqID string
-	batch *batchMiner
+	batch bool
 }
 
 // prepareMine validates an already-decoded MineRequest against the server
@@ -195,7 +172,7 @@ const (
 // at batch priority.
 func (s *Server) submitMine(mq *mineQuery, retain bool) (*jobs.Job, bool, error) {
 	prio := jobs.PriorityInteractive
-	if mq.batch != nil {
+	if mq.batch {
 		prio = jobs.PriorityBatch
 	}
 	return s.jobs.Submit(jobs.SubmitOpts{
@@ -240,11 +217,16 @@ func (s *Server) mineRun(mq *mineQuery) jobs.RunFunc {
 			j.Emit(streamProgress, StreamEvent{Event: streamProgress,
 				Kind: p.Kind, Expression: p.Expression, Bits: p.Bits})
 		}))
-		res, shared, err := s.mineContext(ctx, mq, opts...)
+		// The System is read when the run starts, so a set queued across a
+		// swap mines on the current generation. The test override, when
+		// set, replaces the search.
+		mine := mq.e.sys().MineContext
+		if s.mine != nil {
+			mine = s.mine
+		}
+		res, err := mine(ctx, mq.q.Targets, opts...)
 		if err == nil {
-			// A shared miner's per-set cache counts may include concurrent
-			// neighbors' lookups; its batch folds the exact totals instead.
-			s.recordRun(res, !shared)
+			s.recordRun(res)
 			// Only complete searches are worth remembering: a timed-out run
 			// holds whatever the deadline allowed, and a retry with more
 			// budget deserves a fresh search.

@@ -5,9 +5,9 @@
 // /v1/kb/{name}/ path prefix (requests that name no KB use the default).
 // Mining runs are tied to the request context — a client disconnect or
 // deadline cancels the underlying search — concurrent identical queries are
-// deduplicated onto a single in-flight run, and batches of target sets share
-// one mining pass (POST /v1/mine:batch). Command remi-serve wraps this
-// package in a binary.
+// deduplicated onto a single in-flight run, and a batch of target sets (POST
+// /v1/mine:batch) is one ordinary mine per set at batch priority. Command
+// remi-serve wraps this package in a binary.
 package server
 
 import (

@@ -12,21 +12,15 @@ import (
 // into, /v1/stats, and the liveness and readiness probes.
 
 // recordRun folds one completed mining run into the aggregate stats.
-// includeCache is false for batch entries: their per-set cache counters may
-// attribute a concurrent neighbor's lookups, so the batch handler folds the
-// exact whole-batch totals in separately (recordBatchCache) instead of
-// summing the approximate per-set values.
-func (s *Server) recordRun(res *remi.Result, includeCache bool) {
+func (s *Server) recordRun(res *remi.Result) {
 	st := wireStats(res.Stats)
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
 	s.agg.Candidates += int64(res.Stats.Candidates)
 	s.agg.Visited += res.Stats.Visited
 	s.agg.RETests += res.Stats.RETests
-	if includeCache {
-		s.agg.CacheHits += res.Stats.CacheHits
-		s.agg.CacheMisses += res.Stats.CacheMisses
-	}
+	s.agg.CacheHits += res.Stats.CacheHits
+	s.agg.CacheMisses += res.Stats.CacheMisses
 	s.agg.TotalSearchMS += st.SearchMS
 	s.agg.TotalQueueMS += st.QueueBuildMS
 	if res.Stats.TimedOut {
@@ -37,15 +31,6 @@ func (s *Server) recordRun(res *remi.Result, includeCache bool) {
 	}
 	s.lastRun = &st
 	s.lastAt = time.Now()
-}
-
-// recordBatchCache folds one batch's exact evaluator totals into the
-// aggregate cache counters (see recordRun).
-func (s *Server) recordBatchCache(hits, misses uint64) {
-	s.aggMu.Lock()
-	s.agg.CacheHits += hits
-	s.agg.CacheMisses += misses
-	s.aggMu.Unlock()
 }
 
 // kbInfo snapshots one registry entry for the stats endpoints.

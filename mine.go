@@ -45,8 +45,7 @@ func WithLanguage(l Language) MineOption { return func(c *mineConfig) { c.langua
 // WithWorkers enables P-REMI with n parallel exploration threads.
 func WithWorkers(n int) MineOption { return func(c *mineConfig) { c.workers = n } }
 
-// WithTimeout bounds the mining call (0 = unlimited). On a Miner the budget
-// applies to each MineContext call, not to the Miner's lifetime.
+// WithTimeout bounds the mining call (0 = unlimited).
 func WithTimeout(d time.Duration) MineOption { return func(c *mineConfig) { c.timeout = d } }
 
 // WithTopK also returns the k-1 next-best referring expressions.
@@ -74,8 +73,7 @@ type Progress struct {
 // synchronous from the search loop, so fn must be fast. The subscription is
 // mask-narrowed inside the core, so it adds no per-node allocations to the
 // search hot path. With WithWorkers > 1 every P-REMI worker delivers to fn,
-// and a Miner called from several goroutines shares fn across them; then fn
-// must be safe for concurrent use.
+// so fn must be safe for concurrent use.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -134,37 +132,6 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
 // whichever limit fires first ends the run.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
-	m, err := s.newMiner(opts)
-	if err != nil {
-		return nil, err
-	}
-	return m.MineContext(ctx, targetIRIs)
-}
-
-// Miner mines target sets on one System with one evaluator, whose
-// binding-set cache (the paper's LRU query cache, §3.5.2) stays warm from
-// one set to the next: what a batch of overlapping sets shares. Every
-// answer equals what System.MineContext gives for the same set.
-type Miner struct {
-	s   *System
-	cfg mineConfig
-	m   *core.Miner
-}
-
-// NewMiner builds a Miner with opts applied to every call. It is safe for
-// concurrent use: concurrent calls coalesce their evaluator misses, so sets
-// mined side by side compute each shared binding set once.
-func (s *System) NewMiner(opts ...MineOption) (*Miner, error) {
-	m, err := s.newMiner(opts)
-	if err != nil {
-		return nil, err
-	}
-	m.m.Ev.EnableCoalescing()
-	return m, nil
-}
-
-// newMiner builds a Miner for one goroutine (no miss coalescing).
-func (s *System) newMiner(opts []MineOption) (*Miner, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -173,30 +140,15 @@ func (s *System) newMiner(opts []MineOption) (*Miner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Miner{s: s, cfg: cfg, m: core.NewMiner(s.kb, est, s.coreConfig(cfg))}, nil
-}
-
-// MineContext mines one target set on the Miner, as System.MineContext
-// does. Stats.CacheHits and CacheMisses are the evaluator's traffic during
-// this call, which may include concurrent neighbors' lookups; CacheStats
-// has the exact totals.
-func (m *Miner) MineContext(ctx context.Context, targetIRIs []string) (*Result, error) {
-	targets, err := m.s.entityIDs(targetIRIs)
+	targets, err := s.entityIDs(targetIRIs)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.m.MineContext(ctx, targets)
+	res, err := core.NewMiner(s.kb, est, s.coreConfig(cfg)).MineContext(ctx, targets)
 	if err != nil {
 		return nil, err
 	}
-	return m.s.resultOf(res, m.cfg, targets), nil
-}
-
-// CacheStats reports the evaluator's cache hits and misses over every call
-// on this Miner.
-func (m *Miner) CacheStats() (hits, misses uint64) {
-	_, hits, misses = m.m.Ev.Stats()
-	return hits, misses
+	return s.resultOf(res, cfg, targets), nil
 }
 
 // entityIDs resolves target IRIs to entity ids (ErrUnknownEntity for an
