@@ -600,6 +600,57 @@ func BenchmarkLiveApplyNoCompaction(b *testing.B) {
 	b.ReportMetric(p50ms(last), "apply-p50-ms-96-100")
 }
 
+// BenchmarkLiveApplyFreshTerms is BenchmarkLiveApply's growing-dictionary
+// arm: one op drives 200 batches into a fresh live KB, each batch 500 facts
+// on 500 subjects the KB has never seen, and compacts after every fifth.
+// Compaction keeps the generation it wrote, so the dictionary's extension
+// tail only grows; the median Apply over batches 1–10 and over batches
+// 191–200 of every op read the same if a write costs its own terms and not
+// the tail minted before it. ns/op is the whole op: 200 batches built and
+// applied, and 40 compactions.
+//
+//	go test -run '^$' -bench LiveApplyFreshTerms -benchtime 1x .
+func BenchmarkLiveApplyFreshTerms(b *testing.B) {
+	lb := newLiveBench(b)
+	ctx := context.Background()
+	var first, last []time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := lb.open(b, fmt.Sprintf("fresh-%d", i))
+		rng := rand.New(rand.NewSource(1))
+		b.StartTimer()
+		for j := 0; j < 200; j++ {
+			ops := make([]delta.Op, 500)
+			for k := range ops {
+				a := lb.named[rng.Intn(len(lb.named))]
+				ops[k] = delta.Op{S: rdf.NewIRI(fmt.Sprintf("http://bench.remi.local/fresh/E%d-%d", j, k)), P: a.P, O: a.O}
+			}
+			start := time.Now()
+			if _, _, err := l.Apply(ctx, ops, ""); err != nil {
+				b.Fatal(err)
+			}
+			switch d := time.Since(start); {
+			case j < 10:
+				first = append(first, d)
+			case j >= 190:
+				last = append(last, d)
+			}
+			if (j+1)%5 == 0 {
+				if _, err := l.Compact(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		l.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(p50ms(first), "apply-p50-ms-1-10")
+	b.ReportMetric(p50ms(last), "apply-p50-ms-191-200")
+}
+
 // BenchmarkPREMIScaling sweeps the worker count (Section 3.4).
 func BenchmarkPREMIScaling1(b *testing.B) { benchMine(b, core.ExtendedLanguage, 1) }
 func BenchmarkPREMIScaling2(b *testing.B) { benchMine(b, core.ExtendedLanguage, 2) }

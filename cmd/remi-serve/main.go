@@ -19,17 +19,19 @@
 // Snapshots make cold start and SIGHUP reload an mmap-backed open instead
 // of a full parse+index build, which is what makes serving many KBs and
 // frequent reloads under traffic practical. Snapshot mappings are
-// refcounted: by default a swapped-out generation keeps its mapping pinned
-// (always safe), and -retire-grace opts into releasing it once no mining
-// run can still be reading it (set the grace above -max-timeout plus
-// -watchdog-grace).
+// refcounted: by default a generation replaced by a reload keeps its
+// mapping pinned (always safe), and -retire-grace opts into releasing it
+// once no mining run can still be reading it (set the grace above
+// -max-timeout plus -watchdog-grace). A live KB maps one image per process
+// (the one it booted from), so the grace only concerns reloads.
 //
 // Live KBs: -live-dir turns every -kb entry into a mutable, WAL-backed
 // knowledge base rooted in that directory (<dir>/<name>.snap +
 // <dir>/<name>.wal). Facts are then mutable at runtime through
 // POST /v1/kb/{name}/facts — each batch is fsynced to the WAL before it is
 // acknowledged, so acked facts survive a crash — and
-// POST /v1/admin/compile folds base+WAL into a fresh snapshot. On boot a
+// POST /v1/admin/compile writes the serving generation as a fresh snapshot
+// and truncates the WAL, and that generation keeps serving. On boot a
 // live KB prefers its compacted snapshot and replays the WAL tail; the
 // -kb path is only parsed on the very first boot. Live KBs are excluded
 // from SIGHUP reloads (their state is WAL-owned, not source-owned). See
@@ -37,8 +39,8 @@
 //
 // Replica mode: -snapshot-source (repeatable, name=URL|dir|file) turns the
 // process into a snapshot-pulling replica behind remi-router. Each source
-// is downloaded to -snapshot-cache, verified off to the side (a failed or
-// corrupt pull never touches serving) and refreshed every
+// is downloaded to -snapshot-cache, verified by opening the copy that will
+// serve (a failed or corrupt pull never touches serving) and refreshed every
 // -snapshot-refresh through the same last-known-good reload path SIGHUP
 // uses. The listener comes up immediately, but /readyz stays 503 until
 // every source has loaded once — so a router never routes to a replica
@@ -55,7 +57,7 @@
 //	POST /v1/summarize   {"entity": "<iri>", "size": 5}
 //	GET  /v1/describe?entity=<iri>
 //	POST /v1/kb/{name}/facts    {"ops":[{"op":"upsert|retract","s":"<iri>","p":"<iri>","o":"<iri>|\"lit\""}]}
-//	POST /v1/admin/compile      {"kb":"name"}  fold base+WAL into a snapshot
+//	POST /v1/admin/compile      {"kb":"name"}  write the serving generation as the snapshot
 //	GET  /v1/stats
 //	GET  /healthz        liveness: always 200 while the process runs
 //	GET  /readyz         readiness: 503 while booting or draining
@@ -178,7 +180,7 @@ func main() {
 		snapCache   = flag.String("snapshot-cache", filepath.Join(os.TempDir(), "remi-snapshots"), "directory replica mode caches pulled snapshots in")
 
 		liveDir     = flag.String("live-dir", "", "serve every -kb entry as a live (mutable, WAL-backed) KB rooted in this directory")
-		retireGrace = flag.Duration("retire-grace", 0, "release a swapped-out generation's snapshot mapping this long after a reload/mutation replaced it; must exceed -max-timeout plus -watchdog-grace (0 = keep mappings pinned)")
+		retireGrace = flag.Duration("retire-grace", 0, "release a generation's snapshot mapping this long after a reload replaced it (a live KB maps one image per process and needs none); must exceed -max-timeout plus -watchdog-grace (0 = keep mappings pinned)")
 	)
 	flag.Parse()
 

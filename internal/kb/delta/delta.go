@@ -76,8 +76,8 @@ func (op Op) String() string {
 // derive the next one. The zero value is not usable; construct with New.
 type Overlay struct {
 	// base is the compaction base: the mirroring rule and the pending
-	// counters are relative to it. cur is the newest generation, on which
-	// the overlay holds one reference.
+	// counters are relative to it. cur is the newest generation. The
+	// overlay holds one reference on each.
 	base, cur *kb.KB
 
 	// inv maps each base predicate to its materialized inverse (when one
@@ -92,29 +92,35 @@ type Overlay struct {
 	pendingAdds, pendingDels int
 }
 
-// New returns an overlay whose first generation is base. The base must stay
-// reachable and unchanged for the overlay's lifetime; the overlay takes its
-// own reference on it, released by Close.
+// New returns an overlay whose first generation is base. The overlay takes
+// over the caller's reference on base, released by Close.
 func New(base *kb.KB) *Overlay {
-	cur, _ := base.ApplyPatch(kb.Patch{}) // an empty patch cannot fail
-	ov := &Overlay{
-		base:    base,
-		cur:     cur,
-		inv:     make(map[kb.PredID]kb.PredID),
-		invSubj: make(map[kb.EntID]bool),
-	}
-	for _, p := range base.Predicates() {
-		bp := base.BaseOf(p)
+	ov := &Overlay{cur: base}
+	ov.Rebase()
+	return ov
+}
+
+// Rebase makes the newest generation the base, as a compaction that wrote
+// it out does: the mirroring rule's prominent set and the pending counters
+// restart from it, and the overlay's reference on the old base is
+// released.
+func (ov *Overlay) Rebase() {
+	ov.base.Close()
+	ov.base = ov.cur
+	ov.cur, _ = ov.base.ApplyPatch(kb.Patch{}) // an empty patch cannot fail
+	ov.inv, ov.invSubj = make(map[kb.PredID]kb.PredID), make(map[kb.EntID]bool)
+	ov.pendingAdds, ov.pendingDels = 0, 0
+	for _, p := range ov.base.Predicates() {
+		bp := ov.base.BaseOf(p)
 		if bp == 0 {
 			continue
 		}
 		ov.inv[bp] = p
-		subjects, _ := base.SubjectRuns(p)
+		subjects, _ := ov.base.SubjectRuns(p)
 		for _, s := range subjects {
 			ov.invSubj[s] = true
 		}
 	}
-	return ov
 }
 
 // PendingAdds returns the number of facts the newest generation holds over
@@ -293,5 +299,6 @@ func (ov *Overlay) Materialize() (*kb.KB, error) {
 	return ov.cur.ApplyPatch(kb.Patch{})
 }
 
-// Close releases the overlay's reference on its newest generation.
-func (ov *Overlay) Close() error { return ov.cur.Close() }
+// Close releases the overlay's references on its base and newest
+// generation.
+func (ov *Overlay) Close() error { return errors.Join(ov.base.Close(), ov.cur.Close()) }

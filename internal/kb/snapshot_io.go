@@ -178,32 +178,20 @@ func (k *KB) WriteSnapshotFile(path string) error {
 	return nil
 }
 
-// SnapshotOptions tunes OpenSnapshotWith.
-type SnapshotOptions struct {
-	// NoMmap forces the portable load path: one contiguous read into a
-	// single aligned heap arena instead of an mmap view.
-	NoMmap bool
-}
-
 // OpenSnapshot opens a KB snapshot written by WriteSnapshot. On unix the
 // file is mmap'd and the KB's index slices alias the mapping directly.
 // The mapping is refcounted: the returned KB holds one reference, derived
 // KBs (ApplyPatch) take their own, and KB.Close releases — the mapping is
-// reclaimed when the last holder closes, so reload- and compaction-heavy
-// servers do not accumulate dead mappings. Because accessors (Objects,
-// Facts, AdjacencyOf, ...) hand out slice views the garbage collector
-// cannot trace back to the KB, Close is an explicit promise that no such
-// view is still live; a KB that is never closed pins its mapping for the
-// process lifetime, which remains the safe default for embedders.
-// SnapshotOptions.NoMmap instead uses a single heap arena, traced (and
-// freed) like any other allocation.
+// reclaimed when the last holder closes, so a server that reloads and
+// retires old generations does not accumulate dead mappings. Because
+// accessors (Objects, Facts, AdjacencyOf, ...) hand out slice views the
+// garbage collector cannot trace back to the KB, Close is an explicit
+// promise that no such view is still live; a KB that is never closed pins
+// its mapping for the process lifetime, which remains the safe default for
+// embedders. Where mmap is unsupported the image is read into a single
+// heap arena, traced (and freed) like any other allocation.
 func OpenSnapshot(path string) (*KB, error) {
-	return OpenSnapshotWith(path, SnapshotOptions{})
-}
-
-// OpenSnapshotWith is OpenSnapshot with explicit options.
-func OpenSnapshotWith(path string, opts SnapshotOptions) (*KB, error) {
-	r, err := snapshot.Open(path, snapshot.Options{NoMmap: opts.NoMmap})
+	r, err := snapshot.Open(path, snapshot.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,23 @@ func reopen(t testing.TB, k *KB, noMmap bool) *KB {
 	if !IsSnapshotFile(path) {
 		t.Fatal("IsSnapshotFile must recognize a written snapshot")
 	}
-	got, err := OpenSnapshotWith(path, SnapshotOptions{NoMmap: noMmap})
+	return openSnapshot(t, path, noMmap)
+}
+
+// openSnapshot opens the image at path as OpenSnapshot does, or through
+// the snapshot reader's heap path when noMmap is set.
+func openSnapshot(t testing.TB, path string, noMmap bool) *KB {
+	t.Helper()
+	r, err := snapshot.Open(path, snapshot.Options{NoMmap: noMmap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	k, err := fromSnapshotReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.src = r
+	return k
 }
 
 // checkSameKB asserts the two KBs agree on every accessor the miner and the
@@ -211,13 +223,9 @@ func TestSnapshotMmapVsHeapEquivalence(t *testing.T) {
 	if err := k.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := OpenSnapshotWith(path, SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := OpenSnapshotWith(path, SnapshotOptions{NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
+	mm, hp := openSnapshot(t, path, false), openSnapshot(t, path, true)
+	if hp.src.Mapped() {
+		t.Fatal("the heap path returned a mapped image")
 	}
 	checkSameKB(t, mm, hp)
 	checkAgainstRef(t, mm)

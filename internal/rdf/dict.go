@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -25,10 +24,10 @@ const NoID ID = 0
 // slice — terms are decoded on demand from a LazyTerms source (e.g.
 // front-coded blocks in an mmap'd snapshot) and Lookup searches that source,
 // so opening is O(page-in) in the term table and never pays a per-term
-// hashing pass. Finally, ExtendDictionary layers a small set of appended
-// terms over either of the other forms without copying their lookup
-// structures: the live-KB delta layer uses it to add entities without
-// rebuilding a multi-million-term index.
+// hashing pass. Finally, ExtendDictionary layers appended terms over
+// either of the other forms without copying their lookup structures: the
+// live-KB delta layer uses it to add entities without rebuilding a
+// multi-million-term index.
 type Dictionary struct {
 	terms []Term      // terms[i] has ID i+1; nil in the lazy and extended forms
 	index map[Term]ID // term -> ID; only the builder form carries it
@@ -40,13 +39,14 @@ type Dictionary struct {
 	// sorted), so Decode is one block decode instead of a table load.
 	lazy LazyTerms
 	rank []uint32
-	// base/extra/extraTerms form the extended view: extraTerms is the
-	// appended tail (ids base.Len()+1, ...), extra indexes only the tail,
-	// and everything else falls back to base, which is never itself an
+	// base/extraTerms/extraSorted form the extended view: extraTerms is
+	// the appended tail (ids base.Len()+1, ...), extraSorted holds the
+	// tail's ids in ascending term order (Lookup binary-searches it), and
+	// everything else falls back to base, which is never itself an
 	// extended view.
-	base       *Dictionary
-	extra      map[Term]ID
-	extraTerms []Term
+	base        *Dictionary
+	extraTerms  []Term
+	extraSorted []ID
 }
 
 // LazyTerms is a random-access source of terms in ascending Term.Compare
@@ -105,9 +105,9 @@ func (d *Dictionary) Encode(t Term) ID {
 
 // Lookup returns the ID for t without inserting; ok is false if absent.
 func (d *Dictionary) Lookup(t Term) (ID, bool) {
-	if d.extra != nil {
-		if id, ok := d.extra[t]; ok {
-			return id, true
+	if d.base != nil {
+		if r, ok := slices.BinarySearchFunc(d.extraSorted, t, func(id ID, t Term) int { return d.tailTerm(id).Compare(t) }); ok {
+			return d.extraSorted[r], true
 		}
 		return d.base.Lookup(t)
 	}
@@ -150,77 +150,72 @@ func NewLazyDictionary(lazy LazyTerms, sorted []ID, rank []uint32) (*Dictionary,
 // ExtendDictionary returns a read-only dictionary holding every term of
 // base plus extra terms appended in order (ids base.Len()+1, ...). The
 // base's lookup structure — hash map or lazy term source — is reused,
-// not copied; only the appended tail gets its own small index,
-// so extending a multi-million-term dictionary by a handful of terms is
-// O(len(extra)). Encode on the result panics (it is a view, not a
-// builder), and base must not grow afterwards: the view's id space starts
-// where base's ended. Extra terms already present in base (or repeated)
-// are rejected.
+// not copied; only the appended tail gets its own index, its ids in term
+// order, so extending a multi-million-term dictionary costs nothing
+// proportional to the base. Encode on the result panics (it is a view,
+// not a builder), and base must not grow afterwards: the view's id space
+// starts where base's ended. Extra terms already present in base (or
+// repeated) are rejected.
 //
 // Extending an extended dictionary re-extends its root with both tails,
-// copying the earlier tail's index, so a chain of extensions (one per
-// live-KB generation) stays one level deep: Lookup and Decode never
-// recurse more than once.
+// merging the new terms into the earlier tail's order, so a chain of
+// extensions (one per live-KB generation) stays one level deep: Lookup
+// and Decode never recurse more than once, and a link inserts only its
+// own terms.
 func ExtendDictionary(base *Dictionary, extra []Term) (*Dictionary, error) {
-	root, tail, idx := base, make([]Term, 0, len(extra)), make(map[Term]ID, len(extra))
+	root := base
 	if base.base != nil {
-		root, tail, idx = base.base, slices.Clip(base.extraTerms), maps.Clone(base.extra)
+		root = base.base
 	}
-	for _, t := range extra {
+	d := &Dictionary{base: root, extraTerms: slices.Concat(base.extraTerms, extra)}
+	fresh := make([]ID, len(extra))
+	for i, t := range extra {
 		if _, ok := base.Lookup(t); ok {
 			return nil, fmt.Errorf("rdf: extend: term %s already in base dictionary", t)
 		}
-		if _, ok := idx[t]; ok {
+		fresh[i] = ID(base.Len() + i + 1)
+	}
+	slices.SortFunc(fresh, func(a, b ID) int { return d.tailTerm(a).Compare(d.tailTerm(b)) })
+	for i := 1; i < len(fresh); i++ {
+		if t := d.tailTerm(fresh[i]); t == d.tailTerm(fresh[i-1]) {
 			return nil, fmt.Errorf("rdf: extend: duplicate term %s", t)
 		}
-		tail = append(tail, t)
-		idx[t] = ID(root.Len() + len(tail))
 	}
-	return &Dictionary{base: root, extra: idx, extraTerms: tail}, nil
+	d.extraSorted = d.mergeByTerm(base.extraSorted, fresh, d.tailTerm)
+	return d, nil
+}
+
+// tailTerm decodes an id of an extended dictionary's tail.
+func (d *Dictionary) tailTerm(id ID) Term { return d.extraTerms[int(id)-d.base.Len()-1] }
+
+// mergeByTerm merges two id lists, each ascending in term order, into one;
+// the ids of a are decoded with decodeA, those of b with tailTerm. Each
+// merge step decodes at most one term of a (which matters when a's
+// dictionary is lazy).
+func (d *Dictionary) mergeByTerm(a, b []ID, decodeA func(ID) Term) []ID {
+	out := make([]ID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		at := decodeA(a[0])
+		for len(b) > 0 && d.tailTerm(b[0]).Compare(at) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		}
+		out, a = append(out, a[0]), a[1:]
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // SortedByTerm returns the IDs permuted into ascending Term.Compare order —
 // the binary-search index a snapshot writer persists so that reopening needs
 // no hashing pass at all. A lazy dictionary already carries the
-// permutation, so re-packing a snapshot-loaded KB skips the sort.
+// permutation, so re-packing a snapshot-loaded KB skips the sort, and an
+// extended one merges its base's order with its term-ordered tail.
 func (d *Dictionary) SortedByTerm() []ID {
-	if d.sorted != nil && d.base == nil {
+	switch {
+	case d.lazy != nil:
 		return slices.Clone(d.sorted)
-	}
-	if d.base != nil {
-		// Extended form: merge the base's term order with the sorted tail.
-		// The tail is tiny relative to the base, so a linear merge beats
-		// re-sorting the whole id space — and the base side needs at most
-		// one Decode per merge step (which matters when the base is lazy).
-		bs := d.base.SortedByTerm()
-		tail := make([]ID, len(d.extraTerms))
-		for i := range tail {
-			tail[i] = ID(d.base.Len() + i + 1)
-		}
-		sort.Slice(tail, func(i, j int) bool {
-			return d.extraTerms[tail[i]-ID(d.base.Len())-1].Compare(d.extraTerms[tail[j]-ID(d.base.Len())-1]) < 0
-		})
-		out := make([]ID, 0, len(bs)+len(tail))
-		bi, ti := 0, 0
-		var bTerm Term
-		bValid := false
-		for bi < len(bs) && ti < len(tail) {
-			if !bValid {
-				bTerm = d.base.Decode(bs[bi])
-				bValid = true
-			}
-			if bTerm.Compare(d.extraTerms[tail[ti]-ID(d.base.Len())-1]) <= 0 {
-				out = append(out, bs[bi])
-				bi++
-				bValid = false
-			} else {
-				out = append(out, tail[ti])
-				ti++
-			}
-		}
-		out = append(out, bs[bi:]...)
-		out = append(out, tail[ti:]...)
-		return out
+	case d.base != nil:
+		return d.mergeByTerm(d.base.SortedByTerm(), d.extraSorted, d.base.Decode)
 	}
 	out := make([]ID, len(d.terms))
 	for i := range out {

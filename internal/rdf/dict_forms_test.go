@@ -8,6 +8,7 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -223,6 +224,70 @@ func TestExtendDictionaryChainStaysFlat(t *testing.T) {
 	}
 	if _, err := ExtendDictionary(d, []Term{all[0]}); err == nil {
 		t.Fatal("re-extending with a term from an earlier link must fail")
+	}
+}
+
+// TestExtendDictionaryRandomChainsAndForks: random extension chains over
+// both base forms, with forks taken from earlier links (a live KB patches
+// one generation into many), must answer every accessor as a builder
+// dictionary holding the same terms in the same order does, and must
+// reject a term any earlier link of their own chain holds.
+func TestExtendDictionaryRandomChainsAndForks(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 39))
+	kinds := []Kind{IRI, Literal, Blank}
+	builder, lazy := buildDictForms(t)
+	for name, root := range map[string]*Dictionary{"builder": builder, "lazy": lazy} {
+		type link struct {
+			d     *Dictionary
+			terms []Term // every term of d, by id
+		}
+		links := []link{{root, slices.Clone(root.Terms())}}
+		for step := range 300 {
+			from := links[len(links)-1]
+			if rng.IntN(4) == 0 { // fork an earlier link
+				from = links[rng.IntN(len(links))]
+			}
+			var extra []Term
+			for i := range 1 + rng.IntN(5) {
+				// A random prefix interleaves the new terms with the
+				// root's and every earlier link's in term order.
+				extra = append(extra, Term{Kind: kinds[rng.IntN(3)], Value: fmt.Sprintf("http://e/%x-%d-%d", rng.Uint32(), step, i)})
+			}
+			d, err := ExtendDictionary(from.d, extra)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", name, step, err)
+			}
+			if _, err := ExtendDictionary(d, []Term{from.terms[rng.IntN(len(from.terms))]}); err == nil {
+				t.Fatalf("%s step %d: re-extending with a term of the chain succeeded", name, step)
+			}
+			if _, err := ExtendDictionary(d, []Term{NewIRI("http://e/dup"), NewIRI("http://e/dup")}); err == nil {
+				t.Fatalf("%s step %d: a duplicate within one extension succeeded", name, step)
+			}
+			links = append(links, link{d, slices.Concat(from.terms, extra)})
+		}
+		for i, l := range links {
+			want := NewDictionary()
+			for _, term := range l.terms {
+				want.Encode(term)
+			}
+			if !slices.Equal(l.d.Terms(), want.Terms()) {
+				t.Fatalf("%s link %d: Terms differ", name, i)
+			}
+			if !slices.Equal(l.d.SortedByTerm(), want.SortedByTerm()) {
+				t.Fatalf("%s link %d: SortedByTerm differs", name, i)
+			}
+			for id, term := range l.terms {
+				if got := l.d.Decode(ID(id + 1)); got != term {
+					t.Fatalf("%s link %d: Decode(%d) = %v, want %v", name, i, id+1, got, term)
+				}
+				if got, ok := l.d.Lookup(term); !ok || got != ID(id+1) {
+					t.Fatalf("%s link %d: Lookup(%v) = %d,%v, want %d", name, i, term, got, ok, id+1)
+				}
+			}
+			if _, ok := l.d.Lookup(NewIRI("http://e/absent")); ok {
+				t.Fatalf("%s link %d: Lookup of an absent term succeeded", name, i)
+			}
+		}
 	}
 }
 

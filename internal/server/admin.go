@@ -2,11 +2,12 @@ package server
 
 // Admin mutation plane for live KBs: POST /v1/kb/{name}/facts applies a
 // mutation batch (acknowledged only after the WAL fsync), and
-// POST /v1/admin/compile folds base+delta into a fresh snapshot and
-// truncates the WAL. Both endpoints swap the KB's serving System through
-// the same generation machinery as reloads, so every cache and in-flight
-// dedup key of the old generation becomes unreachable the moment the
-// mutation is acknowledged.
+// POST /v1/admin/compile writes the serving generation as a fresh snapshot
+// and truncates the WAL. A facts batch swaps the KB's serving System
+// through the same generation machinery as reloads, so every cache and
+// in-flight dedup key of the old generation becomes unreachable the moment
+// the mutation is acknowledged; a compile changes no fact and swaps
+// nothing.
 
 import (
 	"errors"
@@ -159,10 +160,11 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCompile is POST /v1/admin/compile (and /v1/kb/{name}/admin/compile):
-// fold base+delta into a new snapshot, truncate the WAL, swap the compacted
-// generation in. Concurrent compiles of the same KB answer 409; a failed
-// compaction changes nothing visible (the old generation keeps serving and
-// the WAL still holds every acked mutation).
+// write the serving generation as the new snapshot and truncate the WAL.
+// Compaction is a write, not a reload: the same System keeps serving, so
+// the generation, the result cache and in-flight mines are untouched.
+// Concurrent compiles of the same KB answer 409; a failed compaction
+// changes nothing visible (the WAL still holds every acked mutation).
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.cCompile.requests.Add(1)
 	var q CompileRequest
@@ -183,18 +185,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer e.compacting.Store(false)
-	sys, err := e.live.Compact(r.Context())
+	// reloadMu orders the compaction against mutation batches, so the
+	// generation recorded is the one the snapshot holds.
+	e.reloadMu.Lock()
+	_, err = e.live.Compact(r.Context())
+	gen := e.generation.Load()
+	e.reloadMu.Unlock()
 	if err != nil {
 		s.writeError(w, &s.cCompile, http.StatusInternalServerError, err)
 		return
 	}
-	e.reloadMu.Lock()
-	old := e.sys()
-	e.swapIn(sys)
-	gen := e.generation.Load()
 	e.lastCompactionGen.Store(gen)
-	e.reloadMu.Unlock()
-	s.retire(old)
 	st := e.live.Stats()
 	wire.WriteJSON(w, http.StatusOK, CompileResponse{
 		KB:          e.name,

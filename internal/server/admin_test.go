@@ -250,6 +250,45 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompileKeepsCacheAndServingSystem: compaction is a write, not a
+// reload. The System serving the facts' generation keeps serving after a
+// compile and past every retirement timer, its generation does not move,
+// and the result cache it filled still answers.
+func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
+	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, RetireGrace: 10 * time.Millisecond})
+	h := s.Handler()
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
+	}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("facts: %d %s", rec.Code, rec.Body.String())
+	}
+	facts := decode[FactsResponse](t, rec)
+	mine := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	if rec := postJSON(t, h, "/v1/kb/geo/mine", mine); rec.Code != http.StatusOK {
+		t.Fatalf("mine: %d %s", rec.Code, rec.Body.String())
+	}
+	rec = postJSON(t, h, "/v1/kb/geo/admin/compile", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compile: %d %s", rec.Code, rec.Body.String())
+	}
+	if out := decode[CompileResponse](t, rec); out.Generation != facts.Generation {
+		t.Fatalf("compile generation %d, want the facts' %d", out.Generation, facts.Generation)
+	}
+	time.Sleep(50 * time.Millisecond) // past the retirement grace
+	rec = postJSON(t, h, "/v1/kb/geo/mine", mine)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mine after compile: %d %s", rec.Code, rec.Body.String())
+	}
+	if !decode[MineResponse](t, rec).Cached {
+		t.Fatal("compile invalidated the result cache")
+	}
+	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Atlantis"}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mining the minted entity after compile: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestCompileWhileCompacting(t *testing.T) {
 	s, _ := liveServer(t, Options{})
 	h := s.Handler()

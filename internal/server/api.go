@@ -164,7 +164,7 @@ type KBInfo struct {
 	// counts mutation ops acknowledged since boot; WalBytes/WalRecords size
 	// the unfolded tail a crash would replay; RecoveryReplayed counts the
 	// records replayed at the last boot; LastCompactionGeneration is the
-	// generation installed by the most recent compile (0 = never compiled).
+	// generation the most recent compile wrote (0 also before any compile).
 	Live                     bool  `json:"live,omitempty"`
 	FactsApplied             int64 `json:"facts_applied,omitempty"`
 	WalBytes                 int64 `json:"wal_bytes,omitempty"`

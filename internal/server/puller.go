@@ -19,9 +19,9 @@ import (
 )
 
 // Puller keeps one replica KB fresh from a snapshot source: it downloads
-// the image to a temp file, verifies it off to the side (a full-validation
-// heap load, so a torn or corrupt pull never touches the serving path),
-// atomically renames it into place and opens the mmap'd serving copy. It
+// the image to a temp file, opens it once as the mmap'd serving copy (the
+// open validates the whole image, so a torn or corrupt pull never reaches
+// the serving path) and only then atomically renames it into place. It
 // plugs straight into Server.ReloadKB as the load func, which supplies the
 // containment: a failed pull quarantines with backoff while the replica
 // keeps serving its last-known-good generation, and an unchanged image
@@ -73,20 +73,19 @@ func (p *Puller) Load() (*remi.System, error) {
 	if p.loaded && hash == p.lastHash {
 		return nil, ErrKBUnchanged
 	}
-	// Verify off to the side: a NoMmap open reads the whole image onto the
-	// heap and runs every structural check (CRC, section bounds, ordering
-	// invariants). The copy is dropped for the GC; only an image that
-	// passed gets near the serving path.
-	if _, err := kb.OpenSnapshotWith(tmp, kb.SnapshotOptions{NoMmap: true}); err != nil {
+	// Verify by loading the copy that will serve: opening checks the
+	// payload CRC, section bounds and ordering invariants, so only an image
+	// that passed is renamed into place. The mapping survives the rename.
+	if !kb.IsSnapshotFile(tmp) {
+		return nil, fmt.Errorf("verifying pulled snapshot for KB %q: not a snapshot image", p.name)
+	}
+	sys, err := remi.Load(tmp)
+	if err != nil {
 		return nil, fmt.Errorf("verifying pulled snapshot for KB %q: %w", p.name, err)
 	}
-	cur := p.CurrentPath()
-	if err := os.Rename(tmp, cur); err != nil {
+	if err := os.Rename(tmp, p.CurrentPath()); err != nil {
+		sys.Close()
 		return nil, fmt.Errorf("installing snapshot for KB %q: %w", p.name, err)
-	}
-	sys, err := remi.Load(cur)
-	if err != nil {
-		return nil, fmt.Errorf("opening installed snapshot for KB %q: %w", p.name, err)
 	}
 	p.lastHash = hash
 	p.loaded = true

@@ -58,7 +58,7 @@ type kbEntry struct {
 	// set, the admin mutation plane (facts, compile) operates on this KB.
 	live              *remi.LiveKB
 	compacting        atomic.Bool  // one compile at a time per KB
-	lastCompactionGen atomic.Int64 // generation installed by the last compile
+	lastCompactionGen atomic.Int64 // generation the last compile wrote
 }
 
 func (e *kbEntry) sys() *remi.System { return e.sysPtr.Load() }

@@ -136,7 +136,9 @@ type Options struct {
 	ReloadBackoff    time.Duration
 	ReloadBackoffMax time.Duration
 	// RetireGrace closes a swapped-out System (releasing its snapshot
-	// mapping) this long after a swap replaced it. It must exceed the
+	// mapping) this long after a swap replaced it. Only reloads release a
+	// mapping this way: every generation of a live KB shares the one image
+	// it booted from. It must exceed the
 	// longest possible mining run (MaxTimeout plus WatchdogGrace), or a run
 	// still reading the old generation would touch unmapped memory.
 	// 0 (the default) never closes old generations: their mappings stay

@@ -3,10 +3,11 @@ package remi
 // Live knowledge bases: the crash-safe mutable layer over the immutable
 // snapshot machinery. A LiveKB owns three pieces of state:
 //
-//	<dir>/<name>.snap   the immutable base (CSR snapshot, mmap-opened)
+//	<dir>/<name>.snap   the last compaction's image (a CSR snapshot,
+//	                    opened at boot only)
 //	<dir>/<name>.wal    the write-ahead log of mutations since the snapshot
-//	in memory           the newest generation: the base patched by every
-//	                    logged batch in turn, one patch per batch
+//	in memory           the newest generation: the booted image patched by
+//	                    every batch since, one patch per batch
 //
 // The durability contract is ack-after-fsync: a mutation batch is appended
 // and fsynced to the WAL before it is applied in memory or acknowledged to
@@ -18,11 +19,14 @@ package remi
 // was applied before the crash re-applies as a no-op — which makes the
 // at-least-once semantics of a torn-tail-truncating log safe.
 //
-// Compaction (Compact) writes the newest generation as the new snapshot:
-// write to a temp file, fsync, rename over <name>.snap, and only then
-// truncate the WAL. A crash between the rename and the truncate leaves both
-// a complete snapshot and a stale WAL; the next boot replays the WAL onto
-// the new snapshot and idempotence absorbs the overlap.
+// Compaction (Compact) is a write, not a reload: it writes the newest
+// generation as the new snapshot (temp file, fsync, rename over
+// <name>.snap), only then truncates the WAL, and keeps serving the
+// generation it wrote, which becomes the base later writes are counted
+// from. A crash between the rename and the truncate leaves both a complete
+// snapshot and a stale WAL; the next boot replays the WAL onto the new
+// snapshot and idempotence absorbs the overlap. The snapshot is read back
+// only at boot, so a process maps at most the one image it booted from.
 
 import (
 	"context"
@@ -88,7 +92,6 @@ type LiveKB struct {
 	buildOpts kb.Options
 
 	log     *wal.Log
-	base    *kb.KB
 	overlay *delta.Overlay
 	cur     *System
 
@@ -188,7 +191,7 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 		base.Close()
 		return nil, fmt.Errorf("remi: live KB %q: %w", name, err)
 	}
-	l.log, l.base = log, base
+	l.log = log
 	l.overlay = delta.New(base)
 	l.recoveryDropped = rec.DroppedBytes
 	for _, payload := range rec.Records {
@@ -309,8 +312,9 @@ func (l *LiveKB) Apply(ctx context.Context, ops []delta.Op, requestID string) (s
 // and atomically renamed over <name>.snap, and only once it is durable does
 // the WAL shrink. A crash (or injected fault) after the rename but before the
 // truncate loses nothing — the next boot opens the new snapshot and
-// replays the stale WAL records as no-ops. On success the returned System
-// serves from the new snapshot, which is the new base.
+// replays the stale WAL records as no-ops. On success the overlay counts
+// later writes from that generation, and Compact returns the System already
+// serving it: nothing is reopened, and readers see no change.
 func (l *LiveKB) Compact(ctx context.Context) (*System, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -326,24 +330,8 @@ func (l *LiveKB) Compact(ctx context.Context) (*System, error) {
 	if err := l.log.Truncate(); err != nil {
 		return nil, fmt.Errorf("remi: truncating wal after compaction: %w", err)
 	}
-	newBase, err := kb.OpenSnapshot(l.snapPath())
-	if err != nil {
-		return nil, fmt.Errorf("remi: reopening compacted snapshot: %w", err)
-	}
-	overlay := delta.New(newBase)
-	k, err := overlay.Materialize()
-	if err != nil {
-		overlay.Close()
-		newBase.Close()
-		return nil, err
-	}
-	// Generations already handed out hold their own snapshot refs; dropping
-	// ours reclaims the old mapping once they retire.
-	l.overlay.Close()
-	l.base.Close()
-	l.base, l.overlay = newBase, overlay
+	l.overlay.Rebase()
 	l.compactions++
-	l.cur = fromKB(k, l.cur)
 	return l.cur, nil
 }
 
@@ -365,9 +353,10 @@ func (l *LiveKB) Stats() LiveStats {
 	}
 }
 
-// Close releases the WAL handle and the KB references. Systems handed
-// out by Apply/Compact/System stay valid (they own their references) but
-// no further mutations are accepted.
+// Close releases the WAL handle and the overlay's references on the base
+// and newest generation. Systems handed out by Apply/Compact/System stay
+// valid (each owns its reference on the image the KB booted from, if any)
+// but no further mutations are accepted.
 func (l *LiveKB) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -375,7 +364,7 @@ func (l *LiveKB) Close() error {
 		return nil
 	}
 	l.closed = true
-	return errors.Join(l.log.Close(), l.overlay.Close(), l.base.Close())
+	return errors.Join(l.log.Close(), l.overlay.Close())
 }
 
 // Close releases the System's reference on its backing snapshot mapping,

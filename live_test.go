@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/datagen"
@@ -430,8 +432,8 @@ func assertSameKB(t *testing.T, label string, got, want *kb.KB) {
 // (re-linked and new subjects, a new predicate, retracts, literal objects)
 // over a KB with materialized inverses, with no compaction in between. A
 // reopen that replays the WAL must rebuild the live generation exactly and
-// answer the golden sets the same; Compact's reopened snapshot must match
-// that generation element for element.
+// answer the golden sets the same; Compact must keep serving that
+// generation, and the snapshot it wrote must match it element for element.
 func TestLiveKBChainReplayAndCompactMatch(t *testing.T) {
 	dir := t.TempDir()
 	d := datagen.DBpediaLike(datagen.Config{Seed: 3, Scale: 0.2})
@@ -511,6 +513,64 @@ func TestLiveKBChainReplayAndCompactMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameKB(t, "compacted vs live", compacted.kb, gen.kb)
-	assertSameGolden(t, "compacted vs live", mineGolden(t, compacted, sets), want)
+	if compacted != gen {
+		t.Fatal("Compact swapped out the System serving the generation it wrote")
+	}
+	snap, err := kb.OpenSnapshot(filepath.Join(dir, "chain.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	assertSameKB(t, "compacted snapshot vs live", snap, gen.kb)
+	assertSameGolden(t, "compacted snapshot vs live", mineGolden(t, fromKB(snap, nil), sets), want)
+}
+
+// TestCompactionMapsNoImage: a live KB over a snapshot source maps the image
+// it booted from and nothing else. Compaction writes the generation it
+// serves and keeps serving it, so ten write-and-compact rounds, each
+// dropping the Systems it was handed, leave at most one mapping of the
+// test's files.
+func TestCompactionMapsNoImage(t *testing.T) {
+	maps := func() string {
+		b, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("no /proc/self/maps: %v", err)
+		}
+		return string(b)
+	}
+	maps()
+	dir := t.TempDir()
+	sys, err := FromTriples(datagen.TinyGeo().Triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(dir, "src.snap")
+	if err := sys.SaveSnapshot(src); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir, "tiny", LiveOptions{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	ctx := context.Background()
+	for i := range 10 {
+		op := upsertOp(fmt.Sprintf("http://tiny.demo/resource/Live%d", i), tinyOnt+"in", "http://tiny.demo/resource/SouthAmerica")
+		if _, _, err := live.Apply(ctx, []delta.Op{op}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := live.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	n := 0
+	for _, line := range strings.Split(maps(), "\n") {
+		if strings.Contains(line, dir) {
+			n++
+		}
+	}
+	if n > 1 {
+		t.Fatalf("%d mappings of the live KB's images after 10 compactions, want at most 1", n)
+	}
 }

@@ -62,9 +62,8 @@ func TestSnapshotGoldenTinyMining(t *testing.T) {
 }
 
 // TestSnapshotGoldenDBpediaMining repeats the check on the DBpedia-like lab
-// KB against the recorded goldens themselves, via the heap fallback path for
-// variety. Targets are resolved by IRI so the check is independent of
-// dictionary id assignment.
+// KB against the recorded goldens themselves. Targets are resolved by IRI so
+// the check is independent of dictionary id assignment.
 func TestSnapshotGoldenDBpediaMining(t *testing.T) {
 	env := lab().DBpedia()
 	sets := experiments.SampleSets(env, 8, 404, 0)
@@ -75,7 +74,7 @@ func TestSnapshotGoldenDBpediaMining(t *testing.T) {
 	if err := env.KB.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	k, err := kb.OpenSnapshotWith(path, kb.SnapshotOptions{NoMmap: true})
+	k, err := kb.OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
