@@ -18,12 +18,10 @@
 // first -kb flag (or -demo) is the default for requests that name none.
 // Snapshots make cold start and SIGHUP reload an mmap-backed open instead
 // of a full parse+index build, which is what makes serving many KBs and
-// frequent reloads under traffic practical. Snapshot mappings are
-// refcounted: by default a generation replaced by a reload keeps its
-// mapping pinned (always safe), and -retire-grace opts into releasing it
-// once no mining run can still be reading it (set the grace above
-// -max-timeout plus -watchdog-grace). A live KB maps one image per process
-// (the one it booted from), so the grace only concerns reloads.
+// frequent reloads under traffic practical. A generation replaced by a
+// reload or a write is closed, and its snapshot mapping released, when the
+// last run reading it returns, so the process maps one image per KB plus
+// one per generation something still reads.
 //
 // Live KBs: -live-dir turns every -kb entry into a mutable, WAL-backed
 // knowledge base rooted in that directory (<dir>/<name>.snap +
@@ -179,8 +177,7 @@ func main() {
 		snapRefresh = flag.Duration("snapshot-refresh", 30*time.Second, "how often replica mode re-pulls each -snapshot-source (0 = never)")
 		snapCache   = flag.String("snapshot-cache", filepath.Join(os.TempDir(), "remi-snapshots"), "directory replica mode caches pulled snapshots in")
 
-		liveDir     = flag.String("live-dir", "", "serve every -kb entry as a live (mutable, WAL-backed) KB rooted in this directory")
-		retireGrace = flag.Duration("retire-grace", 0, "release a generation's snapshot mapping this long after a reload replaced it (a live KB maps one image per process and needs none); must exceed -max-timeout plus -watchdog-grace (0 = keep mappings pinned)")
+		liveDir = flag.String("live-dir", "", "serve every -kb entry as a live (mutable, WAL-backed) KB rooted in this directory")
 	)
 	flag.Parse()
 
@@ -193,13 +190,6 @@ func main() {
 			name: server.DefaultKBName,
 			load: func() (*remi.System, error) { return remi.GenerateDemo(*demo, *seed, *scale) },
 		})
-	}
-	if *retireGrace > 0 && *maxTimeout <= 0 {
-		log.Fatal("-retire-grace needs a finite -max-timeout: an unbounded mining run could outlive any grace")
-	}
-	if *retireGrace > 0 && *retireGrace <= *maxTimeout+*watchdogGrace {
-		log.Fatalf("-retire-grace %v must exceed -max-timeout %v + -watchdog-grace %v, or a still-running mine could read a released mapping",
-			*retireGrace, *maxTimeout, *watchdogGrace)
 	}
 	for _, kf := range kbs {
 		if *demo != "" && kf.name == server.DefaultKBName {
@@ -286,7 +276,6 @@ func main() {
 			QuotaBurst:         *quotaBurst,
 			InteractiveReserve: *interReserve,
 			WatchdogGrace:      *watchdogGrace,
-			RetireGrace:        *retireGrace,
 		})
 		for _, src := range sources[1:] {
 			if err := srv.AddKB(src.name, systems[src.name]); err != nil {

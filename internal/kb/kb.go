@@ -80,9 +80,9 @@ type KB struct {
 // Close releases the KB's reference on its backing snapshot image, if any.
 // After the last reference drops, every slice an accessor ever returned
 // becomes invalid — callers close a KB only once nothing can still be
-// reading it (the server retires swapped-out generations after a grace
-// period for exactly this reason). Closing a built (non-snapshot) KB or
-// closing twice is a no-op.
+// reading it (the server closes a generation when its last reader
+// returns); strings it returned are heap copies and stay valid. Closing a
+// built (non-snapshot) KB or closing twice is a no-op.
 func (k *KB) Close() error {
 	if k == nil || k.src == nil {
 		return nil

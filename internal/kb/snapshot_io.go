@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unsafe"
 
 	"github.com/remi-kb/remi/internal/frontcoding"
 	"github.com/remi-kb/remi/internal/kb/snapshot"
@@ -183,13 +182,13 @@ func (k *KB) WriteSnapshotFile(path string) error {
 // The mapping is refcounted: the returned KB holds one reference, derived
 // KBs (ApplyPatch) take their own, and KB.Close releases — the mapping is
 // reclaimed when the last holder closes, so a server that reloads and
-// retires old generations does not accumulate dead mappings. Because
-// accessors (Objects, Facts, AdjacencyOf, ...) hand out slice views the
-// garbage collector cannot trace back to the KB, Close is an explicit
-// promise that no such view is still live; a KB that is never closed pins
-// its mapping for the process lifetime, which remains the safe default for
-// embedders. Where mmap is unsupported the image is read into a single
-// heap arena, traced (and freed) like any other allocation.
+// closes a generation after its last reader accumulates no dead mappings.
+// Because accessors (Objects, Facts, AdjacencyOf, ...) hand out slice
+// views the garbage collector cannot trace back to the KB, Close is an
+// explicit promise that no such view is still live; strings are heap
+// copies and outlive it. A KB never closed pins its mapping for the
+// process lifetime. Where mmap is unsupported the image is read into a
+// single heap arena, traced (and freed) like any other allocation.
 func OpenSnapshot(path string) (*KB, error) {
 	r, err := snapshot.Open(path, snapshot.Options{})
 	if err != nil {
@@ -270,16 +269,6 @@ func checkOffsets[T uint32 | uint64](name string, offs []T, first, last uint64) 
 		return fmt.Errorf("%s: final offset %d, want %d", name, offs[len(offs)-1], last)
 	}
 	return nil
-}
-
-// blobString returns the [lo,hi) window of blob as a string aliasing the
-// underlying image bytes (no copy; the image is immutable for the KB's
-// lifetime).
-func blobString(blob []byte, lo, hi uint64) string {
-	if lo == hi {
-		return ""
-	}
-	return unsafe.String(&blob[lo], hi-lo)
 }
 
 // fromSnapshotReader reconstructs a KB over an opened snapshot image. The
@@ -444,7 +433,7 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 	k.predIdx = make(map[string]PredID, nPred)
 	k.predIDs = make([]PredID, nPred)
 	for i := 0; i < nPred; i++ {
-		name := blobString(predBlob, predOffs[i], predOffs[i+1])
+		name := string(predBlob[predOffs[i]:predOffs[i+1]]) // a copy: names outlive the mapping
 		k.predNames[i] = name
 		k.predIdx[name] = PredID(i + 1)
 		k.predIDs[i] = PredID(i + 1)

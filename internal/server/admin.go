@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/kb/delta"
@@ -54,20 +53,6 @@ func (s *Server) BindLive(name string, live *remi.LiveKB) error {
 	}
 	e.live = live
 	return nil
-}
-
-// retire schedules the Close of a swapped-out System after the configured
-// grace period. With RetireGrace zero (the default) old generations are
-// never closed — their mappings stay pinned for the process lifetime,
-// which is always safe — so only deployments that opt in reclaim mappings.
-// The grace must exceed the longest possible mining run (MaxTimeout plus
-// watchdog slack): a run still holding the old System when it closes
-// would read unmapped memory.
-func (s *Server) retire(old *remi.System) {
-	if old == nil || s.opts.RetireGrace <= 0 {
-		return
-	}
-	time.AfterFunc(s.opts.RetireGrace, func() { _ = old.Close() })
 }
 
 // parseFactOps decodes the wire batch into delta ops: terms are N-Triples
@@ -142,11 +127,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &s.cFacts, status, err)
 		return
 	}
-	old := e.sys()
 	e.swapIn(sys)
 	gen := e.generation.Load()
 	e.reloadMu.Unlock()
-	s.retire(old)
 	st := e.live.Stats()
 	wire.WriteJSON(w, http.StatusOK, FactsResponse{
 		KB:         e.name,

@@ -252,10 +252,10 @@ func TestCompileEndpoint(t *testing.T) {
 
 // TestCompileKeepsCacheAndServingSystem: compaction is a write, not a
 // reload. The System serving the facts' generation keeps serving after a
-// compile and past every retirement timer, its generation does not move,
-// and the result cache it filled still answers.
+// compile, its generation does not move, and the result cache it filled
+// still answers.
 func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
-	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, RetireGrace: 10 * time.Millisecond})
+	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
@@ -275,7 +275,6 @@ func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
 	if out := decode[CompileResponse](t, rec); out.Generation != facts.Generation {
 		t.Fatalf("compile generation %d, want the facts' %d", out.Generation, facts.Generation)
 	}
-	time.Sleep(50 * time.Millisecond) // past the retirement grace
 	rec = postJSON(t, h, "/v1/kb/geo/mine", mine)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine after compile: %d %s", rec.Code, rec.Body.String())
@@ -421,8 +420,10 @@ func TestCompileChaosCrashContainment(t *testing.T) {
 	}
 }
 
-func TestRetireGraceKeepsServingGeneration(t *testing.T) {
-	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, RetireGrace: 10 * time.Millisecond})
+// TestSwapsKeepServingGeneration: each write closes the generation it
+// replaced (nothing reads it), never the one it swapped in.
+func TestSwapsKeepServingGeneration(t *testing.T) {
+	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 	for i := 0; i < 3; i++ {
 		rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
@@ -432,12 +433,9 @@ func TestRetireGraceKeepsServingGeneration(t *testing.T) {
 			t.Fatalf("facts %d: %d %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	// Let every retirement timer fire, then prove the serving generation —
-	// the only one the retire path must never touch — still answers.
-	time.Sleep(50 * time.Millisecond)
 	rec := postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("serving generation broken after retirements: %d %s", rec.Code, rec.Body.String())
+		t.Fatalf("serving generation broken after swaps: %d %s", rec.Code, rec.Body.String())
 	}
 	if info := liveKBStats(t, h, "geo"); info.Generation != 3 {
 		t.Fatalf("generation = %d, want 3", info.Generation)

@@ -362,12 +362,12 @@ func TestMultiKBSummarizeAndDescribe(t *testing.T) {
 
 // TestBatchSetAfterSwapMinesCurrentGeneration: every search reads a System
 // that was current when it started. A batch planned on one generation
-// whose sets start only after a write swapped in the next (and the old one
-// was retired and closed) mines on the new generation: the set naming an
-// entity the write created is found.
+// whose sets start only after a write swapped in the next (and closed the
+// old one, which nothing read) mines on the new generation: the set naming
+// an entity the write created is found.
 func TestBatchSetAfterSwapMinesCurrentGeneration(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1,
-		JobWorkers: 1, RetireGrace: 5 * time.Millisecond})
+		JobWorkers: 1})
 	h := s.Handler()
 	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
 	defer disarm()
@@ -387,7 +387,6 @@ func TestBatchSetAfterSwapMinesCurrentGeneration(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("facts: %d %s", rec.Code, rec.Body.String())
 	}
-	time.Sleep(30 * time.Millisecond) // the planned generation is now closed
 	disarm()
 
 	brec := <-done

@@ -217,10 +217,12 @@ func (s *Server) mineRun(mq *mineQuery) jobs.RunFunc {
 			j.Emit(streamProgress, StreamEvent{Event: streamProgress,
 				Kind: p.Kind, Expression: p.Expression, Bits: p.Bits})
 		}))
-		// The System is read when the run starts, so a set queued across a
-		// swap mines on the current generation. The test override, when
-		// set, replaces the search.
-		mine := mq.e.sys().MineContext
+		// The System is read when the run starts and held until it returns,
+		// so a set queued across a swap mines on the current generation.
+		// The test override, when set, replaces the search.
+		h := mq.e.acquire()
+		defer h.release()
+		mine := h.sys.MineContext
 		if s.mine != nil {
 			mine = s.mine
 		}
@@ -334,7 +336,9 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &s.cSummarize, http.StatusBadRequest, err)
 		return
 	}
-	entries, err := e.sys().SummarizeContext(r.Context(), q.Entity, q.Size, opts...)
+	h := e.acquire()
+	defer h.release()
+	entries, err := h.sys.SummarizeContext(r.Context(), q.Entity, q.Size, opts...)
 	if err != nil {
 		s.writeError(w, &s.cSummarize, errStatus(err), err)
 		return
@@ -358,7 +362,9 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &s.cDescribe, http.StatusBadRequest, errors.New("query parameter entity is required"))
 		return
 	}
-	label, err := e.sys().Describe(entity)
+	h := e.acquire()
+	defer h.release()
+	label, err := h.sys.Describe(entity)
 	if err != nil {
 		s.writeError(w, &s.cDescribe, errStatus(err), err)
 		return

@@ -36,8 +36,8 @@ func ValidateKBName(name string) error {
 // kbEntry is one registered knowledge base: its live System plus the
 // generation tag that scopes cache invalidation to this KB.
 type kbEntry struct {
-	name   string
-	sysPtr atomic.Pointer[remi.System]
+	name string
+	cur  atomic.Pointer[held]
 	// generation counts swaps of this KB; it prefixes every cache and
 	// flight key derived from it, so a reload makes the old entries — and
 	// only this KB's — unreachable.
@@ -45,7 +45,7 @@ type kbEntry struct {
 	// requests counts requests routed to this KB (all endpoints).
 	requests atomic.Int64
 
-	// Last-known-good reload state. A failed reload leaves sysPtr and
+	// Last-known-good reload state. A failed reload leaves cur and
 	// generation untouched — the old System keeps serving byte-identical
 	// results — and quarantines the source with exponential backoff.
 	reloadMu        sync.Mutex   // serializes reloads of this KB
@@ -61,11 +61,40 @@ type kbEntry struct {
 	lastCompactionGen atomic.Int64 // generation the last compile wrote
 }
 
-func (e *kbEntry) sys() *remi.System { return e.sysPtr.Load() }
+// held is a registered System and its references: the registry's while
+// it serves, plus one per reader; refs counts those beyond the registry's.
+// A swap drops the registry's, and the last release (refs -1) closes the
+// System, so a replaced generation is unmapped once nothing reads it.
+type held struct {
+	sys  *remi.System
+	refs atomic.Int64
+}
+
+// sys returns the serving System unreferenced: for its heap counters only.
+func (e *kbEntry) sys() *remi.System { return e.cur.Load().sys }
+
+// acquire returns the serving System with a reference held until release.
+// A closed System (refs -1) was swapped out, so acquire retries.
+func (e *kbEntry) acquire() *held {
+	for {
+		h := e.cur.Load()
+		for n := h.refs.Load(); n >= 0; n = h.refs.Load() {
+			if h.refs.CompareAndSwap(n, n+1) {
+				return h
+			}
+		}
+	}
+}
+
+func (h *held) release() {
+	if h.refs.Add(-1) < 0 {
+		_ = h.sys.Close()
+	}
+}
 
 // AddKB registers an additional knowledge base under name. Register every
 // KB before the handler starts serving traffic; names must be URL-safe
-// ([A-Za-z0-9._-], at most 64 bytes) and unique.
+// ([A-Za-z0-9._-], at most 64 bytes) and unique. The registry owns sys.
 func (s *Server) AddKB(name string, sys *remi.System) error {
 	if err := ValidateKBName(name); err != nil {
 		return err
@@ -76,7 +105,7 @@ func (s *Server) AddKB(name string, sys *remi.System) error {
 		return fmt.Errorf("KB %q already registered", name)
 	}
 	e := &kbEntry{name: name}
-	e.sysPtr.Store(sys)
+	e.cur.Store(&held{sys: sys})
 	s.kbs[name] = e
 	return nil
 }
@@ -138,25 +167,28 @@ func (s *Server) sys() *remi.System {
 // invalidates every cached result and in-flight dedup key scoped to it: the
 // KB's generation tag changes, so runs and entries of the old System can no
 // longer be reached, even by requests racing with the swap. Other KBs keep
-// their cache entries.
+// their cache entries. The old System is closed once no run reads it.
 func (s *Server) SwapKB(name string, sys *remi.System) error {
 	e, err := s.lookupKB(name)
 	if err != nil {
 		return err
 	}
 	e.reloadMu.Lock()
-	old := e.sys()
 	e.swapIn(sys)
 	e.reloadMu.Unlock()
-	s.retire(old)
 	return nil
 }
 
 // swapIn installs sys as the entry's live System: a successful load, so the
 // generation advances, becomes the last known good one, and any reload
-// quarantine is lifted. Callers hold e.reloadMu.
+// quarantine is lifted. The replaced System loses the registry's
+// reference (the serving one swapped in again keeps it). Callers hold
+// e.reloadMu.
 func (e *kbEntry) swapIn(sys *remi.System) {
-	e.sysPtr.Store(sys)
+	if old := e.cur.Load(); old.sys != sys {
+		e.cur.Store(&held{sys: sys})
+		old.release()
+	}
 	e.lastGoodGen.Store(e.generation.Add(1))
 	e.failStreak = 0
 	e.quarantineUntil.Store(0)
@@ -204,9 +236,7 @@ func (s *Server) ReloadKB(name string, load func() (*remi.System, error)) error 
 		return fmt.Errorf("reload of KB %q failed (still serving generation %d, retry in %s): %w",
 			name, e.generation.Load(), backoff, err)
 	}
-	old := e.sys()
 	e.swapIn(sys)
-	s.retire(old)
 	return nil
 }
 

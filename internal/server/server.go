@@ -135,15 +135,6 @@ type Options struct {
 	// (defaults 1s and 5m). Tests shrink these to keep chaos runs fast.
 	ReloadBackoff    time.Duration
 	ReloadBackoffMax time.Duration
-	// RetireGrace closes a swapped-out System (releasing its snapshot
-	// mapping) this long after a swap replaced it. Only reloads release a
-	// mapping this way: every generation of a live KB shares the one image
-	// it booted from. It must exceed the
-	// longest possible mining run (MaxTimeout plus WatchdogGrace), or a run
-	// still reading the old generation would touch unmapped memory.
-	// 0 (the default) never closes old generations: their mappings stay
-	// pinned for the process lifetime, which is always safe.
-	RetireGrace time.Duration
 }
 
 const (

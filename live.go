@@ -368,7 +368,7 @@ func (l *LiveKB) Close() error {
 }
 
 // Close releases the System's reference on its backing snapshot mapping,
-// if any (Systems built from parsed triples hold none and Close is a
-// no-op). Callers close a System only once nothing is still mining on it;
-// the server retires swapped-out generations after a grace period.
+// if any (built Systems hold none). Call it once nothing mines on it (the
+// server closes a replaced generation when its last reader returns); the
+// strings it returned stay valid.
 func (s *System) Close() error { return s.kb.Close() }

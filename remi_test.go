@@ -3,6 +3,7 @@ package remi
 import (
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -198,6 +199,61 @@ func TestLoadAndSaveRoundTrip(t *testing.T) {
 	if !res.Found {
 		t.Fatal("mining after snapshot round trip failed")
 	}
+}
+
+// sink keeps the byte reads of TestAnswersOutliveClose observable.
+var sink byte
+
+// TestAnswersOutliveClose: the strings Mine, Summarize and Describe return
+// belong to the caller, not to the snapshot image: every byte still reads
+// once the System is closed and its image unmapped.
+func TestAnswersOutliveClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.snap")
+	if err := tinySystem(t).SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Mine([]string{tinyNS + "Guyana", tinyNS + "Suriname"}, WithTopK(3))
+	if err != nil || !res.Found {
+		t.Fatalf("mine: %+v, %v", res, err)
+	}
+	sum, err := sys.Summarize(tinyNS+"Paris", 5)
+	if err != nil || len(sum) == 0 {
+		t.Fatalf("summarize: %v, %v", sum, err)
+	}
+	label, err := sys.Describe(tinyNS + "Paris")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	read := func(what string, strs ...string) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s reads unmapped memory: %v", what, r)
+			}
+		}()
+		for _, s := range strs {
+			for i := 0; i < len(s); i++ {
+				sink ^= s[i]
+			}
+		}
+	}
+	for _, sol := range append([]Solution{res.Solution}, res.Alternatives...) {
+		read("mined solution", append([]string{sol.Expression, sol.NL, sol.SPARQL}, sol.Subgraphs...)...)
+	}
+	read("mine exceptions", res.Exceptions...)
+	for _, e := range sum {
+		read("summary predicate", e.Predicate)
+		read("summary object", e.Object)
+	}
+	read("description", label)
 }
 
 func TestLoadNTriplesFile(t *testing.T) {
