@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -30,6 +31,7 @@ import (
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/prominence"
 	"github.com/remi-kb/remi/internal/rdf"
+	"github.com/remi-kb/remi/internal/wal"
 )
 
 // benchLab is shared across benchmarks (building the synthetic KBs once).
@@ -279,6 +281,27 @@ func BenchmarkBuildStreaming(b *testing.B) {
 		facts = k.NumFacts()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(facts), "ns/fact")
+}
+
+// BenchmarkWriteSnapshot measures the snapshot write that follows the
+// streamed build (term-order sort, front coding, arena concatenation,
+// checksum) on the same scale-2 KB, into a reused in-memory buffer so the
+// disk is not timed, and reports ns per stored fact.
+func BenchmarkWriteSnapshot(b *testing.B) {
+	k, err := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 2}).BuildKB(kb.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var img bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img.Reset()
+		if err := k.WriteSnapshot(&img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.NumFacts()), "ns/fact")
 }
 
 // BenchmarkBindingSet times expr.BindingSet, the evaluation under every
@@ -649,6 +672,61 @@ func BenchmarkLiveApplyFreshTerms(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(p50ms(first), "apply-p50-ms-1-10")
 	b.ReportMetric(p50ms(last), "apply-p50-ms-191-200")
+}
+
+// BenchmarkLiveRecover times a live KB's boot over WALs of 10, 100 and 1,000
+// liveBench batches written since the scale-2 snapshot: OpenLive then
+// Close, each size once per op. It reports each size's median boot and the
+// slope between the smallest and the largest, ms/record: boot replays the
+// records as one batch, so a record should cost about its decode.
+//
+//	go test -run '^$' -bench LiveRecover -benchtime 5x .
+func BenchmarkLiveRecover(b *testing.B) {
+	lb := newLiveBench(b)
+	sizes := []int{10, 100, 1000}
+	ctx := context.Background()
+	for _, n := range sizes {
+		dir := filepath.Join(lb.dir, fmt.Sprint(n))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		log, _, err := wal.Open(filepath.Join(dir, "bench.wal"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := lb.batches()
+		for i := range n {
+			payload, err := encodeRecord(batch(i), "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := log.Append(ctx, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	boots := make([][]time.Duration, len(sizes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, n := range sizes {
+			start := time.Now()
+			l := lb.open(b, fmt.Sprint(n))
+			boots[j] = append(boots[j], time.Since(start))
+			if got := l.Stats().RecoveryReplayed; got != int64(n) {
+				b.Fatalf("replayed %d records, want %d", got, n)
+			}
+			l.Close()
+		}
+	}
+	b.StopTimer()
+	for j, n := range sizes {
+		b.ReportMetric(p50ms(boots[j]), fmt.Sprintf("ms-%drec", n))
+	}
+	last := len(sizes) - 1
+	b.ReportMetric((p50ms(boots[last])-p50ms(boots[0]))/float64(sizes[last]-sizes[0]), "ms/record")
 }
 
 // BenchmarkPREMIScaling sweeps the worker count (Section 3.4).

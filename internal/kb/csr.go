@@ -67,8 +67,7 @@ func runLen(keys []EntID, off []uint32, key EntID) int {
 }
 
 // packCSR packs (S,O)-sorted pairs into one CSR orientation keyed by S:
-// packPredIndex passes a predicate's facts for pso and swapPairs of them for
-// pos.
+// packer.pack passes a predicate's facts for pso and their swap for pos.
 func packCSR(pairs []Pair) (keys []EntID, off []uint32, vals []EntID) {
 	distinct := 0
 	for i := range pairs {
@@ -90,32 +89,92 @@ func packCSR(pairs []Pair) (keys []EntID, off []uint32, vals []EntID) {
 	return keys, off, vals
 }
 
-// swapPairs returns a copy of pairs with S and O exchanged, (S,O)-sorted:
-// facts or edits in the key order of the pos orientation.
+// swapInto writes src with S and O exchanged, (S,O)-sorted, into dst, which
+// may be src itself: facts or edits in the key order of the pos
+// orientation. The sort runs on uint64(O)<<32|S keys in keys, a scratch
+// buffer returned for reuse.
+func swapInto(dst, src []Pair, keys []uint64) []uint64 {
+	keys = keys[:0]
+	for _, p := range src {
+		keys = append(keys, uint64(p.O)<<32|uint64(p.S))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		dst[i] = Pair{S: EntID(k >> 32), O: EntID(k)}
+	}
+	return keys
+}
+
+// swapPairs returns a copy of pairs with S and O exchanged, (S,O)-sorted.
 func swapPairs(pairs []Pair) []Pair {
 	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = Pair{S: p.O, O: p.S}
-	}
-	slices.SortFunc(out, cmpPairSO)
+	swapInto(out, pairs, nil)
 	return out
 }
 
-// cmpPairSO orders pairs by (S,O): the order of a CSR orientation.
-func cmpPairSO(a, b Pair) int {
-	if a.S != b.S {
-		return int(a.S) - int(b.S)
-	}
-	return int(a.O) - int(b.O)
+// packer packs predicates' fact runs into both CSR orientations: the
+// builder's path (a patched predicate merges its runs instead, mergeRuns).
+// It keeps its sort scratch from one predicate to the next.
+type packer struct {
+	keys []uint64
 }
 
-// packPredIndex packs one predicate's (S,O)-sorted, duplicate-free pair run
-// into both CSR orientations: the builder's path. A patched predicate merges
-// its runs instead (mergeRuns). The input is not retained, so a caller can
-// reuse it as scratch.
-func packPredIndex(pairs []Pair) predIndex {
+// pack packs one predicate's (S,O)-sorted, duplicate-free pair run. It
+// overwrites pairs and retains none of it, so a caller can reuse the run
+// as scratch.
+func (pk *packer) pack(pairs []Pair) predIndex {
 	var ix predIndex
 	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs)
-	ix.posKey, ix.posOff, ix.posVal = packCSR(swapPairs(pairs))
+	pk.keys = swapInto(pairs, pairs, pk.keys)
+	ix.posKey, ix.posOff, ix.posVal = packCSR(pairs)
 	return ix
+}
+
+// filterInverse returns the index of base's inverse restricted to the
+// objects keep holds: the pso orientation of p⁻¹(o,s) is base's pos runs of
+// the kept objects, and its pos orientation is base's pso runs with only the
+// kept objects, empty runs dropped. The result is what pack makes of the
+// (O,S)-sorted kept facts. ok is false when keep holds none of base's
+// objects, so that p has no inverse.
+func filterInverse(base *predIndex, keep *EntSet) (ix predIndex, ok bool) {
+	nKeys, nVals := 0, 0
+	for i, o := range base.posKey {
+		if keep.Contains(o) {
+			nKeys++
+			nVals += int(base.posOff[i+1] - base.posOff[i])
+		}
+	}
+	if nKeys == 0 {
+		return ix, false
+	}
+	ix.psoKey = make([]EntID, 0, nKeys)
+	ix.psoOff = make([]uint32, 0, nKeys+1)
+	ix.psoVal = make([]EntID, 0, nVals)
+	for i, o := range base.posKey {
+		if keep.Contains(o) {
+			ix.psoKey = append(ix.psoKey, o)
+			ix.psoOff = append(ix.psoOff, uint32(len(ix.psoVal)))
+			ix.psoVal = append(ix.psoVal, base.posVal[base.posOff[i]:base.posOff[i+1]]...)
+		}
+	}
+	ix.psoOff = append(ix.psoOff, uint32(nVals))
+
+	nSubj := min(len(base.psoKey), nVals) // at most; the walk drops empty runs
+	ix.posKey = make([]EntID, 0, nSubj)
+	ix.posOff = make([]uint32, 0, nSubj+1)
+	ix.posVal = make([]EntID, 0, nVals)
+	for i, s := range base.psoKey {
+		start := len(ix.posVal)
+		for _, o := range base.psoVal[base.psoOff[i]:base.psoOff[i+1]] {
+			if keep.Contains(o) {
+				ix.posVal = append(ix.posVal, o)
+			}
+		}
+		if len(ix.posVal) > start {
+			ix.posKey = append(ix.posKey, s)
+			ix.posOff = append(ix.posOff, uint32(start))
+		}
+	}
+	ix.posOff = append(ix.posOff, uint32(nVals))
+	return ix, true
 }

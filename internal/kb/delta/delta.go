@@ -171,7 +171,7 @@ type fact struct {
 type batch struct {
 	cur     *kb.KB
 	terms   []rdf.Term
-	termIDs map[rdf.Term]kb.EntID
+	termIDs map[rdf.Term]kb.EntID // every term resolved so far, minted or not
 	preds   []string
 	predIDs map[string]kb.PredID
 	state   map[fact]bool
@@ -258,13 +258,16 @@ func holds(k *kb.KB, f fact) bool {
 	return int(f.p) <= k.NumPredicates() && k.HasFact(f.p, f.s, f.o)
 }
 
-// entID resolves a term against the newest generation then the batch's
-// minted terms, minting a new id when alloc is set.
+// entID resolves a term against the batch's resolved and minted terms then
+// the newest generation, minting a new id when alloc is set. A term found
+// in the generation is remembered, so a batch searches the dictionary once
+// per distinct term however many ops name it.
 func (b *batch) entID(t rdf.Term, alloc bool) (kb.EntID, bool) {
-	if id, ok := b.cur.EntityID(t); ok {
+	if id, ok := b.termIDs[t]; ok {
 		return id, true
 	}
-	if id, ok := b.termIDs[t]; ok {
+	if id, ok := b.cur.EntityID(t); ok {
+		b.termIDs[t] = id
 		return id, true
 	}
 	if !alloc {

@@ -412,9 +412,17 @@ func randomPatch(rng *rand.Rand, k *KB) (Patch, [][]Pair, []PredID) {
 	return p, merged, touched
 }
 
+// cmpPairSO orders pairs by (S,O): the order of a CSR orientation.
+func cmpPairSO(a, b Pair) int {
+	if a.S != b.S {
+		return int(a.S) - int(b.S)
+	}
+	return int(a.O) - int(b.O)
+}
+
 // TestPatchedIndexMatchesPacked: a patched base predicate's object runs are
 // merged from the base's rather than sorted; the result must be exactly what
-// packPredIndex packs from the merged facts, for built and snapshot-opened
+// the builder's packer packs from the merged facts, for built and snapshot-opened
 // bases, inverse predicates, full retractions and new predicates, and for a
 // patch applied to a patched KB.
 func TestPatchedIndexMatchesPacked(t *testing.T) {
@@ -447,7 +455,7 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 						t.Fatalf("seed %d round %d predicate %d: merged facts differ", seed, round, pid)
 					}
 					got := k2.preds[pid-1]
-					if want := packPredIndex(merged[pid-1]); !reflect.DeepEqual(got, want) {
+					if want := new(packer).pack(slices.Clone(merged[pid-1])); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d round %d predicate %d: index\n got %+v\nwant %+v", seed, round, pid, got, want)
 					}
 					sawInverse = sawInverse || (int(pid) <= k.NumPredicates() && k.IsInverse(pid))

@@ -7,25 +7,32 @@ package kb
 //
 //	ingest  validates each triple, interns its predicate, dictionary-encodes
 //	        subject and object on arrival and buffers the 12-byte (p,s,o)
-//	        record; a full buffer is sorted, deduplicated and spilled to a
-//	        temp run file
-//	finish  sorts what is buffered (or spills it, when earlier runs exist)
-//	        and walks the merged, globally deduplicated (p,s,o) stream twice:
-//	  pass A  counts base facts and entity frequencies (the prominence input)
-//	  pass B  packs each predicate's CSR index from its merged (s,o) run and
-//	          collects the inverse pairs of prominent objects
+//	        record; a full buffer is sorted (two halves on two goroutines
+//	        when it is large), deduplicated in the halves' merge and spilled
+//	        to a temp run file
+//	finish  sorts what is buffered the same way (or spills it, when earlier
+//	        runs exist) and walks the merged, globally deduplicated (p,s,o)
+//	        stream once:
+//	  walk     counts base facts and entity frequencies (the prominence
+//	           input) and hands each predicate's (s,o) run to a pool of
+//	           GOMAXPROCS packers, which build its CSR index
+//	  inverse  once the packers drain, filters each p⁻¹ from p's packed runs:
+//	           its pso is p's pos restricted to the prominent entity
+//	           objects, its pos is p's pso with the same restriction
 //
 // BuildStreamingWith feeds the ingest (parsing ahead on a second goroutine
 // when the source is an *rdf.Reader) with the spill threshold of its
 // StreamConfig, for inputs whose raw triple slice does not fit
-// comfortably in memory (DBpedia-class N-Triples dumps): only one
-// predicate's pair list is in memory at a time during pass B, so peak memory
-// is the dictionary plus the final CSR arrays. Builder and FromTriples
-// (builder.go) are the same ingest with a threshold that is never reached.
-// Whether runs were spilled is invisible in the result: the same dedup, the
-// same (p,s,o) global order, the same first-touch inverse-predicate ids,
-// element-identical indexes and therefore byte-identical snapshots (asserted
-// by TestBuildStreamingMatchesInMemory). The adjacency arena is never built
+// comfortably in memory (DBpedia-class N-Triples dumps): during the walk
+// only the runs of the predicates being packed are in memory, at most
+// GOMAXPROCS+1 of them, so peak memory is the dictionary plus the final CSR
+// arrays. Builder and FromTriples (builder.go) are the same ingest with a
+// threshold that is never reached. Whether runs were spilled, and how many
+// packers ran, is invisible in the result: the same dedup, the same (p,s,o)
+// global order, inverse-predicate ids in base order, element-identical
+// indexes and therefore byte-identical snapshots (asserted by
+// TestBuildStreamingMatchesInMemory and, with the SHA-256 pin, by the root
+// package's TestSnapshotBytePin). The adjacency arena is never built
 // here; derived.go makes it on first touch.
 
 import (
@@ -34,8 +41,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -219,17 +228,21 @@ func (in *ingest) add(tr rdf.Triple) error {
 
 // spill writes the buffer, sorted and deduplicated, to a new run file.
 func (in *ingest) spill() error {
-	sortDedupTriples(&in.buf)
+	lo, hi := sortBuffer(in.buf)
 	f, err := os.CreateTemp(in.tmpDir, "kb-stream-run-*")
 	if err != nil {
 		return err
 	}
 	in.runs = append(in.runs, f)
 	w := newRunWriter(f)
-	for _, tr := range in.buf {
+	err = mergeHalves(lo, hi, func(tr triple) error {
 		w.write(tr)
+		return w.err
+	})
+	if err == nil {
+		err = w.flush()
 	}
-	if err := w.flush(); err != nil {
+	if err != nil {
 		return fmt.Errorf("kb: spill run: %w", err)
 	}
 	in.buf = in.buf[:0]
@@ -247,10 +260,12 @@ func (in *ingest) removeRuns() {
 // afterwards. It can fail only on run-file I/O, so never when nothing was
 // spilled.
 func (in *ingest) finish(opts Options) (*KB, error) {
-	// Single-run case: the whole input fit in the buffer; iterate it in
-	// place, no disk round-trip.
+	walk := func(f func(triple) error) error { return eachMerged(in.runs, f) }
 	if len(in.runs) == 0 {
-		sortDedupTriples(&in.buf)
+		// The whole input fit in the buffer: walk it in place, no disk
+		// round-trip.
+		lo, hi := sortBuffer(in.buf)
+		walk = func(f func(triple) error) error { return mergeHalves(lo, hi, f) }
 	} else if len(in.buf) > 0 {
 		if err := in.spill(); err != nil {
 			return nil, err
@@ -263,83 +278,20 @@ func (in *ingest) finish(opts Options) (*KB, error) {
 		predNames: in.predNames,
 		predIdx:   in.predIdx,
 		baseOf:    make([]PredID, nPred),
+		preds:     make([]predIndex, nPred),
 	}
 	terms := in.dict.Terms()
 	k.kind = make([]rdf.Kind, len(terms))
 	for i, t := range terms {
 		k.kind[i] = t.Kind
 	}
-
-	// Pass A: base-fact count and entity frequencies over the merged,
-	// globally deduplicated stream (before inverse materialization, so the
-	// prominence signal reflects the original KB only).
 	k.entFreq = make([]uint32, len(terms))
-	err := eachMerged(in.runs, in.buf, func(tr triple) error {
-		k.nBase++
-		k.entFreq[tr.s-1]++
-		k.entFreq[tr.o-1]++
-		return nil
-	})
-	if err != nil {
+	if err := k.walkAndPack(walk); err != nil {
 		return nil, err
 	}
-
-	var prominent *EntSet
+	k.nFacts = k.nBase
 	if opts.InverseTopFraction > 0 && len(terms) > 0 {
-		prominent = NewEntSet(prominentIDs(k.entFreq, opts.InverseTopFraction), len(terms))
-	}
-
-	// Pass B: per-predicate CSR builds. The merged stream arrives in
-	// (p,s,o) order, so each predicate's pairs form one contiguous sorted
-	// run; inverse pairs are collected per inverse predicate (ids assigned
-	// on first touch, in base order) and indexed after the base predicates,
-	// preserving the global predicate order.
-	k.preds = make([]predIndex, nPred)
-	inv := make([]PredID, nPred)
-	var invPairs [][]Pair // invPairs[g] belongs to predicate nPred+g+1
-	scratch := make([]Pair, 0, 1<<12)
-	var curPred PredID
-	flush := func() {
-		if curPred != 0 {
-			k.preds[curPred-1] = packPredIndex(scratch)
-			k.nFacts += len(scratch)
-		}
-		scratch = scratch[:0]
-	}
-	err = eachMerged(in.runs, in.buf, func(tr triple) error {
-		if tr.p != curPred {
-			flush()
-			curPred = tr.p
-		}
-		scratch = append(scratch, Pair{S: tr.s, O: tr.o})
-		// RDF compliance: inverses are only defined for entity objects
-		// (footnote 3 of the paper).
-		if prominent != nil && k.kind[tr.o-1] != rdf.Literal && prominent.Contains(tr.o) {
-			ip := inv[tr.p-1]
-			if ip == 0 {
-				name := k.predNames[tr.p-1] + InverseMarker
-				k.predNames = append(k.predNames, name)
-				k.baseOf = append(k.baseOf, tr.p)
-				ip = PredID(len(k.predNames))
-				k.predIdx[name] = ip
-				inv[tr.p-1] = ip
-				invPairs = append(invPairs, nil)
-			}
-			invPairs[int(ip)-nPred-1] = append(invPairs[int(ip)-nPred-1], Pair{S: tr.o, O: tr.s})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	flush()
-
-	k.preds = append(k.preds, make([]predIndex, len(invPairs))...)
-	for g, pairs := range invPairs {
-		slices.SortFunc(pairs, cmpPairSO)
-		k.preds[nPred+g] = packPredIndex(pairs)
-		k.nFacts += len(pairs)
-		invPairs[g] = nil
+		k.addInverses(opts.InverseTopFraction)
 	}
 
 	k.predIDs = make([]PredID, len(k.predNames))
@@ -355,18 +307,136 @@ func (in *ingest) finish(opts Options) (*KB, error) {
 	return k, nil
 }
 
-// sortDedupTriples sorts a run by (p,s,o) and removes adjacent duplicates
-// in place.
-func sortDedupTriples(buf *[]triple) {
-	b := *buf
-	slices.SortFunc(b, cmpTriple)
-	out := b[:0]
-	for i, tr := range b {
-		if i == 0 || tr != b[i-1] {
-			out = append(out, tr)
+// walkAndPack walks the merged, globally deduplicated (p,s,o) stream once.
+// It counts base facts and entity frequencies (the prominence input) and
+// hands each predicate's run, which the stream's order makes contiguous and
+// (S,O)-sorted, to one of GOMAXPROCS packers, which fill k.preds. n+1 run
+// buffers circulate: the walk fills one while at most n are being packed,
+// so a freed buffer is always waiting for the walk, and the walk waits only
+// for a packer. It returns once every packer has exited, on error too.
+func (k *KB) walkAndPack(walk func(func(triple) error) error) error {
+	type job struct {
+		p     PredID
+		pairs []Pair
+	}
+	n := runtime.GOMAXPROCS(0)
+	jobs := make(chan job)
+	free := make(chan []Pair, n+1)
+	for range n + 1 {
+		free <- nil
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			var pk packer
+			for j := range jobs {
+				k.preds[j.p-1] = pk.pack(j.pairs)
+				free <- j.pairs[:0]
+			}
+		}()
+	}
+	var cur PredID
+	run := <-free
+	err := walk(func(tr triple) error {
+		k.nBase++
+		k.entFreq[tr.s-1]++
+		k.entFreq[tr.o-1]++
+		if tr.p != cur {
+			if cur != 0 {
+				jobs <- job{cur, run}
+				run = <-free
+			}
+			cur = tr.p
+		}
+		run = append(run, Pair{S: tr.s, O: tr.o})
+		return nil
+	})
+	if err == nil && cur != 0 {
+		jobs <- job{cur, run}
+	}
+	close(jobs)
+	wg.Wait()
+	return err
+}
+
+// addInverses materializes p⁻¹(o,s) for every base fact p(s,o) whose object
+// is among the top frac of the entity frequency ranking, filtering each
+// inverse from its base predicate's packed runs (filterInverse). Inverse
+// ids follow base order, after every base predicate.
+func (k *KB) addInverses(frac float64) {
+	// RDF compliance: inverses are only defined for entity objects
+	// (footnote 3 of the paper).
+	ids := slices.DeleteFunc(prominentIDs(k.entFreq, frac), func(e EntID) bool {
+		return k.kind[e-1] == rdf.Literal
+	})
+	keep := NewEntSet(ids, len(k.entFreq))
+	for p := range len(k.preds) {
+		ix, ok := filterInverse(&k.preds[p], keep)
+		if !ok {
+			continue
+		}
+		name := k.predNames[p] + InverseMarker
+		k.predNames = append(k.predNames, name)
+		k.baseOf = append(k.baseOf, PredID(p+1))
+		k.predIdx[name] = PredID(len(k.predNames))
+		k.preds = append(k.preds, ix)
+		k.nFacts += len(ix.psoVal)
+	}
+}
+
+// splitSortMin is the buffer length from which the ingest sorts on two
+// goroutines: below it, a goroutine and the merge cost more than a second
+// core saves.
+const splitSortMin = 1 << 14
+
+// sortBuffer sorts buf by (p,s,o) in place, as two halves on two goroutines
+// when it is long enough and a second core exists, and returns the sorted
+// halves for mergeHalves.
+func sortBuffer(buf []triple) (lo, hi []triple) {
+	return sortHalves(buf, len(buf) >= splitSortMin && runtime.GOMAXPROCS(0) > 1)
+}
+
+// sortHalves sorts buf by (p,s,o) in place. With split set it sorts the two
+// halves on two goroutines and returns them; otherwise it sorts buf whole
+// and hi is empty.
+func sortHalves(buf []triple, split bool) (lo, hi []triple) {
+	if !split {
+		slices.SortFunc(buf, cmpTriple)
+		return buf, nil
+	}
+	lo, hi = buf[:len(buf)/2], buf[len(buf)/2:]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		slices.SortFunc(hi, cmpTriple)
+	}()
+	slices.SortFunc(lo, cmpTriple)
+	<-done
+	return lo, hi
+}
+
+// mergeHalves calls f on every triple of the merge of two (p,s,o)-sorted
+// runs, in order and each once: the merge is the buffer's dedup.
+func mergeHalves(lo, hi []triple, f func(triple) error) error {
+	var last triple // ids are 1-based, so no stored triple is zero
+	for i, j := 0, 0; i < len(lo) || j < len(hi); {
+		var tr triple
+		if j == len(hi) || (i < len(lo) && cmpTriple(lo[i], hi[j]) <= 0) {
+			tr, i = lo[i], i+1
+		} else {
+			tr, j = hi[j], j+1
+		}
+		if tr == last {
+			continue
+		}
+		last = tr
+		if err := f(tr); err != nil {
+			return err
 		}
 	}
-	*buf = out
+	return nil
 }
 
 func cmpTriple(a, b triple) int {
@@ -481,17 +551,8 @@ func (h *runHeap) Push(x any)        { *h = append(*h, x.(*runReader)) }
 func (h *runHeap) Pop() (x any)      { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
 
 // eachMerged yields the globally merged, deduplicated (p,s,o)-ordered triple
-// stream: either the single in-memory run, or a k-way merge of the spilled
-// run files. Each call restarts from the beginning (the files are re-read).
-func eachMerged(runs []*os.File, mem []triple, f func(triple) error) error {
-	if len(runs) == 0 {
-		for _, tr := range mem {
-			if err := f(tr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// stream of the spilled run files, a k-way merge.
+func eachMerged(runs []*os.File, f func(triple) error) error {
 	h := make(runHeap, 0, len(runs))
 	for _, rf := range runs {
 		r, err := newRunReader(rf)
@@ -503,8 +564,7 @@ func eachMerged(runs []*os.File, mem []triple, f func(triple) error) error {
 		}
 	}
 	heap.Init(&h)
-	var last triple
-	first := true
+	var last triple // ids are 1-based, so no stored triple is zero
 	for len(h) > 0 {
 		r := h[0]
 		tr := r.cur
@@ -518,11 +578,11 @@ func eachMerged(runs []*os.File, mem []triple, f func(triple) error) error {
 		}
 		// Runs are deduplicated individually; the same triple can still
 		// appear in several runs, so dedup across the merge too.
-		if first || tr != last {
+		if tr != last {
 			if err := f(tr); err != nil {
 				return err
 			}
-			last, first = tr, false
+			last = tr
 		}
 	}
 	return nil

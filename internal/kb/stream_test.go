@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -538,5 +539,78 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		if _, err := OpenSnapshot(path); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("opening a version=%d minReader=%d snapshot: got %v, want %q", tc.version, tc.minReader, err, tc.wantErr)
 		}
+	}
+}
+
+// TestSortHalvesMatchesSortDedup: the ingest's buffer sort, split into two
+// halves or not, followed by mergeHalves yields exactly a single sort with
+// adjacent duplicates removed, on sizes both sides of splitSortMin.
+func TestSortHalvesMatchesSortDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, splitSortMin - 1, splitSortMin, splitSortMin + 1, 3*splitSortMin + 7} {
+		buf := make([]triple, n)
+		for i := range buf {
+			// Few distinct values, so duplicates straddle the halves.
+			buf[i] = triple{s: EntID(1 + rng.Intn(30)), p: PredID(1 + rng.Intn(4)), o: EntID(1 + rng.Intn(30))}
+		}
+		want := slices.Clone(buf)
+		slices.SortFunc(want, cmpTriple)
+		want = slices.Compact(want)
+		for _, split := range []bool{false, true} {
+			var got []triple
+			lo, hi := sortHalves(slices.Clone(buf), split)
+			mergeHalves(lo, hi, func(tr triple) error {
+				got = append(got, tr)
+				return nil
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d split=%v: %d triples, want %d", n, split, len(got), len(want))
+			}
+		}
+	}
+}
+
+// truncatingSource yields its triples and, at the end of the input, cuts
+// the tail off one spilled run file in dir, so the merge walk in finish
+// meets a partial record.
+type truncatingSource struct {
+	sliceSource
+	t   *testing.T
+	dir string
+}
+
+func (s *truncatingSource) Read() (rdf.Triple, error) {
+	tr, err := s.sliceSource.Read()
+	if err == io.EOF {
+		runs, _ := filepath.Glob(filepath.Join(s.dir, "kb-stream-run-*"))
+		if len(runs) < 2 {
+			s.t.Fatalf("%d run files spilled, want several", len(runs))
+		}
+		fi, statErr := os.Stat(runs[0])
+		if statErr != nil {
+			s.t.Fatal(statErr)
+		}
+		if truncErr := os.Truncate(runs[0], fi.Size()-runRecordSize/2); truncErr != nil {
+			s.t.Fatal(truncErr)
+		}
+	}
+	return tr, err
+}
+
+// TestBuildStreamingTruncatedRun: a run file cut short under a spilled build
+// fails the build with the truncation error, and no packer outlives it.
+func TestBuildStreamingTruncatedRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	src := &truncatingSource{sliceSource: sliceSource{trs: genStreamTriples(3000, 9)}, t: t, dir: dir}
+	_, err := BuildStreamingWith(src, DefaultOptions(), StreamConfig{MaxBufferedTriples: 200, TmpDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "truncated run file") {
+		t.Fatalf("error %v, want a truncated run file", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the build, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -369,3 +369,39 @@ func TestReadBorrowed(t *testing.T) {
 		t.Fatalf("ReadBorrowed error must carry the line number, got %v", err)
 	}
 }
+
+// TestSortedByTermSplitMatchesSingleSort: the builder form's term-order
+// sort, on two goroutines or one, gives the permutation of a single
+// reference sort, on sizes both sides of splitSortMin. Equal values under
+// different kinds are distinct terms that the kind orders.
+func TestSortedByTermSplitMatchesSingleSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	kinds := []Kind{IRI, Literal, Blank}
+	for _, n := range []int{0, 1, 2, 3, splitSortMin - 1, splitSortMin, splitSortMin + 1, 3*splitSortMin + 5} {
+		d := NewDictionary()
+		for d.Len() < n {
+			d.Encode(Term{Kind: kinds[rng.IntN(len(kinds))], Value: fmt.Sprintf("v%d", rng.IntN(n))})
+		}
+		terms := d.Terms()
+		want := make([]ID, n)
+		for i := range want {
+			want[i] = ID(i + 1)
+		}
+		slices.SortFunc(want, func(a, b ID) int { return terms[a-1].Compare(terms[b-1]) })
+		for _, split := range []bool{false, true} {
+			if got := sortIDsByTerm(terms, split); !slices.Equal(got, want) {
+				t.Fatalf("n=%d split=%v: permutation differs from the single sort", n, split)
+			}
+		}
+		if got := d.SortedByTerm(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SortedByTerm differs from the single sort", n)
+		}
+		kindsOf := map[string]int{}
+		for _, tm := range terms {
+			kindsOf[tm.Value]++
+		}
+		if n >= splitSortMin && len(kindsOf) == n {
+			t.Fatalf("n=%d: no value is held under two kinds", n)
+		}
+	}
+}

@@ -13,8 +13,9 @@ package remi
 // and fsynced to the WAL before it is applied in memory or acknowledged to
 // the caller, so an acknowledged fact survives any crash. Recovery is
 // replay: boot opens the snapshot (or the original source when no snapshot
-// exists yet), then re-applies every intact WAL record, in order, through
-// the same per-batch patch a live write takes.
+// exists yet), then re-applies the ops of every intact WAL record, in
+// order, as one batch: one patch of the kind a live write takes, so boot
+// costs the net edit rather than one patch per record of history.
 // Replay is idempotent — mutations are upserts/retracts, so a record that
 // was applied before the crash re-applies as a no-op — which makes the
 // at-least-once semantics of a torn-tail-truncating log safe.
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"github.com/remi-kb/remi/internal/faults"
@@ -164,10 +166,33 @@ func decodeRecord(payload []byte) ([]delta.Op, string, error) {
 	return ops, rec.RequestID, nil
 }
 
+// decodeRecords decodes WAL payloads on GOMAXPROCS goroutines, each taking
+// every GOMAXPROCS-th record; the result is in log order, nil where a record
+// does not decode.
+func decodeRecords(payloads [][]byte) [][]delta.Op {
+	out := make([][]delta.Op, len(payloads))
+	n := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for g := range n {
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(payloads); i += n {
+				if ops, _, err := decodeRecord(payloads[i]); err == nil {
+					out[i] = ops
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // OpenLive opens (or creates) the live KB <name> rooted at dir: the base
 // loads from <dir>/<name>.snap when present (the product of the last
 // compaction), else from opts.Source; then the WAL is opened, its torn
-// tail truncated, and every intact record replayed through the overlay.
+// tail truncated, and the ops of every intact record replayed through the
+// overlay as one batch.
 // Records that no longer validate (written by an older build against a
 // different base) are skipped rather than failing the boot — the WAL is a
 // redo log, not a schema.
@@ -194,15 +219,26 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	l.log = log
 	l.overlay = delta.New(base)
 	l.recoveryDropped = rec.DroppedBytes
-	for _, payload := range rec.Records {
-		ops, _, err := decodeRecord(payload)
-		if err != nil {
+	var ops []delta.Op
+	for _, recOps := range decodeRecords(rec.Records) {
+		if recOps == nil {
 			continue // unreadable but CRC-intact record from an older build
 		}
-		if _, err := l.overlay.Apply(ops); err != nil {
+		if err := l.overlay.Validate(recOps); err != nil {
 			continue // no longer valid against this base
 		}
+		ops = append(ops, recOps...)
 		l.recoveryReplayed++
+	}
+	// The valid records replay as one batch, one patch: ops in a batch take
+	// effect in order, and Validate reads only an op's shape and the base's
+	// inverse predicates, which no write adds, so a record validates alike
+	// before and after the ones ahead of it.
+	if len(ops) > 0 {
+		if _, err := l.overlay.Apply(ops); err != nil {
+			l.Close()
+			return nil, fmt.Errorf("remi: live KB %q: replaying the WAL: %w", name, err)
+		}
 	}
 	k, err := l.overlay.Materialize()
 	if err != nil {

@@ -8,6 +8,7 @@ package remi
 // loss.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
+	"github.com/remi-kb/remi/internal/wal"
 )
 
 // liveBuildOpts disables inverse materialization: a fresh parse recomputes
@@ -572,5 +574,171 @@ func TestCompactionMapsNoImage(t *testing.T) {
 	}
 	if n > 1 {
 		t.Fatalf("%d mappings of the live KB's images after 10 compactions, want at most 1", n)
+	}
+}
+
+// TestLiveRecoverMatchesChain: boot replays the WAL's valid records as one
+// batch. Over random histories — new terms and predicates, literal objects,
+// a predicate retracted whole and re-added, upserts retracted records
+// later, records that no longer validate and one that does not decode —
+// the recovered generation must be the chain's last generation, the one
+// applying each record as its own patch reaches: element for element,
+// dictionary ids and term order included (the snapshot bytes), with the
+// same pending counts.
+func TestLiveRecoverMatchesChain(t *testing.T) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 5, Scale: 0.1})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(t.TempDir(), "src.snap")
+	if err := k.WriteSnapshotFile(src); err != nil {
+		t.Fatal(err)
+	}
+	var named []rdf.Triple
+	byPred := map[rdf.Term][]rdf.Triple{}
+	for _, tr := range d.Triples {
+		if tr.S.Kind != rdf.Blank && tr.O.Kind != rdf.Blank {
+			named = append(named, tr)
+			byPred[tr.P] = append(byPred[tr.P], tr)
+		}
+	}
+	var whole []rdf.Triple // the smallest predicate with several facts
+	for _, trs := range byPred {
+		if len(trs) >= 3 && (whole == nil || len(trs) < len(whole)) {
+			whole = trs
+		}
+	}
+	var inverse rdf.Term // a predicate the base materialized as an inverse
+	for _, p := range k.Predicates() {
+		if k.IsInverse(p) {
+			inverse = rdf.NewIRI(k.PredicateName(p))
+			break
+		}
+	}
+	if whole == nil || inverse.Value == "" {
+		t.Fatal("test setup: no small predicate or no inverse in the base")
+	}
+	ont := "http://dbpedia.demo/ontology/"
+	ctx := context.Background()
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() rdf.Triple { return named[rng.Intn(len(named))] }
+		var records [][]delta.Op
+		var upserted []delta.Op
+		for r := range 24 {
+			var ops []delta.Op
+			switch r {
+			case 6, 15: // retract the whole predicate, then re-add it
+				for _, tr := range whole {
+					ops = append(ops, delta.Op{Retract: r == 6, S: tr.S, P: tr.P, O: tr.O})
+				}
+			case 9, 19: // no longer valid against the base
+				a := pick()
+				bad := delta.Op{S: a.O, P: inverse, O: a.S}
+				if r == 19 {
+					bad = delta.Op{S: rdf.NewLiteral("x"), P: a.P, O: a.O}
+				}
+				ops = append(ops, delta.Op{S: a.S, P: a.P, O: pick().O}, bad)
+			default:
+				for j := range 1 + rng.Intn(6) {
+					a := pick()
+					same := byPred[a.P]
+					var op delta.Op
+					switch rng.Intn(5) {
+					case 0:
+						op = delta.Op{S: a.S, P: a.P, O: same[rng.Intn(len(same))].O}
+					case 1:
+						op = delta.Op{S: rdf.NewIRI(fmt.Sprintf("http://dbpedia.demo/resource/Live_%d_%d", r, j)), P: a.P, O: a.O}
+					case 2:
+						op = delta.Op{S: a.S, P: rdf.NewIRI(fmt.Sprintf("%sliveP%d", ont, rng.Intn(2))), O: rdf.NewLiteral(fmt.Sprint(r))}
+					case 3:
+						op = delta.Op{Retract: true, S: a.S, P: a.P, O: a.O}
+					case 4:
+						if len(upserted) == 0 {
+							continue
+						}
+						op = upserted[rng.Intn(len(upserted))]
+						op.Retract = true
+					}
+					if !op.Retract {
+						upserted = append(upserted, op)
+					}
+					ops = append(ops, op)
+				}
+			}
+			records = append(records, ops)
+		}
+
+		dir := t.TempDir()
+		log, _, err := wal.Open(filepath.Join(dir, "h.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ops := range records {
+			payload, err := encodeRecord(ops, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(ctx, payload); err != nil {
+				t.Fatal(err)
+			}
+			if i == 12 {
+				if err := log.Append(ctx, []byte("{not a record")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		base, err := kb.OpenSnapshot(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := delta.New(base)
+		valid := 0
+		for _, ops := range records {
+			if _, err := chain.Apply(ops); err == nil {
+				valid++
+			}
+		}
+		want, err := chain.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := OpenLive(dir, "h", LiveOptions{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		got := live.System().kb
+		assertSameKB(t, label, got, want)
+		var gotImg, wantImg bytes.Buffer
+		if err := got.WriteSnapshot(&gotImg); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.WriteSnapshot(&wantImg); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotImg.Bytes(), wantImg.Bytes()) {
+			t.Fatalf("%s: recovered snapshot differs from the chain's", label)
+		}
+		st := live.Stats()
+		if st.RecoveryReplayed != int64(valid) || valid != len(records)-2 {
+			t.Fatalf("%s: replayed %d records, chain applied %d of %d", label, st.RecoveryReplayed, valid, len(records))
+		}
+		if st.PendingAdds != chain.PendingAdds() || st.PendingDels != chain.PendingDels() ||
+			st.NewTerms != chain.NewTerms() || st.NewPreds != chain.NewPreds() {
+			t.Fatalf("%s: recovered stats %+v, chain %d/%d/%d/%d", label, st,
+				chain.PendingAdds(), chain.PendingDels(), chain.NewTerms(), chain.NewPreds())
+		}
+		if st.NewTerms == 0 || st.NewPreds == 0 || st.PendingDels == 0 {
+			t.Fatalf("%s: history minted no term or predicate, or retracted nothing: %+v", label, st)
+		}
+		live.Close()
+		want.Close()
+		chain.Close()
 	}
 }

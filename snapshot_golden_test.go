@@ -6,12 +6,17 @@ package remi
 // the physical KB representation, never a mined result.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"path/filepath"
 	"testing"
 
+	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/experiments"
 	"github.com/remi-kb/remi/internal/kb"
+	"github.com/remi-kb/remi/internal/rdf"
 )
 
 func TestSnapshotGoldenTinyMining(t *testing.T) {
@@ -97,6 +102,50 @@ func TestSnapshotGoldenDBpediaMining(t *testing.T) {
 		}
 		if math.Abs(res.Bits-want.bits) > goldenBitsTol {
 			t.Errorf("set %d: bits = %f, want %f", i, res.Bits, want.bits)
+		}
+	}
+}
+
+// snapshotPin is the SHA-256 of the snapshot of DBpediaLike seed 1 at scale
+// 0.5 under kb.DefaultOptions (what `kbgen -dataset dbpedia -seed 1 -scale
+// 0.5 -snapshot` writes). A change to it is a change to the build's output
+// or to the snapshot format.
+const snapshotPin = "73463c7a84f9ba3b3da5a9375d837ce4a8314b538b27118e7a8ebc3dbe34d585"
+
+// TestSnapshotBytePin builds the pinned KB three ways: from the generated
+// triples, streamed from their N-Triples text without spilling, and
+// streamed with a buffer small enough to spill dozens of runs. Each must
+// write exactly the pinned bytes, whatever GOMAXPROCS the builder's sorts
+// and packers run under.
+func TestSnapshotBytePin(t *testing.T) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 0.5})
+	var dump bytes.Buffer
+	if err := rdf.WriteAll(&dump, d.Triples); err != nil {
+		t.Fatal(err)
+	}
+	streamed := func(cfg kb.StreamConfig) func() (*kb.KB, error) {
+		return func() (*kb.KB, error) {
+			return kb.BuildStreamingWith(rdf.NewReader(bytes.NewReader(dump.Bytes())), kb.DefaultOptions(), cfg)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (*kb.KB, error)
+	}{
+		{"FromTriples", func() (*kb.KB, error) { return kb.FromTriples(d.Triples, kb.DefaultOptions()) }},
+		{"BuildStreaming", streamed(kb.StreamConfig{})},
+		{"BuildStreamingWith spilled", streamed(kb.StreamConfig{MaxBufferedTriples: len(d.Triples)/40 + 1, TmpDir: t.TempDir()})},
+	} {
+		k, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var img bytes.Buffer
+		if err := k.WriteSnapshot(&img); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sum := sha256.Sum256(img.Bytes()); hex.EncodeToString(sum[:]) != snapshotPin {
+			t.Errorf("%s: snapshot SHA-256 %x, want %s", c.name, sum, snapshotPin)
 		}
 	}
 }
