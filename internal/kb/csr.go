@@ -66,74 +66,68 @@ func runLen(keys []EntID, off []uint32, key EntID) int {
 	return 0
 }
 
-// packCSR packs (S,O)-sorted pairs into one CSR orientation keyed by S:
-// packer.pack passes a predicate's facts for pso and their swap for pos.
-func packCSR(pairs []Pair) (keys []EntID, off []uint32, vals []EntID) {
+// runKey is one fact of a predicate's run as the builder buffers it:
+// uint64(O)<<32|S, so that sorting the keys orders the facts by (O,S), the
+// key order of the pos orientation.
+func runKey(s, o EntID) uint64 { return uint64(o)<<32 | uint64(s) }
+
+// packCSR packs a run of runKeys sorted by (key, value) into one CSR
+// orientation. keyShift picks the key half of each runKey: 0 keys by S
+// over the O column (pso), 32 keys by O over the S column (pos).
+func packCSR(run []uint64, keyShift uint) (keys []EntID, off []uint32, vals []EntID) {
+	valShift := 32 - keyShift
 	distinct := 0
-	for i := range pairs {
-		if i == 0 || pairs[i].S != pairs[i-1].S {
+	for i := range run {
+		if i == 0 || EntID(run[i]>>keyShift) != EntID(run[i-1]>>keyShift) {
 			distinct++
 		}
 	}
 	keys = make([]EntID, 0, distinct)
 	off = make([]uint32, 0, distinct+1)
-	vals = make([]EntID, len(pairs))
-	for i, p := range pairs {
-		if i == 0 || p.S != pairs[i-1].S {
-			keys = append(keys, p.S)
+	vals = make([]EntID, len(run))
+	for i, x := range run {
+		if key := EntID(x >> keyShift); i == 0 || key != EntID(run[i-1]>>keyShift) {
+			keys = append(keys, key)
 			off = append(off, uint32(i))
 		}
-		vals[i] = p.O
+		vals[i] = EntID(x >> valShift)
 	}
-	off = append(off, uint32(len(pairs)))
+	off = append(off, uint32(len(run)))
 	return keys, off, vals
 }
 
-// swapInto writes src with S and O exchanged, (S,O)-sorted, into dst, which
-// may be src itself: facts or edits in the key order of the pos
-// orientation. The sort runs on uint64(O)<<32|S keys in keys, a scratch
-// buffer returned for reuse.
-func swapInto(dst, src []Pair, keys []uint64) []uint64 {
-	keys = keys[:0]
-	for _, p := range src {
-		keys = append(keys, uint64(p.O)<<32|uint64(p.S))
+// packRun packs one predicate's duplicate-free run of runKeys, in (S,O)
+// order, into both CSR orientations: the builder's path (a patched
+// predicate merges its runs instead, mergeRuns). It sorts run in place for
+// the pos orientation and retains none of it, so a caller can reuse the
+// buffer.
+func packRun(run []uint64) predIndex {
+	var ix predIndex
+	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(run, 0)
+	slices.Sort(run)
+	ix.posKey, ix.posOff, ix.posVal = packCSR(run, 32)
+	return ix
+}
+
+// swapPairs returns a copy of pairs with S and O exchanged, (S,O)-sorted:
+// facts or edits in the key order of the pos orientation.
+func swapPairs(pairs []Pair) []Pair {
+	keys := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		keys[i] = runKey(p.S, p.O)
 	}
 	slices.Sort(keys)
-	for i, k := range keys {
-		dst[i] = Pair{S: EntID(k >> 32), O: EntID(k)}
-	}
-	return keys
-}
-
-// swapPairs returns a copy of pairs with S and O exchanged, (S,O)-sorted.
-func swapPairs(pairs []Pair) []Pair {
 	out := make([]Pair, len(pairs))
-	swapInto(out, pairs, nil)
+	for i, x := range keys {
+		out[i] = Pair{S: EntID(x >> 32), O: EntID(x)}
+	}
 	return out
-}
-
-// packer packs predicates' fact runs into both CSR orientations: the
-// builder's path (a patched predicate merges its runs instead, mergeRuns).
-// It keeps its sort scratch from one predicate to the next.
-type packer struct {
-	keys []uint64
-}
-
-// pack packs one predicate's (S,O)-sorted, duplicate-free pair run. It
-// overwrites pairs and retains none of it, so a caller can reuse the run
-// as scratch.
-func (pk *packer) pack(pairs []Pair) predIndex {
-	var ix predIndex
-	ix.psoKey, ix.psoOff, ix.psoVal = packCSR(pairs)
-	pk.keys = swapInto(pairs, pairs, pk.keys)
-	ix.posKey, ix.posOff, ix.posVal = packCSR(pairs)
-	return ix
 }
 
 // filterInverse returns the index of base's inverse restricted to the
 // objects keep holds: the pso orientation of p⁻¹(o,s) is base's pos runs of
 // the kept objects, and its pos orientation is base's pso runs with only the
-// kept objects, empty runs dropped. The result is what pack makes of the
+// kept objects, empty runs dropped. The result is what packRun makes of the
 // (O,S)-sorted kept facts. ok is false when keep holds none of base's
 // objects, so that p has no inverse.
 func filterInverse(base *predIndex, keep *EntSet) (ix predIndex, ok bool) {

@@ -422,7 +422,7 @@ func cmpPairSO(a, b Pair) int {
 
 // TestPatchedIndexMatchesPacked: a patched base predicate's object runs are
 // merged from the base's rather than sorted; the result must be exactly what
-// the builder's packer packs from the merged facts, for built and snapshot-opened
+// the builder's packRun packs from the merged facts, for built and snapshot-opened
 // bases, inverse predicates, full retractions and new predicates, and for a
 // patch applied to a patched KB.
 func TestPatchedIndexMatchesPacked(t *testing.T) {
@@ -455,7 +455,7 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 						t.Fatalf("seed %d round %d predicate %d: merged facts differ", seed, round, pid)
 					}
 					got := k2.preds[pid-1]
-					if want := new(packer).pack(slices.Clone(merged[pid-1])); !reflect.DeepEqual(got, want) {
+					if want := packRun(runOf(merged[pid-1])); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d round %d predicate %d: index\n got %+v\nwant %+v", seed, round, pid, got, want)
 					}
 					sawInverse = sawInverse || (int(pid) <= k.NumPredicates() && k.IsInverse(pid))
@@ -469,4 +469,13 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 	if !sawInverse || !sawEmptied || !sawNew {
 		t.Fatalf("cases not covered: inverse %v, fully retracted %v, new predicate %v", sawInverse, sawEmptied, sawNew)
 	}
+}
+
+// runOf returns (S,O)-sorted pairs as the builder's run of runKeys.
+func runOf(pairs []Pair) []uint64 {
+	run := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		run[i] = runKey(p.S, p.O)
+	}
+	return run
 }

@@ -7,9 +7,8 @@ package kb
 //
 //	ingest  validates each triple, interns its predicate, dictionary-encodes
 //	        subject and object on arrival and buffers the 12-byte (p,s,o)
-//	        record; a full buffer is sorted (two halves on two goroutines
-//	        when it is large), deduplicated in the halves' merge and spilled
-//	        to a temp run file
+//	        record; a full buffer is sorted (two halves on two goroutines),
+//	        deduplicated in the halves' merge and spilled to a temp run file
 //	finish  sorts what is buffered the same way (or spills it, when earlier
 //	        runs exist) and walks the merged, globally deduplicated (p,s,o)
 //	        stream once:
@@ -24,16 +23,17 @@ package kb
 // when the source is an *rdf.Reader) with the spill threshold of its
 // StreamConfig, for inputs whose raw triple slice does not fit
 // comfortably in memory (DBpedia-class N-Triples dumps): during the walk
-// only the runs of the predicates being packed are in memory, at most
-// GOMAXPROCS+1 of them, so peak memory is the dictionary plus the final CSR
-// arrays. Builder and FromTriples (builder.go) are the same ingest with a
-// threshold that is never reached. Whether runs were spilled, and how many
-// packers ran, is invisible in the result: the same dedup, the same (p,s,o)
-// global order, inverse-predicate ids in base order, element-identical
-// indexes and therefore byte-identical snapshots (asserted by
-// TestBuildStreamingMatchesInMemory and, with the SHA-256 pin, by the root
-// package's TestSnapshotBytePin). The adjacency arena is never built
-// here; derived.go makes it on first touch.
+// only runs of the predicates being packed are in memory, their buffers
+// about three times the largest predicate's run in total, 8 B a fact,
+// whatever GOMAXPROCS (walkAndPack), so peak memory is the dictionary, the
+// final CSR arrays and those buffers. Builder and FromTriples (builder.go)
+// are the same ingest with a threshold that is never reached. Whether runs
+// were spilled, and how many packers ran, is invisible in the result: the
+// same dedup, the same (p,s,o) global order, inverse-predicate ids in base
+// order, element-identical indexes and therefore byte-identical snapshots
+// (asserted by TestBuildStreamingMatchesInMemory and, with the SHA-256 pin,
+// by the root package's TestSnapshotBytePin). The adjacency arena is never
+// built here; derived.go makes it on first touch.
 
 import (
 	"container/heap"
@@ -46,6 +46,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/remi-kb/remi/internal/parsort"
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
@@ -228,7 +229,7 @@ func (in *ingest) add(tr rdf.Triple) error {
 
 // spill writes the buffer, sorted and deduplicated, to a new run file.
 func (in *ingest) spill() error {
-	lo, hi := sortBuffer(in.buf)
+	lo, hi := parsort.Halves(in.buf, cmpTriple)
 	f, err := os.CreateTemp(in.tmpDir, "kb-stream-run-*")
 	if err != nil {
 		return err
@@ -264,12 +265,15 @@ func (in *ingest) finish(opts Options) (*KB, error) {
 	if len(in.runs) == 0 {
 		// The whole input fit in the buffer: walk it in place, no disk
 		// round-trip.
-		lo, hi := sortBuffer(in.buf)
+		lo, hi := parsort.Halves(in.buf, cmpTriple)
 		walk = func(f func(triple) error) error { return mergeHalves(lo, hi, f) }
-	} else if len(in.buf) > 0 {
-		if err := in.spill(); err != nil {
-			return nil, err
+	} else {
+		if len(in.buf) > 0 {
+			if err := in.spill(); err != nil {
+				return nil, err
+			}
 		}
+		in.buf = nil // the walk reads the run files; the packers get this memory
 	}
 
 	nPred := len(in.predNames)
@@ -310,47 +314,81 @@ func (in *ingest) finish(opts Options) (*KB, error) {
 // walkAndPack walks the merged, globally deduplicated (p,s,o) stream once.
 // It counts base facts and entity frequencies (the prominence input) and
 // hands each predicate's run, which the stream's order makes contiguous and
-// (S,O)-sorted, to one of GOMAXPROCS packers, which fill k.preds. n+1 run
-// buffers circulate: the walk fills one while at most n are being packed,
-// so a freed buffer is always waiting for the walk, and the walk waits only
-// for a packer. It returns once every packer has exited, on error too.
+// (S,O)-sorted, to one of GOMAXPROCS packers, which fill k.preds. The runs
+// in flight are bounded by their buffers' capacity, not by their count:
+// after handing a run over, the walk waits until the runs being packed hold
+// no more than the largest buffer so far, and a packed run's buffer is kept
+// for reuse only while the kept buffers hold no more than that either. So
+// the run buffers total about three times the largest run (in flight, kept
+// and the one the walk fills), 8 B a fact, whatever GOMAXPROCS. It returns
+// once every packer has exited, on error too.
 func (k *KB) walkAndPack(walk func(func(triple) error) error) error {
 	type job struct {
-		p     PredID
-		pairs []Pair
+		p   PredID
+		run []uint64
 	}
-	n := runtime.GOMAXPROCS(0)
+	var (
+		mu       sync.Mutex
+		packed   = sync.NewCond(&mu)
+		largest  int        // capacity of the largest run buffer so far
+		inFlight int        // capacity of the runs handed over, not yet packed
+		free     [][]uint64 // packed runs' buffers, kept for reuse
+		freeCap  int        // their capacity
+	)
 	jobs := make(chan job)
-	free := make(chan []Pair, n+1)
-	for range n + 1 {
-		free <- nil
-	}
+	n := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for range n {
 		go func() {
 			defer wg.Done()
-			var pk packer
 			for j := range jobs {
-				k.preds[j.p-1] = pk.pack(j.pairs)
-				free <- j.pairs[:0]
+				k.preds[j.p-1] = packRun(j.run)
+				mu.Lock()
+				inFlight -= cap(j.run)
+				if freeCap+cap(j.run) <= largest {
+					free = append(free, j.run[:0])
+					freeCap += cap(j.run)
+				}
+				packed.Signal()
+				mu.Unlock()
 			}
 		}()
 	}
+	// handOver passes a filled run to a packer and returns the buffer for
+	// the next run, once the runs in flight are within bounds.
+	handOver := func(j job) []uint64 {
+		mu.Lock()
+		largest = max(largest, cap(j.run))
+		inFlight += cap(j.run)
+		mu.Unlock()
+		jobs <- j
+		mu.Lock()
+		defer mu.Unlock()
+		for inFlight > largest {
+			packed.Wait()
+		}
+		if len(free) == 0 {
+			return nil
+		}
+		run := free[len(free)-1]
+		free = free[:len(free)-1]
+		freeCap -= cap(run)
+		return run
+	}
 	var cur PredID
-	run := <-free
+	var run []uint64
 	err := walk(func(tr triple) error {
 		k.nBase++
 		k.entFreq[tr.s-1]++
 		k.entFreq[tr.o-1]++
 		if tr.p != cur {
 			if cur != 0 {
-				jobs <- job{cur, run}
-				run = <-free
+				run = handOver(job{cur, run})
 			}
 			cur = tr.p
 		}
-		run = append(run, Pair{S: tr.s, O: tr.o})
+		run = append(run, runKey(tr.s, tr.o))
 		return nil
 	})
 	if err == nil && cur != 0 {
@@ -386,39 +424,9 @@ func (k *KB) addInverses(frac float64) {
 	}
 }
 
-// splitSortMin is the buffer length from which the ingest sorts on two
-// goroutines: below it, a goroutine and the merge cost more than a second
-// core saves.
-const splitSortMin = 1 << 14
-
-// sortBuffer sorts buf by (p,s,o) in place, as two halves on two goroutines
-// when it is long enough and a second core exists, and returns the sorted
-// halves for mergeHalves.
-func sortBuffer(buf []triple) (lo, hi []triple) {
-	return sortHalves(buf, len(buf) >= splitSortMin && runtime.GOMAXPROCS(0) > 1)
-}
-
-// sortHalves sorts buf by (p,s,o) in place. With split set it sorts the two
-// halves on two goroutines and returns them; otherwise it sorts buf whole
-// and hi is empty.
-func sortHalves(buf []triple, split bool) (lo, hi []triple) {
-	if !split {
-		slices.SortFunc(buf, cmpTriple)
-		return buf, nil
-	}
-	lo, hi = buf[:len(buf)/2], buf[len(buf)/2:]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		slices.SortFunc(hi, cmpTriple)
-	}()
-	slices.SortFunc(lo, cmpTriple)
-	<-done
-	return lo, hi
-}
-
-// mergeHalves calls f on every triple of the merge of two (p,s,o)-sorted
-// runs, in order and each once: the merge is the buffer's dedup.
+// mergeHalves calls f on every triple of the merge of the buffer's two
+// (p,s,o)-sorted halves (parsort.Halves), in order and each once: the merge
+// is the buffer's dedup.
 func mergeHalves(lo, hi []triple, f func(triple) error) error {
 	var last triple // ids are 1-based, so no stored triple is zero
 	for i, j := 0, 0; i < len(lo) || j < len(hi); {

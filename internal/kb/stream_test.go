@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/remi-kb/remi/internal/kb/snapshot"
+	"github.com/remi-kb/remi/internal/parsort"
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
@@ -542,12 +543,13 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 	}
 }
 
-// TestSortHalvesMatchesSortDedup: the ingest's buffer sort, split into two
-// halves or not, followed by mergeHalves yields exactly a single sort with
-// adjacent duplicates removed, on sizes both sides of splitSortMin.
+// TestSortHalvesMatchesSortDedup: the ingest's buffer sort, two halves
+// on two goroutines followed by mergeHalves, yields exactly a single sort
+// with adjacent duplicates removed, on sizes from 0 up and with an odd and
+// an even split.
 func TestSortHalvesMatchesSortDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 2, 3, splitSortMin - 1, splitSortMin, splitSortMin + 1, 3*splitSortMin + 7} {
+	for _, n := range []int{0, 1, 2, 3, 4096, 10007} {
 		buf := make([]triple, n)
 		for i := range buf {
 			// Few distinct values, so duplicates straddle the halves.
@@ -556,16 +558,14 @@ func TestSortHalvesMatchesSortDedup(t *testing.T) {
 		want := slices.Clone(buf)
 		slices.SortFunc(want, cmpTriple)
 		want = slices.Compact(want)
-		for _, split := range []bool{false, true} {
-			var got []triple
-			lo, hi := sortHalves(slices.Clone(buf), split)
-			mergeHalves(lo, hi, func(tr triple) error {
-				got = append(got, tr)
-				return nil
-			})
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d split=%v: %d triples, want %d", n, split, len(got), len(want))
-			}
+		var got []triple
+		lo, hi := parsort.Halves(buf, cmpTriple)
+		mergeHalves(lo, hi, func(tr triple) error {
+			got = append(got, tr)
+			return nil
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: %d triples, want %d", n, len(got), len(want))
 		}
 	}
 }

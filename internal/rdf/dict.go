@@ -2,9 +2,10 @@ package rdf
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
+
+	"github.com/remi-kb/remi/internal/parsort"
 )
 
 // ID is a dense dictionary identifier for a term. The zero value is reserved
@@ -217,36 +218,19 @@ func (d *Dictionary) SortedByTerm() []ID {
 	case d.base != nil:
 		return d.mergeByTerm(d.base.SortedByTerm(), d.extraSorted, d.base.Decode)
 	}
-	return sortIDsByTerm(d.terms, len(d.terms) >= splitSortMin && runtime.GOMAXPROCS(0) > 1)
+	return sortIDsByTerm(d.terms)
 }
 
-// splitSortMin is the term count from which the builder form's SortedByTerm
-// sorts on two goroutines: below it, a goroutine and the merge cost more
-// than a second core saves.
-const splitSortMin = 1 << 13
-
 // sortIDsByTerm returns the ids of terms (terms[i] has id i+1) in ascending
-// term order. With split set, it sorts the two halves of the id range on two
-// goroutines and merges them. Terms are distinct, so the order has no ties
-// and both ways give the same permutation.
-func sortIDsByTerm(terms []Term, split bool) []ID {
+// term order: the two halves of the id range sort on two goroutines and
+// merge. Terms are distinct, so the order has no ties.
+func sortIDsByTerm(terms []Term) []ID {
 	ids := make([]ID, len(terms))
 	for i := range ids {
 		ids[i] = ID(i + 1)
 	}
 	cmp := func(a, b ID) int { return terms[a-1].Compare(terms[b-1]) }
-	if !split {
-		slices.SortFunc(ids, cmp)
-		return ids
-	}
-	lo, hi := ids[:len(ids)/2], ids[len(ids)/2:]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		slices.SortFunc(hi, cmp)
-	}()
-	slices.SortFunc(lo, cmp)
-	<-done
+	lo, hi := parsort.Halves(ids, cmp)
 	out := make([]ID, 0, len(ids))
 	for len(lo) > 0 && len(hi) > 0 {
 		if cmp(lo[0], hi[0]) < 0 {

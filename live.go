@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 
 	"github.com/remi-kb/remi/internal/faults"
@@ -166,28 +165,6 @@ func decodeRecord(payload []byte) ([]delta.Op, string, error) {
 	return ops, rec.RequestID, nil
 }
 
-// decodeRecords decodes WAL payloads on GOMAXPROCS goroutines, each taking
-// every GOMAXPROCS-th record; the result is in log order, nil where a record
-// does not decode.
-func decodeRecords(payloads [][]byte) [][]delta.Op {
-	out := make([][]delta.Op, len(payloads))
-	n := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for g := range n {
-		go func() {
-			defer wg.Done()
-			for i := g; i < len(payloads); i += n {
-				if ops, _, err := decodeRecord(payloads[i]); err == nil {
-					out[i] = ops
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // OpenLive opens (or creates) the live KB <name> rooted at dir: the base
 // loads from <dir>/<name>.snap when present (the product of the last
 // compaction), else from opts.Source; then the WAL is opened, its torn
@@ -220,8 +197,9 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	l.overlay = delta.New(base)
 	l.recoveryDropped = rec.DroppedBytes
 	var ops []delta.Op
-	for _, recOps := range decodeRecords(rec.Records) {
-		if recOps == nil {
+	for _, payload := range rec.Records {
+		recOps, _, err := decodeRecord(payload)
+		if err != nil {
 			continue // unreadable but CRC-intact record from an older build
 		}
 		if err := l.overlay.Validate(recOps); err != nil {
