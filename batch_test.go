@@ -69,8 +69,9 @@ func TestMineBatchFacade(t *testing.T) {
 	}
 }
 
-// TestWithProgress: a progress subscriber receives each incumbent
-// improvement, ending on the returned solution, without altering the result.
+// TestWithProgress: a progress subscriber of a sequential top-1 mine receives
+// one event, the returned solution (the search pops conjunctions in cost
+// order, so its first RE is its answer), without altering the result.
 func TestWithProgress(t *testing.T) {
 	sys := tinySystem(t)
 	targets := []string{tinyNS + "Rennes", tinyNS + "Nantes"}
@@ -87,19 +88,12 @@ func TestWithProgress(t *testing.T) {
 		t.Fatalf("WithProgress changed the result: %q (%v bits), want %q (%v bits)",
 			res.Expression, res.Bits, want.Expression, want.Bits)
 	}
-	if len(progress) == 0 {
-		t.Fatal("no progress events delivered")
+	if len(progress) != 1 {
+		t.Fatalf("%d progress events delivered, want 1: %+v", len(progress), progress)
 	}
-	last := progress[len(progress)-1]
-	if last.Kind != "new_best" || last.Expression != res.Expression || last.Bits != res.Bits {
-		t.Fatalf("final progress event %+v does not match the solution %q (%v bits)",
-			last, res.Expression, res.Bits)
-	}
-	for i := 1; i < len(progress); i++ {
-		if progress[i].Bits >= progress[i-1].Bits {
-			t.Fatalf("incumbent did not improve monotonically: %v then %v bits",
-				progress[i-1].Bits, progress[i].Bits)
-		}
+	if p := progress[0]; p.Kind != "new_best" || p.Expression != res.Expression || p.Bits != res.Bits {
+		t.Fatalf("progress event %+v does not match the solution %q (%v bits)",
+			p, res.Expression, res.Bits)
 	}
 }
 

@@ -208,6 +208,61 @@ func BenchmarkTable4ExtendedREMI(b *testing.B) { benchMine(b, core.ExtendedLangu
 // BenchmarkTable4ExtendedPREMI times P-REMI under REMI's bias.
 func BenchmarkTable4ExtendedPREMI(b *testing.B) { benchMine(b, core.ExtendedLanguage, 8) }
 
+// BenchmarkHubMine mines hub target sets — the most popular members of the
+// Table 4 classes, which the canonical benchmark leaves out — on the
+// DBpedia-like KB at scale 4 (where benchmark/ mines), with the facade's
+// defaults. A set is named by its members' popularity ranks within their
+// class: Settlement {0, 13, 57} and Person {3, 7, 20}, plus each class's
+// rank-0 singleton. Each op mines the set on a fresh miner, bounded by a
+// 30 s timeout, and reports its time, visits, the peak bytes of binding sets
+// the search retained, and whether it timed out.
+func BenchmarkHubMine(b *testing.B) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 4})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Compressed)
+	cfg := core.DefaultConfig()
+	cfg.Timeout = 30 * time.Second
+	type hubSet struct {
+		class string
+		ranks []int
+	}
+	sets := []hubSet{{"Settlement", []int{0, 13, 57}}, {"Person", []int{3, 7, 20}}}
+	for _, class := range experiments.EvalClasses(d.Name) {
+		sets = append(sets, hubSet{class, []int{0}})
+	}
+	for _, s := range sets {
+		var ids []kb.EntID
+		for _, r := range s.ranks {
+			id, ok := k.EntityID(rdf.NewIRI(d.Members[s.class][r]))
+			if !ok {
+				b.Fatalf("%s rank %d missing from the KB", s.class, r)
+			}
+			ids = append(ids, id)
+		}
+		b.Run(fmt.Sprintf("%s%v", s.class, s.ranks), func(b *testing.B) {
+			var visits, retained, timeouts uint64
+			for i := 0; i < b.N; i++ {
+				res, err := core.NewMiner(k, est, cfg).Mine(ids)
+				if err != nil {
+					b.Fatal(err)
+				}
+				visits += res.Stats.Visited
+				retained = max(retained, res.Stats.PeakRetainedBytes)
+				if res.Stats.TimedOut {
+					timeouts++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/set")
+			b.ReportMetric(float64(visits)/float64(b.N), "visits/set")
+			b.ReportMetric(float64(retained), "retained-B")
+			b.ReportMetric(float64(timeouts)/float64(b.N), "timeouts/set")
+		})
+	}
+}
+
 // BenchmarkTable4AMIE times the AMIE+ baseline on the same sets (the slow
 // column of Table 4; bounded by a tight timeout).
 func BenchmarkTable4AMIE(b *testing.B) {

@@ -1,6 +1,10 @@
-// Searchtree: a walk-through of Figure 1 of the paper — the DFS over
-// conjunctions of subgraph expressions for {Rennes, Nantes}, with the
-// pruning-by-depth and side-pruning events printed as they happen.
+// Searchtree: a walk-through of Figure 1 of the paper — the search over
+// conjunctions of subgraph expressions for {Rennes, Nantes}. It prints the
+// sequential miner's walk, which pops the tree's nodes in nondecreasing Ĉ:
+// every visit costs at least as much as the one before, and the first RE
+// visited is the answer. Figure 1's depth-first order, with its side and
+// cost prunings, is what P-REMI's workers still follow (§3.4); cost order
+// visits a subset of the DFS's nodes and returns the same RE.
 //
 //	go run ./examples/searchtree
 package main
@@ -42,10 +46,6 @@ func main() {
 			fmt.Printf("visit       %-70s Ĉ=%.2f\n", ev.Expression.Format(k), ev.Cost)
 		case core.EventRE:
 			fmt.Printf("RE!         %-70s Ĉ=%.2f\n", ev.Expression.Format(k), ev.Cost)
-		case core.EventPruneSide:
-			fmt.Printf("prune side  after %s\n", ev.Expression.Format(k))
-		case core.EventPruneCost:
-			fmt.Printf("prune cost  at %s (Ĉ=%.2f ≥ incumbent)\n", ev.Expression.Format(k), ev.Cost)
 		case core.EventNewBest:
 			fmt.Printf("new best    %-70s Ĉ=%.2f\n", ev.Expression.Format(k), ev.Cost)
 		}
@@ -59,7 +59,7 @@ func main() {
 	for i, g := range cands {
 		fmt.Printf("  ρ%-3d Ĉ=%-7.2f %s\n", i+1, costs[i], g.Format(k))
 	}
-	fmt.Println("\nDFS exploration:")
+	fmt.Println("\nCost-ordered exploration (nondecreasing Ĉ; P-REMI keeps Figure 1's depth-first order):")
 
 	res, err := m.Mine(targets)
 	if err != nil {
@@ -68,8 +68,8 @@ func main() {
 	if res.Found() {
 		fmt.Printf("\nMost intuitive RE for {Rennes, Nantes}: %s  (Ĉ=%.2f bits)\n",
 			res.Expression.Format(k), res.Bits)
-		fmt.Printf("visited %d nodes, %d RE tests, %d side prunings, %d cost prunings\n",
-			res.Stats.Visited, res.Stats.RETests, res.Stats.PrunedSide, res.Stats.PrunedCost)
+		fmt.Printf("visited %d nodes, %d RE tests; %d subtrees left unvisited on the heap, all costlier than the answer\n",
+			res.Stats.Visited, res.Stats.RETests, res.Stats.PrunedCost)
 	} else {
 		fmt.Println("no RE found")
 	}

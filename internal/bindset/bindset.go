@@ -1,7 +1,7 @@
 // Package bindset is the adaptive binding-set engine behind REMI's set
-// algebra. Every node of the Algorithm 1 DFS intersects the prefix's binding
-// set with a candidate's, so the physical representation of these sets
-// dominates the mining hot path. A Set keeps one of two representations,
+// algebra. Every node of the Algorithm 1 search intersects the prefix's
+// binding set with a candidate's, so the physical representation of these
+// sets dominates the mining hot path. A Set keeps one of two representations,
 // chosen automatically by density against the KB's entity universe:
 //
 //   - sparse: an ascending []kb.EntID slice (cheap for small sets, which is
@@ -83,6 +83,21 @@ func (s Set) IsEmpty() bool { return s.card == 0 }
 
 // Dense reports whether the set currently uses the bitmap representation.
 func (s Set) Dense() bool { return s.dense }
+
+// Footprint returns the bytes of the buffers s holds, of both
+// representations: what keeping s alive costs.
+func (s Set) Footprint() int { return 4*cap(s.sorted) + 8*cap(s.words) }
+
+// DropSpare releases the buffer of the representation s is not using (an
+// *Into result keeps both for reuse), so that s holds only its elements'
+// storage. The receiver must own its buffers.
+func (s *Set) DropSpare() {
+	if s.dense {
+		s.sorted = nil
+	} else {
+		s.words = nil
+	}
+}
 
 // Contains reports whether e is in the set.
 func (s Set) Contains(e kb.EntID) bool {

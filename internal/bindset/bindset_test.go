@@ -359,3 +359,21 @@ func TestIntersectManyMatchesIntersectInto(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprint: a set's footprint counts the buffers it holds, including
+// a bitmap kept from an earlier dense result after a demotion.
+func TestFootprint(t *testing.T) {
+	const universe = 1024
+	if got := asSparse(make([]kb.EntID, 10, 12), universe).Footprint(); got != 4*12 {
+		t.Fatalf("sparse footprint %d, want %d", got, 4*12)
+	}
+	dense := asDense([]kb.EntID{1, 2, 3}, universe)
+	if got := dense.Footprint(); got != 8*wordsLen(universe) {
+		t.Fatalf("dense footprint %d, want %d", got, 8*wordsLen(universe))
+	}
+	var dst Set
+	dst.IntersectInto(dense, dense) // dense ∩ dense, demoted: both buffers held
+	if dst.Dense() || dst.Footprint() < 8*wordsLen(universe)+4*dst.Card() {
+		t.Fatalf("demoted result: dense=%v footprint %d", dst.Dense(), dst.Footprint())
+	}
+}

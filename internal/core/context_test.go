@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -88,6 +89,55 @@ func TestMineContextCancelMidDFS(t *testing.T) {
 	}
 	if visits < 3 {
 		t.Fatalf("search never reached the cancellation point (%d visits)", visits)
+	}
+}
+
+// TestTimedOutSequentialRunHasNoIncumbent pins what a timeout returns now
+// that the sequential search pops conjunctions in cost order: its first RE
+// is its answer, so a run stopped before the optimum returns no expression
+// at all. The DFS it replaced had found a costlier RE by then and returned
+// that loose incumbent. The run is cancelled at its first visit; the miner
+// notices at its next root, long before the two-conjunct answer for
+// {Guyana, Suriname}.
+func TestTimedOutSequentialRunHasNoIncumbent(t *testing.T) {
+	k, est := tinySetup(t)
+	targets := []kb.EntID{mustID(t, k, "Guyana"), mustID(t, k, "Suriname")}
+	full, err := NewMiner(k, est, DefaultConfig()).Mine(targets)
+	if err != nil || !full.Found() || len(full.Expression) < 2 {
+		t.Fatalf("the uncancelled run should find a multi-conjunct RE: %v, %v", full, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := DefaultConfig()
+	cfg.Trace = func(e Event) {
+		if e.Kind == EventVisit {
+			cancel()
+		}
+	}
+	res, err := NewMiner(k, est, cfg).MineContext(ctx, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.TimedOut {
+		t.Fatal("cancellation not observed")
+	}
+	if res.Found() || len(res.Solutions) != 0 || !math.IsInf(res.Bits, 1) {
+		t.Fatalf("a run stopped before its optimum returned %s (%v bits, %d solutions)",
+			res.Expression.Format(k), res.Bits, len(res.Solutions))
+	}
+
+	// The DFS's first RE on this set is costlier than the answer: that is
+	// the incumbent a timed-out depth-first run would have returned.
+	var first float64
+	dfsCfg := DefaultConfig()
+	dfsCfg.Trace = func(e Event) {
+		if e.Kind == EventNewBest && first == 0 {
+			first = e.Cost
+		}
+	}
+	if mineDFS(NewMiner(k, est, dfsCfg), targets); first <= full.Bits {
+		t.Fatalf("the DFS's first RE costs %v bits, the answer %v: no loose incumbent to pin", first, full.Bits)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -237,9 +238,9 @@ func TestSelfLoopSkipped(t *testing.T) {
 }
 
 // TestFigure1TraceSequence replays the Figure 1 exploration and checks the
-// structural properties of the event stream: the queue is visited in
-// ascending cost order at the top level, an RE event always follows a visit
-// of the same expression, and the final best equals the cheapest RE seen.
+// structural properties of the event stream: the sequential miner visits
+// conjunctions in nondecreasing cost, an RE event always follows a visit of
+// the same expression, and the final best equals the cheapest RE seen.
 func TestFigure1TraceSequence(t *testing.T) {
 	k, est := tinySetup(t)
 	cfg := DefaultConfig()
@@ -259,10 +260,15 @@ func TestFigure1TraceSequence(t *testing.T) {
 
 	bestSeen := -1.0
 	minRE := -1.0
+	lastVisitCost := math.Inf(-1)
 	var lastVisitKey string
 	for _, ev := range events {
 		switch ev.Kind {
 		case EventVisit:
+			if ev.Cost < lastVisitCost {
+				t.Fatalf("visit %s at %v bits after one at %v: costs decreased", ev.Expression.Format(k), ev.Cost, lastVisitCost)
+			}
+			lastVisitCost = ev.Cost
 			lastVisitKey = ev.Expression.Key()
 		case EventRE:
 			if ev.Expression.Key() != lastVisitKey {

@@ -44,10 +44,11 @@ type Config struct {
 	// may match up to MaxExceptions extra entities. Zero mines strict REs.
 	MaxExceptions int
 	// TopK asks the miner to keep the K least complex REs instead of only
-	// the best one (Result.Solutions). Values <= 1 mine a single solution
-	// with full pruning; K > 1 relaxes side pruning so that diverse
-	// alternatives survive (used by the Section 4.1.2 study, which shows
-	// users several REs encountered during search-space traversal).
+	// the best one (Result.Solutions). Values <= 1 mine a single solution;
+	// with K > 1 the sequential search stops at the K-th RE it pops and
+	// P-REMI relaxes side pruning, so that diverse alternatives survive (used
+	// by the Section 4.1.2 study, which shows users several REs encountered
+	// during search-space traversal).
 	TopK int
 	// Trace receives search events when non-nil (used by the Figure 1
 	// walk-through). P-REMI workers call it concurrently.
@@ -72,14 +73,23 @@ func DefaultConfig() Config {
 
 // Stats describes one Mine run.
 type Stats struct {
-	Candidates  int           // size of the priority queue (line 2, Alg. 1)
-	QueueBuild  time.Duration // phase 1: enumeration + sorting
-	Search      time.Duration // phase 2: DFS exploration
-	RETests     uint64        // expression evaluations against the KB
-	Visited     uint64        // search-tree nodes visited
-	PrunedDepth uint64        // prunings by depth
-	PrunedSide  uint64        // side prunings
-	PrunedCost  uint64        // cost-bound prunings (Ĉ(e') ≥ Ĉ(best))
+	Candidates int           // size of the priority queue (line 2, Alg. 1)
+	QueueBuild time.Duration // phase 1: enumeration + sorting
+	Search     time.Duration // phase 2: the search of the conjunctions
+	RETests    uint64        // expression evaluations against the KB
+	Visited    uint64        // search-tree nodes visited
+	// PrunedDepth counts the REs visited: none is expanded. PrunedSide
+	// counts the siblings P-REMI's DFS skips after an RE child; it is 0 on
+	// the sequential path, whose cost order leaves side pruning nothing to
+	// cut. PrunedCost counts, under P-REMI, the siblings the shared cost
+	// bound skipped and, sequentially, the heap entries left when the search
+	// stopped: the cheapest node of each subtree the answer's cost excluded.
+	PrunedDepth uint64
+	PrunedSide  uint64
+	PrunedCost  uint64
+	// PeakRetainedBytes is the most binding-set memory the sequential search
+	// kept for the parents of its pending heap entries (0 under P-REMI).
+	PeakRetainedBytes uint64
 	// TimedOut reports that the search stopped early, whether because
 	// Config.Timeout elapsed or because the caller's context was cancelled.
 	TimedOut bool
@@ -486,11 +496,16 @@ func (m *Miner) Mine(targets []kb.EntID) (*Result, error) {
 }
 
 // MineContext is Mine with a caller-controlled context: when ctx is
-// cancelled or its deadline passes, the search (queue build, sequential DFS
-// and every P-REMI worker alike) stops at its next periodic check and the
-// best solution found so far is returned with Stats.TimedOut set, exactly
-// as if Config.Timeout had elapsed. A non-zero Config.Timeout still
-// applies, layered onto ctx, so whichever limit fires first stops the run.
+// cancelled or its deadline passes, the search (queue build, sequential
+// search and every P-REMI worker alike) stops at its next periodic check and
+// the solutions found so far are returned with Stats.TimedOut set, exactly as
+// if Config.Timeout had elapsed. A non-zero Config.Timeout still applies,
+// layered onto ctx, so whichever limit fires first stops the run.
+//
+// The sequential search pops conjunctions in cost order, so its first RE is
+// its answer: a sequential run that times out before reaching it returns no
+// expression at all, where a depth-first search would have returned a loose
+// incumbent. P-REMI's workers search depth first and may return one.
 func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, error) {
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
@@ -640,168 +655,6 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 		}
 	}
 	return can, false
-}
-
-// mineSequential is Algorithm 1: dequeue subgraph expressions in ascending
-// Ĉ order and explore the subtree rooted at each.
-func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
-	bnd := newBound(m.cfg.TopK)
-	st := &res.Stats
-
-	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
-	if timedOut {
-		st.TimedOut = true
-		return
-	}
-
-	sc := getScratch()
-	defer putScratch(sc)
-	for i := range queue {
-		if expired(ctx) {
-			st.TimedOut = true
-			break
-		}
-		// Line 8 of Algorithm 1: the exploration rooted at queue[i] conjoins
-		// it with every later candidate; when even the full conjunction
-		// cannot pin down T, neither this subtree nor any later one (their
-		// floors are supersets) holds an RE.
-		if !canSolve[i] {
-			break
-		}
-		// Any expression prefixed with queue[i] costs at least queue[i].cost;
-		// once that exceeds the incumbent, later prefixes cannot improve.
-		if queue[i].cost >= bnd.Cost() {
-			st.PrunedCost += uint64(len(queue) - i)
-			break
-		}
-		// Room for a handful of conjuncts up front: the DFS extends the
-		// prefix in place (append + reslice), so a roomy root buffer makes
-		// typical descents allocation-free.
-		prefix := append(make(expr.Expression, 0, 8), queue[i].g)
-		m.dfsRemi(ctx, prefix, queue[i].cost, m.Ev.Bindings(queue[i].g), queue, i+1, targets, 0, sc, bnd, st)
-	}
-	res.Expression, _ = bnd.Get()
-	res.Solutions = bnd.All()
-}
-
-// dfsRemi performs the depth-first exploration of conjunctions described in
-// Section 3.3 (the tree of Figure 1): the children of a prefix extend it
-// with strictly later queue elements. It applies pruning by depth (stop
-// descending after an RE), side pruning (skip costlier siblings after an
-// RE), the live cost bound shared with the other P-REMI workers (Algorithm
-// 3, line 6), and redundant-conjunct pruning (a child whose subgraph
-// expression does not shrink the binding set is dominated by a cheaper
-// sibling chain). Bindings are threaded down the recursion so each node
-// costs one set intersection instead of re-evaluating the conjunction; the
-// child intersections are computed in adaptive windows by the batch kernel
-// (bindset.IntersectMany) into the per-depth scratch batch of sc, so a node
-// in steady state performs zero heap allocations. depth is the scratch
-// level this node's children write to. It returns the cheapest RE cost
-// discovered in this subtree and whether any RE was found.
-func (m *Miner) dfsRemi(ctx context.Context, prefix expr.Expression, prefixCost float64, bindings bindset.Set,
-	queue []scored, from int, targets []kb.EntID, depth int, sc *dfsScratch, bnd *bound, st *Stats) (float64, bool) {
-
-	st.Visited++
-	st.RETests++
-	m.trace(EventVisit, prefix, prefixCost)
-	// The RE test: bindings ⊇ T holds by construction (every queue element
-	// is common to the targets), so exactness reduces to a size check; with
-	// MaxExceptions > 0 up to that many extra entities are tolerated.
-	if bindings.Card() <= len(targets)+m.cfg.MaxExceptions {
-		m.trace(EventRE, prefix, prefixCost)
-		if bnd.Offer(prefix, prefixCost) {
-			m.trace(EventNewBest, prefix, prefixCost)
-		}
-		// Descendants only add cost: pruning by depth.
-		st.PrunedDepth++
-		return prefixCost, true
-	}
-
-	subtreeMin := math.Inf(1)
-	found := false
-	lvl := sc.batch(depth)
-	i := from
-	// The batch window is adaptive: it starts at one child and doubles each
-	// time a full window is processed without a pruning break, so nodes
-	// whose children die to side or cost pruning almost immediately never
-	// pay for speculative intersections, while long sibling scans converge
-	// to full-width word-at-a-time batches.
-	win := 1
-outer:
-	for i < len(queue) {
-		// Gather a window of children currently under the shared bound and
-		// intersect the prefix bindings against all of them in one batch
-		// kernel call (word-at-a-time for bitmap prefixes). The queue is
-		// cost-ascending, so the window ends exactly where cost pruning
-		// would stop the scan.
-		bound := bnd.Cost()
-		n := 0
-		for n < win && i+n < len(queue) && prefixCost+queue[i+n].cost < bound {
-			lvl.bind[n] = m.Ev.Bindings(queue[i+n].g)
-			n++
-		}
-		if n == 0 {
-			// This child and every later sibling meets or exceeds the
-			// incumbent: cost pruning (the P-DFS-REMI backtracking rule).
-			st.PrunedCost += uint64(len(queue) - i)
-			if m.traceWants(EventPruneCost) {
-				m.trace(EventPruneCost, append(prefix.Clone(), queue[i].g), prefixCost+queue[i].cost)
-			}
-			break
-		}
-		bindset.IntersectMany(lvl.ptrs[:n], bindings, lvl.bind[:n])
-		for j := 0; j < n; j++ {
-			idx := i + j
-			if st.Visited%256 == 0 && expired(ctx) {
-				st.TimedOut = true
-				break outer
-			}
-			childCost := prefixCost + queue[idx].cost
-			if childCost >= bnd.Cost() {
-				// The bound improved mid-window: cost pruning, exactly where
-				// the unbatched scan would have stopped.
-				st.PrunedCost += uint64(len(queue) - idx)
-				if m.traceWants(EventPruneCost) {
-					m.trace(EventPruneCost, append(prefix.Clone(), queue[idx].g), childCost)
-				}
-				break outer
-			}
-			childBindings := lvl.ptrs[j]
-			if childBindings.Card() == bindings.Card() {
-				// The conjunct changed nothing: everything below this child
-				// is dominated by the same expressions without it.
-				continue
-			}
-			if childBindings.Card() < len(targets) {
-				// Impossible: common candidates always retain T; defensive.
-				continue
-			}
-			child := append(prefix, queue[idx].g)
-			c, f := m.dfsRemi(ctx, child, childCost, *childBindings, queue, idx+1, targets, depth+1, sc, bnd, st)
-			prefix = child[:len(prefix)]
-			if f {
-				found = true
-				if c < subtreeMin {
-					subtreeMin = c
-				}
-				// Side pruning: when the RE costs no more than the child
-				// prefix itself (the child was the RE), every later sibling
-				// — and everything below it — is at least as complex. With
-				// TopK > 1 siblings may hold wanted alternatives, so only
-				// the cost bound applies there.
-				if c <= childCost && m.topK() == 1 {
-					st.PrunedSide += uint64(len(queue) - idx - 1)
-					m.trace(EventPruneSide, child, c)
-					break outer
-				}
-			}
-		}
-		i += n
-		if win < childBatch {
-			win *= 2
-		}
-	}
-	return subtreeMin, found
 }
 
 func (m *Miner) topK() int {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -146,85 +144,6 @@ func TestMineNoSolution(t *testing.T) {
 	}
 	if !math.IsInf(res.Bits, 1) {
 		t.Fatal("no-solution result should have infinite bits")
-	}
-}
-
-// bruteForce finds the true minimum-cost RE over all subsets (by cost order)
-// of the candidate subgraph expressions, for small instances. Targets are
-// sorted to mirror Mine, so both search the same candidate queue (the
-// enumeration origin affects which paths the prominence heuristic prunes).
-func bruteForce(m *Miner, targets []kb.EntID) (expr.Expression, float64) {
-	targets = expr.SortIDs(append([]kb.EntID(nil), targets...))
-	queue, _ := m.buildQueue(context.Background(), targets, &queueBufs{})
-	var best expr.Expression
-	bestCost := math.Inf(1)
-	n := len(queue)
-	if n > 16 {
-		n = 16 // cap for tractability; tests keep instances small
-	}
-	for mask := 1; mask < 1<<n; mask++ {
-		var e expr.Expression
-		cost := 0.0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				e = append(e, queue[i].g)
-				cost += queue[i].cost
-			}
-		}
-		if cost >= bestCost {
-			continue
-		}
-		if m.Ev.IsRE(e, targets) {
-			best, bestCost = e, cost
-		}
-	}
-	return best, bestCost
-}
-
-func TestOptimalityAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	preds := []string{"p", "q", "r", "s"}
-	for round := 0; round < 40; round++ {
-		b := kb.NewBuilder()
-		for i := 0; i < 35; i++ {
-			b.Add(rdf.Triple{
-				S: rdf.NewIRI("http://e/" + names[rng.Intn(len(names))]),
-				P: rdf.NewIRI("http://e/" + preds[rng.Intn(len(preds))]),
-				O: rdf.NewIRI("http://e/" + names[rng.Intn(len(names))]),
-			})
-		}
-		k := b.Build(kb.Options{})
-		prom := prominence.Build(k, prominence.Fr)
-		est := complexity.New(k, prom, complexity.Exact)
-		cfg := DefaultConfig()
-		cfg.MaxCandidates = 16
-		m := NewMiner(k, est, cfg)
-
-		nTargets := 1 + rng.Intn(2)
-		targets := make([]kb.EntID, 0, nTargets)
-		seen := map[kb.EntID]bool{}
-		for len(targets) < nTargets {
-			id := kb.EntID(rng.Intn(k.NumEntities()) + 1)
-			if !seen[id] {
-				seen[id] = true
-				targets = append(targets, id)
-			}
-		}
-
-		res, err := m.Mine(targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantExpr, wantCost := bruteForce(m, targets)
-		if (wantExpr == nil) != (res.Expression == nil) {
-			t.Fatalf("round %d: existence disagrees: got %v, brute force %v (targets %v)",
-				round, res.Expression, wantExpr, targets)
-		}
-		if wantExpr != nil && math.Abs(res.Bits-wantCost) > 1e-9 {
-			t.Fatalf("round %d: cost %f (expr %s) vs brute force %f (%s)",
-				round, res.Bits, res.Expression.Format(k), wantCost, wantExpr.Format(k))
-		}
 	}
 }
 

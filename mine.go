@@ -72,8 +72,11 @@ type Progress struct {
 // of the incumbent solution) to fn while the mine runs. Delivery is
 // synchronous from the search loop, so fn must be fast. The subscription is
 // mask-narrowed inside the core, so it adds no per-node allocations to the
-// search hot path. With WithWorkers > 1 every P-REMI worker delivers to fn,
-// so fn must be safe for concurrent use.
+// search hot path. The sequential search pops conjunctions in cost order, so
+// its first RE is its answer: a run emits at most one "new_best", and none
+// when it times out before the answer. With WithWorkers > 1 the P-REMI
+// workers search depth first, may emit several improving incumbents, and all
+// deliver to fn, so fn must be safe for concurrent use.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -130,7 +133,9 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // context deadline stops the underlying search promptly (the partial result
 // is returned with Stats.TimedOut set), so servers can tie a mining run to
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
-// whichever limit fires first ends the run.
+// whichever limit fires first ends the run. A sequential run that stops
+// before its answer has found no RE yet (it searches in cost order, and its
+// first RE is the answer), so its partial result has no expression.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
