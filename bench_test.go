@@ -215,7 +215,8 @@ func BenchmarkTable4ExtendedPREMI(b *testing.B) { benchMine(b, core.ExtendedLang
 // class: Settlement {0, 13, 57} and Person {3, 7, 20}, plus each class's
 // rank-0 singleton. Each op mines the set on a fresh miner, bounded by a
 // 30 s timeout, and reports its time, visits, the peak bytes of binding sets
-// the search retained, and whether it timed out.
+// the search retained, the bytes its heap and node arena reached, and
+// whether it stopped early (timeout or frontier budget).
 func BenchmarkHubMine(b *testing.B) {
 	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 4})
 	k, err := d.BuildKB(kb.DefaultOptions())
@@ -243,7 +244,7 @@ func BenchmarkHubMine(b *testing.B) {
 			ids = append(ids, id)
 		}
 		b.Run(fmt.Sprintf("%s%v", s.class, s.ranks), func(b *testing.B) {
-			var visits, retained, timeouts uint64
+			var visits, retained, frontier, timeouts uint64
 			for i := 0; i < b.N; i++ {
 				res, err := core.NewMiner(k, est, cfg).Mine(ids)
 				if err != nil {
@@ -251,6 +252,7 @@ func BenchmarkHubMine(b *testing.B) {
 				}
 				visits += res.Stats.Visited
 				retained = max(retained, res.Stats.PeakRetainedBytes)
+				frontier = max(frontier, res.Stats.FrontierBytes)
 				if res.Stats.TimedOut {
 					timeouts++
 				}
@@ -258,6 +260,7 @@ func BenchmarkHubMine(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/set")
 			b.ReportMetric(float64(visits)/float64(b.N), "visits/set")
 			b.ReportMetric(float64(retained), "retained-B")
+			b.ReportMetric(float64(frontier), "frontier-B")
 			b.ReportMetric(float64(timeouts)/float64(b.N), "timeouts/set")
 		})
 	}

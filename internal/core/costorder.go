@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/expr"
@@ -35,6 +36,18 @@ import (
 // child pops, so the binding-set memory of a hub run does not grow with its
 // visits. Tests lower it to exercise the re-intersection.
 var retainBudget = 1 << 20
+
+// frontierBudget bounds the bytes a search's heap and node arena hold
+// together. Both grow with the nodes a search expands, so without a bound a
+// hub run that lasts until its timeout would hold memory in proportion to the
+// time it ran. A search whose frontier needs more stops as a timed-out one
+// does: Stats.TimedOut set and, under TopK = 1, no expression. Tests lower it.
+var frontierBudget = 64 << 20
+
+const (
+	entryBytes = int(unsafe.Sizeof(csEntry{}))
+	nodeBytes  = int(unsafe.Sizeof(csNode{}))
+)
 
 // csEntry is a heap entry: the conjunction of the expanded node parent
 // (-1 for a root) with queue[idx], and its Ĉ.
@@ -88,6 +101,9 @@ func getCostScratch() *costScratch {
 		sc.free = append(sc.free, int32(i))
 	}
 	sc.retained, sc.peak = 0, 0
+	if sc.frontierBytes() > frontierBudget {
+		sc.heap, sc.nodes = nil, nil
+	}
 	return sc
 }
 
@@ -108,6 +124,43 @@ func putCostScratch(sc *costScratch) {
 	}
 	sc.heap, sc.nodes = sc.heap[:0], sc.nodes[:0]
 	costScratchPool.Put(sc)
+}
+
+// frontierBytes is the capacity of the heap and the node arena in bytes.
+func (sc *costScratch) frontierBytes() int {
+	return cap(sc.heap)*entryBytes + cap(sc.nodes)*nodeBytes
+}
+
+// reserve makes room for one more heap entry and one more node, the most a
+// pop adds, within frontierBudget. It reports false when the budget is spent.
+func (sc *costScratch) reserve() bool {
+	if len(sc.heap) < cap(sc.heap) && len(sc.nodes) < cap(sc.nodes) {
+		return true
+	}
+	room := frontierBudget - sc.frontierBytes()
+	var ok bool
+	if sc.heap, ok = growWithin(sc.heap, entryBytes, &room); !ok {
+		return false
+	}
+	sc.nodes, ok = growWithin(sc.nodes, nodeBytes, &room)
+	return ok
+}
+
+// growWithin gives a full s room for at least one more element: it doubles
+// its capacity, or grows it by what room bytes still hold, and takes the
+// growth from room. It reports false when not even one element fits.
+func growWithin[T any](s []T, size int, room *int) ([]T, bool) {
+	if len(s) < cap(s) {
+		return s, true
+	}
+	n := min(max(cap(s), 64), *room/size)
+	if n <= 0 {
+		return s, false
+	}
+	*room -= n * size
+	t := make([]T, len(s), cap(s)+n)
+	copy(t, s)
+	return t, true
 }
 
 // take returns a free binding-set slot, growing the slab when none is free.
@@ -238,9 +291,9 @@ func (m *Miner) parentSet(sc *costScratch, queue []scored, p int32) bindset.Set 
 }
 
 // mineSequential is Algorithm 1 in cost order (see the comment at the top of
-// this file). A run that stops early has popped no RE cheaper than those it
-// reports, and before the optimum it has popped none at all: a timed-out
-// TopK = 1 run returns no expression.
+// this file). A run that stops early, by its context or by frontierBudget, has
+// popped no RE cheaper than those it reports, and before the optimum it has
+// popped none at all: a timed-out TopK = 1 run returns no expression.
 func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
 	bnd := newBound(m.cfg.TopK)
 	st := &res.Stats
@@ -263,8 +316,16 @@ func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb
 	n := int32(len(queue))
 	limit := len(targets) + m.cfg.MaxExceptions
 	found, k := 0, m.topK()
+	if !sc.reserve() {
+		st.TimedOut = true
+		return
+	}
 	sc.push(csEntry{cost: queue[0].cost, parent: -1, idx: 0})
 	for pops := 0; len(sc.heap) > 0; pops++ {
+		if !sc.reserve() {
+			st.TimedOut = true
+			break
+		}
 		e := sc.pop()
 		// The DFS checks the context at each root and every 256 visits; so
 		// does this loop, counting pops.
@@ -341,4 +402,5 @@ func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb
 	// answer's cost (or the stop) cut.
 	st.PrunedCost += uint64(len(sc.heap))
 	st.PeakRetainedBytes = uint64(sc.peak)
+	st.FrontierBytes = uint64(sc.frontierBytes())
 }

@@ -104,6 +104,9 @@ func checkAgainstDFS(t *testing.T, k *kb.KB, est *complexity.Estimator, cfg Conf
 		if got.Stats.Visited > want.Stats.Visited {
 			t.Fatalf("targets %v: %d visits, DFS %d", set, got.Stats.Visited, want.Stats.Visited)
 		}
+		if got.Stats.TimedOut || got.Stats.FrontierBytes > uint64(frontierBudget) {
+			t.Fatalf("targets %v: stopped %v with %d frontier bytes, budget %d", set, got.Stats.TimedOut, got.Stats.FrontierBytes, frontierBudget)
+		}
 		if got.Stats.PeakRetainedBytes > uint64(retainBudget) {
 			t.Fatalf("targets %v: %d bytes of binding sets retained, budget %d", set, got.Stats.PeakRetainedBytes, retainBudget)
 		}
@@ -199,6 +202,69 @@ func testCostOrderMatchesDFS(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFrontierBudgetStopsLikeATimeout: a search whose heap and node arena
+// would outgrow frontierBudget stops as a timed-out one does. It never holds
+// more than the budget; it returns the DFS's answer when it finishes, and
+// otherwise a prefix of the DFS's solutions, none at all under TopK = 1.
+func TestFrontierBudgetStopsLikeATimeout(t *testing.T) {
+	defer func(b int) { frontierBudget = b }(frontierBudget)
+	k, est := tinySetup(t)
+	targets := []kb.EntID{mustID(t, k, "Guyana"), mustID(t, k, "Suriname")}
+	frontierBudget = 0
+	res, err := NewMiner(k, est, DefaultConfig()).Mine(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.TimedOut || res.Found() || res.Stats.FrontierBytes != 0 {
+		t.Fatalf("no budget: timed out %v, found %v, %d frontier bytes", res.Stats.TimedOut, res.Found(), res.Stats.FrontierBytes)
+	}
+
+	rng := rand.New(rand.NewSource(14))
+	for _, budget := range []int{256, 384} {
+		frontierBudget = budget
+		stopped, finished := 0, 0
+		for round := 0; round < 40; round++ {
+			k := kbOf(randomTriples(rng))
+			est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Exact)
+			for _, cfg := range refConfigs() {
+				for _, set := range [][]kb.EntID{randomTargets(rng, k), randomTargets(rng, k)} {
+					got, err := NewMiner(k, est, cfg).Mine(set)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Stats.FrontierBytes > uint64(budget) {
+						t.Fatalf("budget %d, targets %v: the frontier held %d bytes", budget, set, got.Stats.FrontierBytes)
+					}
+					want := mineDFS(NewMiner(k, est, cfg), set)
+					if !got.Stats.TimedOut {
+						finished++
+						if err := sameAnswer(got, want); err != nil {
+							t.Fatalf("budget %d, targets %v: %v", budget, set, err)
+						}
+						continue
+					}
+					stopped++
+					if cfg.TopK == 1 && got.Found() {
+						t.Fatalf("budget %d, targets %v: a stopped run returned %v", budget, set, got.Expression)
+					}
+					if len(got.Solutions) >= len(want.Solutions) {
+						t.Fatalf("budget %d, targets %v: stopped with %d of the DFS's %d solutions", budget, set, len(got.Solutions), len(want.Solutions))
+					}
+					for i, g := range got.Solutions {
+						w := want.Solutions[i]
+						if !slices.Equal(g.Expression, w.Expression) || math.Float64bits(g.Bits) != math.Float64bits(w.Bits) {
+							t.Fatalf("budget %d, targets %v: solution %d %v, DFS %v", budget, set, i, g.Expression, w.Expression)
+						}
+					}
+				}
+			}
+		}
+		if stopped == 0 || finished == 0 {
+			t.Fatalf("budget %d: %d runs stopped and %d finished; the budget should split them", budget, stopped, finished)
+		}
+	}
 }
 
 // randomTriples draws 35 random facts over ten entities and four

@@ -90,8 +90,13 @@ type Stats struct {
 	// PeakRetainedBytes is the most binding-set memory the sequential search
 	// kept for the parents of its pending heap entries (0 under P-REMI).
 	PeakRetainedBytes uint64
-	// TimedOut reports that the search stopped early, whether because
-	// Config.Timeout elapsed or because the caller's context was cancelled.
+	// FrontierBytes is the capacity of the sequential search's heap and
+	// node arena when it stopped, at most 64 MiB (0 under P-REMI). Both
+	// only grow during a search, so it is their peak.
+	FrontierBytes uint64
+	// TimedOut reports that the search stopped early: Config.Timeout
+	// elapsed, the caller's context was cancelled, or the sequential
+	// search's heap and node arena reached their 64 MiB budget.
 	TimedOut bool
 	// CacheHits and CacheMisses come from the evaluator's query cache. The
 	// evaluator is shared by every P-REMI worker, so per-worker Stats carry
@@ -505,7 +510,10 @@ func (m *Miner) Mine(targets []kb.EntID) (*Result, error) {
 // The sequential search pops conjunctions in cost order, so its first RE is
 // its answer: a sequential run that times out before reaching it returns no
 // expression at all, where a depth-first search would have returned a loose
-// incumbent. P-REMI's workers search depth first and may return one.
+// incumbent. P-REMI's workers search depth first and may return one. A
+// sequential search whose heap and node arena would outgrow their 64 MiB
+// budget stops the same way, with Stats.TimedOut set: a hub set that needs
+// millions of expansions costs a bounded amount of memory, not an answer.
 func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, error) {
 	if len(targets) == 0 {
 		return nil, ErrNoTargets

@@ -135,7 +135,9 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
 // whichever limit fires first ends the run. A sequential run that stops
 // before its answer has found no RE yet (it searches in cost order, and its
-// first RE is the answer), so its partial result has no expression.
+// first RE is the answer), so its partial result has no expression. The same
+// holds for a sequential run whose search frontier outgrows its 64 MiB
+// memory budget: it stops with Stats.TimedOut set and no expression.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
