@@ -91,10 +91,11 @@ func BenchmarkTable1Enumeration(b *testing.B) {
 	b.ReportMetric(float64(total)/float64(b.N), "subgraphs/op")
 }
 
-// --- Figure 1: the DFS over conjunctions ------------------------------------
+// --- Figure 1: the search over conjunctions ---------------------------------
 
 // BenchmarkFigure1DFS mines the Figure 1 target pair {Rennes, Nantes} on the
-// tiny KB, exercising the priority queue, pruning by depth and side pruning.
+// tiny KB, exercising the priority queue, the cost-ordered search of Figure
+// 1's tree and pruning by depth. The name predates the cost-ordered search.
 func BenchmarkFigure1DFS(b *testing.B) {
 	m, k := tinyMiner(b, core.DefaultConfig())
 	targets := tinyIDs(b, k, "Rennes", "Nantes")
@@ -216,7 +217,9 @@ func BenchmarkTable4ExtendedPREMI(b *testing.B) { benchMine(b, core.ExtendedLang
 // rank-0 singleton. Each op mines the set on a fresh miner, bounded by a
 // 30 s timeout, and reports its time, visits, the peak bytes of binding sets
 // the search retained, the bytes its heap and node arena reached, and
-// whether it stopped early (timeout or frontier budget).
+// whether it stopped early (timeout or frontier budget). Each set runs under
+// REMI and, as "<set>,workers=2", under P-REMI with two workers, whose
+// figures are the workers' totals.
 func BenchmarkHubMine(b *testing.B) {
 	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 4})
 	k, err := d.BuildKB(kb.DefaultOptions())
@@ -243,26 +246,34 @@ func BenchmarkHubMine(b *testing.B) {
 			}
 			ids = append(ids, id)
 		}
-		b.Run(fmt.Sprintf("%s%v", s.class, s.ranks), func(b *testing.B) {
-			var visits, retained, frontier, timeouts uint64
-			for i := 0; i < b.N; i++ {
-				res, err := core.NewMiner(k, est, cfg).Mine(ids)
-				if err != nil {
-					b.Fatal(err)
-				}
-				visits += res.Stats.Visited
-				retained = max(retained, res.Stats.PeakRetainedBytes)
-				frontier = max(frontier, res.Stats.FrontierBytes)
-				if res.Stats.TimedOut {
-					timeouts++
-				}
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s%v", s.class, s.ranks)
+			if workers > 1 {
+				name += fmt.Sprintf(",workers=%d", workers)
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/set")
-			b.ReportMetric(float64(visits)/float64(b.N), "visits/set")
-			b.ReportMetric(float64(retained), "retained-B")
-			b.ReportMetric(float64(frontier), "frontier-B")
-			b.ReportMetric(float64(timeouts)/float64(b.N), "timeouts/set")
-		})
+			cfg := cfg
+			cfg.Workers = workers
+			b.Run(name, func(b *testing.B) {
+				var visits, retained, frontier, timeouts uint64
+				for i := 0; i < b.N; i++ {
+					res, err := core.NewMiner(k, est, cfg).Mine(ids)
+					if err != nil {
+						b.Fatal(err)
+					}
+					visits += res.Stats.Visited
+					retained = max(retained, res.Stats.PeakRetainedBytes)
+					frontier = max(frontier, res.Stats.FrontierBytes)
+					if res.Stats.TimedOut {
+						timeouts++
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/set")
+				b.ReportMetric(float64(visits)/float64(b.N), "visits/set")
+				b.ReportMetric(float64(retained), "retained-B")
+				b.ReportMetric(float64(frontier), "frontier-B")
+				b.ReportMetric(float64(timeouts)/float64(b.N), "timeouts/set")
+			})
+		}
 	}
 }
 

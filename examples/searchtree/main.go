@@ -1,10 +1,10 @@
 // Searchtree: a walk-through of Figure 1 of the paper — the search over
 // conjunctions of subgraph expressions for {Rennes, Nantes}. It prints the
-// sequential miner's walk, which pops the tree's nodes in nondecreasing Ĉ:
-// every visit costs at least as much as the one before, and the first RE
-// visited is the answer. Figure 1's depth-first order, with its side and
-// cost prunings, is what P-REMI's workers still follow (§3.4); cost order
-// visits a subset of the DFS's nodes and returns the same RE.
+// miner's walk, which pops the tree's nodes in nondecreasing Ĉ: every visit
+// costs at least as much as the one before, and the first RE visited is the
+// answer. It visits a subset of the nodes Figure 1's depth-first order
+// visits and returns the same RE. P-REMI's workers (§3.4) run the same
+// search on the subtrees of the roots they claim.
 //
 //	go run ./examples/searchtree
 package main
@@ -59,7 +59,7 @@ func main() {
 	for i, g := range cands {
 		fmt.Printf("  ρ%-3d Ĉ=%-7.2f %s\n", i+1, costs[i], g.Format(k))
 	}
-	fmt.Println("\nCost-ordered exploration (nondecreasing Ĉ; P-REMI keeps Figure 1's depth-first order):")
+	fmt.Println("\nCost-ordered exploration (nondecreasing Ĉ):")
 
 	res, err := m.Mine(targets)
 	if err != nil {

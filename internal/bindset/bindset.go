@@ -12,8 +12,8 @@
 //     word-wise AND touches one 64th of that).
 //
 // All binary operations work across representation pairs. The *Into variants
-// write into caller-owned scratch sets, letting the DFS run allocation-free
-// in steady state (see internal/core).
+// write into caller-owned scratch sets, letting the miner's search run
+// allocation-free in steady state (see internal/core).
 package bindset
 
 import (
@@ -238,7 +238,7 @@ func (dst *Set) IntersectInto(a, b Set) {
 const batchMax = 8
 
 // IntersectMany computes a ∩ bs[j] into dsts[j] for every j — the batch
-// intersection kernel of the DFS child loop and the solvable-suffix sweep:
+// intersection kernel of the miner's solvable-suffix sweep:
 // one prefix set intersected against many candidate sets. Results are
 // bit-identical to calling dsts[j].IntersectInto(a, bs[j]) in a loop
 // (including the representation invariants), but when the prefix is a

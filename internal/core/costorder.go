@@ -11,37 +11,39 @@ import (
 	"github.com/remi-kb/remi/internal/kb"
 )
 
-// The sequential search of Algorithm 1 pops the conjunctions of the sorted
-// queue in nondecreasing Ĉ. Its tree is Figure 1's: the children of a
-// conjunction extend it with a strictly later queue element. A heap with
-// lazy successors enumerates that tree in cost order: each popped node
-// pushes its next sibling (its last element replaced by the following queue
-// element) and its first child (the following queue element appended). Both
-// cost at least as much as the node, because the queue is cost-sorted and
-// Ĉ is summed in prefix order exactly as the DFS sums it, so every pop is a
-// conjunction no costlier than anything still on the heap. The first RE
-// popped is therefore the answer; nothing costlier than it is evaluated.
+// Both miners search the conjunctions of the sorted queue in nondecreasing
+// Ĉ. The tree is Figure 1's: the children of a conjunction extend it with a
+// strictly later queue element. A heap with lazy successors enumerates that
+// tree in cost order: each popped node pushes its next sibling (its last
+// element replaced by the following queue element) and its first child (the
+// following queue element appended). Both cost at least as much as the node,
+// because the queue is cost-sorted and Ĉ is summed in prefix order, so every
+// pop is a conjunction no costlier than anything still on the heap. The
+// first RE popped is therefore the answer; nothing costlier than it is
+// evaluated.
 //
 // Ties are broken by the lexicographic order of the queue-index sequences,
-// which is the DFS's preorder. bound.Offer keeps the first RE found among
-// equal costs, so the cost-ordered answer is the DFS's answer bit for bit,
-// and the first k distinct REs popped are its top k. The DFS's prunes stay:
-// solvableSuffixes cuts the roots, a conjunct that does not shrink the
-// binding set is skipped (its next sibling is still pushed, its subtree is
-// not), and an RE is not expanded. Side pruning has nothing left to cut.
+// the preorder of §3.3's depth-first search of the same tree. bound.Offer
+// keeps the first RE found among equal costs, so REMI's answer is the
+// depth-first search's bit for bit, and the first k distinct REs popped are
+// its top k. Its prunes stay: solvableSuffixes cuts the roots, a conjunct
+// that does not shrink the binding set is skipped (its next sibling is still
+// pushed, its subtree is not), and an RE is not expanded. Side pruning has
+// nothing left to cut.
 
-// retainBudget bounds the bytes of binding sets a search keeps for the
-// parents of pending heap entries. A parent over the budget keeps none, and
-// its set is re-intersected from the evaluator's per-subgraph sets when a
-// child pops, so the binding-set memory of a hub run does not grow with its
-// visits. Tests lower it to exercise the re-intersection.
+// retainBudget bounds the bytes of binding sets a run keeps for the parents
+// of pending heap entries; P-REMI's workers each get an equal share. A parent
+// over the budget keeps none, and its set is re-intersected from the
+// evaluator's per-subgraph sets when a child pops, so the binding-set memory
+// of a hub run does not grow with its visits. Tests lower it to exercise the
+// re-intersection.
 var retainBudget = 1 << 20
 
-// frontierBudget bounds the bytes a search's heap and node arena hold
-// together. Both grow with the nodes a search expands, so without a bound a
-// hub run that lasts until its timeout would hold memory in proportion to the
-// time it ran. A search whose frontier needs more stops as a timed-out one
-// does: Stats.TimedOut set and, under TopK = 1, no expression. Tests lower it.
+// frontierBudget bounds the bytes a run's heaps and node arenas hold
+// together; P-REMI's workers each get an equal share. Both grow with the
+// nodes a search expands, so without a bound a hub run that lasts until its
+// timeout would hold memory in proportion to the time it ran. A run whose
+// frontier needs more stops as a timed-out one does. Tests lower it.
 var frontierBudget = 64 << 20
 
 const (
@@ -67,8 +69,13 @@ type csNode struct {
 	slot   int32 // retained binding set in costScratch.sets, or -1
 }
 
-// costScratch is one search's working storage, pooled across Mine calls.
+// costScratch is one search's working storage, pooled across Mine calls. A
+// P-REMI worker reuses one for each root it claims.
 type costScratch struct {
+	// frontierMax and retainMax are this scratch's shares of frontierBudget
+	// and retainBudget.
+	frontierMax, retainMax int
+
 	heap  []csEntry
 	nodes []csNode
 	// sets are the binding-set slots: one is the working set of the current
@@ -94,17 +101,26 @@ const (
 	pooledSetBytes = 256 << 10
 )
 
-func getCostScratch() *costScratch {
+// getCostScratch returns a scratch holding a 1/shares share of the budgets.
+func getCostScratch(shares int) *costScratch {
 	sc := costScratchPool.Get().(*costScratch)
+	sc.frontierMax, sc.retainMax = frontierBudget/shares, retainBudget/shares
+	sc.peak = 0
+	if sc.frontierBytes() > sc.frontierMax {
+		sc.heap, sc.nodes = nil, nil
+	}
+	return sc
+}
+
+// reset empties the heap, the node arena and the binding-set slots for the
+// next search. The capacities, and so the peaks the stats report, stay.
+func (sc *costScratch) reset() {
+	sc.heap, sc.nodes = sc.heap[:0], sc.nodes[:0]
 	sc.free = sc.free[:0]
 	for i := len(sc.sets) - 1; i >= 0; i-- {
 		sc.free = append(sc.free, int32(i))
 	}
-	sc.retained, sc.peak = 0, 0
-	if sc.frontierBytes() > frontierBudget {
-		sc.heap, sc.nodes = nil, nil
-	}
-	return sc
+	sc.retained = 0
 }
 
 func putCostScratch(sc *costScratch) {
@@ -122,7 +138,6 @@ func putCostScratch(sc *costScratch) {
 	if cap(sc.nodes) > pooledEntries {
 		sc.nodes = nil
 	}
-	sc.heap, sc.nodes = sc.heap[:0], sc.nodes[:0]
 	costScratchPool.Put(sc)
 }
 
@@ -132,12 +147,12 @@ func (sc *costScratch) frontierBytes() int {
 }
 
 // reserve makes room for one more heap entry and one more node, the most a
-// pop adds, within frontierBudget. It reports false when the budget is spent.
+// pop adds, within frontierMax. It reports false when the share is spent.
 func (sc *costScratch) reserve() bool {
 	if len(sc.heap) < cap(sc.heap) && len(sc.nodes) < cap(sc.nodes) {
 		return true
 	}
-	room := frontierBudget - sc.frontierBytes()
+	room := sc.frontierMax - sc.frontierBytes()
 	var ok bool
 	if sc.heap, ok = growWithin(sc.heap, entryBytes, &room); !ok {
 		return false
@@ -176,13 +191,13 @@ func (sc *costScratch) take() int32 {
 
 func (sc *costScratch) give(s int32) { sc.free = append(sc.free, s) }
 
-// retain keeps slot s for an expanded node when the budget allows it. The
+// retain keeps slot s for an expanded node when retainMax allows it. The
 // slot's spare buffer, left by an earlier set of the other representation,
 // is dropped first: it would count against the budget for nothing.
 func (sc *costScratch) retain(s int32) bool {
 	sc.sets[s].DropSpare()
 	fp := sc.sets[s].Footprint()
-	if sc.retained+fp > retainBudget {
+	if sc.retained+fp > sc.retainMax {
 		return false
 	}
 	sc.retained += fp
@@ -210,7 +225,7 @@ func (sc *costScratch) appendSeq(dst []int32, p int32) []int32 {
 }
 
 // less orders heap entries by Ĉ, then by the lexicographic order of their
-// queue-index sequences (a prefix first): the DFS's preorder.
+// queue-index sequences (a prefix first): a depth-first preorder.
 func (sc *costScratch) less(a, b *csEntry) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
@@ -260,7 +275,7 @@ func (sc *costScratch) pop() csEntry {
 }
 
 // expression renders entry e's conjunction into the reused buffer sc.e, in
-// queue order (the DFS's prefix order).
+// queue order, the order Ĉ is summed in.
 func (sc *costScratch) expression(queue []scored, e csEntry) expr.Expression {
 	sc.seqA = append(sc.appendSeq(sc.seqA[:0], e.parent), e.idx)
 	sc.e = sc.e[:0]
@@ -290,59 +305,49 @@ func (m *Miner) parentSet(sc *costScratch, queue []scored, p int32) bindset.Set 
 	return cur
 }
 
-// mineSequential is Algorithm 1 in cost order (see the comment at the top of
-// this file). A run that stops early, by its context or by frontierBudget, has
-// popped no RE cheaper than those it reports, and before the optimum it has
-// popped none at all: a timed-out TopK = 1 run returns no expression.
-func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
-	bnd := newBound(m.cfg.TopK)
-	st := &res.Stats
-	defer func() {
-		res.Expression, _ = bnd.Get()
-		res.Solutions = bnd.All()
-	}()
-
-	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
-	if timedOut {
-		st.TimedOut = true
-		return
-	}
-	if len(queue) == 0 || !canSolve[0] {
-		return
-	}
-	sc := getCostScratch()
-	defer putCostScratch(sc)
-
+// searchCostOrder pops, in cost order, the conjunctions whose first element
+// is one of the roots queue[lo:hi] (see the comment at the top of this
+// file), offering the REs it pops to bnd. It stops at the k-th RE it pops,
+// when the cheapest pending conjunction costs at least bnd.Cost() (the
+// shared bound of P-REMI's difference 3, which other workers may lower), when
+// ctx ends, or when sc's frontier share is spent; the last two set
+// st.TimedOut. A search that stops early has popped no RE cheaper than those
+// it offered, and before its subtrees' optimum it has popped none at all.
+func (m *Miner) searchCostOrder(ctx context.Context, queue []scored, canSolve []bool, lo, hi int32,
+	targets []kb.EntID, bnd *bound, st *Stats, sc *costScratch) {
+	sc.reset()
 	n := int32(len(queue))
 	limit := len(targets) + m.cfg.MaxExceptions
 	found, k := 0, m.topK()
-	if !sc.reserve() {
+	if sc.reserve() {
+		sc.push(csEntry{cost: queue[lo].cost, parent: -1, idx: lo})
+	} else {
 		st.TimedOut = true
-		return
 	}
-	sc.push(csEntry{cost: queue[0].cost, parent: -1, idx: 0})
 	for pops := 0; len(sc.heap) > 0; pops++ {
+		if sc.heap[0].cost >= bnd.Cost() {
+			break // nothing left can improve on the bound
+		}
 		if !sc.reserve() {
 			st.TimedOut = true
 			break
 		}
 		e := sc.pop()
-		// The DFS checks the context at each root and every 256 visits; so
-		// does this loop, counting pops.
+		// Check the context at each root and every 256 pops.
 		if (e.parent < 0 || pops%256 == 0) && expired(ctx) {
 			st.TimedOut = true
 			break
 		}
+		// A child's next sibling may be any later queue element, a root's
+		// only a later root.
 		next := e.idx + 1
-		if next < n {
-			switch {
-			case e.parent >= 0:
-				sc.push(csEntry{cost: sc.nodes[e.parent].cost + queue[next].cost, parent: e.parent, idx: next})
-			case canSolve[next]:
-				sc.push(csEntry{cost: queue[next].cost, parent: -1, idx: next})
-			}
+		switch {
+		case next == n:
+		case e.parent >= 0:
+			sc.push(csEntry{cost: sc.nodes[e.parent].cost + queue[next].cost, parent: e.parent, idx: next})
+		case next < hi && canSolve[next]:
+			sc.push(csEntry{cost: queue[next].cost, parent: -1, idx: next})
 		}
-
 		// The node's binding set: a root's is cached; a child's is its
 		// parent's intersected with the conjunct's, into a working slot.
 		var set bindset.Set

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/expr"
@@ -18,36 +19,91 @@ import (
 
 // mineDFS is Algorithm 1 as §3.3 describes it: dequeue subgraph expressions
 // in ascending Ĉ order and explore the subtree rooted at each depth first.
-// It was the sequential miner's driver; it stays as the reference the
-// cost-ordered search must match. Apart from the search it is MineContext.
+// It was the miners' search; it stays as the reference the cost-ordered
+// search must match. Apart from the search it is MineContext.
 func mineDFS(m *Miner, targets []kb.EntID) *Result {
 	tgt := normalizeTargets(targets)
 	res := &Result{Bits: complexity.Infinite}
 	queue, _ := m.buildQueue(context.Background(), tgt, &queueBufs{})
 	res.Stats.Candidates = len(queue)
 
-	bnd := newBound(m.cfg.TopK)
-	st := &res.Stats
+	r := &dfsRef{m: m, queue: queue, targets: tgt, bnd: newBound(m.cfg.TopK), st: &res.Stats}
 	canSolve, _ := m.solvableSuffixes(context.Background(), queue, tgt)
-	sc := getScratch()
-	defer putScratch(sc)
 	for i := range queue {
 		if !canSolve[i] {
 			break
 		}
-		if queue[i].cost >= bnd.Cost() {
-			st.PrunedCost += uint64(len(queue) - i)
+		if queue[i].cost >= r.bnd.Cost() {
+			r.st.PrunedCost += uint64(len(queue) - i)
 			break
 		}
-		prefix := append(make(expr.Expression, 0, 8), queue[i].g)
-		m.dfsRemi(context.Background(), prefix, queue[i].cost, m.Ev.Bindings(queue[i].g), queue, i+1, tgt, 0, sc, bnd, st)
+		r.dfsRemi(expr.Expression{queue[i].g}, queue[i].cost, m.Ev.Bindings(queue[i].g), i+1, 0)
 	}
-	res.Expression, _ = bnd.Get()
-	res.Solutions = bnd.All()
+	res.Expression, _ = r.bnd.Get()
+	res.Solutions = r.bnd.All()
 	if res.Found() {
 		res.Bits = m.Est.Expression(res.Expression)
 	}
 	return res
+}
+
+// dfsRef is one reference search: the queue, the targets, the bound and
+// the stats it fills, and levels[d], the working binding set of a child at
+// depth d.
+type dfsRef struct {
+	m       *Miner
+	queue   []scored
+	targets []kb.EntID
+	bnd     *bound
+	st      *Stats
+	levels  []bindset.Set
+}
+
+// dfsRemi explores the subtree below prefix, whose binding set is bindings,
+// depth first (the tree of Figure 1): the children of a prefix extend it
+// with the queue elements from index from on. It prunes by depth (an RE is
+// not expanded), by side (under top-1, the siblings after an RE child that
+// is itself the subtree's cheapest RE), by cost (a child costing at least
+// the bound ends the scan) and skips a conjunct that does not shrink the
+// binding set. It returns the cheapest RE cost in the subtree and whether
+// it found one.
+func (r *dfsRef) dfsRemi(prefix expr.Expression, prefixCost float64, bindings bindset.Set, from, depth int) (float64, bool) {
+	r.st.Visited++
+	r.st.RETests++
+	r.m.trace(EventVisit, prefix, prefixCost)
+	if bindings.Card() <= len(r.targets)+r.m.cfg.MaxExceptions {
+		r.m.trace(EventRE, prefix, prefixCost)
+		if r.bnd.Offer(prefix, prefixCost) {
+			r.m.trace(EventNewBest, prefix, prefixCost)
+		}
+		r.st.PrunedDepth++
+		return prefixCost, true
+	}
+	if len(r.levels) == depth {
+		r.levels = append(r.levels, bindset.Set{})
+	}
+	subtreeMin, found := math.Inf(1), false
+	for idx := from; idx < len(r.queue); idx++ {
+		childCost := prefixCost + r.queue[idx].cost
+		if childCost >= r.bnd.Cost() {
+			r.st.PrunedCost += uint64(len(r.queue) - idx)
+			break
+		}
+		r.levels[depth].IntersectInto(bindings, r.m.Ev.Bindings(r.queue[idx].g))
+		child := r.levels[depth]
+		if child.Card() == bindings.Card() || child.Card() < len(r.targets) {
+			continue
+		}
+		c, f := r.dfsRemi(append(prefix, r.queue[idx].g), childCost, child, idx+1, depth+1)
+		if f {
+			found = true
+			subtreeMin = min(subtreeMin, c)
+			if c <= childCost && r.m.topK() == 1 {
+				break
+			}
+		}
+	}
+	return subtreeMin, found
 }
 
 // sameAnswer reports how got differs from the DFS's want: the same
@@ -66,6 +122,20 @@ func sameAnswer(got, want *Result) error {
 		g, w := got.Solutions[i], want.Solutions[i]
 		if !slices.Equal(g.Expression, w.Expression) || math.Float64bits(g.Bits) != math.Float64bits(w.Bits) {
 			return fmt.Errorf("solution %d: %v (%v bits), DFS %v (%v bits)", i, g.Expression, g.Bits, w.Expression, w.Bits)
+		}
+	}
+	return nil
+}
+
+// sameCosts reports how got's solutions differ in cost from want's: their
+// number, or the bits of one of them. Equal-cost REs may differ.
+func sameCosts(got, want *Result) error {
+	if len(got.Solutions) != len(want.Solutions) {
+		return fmt.Errorf("%d solutions, want %d", len(got.Solutions), len(want.Solutions))
+	}
+	for i := range got.Solutions {
+		if g, w := got.Solutions[i], want.Solutions[i]; math.Float64bits(g.Bits) != math.Float64bits(w.Bits) {
+			return fmt.Errorf("solution %d: %v (%v bits), want %v (%v bits)", i, g.Expression, g.Bits, w.Expression, w.Bits)
 		}
 	}
 	return nil
@@ -109,9 +179,6 @@ func checkAgainstDFS(t *testing.T, k *kb.KB, est *complexity.Estimator, cfg Conf
 		}
 		if got.Stats.PeakRetainedBytes > uint64(retainBudget) {
 			t.Fatalf("targets %v: %d bytes of binding sets retained, budget %d", set, got.Stats.PeakRetainedBytes, retainBudget)
-		}
-		if got.Stats.PrunedSide != 0 {
-			t.Fatalf("targets %v: %d side prunings on the sequential path", set, got.Stats.PrunedSide)
 		}
 	}
 }
@@ -204,67 +271,97 @@ func testCostOrderMatchesDFS(t *testing.T) {
 	})
 }
 
-// TestFrontierBudgetStopsLikeATimeout: a search whose heap and node arena
-// would outgrow frontierBudget stops as a timed-out one does. It never holds
-// more than the budget; it returns the DFS's answer when it finishes, and
-// otherwise a prefix of the DFS's solutions, none at all under TopK = 1.
+// TestFrontierBudgetStopsLikeATimeout: a run whose heaps and node arenas
+// would outgrow frontierBudget stops as a timed-out one does, under REMI and
+// under P-REMI with 4 workers. It never holds more than the budget in total.
+// A finished run returns the DFS's answer (under P-REMI its solution costs:
+// equal-cost REs may differ). A stopped REMI run returns a prefix of the
+// DFS's solutions, none at all under TopK = 1; a stopped P-REMI run returns
+// REs from the roots its workers searched, none cheaper than the DFS's.
 func TestFrontierBudgetStopsLikeATimeout(t *testing.T) {
 	defer func(b int) { frontierBudget = b }(frontierBudget)
 	k, est := tinySetup(t)
 	targets := []kb.EntID{mustID(t, k, "Guyana"), mustID(t, k, "Suriname")}
 	frontierBudget = 0
-	res, err := NewMiner(k, est, DefaultConfig()).Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.TimedOut || res.Found() || res.Stats.FrontierBytes != 0 {
-		t.Fatalf("no budget: timed out %v, found %v, %d frontier bytes", res.Stats.TimedOut, res.Found(), res.Stats.FrontierBytes)
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		res, err := NewMiner(k, est, cfg).Mine(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stats.TimedOut || res.Found() || res.Stats.FrontierBytes != 0 {
+			t.Fatalf("no budget, %d workers: timed out %v, found %v, %d frontier bytes", workers, res.Stats.TimedOut, res.Found(), res.Stats.FrontierBytes)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(14))
-	for _, budget := range []int{256, 384} {
-		frontierBudget = budget
-		stopped, finished := 0, 0
-		for round := 0; round < 40; round++ {
-			k := kbOf(randomTriples(rng))
-			est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Exact)
-			for _, cfg := range refConfigs() {
-				for _, set := range [][]kb.EntID{randomTargets(rng, k), randomTargets(rng, k)} {
-					got, err := NewMiner(k, est, cfg).Mine(set)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Stats.FrontierBytes > uint64(budget) {
-						t.Fatalf("budget %d, targets %v: the frontier held %d bytes", budget, set, got.Stats.FrontierBytes)
-					}
-					want := mineDFS(NewMiner(k, est, cfg), set)
-					if !got.Stats.TimedOut {
-						finished++
-						if err := sameAnswer(got, want); err != nil {
-							t.Fatalf("budget %d, targets %v: %v", budget, set, err)
+	for _, workers := range []int{1, 4} {
+		// A worker's share is a 1/workers part of the budget.
+		for _, budget := range []int{256 * workers, 384 * workers} {
+			frontierBudget = budget
+			stopped, finished := 0, 0
+			for round := 0; round < 40; round++ {
+				k := kbOf(randomTriples(rng))
+				est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Exact)
+				for _, cfg := range refConfigs() {
+					cfg.Workers = workers
+					for _, set := range [][]kb.EntID{randomTargets(rng, k), randomTargets(rng, k)} {
+						got, err := NewMiner(k, est, cfg).Mine(set)
+						if err != nil {
+							t.Fatal(err)
 						}
-						continue
-					}
-					stopped++
-					if cfg.TopK == 1 && got.Found() {
-						t.Fatalf("budget %d, targets %v: a stopped run returned %v", budget, set, got.Expression)
-					}
-					if len(got.Solutions) >= len(want.Solutions) {
-						t.Fatalf("budget %d, targets %v: stopped with %d of the DFS's %d solutions", budget, set, len(got.Solutions), len(want.Solutions))
-					}
-					for i, g := range got.Solutions {
-						w := want.Solutions[i]
-						if !slices.Equal(g.Expression, w.Expression) || math.Float64bits(g.Bits) != math.Float64bits(w.Bits) {
-							t.Fatalf("budget %d, targets %v: solution %d %v, DFS %v", budget, set, i, g.Expression, w.Expression)
+						if got.Stats.FrontierBytes > uint64(budget) {
+							t.Fatalf("%d workers, budget %d, targets %v: the frontier held %d bytes", workers, budget, set, got.Stats.FrontierBytes)
+						}
+						want := mineDFS(NewMiner(k, est, cfg), set)
+						if !got.Stats.TimedOut {
+							finished++
+							err := sameAnswer(got, want)
+							if workers > 1 {
+								err = sameCosts(got, want)
+							}
+							if err != nil {
+								t.Fatalf("%d workers, budget %d, targets %v: %v", workers, budget, set, err)
+							}
+							continue
+						}
+						stopped++
+						if err := stoppedShort(got, want, workers == 1); err != nil {
+							t.Fatalf("%d workers, budget %d, targets %v: %v", workers, budget, set, err)
 						}
 					}
 				}
 			}
-		}
-		if stopped == 0 || finished == 0 {
-			t.Fatalf("budget %d: %d runs stopped and %d finished; the budget should split them", budget, stopped, finished)
+			if stopped == 0 || finished == 0 {
+				t.Fatalf("%d workers, budget %d: %d runs stopped and %d finished; the budget should split them", workers, budget, stopped, finished)
+			}
 		}
 	}
+}
+
+// stoppedShort reports how a stopped run's solutions differ from what a
+// stop leaves. A sequential run's are a strict prefix of the DFS's, so it has
+// none under TopK = 1. A P-REMI run's are no more than the DFS's, each no
+// cheaper than the DFS's at its rank.
+func stoppedShort(got, want *Result, sequential bool) error {
+	n := len(want.Solutions)
+	if sequential {
+		n = max(n-1, 0)
+	}
+	if len(got.Solutions) > n {
+		return fmt.Errorf("stopped with %d of the DFS's %d solutions", len(got.Solutions), len(want.Solutions))
+	}
+	for i, g := range got.Solutions {
+		w := want.Solutions[i]
+		if sequential && (!slices.Equal(g.Expression, w.Expression) || math.Float64bits(g.Bits) != math.Float64bits(w.Bits)) {
+			return fmt.Errorf("solution %d %v, DFS %v", i, g.Expression, w.Expression)
+		}
+		if g.Bits < w.Bits {
+			return fmt.Errorf("solution %d costs %v, cheaper than the DFS's %v", i, g.Bits, w.Bits)
+		}
+	}
+	return nil
 }
 
 // randomTriples draws 35 random facts over ten entities and four

@@ -45,10 +45,9 @@ type Config struct {
 	MaxExceptions int
 	// TopK asks the miner to keep the K least complex REs instead of only
 	// the best one (Result.Solutions). Values <= 1 mine a single solution;
-	// with K > 1 the sequential search stops at the K-th RE it pops and
-	// P-REMI relaxes side pruning, so that diverse alternatives survive (used
-	// by the Section 4.1.2 study, which shows users several REs encountered
-	// during search-space traversal).
+	// with K > 1 a search stops at the K-th RE it pops (used by the Section
+	// 4.1.2 study, which shows users several REs encountered during
+	// search-space traversal).
 	TopK int
 	// Trace receives search events when non-nil (used by the Figure 1
 	// walk-through). P-REMI workers call it concurrently.
@@ -78,25 +77,21 @@ type Stats struct {
 	Search     time.Duration // phase 2: the search of the conjunctions
 	RETests    uint64        // expression evaluations against the KB
 	Visited    uint64        // search-tree nodes visited
-	// PrunedDepth counts the REs visited: none is expanded. PrunedSide
-	// counts the siblings P-REMI's DFS skips after an RE child; it is 0 on
-	// the sequential path, whose cost order leaves side pruning nothing to
-	// cut. PrunedCost counts, under P-REMI, the siblings the shared cost
-	// bound skipped and, sequentially, the heap entries left when the search
-	// stopped: the cheapest node of each subtree the answer's cost excluded.
+	// PrunedDepth counts the REs visited: none is expanded. PrunedCost
+	// counts the heap entries left when a search stopped: the cheapest node
+	// of each subtree the answer's cost (or the stop) excluded.
 	PrunedDepth uint64
-	PrunedSide  uint64
 	PrunedCost  uint64
-	// PeakRetainedBytes is the most binding-set memory the sequential search
-	// kept for the parents of its pending heap entries (0 under P-REMI).
+	// PeakRetainedBytes is the most binding-set memory the search kept for
+	// the parents of its pending heap entries, summed over P-REMI's workers.
 	PeakRetainedBytes uint64
-	// FrontierBytes is the capacity of the sequential search's heap and
-	// node arena when it stopped, at most 64 MiB (0 under P-REMI). Both
-	// only grow during a search, so it is their peak.
+	// FrontierBytes is the capacity of the search's heap and node arena when
+	// it stopped, summed over P-REMI's workers, at most 64 MiB in all. Both
+	// only grow during a run, so it is their peak.
 	FrontierBytes uint64
 	// TimedOut reports that the search stopped early: Config.Timeout
-	// elapsed, the caller's context was cancelled, or the sequential
-	// search's heap and node arena reached their 64 MiB budget.
+	// elapsed, the caller's context was cancelled, or the heaps and node
+	// arenas reached their 64 MiB budget.
 	TimedOut bool
 	// CacheHits and CacheMisses come from the evaluator's query cache. The
 	// evaluator is shared by every P-REMI worker, so per-worker Stats carry
@@ -113,8 +108,9 @@ func (s *Stats) add(o *Stats) {
 	s.RETests += o.RETests
 	s.Visited += o.Visited
 	s.PrunedDepth += o.PrunedDepth
-	s.PrunedSide += o.PrunedSide
 	s.PrunedCost += o.PrunedCost
+	s.PeakRetainedBytes += o.PeakRetainedBytes
+	s.FrontierBytes += o.FrontierBytes
 	s.TimedOut = s.TimedOut || o.TimedOut
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
@@ -151,30 +147,28 @@ type bound struct {
 	k    int
 	sols []Solution
 	keys map[string]bool
+	// cost holds the bits of Cost(), written under mu and read without it:
+	// a search reads it once per pop.
+	cost atomic.Uint64
 }
 
 func newBound(k int) *bound {
 	if k < 1 {
 		k = 1
 	}
-	return &bound{k: k} // keys is made lazily on the first insert
+	b := &bound{k: k} // keys is made lazily on the first insert
+	b.cost.Store(math.Float64bits(complexity.Infinite))
+	return b
 }
 
 // Cost returns the pruning threshold: the cost of the k-th best solution,
 // or +Inf while fewer than k solutions are known.
-func (b *bound) Cost() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.sols) < b.k {
-		return complexity.Infinite
-	}
-	return b.sols[len(b.sols)-1].Bits
-}
+func (b *bound) Cost() float64 { return math.Float64frombits(b.cost.Load()) }
 
 // Offer inserts e when it improves the solution set; duplicates (same set of
 // subgraph expressions) are ignored. The expression is cloned only when it
-// is actually inserted, so callers can pass their live DFS prefix without
-// paying an allocation for offers that lose on cost or are duplicates.
+// is actually inserted, so callers can pass a reused buffer without paying
+// an allocation for offers that lose on cost or are duplicates.
 func (b *bound) Offer(e expr.Expression, cost float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -190,6 +184,7 @@ func (b *bound) Offer(e expr.Expression, cost float64) bool {
 			b.sols = append(b.sols, Solution{})
 		}
 		b.sols[0] = Solution{Expression: e.Clone(), Bits: cost}
+		b.cost.Store(math.Float64bits(cost))
 		return true
 	}
 	key := e.Key()
@@ -208,6 +203,9 @@ func (b *bound) Offer(e expr.Expression, cost float64) bool {
 		drop := b.sols[len(b.sols)-1]
 		delete(b.keys, drop.Expression.Key())
 		b.sols = b.sols[:len(b.sols)-1]
+	}
+	if len(b.sols) == b.k {
+		b.cost.Store(math.Float64bits(b.sols[b.k-1].Bits))
 	}
 	return pos == 0
 }
@@ -507,13 +505,14 @@ func (m *Miner) Mine(targets []kb.EntID) (*Result, error) {
 // if Config.Timeout had elapsed. A non-zero Config.Timeout still applies,
 // layered onto ctx, so whichever limit fires first stops the run.
 //
-// The sequential search pops conjunctions in cost order, so its first RE is
-// its answer: a sequential run that times out before reaching it returns no
-// expression at all, where a depth-first search would have returned a loose
-// incumbent. P-REMI's workers search depth first and may return one. A
-// sequential search whose heap and node arena would outgrow their 64 MiB
-// budget stops the same way, with Stats.TimedOut set: a hub set that needs
-// millions of expansions costs a bounded amount of memory, not an answer.
+// Both miners pop conjunctions in cost order, so a search's first RE is the
+// best of the roots it searches. A sequential run that times out before its
+// answer returns no expression at all. A P-REMI run that times out returns
+// the best RE among the roots its workers finished, if any, which a root
+// left unsearched may beat. A run whose heaps and node arenas would outgrow
+// their 64 MiB budget, shared by P-REMI's workers, stops the same way, with
+// Stats.TimedOut set: a hub set that needs millions of expansions costs a
+// bounded amount of memory, not an answer.
 func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, error) {
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
@@ -547,11 +546,7 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	}
 
 	t1 := time.Now()
-	if m.cfg.Workers > 1 {
-		m.mineParallel(ctx, queue, tgt, res)
-	} else {
-		m.mineSequential(ctx, queue, tgt, res)
-	}
+	m.search(ctx, queue, tgt, res)
 	res.Stats.Search = time.Since(t1)
 	_, hits1, misses1 := m.Ev.Stats()
 	res.Stats.CacheHits, res.Stats.CacheMisses = hits1-hits0, misses1-misses0
@@ -559,6 +554,27 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 		res.Bits = m.Est.Expression(res.Expression)
 	}
 	return res, nil
+}
+
+// search runs the second phase of Algorithm 1 on the sorted queue: REMI's
+// one cost-ordered search over every root, or P-REMI's workers, each
+// searching the roots it claims in cost order.
+func (m *Miner) search(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
+	bnd := newBound(m.topK())
+	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
+	switch {
+	case timedOut:
+		res.Stats.TimedOut = true
+	case len(queue) == 0 || !canSolve[0]:
+	case m.cfg.Workers > 1:
+		m.mineParallel(ctx, queue, canSolve, targets, bnd, res)
+	default:
+		sc := getCostScratch(1)
+		m.searchCostOrder(ctx, queue, canSolve, 0, int32(len(queue)), targets, bnd, &res.Stats, sc)
+		putCostScratch(sc)
+	}
+	res.Expression, _ = bnd.Get()
+	res.Solutions = bnd.All()
 }
 
 // normalizeTargets sorts a copy of targets and collapses duplicates, the
@@ -600,9 +616,8 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 		return can, false
 	}
 	limit := len(targets) + m.cfg.MaxExceptions
-	sc := getScratch()
-	defer putScratch(sc)
-	sfx := sc.suffix()
+	sfx := suffixPool.Get().(*suffixScratch)
+	defer suffixPool.Put(sfx)
 
 	floor := m.Ev.Bindings(queue[len(queue)-1].g)
 	i := len(queue) - 1
@@ -623,7 +638,7 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 		if n > i+1 {
 			n = i + 1
 		}
-		arr := sfx[cur]
+		arr := &sfx[cur]
 		for j := 0; j < n; j++ {
 			arr.bind[j] = m.Ev.Bindings(queue[i-j].g)
 		}

@@ -147,37 +147,34 @@ func TestMineNoSolution(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: P-REMI with 4 workers returns REMI's
+// solution costs bit for bit, on TinyGeo sets under every reference
+// configuration.
 func TestParallelMatchesSequential(t *testing.T) {
 	k, est := tinySetup(t)
-	seqCfg := DefaultConfig()
-	parCfg := DefaultConfig()
-	parCfg.Workers = 4
-
 	targetSets := [][]string{
 		{"Paris"}, {"Rennes", "Nantes"}, {"Guyana", "Suriname"},
 		{"Berlin"}, {"France"}, {"Lyon"}, {"Einstein"}, {"Paris", "Berlin", "London"},
 	}
-	for _, names := range targetSets {
-		var targets []kb.EntID
-		for _, n := range names {
-			targets = append(targets, mustID(t, k, n))
-		}
-		seq := NewMiner(k, est, seqCfg)
-		par := NewMiner(k, est, parCfg)
-		rs, err := seq.Mine(targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := par.Mine(targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.Found() != rp.Found() {
-			t.Fatalf("%v: sequential found=%v parallel found=%v", names, rs.Found(), rp.Found())
-		}
-		if rs.Found() && math.Abs(rs.Bits-rp.Bits) > 1e-9 {
-			t.Fatalf("%v: sequential %f bits (%s) vs parallel %f bits (%s)",
-				names, rs.Bits, rs.Expression.Format(k), rp.Bits, rp.Expression.Format(k))
+	for _, cfg := range refConfigs() {
+		parCfg := cfg
+		parCfg.Workers = 4
+		for _, names := range targetSets {
+			var targets []kb.EntID
+			for _, n := range names {
+				targets = append(targets, mustID(t, k, n))
+			}
+			rs, err := NewMiner(k, est, cfg).Mine(targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := NewMiner(k, est, parCfg).Mine(targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameCosts(rp, rs); err != nil {
+				t.Fatalf("%v (%v, top %d, exceptions %d): %v", names, cfg.Language, cfg.TopK, cfg.MaxExceptions, err)
+			}
 		}
 	}
 }
@@ -284,16 +281,16 @@ func TestTraceMaskFiltersKinds(t *testing.T) {
 
 func TestEventMaskWants(t *testing.T) {
 	var zero EventMask
-	for _, k := range []EventKind{EventVisit, EventRE, EventPruneSide, EventPruneCost, EventNewBest} {
+	for _, k := range []EventKind{EventVisit, EventRE, EventNewBest} {
 		if !zero.Wants(k) {
 			t.Fatalf("zero mask must deliver %v", k)
 		}
 	}
-	m := MaskOf(EventVisit, EventPruneCost)
-	if !m.Wants(EventVisit) || !m.Wants(EventPruneCost) {
+	m := MaskOf(EventVisit, EventNewBest)
+	if !m.Wants(EventVisit) || !m.Wants(EventNewBest) {
 		t.Fatal("mask dropped a selected kind")
 	}
-	if m.Wants(EventRE) || m.Wants(EventNewBest) || m.Wants(EventPruneSide) {
+	if m.Wants(EventRE) {
 		t.Fatal("mask delivered an unselected kind")
 	}
 }

@@ -301,8 +301,8 @@ func checkOracle(t *testing.T, o *oracleKB, k *kb.KB, cost oracleCost, est *comp
 	}
 	want, exists := oracleMine(o, cost, sorted, cfg.Language == ExtendedLanguage, cfg.MaxExceptions)
 	if exists != res.Found() {
-		t.Fatalf("targets %v (%v, top %d, exceptions %d): miner found=%v, oracle found=%v (%v bits)",
-			targets, cfg.Language, cfg.TopK, cfg.MaxExceptions, res.Found(), exists, want)
+		t.Fatalf("targets %v (%v, top %d, exceptions %d, %d workers): miner found=%v, oracle found=%v (%v bits)",
+			targets, cfg.Language, cfg.TopK, cfg.MaxExceptions, cfg.Workers, res.Found(), exists, want)
 	}
 	if !exists {
 		return
@@ -338,8 +338,8 @@ func checkOracle(t *testing.T, o *oracleKB, k *kb.KB, cost oracleCost, est *comp
 		prev = sol.Bits
 	}
 	if math.Abs(res.Bits-want) > 1e-9 {
-		t.Fatalf("targets %v (%v, top %d, exceptions %d): miner %v bits (%s), oracle %v",
-			targets, cfg.Language, cfg.TopK, cfg.MaxExceptions, res.Bits, res.Expression.Format(k), want)
+		t.Fatalf("targets %v (%v, top %d, exceptions %d, %d workers): miner %v bits (%s), oracle %v",
+			targets, cfg.Language, cfg.TopK, cfg.MaxExceptions, cfg.Workers, res.Bits, res.Expression.Format(k), want)
 	}
 }
 
@@ -353,7 +353,7 @@ var oracleFixtures []struct {
 // TestOptimalityAgainstBruteForce holds the miner to the naive oracle on
 // random KBs of 35 facts over ten entities and four predicates, for both
 // language biases, both prominence metrics, top-1 and top-3, strict and
-// with one exception. The prominence pruning of §3.5.2 is a heuristic
+// with one exception, under REMI and under P-REMI with 4 workers. The prominence pruning of §3.5.2 is a heuristic
 // narrowing of the language the oracle does not model, so it is off here.
 func TestOptimalityAgainstBruteForce(t *testing.T) {
 	rounds := 1000
@@ -383,7 +383,10 @@ func TestOptimalityAgainstBruteForce(t *testing.T) {
 			est := complexity.New(k, prom, complexity.Exact)
 			for _, cfg := range refConfigs() {
 				cfg.ProminentCutoff = 0
-				checkOracle(t, o, k, oracleCost{k, prom}, est, cfg, c.targets)
+				for _, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					checkOracle(t, o, k, oracleCost{k, prom}, est, cfg, c.targets)
+				}
 			}
 		}
 	}

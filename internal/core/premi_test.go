@@ -86,7 +86,7 @@ func TestPREMIMatchesREMIOnSynthetic(t *testing.T) {
 }
 
 // TestPREMINoSolutionSignal: when no RE exists, P-REMI must also conclude ⊤
-// (exercising the noSolutionFloor signalling).
+// (exercising solvableSuffixes, which leaves its workers no root to claim).
 func TestPREMINoSolutionSignal(t *testing.T) {
 	k := buildSmall(t, [][3]string{
 		{"a", "p", "v"}, {"b", "p", "v"}, {"c", "p", "v"},

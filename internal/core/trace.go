@@ -11,11 +11,6 @@ const (
 	EventVisit EventKind = iota
 	// EventRE fires when the tested expression is a referring expression.
 	EventRE
-	// EventPruneSide fires when later siblings are skipped after an RE.
-	EventPruneSide
-	// EventPruneCost fires when a branch is abandoned because its minimum
-	// cost already exceeds the incumbent solution.
-	EventPruneCost
 	// EventNewBest fires when the incumbent solution improves.
 	EventNewBest
 )
@@ -27,10 +22,6 @@ func (k EventKind) String() string {
 		return "visit"
 	case EventRE:
 		return "re"
-	case EventPruneSide:
-		return "prune-side"
-	case EventPruneCost:
-		return "prune-cost"
 	case EventNewBest:
 		return "new-best"
 	default:
@@ -38,7 +29,7 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one step of the DFS exploration.
+// Event is one step of the search.
 type Event struct {
 	Kind       EventKind
 	Expression expr.Expression

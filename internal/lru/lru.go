@@ -1,6 +1,6 @@
 // Package lru implements a small, synchronized least-recently-used cache.
-// REMI evaluates the same subgraph-expression queries many times during the
-// DFS exploration; the paper (Section 3.5.2) caches query results in an LRU
+// REMI evaluates the same subgraph-expression queries many times during its
+// search; the paper (Section 3.5.2) caches query results in an LRU
 // fashion, which this package provides.
 //
 // The recency list is intrusive: entries live in a growable arena slice and

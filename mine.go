@@ -72,11 +72,12 @@ type Progress struct {
 // of the incumbent solution) to fn while the mine runs. Delivery is
 // synchronous from the search loop, so fn must be fast. The subscription is
 // mask-narrowed inside the core, so it adds no per-node allocations to the
-// search hot path. The sequential search pops conjunctions in cost order, so
-// its first RE is its answer: a run emits at most one "new_best", and none
-// when it times out before the answer. With WithWorkers > 1 the P-REMI
-// workers search depth first, may emit several improving incumbents, and all
-// deliver to fn, so fn must be safe for concurrent use.
+// search hot path. The search pops conjunctions in cost order, so its first
+// RE is its answer: a sequential top-1 run emits at most one "new_best", and
+// none when it times out before the answer. With WithWorkers > 1 each P-REMI
+// worker searches the roots it claims in cost order; a worker's RE may beat
+// another's, so a run may emit several improving incumbents, and the
+// workers all deliver to fn, so fn must be safe for concurrent use.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -135,9 +136,11 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
 // whichever limit fires first ends the run. A sequential run that stops
 // before its answer has found no RE yet (it searches in cost order, and its
-// first RE is the answer), so its partial result has no expression. The same
-// holds for a sequential run whose search frontier outgrows its 64 MiB
-// memory budget: it stops with Stats.TimedOut set and no expression.
+// first RE is the answer), so its partial result has no expression. A P-REMI
+// run (WithWorkers > 1) that stops early returns the best RE among the roots
+// its workers finished, if any. A run whose search frontier outgrows its
+// 64 MiB memory budget, shared by P-REMI's workers, stops the same way, with
+// Stats.TimedOut set.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
 	cfg := defaultMineConfig()
 	for _, o := range opts {
