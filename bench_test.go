@@ -216,7 +216,7 @@ func BenchmarkTable4ExtendedPREMI(b *testing.B) { benchMine(b, core.ExtendedLang
 // class: Settlement {0, 13, 57} and Person {3, 7, 20}, plus each class's
 // rank-0 singleton. Each op mines the set on a fresh miner, bounded by a
 // 30 s timeout, and reports its time, visits, the peak bytes of binding sets
-// the search retained, the bytes its heap and node arena reached, and
+// the search retained, the most bytes its heap and node arena held, and
 // whether it stopped early (timeout or frontier budget). Each set runs under
 // REMI and, as "<set>,workers=2", under P-REMI with two workers, whose
 // figures are the workers' totals.
@@ -462,25 +462,6 @@ func benchProminent(b *testing.B, cutoff float64) {
 	}
 }
 
-// BenchmarkAblationCacheOn/Off isolates the LRU query cache (Section 3.5.2).
-func BenchmarkAblationCacheOn(b *testing.B)  { benchCache(b, 1<<16) }
-func BenchmarkAblationCacheOff(b *testing.B) { benchCache(b, -1) }
-
-func benchCache(b *testing.B, size int) {
-	env := lab().DBpedia()
-	sets := table4Sets(b, env, 6)
-	cfg := core.DefaultConfig()
-	cfg.CacheSize = size
-	cfg.Timeout = 10 * time.Second
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := core.NewMiner(env.KB, env.EstFr, cfg)
-		if _, err := m.Mine(sets[i%len(sets)].IDs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationRankExact/Compressed compares exact conditional rankings
 // with the Eq. 1 power-law compression used to price tail entities.
 func BenchmarkAblationRankExact(b *testing.B)      { benchRankMode(b, complexity.Exact) }
@@ -499,52 +480,6 @@ func benchRankMode(b *testing.B, mode complexity.Mode) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkBatchSplit splits what a batch buys: one op mines the same 64
-// Table-4-style sets on one thread with a fresh miner per set, with
-// MineBatch on one miner, and with a plain MineContext loop on one miner.
-// batch ≈ loop < fresh says the gain is the evaluator cache one miner keeps
-// across sets, not anything batch-specific (all three share one estimator).
-func BenchmarkBatchSplit(b *testing.B) {
-	env := lab().DBpedia()
-	sets := table4Sets(b, env, 64)
-	ids := make([][]kb.EntID, len(sets))
-	for i, s := range sets {
-		ids[i] = s.IDs
-	}
-	cfg := core.DefaultConfig()
-	cfg.Timeout = 10 * time.Second
-	ctx := context.Background()
-	mine := func(b *testing.B, m *core.Miner, set []kb.EntID) {
-		if _, err := m.MineContext(ctx, set); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, set := range ids {
-				mine(b, core.NewMiner(env.KB, env.EstFr, cfg), set)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range core.NewMiner(env.KB, env.EstFr, cfg).MineBatch(ctx, ids, 1) {
-				if o.Err != nil {
-					b.Fatal(o.Err)
-				}
-			}
-		}
-	})
-	b.Run("loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := core.NewMiner(env.KB, env.EstFr, cfg)
-			for _, set := range ids {
-				mine(b, m, set)
-			}
-		}
-	})
 }
 
 // liveBench is the write workload BenchmarkLiveApply and

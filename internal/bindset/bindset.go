@@ -40,9 +40,9 @@ const GallopRatio = 16
 // Set is a set of entity ids drawn from a universe of kb.NumEntities()
 // entities (ids are 1-based). Sets built by From* or the allocating
 // operations are immutable by convention and may share storage (with the KB
-// or the evaluator cache): callers must not mutate what Slice returns. Only
-// the *Into operations mutate their receiver, which must therefore own its
-// buffers and must not alias an operand.
+// or a run's memo of binding sets): callers must not mutate what Slice
+// returns. Only the *Into operations mutate their receiver, which must
+// therefore own its buffers and must not alias an operand.
 type Set struct {
 	universe int
 	card     int
@@ -63,7 +63,7 @@ func isDenseCard(card, universe int) bool {
 // FromSorted wraps an ascending, duplicate-free id slice as a Set, choosing
 // the representation by density. The slice is retained when the sparse
 // representation is kept, so it must stay unmodified for the life of the Set
-// (KB-owned and evaluator-cached slices qualify).
+// (KB-owned and memoised slices qualify).
 func FromSorted(ids []kb.EntID, universe int) Set {
 	if !isDenseCard(len(ids), universe) {
 		return Set{universe: universe, card: len(ids), sorted: ids}

@@ -53,7 +53,7 @@ func (h *chaosHarness) post(t *testing.T, path, body string) *httptest.ResponseR
 }
 
 // canonMine strips the run-dependent fields of a mine response — phase
-// timings, evaluator cache counters, dedup/cache provenance — and returns
+// timings, cache counters, dedup/cache provenance — and returns
 // the deterministic remainder re-marshalled, so two runs of one query
 // compare byte-identical iff they found the same answer.
 func canonMine(t *testing.T, body []byte) []byte {

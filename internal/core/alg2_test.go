@@ -31,7 +31,7 @@ func literalScan(m *Miner, queue []scored, rho int, targets []kb.EntID, bnd *bou
 		binds = binds[:len(binds)-1]
 	}
 	for _, s := range queue[rho:] {
-		b := m.Ev.Bindings(s.g)
+		b := expr.BindingSet(m.K, s.g)
 		if len(binds) > 0 {
 			b = bindset.Intersect(binds[len(binds)-1], b)
 		}
@@ -113,33 +113,8 @@ func TestLiteralAlg2CanBeSuboptimal(t *testing.T) {
 		if got := c.res.Expression.Format(k); got != c.want || math.Abs(c.res.Bits-c.bits) > 1e-4 {
 			t.Errorf("%s: %s at %.4f bits, want %s at %.4f bits", c.name, got, c.res.Bits, c.want, c.bits)
 		}
-		if !m.Ev.IsRE(c.res.Expression, []kb.EntID{a}) {
+		if !expr.ExpressionBindings(k, c.res.Expression).EqualSorted([]kb.EntID{a}) {
 			t.Errorf("%s: %s is not an RE", c.name, c.res.Expression.Format(k))
 		}
-	}
-}
-
-// TestCacheDisabledStillCorrect pins the cache ablation's correctness half.
-func TestCacheDisabledStillCorrect(t *testing.T) {
-	k, est := tinySetup(t)
-	targets := []kb.EntID{mustID(t, k, "Rennes"), mustID(t, k, "Nantes")}
-
-	withCache := DefaultConfig()
-	noCache := DefaultConfig()
-	noCache.CacheSize = -1
-
-	rc, err := NewMiner(k, est, withCache).Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := NewMiner(k, est, noCache).Mine(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.Found() != rn.Found() || math.Abs(rc.Bits-rn.Bits) > 1e-9 {
-		t.Fatal("cache changed the result")
-	}
-	if rn.Stats.CacheHits != 0 {
-		t.Fatalf("disabled cache reported %d hits", rn.Stats.CacheHits)
 	}
 }

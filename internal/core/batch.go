@@ -30,10 +30,10 @@ type BatchOutcome struct {
 
 // MineBatch mines many target sets on this one miner: each set is an
 // ordinary MineContext call, so results are byte-identical to per-set calls
-// on fresh miners and come back in input order, one outcome per set. What
-// the batch buys over a fresh miner per set is the evaluator's binding-set
-// cache, which a miner keeps between calls (striped, with per-key miss
-// coalescing when sets run concurrently).
+// on fresh miners and come back in input order, one outcome per set. Each
+// call memoises its own queue's binding sets and nothing outlives it, so the
+// batch shares no work between sets: it is a loop over MineContext with a
+// worker pool.
 //
 // concurrency bounds the worker pool fanning sets; values <= 0 pick
 // GOMAXPROCS, 1 mines the sets serially. Per-set isolation holds throughout:
@@ -41,9 +41,6 @@ type BatchOutcome struct {
 // ErrNoTargets and a panicking search ErrMinePanic in its own outcome, and
 // only cancelling ctx stops the whole batch (each still-running set then
 // returns its partial result with Stats.TimedOut set, like MineContext).
-//
-// MineBatch may enable evaluator miss coalescing (when concurrency > 1), so
-// it must not run concurrently with other Mine calls on the same Miner.
 func (m *Miner) MineBatch(ctx context.Context, sets [][]kb.EntID, concurrency int) []BatchOutcome {
 	out := make([]BatchOutcome, len(sets))
 	if concurrency < 1 {
@@ -51,13 +48,6 @@ func (m *Miner) MineBatch(ctx context.Context, sets [][]kb.EntID, concurrency in
 	}
 	if concurrency > len(sets) {
 		concurrency = len(sets)
-	}
-	if concurrency > 1 {
-		// Concurrent sets share the evaluator: stripe the cache and coalesce
-		// per-key misses so parallel sets hammering the same queue-head
-		// subgraphs compute each binding set once. Idempotent when the miner
-		// already runs P-REMI workers.
-		m.Ev.EnableCoalescing()
 	}
 
 	run := func(i int) {

@@ -40,7 +40,7 @@ func batchFixtureSets(t *testing.T, m *Miner) [][]kb.EntID {
 // MineBatch over N sets must produce results identical — expressions, bits,
 // alternatives, queue sizes — to N independent MineContext calls on fresh
 // miners, for every pool width. Run with `go test -race -cpu 1,4,8` to
-// exercise the GOMAXPROCS values the shared evaluator stripes key on.
+// run the pool's sets truly in parallel.
 func TestMineBatchGoldenEquivalence(t *testing.T) {
 	ref, _ := queueTestMiner(t, 31)
 	sets := batchFixtureSets(t, ref)
@@ -109,43 +109,6 @@ func TestMineBatchGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestMineBatchSharesEvaluator pins what a batch buys: one miner's
-// evaluator serves every set, so a serial batch computes fewer binding sets
-// than a fresh miner per set, and still gives the same answers.
-func TestMineBatchSharesEvaluator(t *testing.T) {
-	m, _ := queueTestMiner(t, 37)
-	sets := batchFixtureSets(t, m)
-	want := make([]*Result, len(sets))
-	var fresh uint64
-	for i, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		mm := NewMiner(m.K, m.Est, m.cfg)
-		res, err := mm.MineContext(context.Background(), set)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-		want[i] = res
-		fresh += mm.Ev.Computes()
-	}
-	batch := NewMiner(m.K, m.Est, m.cfg)
-	for i, o := range batch.MineBatch(context.Background(), sets, 1) {
-		if want[i] == nil {
-			continue
-		}
-		if o.Err != nil {
-			t.Fatalf("set %d: %v", i, o.Err)
-		}
-		if got, w := o.Result.Expression.Format(m.K), want[i].Expression.Format(m.K); got != w || o.Result.Bits != want[i].Bits {
-			t.Fatalf("set %d: batch %q (%v bits), fresh miner %q (%v bits)", i, got, o.Result.Bits, w, want[i].Bits)
-		}
-	}
-	if got := batch.Ev.Computes(); got >= fresh {
-		t.Fatalf("batch computed %d binding sets, fresh miners %d: the evaluator is not shared", got, fresh)
-	}
-}
-
 // TestMineBatchPerSetTimeout: Config.Timeout budgets each set separately —
 // a timed-out set reports TimedOut in its own stats without erroring the
 // batch or its neighbors.
@@ -193,34 +156,35 @@ func TestMineBatchCancelledContext(t *testing.T) {
 	}
 }
 
-// TestMineBatchPerSetCacheCounters: per-set cache stats are deltas of the
-// shared evaluator's counters, not cumulative snapshots — across a serial
-// batch they partition the evaluator totals exactly, so a server summing
-// them per run cannot overcount.
+// TestMineBatchPerSetCacheCounters: each set's cache counters are its own
+// run's memo lookups, equal to what a fresh miner reports for the set, at
+// every pool width: sets of one batch share no cache.
 func TestMineBatchPerSetCacheCounters(t *testing.T) {
 	m, _ := queueTestMiner(t, 53)
 	sets := batchFixtureSets(t, m)
-	outs := m.MineBatch(context.Background(), sets, 1)
-	_, hits, misses := m.Ev.Stats()
-	var sumHits, sumMisses uint64
-	for i, o := range outs {
-		if o.Err != nil {
-			continue
+	for _, conc := range []int{1, 4} {
+		misses := uint64(0)
+		for i, o := range NewMiner(m.K, m.Est, m.cfg).MineBatch(context.Background(), sets, conc) {
+			if len(sets[i]) == 0 {
+				continue
+			}
+			if o.Err != nil {
+				t.Fatalf("set %d: %v", i, o.Err)
+			}
+			want, err := NewMiner(m.K, m.Est, m.cfg).MineContext(context.Background(), sets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := o.Result.Stats
+			if got.CacheHits != want.Stats.CacheHits || got.CacheMisses != want.Stats.CacheMisses {
+				t.Fatalf("concurrency %d, set %d: %d hits / %d misses, fresh miner %d / %d",
+					conc, i, got.CacheHits, got.CacheMisses, want.Stats.CacheHits, want.Stats.CacheMisses)
+			}
+			misses += got.CacheMisses
 		}
-		st := o.Result.Stats
-		if st.CacheHits > hits || st.CacheMisses > misses {
-			t.Fatalf("set %d reports more cache traffic (%d/%d) than the whole evaluator (%d/%d)",
-				i, st.CacheHits, st.CacheMisses, hits, misses)
+		if misses == 0 {
+			t.Fatal("fixture exercised no cache misses")
 		}
-		sumHits += st.CacheHits
-		sumMisses += st.CacheMisses
-	}
-	if sumHits != hits || sumMisses != misses {
-		t.Fatalf("per-set cache counters sum to %d/%d, evaluator reports %d/%d",
-			sumHits, sumMisses, hits, misses)
-	}
-	if misses == 0 {
-		t.Fatal("fixture exercised no cache misses")
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // retainBudget bounds the bytes of binding sets a run keeps for the parents
 // of pending heap entries; P-REMI's workers each get an equal share. A parent
 // over the budget keeps none, and its set is re-intersected from the
-// evaluator's per-subgraph sets when a child pops, so the binding-set memory
+// memo's per-subgraph sets when a child pops, so the binding-set memory
 // of a hub run does not grow with its visits. Tests lower it to exercise the
 // re-intersection.
 var retainBudget = 1 << 20
@@ -85,6 +85,9 @@ type costScratch struct {
 	free     []int32
 	retained int
 	peak     int
+	// frontierPeak is the most bytes of heap entries and nodes held at once
+	// since claim.
+	frontierPeak int
 	// rebuilt is the ping-pong pair a parent's set is re-intersected in.
 	rebuilt    [2]bindset.Set
 	seqA, seqB []int32
@@ -104,16 +107,23 @@ const (
 // getCostScratch returns a scratch holding a 1/shares share of the budgets.
 func getCostScratch(shares int) *costScratch {
 	sc := costScratchPool.Get().(*costScratch)
-	sc.frontierMax, sc.retainMax = frontierBudget/shares, retainBudget/shares
-	sc.peak = 0
-	if sc.frontierBytes() > sc.frontierMax {
-		sc.heap, sc.nodes = nil, nil
-	}
+	sc.claim(shares)
 	return sc
 }
 
+// claim readies sc for a run that gives it a 1/shares share of the budgets:
+// whatever sc held for an earlier run counts toward no peak, and a heap and
+// arena over the new share are dropped.
+func (sc *costScratch) claim(shares int) {
+	sc.frontierMax, sc.retainMax = frontierBudget/shares, retainBudget/shares
+	sc.peak, sc.frontierPeak = 0, 0
+	if sc.frontierBytes() > sc.frontierMax {
+		sc.heap, sc.nodes = nil, nil
+	}
+}
+
 // reset empties the heap, the node arena and the binding-set slots for the
-// next search. The capacities, and so the peaks the stats report, stay.
+// next search. The capacities and the peaks stay.
 func (sc *costScratch) reset() {
 	sc.heap, sc.nodes = sc.heap[:0], sc.nodes[:0]
 	sc.free = sc.free[:0]
@@ -146,9 +156,16 @@ func (sc *costScratch) frontierBytes() int {
 	return cap(sc.heap)*entryBytes + cap(sc.nodes)*nodeBytes
 }
 
+// noteFrontier raises frontierPeak to the bytes the heap and the node arena
+// hold now.
+func (sc *costScratch) noteFrontier() {
+	sc.frontierPeak = max(sc.frontierPeak, len(sc.heap)*entryBytes+len(sc.nodes)*nodeBytes)
+}
+
 // reserve makes room for one more heap entry and one more node, the most a
 // pop adds, within frontierMax. It reports false when the share is spent.
 func (sc *costScratch) reserve() bool {
+	sc.noteFrontier()
 	if len(sc.heap) < cap(sc.heap) && len(sc.nodes) < cap(sc.nodes) {
 		return true
 	}
@@ -286,20 +303,20 @@ func (sc *costScratch) expression(queue []scored, e csEntry) expr.Expression {
 }
 
 // parentSet returns the binding set of expanded node p: its retained set, a
-// root's cached set, or the intersection of its conjuncts' cached sets.
-func (m *Miner) parentSet(sc *costScratch, queue []scored, p int32) bindset.Set {
+// root's memoised set, or the intersection of its conjuncts' memoised sets.
+func parentSet(sc *costScratch, mm *memo, p int32, st *Stats) bindset.Set {
 	nd := &sc.nodes[p]
 	switch {
 	case nd.slot >= 0:
 		return sc.sets[nd.slot]
 	case nd.parent < 0:
-		return m.Ev.Bindings(queue[nd.idx].g)
+		return mm.bindings(nd.idx, st)
 	}
 	sc.seqB = sc.appendSeq(sc.seqB[:0], p)
-	cur := m.Ev.Bindings(queue[sc.seqB[0]].g)
+	cur := mm.bindings(sc.seqB[0], st)
 	for j, i := range sc.seqB[1:] {
 		dst := &sc.rebuilt[j%2]
-		dst.IntersectInto(cur, m.Ev.Bindings(queue[i].g))
+		dst.IntersectInto(cur, mm.bindings(i, st))
 		cur = *dst
 	}
 	return cur
@@ -313,9 +330,10 @@ func (m *Miner) parentSet(sc *costScratch, queue []scored, p int32) bindset.Set 
 // ctx ends, or when sc's frontier share is spent; the last two set
 // st.TimedOut. A search that stops early has popped no RE cheaper than those
 // it offered, and before its subtrees' optimum it has popped none at all.
-func (m *Miner) searchCostOrder(ctx context.Context, queue []scored, canSolve []bool, lo, hi int32,
+func (m *Miner) searchCostOrder(ctx context.Context, mm *memo, canSolve []bool, lo, hi int32,
 	targets []kb.EntID, bnd *bound, st *Stats, sc *costScratch) {
 	sc.reset()
+	queue := mm.queue
 	n := int32(len(queue))
 	limit := len(targets) + m.cfg.MaxExceptions
 	found, k := 0, m.topK()
@@ -348,16 +366,16 @@ func (m *Miner) searchCostOrder(ctx context.Context, queue []scored, canSolve []
 		case next < hi && canSolve[next]:
 			sc.push(csEntry{cost: queue[next].cost, parent: -1, idx: next})
 		}
-		// The node's binding set: a root's is cached; a child's is its
+		// The node's binding set: a root's is memoised; a child's is its
 		// parent's intersected with the conjunct's, into a working slot.
 		var set bindset.Set
 		slot := int32(-1)
 		if e.parent < 0 {
-			set = m.Ev.Bindings(queue[e.idx].g)
+			set = mm.bindings(e.idx, st)
 		} else {
-			ps := m.parentSet(sc, queue, e.parent)
+			ps := parentSet(sc, mm, e.parent, st)
 			slot = sc.take()
-			sc.sets[slot].IntersectInto(ps, m.Ev.Bindings(queue[e.idx].g))
+			sc.sets[slot].IntersectInto(ps, mm.bindings(e.idx, st))
 			set = sc.sets[slot]
 			if next == n {
 				sc.release(e.parent) // the last child of its parent
@@ -406,6 +424,7 @@ func (m *Miner) searchCostOrder(ctx context.Context, queue []scored, canSolve []
 	// Each entry left on the heap is the cheapest node of a subtree the
 	// answer's cost (or the stop) cut.
 	st.PrunedCost += uint64(len(sc.heap))
+	sc.noteFrontier()
 	st.PeakRetainedBytes = uint64(sc.peak)
-	st.FrontierBytes = uint64(sc.frontierBytes())
+	st.FrontierBytes = uint64(sc.frontierPeak)
 }

@@ -24,11 +24,13 @@ import (
 func mineDFS(m *Miner, targets []kb.EntID) *Result {
 	tgt := normalizeTargets(targets)
 	res := &Result{Bits: complexity.Infinite}
-	queue, _ := m.buildQueue(context.Background(), tgt, &queueBufs{})
+	qb := &queueBufs{}
+	queue, _ := m.buildQueue(context.Background(), tgt, qb)
 	res.Stats.Candidates = len(queue)
 
-	r := &dfsRef{m: m, queue: queue, targets: tgt, bnd: newBound(m.cfg.TopK), st: &res.Stats}
-	canSolve, _ := m.solvableSuffixes(context.Background(), queue, tgt)
+	mm := qb.newMemo(m.K, queue)
+	r := &dfsRef{m: m, mm: mm, queue: queue, targets: tgt, bnd: newBound(m.cfg.TopK), st: &res.Stats}
+	canSolve, _ := m.solvableSuffixes(context.Background(), mm, tgt, r.st)
 	for i := range queue {
 		if !canSolve[i] {
 			break
@@ -37,7 +39,7 @@ func mineDFS(m *Miner, targets []kb.EntID) *Result {
 			r.st.PrunedCost += uint64(len(queue) - i)
 			break
 		}
-		r.dfsRemi(expr.Expression{queue[i].g}, queue[i].cost, m.Ev.Bindings(queue[i].g), i+1, 0)
+		r.dfsRemi(expr.Expression{queue[i].g}, queue[i].cost, mm.bindings(int32(i), r.st), i+1, 0)
 	}
 	res.Expression, _ = r.bnd.Get()
 	res.Solutions = r.bnd.All()
@@ -47,11 +49,12 @@ func mineDFS(m *Miner, targets []kb.EntID) *Result {
 	return res
 }
 
-// dfsRef is one reference search: the queue, the targets, the bound and
-// the stats it fills, and levels[d], the working binding set of a child at
-// depth d.
+// dfsRef is one reference search: the queue and its memo, the targets, the
+// bound and the stats it fills, and levels[d], the working binding set of a
+// child at depth d.
 type dfsRef struct {
 	m       *Miner
+	mm      *memo
 	queue   []scored
 	targets []kb.EntID
 	bnd     *bound
@@ -89,7 +92,7 @@ func (r *dfsRef) dfsRemi(prefix expr.Expression, prefixCost float64, bindings bi
 			r.st.PrunedCost += uint64(len(r.queue) - idx)
 			break
 		}
-		r.levels[depth].IntersectInto(bindings, r.m.Ev.Bindings(r.queue[idx].g))
+		r.levels[depth].IntersectInto(bindings, r.mm.bindings(int32(idx), r.st))
 		child := r.levels[depth]
 		if child.Card() == bindings.Card() || child.Card() < len(r.targets) {
 			continue

@@ -26,8 +26,6 @@ type Config struct {
 	// ProminentCutoff is the fraction of top-frequency entities whose atoms
 	// are not expanded (Section 3.5.2; the paper uses 5%).
 	ProminentCutoff float64
-	// CacheSize is the LRU capacity (in binding sets) of the query cache.
-	CacheSize int
 	// Timeout bounds one Mine call; zero means no limit. It composes with
 	// the context passed to MineContext: the search stops at whichever of
 	// the two ends first, and both are reported as Stats.TimedOut.
@@ -65,7 +63,6 @@ func DefaultConfig() Config {
 	return Config{
 		Language:        ExtendedLanguage,
 		ProminentCutoff: 0.05,
-		CacheSize:       1 << 16,
 		Workers:         1,
 	}
 }
@@ -85,25 +82,25 @@ type Stats struct {
 	// PeakRetainedBytes is the most binding-set memory the search kept for
 	// the parents of its pending heap entries, summed over P-REMI's workers.
 	PeakRetainedBytes uint64
-	// FrontierBytes is the capacity of the search's heap and node arena when
-	// it stopped, summed over P-REMI's workers, at most 64 MiB in all. Both
-	// only grow during a run, so it is their peak.
+	// FrontierBytes is the most bytes of heap entries and arena nodes the
+	// search held at once, summed over P-REMI's workers, at most 64 MiB in
+	// all. It counts this run's entries only, whatever capacity a pooled
+	// scratch brought from an earlier run.
 	FrontierBytes uint64
 	// TimedOut reports that the search stopped early: Config.Timeout
 	// elapsed, the caller's context was cancelled, or the heaps and node
 	// arenas reached their 64 MiB budget.
 	TimedOut bool
-	// CacheHits and CacheMisses come from the evaluator's query cache. The
-	// evaluator is shared by every P-REMI worker, so per-worker Stats carry
-	// zeros here; Mine fills both fields once from the shared evaluator
-	// after the search.
+	// CacheHits and CacheMisses count the lookups of the run's memo of the
+	// queue's binding sets: a miss computed the set, a hit found it
+	// computed, or under P-REMI waited while another worker computed it. A
+	// run computes each queue element's set at most once, so CacheMisses
+	// is at most Candidates. No cache outlives a run.
 	CacheHits   uint64
 	CacheMisses uint64
 }
 
-// add merges per-worker stats. CacheHits/CacheMisses are merged too for
-// completeness, although per-worker values are always zero (see the field
-// comment): the shared evaluator is the single source of cache truth.
+// add merges a P-REMI worker's stats into the run's.
 func (s *Stats) add(o *Stats) {
 	s.RETests += o.RETests
 	s.Visited += o.Visited
@@ -231,7 +228,6 @@ func (b *bound) All() []Solution {
 type Miner struct {
 	K   *kb.KB
 	Est *complexity.Estimator
-	Ev  *expr.Evaluator
 	cfg Config
 
 	prominent *kb.EntSet
@@ -239,22 +235,7 @@ type Miner struct {
 
 // NewMiner assembles a miner from its parts.
 func NewMiner(k *kb.KB, est *complexity.Estimator, cfg Config) *Miner {
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultConfig().CacheSize
-	}
-	m := &Miner{
-		K:   k,
-		Est: est,
-		Ev:  expr.NewEvaluator(k, cfg.CacheSize),
-		cfg: cfg,
-	}
-	if cfg.Workers > 1 {
-		// P-REMI workers share the evaluator and hammer the same queue-head
-		// subgraphs on a cold cache: coalesce concurrent misses so each
-		// binding set is computed once. Sequential REMI skips the (small)
-		// per-miss overhead.
-		m.Ev.EnableCoalescing()
-	}
+	m := &Miner{K: k, Est: est, cfg: cfg}
 	if cfg.ProminentCutoff > 0 {
 		m.prominent = k.ProminentSet(cfg.ProminentCutoff)
 	}
@@ -280,21 +261,27 @@ const (
 	parallelQueueMinCands  = 1 << 16
 )
 
-// queueBufs holds the queue-build working storage: the enumerated candidate
-// slice and the scored queue. Both die with the Mine call that produced
-// them, so they are pooled — on a warm miner the queue build's only
-// steady-state allocations are table growth inside the pooled structures.
+// queueBufs holds one run's queue storage: the enumerated candidate slice,
+// the scored queue and the memo of its binding sets. All die with the Mine
+// call that produced them, so they are pooled — on a warm miner the queue
+// build's only steady-state allocations are table growth inside the pooled
+// structures.
 type queueBufs struct {
 	cands []expr.Subgraph
 	out   []scored
 	costs []float64
 	keep  []bool
+	memo  memo
 }
 
 var queueBufPool = sync.Pool{New: func() any { return &queueBufs{} }}
 
-func getQueueBufs() *queueBufs   { return queueBufPool.Get().(*queueBufs) }
-func putQueueBufs(qb *queueBufs) { queueBufPool.Put(qb) }
+func getQueueBufs() *queueBufs { return queueBufPool.Get().(*queueBufs) }
+
+func putQueueBufs(qb *queueBufs) {
+	qb.memo.release()
+	queueBufPool.Put(qb)
+}
 
 // buildQueue computes and cost-sorts the common subgraph expressions
 // (lines 1–2 of Algorithm 1). The candidate set comes from one SubgraphsOf
@@ -526,14 +513,9 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 		defer cancel()
 	}
 	res := &Result{Bits: complexity.Infinite}
-	// Cache counters are reported as deltas of the evaluator's cumulative
-	// stats: on a fresh miner the delta is the total, and across MineBatch's
-	// sets on one miner the per-set values partition the evaluator totals
-	// when the sets run one at a time.
-	_, hits0, misses0 := m.Ev.Stats()
-	// The queue and its candidate buffer are pooled: they die with this
-	// call (everything escaping into res is cloned), so the search borrows
-	// them and returns them on exit.
+	// The queue, its candidate buffer and its memo are pooled: they die with
+	// this call (everything escaping into res is cloned), so the search
+	// borrows them and returns them on exit.
 	qb := getQueueBufs()
 	defer putQueueBufs(qb)
 	t0 := time.Now()
@@ -546,10 +528,8 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	}
 
 	t1 := time.Now()
-	m.search(ctx, queue, tgt, res)
+	m.search(ctx, qb.newMemo(m.K, queue), tgt, res)
 	res.Stats.Search = time.Since(t1)
-	_, hits1, misses1 := m.Ev.Stats()
-	res.Stats.CacheHits, res.Stats.CacheMisses = hits1-hits0, misses1-misses0
 	if res.Found() {
 		res.Bits = m.Est.Expression(res.Expression)
 	}
@@ -559,18 +539,18 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 // search runs the second phase of Algorithm 1 on the sorted queue: REMI's
 // one cost-ordered search over every root, or P-REMI's workers, each
 // searching the roots it claims in cost order.
-func (m *Miner) search(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
+func (m *Miner) search(ctx context.Context, mm *memo, targets []kb.EntID, res *Result) {
 	bnd := newBound(m.topK())
-	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
+	canSolve, timedOut := m.solvableSuffixes(ctx, mm, targets, &res.Stats)
 	switch {
 	case timedOut:
 		res.Stats.TimedOut = true
-	case len(queue) == 0 || !canSolve[0]:
+	case len(mm.queue) == 0 || !canSolve[0]:
 	case m.cfg.Workers > 1:
-		m.mineParallel(ctx, queue, canSolve, targets, bnd, res)
+		m.mineParallel(ctx, mm, canSolve, targets, bnd, res)
 	default:
 		sc := getCostScratch(1)
-		m.searchCostOrder(ctx, queue, canSolve, 0, int32(len(queue)), targets, bnd, &res.Stats, sc)
+		m.searchCostOrder(ctx, mm, canSolve, 0, int32(len(mm.queue)), targets, bnd, &res.Stats, sc)
 		putCostScratch(sc)
 	}
 	res.Expression, _ = bnd.Get()
@@ -610,7 +590,8 @@ func normalizeTargets(targets []kb.EntID) []kb.EntID {
 // only a window that actually shrinks the floor falls back to chaining from
 // the shrink point. The computed can values are bit-identical to the plain
 // right-to-left chain.
-func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []kb.EntID) ([]bool, bool) {
+func (m *Miner) solvableSuffixes(ctx context.Context, mm *memo, targets []kb.EntID, st *Stats) ([]bool, bool) {
+	queue := mm.queue
 	can := make([]bool, len(queue))
 	if len(queue) == 0 {
 		return can, false
@@ -619,7 +600,7 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 	sfx := suffixPool.Get().(*suffixScratch)
 	defer suffixPool.Put(sfx)
 
-	floor := m.Ev.Bindings(queue[len(queue)-1].g)
+	floor := mm.bindings(int32(len(queue)-1), st)
 	i := len(queue) - 1
 	if floor.Card() <= limit {
 		for ; i >= 0; i-- {
@@ -640,7 +621,7 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 		}
 		arr := &sfx[cur]
 		for j := 0; j < n; j++ {
-			arr.bind[j] = m.Ev.Bindings(queue[i-j].g)
+			arr.bind[j] = mm.bindings(int32(i-j), st)
 		}
 		bindset.IntersectMany(arr.ptrs[:n], floor, arr.bind[:n])
 		shrunk := false

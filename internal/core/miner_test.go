@@ -75,8 +75,7 @@ func TestMineGuyanaSuriname(t *testing.T) {
 	if !strings.Contains(s, "langFamily") || !strings.Contains(s, "Germanic") {
 		t.Errorf("expected the Germanic-language RE, got %s", s)
 	}
-	ev := expr.NewEvaluator(k, 64)
-	if !ev.IsRE(res.Expression, []kb.EntID{guyana, suriname}) {
+	if !expr.ExpressionBindings(k, res.Expression).EqualSorted(expr.SortIDs([]kb.EntID{guyana, suriname})) {
 		t.Fatalf("result %s is not exact", s)
 	}
 }
@@ -94,8 +93,7 @@ func TestMineRennesNantes(t *testing.T) {
 	if !res.Found() {
 		t.Fatal("no RE for {Rennes, Nantes}")
 	}
-	ev := expr.NewEvaluator(k, 64)
-	if !ev.IsRE(res.Expression, []kb.EntID{rennes, nantes}) {
+	if !expr.ExpressionBindings(k, res.Expression).EqualSorted(expr.SortIDs([]kb.EntID{rennes, nantes})) {
 		t.Fatalf("result %s not exact", res.Expression.Format(k))
 	}
 	// belongedTo(x, Brittany) identifies exactly these two cities in TinyGeo.
@@ -191,8 +189,7 @@ func TestLiteralAlg2FindsREs(t *testing.T) {
 		if !res.Found() {
 			t.Fatalf("literal Alg2 found nothing for %v", names)
 		}
-		ev := expr.NewEvaluator(k, 64)
-		if !ev.IsRE(res.Expression, expr.SortIDs(targets)) {
+		if !expr.ExpressionBindings(k, res.Expression).EqualSorted(expr.SortIDs(targets)) {
 			t.Fatalf("literal Alg2 returned a non-RE for %v: %s", names, res.Expression.Format(k))
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // subgraph expression over the triples, and finds the least Ĉ over every
 // subset of the common subgraph expressions by a shortest-path sweep over
 // match sets. Ĉ is summed from prominence's public ranks (§3.1). It shares
-// no code with the miner: no bindset, CSR, expr.Evaluator, cache or prune.
+// no code with the miner: no bindset, CSR, memo, cache or prune.
 // The KB is consulted only to name ids for the ranks and to order targets
 // and predicates the way the miner's canonical forms do.
 

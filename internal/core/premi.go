@@ -25,7 +25,8 @@ import (
 // whose search stops early, by the context or by its budget share, stops
 // the others too: the run then reports Stats.TimedOut and the best REs of
 // the roots its workers searched.
-func (m *Miner) mineParallel(ctx context.Context, queue []scored, canSolve []bool, targets []kb.EntID, bnd *bound, res *Result) {
+func (m *Miner) mineParallel(ctx context.Context, mm *memo, canSolve []bool, targets []kb.EntID, bnd *bound, res *Result) {
+	queue := mm.queue
 	workers := min(m.cfg.Workers, len(queue))
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
@@ -42,7 +43,7 @@ func (m *Miner) mineParallel(ctx context.Context, queue []scored, canSolve []boo
 				if int(i) >= len(queue) || !canSolve[i] || queue[i].cost >= bnd.Cost() {
 					return
 				}
-				m.searchCostOrder(ctx, queue, canSolve, i, i+1, targets, bnd, st, sc)
+				m.searchCostOrder(ctx, mm, canSolve, i, i+1, targets, bnd, st, sc)
 				if st.TimedOut {
 					stop()
 					return

@@ -9,6 +9,7 @@ import (
 
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
+	"github.com/remi-kb/remi/internal/expr"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/prominence"
 	"github.com/remi-kb/remi/internal/rdf"
@@ -187,8 +188,7 @@ func TestExceptionsAtCoreLevel(t *testing.T) {
 		t.Fatal("relaxed mining found nothing")
 	}
 	// The expression must still cover both targets.
-	ev := m.Ev
-	bindings := ev.ExpressionBindings(res.Expression).Slice()
+	bindings := expr.ExpressionBindings(k, res.Expression).Slice()
 	cover := map[kb.EntID]bool{}
 	for _, x := range bindings {
 		cover[x] = true

@@ -136,11 +136,12 @@ func TestParallelQueueBuildMatchesSequentialFilter(t *testing.T) {
 func TestSolvableSuffixesMatchesNaiveChain(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		m, targets := queueTestMiner(t, 20+seed)
-		queue, _ := m.buildQueue(context.Background(), targets, &queueBufs{})
+		qb := &queueBufs{}
+		queue, _ := m.buildQueue(context.Background(), targets, qb)
 		if len(queue) == 0 {
 			continue
 		}
-		got, timedOut := m.solvableSuffixes(context.Background(), queue, targets)
+		got, timedOut := m.solvableSuffixes(context.Background(), qb.newMemo(m.K, queue), targets, &Stats{})
 		if timedOut {
 			t.Fatal("unexpected timeout")
 		}
@@ -148,7 +149,7 @@ func TestSolvableSuffixesMatchesNaiveChain(t *testing.T) {
 		var floor bindset.Set
 		want := make([]bool, len(queue))
 		for i := len(queue) - 1; i >= 0; i-- {
-			b := m.Ev.Bindings(queue[i].g)
+			b := expr.BindingSet(m.K, queue[i].g)
 			if i == len(queue)-1 {
 				floor = b
 			} else {

@@ -1,8 +1,9 @@
 // Package expr models REMI's language of referring expressions (Section 2.2
 // and Table 1 of the paper): subgraph expressions rooted at a variable x in
 // one of five shapes, and expressions (conjunctions of subgraph expressions
-// sharing only x). It also provides their evaluation against a KB, with the
-// LRU result caching described in Section 3.5.2.
+// sharing only x). It also provides their evaluation against a KB; the
+// caching of query results of Section 3.5.2 is the miner's per-run memo
+// (internal/core).
 package expr
 
 import (
@@ -129,9 +130,8 @@ func NewClosed3(p0, p1, p2 kb.PredID) Subgraph {
 // Atoms returns the number of atoms in the subgraph expression.
 func (g Subgraph) Atoms() int { return g.Shape.Atoms() }
 
-// Hash returns a well-mixed 64-bit hash of the subgraph expression, shared
-// by the tables that key on Subgraph (the enumerator's dedup set and the
-// evaluator's cache stripes). It is much cheaper
+// Hash returns a well-mixed 64-bit hash of the subgraph expression, for the
+// enumerator's dedup set, which keys on Subgraph. It is much cheaper
 // than the runtime's generic struct hashing on this hot a path: the three
 // packed field words are combined with distinct odd multipliers, then one
 // xor-shift-multiply finalizer spreads them — enough mixing for power-of-2

@@ -2,11 +2,9 @@ package expr
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
-	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -245,74 +243,8 @@ func TestHoldsForMatchesBindings(t *testing.T) {
 	}
 }
 
-func TestEvaluatorCaching(t *testing.T) {
-	k := geoKB(t)
-	ev := NewEvaluator(k, 128)
-	cityIn := k.MustPredicateID("http://e/cityIn")
-	france := k.MustEntityID("http://e/france")
-	g := NewAtom1(cityIn, france)
-	a := ev.Bindings(g)
-	b := ev.Bindings(g)
-	if !bindset.Equal(a, b) {
-		t.Fatal("second call returned a different binding set")
-	}
-	evals, hits, misses := ev.Stats()
-	if evals != 2 || hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d %d %d", evals, hits, misses)
-	}
-	if ev.Computes() != 1 {
-		t.Fatalf("computes = %d, want 1 (second call must reuse the cache)", ev.Computes())
-	}
-}
-
-// TestBindingsCoalescing: concurrent misses on one subgraph expression must
-// share a single evaluation — the P-REMI workers all hammer the evaluator
-// with the same queue-head subgraphs on a cold cache, and the fix for the
-// duplicated work is per-key coalescing (plus a stat-free double check), so
-// exactly one computation may run no matter the interleaving.
-func TestBindingsCoalescing(t *testing.T) {
-	k := geoKB(t)
-	ev := NewEvaluator(k, 128)
-	ev.EnableCoalescing()
-	cityIn := k.MustPredicateID("http://e/cityIn")
-	france := k.MustEntityID("http://e/france")
-	g := NewAtom1(cityIn, france)
-	want := BindingSet(k, g)
-
-	const workers = 32
-	var wg sync.WaitGroup
-	results := make([]bindset.Set, workers)
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			results[w] = ev.Bindings(g)
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	for w, got := range results {
-		if !bindset.Equal(got, want) {
-			t.Fatalf("worker %d got a wrong binding set", w)
-		}
-	}
-	if got := ev.Computes(); got != 1 {
-		t.Fatalf("computes = %d, want exactly 1 for %d concurrent requests", got, workers)
-	}
-	evals, hits, misses := ev.Stats()
-	if evals != workers {
-		t.Fatalf("evals = %d, want %d", evals, workers)
-	}
-	if hits+misses != workers {
-		t.Fatalf("hits(%d)+misses(%d) != %d requests: cache stats drifted", hits, misses, workers)
-	}
-}
-
 func TestExpressionBindingsAndIsRE(t *testing.T) {
 	k := geoKB(t)
-	ev := NewEvaluator(k, 128)
 	cityIn := k.MustPredicateID("http://e/cityIn")
 	mayor := k.MustPredicateID("http://e/mayor")
 	party := k.MustPredicateID("http://e/party")
@@ -321,18 +253,18 @@ func TestExpressionBindingsAndIsRE(t *testing.T) {
 	paris := k.MustEntityID("http://e/paris")
 
 	e := Expression{NewAtom1(cityIn, france), NewPath(mayor, party, socialist)}
-	got := ev.ExpressionBindings(e).Slice()
+	got := ExpressionBindings(k, e).Slice()
 	if len(got) != 1 || got[0] != paris {
 		t.Fatalf("expression bindings = %v", got)
 	}
-	if !ev.IsRE(e, []kb.EntID{paris}) {
+	if !ExpressionBindings(k, e).EqualSorted([]kb.EntID{paris}) {
 		t.Fatal("expression should be an RE for paris")
 	}
 	lyon := k.MustEntityID("http://e/lyon")
-	if ev.IsRE(e, []kb.EntID{paris, lyon}) {
+	if ExpressionBindings(k, e).EqualSorted(SortIDs([]kb.EntID{paris, lyon})) {
 		t.Fatal("expression is not an RE for {paris, lyon}")
 	}
-	if ev.IsRE(nil, []kb.EntID{paris}) {
+	if ExpressionBindings(k, nil).EqualSorted([]kb.EntID{paris}) {
 		t.Fatal("empty expression cannot be an RE")
 	}
 }

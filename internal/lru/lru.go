@@ -1,13 +1,12 @@
-// Package lru implements a small, synchronized least-recently-used cache.
-// REMI evaluates the same subgraph-expression queries many times during its
-// search; the paper (Section 3.5.2) caches query results in an LRU
-// fashion, which this package provides.
+// Package lru implements a small, synchronized least-recently-used cache:
+// the server's cache of mining results. (A mining run memoises its own
+// queue's binding sets in internal/core; no cache of query results outlives
+// a run.)
 //
 // The recency list is intrusive: entries live in a growable arena slice and
 // link to each other by index, so a Put allocates no per-entry list nodes
 // (the arena grows amortized and evicted slots are recycled through a free
-// list). This matters because the mining hot path fills the cache with one
-// entry per evaluated subgraph expression.
+// list).
 package lru
 
 import "sync"
@@ -22,8 +21,7 @@ type entry[K comparable, V any] struct {
 }
 
 // Cache is a fixed-capacity LRU map. The zero value is not usable; create
-// caches with New, or initialize an embedded value in place with Init.
-// All methods are safe for concurrent use.
+// caches with New. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -39,19 +37,7 @@ type Cache[K comparable, V any] struct {
 // New returns a cache holding at most capacity entries. A capacity <= 0
 // yields a cache that stores nothing (all lookups miss).
 func New[K comparable, V any](capacity int) *Cache[K, V] {
-	c := &Cache[K, V]{}
-	c.Init(capacity)
-	return c
-}
-
-// Init prepares an embedded (zero-value) cache in place with the given
-// capacity, allocating nothing: the item index is created lazily on the
-// first Put. Callers that shard one logical cache across many embedded
-// stripes (see expr.Evaluator) pay per-stripe cost only for stripes that
-// see traffic. Must not race with other methods.
-func (c *Cache[K, V]) Init(capacity int) {
-	c.capacity = capacity
-	c.head, c.tail, c.free = none, none, none
+	return &Cache[K, V]{capacity: capacity, head: none, tail: none, free: none}
 }
 
 // unlink removes slot i from the recency list.
@@ -96,19 +82,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 		return c.arena[i].val, true
 	}
 	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Peek returns the cached value for key without touching the recency order
-// or the hit/miss counters. It exists for internal double-checks (e.g. the
-// evaluator's miss coalescing) that must not distort the cache statistics.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.items[key]; ok {
-		return c.arena[i].val, true
-	}
 	var zero V
 	return zero, false
 }

@@ -106,8 +106,8 @@ type BatchMineStats struct {
 	// searches.
 	QueueBuildMS float64 `json:"queue_build_ms"`
 	SearchMS     float64 `json:"search_ms"`
-	// CacheHits and CacheMisses sum the evaluator counts of the executed
-	// searches.
+	// CacheHits and CacheMisses sum the memo lookups of the executed
+	// searches (each run's memo of its queue's binding sets).
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }

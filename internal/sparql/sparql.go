@@ -76,8 +76,7 @@ func writeSubgraph(k *kb.KB, b *strings.Builder, g expr.Subgraph, idx int) {
 
 // Execute runs the generated query semantics directly against the KB (a
 // convenience for tests and offline validation: full SPARQL engines are out
-// of scope, but the expression evaluator computes the same answer set).
+// of scope, but expr.ExpressionBindings computes the same answer set).
 func Execute(k *kb.KB, e expr.Expression) []kb.EntID {
-	ev := expr.NewEvaluator(k, 1024)
-	return ev.ExpressionBindings(e).Slice()
+	return expr.ExpressionBindings(k, e).Slice()
 }

@@ -205,7 +205,7 @@ func (s *System) resultOf(res *core.Result, cfg mineConfig, targets []kb.EntID) 
 
 // exceptionsOf lists the entities matched by e beyond the targets.
 func (s *System) exceptionsOf(e expr.Expression, targets []kb.EntID) []string {
-	bound := expr.NewEvaluator(s.kb, 256).ExpressionBindings(e)
+	bound := expr.ExpressionBindings(s.kb, e)
 	inT := make(map[kb.EntID]bool, len(targets))
 	for _, t := range targets {
 		inT[t] = true
