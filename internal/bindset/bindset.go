@@ -232,66 +232,6 @@ func (dst *Set) IntersectInto(a, b Set) {
 	}
 }
 
-// batchMax bounds the number of candidate sets handled per word-at-a-time
-// pass of IntersectMany; larger inputs are chunked. Eight keeps the per-pass
-// pointer tables in registers/stack while amortizing the prefix-set loads.
-const batchMax = 8
-
-// IntersectMany computes a ∩ bs[j] into dsts[j] for every j — the batch
-// intersection kernel of the miner's solvable-suffix sweep:
-// one prefix set intersected against many candidate sets. Results are
-// bit-identical to calling dsts[j].IntersectInto(a, bs[j]) in a loop
-// (including the representation invariants), but when the prefix is a
-// bitmap, runs of bitmap candidates are ANDed word-at-a-time
-// (bitseq.AndWordsMany): each prefix word is loaded once per batch instead
-// of once per candidate. Each dsts[j] must own its buffers and must not
-// alias a or any element of bs.
-func IntersectMany(dsts []*Set, a Set, bs []Set) {
-	if !a.dense {
-		for j := range bs {
-			dsts[j].IntersectInto(a, bs[j])
-		}
-		return
-	}
-	n := len(a.words)
-	for start := 0; start < len(bs); start += batchMax {
-		end := start + batchMax
-		if end > len(bs) {
-			end = len(bs)
-		}
-		var dw, bw [batchMax][]uint64
-		var idx [batchMax]int
-		var cards [batchMax]int
-		dense := 0
-		for j := start; j < end; j++ {
-			if !bs[j].dense {
-				dsts[j].IntersectInto(a, bs[j])
-				continue
-			}
-			d := dsts[j]
-			if cap(d.words) < n {
-				d.words = make([]uint64, n)
-			}
-			d.words = d.words[:n]
-			dw[dense], bw[dense], idx[dense] = d.words, bs[j].words, j
-			dense++
-		}
-		if dense == 0 {
-			continue
-		}
-		bitseq.AndWordsMany(dw[:dense], a.words, bw[:dense], cards[:dense])
-		for t := 0; t < dense; t++ {
-			d := dsts[idx[t]]
-			d.universe = a.universe
-			d.card = cards[t]
-			d.dense = true
-			if !isDenseCard(d.card, d.universe) {
-				d.demote()
-			}
-		}
-	}
-}
-
 // filterInto keeps the ids of sorted that are set in the dense set d.
 func (dst *Set) filterInto(sorted []kb.EntID, d Set) {
 	if cap(dst.sorted) < len(sorted) {
@@ -328,32 +268,6 @@ func (dst *Set) demote() {
 	})
 	dst.sorted = out
 	dst.dense = false
-}
-
-// Union returns a ∪ b in a freshly allocated set.
-func Union(a, b Set) Set {
-	universe := a.universe
-	if a.dense || b.dense {
-		out := Set{universe: universe, dense: true, words: make([]uint64, wordsLen(universe))}
-		fill := func(s Set) {
-			if s.dense {
-				out.card = bitseq.OrWords(out.words, out.words, s.words)
-				return
-			}
-			for _, e := range s.sorted {
-				out.words[(e-1)/64] |= 1 << (uint(e-1) % 64)
-			}
-			out.card = bitseq.PopCount(out.words)
-		}
-		fill(a)
-		fill(b)
-		if !isDenseCard(out.card, universe) {
-			out.demote()
-		}
-		return out
-	}
-	merged := mergeUnion(make([]kb.EntID, 0, len(a.sorted)+len(b.sorted)), a.sorted, b.sorted)
-	return FromSorted(merged, universe)
 }
 
 // UnionSlices returns the union of several ascending, duplicate-free id

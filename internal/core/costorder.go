@@ -26,7 +26,7 @@ import (
 // the preorder of §3.3's depth-first search of the same tree. bound.Offer
 // keeps the first RE found among equal costs, so REMI's answer is the
 // depth-first search's bit for bit, and the first k distinct REs popped are
-// its top k. Its prunes stay: solvableSuffixes cuts the roots, a conjunct
+// its top k. Its prunes stay: solvableRoots cuts the roots, a conjunct
 // that does not shrink the binding set is skipped (its next sibling is still
 // pushed, its subtree is not), and an RE is not expanded. Side pruning has
 // nothing left to cut.
@@ -88,7 +88,8 @@ type costScratch struct {
 	// frontierPeak is the most bytes of heap entries and nodes held at once
 	// since claim.
 	frontierPeak int
-	// rebuilt is the ping-pong pair a parent's set is re-intersected in.
+	// rebuilt is the ping-pong pair a parent's set is re-intersected in, and
+	// the one solvableRoots keeps its floor in.
 	rebuilt    [2]bindset.Set
 	seqA, seqB []int32
 	e          expr.Expression
@@ -323,14 +324,15 @@ func parentSet(sc *costScratch, mm *memo, p int32, st *Stats) bindset.Set {
 }
 
 // searchCostOrder pops, in cost order, the conjunctions whose first element
-// is one of the roots queue[lo:hi] (see the comment at the top of this
-// file), offering the REs it pops to bnd. It stops at the k-th RE it pops,
+// is one of the roots queue[lo:hi], each of which can hold an RE (hi is at
+// most solvableRoots' n; see the comment at the top of this file), offering
+// the REs it pops to bnd. It stops at the k-th RE it pops,
 // when the cheapest pending conjunction costs at least bnd.Cost() (the
 // shared bound of P-REMI's difference 3, which other workers may lower), when
 // ctx ends, or when sc's frontier share is spent; the last two set
 // st.TimedOut. A search that stops early has popped no RE cheaper than those
 // it offered, and before its subtrees' optimum it has popped none at all.
-func (m *Miner) searchCostOrder(ctx context.Context, mm *memo, canSolve []bool, lo, hi int32,
+func (m *Miner) searchCostOrder(ctx context.Context, mm *memo, lo, hi int32,
 	targets []kb.EntID, bnd *bound, st *Stats, sc *costScratch) {
 	sc.reset()
 	queue := mm.queue
@@ -363,7 +365,7 @@ func (m *Miner) searchCostOrder(ctx context.Context, mm *memo, canSolve []bool, 
 		case next == n:
 		case e.parent >= 0:
 			sc.push(csEntry{cost: sc.nodes[e.parent].cost + queue[next].cost, parent: e.parent, idx: next})
-		case next < hi && canSolve[next]:
+		case next < hi:
 			sc.push(csEntry{cost: queue[next].cost, parent: -1, idx: next})
 		}
 		// The node's binding set: a root's is memoised; a child's is its

@@ -28,12 +28,12 @@ func TestFrontierBytesIsTheRunsOwn(t *testing.T) {
 		queue, _ := m.buildQueue(context.Background(), tgt, qb)
 		mm := qb.newMemo(m.K, queue)
 		var st Stats
-		canSolve, _ := m.solvableSuffixes(context.Background(), mm, tgt, &st)
-		if !canSolve[0] {
+		sc.claim(1)
+		n, _ := m.solvableRoots(context.Background(), mm, tgt, &st, sc)
+		if n == 0 {
 			t.Fatalf("targets %v have no RE", tgt)
 		}
-		sc.claim(1)
-		m.searchCostOrder(context.Background(), mm, canSolve, 0, int32(len(queue)), tgt, newBound(1), &st, sc)
+		m.searchCostOrder(context.Background(), mm, 0, n, tgt, newBound(1), &st, sc)
 		if st.FrontierBytes == 0 || st.FrontierBytes > uint64(frontierBudget) {
 			t.Fatalf("targets %v: %d frontier bytes, budget %d", tgt, st.FrontierBytes, frontierBudget)
 		}

@@ -30,11 +30,8 @@ func mineDFS(m *Miner, targets []kb.EntID) *Result {
 
 	mm := qb.newMemo(m.K, queue)
 	r := &dfsRef{m: m, mm: mm, queue: queue, targets: tgt, bnd: newBound(m.cfg.TopK), st: &res.Stats}
-	canSolve, _ := m.solvableSuffixes(context.Background(), mm, tgt, r.st)
-	for i := range queue {
-		if !canSolve[i] {
-			break
-		}
+	n, _ := m.solvableRoots(context.Background(), mm, tgt, r.st, new(costScratch))
+	for i := range int(n) {
 		if queue[i].cost >= r.bnd.Cost() {
 			r.st.PrunedCost += uint64(len(queue) - i)
 			break

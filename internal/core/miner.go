@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/remi-kb/remi/internal/bindset"
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/expr"
 	"github.com/remi-kb/remi/internal/kb"
@@ -252,9 +251,11 @@ type scored struct {
 // per round. parallelQueueMinProbes is the floor on candidate·extra-target
 // HoldsFor probes below which the goroutine fan-out costs more than it
 // saves; parallelQueueMinCands additionally lets giant single-target queues
-// parallelize their Ĉ scoring even with no filter work (scoring a warm
-// estimator cache is a ~20ns lock-free load, so only very large queues pay
-// for the fan there).
+// fan out their Ĉ scoring, the only work they have. Tame sets reach neither
+// (the 4,096 canonical mining sets probe at most 736 times); hub sets do,
+// and there the fan-out cuts the queue build of the DBpedia-like Settlement
+// {0, 13, 57} at scale 4 from 45–52 to 29–30 ms (best of five, GOMAXPROCS
+// 1 against 2, on a 2-vCPU box).
 const (
 	queueBlock             = 256
 	parallelQueueMinProbes = 4096
@@ -536,22 +537,22 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	return res, nil
 }
 
-// search runs the second phase of Algorithm 1 on the sorted queue: REMI's
-// one cost-ordered search over every root, or P-REMI's workers, each
+// search runs the second phase of Algorithm 1 on the sorted queue: the
+// solvable-root chain, then REMI's one cost-ordered search over the roots
+// that can hold an RE, on the chain's scratch, or P-REMI's workers, each
 // searching the roots it claims in cost order.
 func (m *Miner) search(ctx context.Context, mm *memo, targets []kb.EntID, res *Result) {
 	bnd := newBound(m.topK())
-	canSolve, timedOut := m.solvableSuffixes(ctx, mm, targets, &res.Stats)
-	switch {
-	case timedOut:
-		res.Stats.TimedOut = true
-	case len(mm.queue) == 0 || !canSolve[0]:
-	case m.cfg.Workers > 1:
-		m.mineParallel(ctx, mm, canSolve, targets, bnd, res)
-	default:
-		sc := getCostScratch(1)
-		m.searchCostOrder(ctx, mm, canSolve, 0, int32(len(mm.queue)), targets, bnd, &res.Stats, sc)
-		putCostScratch(sc)
+	sc := getCostScratch(1)
+	n, timedOut := m.solvableRoots(ctx, mm, targets, &res.Stats, sc)
+	res.Stats.TimedOut = timedOut
+	if n > 0 && m.cfg.Workers <= 1 {
+		m.searchCostOrder(ctx, mm, 0, n, targets, bnd, &res.Stats, sc)
+	}
+	// Pooled before P-REMI's workers start, so one of them can take it.
+	putCostScratch(sc)
+	if n > 0 && m.cfg.Workers > 1 {
+		m.mineParallel(ctx, mm, n, targets, bnd, res)
 	}
 	res.Expression, _ = bnd.Get()
 	res.Solutions = bnd.All()
@@ -571,94 +572,37 @@ func normalizeTargets(targets []kb.EntID) []kb.EntID {
 	return tgt[:w]
 }
 
-// solvableSuffixes computes, for every queue index i, whether the subtree
-// rooted at queue[i] can contain an RE at all: the most specific expression
-// available from index i on is the conjunction of all of queue[i:], whose
-// binding set is the running intersection ("suffix floor") of the candidate
-// binding sets. Since every candidate's bindings contain T, the floor
-// contains T, and the subtree holds an RE iff the floor equals T exactly.
-// Floors grow with i, so the result is monotone: true up to some index,
-// false afterwards. This implements line 8 of Algorithm 1 exactly but ahead
-// of time, avoiding an exponential exploration of hopeless subtrees.
-// Two facts make the sweep cheap. First, can is monotone (floors only
-// shrink as i decreases), so the moment one floor reaches the limit every
-// earlier index is solvable too and the remaining intersections are skipped
-// outright. Second, once the floor is small it usually stabilizes — most
-// candidates' bindings are supersets of it — so the sweep verifies
-// stability in batches: bindset.IntersectMany intersects the current floor
-// against a window of upcoming candidates in one word-at-a-time pass, and
-// only a window that actually shrinks the floor falls back to chaining from
-// the shrink point. The computed can values are bit-identical to the plain
-// right-to-left chain.
-func (m *Miner) solvableSuffixes(ctx context.Context, mm *memo, targets []kb.EntID, st *Stats) ([]bool, bool) {
-	queue := mm.queue
-	can := make([]bool, len(queue))
-	if len(queue) == 0 {
-		return can, false
+// solvableRoots implements line 8 of Algorithm 1 for the roots, ahead of
+// the search. The most specific conjunction in the subtree rooted at
+// queue[i] is all of queue[i:], whose binding set is the suffix floor: the
+// intersection of the binding sets of queue[i:]. Every candidate's bindings
+// contain T, so the subtree holds an RE iff its floor has at most
+// len(targets)+MaxExceptions elements. Floors shrink as i falls, so the
+// roots that can hold an RE are a prefix of the queue: root queue[i] can
+// iff i < n. The chain walks the memo's sets right to left, keeps its floor
+// alternately in the two sets of sc.rebuilt, and returns at the first floor
+// within the limit, so it computes no binding set left of that root.
+func (m *Miner) solvableRoots(ctx context.Context, mm *memo, targets []kb.EntID, st *Stats, sc *costScratch) (int32, bool) {
+	n := int32(len(mm.queue))
+	if n == 0 {
+		return 0, false
 	}
 	limit := len(targets) + m.cfg.MaxExceptions
-	sfx := suffixPool.Get().(*suffixScratch)
-	defer suffixPool.Put(sfx)
-
-	floor := mm.bindings(int32(len(queue)-1), st)
-	i := len(queue) - 1
-	if floor.Card() <= limit {
-		for ; i >= 0; i-- {
-			can[i] = true
+	floor := mm.bindings(n-1, st)
+	for i := n - 1; ; i-- {
+		if floor.Card() <= limit {
+			return i + 1, false
 		}
-		return can, false
-	}
-	i--
-	cur := 0    // index of the scratch array NOT holding the live floor
-	window := 1 // adaptive batch width: doubles on stable rounds
-	for i >= 0 {
+		if i == 0 {
+			return 0, false
+		}
 		if expired(ctx) {
-			return can, true
+			return 0, true
 		}
-		n := window
-		if n > i+1 {
-			n = i + 1
-		}
-		arr := &sfx[cur]
-		for j := 0; j < n; j++ {
-			arr.bind[j] = mm.bindings(int32(i-j), st)
-		}
-		bindset.IntersectMany(arr.ptrs[:n], floor, arr.bind[:n])
-		shrunk := false
-		for j := 0; j < n; j++ {
-			idx := i - j
-			if arr.sets[j].Card() == floor.Card() {
-				// The candidate's bindings contain the floor: the chained
-				// floor at idx is still `floor`, which exceeds the limit.
-				can[idx] = false
-				continue
-			}
-			// First shrink in the window: the products after it were taken
-			// against the now-stale floor, so restart chaining from here
-			// with the new floor (which lives in the array just written —
-			// the next round writes the other one).
-			floor = arr.sets[j]
-			cur ^= 1
-			window = 1
-			shrunk = true
-			if floor.Card() <= limit {
-				for t := idx; t >= 0; t-- {
-					can[t] = true
-				}
-				return can, false
-			}
-			can[idx] = false
-			i = idx - 1
-			break
-		}
-		if !shrunk {
-			i -= n
-			if window < childBatch {
-				window *= 2
-			}
-		}
+		dst := &sc.rebuilt[i%2]
+		dst.IntersectInto(floor, mm.bindings(i-1, st))
+		floor = *dst
 	}
-	return can, false
 }
 
 func (m *Miner) topK() int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -87,7 +88,7 @@ func TestPREMIMatchesREMIOnSynthetic(t *testing.T) {
 }
 
 // TestPREMINoSolutionSignal: when no RE exists, P-REMI must also conclude ⊤
-// (exercising solvableSuffixes, which leaves its workers no root to claim).
+// (exercising solvableRoots, which leaves its workers no root to claim).
 func TestPREMINoSolutionSignal(t *testing.T) {
 	k := buildSmall(t, [][3]string{
 		{"a", "p", "v"}, {"b", "p", "v"}, {"c", "p", "v"},
@@ -106,6 +107,53 @@ func TestPREMINoSolutionSignal(t *testing.T) {
 	}
 	if res.Found() {
 		t.Fatalf("impossible RE found: %v", res.Expression.Format(k))
+	}
+}
+
+// TestPREMIStartsAWorkerPerSolvableRoot: P-REMI starts no more workers than
+// there are roots that can hold an RE, so a set with one such root is
+// searched by one worker holding the whole frontier budget, not a quarter of
+// it. The budget here is the first growth of a fresh scratch, 64 heap
+// entries and 64 nodes; a quarter of it cannot hold one of each, so a lone
+// worker with a 1/4 share would stop as timed out.
+func TestPREMIStartsAWorkerPerSolvableRoot(t *testing.T) {
+	// Every RE for {a, b} holds p1(x, v), the cheapest candidate: each other
+	// candidate also matches c.
+	k := buildSmall(t, [][3]string{
+		{"a", "p1", "v"}, {"b", "p1", "v"}, {"d", "p1", "v"}, {"e", "p1", "v"}, {"f", "p1", "w"},
+		{"a", "p2", "v2"}, {"b", "p2", "v2"}, {"c", "p2", "v2"},
+		{"a", "p3", "v3"}, {"b", "p3", "v3"}, {"c", "p3", "v3"},
+		{"a", "p4", "v4"}, {"b", "p4", "v4"}, {"c", "p4", "v4"},
+	})
+	est := complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Exact)
+	targets := []kb.EntID{k.MustEntityID("http://e/a"), k.MustEntityID("http://e/b")}
+	seq := NewMiner(k, est, DefaultConfig())
+	qb := &queueBufs{}
+	queue, _ := seq.buildQueue(context.Background(), targets, qb)
+	if n, _ := seq.solvableRoots(context.Background(), qb.newMemo(k, queue), targets, &Stats{}, new(costScratch)); n != 1 || len(queue) < 4 {
+		t.Fatalf("the fixture has %d solvable roots of %d, want 1 of at least 4", n, len(queue))
+	}
+
+	defer func(b int) { frontierBudget = b }(frontierBudget)
+	frontierBudget = 64 * (entryBytes + nodeBytes)
+	want, err := seq.Mine(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.TimedOut || !want.Found() {
+		t.Fatalf("REMI: timed out %v, found %v", want.Stats.TimedOut, want.Found())
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	got, err := NewMiner(k, est, cfg).Mine(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.TimedOut {
+		t.Fatal("4 workers: timed out under the budget one REMI search fits in")
+	}
+	if err := sameAnswer(got, want); err != nil {
+		t.Fatalf("4 workers: %v", err)
 	}
 }
 

@@ -129,38 +129,95 @@ func TestParallelQueueBuildMatchesSequentialFilter(t *testing.T) {
 	}
 }
 
-// TestSolvableSuffixesMatchesNaiveChain is the white-box equivalence test
-// for the batched, early-exiting suffix sweep: its can vector must be
-// bit-identical to the naive right-to-left running intersection it
-// optimizes.
-func TestSolvableSuffixesMatchesNaiveChain(t *testing.T) {
+// TestSolvableRootsMatchesNaiveChain pins line 8 of Algorithm 1 as one
+// index. The naive can vector (the right-to-left chain of suffix floors,
+// every one computed) is a true prefix, which is what lets solvableRoots
+// return its length n in its place. The chain is the first to read the
+// run's memo and stops at root n−1, so it reads no hit and computes the
+// binding sets of queue[max(n−1, 0):] only. The cases cover strict and
+// relaxed (MaxExceptions 1) runs, sets with some but not all roots
+// solvable, and a set whose queue holds no RE.
+func TestSolvableRootsMatchesNaiveChain(t *testing.T) {
+	type chainCase struct {
+		name    string
+		m       *Miner
+		targets []kb.EntID
+	}
+	var cases []chainCase
 	for seed := int64(0); seed < 6; seed++ {
 		m, targets := queueTestMiner(t, 20+seed)
+		cases = append(cases, chainCase{fmt.Sprintf("seed %d", seed), m, targets})
+		relaxed := *m
+		relaxed.cfg.MaxExceptions = 1
+		cases = append(cases, chainCase{fmt.Sprintf("seed %d, 1 exception", seed), &relaxed, targets})
+	}
+	// The DBpedia-like sets of TestMemoPerRun: most have solvable roots
+	// short of the queue's end.
+	dk, dest, d := dbpediaEnv(t)
+	dbpedia := NewMiner(dk, dest, DefaultConfig())
+	for _, c := range memoSets {
+		var set []kb.EntID
+		for _, i := range c.members {
+			set = append(set, dk.MustEntityID(d.Members[c.class][i]))
+		}
+		cases = append(cases, chainCase{fmt.Sprintf("%s %v", c.class, c.members), dbpedia, normalizeTargets(set)})
+	}
+	// a, b and c share every fact, so no expression tells a and b apart.
+	k := buildSmall(t, [][3]string{
+		{"a", "p", "v"}, {"b", "p", "v"}, {"c", "p", "v"},
+		{"a", "q", "w"}, {"b", "q", "w"}, {"c", "q", "w"},
+	})
+	noRE := NewMiner(k, complexity.New(k, prominence.Build(k, prominence.Fr), complexity.Exact), DefaultConfig())
+	cases = append(cases, chainCase{"no RE", noRE, []kb.EntID{k.MustEntityID("http://e/a"), k.MustEntityID("http://e/b")}})
+
+	var none, some int
+	for _, c := range cases {
 		qb := &queueBufs{}
-		queue, _ := m.buildQueue(context.Background(), targets, qb)
+		queue, _ := c.m.buildQueue(context.Background(), c.targets, qb)
 		if len(queue) == 0 {
-			continue
+			t.Fatalf("%s: empty queue", c.name)
 		}
-		got, timedOut := m.solvableSuffixes(context.Background(), qb.newMemo(m.K, queue), targets, &Stats{})
+		var st Stats
+		n, timedOut := c.m.solvableRoots(context.Background(), qb.newMemo(c.m.K, queue), c.targets, &st, new(costScratch))
 		if timedOut {
-			t.Fatal("unexpected timeout")
+			t.Fatalf("%s: unexpected timeout", c.name)
 		}
-		limit := len(targets) + m.cfg.MaxExceptions
+		limit := len(c.targets) + c.m.cfg.MaxExceptions
 		var floor bindset.Set
-		want := make([]bool, len(queue))
+		can := make([]bool, len(queue))
 		for i := len(queue) - 1; i >= 0; i-- {
-			b := expr.BindingSet(m.K, queue[i].g)
+			b := expr.BindingSet(c.m.K, queue[i].g)
 			if i == len(queue)-1 {
 				floor = b
 			} else {
 				floor = bindset.Intersect(floor, b)
 			}
-			want[i] = floor.Card() <= limit
+			can[i] = floor.Card() <= limit
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: can[%d] = %v, want %v", seed, i, got[i], want[i])
+		prefix := 0
+		for prefix < len(can) && can[prefix] {
+			prefix++
+		}
+		for i := prefix; i < len(can); i++ {
+			if can[i] {
+				t.Fatalf("%s: can[%d] is true after can[%d] is false", c.name, i, prefix)
 			}
 		}
+		if int(n) != prefix {
+			t.Fatalf("%s: n = %d, the naive can vector is true on [0, %d)", c.name, n, prefix)
+		}
+		if want := uint64(len(queue) - max(prefix-1, 0)); st.CacheHits != 0 || st.CacheMisses != want {
+			t.Fatalf("%s: %d hits and %d misses over %d candidates with n = %d; want 0 and %d",
+				c.name, st.CacheHits, st.CacheMisses, len(queue), n, want)
+		}
+		switch {
+		case n == 0:
+			none++
+		case int(n) < len(queue):
+			some++
+		}
+	}
+	if none == 0 || some == 0 {
+		t.Fatalf("the cases cover %d sets with no solvable root and %d with some, want both", none, some)
 	}
 }
