@@ -180,16 +180,18 @@ func (sc *costScratch) reserve() bool {
 }
 
 // growWithin gives a full s room for at least one more element: it doubles
-// its capacity, or grows it by what room bytes still hold, and takes the
-// growth from room. It reports false when not even one element fits.
+// its capacity, or grows it by half of what room bytes still hold (one
+// element when less fits), and takes the growth from room. Taking at most
+// half leaves the other array of the frontier room to grow, however small
+// the share. It reports false when not even one element fits.
 func growWithin[T any](s []T, size int, room *int) ([]T, bool) {
 	if len(s) < cap(s) {
 		return s, true
 	}
-	n := min(max(cap(s), 64), *room/size)
-	if n <= 0 {
+	if *room < size {
 		return s, false
 	}
+	n := min(max(cap(s), 64), max(*room/2/size, 1))
 	*room -= n * size
 	t := make([]T, len(s), cap(s)+n)
 	copy(t, s)

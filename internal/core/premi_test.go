@@ -155,6 +155,20 @@ func TestPREMIStartsAWorkerPerSolvableRoot(t *testing.T) {
 	if err := sameAnswer(got, want); err != nil {
 		t.Fatalf("4 workers: %v", err)
 	}
+
+	// A share below the heap's first 64-entry step still pops: the heap
+	// leaves room for a node.
+	frontierBudget = 1000
+	small, err := seq.Mine(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Stats.TimedOut {
+		t.Fatalf("a %d-byte share timed out after %d visits", frontierBudget, small.Stats.Visited)
+	}
+	if err := sameAnswer(small, want); err != nil {
+		t.Fatalf("a %d-byte share: %v", frontierBudget, err)
+	}
 }
 
 // TestPREMITopK: parallel top-k returns distinct solutions sorted by cost.

@@ -11,7 +11,8 @@ import "slices"
 //	  psoVal ─┘  the O column of the (S,O)-sorted fact list
 //	  posKey/posOff/posVal: the same, keyed by object over the S column
 //
-//	adjacency (one arena for the whole KB, derived on first touch)
+//	adjacency (one arena for the whole KB, made on first touch: derived,
+//	or carried over from the KB a patch started from)
 //	  adjOff ──  indexed by EntID: adjArena[adjOff[e-1]:adjOff[e]]
 //	  adjArena   flat []PO runs, each sorted by (P,O)
 //

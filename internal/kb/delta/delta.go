@@ -103,11 +103,12 @@ func New(base *kb.KB) *Overlay {
 // Rebase makes the newest generation the base, as a compaction that wrote
 // it out does: the mirroring rule's prominent set and the pending counters
 // restart from it, and the overlay's reference on the old base is
-// released.
+// released. The base is a bare copy: it is read for its facts alone, and
+// must not keep the adjacency arena that the newest generation shares with
+// its readers alive after later writes replace it.
 func (ov *Overlay) Rebase() {
 	ov.base.Close()
-	ov.base = ov.cur
-	ov.cur, _ = ov.base.ApplyPatch(kb.Patch{}) // an empty patch cannot fail
+	ov.base = ov.cur.Bare()
 	ov.inv, ov.invSubj = make(map[kb.PredID]kb.PredID), make(map[kb.EntID]bool)
 	ov.pendingAdds, ov.pendingDels = 0, 0
 	for _, p := range ov.base.Predicates() {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/remi-kb/remi/internal/kb/snapshot"
 	"github.com/remi-kb/remi/internal/rdf"
@@ -48,21 +47,16 @@ type KB struct {
 	baseOf    []PredID // baseOf[p-1] != 0 when p is an inverse predicate
 
 	preds    []predIndex // preds[p-1]: CSR pso/pos indexes
-	adjOff   []uint32    // adjacency run boundaries, indexed by EntID
-	adjArena []PO        // flat (p,o) runs, each sorted by (P,O)
 	nFacts   int         // total facts including inverse materializations
 	nBase    int         // number of non-inverse facts
 	entFreq  []uint32    // occurrences of entity in base facts (s or o)
 	typePred PredID
 	lblPred  PredID
 
-	// adjReady reports whether the adjacency arena is populated. Neither
-	// the builder nor a snapshot carries it (it is exactly reconstructible
-	// from the pso arenas): a KB derives it on first use under deriveMu
-	// (derived.go). Readers load the flag before touching the fields, so
-	// the one-time fill publishes safely.
-	adjReady atomic.Bool
-	deriveMu sync.Mutex
+	// adj is the per-entity adjacency arena, made on first use: derived, or
+	// carried over from the KB a patch started from (derived.go). The
+	// shallow copies an empty patch makes share their base's.
+	adj *adjacency
 
 	// promMu guards the per-fraction memo of ProminentSet: every miner
 	// construction asks for the same top slice of the frequency ranking,
@@ -257,13 +251,14 @@ func (k *KB) EntityFreq(e EntID) int { return int(k.entFreq[e-1]) }
 // including materialized inverse predicates, sorted by (P,O). The returned
 // slice is a constant-time view into the adjacency arena; callers must not
 // modify it. The arena is built from the CSR indexes on the first call (one
-// counting pass plus one placement pass).
+// counting pass plus one placement pass), or carried over from the arena of
+// the KB a patch started from.
 func (k *KB) AdjacencyOf(e EntID) []PO {
-	k.ensureAdjacency()
-	if e == 0 || int(e) >= len(k.adjOff) {
+	a := k.adjacency()
+	if e == 0 || int(e) >= len(a.off) {
 		return nil
 	}
-	return k.adjArena[k.adjOff[e-1]:k.adjOff[e]]
+	return a.arena[a.off[e-1]:a.off[e]]
 }
 
 // TypePredicate returns the id of the rdf:type-like predicate (0 if none).

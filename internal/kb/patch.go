@@ -7,9 +7,10 @@ package kb
 // touched predicate's CSR index is one linear merge of its base runs with
 // the sorted edits (mergeRuns), never a sort of its facts, while every
 // untouched predicate's index arrays — the overwhelming majority of a real
-// KB — are shared with the base by slice header. The adjacency arena is not
-// patched but derived from the new indexes on first touch (derived.go),
-// like any other KB's. The base KB itself is never modified; old
+// KB — are shared with the base by slice header. The adjacency arena is
+// carried over on first touch in the same way when the base has derived
+// its own, and otherwise derived from the new indexes on first touch
+// (derived.go), like any other KB's. The base KB itself is never modified; old
 // generations keep serving byte-identical answers while the new one is
 // assembled.
 
@@ -44,34 +45,48 @@ type Patch struct {
 
 // mergeRuns folds sorted edits into one CSR orientation of a predicate:
 // keys/off/vals are its base runs, and in adds and dels (both (S,O)-sorted)
-// S is the key and O the value. A run no edit touches is copied whole. It
-// verifies membership as it goes: an add that already exists, or a retract
-// that matches no fact, errors out. A retract only advances on a match, so
-// an absent one stops every later one and is left over at the end.
+// S is the key and O the value. The keys between two edited keys are copied
+// as one stretch: one append of their keys, one of their values, and one
+// loop that shifts their offsets. An edited key's run is merged with its
+// edits, verifying membership as it goes: an add that already exists, or a
+// retract that matches no fact, errors out.
 func mergeRuns(keys []EntID, off []uint32, vals []EntID, adds, dels []Pair, label string) (keys2 []EntID, off2 []uint32, vals2 []EntID, err error) {
 	keys2 = make([]EntID, 0, len(keys)+len(adds))
 	off2 = make([]uint32, 0, len(keys)+len(adds)+1)
 	vals2 = make([]EntID, 0, max(0, len(vals)+len(adds)-len(dels)))
-	emit := func(key EntID, vs ...EntID) {
-		if len(keys2) == 0 || keys2[len(keys2)-1] != key {
-			keys2 = append(keys2, key)
-			off2 = append(off2, uint32(len(vals2)))
+	// copyKeys places the runs of keys[from:to] unedited.
+	copyKeys := func(from, to int) {
+		if from == to {
+			return
 		}
-		vals2 = append(vals2, vs...)
+		keys2 = append(keys2, keys[from:to]...)
+		shift := uint32(len(vals2)) - off[from]
+		for _, o := range off[from:to] {
+			off2 = append(off2, o+shift)
+		}
+		vals2 = append(vals2, vals[off[from]:off[to]]...)
 	}
-	a, d := 0, 0
-	for i, key := range keys {
-		for ; a < len(adds) && adds[a].S < key; a++ {
-			emit(adds[a].S, adds[a].O)
+	i, a, d := 0, 0, 0
+	for a < len(adds) || d < len(dels) {
+		var key EntID
+		switch {
+		case d == len(dels) || a < len(adds) && adds[a].S < dels[d].S:
+			key = adds[a].S
+		default:
+			key = dels[d].S
 		}
-		run := vals[off[i]:off[i+1]]
-		if (a == len(adds) || adds[a].S != key) && (d == len(dels) || dels[d].S != key) {
-			emit(key, run...)
-			continue
+		next := i + searchIDs(keys[i:], key)
+		copyKeys(i, next)
+		i = next
+		var run []EntID
+		if i < len(keys) && keys[i] == key {
+			run = vals[off[i]:off[i+1]]
+			i++
 		}
+		start := len(vals2)
 		for _, v := range run {
 			for ; a < len(adds) && adds[a].S == key && adds[a].O < v; a++ {
-				emit(key, adds[a].O)
+				vals2 = append(vals2, adds[a].O)
 			}
 			if a < len(adds) && adds[a] == (Pair{S: key, O: v}) {
 				return nil, nil, nil, fmt.Errorf("kb: patch %s: add of existing fact (%d,%d)", label, key, v)
@@ -79,16 +94,21 @@ func mergeRuns(keys []EntID, off []uint32, vals []EntID, adds, dels []Pair, labe
 			if d < len(dels) && dels[d] == (Pair{S: key, O: v}) {
 				d++
 			} else {
-				emit(key, v)
+				vals2 = append(vals2, v)
 			}
 		}
+		for ; a < len(adds) && adds[a].S == key; a++ {
+			vals2 = append(vals2, adds[a].O)
+		}
+		if d < len(dels) && dels[d].S == key {
+			return nil, nil, nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
+		}
+		if len(vals2) > start {
+			keys2 = append(keys2, key)
+			off2 = append(off2, uint32(start))
+		}
 	}
-	for ; a < len(adds); a++ {
-		emit(adds[a].S, adds[a].O)
-	}
-	if d != len(dels) {
-		return nil, nil, nil, fmt.Errorf("kb: patch %s: retract of absent fact (%d,%d)", label, dels[d].S, dels[d].O)
-	}
+	copyKeys(i, len(keys))
 	return keys2, append(off2, uint32(len(vals2))), vals2, nil
 }
 
@@ -97,7 +117,8 @@ func mergeRuns(keys []EntID, off []uint32, vals []EntID, adds, dels []Pair, labe
 // patch does not touch. The result always owns an independent reference
 // on any backing snapshot image, so closing either KB is safe regardless
 // of order. An empty patch returns a shallow, independently closeable
-// copy.
+// copy, which shares k's adjacency arena too: whichever of the two derives
+// it derives it for both.
 func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 	nEnt := len(k.kind)
 	nEnt2 := nEnt + len(p.ExtraTerms)
@@ -242,6 +263,14 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		typePred:  k.typePred,
 		lblPred:   k.lblPred,
 	}
+	switch off, arena, ok := k.adj.derived(); {
+	case totalAdds+totalDels == 0 && len(p.ExtraTerms) == 0:
+		k2.adj = k.adj // the same facts: the same arena
+	case ok:
+		k2.adj = &adjacency{carry: carryAdjacency(off, arena, p, nEnt2, k2.nFacts)}
+	default:
+		k2.adj = new(adjacency)
+	}
 	if k.src != nil {
 		// The new KB aliases arrays inside the base's snapshot image (at
 		// minimum every untouched predicate index), so it holds its own
@@ -249,4 +278,13 @@ func (k *KB) ApplyPatch(p Patch) (*KB, error) {
 		k2.src = k.src.Ref()
 	}
 	return k2, nil
+}
+
+// Bare returns a shallow, independently closeable copy of k, as an empty
+// patch does, that does not share k's adjacency arena: for a KB kept for
+// its fact indexes alone, which should not pin an arena k's readers derive.
+func (k *KB) Bare() *KB {
+	k2, _ := k.ApplyPatch(Patch{}) // an empty patch cannot fail
+	k2.adj = new(adjacency)
+	return k2
 }

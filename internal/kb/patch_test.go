@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -35,6 +36,15 @@ func TestApplyPatchEmptyReturnsIndependentCopy(t *testing.T) {
 	if k2.NumBaseFacts() != k.NumBaseFacts() || k2.NumEntities() != k.NumEntities() {
 		t.Fatalf("empty patch changed counts: %d/%d vs %d/%d",
 			k2.NumBaseFacts(), k2.NumEntities(), k.NumBaseFacts(), k.NumEntities())
+	}
+	// The copy shares the arena, whichever KB derives it; a bare copy does
+	// not.
+	k2.AdjacencyOf(1)
+	if _, _, ok := k.adj.derived(); !ok {
+		t.Fatal("the copy derived an arena its base does not see")
+	}
+	if _, _, ok := k.Bare().adj.derived(); ok {
+		t.Fatal("a bare copy shares its base's arena")
 	}
 	if err := k2.Close(); err != nil {
 		t.Fatal(err)
@@ -267,9 +277,9 @@ func dumpDerived(k *KB, adjFirst bool) []string {
 	return out
 }
 
-// TestPatchedKBConcurrentFirstTouch: ApplyPatch leaves the adjacency arena
-// to first touch, and a fresh generation's first touch is concurrent mining
-// traffic. Eight
+// TestPatchedKBConcurrentFirstTouch: ApplyPatch over a base that never
+// derived its adjacency arena leaves the patched KB's to first touch, and a
+// fresh generation's first touch is concurrent mining traffic. Eight
 // goroutines race for it; each must read what a flat rebuild holds.
 func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 	trs := genStreamTriples(800, 5)
@@ -339,6 +349,15 @@ func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The readers touch a copy that shares k2's arena while a writer
+			// patches k2 itself, as a live KB mines one copy of a generation
+			// and patches another: a patch that finds the arena derived
+			// carries it over, and must never see it half made.
+			view, err := k2.ApplyPatch(Patch{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := Patch{Dels: map[PredID][]Pair{1: k2.Facts(1)[:1]}}
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -346,11 +365,30 @@ func TestPatchedKBConcurrentFirstTouch(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-start
-					if got := dumpDerived(k2, g%2 == 0); !slices.Equal(got, want) {
+					if got := dumpDerived(view, g%2 == 0); !slices.Equal(got, want) {
 						t.Errorf("goroutine %d: %d derived entries differ from the flat rebuild's %d", g, len(got), len(want))
 					}
 				}()
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for range 20 {
+					k3, err := k2.ApplyPatch(next)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if k3.adj.carry == nil {
+						continue
+					}
+					a := k3.adjacency()
+					if wantOff, wantArena := k3.deriveAdjacency(); !slices.Equal(a.off, wantOff) || !slices.Equal(a.arena, wantArena) {
+						t.Error("a patch carried over an arena that differs from the derived one")
+					}
+				}
+			}()
 			close(start)
 			wg.Wait()
 		})
@@ -444,12 +482,25 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 		defer opened.Close()
 		for _, k := range []*KB{built, opened} {
 			for round := 0; round < 2; round++ { // the second round patches the first's result
+				// An odd seed's base derives its arena, so both rounds carry
+				// it over; an even seed's never does.
+				if seed%2 == 1 && round == 0 {
+					k.AdjacencyOf(1)
+				}
 				patch, merged, touched := randomPatch(rng, k)
 				k2, err := k.ApplyPatch(patch)
 				if err != nil {
 					t.Fatalf("seed %d round %d: %v", seed, round, err)
 				}
 				defer k2.Close()
+				if carried := k2.adj.carry != nil; carried != (seed%2 == 1) {
+					t.Fatalf("seed %d round %d: arena to carry over %v", seed, round, carried)
+				} else if carried {
+					a := k2.adjacency() // carries it, so the next round's base has one
+					if wantOff, wantArena := k2.deriveAdjacency(); !slices.Equal(a.off, wantOff) || !slices.Equal(a.arena, wantArena) {
+						t.Fatalf("seed %d round %d: the carried arena differs from the derived one", seed, round)
+					}
+				}
 				for _, pid := range touched {
 					if !slices.Equal(k2.Facts(pid), merged[pid-1]) {
 						t.Fatalf("seed %d round %d predicate %d: merged facts differ", seed, round, pid)
@@ -469,6 +520,141 @@ func TestPatchedIndexMatchesPacked(t *testing.T) {
 	if !sawInverse || !sawEmptied || !sawNew {
 		t.Fatalf("cases not covered: inverse %v, fully retracted %v, new predicate %v", sawInverse, sawEmptied, sawNew)
 	}
+}
+
+// mergeRunsPerKey is mergeRuns as one key at a time, the reference
+// FuzzMergeRuns holds the stretch-copying merge to.
+func mergeRunsPerKey(keys []EntID, off []uint32, vals []EntID, adds, dels []Pair) (keys2 []EntID, off2 []uint32, vals2 []EntID, err error) {
+	emit := func(key EntID, vs ...EntID) {
+		if len(keys2) == 0 || keys2[len(keys2)-1] != key {
+			keys2 = append(keys2, key)
+			off2 = append(off2, uint32(len(vals2)))
+		}
+		vals2 = append(vals2, vs...)
+	}
+	a, d := 0, 0
+	for i, key := range keys {
+		for ; a < len(adds) && adds[a].S < key; a++ {
+			emit(adds[a].S, adds[a].O)
+		}
+		for _, v := range vals[off[i]:off[i+1]] {
+			for ; a < len(adds) && adds[a].S == key && adds[a].O < v; a++ {
+				emit(key, adds[a].O)
+			}
+			if a < len(adds) && adds[a] == (Pair{S: key, O: v}) {
+				return nil, nil, nil, fmt.Errorf("add of existing fact (%d,%d)", key, v)
+			}
+			if d < len(dels) && dels[d] == (Pair{S: key, O: v}) {
+				d++
+			} else {
+				emit(key, v)
+			}
+		}
+	}
+	for ; a < len(adds); a++ {
+		emit(adds[a].S, adds[a].O)
+	}
+	if d != len(dels) {
+		return nil, nil, nil, fmt.Errorf("retract of absent fact (%d,%d)", dels[d].S, dels[d].O)
+	}
+	return keys2, append(off2, uint32(len(vals2))), vals2, nil
+}
+
+// fuzzEdit is one edit of a FuzzMergeRuns input.
+type fuzzEdit struct {
+	f   Pair
+	add bool
+}
+
+// encodeMergeInput writes facts and edits over ids 1..16 as FuzzMergeRuns
+// reads them: a 32-byte bitmap of the facts, then two bytes per edit.
+func encodeMergeInput(facts []Pair, edits []fuzzEdit) []byte {
+	b := make([]byte, 32)
+	for _, f := range facts {
+		bit := int(f.S-1)*16 + int(f.O-1)
+		b[bit/8] |= 1 << (bit % 8)
+	}
+	for _, e := range edits {
+		kind := byte(1) // a retract
+		if e.add {
+			kind = 0
+		}
+		b = append(b, byte(f4(e.f.S)<<4|f4(e.f.O)), kind)
+	}
+	return b
+}
+
+func f4(e EntID) byte { return byte(e-1) & 15 }
+
+// FuzzMergeRuns: on any base run and any sorted edits, mergeRuns returns
+// what the per-key merge returns, or, when that rejects the edits, errors
+// on an existing add or an absent retract. The seeds put edits at the first
+// key, at the last and in the middle of a stretch, valid and not.
+func FuzzMergeRuns(f *testing.F) {
+	var base []Pair // keys 2, 4, …, 14, two or three objects each
+	for s := EntID(2); s <= 14; s += 2 {
+		for o := EntID(1); o <= 16; o += 5 + EntID(s%3) {
+			base = append(base, Pair{S: s, O: o})
+		}
+	}
+	first, last, mid := base[0], base[len(base)-1], base[len(base)/2]
+	for _, edits := range [][]fuzzEdit{
+		{{Pair{2, 3}, true}, {mid, false}, {Pair{16, 1}, true}}, // valid: first key, mid-stretch, past the last key
+		{{first, false}, {Pair{9, 9}, true}, {last, false}},     // valid: retract at the first and the last key
+		{{Pair{1, 1}, true}, {Pair{15, 2}, true}},               // valid: new keys around every base key
+		{{first, true}},              // existing add at the first key
+		{{last, true}},               // existing add at the last key
+		{{mid, true}},                // existing add mid-stretch
+		{{Pair{first.S, 16}, false}}, // absent retract at the first key
+		{{Pair{last.S, 2}, false}},   // absent retract at the last key
+		{{Pair{mid.S, 16}, false}, {Pair{16, 16}, true}},             // absent retract mid-stretch
+		{{Pair{3, 3}, false}},                                        // absent retract of a key with no run
+		{{Pair{4, 2}, true}, {Pair{mid.S, 14}, false}, {last, true}}, // an absent retract before an existing add
+	} {
+		f.Add(encodeMergeInput(base, edits))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 32 {
+			return
+		}
+		var facts []Pair
+		for bit := 0; bit < 256; bit++ {
+			if data[bit/8]&(1<<(bit%8)) != 0 {
+				facts = append(facts, Pair{S: EntID(bit/16 + 1), O: EntID(bit%16 + 1)})
+			}
+		}
+		var adds, dels []Pair
+		seen := map[Pair]bool{}
+		for i := 32; i+1 < len(data); i += 2 {
+			pr := Pair{S: EntID(data[i]>>4 + 1), O: EntID(data[i]&15 + 1)}
+			if seen[pr] {
+				continue
+			}
+			seen[pr] = true
+			if data[i+1]&1 == 0 {
+				adds = append(adds, pr)
+			} else {
+				dels = append(dels, pr)
+			}
+		}
+		slices.SortFunc(adds, cmpPairSO)
+		slices.SortFunc(dels, cmpPairSO)
+		ix := packRun(runOf(facts))
+		wantKeys, wantOff, wantVals, wantErr := mergeRunsPerKey(ix.psoKey, ix.psoOff, ix.psoVal, adds, dels)
+		keys, off, vals, err := mergeRuns(ix.psoKey, ix.psoOff, ix.psoVal, adds, dels, "p")
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("merged edits the per-key merge rejects (%v)", wantErr)
+		case wantErr == nil && err != nil:
+			t.Fatalf("rejected edits the per-key merge takes: %v", err)
+		case err != nil:
+			if msg := err.Error(); !strings.Contains(msg, "add of existing fact") && !strings.Contains(msg, "retract of absent fact") {
+				t.Fatalf("error %q names neither an existing add nor an absent retract", msg)
+			}
+		case !slices.Equal(keys, wantKeys) || !slices.Equal(off, wantOff) || !slices.Equal(vals, wantVals):
+			t.Fatalf("merge\n got %v %v %v\nwant %v %v %v", keys, off, vals, wantKeys, wantOff, wantVals)
+		}
+	})
 }
 
 // runOf returns (S,O)-sorted pairs as the builder's run of runKeys.

@@ -424,6 +424,7 @@ func fromSnapshotReader(r *snapshot.Reader) (*KB, error) {
 		entFreq:  entFreq,
 		typePred: PredID(meta[4]),
 		lblPred:  PredID(meta[5]),
+		adj:      new(adjacency),
 	}
 	if int(k.typePred) > nPred || int(k.lblPred) > nPred {
 		return nil, fmt.Errorf("meta section: special predicate id out of range")

@@ -283,6 +283,7 @@ func (in *ingest) finish(opts Options) (*KB, error) {
 		predIdx:   in.predIdx,
 		baseOf:    make([]PredID, nPred),
 		preds:     make([]predIndex, nPred),
+		adj:       new(adjacency),
 	}
 	terms := in.dict.Terms()
 	k.kind = make([]rdf.Kind, len(terms))

@@ -59,10 +59,12 @@ const (
 
 // Store holds every ranking needed by the complexity estimator. Build one
 // per (KB, Metric) pair. Every ranking is computed eagerly by Build, in time
-// linear in the KB's CSR runs (plus one sort per predicate), and immutable
-// afterwards, so a Store is safe for concurrent use without locking. Rebuild
-// makes a patched KB's fr store from its predecessor's, sorting only the
-// predicates whose object runs the patch touched.
+// linear in the KB's CSR runs (plus, under pr and custom scores, one sort per
+// predicate), and immutable afterwards, so a Store is safe for concurrent use
+// without locking. Beside the join ranks a store keeps their integer
+// strengths and the objects whose runs fall short of their in-degree, so
+// that Rebuild can make a patched KB's fr store from its predecessor's at
+// the cost of the edit.
 type Store struct {
 	K      *kb.KB
 	Metric Metric
@@ -80,6 +82,7 @@ type Store struct {
 	fitOK []bool
 
 	joinSO, joinSS joinRanks
+	short          shortRuns
 
 	globalOnce sync.Once
 	globalRank []int
@@ -92,6 +95,7 @@ type Store struct {
 type joinRanks struct {
 	off  []uint32    // row of p0 is [off[p0-1], off[p0])
 	pred []kb.PredID // join partners, ascending within a row
+	str  []int       // join strength of pred[i] with the row's p0
 	rank []uint32    // 1-based rank of pred[i] within its row
 }
 
@@ -100,13 +104,17 @@ func Build(k *kb.KB, m Metric) *Store {
 	return build(k, m, nil, nil)
 }
 
-// Rebuild constructs the fr store of k, equal bit for bit to Build(k, Fr).
-// Under fr a predicate's conditional ranking and fit depend on its object
-// runs alone, so a predicate whose ObjectRuns keys and offsets are the very
-// arrays prev's KB holds (KB arrays are immutable; ApplyPatch shares an
-// untouched predicate's) shares prev's instead of being ranked again; prev
-// must still hold its KB open, and a nil or non-fr prev lends nothing. The
-// other rankings are computed afresh.
+// Rebuild constructs the fr store of k, equal bit for bit to Build(k, Fr),
+// from prev, the store of the KB k was patched from. Under fr a predicate's
+// conditional ranking and fit depend on its object runs alone, so a
+// predicate whose ObjectRuns keys and offsets are the very arrays prev's KB
+// holds (KB arrays are immutable; ApplyPatch shares an untouched
+// predicate's) shares prev's instead of being ranked again. The join ranks
+// are prev's corrected by the terms of the entities the patch moved
+// (rebuildJoinRanks), and only their moved rows are ranked again. prev must
+// still hold its KB open; a nil or non-fr prev, or one whose KB has more
+// predicates than k, lends nothing. The predicate and entity rankings are
+// computed afresh.
 func Rebuild(k *kb.KB, prev *Store) *Store { return build(k, Fr, nil, prev) }
 
 // BuildWithScores constructs a store whose entity prominence comes from a
@@ -119,13 +127,14 @@ func BuildWithScores(k *kb.KB, score func(kb.EntID) float64) *Store {
 }
 
 // joinHalves counts the join halves still reading a KB: build's second
-// goroutine holds it from its start until buildJoinRanks returns or panics.
-// Tests read it to check that build never unwinds before its join half ends.
+// goroutine holds it from its start until its join ranks are made or it
+// panics. Tests read it to check that build never unwinds before its join
+// half ends.
 var joinHalves atomic.Int32
 
 // build runs the join ranks on a second goroutine beside the other rankings:
-// the two halves take about the same time, write disjoint fields and read
-// only the KB's immutable arrays. A panic in either reaches the caller.
+// the two halves write disjoint fields and read only immutable arrays (the
+// KBs' and prev's). A panic in either reaches the caller.
 func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store {
 	s := &Store{K: k, Metric: m, custom: score}
 	var joinPanic any
@@ -139,7 +148,11 @@ func build(k *kb.KB, m Metric, score func(kb.EntID) float64, prev *Store) *Store
 		defer close(joined)
 		defer func() { joinPanic = recover() }()
 		defer joinHalves.Add(-1)
-		s.buildJoinRanks()
+		if prev != nil && prev.Metric == Fr && prev.K.NumPredicates() <= k.NumPredicates() {
+			s.rebuildJoinRanks(prev)
+		} else {
+			s.buildJoinRanks()
+		}
 	}()
 	s.buildPredicateRanking()
 	s.buildEntityScores()
@@ -222,15 +235,17 @@ func (s *Store) PredicateRank(p kb.PredID) int { return s.predRank[p-1] }
 // prominence (conditional frequency under fr; entity score under pr), and
 // fits the Eq. 1 power law on (log2 score, log2 rank). The distinct objects
 // and their frequencies are the keys and run lengths of the KB's object
-// runs, so a predicate costs one sort of its (score, object) records — or
-// nothing, when prev (an fr store, see Rebuild) ranked the same runs.
+// runs. Under fr a predicate costs one counting pass over its run lengths
+// (rankCounter); under the other metrics one sort of its (score, object)
+// records. A predicate costs nothing when prev (an fr store, see Rebuild)
+// ranked the same runs.
 func (s *Store) buildConditionalRankings(prev *Store) {
 	nP := s.K.NumPredicates()
 	s.condRank = make([][]uint32, nP)
 	s.fits = make([]stats.Linear, nP)
 	s.fitOK = make([]bool, nP)
 
-	total, widest := 0, 0
+	total, widest, longest := 0, 0, uint32(0)
 	for pi := 0; pi < nP; pi++ {
 		objs, off := s.K.ObjectRuns(kb.PredID(pi + 1))
 		if prev != nil && prev.Metric == Fr && pi < len(prev.condRank) {
@@ -242,60 +257,120 @@ func (s *Store) buildConditionalRankings(prev *Store) {
 		}
 		total += len(objs)
 		widest = max(widest, len(objs))
+		for i := range objs {
+			longest = max(longest, off[i+1]-off[i])
+		}
 	}
 	ranks := make([]uint32, total)
-	type scored struct {
-		score float64
-		i     uint32 // position in the ascending object keys
-	}
-	recs := make([]scored, 0, widest)
 	xs := make([]float64, 0, widest)
 	ys := make([]float64, 0, widest)
+	var rc *rankCounter
+	if s.Metric == Fr {
+		rc = newRankCounter(widest, longest)
+	}
 
 	for pi := 0; pi < nP; pi++ {
 		if s.condRank[pi] != nil { // shared with prev; a built ranking is never nil
 			continue
 		}
 		objs, off := s.K.ObjectRuns(kb.PredID(pi + 1))
-		recs = recs[:0]
-		for i, o := range objs {
-			sc := float64(off[i+1] - off[i])
-			if s.Metric != Fr {
-				sc = s.entScore[o-1]
-			}
-			recs = append(recs, scored{sc, uint32(i)})
-		}
-		// Descending score, ties by ascending object id (= key position).
-		slices.SortFunc(recs, func(a, b scored) int {
-			switch {
-			case a.score > b.score:
-				return -1
-			case a.score < b.score:
-				return 1
-			}
-			return int(a.i) - int(b.i)
-		})
 		rank := ranks[:len(objs):len(objs)]
 		ranks = ranks[len(objs):]
 		s.condRank[pi] = rank
-
 		// Eq. 1 fit: log2(rank) against log2(conditional frequency); for pr
 		// the score replaces frequency, as the paper notes the power law
 		// extrapolates to the page rank. Points enter in rank order.
-		xs, ys = xs[:0], ys[:0]
-		for r, x := range recs {
-			rank[x.i] = uint32(r + 1)
-			if x.score <= 0 {
-				continue
-			}
-			xs = append(xs, math.Log2(x.score))
-			ys = append(ys, math.Log2(float64(r+1)))
+		if rc != nil {
+			xs, ys = rc.rank(off, rank, xs[:0], ys[:0])
+		} else {
+			xs, ys = s.rankByScore(objs, rank, xs[:0], ys[:0])
 		}
 		if fit, err := stats.FitLinear(xs, ys); err == nil {
 			s.fits[pi] = fit
 			s.fitOK[pi] = true
 		}
 	}
+}
+
+// rankByScore ranks objs by descending entity score, ties by ascending id
+// (= key position), into rank, and appends the Eq. 1 points of the scored
+// objects to xs and ys in rank order.
+func (s *Store) rankByScore(objs []kb.EntID, rank []uint32, xs, ys []float64) ([]float64, []float64) {
+	type scored struct {
+		score float64
+		i     uint32 // position in the ascending object keys
+	}
+	recs := make([]scored, len(objs))
+	for i, o := range objs {
+		recs[i] = scored{s.entScore[o-1], uint32(i)}
+	}
+	slices.SortFunc(recs, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.i, b.i))
+	})
+	for r, x := range recs {
+		rank[x.i] = uint32(r + 1)
+		if x.score <= 0 {
+			continue
+		}
+		xs = append(xs, math.Log2(x.score))
+		ys = append(ys, math.Log2(float64(r+1)))
+	}
+	return xs, ys
+}
+
+// rankCounter ranks a predicate's objects by run length with no
+// comparisons: bucketing the objects by count yields the order of count
+// descending, key position ascending, that a sort would.
+type rankCounter struct {
+	end   []uint32  // per count: the last rank its bucket fills so far
+	log2r []float64 // log2r[r] = log2(r)
+}
+
+// newRankCounter sizes a counter for predicates of up to widest objects
+// whose runs are at most longest facts.
+func newRankCounter(widest int, longest uint32) *rankCounter {
+	rc := &rankCounter{end: make([]uint32, longest+1), log2r: make([]float64, widest+1)}
+	for r := 1; r <= widest; r++ {
+		rc.log2r[r] = math.Log2(float64(r))
+	}
+	return rc
+}
+
+// rank writes the 1-based rank of every object run of off into rank and
+// appends the Eq. 1 points (log2 count, log2 rank) to xs and ys in rank
+// order: the points, and their order, that rankByScore gives for the counts
+// as scores. The counter is cleared again on return.
+func (rc *rankCounter) rank(off []uint32, rank []uint32, xs, ys []float64) ([]float64, []float64) {
+	longest := uint32(0)
+	for i := range rank {
+		c := off[i+1] - off[i]
+		rc.end[c]++
+		longest = max(longest, c)
+	}
+	above := uint32(0) // objects with a longer run
+	for c := longest; c > 0; c-- {
+		n := rc.end[c]
+		rc.end[c] = above
+		above += n
+	}
+	for i := range rank {
+		c := off[i+1] - off[i]
+		rc.end[c]++
+		rank[i] = rc.end[c]
+	}
+	last := uint32(0)
+	for c := longest; c > 0; c-- {
+		if end := rc.end[c]; end > last {
+			x := math.Log2(float64(c))
+			for r := last + 1; r <= end; r++ {
+				xs = append(xs, x)
+				ys = append(ys, rc.log2r[r])
+			}
+			last = end
+		}
+		rc.end[c] = 0
+	}
+	return xs, ys
 }
 
 // sameArray reports whether a and b are the same view of the same memory.
@@ -381,6 +456,8 @@ func (s *Store) AverageFitR2(minPoints int) (avg float64, fitted int) {
 // Both sums run over per-entity (p1, deg) lists laid out as one CSR by two
 // counting passes over the subject runs. A row p0 is accumulated into a
 // length-nP scratch vector and ranked at once, so no nP×nP array exists.
+// The objects whose runs fall short of their in-degree are kept (shortRuns)
+// for rebuildJoinRanks.
 func (s *Store) buildJoinRanks() {
 	k := s.K
 	nP, nEnt := k.NumPredicates(), k.NumEntities()
@@ -414,15 +491,9 @@ func (s *Store) buildJoinRanks() {
 
 	s.joinSO.off = make([]uint32, nP+1)
 	s.joinSS.off = make([]uint32, nP+1)
-	acc := make([]int, nP+1)             // join strength of the row in progress, by p1
-	partners := make([]kb.PredID, 0, nP) // the p1 with acc[p1] > 0
-	runs := make([]uint32, nEnt+1)       // runs(p0, ·) of the row in progress
-	add := func(p1 kb.PredID, n int) {   // every caller passes n > 0
-		if acc[p1] == 0 {
-			partners = append(partners, p1)
-		}
-		acc[p1] += n
-	}
+	s.short.off = make([]uint32, nP+1)
+	row := newRowScratch(nP)
+	runs := make([]uint32, nEnt+1) // runs(p0, ·) of the row in progress
 	for _, p0 := range k.Predicates() {
 		var last kb.EntID
 		for _, o := range k.ObjectColumn(p0) {
@@ -431,46 +502,71 @@ func (s *Store) buildJoinRanks() {
 				last = o
 			}
 		}
-		objs, _ := k.ObjectRuns(p0)
-		for _, o := range objs {
+		objs, off := k.ObjectRuns(p0)
+		for i, o := range objs {
+			if gap := off[i+1] - off[i] - runs[o]; gap > 0 {
+				s.short.obj = append(s.short.obj, o)
+				s.short.gap = append(s.short.gap, gap)
+			}
 			for _, pd := range asSubj[entOff[o-1]:entOff[o]] {
-				add(pd.p, int(runs[o])*int(pd.deg))
+				row.add(pd.p, int(runs[o])*int(pd.deg))
 			}
 			runs[o] = 0
 		}
-		partners = s.joinSO.appendRow(p0, acc, partners)
+		s.short.off[p0] = uint32(len(s.short.obj))
+		s.joinSO.appendRow(p0, row)
 
 		subjs, _ := k.SubjectRuns(p0)
 		for _, e := range subjs {
 			for _, pd := range asSubj[entOff[e-1]:entOff[e]] {
 				if pd.p != p0 {
-					add(pd.p, int(pd.deg))
+					row.add(pd.p, int(pd.deg))
 				}
 			}
 		}
-		partners = s.joinSS.appendRow(p0, acc, partners)
+		s.joinSS.appendRow(p0, row)
 	}
 }
 
-// appendRow ranks partners by descending strength acc[p1] (ties by ascending
-// id) and stores them as p0's row in ascending id order for JoinRank's binary
-// search. acc carries the ranks between the two sorts and is zero again on
-// return; partners comes back emptied for reuse.
-func (j *joinRanks) appendRow(p0 kb.PredID, acc []int, partners []kb.PredID) []kb.PredID {
-	slices.SortFunc(partners, func(a, b kb.PredID) int {
-		return cmp.Or(cmp.Compare(acc[b], acc[a]), cmp.Compare(a, b))
-	})
-	for i, p1 := range partners {
-		acc[p1] = i + 1
+// rowScratch accumulates one join row: acc[p1] is p1's join strength with
+// the row's p0, partners the p1 with acc[p1] != 0. appendRow empties it.
+type rowScratch struct {
+	acc      []int
+	rank     []uint32
+	partners []kb.PredID
+}
+
+func newRowScratch(nP int) *rowScratch {
+	return &rowScratch{acc: make([]int, nP+1), rank: make([]uint32, nP+1), partners: make([]kb.PredID, 0, nP)}
+}
+
+// add adds n to p1's strength; every caller passes n != 0.
+func (r *rowScratch) add(p1 kb.PredID, n int) {
+	if r.acc[p1] == 0 {
+		r.partners = append(r.partners, p1)
 	}
-	slices.Sort(partners)
-	for _, p1 := range partners {
+	r.acc[p1] += n
+}
+
+// appendRow ranks r's partners by descending strength (ties by ascending id)
+// and stores them, with their strengths, as p0's row in ascending id order
+// for JoinRank's binary search. r is empty again on return.
+func (j *joinRanks) appendRow(p0 kb.PredID, r *rowScratch) {
+	slices.SortFunc(r.partners, func(a, b kb.PredID) int {
+		return cmp.Or(cmp.Compare(r.acc[b], r.acc[a]), cmp.Compare(a, b))
+	})
+	for i, p1 := range r.partners {
+		r.rank[p1] = uint32(i + 1)
+	}
+	slices.Sort(r.partners)
+	for _, p1 := range r.partners {
 		j.pred = append(j.pred, p1)
-		j.rank = append(j.rank, uint32(acc[p1]))
-		acc[p1] = 0
+		j.str = append(j.str, r.acc[p1])
+		j.rank = append(j.rank, r.rank[p1])
+		r.acc[p1] = 0
 	}
 	j.off[p0] = uint32(len(j.pred))
-	return partners[:0]
+	r.partners = r.partners[:0]
 }
 
 // JoinRank returns the 1-based rank of p1 among the predicates that join

@@ -11,6 +11,7 @@ import (
 
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/kb"
+	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
 	"github.com/remi-kb/remi/internal/stats"
 )
@@ -854,7 +855,209 @@ func TestRebuildMatchesBuild(t *testing.T) {
 			prev = s
 			k, touched = nextGeneration(t, rng, k, gen)
 		}
+		overlayChain(t, built, seed)
 	}
+}
+
+// overlayChain drives a delta.Overlay over a snapshot-opened copy of built
+// through write batches shaped like the benchmark's live_mixed ones (eight
+// relinks of a subject to another object of the same predicate, four new
+// subjects, four retracts), with a Rebase (a compaction) mid-chain and three
+// special batches: one that adds a predicate and new terms, one that
+// retracts a predicate to empty, and one that moves a fact of p to a new
+// subject so that runs(p,o) changes while o's in-degree does not. Every
+// generation's Rebuild from its predecessor's store must equal Build,
+// observably and in its join strengths and short runs.
+func overlayChain(t *testing.T, built *kb.KB, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ov := delta.New(reopened(t, built))
+	defer ov.Close()
+	k, err := ov.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := Build(k, Fr)
+	fresh := 0
+	newTerm := func() rdf.Term {
+		fresh++
+		return rdf.NewIRI(fmt.Sprintf("http://new/live/%d", fresh))
+	}
+	var relinkP kb.PredID // the relink batch's fact p(·,o)
+	var relinkO kb.EntID
+	for gen := 1; gen <= 12; gen++ {
+		var ops []delta.Op
+		switch gen {
+		case 3:
+			ops = newPredicateOps(k, newTerm)
+		case 6:
+			ov.Rebase()
+			ops = retractSmallestOps(k)
+		case 9:
+			ops, relinkP, relinkO = relinkOps(k, newTerm)
+			if ops == nil {
+				t.Fatalf("seed %d: no fact to relink at an unchanged in-degree", seed)
+			}
+		default:
+			ops = liveBatch(rng, k, newTerm)
+		}
+		if _, err := ov.Apply(ops); err != nil {
+			t.Fatalf("seed %d generation %d: %v", seed, gen, err)
+		}
+		next, err := ov.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, want := Rebuild(next, prev), Build(next, Fr)
+		diffStores(t, s, want)
+		sameJoinState(t, s, want)
+		if gen == 9 {
+			p, o := relinkP, relinkO
+			if k.ObjFreq(p, o) != next.ObjFreq(p, o) || prev.short.runs(k, p, o) == s.short.runs(next, p, o) {
+				t.Fatalf("seed %d: the relink moved in-degree %d → %d and runs %d → %d, want runs alone", seed,
+					k.ObjFreq(p, o), next.ObjFreq(p, o), prev.short.runs(k, p, o), s.short.runs(next, p, o))
+			}
+		}
+		k.Close()
+		k, prev = next, s
+	}
+	k.Close()
+}
+
+// sameJoinState checks the state Rebuild carries from store to store.
+func sameJoinState(t *testing.T, got, want *Store) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		got, want *joinRanks
+	}{{"SO", &got.joinSO, &want.joinSO}, {"SS", &got.joinSS, &want.joinSS}} {
+		if !slices.Equal(c.got.off, c.want.off) || !slices.Equal(c.got.pred, c.want.pred) ||
+			!slices.Equal(c.got.str, c.want.str) || !slices.Equal(c.got.rank, c.want.rank) {
+			t.Fatalf("join %s rows differ from Build's", c.name)
+		}
+	}
+	if !slices.Equal(got.short.off, want.short.off) || !slices.Equal(got.short.obj, want.short.obj) || !slices.Equal(got.short.gap, want.short.gap) {
+		t.Fatal("short runs differ from Build's")
+	}
+}
+
+// named reports whether e can be named in an op: blank labels are not
+// stable names.
+func named(k *kb.KB, e kb.EntID) bool { return !k.IsBlank(e) }
+
+// factOp is the op on p(s,o) of k.
+func factOp(k *kb.KB, retract bool, s kb.EntID, p kb.PredID, o kb.EntID) delta.Op {
+	return delta.Op{Retract: retract, S: k.Term(s), P: rdf.NewIRI(k.PredicateName(p)), O: k.Term(o)}
+}
+
+// liveBatch draws a live_mixed-shaped batch from k's base facts.
+func liveBatch(rng *rand.Rand, k *kb.KB, newTerm func() rdf.Term) []delta.Op {
+	type fact struct {
+		p kb.PredID
+		kb.Pair
+	}
+	var facts []fact
+	for _, p := range k.Predicates() {
+		if k.IsInverse(p) {
+			continue
+		}
+		for _, f := range k.Facts(p) {
+			if named(k, f.S) && named(k, f.O) {
+				facts = append(facts, fact{p, f})
+			}
+		}
+	}
+	pick := func() fact { return facts[rng.Intn(len(facts))] }
+	var ops []delta.Op
+	for len(ops) < 8 {
+		a := pick()
+		same := k.Facts(a.p)
+		b := same[rng.Intn(len(same))]
+		if named(k, b.O) {
+			ops = append(ops, factOp(k, false, a.S, a.p, b.O))
+		}
+	}
+	for len(ops) < 12 {
+		a := pick()
+		ops = append(ops, delta.Op{S: newTerm(), P: rdf.NewIRI(k.PredicateName(a.p)), O: k.Term(a.O)})
+	}
+	for len(ops) < 16 {
+		a := pick()
+		ops = append(ops, factOp(k, true, a.S, a.p, a.O))
+	}
+	return ops
+}
+
+// newPredicateOps adds a predicate between new terms and existing entities.
+func newPredicateOps(k *kb.KB, newTerm func() rdf.Term) []delta.Op {
+	var iris []rdf.Term
+	for e := kb.EntID(1); len(iris) < 3; e++ {
+		if k.Kind(e) == rdf.IRI {
+			iris = append(iris, k.Term(e))
+		}
+	}
+	pred := rdf.NewIRI("http://new/live/pred")
+	a, b := newTerm(), newTerm()
+	return []delta.Op{
+		{S: iris[0], P: pred, O: a},
+		{S: a, P: pred, O: iris[1]},
+		{S: a, P: pred, O: b},
+		{S: iris[2], P: pred, O: iris[1]},
+	}
+}
+
+// retractSmallestOps retracts every fact of k's smallest nonempty base
+// predicate.
+func retractSmallestOps(k *kb.KB) []delta.Op {
+	var victim kb.PredID
+	for _, p := range k.Predicates() {
+		if !k.IsInverse(p) && k.PredFreq(p) > 0 && (victim == 0 || k.PredFreq(p) < k.PredFreq(victim)) {
+			victim = p
+		}
+	}
+	var ops []delta.Op
+	for _, f := range k.Facts(victim) {
+		ops = append(ops, factOp(k, true, f.S, victim, f.O))
+	}
+	return ops
+}
+
+// relinkOps moves one fact p(s,o) to a new subject, where s's run of p
+// starts with o, the subject before s ends with o and the last subject of
+// p does not: o keeps its in-degree while runs(p,o) grows by one. o is a
+// subject of some predicate, so the change moves SO, and p has no inverse,
+// so o's own runs stay as they are. It returns nil ops when k has no such
+// fact.
+func relinkOps(k *kb.KB, newTerm func() rdf.Term) ([]delta.Op, kb.PredID, kb.EntID) {
+	hasInverse := map[kb.PredID]bool{}
+	for _, p := range k.Predicates() {
+		hasInverse[k.BaseOf(p)] = true
+	}
+	for _, p := range k.Predicates() {
+		if k.IsInverse(p) || hasInverse[p] {
+			continue
+		}
+		keys, off := k.SubjectRuns(p)
+		col := k.ObjectColumn(p)
+		if len(keys) < 3 {
+			continue
+		}
+		last := col[len(col)-1]
+		for i := 1; i < len(keys)-1; i++ {
+			o := col[off[i]]
+			if o != col[off[i]-1] || o == last || off[i+1]-off[i] < 2 || !named(k, keys[i]) || !named(k, o) {
+				continue
+			}
+			if !slices.ContainsFunc(k.Predicates(), func(q kb.PredID) bool { return len(k.Objects(q, o)) > 0 }) {
+				continue
+			}
+			return []delta.Op{
+				factOp(k, true, keys[i], p, o),
+				{S: newTerm(), P: rdf.NewIRI(k.PredicateName(p)), O: k.Term(o)},
+			}, p, o
+		}
+	}
+	return nil, 0, 0
 }
 
 // TestBuildPanicWaitsForJoinHalf: a panic in the half of build that runs on

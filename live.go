@@ -315,8 +315,9 @@ func (l *LiveKB) Apply(ctx context.Context, ops []delta.Op, requestID string) (s
 		return nil, 0, err
 	}
 	l.factsApplied += int64(len(ops))
-	// The current System, still open, lends the fr rankings of every
-	// predicate the batch left alone: the two generations share its arrays.
+	// The current System, still open, lends its fr rankings: Rebuild keeps
+	// those of every predicate the batch left alone (the two generations
+	// share its arrays) and corrects the join ranks by the batch's edits.
 	l.cur = fromKB(k, l.cur)
 	return l.cur, changed, nil
 }
