@@ -5,6 +5,8 @@ package frontcoding
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
+	"unsafe"
 
 	"github.com/remi-kb/remi/internal/rdf"
 )
@@ -34,24 +36,37 @@ func commonPrefix(a, b []byte) int {
 // CompareSerializedTerm, never bytes.Compare, to order serialized terms
 // consistently with live ones.
 func SerializeTerm(t rdf.Term) []byte {
-	out := make([]byte, 0, len(t.Value)+1)
+	return AppendTerm(make([]byte, 0, len(t.Value)+1), t)
+}
+
+// AppendTerm appends SerializeTerm(t) to dst and returns the extended
+// buffer, so a caller serializing many terms can reuse one.
+func AppendTerm(dst []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
-		out = append(out, 'I')
+		dst = append(dst, 'I')
 	case rdf.Literal:
-		out = append(out, 'L')
+		dst = append(dst, 'L')
 	case rdf.Blank:
-		out = append(out, 'B')
+		dst = append(dst, 'B')
 	}
-	return append(out, t.Value...)
+	return append(dst, t.Value...)
 }
 
 // DeserializeTerm reverses SerializeTerm.
 func DeserializeTerm(b []byte) (rdf.Term, error) {
+	t, err := BorrowTerm(b)
+	t.Value = strings.Clone(t.Value)
+	return t, err
+}
+
+// BorrowTerm is DeserializeTerm without the copy: the term's Value aliases
+// b, so it is valid only while b is neither modified nor reused.
+func BorrowTerm(b []byte) (rdf.Term, error) {
 	if len(b) == 0 {
 		return rdf.Term{}, fmt.Errorf("frontcoding: empty serialized term")
 	}
-	v := string(b[1:])
+	v := unsafe.String(unsafe.SliceData(b[1:]), len(b)-1)
 	switch b[0] {
 	case 'I':
 		return rdf.NewIRI(v), nil

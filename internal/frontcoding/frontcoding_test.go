@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -224,4 +225,95 @@ func FuzzFCSet(f *testing.F) {
 		set.Each(func(i int, _ []byte) bool { return i < set.Len()/2 })
 		set.Each(func(int, []byte) bool { return true })
 	})
+}
+
+// TestSerializedTermForms: SerializeTerm, AppendTerm into a reused buffer,
+// DeserializeTerm and BorrowTerm agree on every kind, the borrowed value
+// aliases the serialized bytes while the deserialized one owns a copy, and
+// both decoders reject an empty entry and an unknown kind byte.
+func TestSerializedTermForms(t *testing.T) {
+	var buf []byte
+	for _, term := range randomTerms(rand.New(rand.NewSource(3)), 200) {
+		want := SerializeTerm(term)
+		buf = AppendTerm(buf[:0], term)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("AppendTerm(%v) = %q, SerializeTerm %q", term, buf, want)
+		}
+		owned, err := DeserializeTerm(buf)
+		if err != nil || owned != term {
+			t.Fatalf("DeserializeTerm(%q) = %v, %v", buf, owned, err)
+		}
+		borrowed, err := BorrowTerm(buf)
+		if err != nil || borrowed != term {
+			t.Fatalf("BorrowTerm(%q) = %v, %v", buf, borrowed, err)
+		}
+		if len(term.Value) > 0 {
+			buf[1] ^= 0x20
+			if owned != term || borrowed == term {
+				t.Fatalf("%v: the deserialized term must own its value and the borrowed one alias the buffer", term)
+			}
+		}
+	}
+	for _, b := range [][]byte{nil, []byte("Xvalue")} {
+		if _, err := DeserializeTerm(b); err == nil {
+			t.Errorf("DeserializeTerm(%q) accepted", b)
+		}
+		if _, err := BorrowTerm(b); err == nil {
+			t.Errorf("BorrowTerm(%q) accepted", b)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CompareSerializedTerm(%q) did not panic", b)
+				}
+			}()
+			CompareSerializedTerm(b, rdf.NewIRI("a"))
+		}()
+	}
+}
+
+// TestNewFCSetRejectsBadOffsets: block offsets that do not frame the blob —
+// wrong count, a first block past zero, a step backwards, an end short of
+// the blob — and a negative entry count are rejected at construction.
+func TestNewFCSetRejectsBadOffsets(t *testing.T) {
+	set := buildSet(t, randomTerms(rand.New(rand.NewSource(4)), 2*BlockSize+3))
+	end := uint64(len(set.blob))
+	for name, tc := range map[string]struct {
+		offs []uint64
+		n    int
+	}{
+		"negative count": {set.offs, -1},
+		"too few":        {set.offs[:2], set.n},
+		"first past 0":   {[]uint64{1, set.offs[1], set.offs[2], end}, set.n},
+		"backwards":      {[]uint64{0, set.offs[2], set.offs[1], end}, set.n},
+		"short end":      {[]uint64{0, set.offs[1], set.offs[2], end - 1}, set.n},
+	} {
+		if _, err := NewFCSet(set.blob, tc.offs, tc.n); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestCorruptBlocks: a block whose varints are cut short, or whose entry
+// claims a longer shared prefix than its predecessor has, is reported as
+// corrupt by every read.
+func TestCorruptBlocks(t *testing.T) {
+	head := append(binary.AppendUvarint(nil, 2), "Ia"...)
+	for name, blob := range map[string][]byte{
+		"head length":   {0x80},
+		"shared prefix": append(slices.Clone(head), 0x80),
+		"suffix length": append(slices.Clone(head), 1, 0x80),
+		"prefix > prev": append(slices.Clone(head), 3, 1, 'b'),
+	} {
+		set, err := NewFCSet(blob, []uint64{0, uint64(len(blob))}, 2)
+		if err != nil {
+			t.Fatalf("%s: NewFCSet: %v", name, err)
+		}
+		if _, err := set.TermAt(1); err == nil {
+			t.Errorf("%s: TermAt accepted", name)
+		}
+		if err := set.Each(func(int, []byte) bool { return true }); err == nil {
+			t.Errorf("%s: Each accepted", name)
+		}
+	}
 }

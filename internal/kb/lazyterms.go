@@ -44,7 +44,7 @@ func (f *fcTerms) RankOf(t rdf.Term) (int, bool) {
 
 func (f *fcTerms) EachTerm(fn func(rank int, t rdf.Term) bool) {
 	err := f.set.Each(func(i int, serialized []byte) bool {
-		t, derr := frontcoding.DeserializeTerm(serialized)
+		t, derr := frontcoding.BorrowTerm(serialized)
 		if derr != nil {
 			panic(fmt.Sprintf("kb: corrupt front-coded term block: %v", derr))
 		}

@@ -74,9 +74,12 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // align8 rounds n up to the next multiple of 8.
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
+// section is one section's payload as the parts it is written from, in
+// order, and their total length.
 type section struct {
-	id   SectionID
-	data []byte
+	id    SectionID
+	parts [][]byte
+	size  uint64
 }
 
 // Writer assembles a snapshot from named sections. Sections are written in
@@ -103,8 +106,18 @@ func (w *Writer) SetVersion(version, minReader uint32) {
 // Add appends one section. The data slice is retained until WriteTo; callers
 // must not mutate it in between. Duplicate ids are a programming error and
 // surface at WriteTo.
-func (w *Writer) Add(id SectionID, data []byte) {
-	w.sections = append(w.sections, section{id: id, data: data})
+func (w *Writer) Add(id SectionID, data []byte) { w.AddParts(id, data) }
+
+// AddParts appends one section whose payload is the concatenation of parts,
+// without concatenating them: the checksum and the write walk the parts in
+// order, so a section gathered from many live arrays costs no copy. Parts
+// are retained like Add's data.
+func (w *Writer) AddParts(id SectionID, parts ...[]byte) {
+	s := section{id: id, parts: parts}
+	for _, p := range parts {
+		s.size += uint64(len(p))
+	}
+	w.sections = append(w.sections, s)
 }
 
 var zeroPad [8]byte
@@ -128,18 +141,18 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 		e := dir[i*dirEntrySize:]
 		binary.LittleEndian.PutUint32(e[0:], uint32(s.id))
 		binary.LittleEndian.PutUint64(e[8:], off)
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		off = align8(off + uint64(len(s.data)))
+		binary.LittleEndian.PutUint64(e[16:], s.size)
+		off = align8(off + s.size)
 	}
 	fileSize := off
 
 	// CRC over the payload region exactly as it will appear on disk.
 	crc := crc64.Update(0, crcTable, dir)
 	for _, s := range w.sections {
-		crc = crc64.Update(crc, crcTable, s.data)
-		if pad := align8(uint64(len(s.data))) - uint64(len(s.data)); pad > 0 {
-			crc = crc64.Update(crc, crcTable, zeroPad[:pad])
+		for _, p := range s.parts {
+			crc = crc64.Update(crc, crcTable, p)
 		}
+		crc = crc64.Update(crc, crcTable, zeroPad[:align8(s.size)-s.size])
 	}
 
 	var hdr [headerSize]byte
@@ -166,13 +179,13 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 		return n, err
 	}
 	for _, s := range w.sections {
-		if err := write(s.data); err != nil {
-			return n, err
-		}
-		if pad := align8(uint64(len(s.data))) - uint64(len(s.data)); pad > 0 {
-			if err := write(zeroPad[:pad]); err != nil {
+		for _, p := range s.parts {
+			if err := write(p); err != nil {
 				return n, err
 			}
+		}
+		if err := write(zeroPad[:align8(s.size)-s.size]); err != nil {
+			return n, err
 		}
 	}
 	return n, bw.Flush()

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -195,5 +196,144 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	w.Add(1, []byte("b"))
 	if _, err := w.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("duplicate section id accepted")
+	}
+}
+
+// TestAddPartsMatchesAdd: a section handed over as parts — with empty and
+// nil parts among them, zero-length sections and lengths that need padding
+// — must write exactly the bytes of the same sections concatenated and
+// handed to Add.
+func TestAddPartsMatchesAdd(t *testing.T) {
+	sections := [][][]byte{
+		{[]byte("he"), nil, []byte("llo")},              // 5 bytes: 3 of padding
+		{Bytes([]uint64{1}), {}, Bytes([]uint64{2, 3})}, // aligned
+		{},        // no parts at all
+		{nil, {}}, // parts, all empty
+		{[]byte("a"), []byte("bcdefgh"), []byte("ijklmnop")}, // parts straddle the padding
+		{Bytes([]uint32{9, 8, 7}), Bytes([]uint32{6})},
+	}
+	whole, parted := NewWriter(), NewWriter()
+	for i, parts := range sections {
+		whole.Add(SectionID(i+1), bytes.Join(parts, nil))
+		parted.AddParts(SectionID(i+1), parts...)
+	}
+	var want, got bytes.Buffer
+	if _, err := whole.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	n, err := parted.WriteTo(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(got.Len()) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("AddParts image (%d bytes, %d reported) differs from Add's (%d bytes)", got.Len(), n, want.Len())
+	}
+	r, err := FromBytes(alignedCopy(got.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := mustSection(t, r, 5); string(s) != "abcdefghijklmnop" {
+		t.Fatalf("section 5 = %q", s)
+	}
+}
+
+// failAfter is an io.Writer that takes n bytes and then fails.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		m := w.n
+		w.n = 0
+		return m, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteToReportsWriteErrors: a write that fails anywhere in the image —
+// header, a section's parts, the final flush — is reported.
+func TestWriteToReportsWriteErrors(t *testing.T) {
+	big := make([]byte, 1<<20+3) // larger than the write buffer, so a part reaches the writer mid-image
+	w := NewWriter()
+	w.AddParts(1, big, big[:5])
+	w.Add(2, []byte("tail"))
+	var full bytes.Buffer
+	size, err := w.WriteTo(&full)
+	if err != nil || size != int64(full.Len()) {
+		t.Fatalf("WriteTo = %d, %v (image %d bytes)", size, err, full.Len())
+	}
+	for _, cut := range []int{0, headerSize, 1 << 20, 1<<20 + 100, int(size) - 1} {
+		if _, err := w.WriteTo(&failAfter{n: cut}); err == nil {
+			t.Errorf("a write failing after %d bytes went unreported", cut)
+		}
+	}
+}
+
+// TestReaderRefcount: an image stays readable until its last reference
+// closes; extra Closes are harmless and a Ref after release panics.
+func TestReaderRefcount(t *testing.T) {
+	w := NewWriter()
+	w.SetVersion(Version+1, MinReaderVersion)
+	w.Add(7, []byte("hello"))
+	var img bytes.Buffer
+	if _, err := w.WriteTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromBytes(alignedCopy(img.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Version() != Version+1 || r.Size() != img.Len() || r.Refs() != 1 {
+		t.Fatalf("version %d, size %d, refs %d", r.Version(), r.Size(), r.Refs())
+	}
+	if r.Ref() != r || r.Refs() != 2 {
+		t.Fatalf("Ref: refs %d", r.Refs())
+	}
+	if err := r.Close(); err != nil || r.Refs() != 1 || string(mustSection(t, r, 7)) != "hello" {
+		t.Fatalf("after one of two Closes: %v, refs %d", err, r.Refs())
+	}
+	for range 2 {
+		if err := r.Close(); err != nil || r.Refs() != 0 {
+			t.Fatalf("Close: %v, refs %d", err, r.Refs())
+		}
+	}
+	if _, ok := r.Section(7); ok {
+		t.Fatal("a released image still serves sections")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Ref on a released reader did not panic")
+		}
+	}()
+	r.Ref()
+}
+
+// TestOpenRejectsUnreadableFiles: a missing file, one shorter than the
+// header and a header-only file with a bad magic all fail Open, mmap or
+// not, and none sniffs as a snapshot.
+func TestOpenRejectsUnreadableFiles(t *testing.T) {
+	dir := t.TempDir()
+	short, junk := filepath.Join(dir, "short"), filepath.Join(dir, "junk")
+	if err := os.WriteFile(short, []byte("REMI"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(junk, make([]byte, 2*headerSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "missing"), short, junk} {
+		for _, noMmap := range []bool{false, true} {
+			if _, err := Open(path, Options{NoMmap: noMmap}); err == nil {
+				t.Errorf("%s (NoMmap=%v): opened", path, noMmap)
+			}
+		}
+		if SniffFile(path) {
+			t.Errorf("%s sniffs as a snapshot", path)
+		}
+	}
+	if _, err := View[struct{}](make([]byte, 8)); err == nil {
+		t.Error("a zero-size view element accepted")
+	}
+	if _, err := View[uint64](Bytes(make([]uint64, 2))[1:9]); err == nil {
+		t.Error("a misaligned view accepted")
 	}
 }

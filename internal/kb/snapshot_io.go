@@ -4,7 +4,7 @@ package kb
 // container of internal/kb/snapshot. WriteSnapshot persists everything the
 // accessors read and cannot derive — the front-coded dictionary (plus its
 // term-order permutation, so Lookup needs no rebuilt hash map), the kind
-// array, predicate names, per-predicate CSR indexes concatenated into shared
+// array, predicate names, per-predicate CSR indexes laid end to end in shared
 // arenas and the frequency statistics. OpenSnapshot maps the file and casts
 // the sections straight into the []EntID/[]uint32 slices the binary searches
 // walk: cold start costs page-in I/O plus one checksum pass instead of
@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"github.com/remi-kb/remi/internal/frontcoding"
 	"github.com/remi-kb/remi/internal/kb/snapshot"
@@ -55,15 +56,28 @@ const metaWords = 6
 // dictionary becomes front-coded serialized-term blocks plus the rank
 // permutation (no raw blob, no per-entity offset table), and the adjacency
 // arena is not written at all — a reader derives it from the pso CSR on
-// first use. The CSR arenas are handed to the container as views
-// over the live index arrays wherever the in-memory layout is already
-// contiguous; only the per-predicate arrays are concatenated into shared
-// arenas (a pack-once copy).
+// first use. Nothing the KB already holds is copied: each CSR arena section
+// is handed to the container as its per-predicate index arrays, and the
+// dictionary is walked once, in term order, into the front coder.
 func (k *KB) WriteSnapshot(w io.Writer) error {
 	sw := snapshot.NewWriter()
 	nEnt := len(k.kind)
 	nPred := len(k.predNames)
-	sorted := k.dict.SortedByTerm()
+
+	// Dictionary: terms serialized with their kind prefix and front-coded
+	// in ascending term order. Decode(id) walks one 16-entry block at
+	// rank[id-1]; Lookup binary-searches block heads.
+	sorted := make([]rdf.ID, 0, nEnt)
+	rank := make([]uint32, nEnt)
+	var fcb frontcoding.FCBuilder
+	var buf []byte
+	k.dict.EachByTerm(func(id rdf.ID, t rdf.Term) bool {
+		rank[id-1] = uint32(len(sorted))
+		sorted = append(sorted, id)
+		buf = frontcoding.AppendTerm(buf[:0], t)
+		fcb.Append(buf)
+		return true
+	})
 
 	meta := []uint64{
 		uint64(nEnt), uint64(nPred), uint64(k.nBase),
@@ -90,48 +104,24 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	sw.Add(secEntFreq, snapshot.Bytes(k.entFreq))
 
 	// Per-predicate CSR indexes: three counts per predicate, then each of
-	// the six arrays concatenated across predicates in predicate order.
+	// the six arrays laid end to end across predicates in predicate order.
 	counts := make([]uint32, 0, nPred*3)
-	var nPairs, nPsoKeys, nPosKeys int
+	var csr [6][][]byte // psoKey, psoOff, psoVal, posKey, posOff, posVal
 	for i := range k.preds {
 		ix := &k.preds[i]
 		counts = append(counts, uint32(len(ix.psoVal)), uint32(len(ix.psoKey)), uint32(len(ix.posKey)))
-		nPairs += len(ix.psoVal)
-		nPsoKeys += len(ix.psoKey)
-		nPosKeys += len(ix.posKey)
-	}
-	psoKey := make([]EntID, 0, nPsoKeys)
-	psoOff := make([]uint32, 0, nPsoKeys+nPred)
-	psoVal := make([]EntID, 0, nPairs)
-	posKey := make([]EntID, 0, nPosKeys)
-	posOff := make([]uint32, 0, nPosKeys+nPred)
-	posVal := make([]EntID, 0, nPairs)
-	for i := range k.preds {
-		ix := &k.preds[i]
-		psoKey = append(psoKey, ix.psoKey...)
-		psoOff = append(psoOff, ix.psoOff...)
-		psoVal = append(psoVal, ix.psoVal...)
-		posKey = append(posKey, ix.posKey...)
-		posOff = append(posOff, ix.posOff...)
-		posVal = append(posVal, ix.posVal...)
+		for j, a := range [6][]byte{
+			snapshot.Bytes(ix.psoKey), snapshot.Bytes(ix.psoOff), snapshot.Bytes(ix.psoVal),
+			snapshot.Bytes(ix.posKey), snapshot.Bytes(ix.posOff), snapshot.Bytes(ix.posVal),
+		} {
+			csr[j] = append(csr[j], a)
+		}
 	}
 	sw.Add(secPredCounts, snapshot.Bytes(counts))
-	sw.Add(secPsoKey, snapshot.Bytes(psoKey))
-	sw.Add(secPsoOff, snapshot.Bytes(psoOff))
-	sw.Add(secPsoVal, snapshot.Bytes(psoVal))
-	sw.Add(secPosKey, snapshot.Bytes(posKey))
-	sw.Add(secPosOff, snapshot.Bytes(posOff))
-	sw.Add(secPosVal, snapshot.Bytes(posVal))
-
-	// Dictionary: terms serialized with their kind prefix and front-coded
-	// in ascending term order. Decode(id) walks one 16-entry block at
-	// rank[id-1]; Lookup binary-searches block heads.
-	rank := make([]uint32, nEnt)
-	var fcb frontcoding.FCBuilder
-	for r, id := range sorted {
-		rank[id-1] = uint32(r)
-		fcb.Append(frontcoding.SerializeTerm(k.dict.Decode(id)))
+	for j, id := range [6]snapshot.SectionID{secPsoKey, secPsoOff, secPsoVal, secPosKey, secPosOff, secPosVal} {
+		sw.AddParts(id, csr[j]...)
 	}
+
 	blob, blockOffs, _ := fcb.Finish()
 	sw.Add(secTermRank, snapshot.Bytes(rank))
 	sw.Add(secTermFC, blob)
@@ -143,12 +133,14 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 
 // WriteSnapshotFile writes the snapshot to path crash-safely: the bytes go
 // to a temp file in the same directory, are fsynced, and only then rename
-// into place. A reader (a replica pulling from a shared snapshot dir, a
-// concurrent kbgen) therefore sees either the previous complete image or
-// the new complete image — never a torn half-write.
+// into place, and the directory is synced after the rename. A reader (a
+// replica pulling from a shared snapshot dir, a concurrent kbgen) therefore
+// sees either the previous complete image or the new complete image —
+// never a torn half-write — and once it returns, the new image survives a
+// power cut under its name.
 func (k *KB) WriteSnapshotFile(path string) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -161,8 +153,9 @@ func (k *KB) WriteSnapshotFile(path string) error {
 	if err := k.WriteSnapshot(f); err != nil {
 		return fail(err)
 	}
-	// The rename only makes the name durable; Sync makes the bytes durable
-	// first, so a crash between the two cannot leave a named empty file.
+	// Sync makes the bytes durable before the rename publishes them, so a
+	// crash between the two cannot leave a named empty file; the directory
+	// sync after the rename makes the name durable.
 	if err := f.Sync(); err != nil {
 		return fail(err)
 	}
@@ -174,7 +167,26 @@ func (k *KB) WriteSnapshotFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs the directory dir, making the entries created, renamed or
+// removed in it durable: a file's fsync covers its bytes, not its name. It
+// is a variable so that tests can observe where it falls among the steps
+// of a compaction.
+var SyncDir = func(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil // a directory cannot be opened for sync there
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // OpenSnapshot opens a KB snapshot written by WriteSnapshot. On unix the

@@ -214,6 +214,37 @@ func TestSnapshotRepack(t *testing.T) {
 	checkSameKB(t, k, twice)
 }
 
+// TestSnapshotLazyWalks: the writer walks a snapshot-opened dictionary's
+// terms borrowed from the front-coded blocks' decode buffer, so repacking
+// must write the very bytes it opened, and the dictionary walks that hand
+// terms out to keep (Terms, EachTerm) must still own every one.
+func TestSnapshotLazyWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	k := randomKB(t, rng, 400, 30, 6, 0.2)
+	var first, again bytes.Buffer
+	if err := k.WriteSnapshot(&first); err != nil {
+		t.Fatal(err)
+	}
+	lazy := reopen(t, k, false)
+	defer lazy.Close()
+	if err := lazy.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), again.Bytes()) {
+		t.Fatal("repacking a snapshot-opened KB changed its bytes")
+	}
+	kept := make([]rdf.Term, lazy.NumEntities())
+	lazy.dict.EachTerm(func(id rdf.ID, term rdf.Term) bool {
+		kept[id-1] = term
+		return true
+	})
+	for i, term := range lazy.dict.Terms() {
+		if want := k.Term(EntID(i + 1)); term != want || kept[i] != want {
+			t.Fatalf("entity %d: Terms %v, EachTerm %v, want %v", i+1, term, kept[i], want)
+		}
+	}
+}
+
 // TestSnapshotMmapVsHeapEquivalence opens the same image both ways and
 // diffs them against each other (not just against the builder KB).
 func TestSnapshotMmapVsHeapEquivalence(t *testing.T) {

@@ -64,7 +64,8 @@ type LazyTerms interface {
 	RankOf(t Term) (int, bool)
 	// EachTerm calls f for every rank in ascending order until f returns
 	// false. Sequential decoding is expected to be much cheaper than n
-	// independent TermAtRank calls.
+	// independent TermAtRank calls. The term's Value may alias the
+	// source's decode buffer: it is valid only until f returns.
 	EachTerm(f func(rank int, t Term) bool)
 }
 
@@ -182,21 +183,19 @@ func ExtendDictionary(base *Dictionary, extra []Term) (*Dictionary, error) {
 			return nil, fmt.Errorf("rdf: extend: duplicate term %s", t)
 		}
 	}
-	d.extraSorted = d.mergeByTerm(base.extraSorted, fresh, d.tailTerm)
+	d.extraSorted = d.mergeByTerm(base.extraSorted, fresh)
 	return d, nil
 }
 
 // tailTerm decodes an id of an extended dictionary's tail.
 func (d *Dictionary) tailTerm(id ID) Term { return d.extraTerms[int(id)-d.base.Len()-1] }
 
-// mergeByTerm merges two id lists, each ascending in term order, into one;
-// the ids of a are decoded with decodeA, those of b with tailTerm. Each
-// merge step decodes at most one term of a (which matters when a's
-// dictionary is lazy).
-func (d *Dictionary) mergeByTerm(a, b []ID, decodeA func(ID) Term) []ID {
+// mergeByTerm merges two lists of tail ids, each ascending in term order,
+// into one.
+func (d *Dictionary) mergeByTerm(a, b []ID) []ID {
 	out := make([]ID, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		at := decodeA(a[0])
+		at := d.tailTerm(a[0])
 		for len(b) > 0 && d.tailTerm(b[0]).Compare(at) < 0 {
 			out, b = append(out, b[0]), b[1:]
 		}
@@ -206,19 +205,37 @@ func (d *Dictionary) mergeByTerm(a, b []ID, decodeA func(ID) Term) []ID {
 	return append(out, b...)
 }
 
-// SortedByTerm returns the IDs permuted into ascending Term.Compare order —
-// the binary-search index a snapshot writer persists so that reopening needs
-// no hashing pass at all. A lazy dictionary already carries the
-// permutation, so re-packing a snapshot-loaded KB skips the sort, and an
-// extended one merges its base's order with its term-ordered tail.
-func (d *Dictionary) SortedByTerm() []ID {
+// EachByTerm calls f with every (id, term) pair in ascending Term.Compare
+// order until f returns false — the order a snapshot writer persists, so
+// that reopening needs no hashing pass at all. Each form walks its terms
+// once: the lazy form is one pass over its source (already in term order),
+// an extended one merges its root's walk with its term-ordered tail, and
+// the builder form sorts its ids first. The term's Value is valid only
+// until f returns (a lazy source lends its decode buffer); clone it to
+// keep it.
+func (d *Dictionary) EachByTerm(f func(id ID, t Term) bool) {
 	switch {
 	case d.lazy != nil:
-		return slices.Clone(d.sorted)
+		d.lazy.EachTerm(func(r int, t Term) bool { return f(d.sorted[r], t) })
 	case d.base != nil:
-		return d.mergeByTerm(d.base.SortedByTerm(), d.extraSorted, d.base.Decode)
+		tail, more := d.extraSorted, true
+		d.base.EachByTerm(func(id ID, t Term) bool {
+			for more && len(tail) > 0 && d.tailTerm(tail[0]).Compare(t) < 0 {
+				more, tail = f(tail[0], d.tailTerm(tail[0])), tail[1:]
+			}
+			more = more && f(id, t)
+			return more
+		})
+		for more && len(tail) > 0 {
+			more, tail = f(tail[0], d.tailTerm(tail[0])), tail[1:]
+		}
+	default:
+		for _, id := range sortIDsByTerm(d.terms) {
+			if !f(id, d.terms[id-1]) {
+				return
+			}
+		}
 	}
-	return sortIDsByTerm(d.terms)
 }
 
 // sortIDsByTerm returns the ids of terms (terms[i] has id i+1) in ascending
@@ -270,7 +287,7 @@ func (d *Dictionary) Terms() []Term {
 	case d.lazy != nil:
 		out := make([]Term, d.lazy.Len())
 		d.lazy.EachTerm(func(r int, t Term) bool {
-			out[d.sorted[r]-1] = t
+			out[d.sorted[r]-1] = Term{Kind: t.Kind, Value: strings.Clone(t.Value)}
 			return true
 		})
 		return out
@@ -289,7 +306,7 @@ func (d *Dictionary) EachTerm(f func(id ID, t Term) bool) {
 	switch {
 	case d.lazy != nil:
 		d.lazy.EachTerm(func(r int, t Term) bool {
-			return f(d.sorted[r], t)
+			return f(d.sorted[r], Term{Kind: t.Kind, Value: strings.Clone(t.Value)})
 		})
 	case d.base != nil:
 		stopped := false

@@ -37,25 +37,69 @@ func (s sliceLazyTerms) EachTerm(f func(rank int, t Term) bool) {
 
 // buildDictForms returns the same three-term dictionary in both base forms:
 // insertion order C, A, B (IDs 1..3), ascending term order A, B, C.
-func buildDictForms(t *testing.T) (builder, lazy *Dictionary) {
+func buildDictForms(t testing.TB) (builder, lazy *Dictionary) {
 	t.Helper()
 	builder = NewDictionary()
 	for _, v := range []string{"http://e/C", "http://e/A", "http://e/B"} {
 		builder.Encode(NewIRI(v))
 	}
-	terms := slices.Clone(builder.Terms())
-	sorted := builder.SortedByTerm() // A=2, B=3, C=1
+	return builder, lazyOf(t, builder)
+}
+
+// lazyOf returns the lazy form of a builder dictionary: the same ids over a
+// term-ascending source.
+func lazyOf(t testing.TB, builder *Dictionary) *Dictionary {
+	t.Helper()
+	terms := builder.Terms()
+	sorted := walkByTerm(t, builder)
 	asc := make(sliceLazyTerms, len(sorted))
 	rank := make([]uint32, len(sorted))
 	for r, id := range sorted {
 		asc[r] = terms[id-1]
 		rank[id-1] = uint32(r)
 	}
-	lazy, err := NewLazyDictionary(asc, slices.Clone(sorted), rank)
+	lazy, err := NewLazyDictionary(asc, sorted, rank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return builder, lazy
+	return lazy
+}
+
+// walkByTerm returns the ids EachByTerm yields, after checking the walk
+// against a reference sort: every id exactly once, each with its own term,
+// in ascending Term.Compare order — and that the walk stops where f
+// returns false.
+func walkByTerm(t testing.TB, d *Dictionary) []ID {
+	t.Helper()
+	var ids []ID
+	seen := make([]bool, d.Len()+1)
+	d.EachByTerm(func(id ID, term Term) bool {
+		if id == NoID || int(id) > d.Len() || seen[id] {
+			t.Fatalf("EachByTerm yielded id %d twice or out of range 1..%d", id, d.Len())
+		}
+		seen[id] = true
+		if term != d.Decode(id) {
+			t.Fatalf("EachByTerm yielded %v with id %d, which decodes to %v", term, id, d.Decode(id))
+		}
+		ids = append(ids, id)
+		return true
+	})
+	want := make([]ID, d.Len())
+	for i := range want {
+		want[i] = ID(i + 1)
+	}
+	slices.SortFunc(want, func(a, b ID) int { return d.Decode(a).Compare(d.Decode(b)) })
+	if !slices.Equal(ids, want) {
+		t.Fatalf("EachByTerm yielded %d ids in an order other than the reference sort's (%d ids)", len(ids), len(want))
+	}
+	for stop := 1; stop <= len(ids); stop += max(1, len(ids)/7) {
+		calls := 0
+		d.EachByTerm(func(ID, Term) bool { calls++; return calls < stop })
+		if calls != stop {
+			t.Fatalf("EachByTerm told to stop at call %d made %d calls", stop, calls)
+		}
+	}
+	return ids
 }
 
 func TestDictionaryFormsAgree(t *testing.T) {
@@ -76,8 +120,8 @@ func TestDictionaryFormsAgree(t *testing.T) {
 		if _, ok := d.Lookup(NewIRI("http://e/missing")); ok {
 			t.Fatalf("%s: Lookup of a missing term succeeded", name)
 		}
-		if got, want := d.SortedByTerm(), []ID{2, 3, 1}; !slices.Equal(got, want) {
-			t.Fatalf("%s: SortedByTerm = %v, want %v", name, got, want)
+		if got, want := walkByTerm(t, d), []ID{2, 3, 1}; !slices.Equal(got, want) {
+			t.Fatalf("%s: EachByTerm = %v, want %v", name, got, want)
 		}
 		if got := d.Terms(); len(got) != 3 || got[0] != NewIRI("http://e/C") || got[2] != NewIRI("http://e/B") {
 			t.Fatalf("%s: Terms = %v", name, got)
@@ -145,10 +189,10 @@ func TestExtendDictionaryOverEveryBaseForm(t *testing.T) {
 		if got := ext.Terms(); len(got) != 5 || got[3] != NewIRI("http://e/D") {
 			t.Fatalf("%s: extended Terms = %v", name, got)
 		}
-		// SortedByTerm must interleave the tail into the base order:
+		// EachByTerm must interleave the tail into the base order:
 		// IRIs A,B,C,D then the blank node (IRI < Literal < Blank).
-		if got, want := ext.SortedByTerm(), []ID{2, 3, 1, 4, 5}; !slices.Equal(got, want) {
-			t.Fatalf("%s: extended SortedByTerm = %v, want %v", name, got, want)
+		if got, want := walkByTerm(t, ext), []ID{2, 3, 1, 4, 5}; !slices.Equal(got, want) {
+			t.Fatalf("%s: extended EachByTerm = %v, want %v", name, got, want)
 		}
 		count := 0
 		ext.EachTerm(func(ID, Term) bool { count++; return true })
@@ -212,8 +256,8 @@ func TestExtendDictionaryChainStaysFlat(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %d,%v, want %d", term, got, ok, id)
 		}
 	}
-	if got, want := d.SortedByTerm(), once.SortedByTerm(); !slices.Equal(got, want) {
-		t.Fatal("SortedByTerm differs from the single extension's")
+	if got, want := walkByTerm(t, d), walkByTerm(t, once); !slices.Equal(got, want) {
+		t.Fatal("EachByTerm differs from the single extension's")
 	}
 	// Earlier links are untouched by later ones.
 	if mid.Len() != 3+1500 {
@@ -273,8 +317,8 @@ func TestExtendDictionaryRandomChainsAndForks(t *testing.T) {
 			if !slices.Equal(l.d.Terms(), want.Terms()) {
 				t.Fatalf("%s link %d: Terms differ", name, i)
 			}
-			if !slices.Equal(l.d.SortedByTerm(), want.SortedByTerm()) {
-				t.Fatalf("%s link %d: SortedByTerm differs", name, i)
+			if !slices.Equal(walkByTerm(t, l.d), walkByTerm(t, want)) {
+				t.Fatalf("%s link %d: EachByTerm differs", name, i)
 			}
 			for id, term := range l.terms {
 				if got := l.d.Decode(ID(id + 1)); got != term {
@@ -370,12 +414,12 @@ func TestReadBorrowed(t *testing.T) {
 	}
 }
 
-// TestSortedByTermSplitMatchesSingleSort: the builder form's term-order sort,
+// TestEachByTermSplitMatchesSingleSort: the builder form's term-order sort,
 // two halves on two goroutines and their merge, gives the permutation of a
 // single reference sort, on sizes from 0 up and with an odd and an even
 // split. Equal values under different kinds are distinct terms that the
 // kind orders.
-func TestSortedByTermSplitMatchesSingleSort(t *testing.T) {
+func TestEachByTermSplitMatchesSingleSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	kinds := []Kind{IRI, Literal, Blank}
 	for _, n := range []int{0, 1, 2, 3, 4096, 10001} {
@@ -389,8 +433,10 @@ func TestSortedByTermSplitMatchesSingleSort(t *testing.T) {
 			want[i] = ID(i + 1)
 		}
 		slices.SortFunc(want, func(a, b ID) int { return terms[a-1].Compare(terms[b-1]) })
-		if got := d.SortedByTerm(); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: SortedByTerm differs from the single sort", n)
+		var got []ID
+		d.EachByTerm(func(id ID, _ Term) bool { got = append(got, id); return true })
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: EachByTerm differs from the single sort", n)
 		}
 		kindsOf := map[string]int{}
 		for _, tm := range terms {
@@ -400,4 +446,43 @@ func TestSortedByTermSplitMatchesSingleSort(t *testing.T) {
 			t.Fatalf("n=%d: no value is held under two kinds", n)
 		}
 	}
+}
+
+// FuzzEachByTerm splits a random term set into a base, builder or lazy,
+// and a tail appended over up to a few chained extensions. The extended
+// dictionary's walk must be the reference sort, and the order of a builder
+// dictionary holding the same terms under the same ids.
+func FuzzEachByTerm(f *testing.F) {
+	f.Add(uint64(1), uint8(12), uint8(5), false)
+	f.Add(uint64(2), uint8(40), uint8(17), true)
+	f.Add(uint64(3), uint8(33), uint8(0), true)
+	f.Add(uint64(4), uint8(9), uint8(9), false)
+	f.Fuzz(func(t *testing.T, seed uint64, n, split uint8, lazy bool) {
+		rng := rand.New(rand.NewPCG(seed, 48))
+		kinds := []Kind{IRI, Literal, Blank}
+		all := NewDictionary()
+		for all.Len() < int(n) {
+			all.Encode(Term{Kind: kinds[rng.IntN(len(kinds))], Value: fmt.Sprintf("v%d", rng.IntN(4*int(n)))})
+		}
+		terms := all.Terms()
+		cut := int(split) % (len(terms) + 1)
+		d := NewDictionary()
+		for _, term := range terms[:cut] {
+			d.Encode(term)
+		}
+		if lazy {
+			d = lazyOf(t, d)
+		}
+		for rest := terms[cut:]; len(rest) > 0; {
+			k := 1 + rng.IntN(len(rest))
+			var err error
+			if d, err = ExtendDictionary(d, rest[:k]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[k:]
+		}
+		if got, want := walkByTerm(t, d), walkByTerm(t, all); !slices.Equal(got, want) {
+			t.Fatalf("extended walk %v, builder walk %v", got, want)
+		}
+	})
 }

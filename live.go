@@ -195,6 +195,12 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	}
 	l.log = log
 	l.overlay = delta.New(base)
+	// The WAL may have just been created: its name must be durable before
+	// an append to it is acknowledged.
+	if err := kb.SyncDir(dir); err != nil {
+		l.Close()
+		return nil, fmt.Errorf("remi: live KB %q: syncing %s: %w", name, dir, err)
+	}
 	l.recoveryDropped = rec.DroppedBytes
 	var ops []delta.Op
 	for _, payload := range rec.Records {
@@ -324,10 +330,11 @@ func (l *LiveKB) Apply(ctx context.Context, ops []delta.Op, requestID string) (s
 
 // Compact writes the generation it serves as the new snapshot and
 // truncates the WAL, in that order: the snapshot is written to a temp file
-// and atomically renamed over <name>.snap, and only once it is durable does
-// the WAL shrink. A crash (or injected fault) after the rename but before the
-// truncate loses nothing — the next boot opens the new snapshot and
-// replays the stale WAL records as no-ops. On success the overlay counts
+// and atomically renamed over <name>.snap, the directory is synced so that
+// the rename survives a power cut, and only then does the WAL shrink. A
+// crash (or injected fault) after the rename but before the truncate loses
+// nothing — the next boot opens the new snapshot and replays the stale WAL
+// records as no-ops. On success the overlay counts
 // later writes from that generation, and Compact returns the System already
 // serving it: nothing is reopened, and readers see no change.
 func (l *LiveKB) Compact(ctx context.Context) (*System, error) {

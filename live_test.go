@@ -404,6 +404,73 @@ func TestLiveKBCompactionAndCrash(t *testing.T) {
 	assertSameGolden(t, "boot from compacted snapshot", mineGolden(t, final.System(), sets), want)
 }
 
+// TestLiveKBDurabilityOrder pins the order of the steps that make a live
+// KB's files survive a power cut, through the kb.SyncDir seam: OpenLive
+// syncs the directory once the WAL exists, and Compact renames the new
+// snapshot into place, then syncs the directory, and only then truncates
+// the WAL — so a failed directory sync leaves the WAL whole. No test cuts
+// the power; this pins the order that makes a cut safe.
+func TestLiveKBDurabilityOrder(t *testing.T) {
+	dir := t.TempDir()
+	src, _ := writeTinySource(t, dir)
+	snap, walPath := filepath.Join(dir, "tiny.snap"), filepath.Join(dir, "tiny.wal")
+	var events []string
+	var syncErr error
+	sync := kb.SyncDir
+	defer func() { kb.SyncDir = sync }()
+	kb.SyncDir = func(d string) error {
+		if d != dir {
+			t.Errorf("synced %s, want the live dir %s", d, dir)
+		}
+		temps, _ := filepath.Glob(filepath.Join(dir, ".tiny.snap.tmp-*"))
+		snapInfo, snapErr := os.Stat(snap)
+		walInfo, walErr := os.Stat(walPath)
+		switch {
+		case walErr != nil:
+			events = append(events, "sync before the WAL exists")
+		case snapErr != nil:
+			events = append(events, fmt.Sprintf("sync (no snapshot, WAL %d bytes)", walInfo.Size()))
+		case len(temps) > 0:
+			events = append(events, "sync before the rename")
+		default:
+			events = append(events, fmt.Sprintf("sync (snapshot %t, WAL %d bytes)", snapInfo.Size() > 0, walInfo.Size()))
+		}
+		if syncErr != nil {
+			return syncErr
+		}
+		return sync(d)
+	}
+	live, err := OpenLive(dir, "tiny", LiveOptions{Source: src, Build: liveBuildOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	ctx := context.Background()
+	if _, _, err := live.Apply(ctx, tinyMutations()[0], ""); err != nil {
+		t.Fatal(err)
+	}
+	walBytes := live.Stats().WalBytes
+	syncErr = errors.New("directory sync failed")
+	if _, err := live.Compact(ctx); !errors.Is(err, syncErr) {
+		t.Fatalf("compaction over a failing directory sync: %v", err)
+	}
+	if st := live.Stats(); st.WalBytes != walBytes || st.Compactions != 0 {
+		t.Fatalf("a compaction whose directory sync failed truncated the WAL: %+v", st)
+	}
+	syncErr = nil
+	if _, err := live.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := live.Stats(); st.WalBytes != 0 || st.Compactions != 1 {
+		t.Fatalf("after compaction: %+v", st)
+	}
+	walSync := fmt.Sprintf("sync (snapshot true, WAL %d bytes)", walBytes)
+	want := []string{"sync (no snapshot, WAL 0 bytes)", walSync, walSync}
+	if !slices.Equal(events, want) {
+		t.Fatalf("durability steps %q, want %q", events, want)
+	}
+}
+
 // assertSameKB compares two KBs element for element: the id spaces, the
 // facts of every predicate by id, and the per-entity statistics.
 func assertSameKB(t *testing.T, label string, got, want *kb.KB) {

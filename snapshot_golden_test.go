@@ -7,15 +7,20 @@ package remi
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/experiments"
 	"github.com/remi-kb/remi/internal/kb"
+	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/rdf"
 )
 
@@ -146,6 +151,101 @@ func TestSnapshotBytePin(t *testing.T) {
 		}
 		if sum := sha256.Sum256(img.Bytes()); hex.EncodeToString(sum[:]) != snapshotPin {
 			t.Errorf("%s: snapshot SHA-256 %x, want %s", c.name, sum, snapshotPin)
+		}
+	}
+}
+
+// compactedPins are the SHA-256s of the three images
+// TestCompactedSnapshotBytePin compacts, in order. A change to one is a
+// change to what a compaction writes for the same history.
+var compactedPins = []string{
+	"f8dce27aeeb95e0df766ea741b159e0eb0e8e8574d133c16ee72ecef7f2c12d9",
+	"43c6532a1a51a435429de423c2c4561d61326809f35c328e12a05127daeee660",
+	"24f4ae4baa4cb741bc27e0904e3a43844e60dd798bdf4b3b8b65baba6163beb3",
+}
+
+// TestCompactedSnapshotBytePin opens a live KB over a scale-1 DBpediaLike
+// snapshot and compacts it three times, each after two batches of re-linked
+// subjects, retracts and fresh terms. The fresh IRIs and literals sort
+// before, between and after the base's terms, and the in-between ones land
+// in blocks spread over the whole term table, so every compaction writes a
+// term order that interleaves an extension tail with the base's lazy terms.
+// Each compacted image must be the pinned bytes.
+func TestCompactedSnapshotBytePin(t *testing.T) {
+	d := datagen.DBpediaLike(datagen.Config{Seed: 1, Scale: 1})
+	k, err := d.BuildKB(kb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.snap")
+	if err := k.WriteSnapshotFile(src); err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	var named, literal []rdf.Triple
+	for _, tr := range d.Triples {
+		switch {
+		case tr.S.Kind == rdf.Blank || tr.O.Kind == rdf.Blank:
+		case tr.O.Kind == rdf.Literal:
+			literal = append(literal, tr)
+		default:
+			named = append(named, tr)
+		}
+	}
+	live, err := OpenLive(filepath.Join(dir, "live"), "pin", LiveOptions{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	rng := rand.New(rand.NewSource(48))
+	batch := func(round, n int) []delta.Op {
+		var ops []delta.Op
+		tag := fmt.Sprintf("r%dn%d", round, n)
+		for range 8 {
+			a, b := named[rng.Intn(len(named))], named[rng.Intn(len(named))]
+			ops = append(ops, delta.Op{S: a.S, P: a.P, O: b.O})
+		}
+		for range 4 {
+			a := named[rng.Intn(len(named))]
+			ops = append(ops, delta.Op{Retract: true, S: a.S, P: a.P, O: a.O})
+		}
+		for i := range 24 {
+			a, l := named[rng.Intn(len(named))], literal[rng.Intn(len(literal))]
+			for _, s := range []rdf.Term{
+				rdf.NewIRI(fmt.Sprintf("http://a.remi.test/%s-%d", tag, i)),  // before every base IRI
+				rdf.NewIRI(fmt.Sprintf("%s~%s-%d", a.S.Value, tag, i)),       // right after a base IRI
+				rdf.NewIRI(fmt.Sprintf("http://zz.remi.test/%s-%d", tag, i)), // after every base IRI
+			} {
+				ops = append(ops, delta.Op{S: s, P: a.P, O: a.O})
+			}
+			for _, o := range []rdf.Term{
+				rdf.NewLiteral(fmt.Sprintf(" %s-%d", tag, i)),              // before every base literal
+				rdf.NewLiteral(fmt.Sprintf("%s~%s-%d", l.O.Value, tag, i)), // right after a base literal
+				rdf.NewLiteral(fmt.Sprintf("~%s-%d", tag, i)),              // after every base literal
+			} {
+				ops = append(ops, delta.Op{S: l.S, P: l.P, O: o})
+			}
+		}
+		return ops
+	}
+	ctx := context.Background()
+	snap := filepath.Join(dir, "live", "pin.snap")
+	for round, want := range compactedPins {
+		for n := range 2 {
+			if _, _, err := live.Apply(ctx, batch(round, n), ""); err != nil {
+				t.Fatalf("round %d batch %d: %v", round, n, err)
+			}
+		}
+		if _, err := live.Compact(ctx); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		img, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("compaction %d: image SHA-256 %x, want %s", round+1, sum, want)
 		}
 	}
 }
