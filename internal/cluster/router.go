@@ -222,14 +222,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routeBody is the superset of every POST body the router forwards; it
+// routeBody is the superset of every POST body the router forwards: the
+// mining request the replicas decode, plus a summary's entity and size. It
 // parses leniently (unknown fields pass through untouched — the replica
 // validates) and only extracts what affinity needs.
 type routeBody struct {
 	wire.MineRequest
-	Sets   [][]string `json:"sets"`
-	Entity string     `json:"entity"`
-	Size   int        `json:"size"`
+	Entity string `json:"entity"`
+	Size   int    `json:"size"`
 }
 
 // key is the body's share of the route key: the replicas' own dedup key of

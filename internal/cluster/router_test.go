@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/server"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
@@ -362,6 +363,38 @@ func TestRouterBodyLimits(t *testing.T) {
 	}
 	if n := fleet[0].hits.Load(); n != 0 {
 		t.Fatalf("invalid requests were forwarded %d times", n)
+	}
+}
+
+// TestRouterAndReplicaAgreeOnBodyTypes: both tiers decode one request
+// type, so a body whose unused sets or targets field has the wrong JSON
+// type is a 400 ErrorResponse from the router and from a replica reached
+// directly alike — and the router answers it without forwarding.
+func TestRouterAndReplicaAgreeOnBodyTypes(t *testing.T) {
+	srv := server.New(tinySystem(t), server.Options{DefaultTimeout: 10 * time.Second})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	rt, err := New([]Replica{{Name: "r1", URL: ts.URL}}, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/mine", `{"targets":["x"],"sets":5}`},
+		{"/v1/mine:batch", `{"sets":[["x"]],"targets":5}`},
+	} {
+		direct := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(direct, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		routed := doRouted(rt, "POST", tc.path, tc.body, nil)
+		for tier, rec := range map[string]*httptest.ResponseRecorder{"replica": direct, "router": routed} {
+			var er wire.ErrorResponse
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
+				t.Errorf("%s %s on the %s: %d %s, want a 400 ErrorResponse", tc.path, tc.body, tier, rec.Code, rec.Body.String())
+			}
+		}
+		if name := routed.Header().Get(HeaderReplica); name != "" {
+			t.Errorf("%s %s: the router forwarded an invalid body to %s", tc.path, tc.body, name)
+		}
 	}
 }
 

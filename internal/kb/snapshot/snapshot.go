@@ -165,30 +165,33 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], crc)
 	binary.LittleEndian.PutUint64(hdr[40:], headerSize)
 
-	bw := bufio.NewWriterSize(out, 1<<20)
-	n := int64(0)
-	write := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		return err
-	}
-	if err := write(hdr[:]); err != nil {
-		return n, err
-	}
-	if err := write(dir); err != nil {
-		return n, err
-	}
+	// Count beneath the buffer: what reached out, not what the buffer took.
+	// The buffer keeps its first write error, makes every later write a
+	// no-op and reports the error from Flush.
+	cw := &countingWriter{w: out}
+	bw := bufio.NewWriterSize(cw, 1<<20)
+	bw.Write(hdr[:])
+	bw.Write(dir)
 	for _, s := range w.sections {
 		for _, p := range s.parts {
-			if err := write(p); err != nil {
-				return n, err
-			}
+			bw.Write(p)
 		}
-		if err := write(zeroPad[:align8(s.size)-s.size]); err != nil {
-			return n, err
-		}
+		bw.Write(zeroPad[:align8(s.size)-s.size])
 	}
-	return n, bw.Flush()
+	err := bw.Flush()
+	return cw.n, err
+}
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	m, err := c.w.Write(p)
+	c.n += int64(m)
+	return m, err
 }
 
 // View reinterprets a section's bytes as a []T without copying. T must be a

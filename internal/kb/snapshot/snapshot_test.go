@@ -251,7 +251,8 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestWriteToReportsWriteErrors: a write that fails anywhere in the image —
-// header, a section's parts, the final flush — is reported.
+// header, a section's parts, the final flush — is reported, with the count
+// of the bytes that reached the writer, not of those the buffer took.
 func TestWriteToReportsWriteErrors(t *testing.T) {
 	big := make([]byte, 1<<20+3) // larger than the write buffer, so a part reaches the writer mid-image
 	w := NewWriter()
@@ -263,9 +264,16 @@ func TestWriteToReportsWriteErrors(t *testing.T) {
 		t.Fatalf("WriteTo = %d, %v (image %d bytes)", size, err, full.Len())
 	}
 	for _, cut := range []int{0, headerSize, 1 << 20, 1<<20 + 100, int(size) - 1} {
-		if _, err := w.WriteTo(&failAfter{n: cut}); err == nil {
+		n, err := w.WriteTo(&failAfter{n: cut})
+		if err == nil {
 			t.Errorf("a write failing after %d bytes went unreported", cut)
 		}
+		if n != int64(cut) {
+			t.Errorf("a write failing after %d bytes reported %d written", cut, n)
+		}
+	}
+	if n, err := w.WriteTo(&failAfter{n: int(size)}); err != nil || n != size {
+		t.Errorf("a writer taking the whole image: WriteTo = %d, %v, want %d", n, err, size)
 	}
 }
 

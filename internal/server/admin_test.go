@@ -105,7 +105,7 @@ func TestFactsEndpointDurableAck(t *testing.T) {
 		t.Fatalf("overlay sizing not surfaced: %+v", info)
 	}
 	// The new entity is immediately mineable on the swapped-in generation.
-	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Atlantis"}})
+	rec = postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Atlantis"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine on mutated KB: %d %s", rec.Code, rec.Body.String())
 	}
@@ -124,7 +124,7 @@ func TestFactsEndpointDurableAck(t *testing.T) {
 func TestFactsMutationInvalidatesCachedAnswers(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: 64})
 	h := s.Handler()
-	targets := MineRequest{Targets: []string{tinyNS + "Rennes"}}
+	targets := wire.MineRequest{Targets: []string{tinyNS + "Rennes"}}
 
 	rec := postJSON(t, h, "/v1/kb/geo/mine", targets)
 	if rec.Code != http.StatusOK {
@@ -192,7 +192,7 @@ func TestFactsValidationErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 			continue
 		}
-		er := decode[ErrorResponse](t, rec)
+		er := decode[wire.ErrorResponse](t, rec)
 		if er.Error == "" || er.RequestID != "vreq-"+tc.name {
 			t.Errorf("%s: error envelope = %+v", tc.name, er)
 		}
@@ -236,7 +236,7 @@ func TestCompileEndpoint(t *testing.T) {
 		t.Fatalf("live stats: %+v", st)
 	}
 	// The compacted generation still answers the mutated facts.
-	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Guyana"}})
+	rec = postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Guyana"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine after compile: %d %s", rec.Code, rec.Body.String())
 	}
@@ -264,7 +264,7 @@ func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
 		t.Fatalf("facts: %d %s", rec.Code, rec.Body.String())
 	}
 	facts := decode[FactsResponse](t, rec)
-	mine := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	mine := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 	if rec := postJSON(t, h, "/v1/kb/geo/mine", mine); rec.Code != http.StatusOK {
 		t.Fatalf("mine: %d %s", rec.Code, rec.Body.String())
 	}
@@ -282,7 +282,7 @@ func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
 	if !decode[MineResponse](t, rec).Cached {
 		t.Fatal("compile invalidated the result cache")
 	}
-	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Atlantis"}})
+	rec = postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Atlantis"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mining the minted entity after compile: %d %s", rec.Code, rec.Body.String())
 	}
@@ -315,7 +315,7 @@ func TestCompileWhileCompacting(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("concurrent compile: %d, want 409 (%s)", rec.Code, rec.Body.String())
 	}
-	if er := decode[ErrorResponse](t, rec); er.Error == "" {
+	if er := decode[wire.ErrorResponse](t, rec); er.Error == "" {
 		t.Fatal("409 without an error body")
 	}
 	disarm()
@@ -341,7 +341,7 @@ func TestFactsChaosWalSyncFailure(t *testing.T) {
 	if info.Generation != 0 || info.FactsApplied != 0 {
 		t.Fatalf("failed sync leaked state: %+v", info)
 	}
-	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Atlantis"}})
+	rec = postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Atlantis"}})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unacked fact visible to mining: %d", rec.Code)
 	}
@@ -369,7 +369,7 @@ func TestFactsChaosTornAppend(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("append on failed log: %d, want 500", rec.Code)
 	}
-	rec = postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec = postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("read path degraded by torn WAL: %d %s", rec.Code, rec.Body.String())
 	}
@@ -408,7 +408,7 @@ func TestCompileChaosCrashContainment(t *testing.T) {
 	if st := live.Stats(); st.Compactions != 0 {
 		t.Fatalf("compaction counted despite crash: %+v", st)
 	}
-	rec2 := postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Atlantis"}})
+	rec2 := postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Atlantis"}})
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("acked fact lost after compile crash: %d %s", rec2.Code, rec2.Body.String())
 	}
@@ -433,7 +433,7 @@ func TestSwapsKeepServingGeneration(t *testing.T) {
 			t.Fatalf("facts %d: %d %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	rec := postJSON(t, h, "/v1/kb/geo/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/kb/geo/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("serving generation broken after swaps: %d %s", rec.Code, rec.Body.String())
 	}

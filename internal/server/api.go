@@ -4,30 +4,8 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
-	"github.com/remi-kb/remi/internal/wire"
+	"github.com/remi-kb/remi/internal/server/jobs"
 )
-
-// MineRequest is the body of POST /v1/mine; the shape, and what makes two
-// requests the same query, is the tiers' shared contract (wire.MineRequest).
-type MineRequest wire.MineRequest
-
-// normalize sorts and deduplicates the targets in place so that equal
-// queries share one dedup key regardless of target order.
-func (q *MineRequest) normalize() { (*wire.MineRequest)(q).Normalize() }
-
-// key is the in-flight deduplication key of the request as it stands
-// (mineOptions canonicalises it first); see wire.MineRequest.Key.
-func (q *MineRequest) key() string { return (*wire.MineRequest)(q).Key() }
-
-// Solution is the wire form of remi.Solution.
-type Solution struct {
-	Expression string   `json:"expression"`
-	Subgraphs  []string `json:"subgraphs,omitempty"`
-	NL         string   `json:"nl"`
-	SPARQL     string   `json:"sparql"`
-	Bits       float64  `json:"bits"`
-	Atoms      int      `json:"atoms"`
-}
 
 // MineStats is the wire form of remi.MineStats.
 type MineStats struct {
@@ -45,10 +23,10 @@ type MineStats struct {
 type MineResponse struct {
 	Found bool `json:"found"`
 	// Solution is present when Found.
-	Solution     *Solution  `json:"solution,omitempty"`
-	Alternatives []Solution `json:"alternatives,omitempty"`
-	Exceptions   []string   `json:"exceptions,omitempty"`
-	Stats        MineStats  `json:"stats"`
+	Solution     *remi.Solution  `json:"solution,omitempty"`
+	Alternatives []remi.Solution `json:"alternatives,omitempty"`
+	Exceptions   []string        `json:"exceptions,omitempty"`
+	Stats        MineStats       `json:"stats"`
 	// Deduplicated reports that this response was served by joining a mining
 	// run already in flight for an identical query.
 	Deduplicated bool `json:"deduplicated,omitempty"`
@@ -65,23 +43,6 @@ type SummarizeRequest struct {
 	// Size is the number of features to return (default 5).
 	Size   int    `json:"size,omitempty"`
 	Metric string `json:"metric,omitempty"`
-}
-
-// BatchMineRequest is the body of POST /v1/mine:batch: many target sets,
-// each mined as an ordinary mine at batch priority. The option fields apply
-// to every set (the timeout budgets each set separately).
-type BatchMineRequest struct {
-	// Sets are the target sets, one mining task each (required; capped by
-	// the server's MaxBatchSets, each set by MaxTargets).
-	Sets [][]string `json:"sets"`
-	// KB routes the whole batch to a registered knowledge base (optional).
-	KB         string `json:"kb,omitempty"`
-	Metric     string `json:"metric,omitempty"`
-	Language   string `json:"language,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
-	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
-	TopK       int    `json:"top_k,omitempty"`
-	Exceptions int    `json:"exceptions,omitempty"`
 }
 
 // BatchMineItem is the outcome of one target set of a batch: exactly one of
@@ -242,7 +203,7 @@ type StatsResponse struct {
 	ResultCache ResultCacheStats `json:"result_cache"`
 	// Jobs describes the unified job subsystem every mining request runs
 	// through: pool gauges, admission-control counters, lifecycle totals.
-	Jobs *JobsStats `json:"jobs,omitempty"`
+	Jobs *jobs.Stats `json:"jobs,omitempty"`
 	// Draining reports that the server has stopped admitting mining work and
 	// is waiting for in-flight jobs to finish (see /readyz).
 	Draining bool `json:"draining,omitempty"`
@@ -259,37 +220,6 @@ type QuotaStats struct {
 	// recently enough to still hold a deficit).
 	Clients  int   `json:"clients"`
 	Rejected int64 `json:"rejected"`
-}
-
-// JobsStats is the wire form of the job registry snapshot under /v1/stats.
-type JobsStats struct {
-	Workers       int `json:"workers"`
-	QueueCapacity int `json:"queue_capacity"`
-	Queued        int `json:"queued"`
-	Running       int `json:"running"`
-	Tracked       int `json:"tracked"`
-	// Submitted counts pool submissions (one per new batch set), External
-	// the jobs completed outside the pool (async batch parents, cache hits
-	// born done), Joined the callers deduplicated onto an
-	// in-flight job, Rejected the submissions shed with 429.
-	Submitted int64 `json:"submitted"`
-	External  int64 `json:"external"`
-	Joined    int64 `json:"joined"`
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	// Expired counts finished jobs dropped by the TTL garbage collector.
-	Expired  int64   `json:"expired"`
-	AvgRunMS float64 `json:"avg_run_ms"`
-	// RejectedBatch counts batch-priority submissions shed to keep the
-	// interactive queue reserve free (included in Rejected).
-	RejectedBatch int64 `json:"rejected_batch,omitempty"`
-	// WatchdogKills counts jobs forcibly failed by the watchdog after
-	// overrunning their deadline plus grace.
-	WatchdogKills int64 `json:"watchdog_kills,omitempty"`
-	// Draining reports the registry refuses new submissions.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // ResultCacheStats describes the completed-result LRU of /v1/mine.
@@ -331,17 +261,6 @@ func wireStats(st remi.MineStats) MineStats {
 	}
 }
 
-func wireSolution(s remi.Solution) Solution {
-	return Solution{
-		Expression: s.Expression,
-		Subgraphs:  s.Subgraphs,
-		NL:         s.NL,
-		SPARQL:     s.SPARQL,
-		Bits:       s.Bits,
-		Atoms:      s.Atoms,
-	}
-}
-
 func wireResult(res *remi.Result, deduped, cached bool) *MineResponse {
 	out := &MineResponse{
 		Found:        res.Found,
@@ -351,45 +270,11 @@ func wireResult(res *remi.Result, deduped, cached bool) *MineResponse {
 		Exceptions:   res.Exceptions,
 	}
 	if res.Found {
-		sol := wireSolution(res.Solution)
+		sol := res.Solution
 		out.Solution = &sol
-		for _, alt := range res.Alternatives {
-			out.Alternatives = append(out.Alternatives, wireSolution(alt))
-		}
+		out.Alternatives = res.Alternatives
 	}
 	return out
-}
-
-// ErrorResponse is the body of every non-2xx response, on this tier and
-// the router's alike.
-type ErrorResponse = wire.ErrorResponse
-
-// AsyncMineRequest is the body of POST /v1/mine:async and /v1/mine:stream:
-// exactly one of Targets (a single mining task) or Sets (a batch) must be
-// present; the option fields mean what they mean on /v1/mine.
-type AsyncMineRequest struct {
-	Targets    []string   `json:"targets,omitempty"`
-	Sets       [][]string `json:"sets,omitempty"`
-	KB         string     `json:"kb,omitempty"`
-	Metric     string     `json:"metric,omitempty"`
-	Language   string     `json:"language,omitempty"`
-	Workers    int        `json:"workers,omitempty"`
-	TimeoutMS  int64      `json:"timeout_ms,omitempty"`
-	TopK       int        `json:"top_k,omitempty"`
-	Exceptions int        `json:"exceptions,omitempty"`
-}
-
-// single converts the async body into the blocking single-set request; for
-// a batch body it is the KB and options the sets share.
-func (q *AsyncMineRequest) single() MineRequest {
-	return MineRequest{Targets: q.Targets, KB: q.KB, Metric: q.Metric, Language: q.Language,
-		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
-}
-
-// shared is the KB and options every set of the batch is mined under.
-func (q *BatchMineRequest) shared() MineRequest {
-	return MineRequest{KB: q.KB, Metric: q.Metric, Language: q.Language,
-		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
 }
 
 // JobResponse describes one job: the 202 body of /v1/mine:async, the poll

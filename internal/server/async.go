@@ -64,8 +64,8 @@ func (s *Server) jobResponse(j *jobs.Job) *JobResponse {
 }
 
 // decodeAsync decodes and shape-checks a mine:async / mine:stream body.
-func (s *Server) decodeAsync(w http.ResponseWriter, r *http.Request, c *counter) (*AsyncMineRequest, bool) {
-	var q AsyncMineRequest
+func (s *Server) decodeAsync(w http.ResponseWriter, r *http.Request, c *counter) (*wire.MineRequest, bool) {
+	var q wire.MineRequest
 	if !s.decode(w, r, c, &q) {
 		return nil, false
 	}
@@ -90,11 +90,11 @@ func (s *Server) handleMineAsync(w http.ResponseWriter, r *http.Request) {
 	s.asyncSingle(w, r, q)
 }
 
-func (s *Server) asyncSingle(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
+func (s *Server) asyncSingle(w http.ResponseWriter, r *http.Request, q *wire.MineRequest) {
 	if !s.admitMining(w, r, &s.cMineAsync, 1) {
 		return
 	}
-	mq, status, err := s.prepareMine(r, q.single())
+	mq, status, err := s.prepareMine(r, *q)
 	if err != nil {
 		s.writeError(w, &s.cMineAsync, status, err)
 		return
@@ -135,11 +135,11 @@ func batchKey(p *batchPlan) string {
 	return b.String()
 }
 
-func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
+func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *wire.MineRequest) {
 	if !s.admitMining(w, r, &s.cMineAsync, len(q.Sets)) {
 		return
 	}
-	p, status, err := s.buildBatchPlan(r, q.Sets, q.single())
+	p, status, err := s.buildBatchPlan(r, *q)
 	if err != nil {
 		s.writeError(w, &s.cMineAsync, status, err)
 		return
@@ -166,41 +166,6 @@ func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMine
 	}
 	go s.runBatchCoordinator(parent, p)
 	wire.WriteJSON(w, http.StatusAccepted, s.jobResponse(parent))
-}
-
-// entryEvent wires one batch entry as a stream event.
-func entryEvent(i int, item BatchMineItem) StreamEvent {
-	idx := i
-	return StreamEvent{Event: streamEntry, Index: &idx,
-		Response: item.Response, Error: item.Error, Status: item.Status}
-}
-
-// streamEntries runs a submitted batch plan to the end, emitting one entry
-// event per input set: the entries known before mining (validation
-// failures, cache hits, refused sets) first, then mine completions in
-// finish order, then the in-batch repeats of finished sets. It returns
-// ctx.Err() when the caller's context ended first (the plan's jobs are
-// released either way).
-func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(StreamEvent)) error {
-	for i := range p.items {
-		if p.items[i].Response != nil || p.items[i].Error != "" {
-			emit(entryEvent(i, p.items[i]))
-		}
-	}
-	ctxErr := s.collectBatch(ctx, p, func(i int, item BatchMineItem) {
-		p.fill(i, item)
-		emit(entryEvent(i, item))
-	})
-	p.fillRepeats()
-	if ctxErr != nil {
-		return ctxErr
-	}
-	for i := range p.items {
-		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
-			emit(entryEvent(i, p.items[i]))
-		}
-	}
-	return nil
 }
 
 // runBatchCoordinator drives an async batch off the request goroutine: it
@@ -288,11 +253,11 @@ func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 // streamSingle is the streaming twin of handleMine: progress events while
 // the search runs, then the result (or an in-band error — the 200 status
 // is already on the wire once streaming starts).
-func (s *Server) streamSingle(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
+func (s *Server) streamSingle(w http.ResponseWriter, r *http.Request, q *wire.MineRequest) {
 	if !s.admitMining(w, r, &s.cMineStream, 1) {
 		return
 	}
-	mq, status, err := s.prepareMine(r, q.single())
+	mq, status, err := s.prepareMine(r, *q)
 	if err != nil {
 		s.writeError(w, &s.cMineStream, status, err)
 		return
@@ -332,11 +297,11 @@ func (s *Server) streamSingle(w http.ResponseWriter, r *http.Request, q *AsyncMi
 // streamBatch is the streaming twin of handleMineBatch: one entry event per
 // input set, emitted as each set finishes, then a done event with the
 // aggregate stats.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *wire.MineRequest) {
 	if !s.admitMining(w, r, &s.cMineStream, len(q.Sets)) {
 		return
 	}
-	p, status, err := s.buildBatchPlan(r, q.Sets, q.single())
+	p, status, err := s.buildBatchPlan(r, *q)
 	if err != nil {
 		s.writeError(w, &s.cMineStream, status, err)
 		return

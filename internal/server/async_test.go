@@ -14,6 +14,7 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // pollJob polls GET /v1/jobs/{id} until the job reaches a terminal state.
@@ -124,11 +125,11 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 
 	// Direction 1: the single request runs, the batch entry joins it.
 	targetsA := []string{tinyNS + "Rennes", tinyNS + "Nantes"}
-	keyA := flightKeyOf(t, s, MineRequest{Targets: targetsA})
+	keyA := flightKeyOf(t, s, wire.MineRequest{Targets: targetsA})
 	var singleA, batchA *httptest.ResponseRecorder
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); singleA = postJSON(t, h, "/v1/mine", MineRequest{Targets: targetsA}) }()
+	go func() { defer wg.Done(); singleA = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: targetsA}) }()
 	waitFor(t, func() bool {
 		j, ok := s.jobs.Lookup(keyA)
 		return ok && j.Refs() == 1
@@ -136,7 +137,7 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		batchA = postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{targetsA}})
+		batchA = postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{targetsA}})
 	}()
 	waitFor(t, func() bool {
 		j, ok := s.jobs.Lookup(keyA)
@@ -166,19 +167,19 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 
 	// Direction 2: the batch member runs, the single request joins it.
 	targetsB := []string{tinyNS + "Paris"}
-	keyB := flightKeyOf(t, s, MineRequest{Targets: targetsB})
+	keyB := flightKeyOf(t, s, wire.MineRequest{Targets: targetsB})
 	var singleB, batchB *httptest.ResponseRecorder
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		batchB = postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{targetsB}})
+		batchB = postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{targetsB}})
 	}()
 	waitFor(t, func() bool {
 		j, ok := s.jobs.Lookup(keyB)
 		return ok && j.Refs() == 1
 	})
 	wg.Add(1)
-	go func() { defer wg.Done(); singleB = postJSON(t, h, "/v1/mine", MineRequest{Targets: targetsB}) }()
+	go func() { defer wg.Done(); singleB = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: targetsB}) }()
 	waitFor(t, func() bool {
 		j, ok := s.jobs.Lookup(keyB)
 		return ok && j.Refs() == 2
@@ -216,13 +217,13 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 func TestAsyncSinglePollGolden(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
-	q := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}, TopK: 3}
+	q := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}, TopK: 3}
 	blocking := decode[MineResponse](t, postJSON(t, h, "/v1/mine", q))
 	if !blocking.Found {
 		t.Fatal("blocking mine found nothing")
 	}
 
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: q.Targets, TopK: 3})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: q.Targets, TopK: 3})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -277,12 +278,12 @@ func TestAsyncBatchPollGolden(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
 	sets := asyncGoldenSets()
-	blocking := decode[BatchMineResponse](t, postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: sets}))
+	blocking := decode[BatchMineResponse](t, postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: sets}))
 	if blocking.Stats.Mined != 2 || blocking.Stats.Deduplicated != 1 || blocking.Stats.Errors != 2 {
 		t.Fatalf("unexpected blocking batch stats: %+v", blocking.Stats)
 	}
 
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Sets: sets})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Sets: sets})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -308,13 +309,13 @@ func TestAsyncBatchPollGolden(t *testing.T) {
 func TestMineStreamSingleGolden(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
-	q := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	q := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 	blocking := decode[MineResponse](t, postJSON(t, h, "/v1/mine", q))
 	if !blocking.Found {
 		t.Fatal("blocking mine found nothing")
 	}
 
-	rec := postJSON(t, h, "/v1/mine:stream", AsyncMineRequest{Targets: q.Targets})
+	rec := postJSON(t, h, "/v1/mine:stream", wire.MineRequest{Targets: q.Targets})
 	evs := parseNDJSON(t, rec)
 	last := evs[len(evs)-1]
 	if last.Event != streamResult {
@@ -340,7 +341,7 @@ func TestMineStreamSingleGolden(t *testing.T) {
 	}
 
 	// SSE framing: same events, text/event-stream framing.
-	buf, _ := json.Marshal(AsyncMineRequest{Targets: q.Targets})
+	buf, _ := json.Marshal(wire.MineRequest{Targets: q.Targets})
 	req := httptest.NewRequest("POST", "/v1/mine:stream", strings.NewReader(string(buf)))
 	req.Header.Set("Accept", "text/event-stream")
 	sseRec := httptest.NewRecorder()
@@ -376,9 +377,9 @@ func TestMineStreamBatchGolden(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
 	sets := asyncGoldenSets()
-	blocking := decode[BatchMineResponse](t, postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: sets}))
+	blocking := decode[BatchMineResponse](t, postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: sets}))
 
-	rec := postJSON(t, h, "/v1/mine:stream", AsyncMineRequest{Sets: sets})
+	rec := postJSON(t, h, "/v1/mine:stream", wire.MineRequest{Sets: sets})
 	evs := parseNDJSON(t, rec)
 	last := evs[len(evs)-1]
 	if last.Event != streamDone || last.Stats == nil || last.KB != DefaultKBName {
@@ -430,18 +431,18 @@ func TestMineSaturationShedsLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		recs[0] = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+		recs[0] = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	}()
 	waitFor(t, func() bool { return s.jobs.Snapshot().Running == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		recs[1] = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Nantes"}})
+		recs[1] = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}})
 	}()
 	waitFor(t, func() bool { return s.jobs.Snapshot().Queued == 1 })
 
 	// Worker busy, queue full: the third distinct query is shed.
-	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Paris"}})
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Paris"}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
@@ -488,7 +489,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 	h := s.Handler()
 
 	submit := func(target string) string {
-		rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + target}})
+		rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + target}})
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("submit %s: status %d: %s", target, rec.Code, rec.Body.String())
 		}
@@ -540,7 +541,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("cancel finished: status %d, want 409: %s", rec.Code, rec.Body.String())
 	}
-	if er := decode[ErrorResponse](t, rec); er.Error == "" {
+	if er := decode[wire.ErrorResponse](t, rec); er.Error == "" {
 		t.Fatal("409 without an error message")
 	}
 
@@ -557,7 +558,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 func TestJobStreamReplay(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -602,7 +603,7 @@ func TestJobStreamClientGone(t *testing.T) {
 		return real(ctx, targets, opts...)
 	}
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -645,11 +646,11 @@ func TestJobStreamClientGone(t *testing.T) {
 func TestAsyncCacheHitJob(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	q := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	q := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 	blocking := decode[MineResponse](t, postJSON(t, h, "/v1/mine", q))
 	runs := s.mineRuns.Load()
 
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: q.Targets})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: q.Targets})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -691,7 +692,7 @@ func TestBatchSaturationReleasesPlan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs[i] = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + name}})
+			recs[i] = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + name}})
 		}()
 		want := i + 1
 		waitFor(t, func() bool {
@@ -700,11 +701,11 @@ func TestBatchSaturationReleasesPlan(t *testing.T) {
 		})
 	}
 
-	rec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
+	rec := postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("batch status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
-	key := flightKeyOf(t, s, MineRequest{Targets: []string{tinyNS + "Paris"}})
+	key := flightKeyOf(t, s, wire.MineRequest{Targets: []string{tinyNS + "Paris"}})
 	waitFor(t, func() bool {
 		_, ok := s.jobs.Lookup(key)
 		return !ok
@@ -718,7 +719,7 @@ func TestBatchSaturationReleasesPlan(t *testing.T) {
 		}
 	}
 	// The shed batch left nothing behind: the same batch now mines cleanly.
-	rec = postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
+	rec = postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch retry status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -19,7 +19,7 @@ import (
 // every other mining path.
 type batchPlan struct {
 	e      *kbEntry
-	shared MineRequest
+	shared wire.MineRequest
 	opts   []remi.MineOption
 	reqID  string
 
@@ -53,11 +53,12 @@ func (p *batchPlan) fill(i int, item BatchMineItem) {
 	}
 }
 
-// buildBatchPlan validates the request and runs pass 1: normalize each set,
-// collapse in-batch repeats onto the first occurrence of their key, serve
-// cache hits, and collect the sets that actually need mining. On error the
-// returned status is the HTTP code to answer with.
-func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineRequest) (*batchPlan, int, error) {
+// buildBatchPlan validates the request and runs pass 1 over its sets:
+// normalize each set, collapse in-batch repeats onto the first occurrence
+// of their key, serve cache hits, and collect the sets that actually need
+// mining. On error the returned status is the HTTP code to answer with.
+func (s *Server) buildBatchPlan(r *http.Request, shared wire.MineRequest) (*batchPlan, int, error) {
+	sets := shared.Sets
 	e, err := s.kbFromRequest(r, shared.KB)
 	if err != nil {
 		return nil, errStatus(err), err
@@ -91,7 +92,7 @@ func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineReq
 	for i, targets := range sets {
 		qi := shared
 		qi.Targets = targets
-		qi.normalize()
+		qi.Normalize()
 		if len(qi.Targets) == 0 {
 			p.fill(i, BatchMineItem{Error: "targets is required", Status: http.StatusBadRequest})
 			continue
@@ -103,7 +104,7 @@ func (s *Server) buildBatchPlan(r *http.Request, sets [][]string, shared MineReq
 			})
 			continue
 		}
-		key := s.cacheKey(e, qi.key())
+		key := s.cacheKey(e, qi.Key())
 		p.keyOf[i] = key
 		if _, ok := p.firstOfKey[key]; ok {
 			continue // filled from the first occurrence in the repeats pass
@@ -162,12 +163,26 @@ func (s *Server) releaseBatch(p *batchPlan) {
 	p.waits = make(map[int]*jobs.Job)
 }
 
-// collectBatch waits for every set's mine job and delivers outcomes in
-// completion order through deliver (never concurrently). It returns
-// ctx.Err() when the caller's context ended first; job references are
-// dropped either way, so undelivered runs are abandoned per the registry's
-// interest rules.
-func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i int, item BatchMineItem)) error {
+// entryEvent wires one batch entry as a stream event.
+func entryEvent(i int, item BatchMineItem) StreamEvent {
+	idx := i
+	return StreamEvent{Event: streamEntry, Index: &idx,
+		Response: item.Response, Error: item.Error, Status: item.Status}
+}
+
+// streamEntries runs a submitted batch plan to the end, filling p.items and
+// emitting one entry event per input set (never concurrently): the entries
+// known before mining (validation failures, cache hits, refused sets)
+// first, then mine completions in finish order, then the in-batch repeats
+// of finished sets. It returns ctx.Err() when the caller's context ended
+// first; job references are dropped either way, so undelivered runs are
+// abandoned per the registry's interest rules.
+func (s *Server) streamEntries(ctx context.Context, p *batchPlan, emit func(StreamEvent)) error {
+	for i := range p.items {
+		if p.items[i].Response != nil || p.items[i].Error != "" {
+			emit(entryEvent(i, p.items[i]))
+		}
+	}
 	type outcome struct {
 		i    int
 		item BatchMineItem
@@ -193,9 +208,19 @@ func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i 
 	}
 	go func() { wg.Wait(); close(ch) }()
 	for o := range ch {
-		deliver(o.i, o.item)
+		p.fill(o.i, o.item)
+		emit(entryEvent(o.i, o.item))
 	}
-	return ctx.Err()
+	p.fillRepeats()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i := range p.items {
+		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
+			emit(entryEvent(i, p.items[i]))
+		}
+	}
+	return nil
 }
 
 // fillRepeats fills the repeat entries: duplicates of an earlier set share
@@ -231,14 +256,14 @@ func (p *batchPlan) fillRepeats() {
 // rather than repeated.
 func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 	s.cMineBatch.requests.Add(1)
-	var q BatchMineRequest
+	var q wire.MineRequest
 	if !s.decode(w, r, &s.cMineBatch, &q) {
 		return
 	}
 	if !s.admitMining(w, r, &s.cMineBatch, len(q.Sets)) {
 		return
 	}
-	p, status, err := s.buildBatchPlan(r, q.Sets, q.shared())
+	p, status, err := s.buildBatchPlan(r, q)
 	if err != nil {
 		s.writeError(w, &s.cMineBatch, status, err)
 		return
@@ -247,12 +272,10 @@ func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 		s.submitFailed(w, &s.cMineBatch, err)
 		return
 	}
-	ctxErr := s.collectBatch(r.Context(), p, p.fill)
-	p.fillRepeats()
-	if ctxErr != nil {
+	if err := s.streamEntries(r.Context(), p, func(StreamEvent) {}); err != nil {
 		// The client went away (or its deadline passed) mid-batch: the
 		// per-set results are partial at best, and nobody is reading.
-		s.writeError(w, &s.cMineBatch, errStatus(ctxErr), ctxErr)
+		s.writeError(w, &s.cMineBatch, errStatus(err), err)
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg})

@@ -14,6 +14,7 @@ import (
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // newJSONRequest builds a request without serving it, for tests that need
@@ -53,7 +54,7 @@ func TestMineBatchGolden(t *testing.T) {
 	seqH := seq.Handler()
 	want := make([]MineResponse, len(sets))
 	for i, targets := range sets {
-		rec := postJSON(t, seqH, "/v1/mine", MineRequest{Targets: targets})
+		rec := postJSON(t, seqH, "/v1/mine", wire.MineRequest{Targets: targets})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("sequential set %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
@@ -75,7 +76,7 @@ func TestMineBatchGolden(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			batch := tinyServer(t, opts)
-			rec := postJSON(t, batch.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: sets})
+			rec := postJSON(t, batch.Handler(), "/v1/mine:batch", wire.MineRequest{Sets: sets})
 			if rec.Code != http.StatusOK {
 				t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
 			}
@@ -120,7 +121,7 @@ func TestMineBatchGolden(t *testing.T) {
 // with per-set statuses — while the rest of the batch succeeds.
 func TestMineBatchPerSetIsolation(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, MaxTargets: 3})
-	rec := postJSON(t, s.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+	rec := postJSON(t, s.Handler(), "/v1/mine:batch", wire.MineRequest{Sets: [][]string{
 		{tinyNS + "Rennes", tinyNS + "Nantes"},
 		{},                   // empty set
 		{tinyNS + "Nowhere"}, // unknown entity
@@ -150,10 +151,10 @@ func TestMineBatchPerSetIsolation(t *testing.T) {
 func TestMineBatchUsesResultCache(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Paris"}})
+	postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Paris"}})
 	runsBefore := s.mineRuns.Load()
 
-	rec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+	rec := postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{
 		{tinyNS + "Paris"},
 		{tinyNS + "Lyon"},
 	}})
@@ -172,7 +173,7 @@ func TestMineBatchUsesResultCache(t *testing.T) {
 	}
 
 	// The batch-mined set now serves /v1/mine from cache.
-	rec = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Lyon"}})
+	rec = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Lyon"}})
 	if res := decode[MineResponse](t, rec); !res.Cached {
 		t.Fatal("batch result did not prime the cache for /v1/mine")
 	}
@@ -185,22 +186,22 @@ func TestMineBatchValidation(t *testing.T) {
 	h := s.Handler()
 	cases := []struct {
 		name string
-		body BatchMineRequest
+		body wire.MineRequest
 		want int
 	}{
-		{"empty batch", BatchMineRequest{}, http.StatusBadRequest},
-		{"oversized batch", BatchMineRequest{Sets: [][]string{
+		{"empty batch", wire.MineRequest{}, http.StatusBadRequest},
+		{"oversized batch", wire.MineRequest{Sets: [][]string{
 			{tinyNS + "Paris"}, {tinyNS + "Lyon"}, {tinyNS + "Berlin"},
 		}}, http.StatusBadRequest},
-		{"bad metric", BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}, Metric: "xx"}, http.StatusBadRequest},
-		{"unknown kb", BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}, KB: "nope"}, http.StatusNotFound},
+		{"bad metric", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}, Metric: "xx"}, http.StatusBadRequest},
+		{"unknown kb", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}, KB: "nope"}, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		rec := postJSON(t, h, "/v1/mine:batch", tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
-		if decode[ErrorResponse](t, rec).Error == "" {
+		if decode[wire.ErrorResponse](t, rec).Error == "" {
 			t.Errorf("%s: missing error message", tc.name)
 		}
 	}
@@ -215,7 +216,7 @@ func TestMineBatchCancelledContext(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	h := s.Handler()
-	body := BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}}
+	body := wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}}
 	req := newJSONRequest(t, "POST", "/v1/mine:batch", body)
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel()
@@ -244,10 +245,10 @@ func TestMultiKBRouting(t *testing.T) {
 		t.Fatal("invalid KB name accepted")
 	}
 	h := s.Handler()
-	body := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	body := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 
 	// Same query on both KBs: separate cache keys, separate runs.
-	viaField := MineRequest{Targets: body.Targets, KB: "geo2"}
+	viaField := wire.MineRequest{Targets: body.Targets, KB: "geo2"}
 	if rec := postJSON(t, h, "/v1/mine", viaField); rec.Code != http.StatusOK {
 		t.Fatalf("kb field routing: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -266,21 +267,21 @@ func TestMultiKBRouting(t *testing.T) {
 	}
 
 	// Conflicting body/path names are rejected.
-	if rec := postJSON(t, h, "/v1/kb/geo2/mine", MineRequest{Targets: body.Targets, KB: DefaultKBName}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/kb/geo2/mine", wire.MineRequest{Targets: body.Targets, KB: DefaultKBName}); rec.Code != http.StatusBadRequest {
 		t.Fatalf("kb conflict: status %d", rec.Code)
 	}
 	// Unknown KB via path and field: 404 JSON.
 	for _, req := range []func() *httptest.ResponseRecorder{
 		func() *httptest.ResponseRecorder { return postJSON(t, h, "/v1/kb/nope/mine", body) },
 		func() *httptest.ResponseRecorder {
-			return postJSON(t, h, "/v1/mine", MineRequest{Targets: body.Targets, KB: "nope"})
+			return postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: body.Targets, KB: "nope"})
 		},
 	} {
 		rec := req()
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("unknown kb: status %d", rec.Code)
 		}
-		if decode[ErrorResponse](t, rec).Error == "" {
+		if decode[wire.ErrorResponse](t, rec).Error == "" {
 			t.Fatal("unknown kb: missing JSON error")
 		}
 	}
@@ -374,7 +375,7 @@ func TestBatchSetAfterSwapMinesCurrentGeneration(t *testing.T) {
 
 	done := make(chan *httptest.ResponseRecorder)
 	go func() {
-		done <- postJSON(t, h, "/v1/kb/geo/mine:batch", BatchMineRequest{Sets: [][]string{
+		done <- postJSON(t, h, "/v1/kb/geo/mine:batch", wire.MineRequest{Sets: [][]string{
 			{tinyNS + "Rennes", tinyNS + "Nantes"},
 			{tinyNS + "Atlantis"},
 		}})
@@ -435,7 +436,7 @@ func TestBatchesShareThePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: sets})
+			rec := postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: sets})
 			if rec.Code != http.StatusOK {
 				t.Errorf("batch: %d %s", rec.Code, rec.Body.String())
 				return
@@ -470,7 +471,7 @@ func TestBatchSetWatchdogPerSet(t *testing.T) {
 	start := time.Now()
 	done := make(chan *httptest.ResponseRecorder)
 	go func() {
-		done <- postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+		done <- postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{
 			{tinyNS + "Rennes", tinyNS + "Nantes"}, {tinyNS + "Paris"}, {tinyNS + "Lyon"},
 		}})
 	}()
@@ -507,14 +508,14 @@ func TestBatchPartialAdmission(t *testing.T) {
 	h := s.Handler()
 	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
 	defer disarm()
-	if rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Berlin"}}); rec.Code != http.StatusAccepted {
+	if rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Berlin"}}); rec.Code != http.StatusAccepted {
 		t.Fatalf("blocking job: %d %s", rec.Code, rec.Body.String())
 	}
 	waitFor(t, func() bool { st := s.jobs.Snapshot(); return st.Running == 1 && st.Queued == 0 })
 
 	done := make(chan *httptest.ResponseRecorder)
 	go func() {
-		done <- postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{
+		done <- postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{
 			{tinyNS + "Rennes", tinyNS + "Nantes"}, {tinyNS + "Paris"}, {tinyNS + "Lyon"},
 		}})
 	}()
@@ -558,7 +559,7 @@ func TestBatchStatsSumItsSets(t *testing.T) {
 	separate := make([]MineStats, len(sets))
 	var hits, misses uint64
 	for i, set := range sets {
-		rec := postJSON(t, s.Handler(), "/v1/mine", MineRequest{Targets: set})
+		rec := postJSON(t, s.Handler(), "/v1/mine", wire.MineRequest{Targets: set})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("set %d: %d %s", i, rec.Code, rec.Body.String())
 		}
@@ -566,7 +567,7 @@ func TestBatchStatsSumItsSets(t *testing.T) {
 		hits += separate[i].CacheHits
 		misses += separate[i].CacheMisses
 	}
-	rec := postJSON(t, s.Handler(), "/v1/mine:batch", BatchMineRequest{Sets: sets})
+	rec := postJSON(t, s.Handler(), "/v1/mine:batch", wire.MineRequest{Sets: sets})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
 	}

@@ -16,6 +16,7 @@ import (
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/faults"
 	"github.com/remi-kb/remi/internal/server/jobs"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // This file is the chaos suite: every test arms a faults.Point, drives the
@@ -75,7 +76,7 @@ func TestChaosReloadLastKnownGood(t *testing.T) {
 			})
 			h := s.Handler()
 			mine := func() string {
-				rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+				rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 				if rec.Code != http.StatusOK {
 					t.Fatalf("mine: %d %s", rec.Code, rec.Body.String())
 				}
@@ -171,7 +172,7 @@ func TestChaosReloadSlowDoesNotBlockServing(t *testing.T) {
 		reloadDone <- s.ReloadKB(DefaultKBName, func() (*remi.System, error) { return tinySys, nil })
 	}()
 	t0 := time.Now()
-	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Nantes"}})
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine during slow reload: %d %s", rec.Code, rec.Body.String())
 	}
@@ -194,21 +195,21 @@ func TestChaosWatchdogKillsStuckMine(t *testing.T) {
 	h := s.Handler()
 	disarm := faults.Arm(faults.JobStuck, faults.Injection{Block: true})
 
-	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stuck mine: %d %s, want 504", rec.Code, rec.Body.String())
 	}
-	if er := decode[ErrorResponse](t, rec); !strings.Contains(er.Error, "watchdog") {
+	if er := decode[wire.ErrorResponse](t, rec); !strings.Contains(er.Error, "watchdog") {
 		t.Fatalf("stuck mine error %q does not name the watchdog", er.Error)
 	}
 	st := fullStats(t, h)
-	if st.Jobs.WatchdogKills < 1 {
-		t.Fatalf("watchdog_kills = %d, want >= 1", st.Jobs.WatchdogKills)
+	if st.Jobs.WatchdogKilled < 1 {
+		t.Fatalf("watchdog_kills = %d, want >= 1", st.Jobs.WatchdogKilled)
 	}
 
 	// The slot was handed off: with the fault disarmed the pool serves again.
 	disarm()
-	rec = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Nantes"}})
+	rec = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine after watchdog kill: %d %s", rec.Code, rec.Body.String())
 	}
@@ -225,7 +226,7 @@ func TestChaosWatchdogFailedJobDocument(t *testing.T) {
 	h := s.Handler()
 	defer faults.Arm(faults.JobStuck, faults.Injection{Block: true})()
 
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: %d %s", rec.Code, rec.Body.String())
 	}
@@ -255,14 +256,14 @@ func TestChaosMinePanicContained(t *testing.T) {
 	h := s.Handler()
 	disarm := faults.Arm(faults.MinePanic, faults.Injection{Panic: "injected evaluator bug"})
 
-	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicked mine: %d %s, want 500", rec.Code, rec.Body.String())
 	}
-	if er := decode[ErrorResponse](t, rec); !strings.Contains(er.Error, "panicked") {
+	if er := decode[wire.ErrorResponse](t, rec); !strings.Contains(er.Error, "panicked") {
 		t.Fatalf("panicked mine error %q does not say so", er.Error)
 	}
-	brec := postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Nantes"}, {tinyNS + "Paris"}}})
+	brec := postJSON(t, h, "/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Nantes"}, {tinyNS + "Paris"}}})
 	if brec.Code != http.StatusOK {
 		t.Fatalf("batch with panicking sets: %d %s", brec.Code, brec.Body.String())
 	}
@@ -280,7 +281,7 @@ func TestChaosMinePanicContained(t *testing.T) {
 	}
 
 	disarm()
-	rec = postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec = postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine after contained panic: %d %s", rec.Code, rec.Body.String())
 	}
@@ -315,7 +316,7 @@ func TestChaosQuotaVsSaturation(t *testing.T) {
 		})
 		h := s.Handler()
 		mineAs := func(client string) *httptest.ResponseRecorder {
-			req := newJSONRequest(t, "POST", "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes"}})
+			req := newJSONRequest(t, "POST", "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 			req.Header.Set("X-Client-Id", client)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -333,7 +334,7 @@ func TestChaosQuotaVsSaturation(t *testing.T) {
 		if secs := retryAfterSecs(t, rec); secs < 1 {
 			t.Fatalf("quota Retry-After %ds, want >= 1", secs)
 		}
-		er := decode[ErrorResponse](t, rec)
+		er := decode[wire.ErrorResponse](t, rec)
 		if !strings.Contains(er.Error, "quota exceeded") || !strings.Contains(er.Error, "alice") {
 			t.Fatalf("quota error %q does not name the quota and the client", er.Error)
 		}
@@ -357,7 +358,7 @@ func TestChaosQuotaVsSaturation(t *testing.T) {
 		// Occupy the worker and the one queue slot with distinct queries,
 		// waiting for the first to leave the queue for the worker.
 		for i, target := range []string{"Rennes", "Nantes"} {
-			rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + target}})
+			rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + target}})
 			if rec.Code != http.StatusAccepted {
 				t.Fatalf("async fill %d: %d %s", i, rec.Code, rec.Body.String())
 			}
@@ -365,14 +366,14 @@ func TestChaosQuotaVsSaturation(t *testing.T) {
 				waitFor(t, func() bool { return s.jobs.Snapshot().Queued == 0 })
 			}
 		}
-		rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Paris"}})
+		rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Paris"}})
 		if rec.Code != http.StatusTooManyRequests {
 			t.Fatalf("saturated submit: %d %s, want 429", rec.Code, rec.Body.String())
 		}
 		if secs := retryAfterSecs(t, rec); secs < 1 {
 			t.Fatalf("saturation Retry-After %ds, want the 1s floor", secs)
 		}
-		er := decode[ErrorResponse](t, rec)
+		er := decode[wire.ErrorResponse](t, rec)
 		if !strings.Contains(er.Error, "saturated") || strings.Contains(er.Error, "quota") {
 			t.Fatalf("saturation error %q must talk about the queue, not quotas", er.Error)
 		}
@@ -394,20 +395,20 @@ func TestChaosBatchPriorityReserve(t *testing.T) {
 	// A stuck interactive run occupies the worker; one async batch phase
 	// fills the unreserved queue slot; the next batch must be shed while an
 	// interactive request still gets the reserved slot.
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("interactive fill: %d %s", rec.Code, rec.Body.String())
 	}
 	waitFor(t, func() bool { return s.jobs.Snapshot().Queued == 0 })
-	rec = postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Sets: [][]string{{tinyNS + "Nantes"}}})
+	rec = postJSON(t, h, "/v1/mine:async", wire.MineRequest{Sets: [][]string{{tinyNS + "Nantes"}}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("batch fill: %d %s", rec.Code, rec.Body.String())
 	}
-	brec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
+	brec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}})
 	if brec.Code != http.StatusTooManyRequests {
 		t.Fatalf("batch into reserved queue: %d %s, want 429", brec.Code, brec.Body.String())
 	}
-	irec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Vannes"}})
+	irec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Vannes"}})
 	if irec.Code != http.StatusAccepted {
 		t.Fatalf("interactive into reserve: %d %s, want 202", irec.Code, irec.Body.String())
 	}
@@ -426,7 +427,7 @@ func TestChaosGracefulDrain(t *testing.T) {
 	defer faults.Arm(faults.JobStuck, faults.Injection{Delay: 100 * time.Millisecond})()
 
 	// An in-flight async job that outlives the drain flip.
-	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes"}})
+	rec := postJSON(t, h, "/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: %d %s", rec.Code, rec.Body.String())
 	}
@@ -451,16 +452,16 @@ func TestChaosGracefulDrain(t *testing.T) {
 		path string
 		body any
 	}{
-		{"/v1/mine", MineRequest{Targets: []string{tinyNS + "Nantes"}}},
-		{"/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Nantes"}}}},
-		{"/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Nantes"}}},
-		{"/v1/mine:stream", AsyncMineRequest{Targets: []string{tinyNS + "Nantes"}}},
+		{"/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}}},
+		{"/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Nantes"}}}},
+		{"/v1/mine:async", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}}},
+		{"/v1/mine:stream", wire.MineRequest{Targets: []string{tinyNS + "Nantes"}}},
 	} {
 		rec := postJSON(t, h, tc.path, tc.body)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s during drain: %d, want 503", tc.path, rec.Code)
 		}
-		if er := decode[ErrorResponse](t, rec); !strings.Contains(er.Error, "draining") {
+		if er := decode[wire.ErrorResponse](t, rec); !strings.Contains(er.Error, "draining") {
 			t.Fatalf("%s drain error %q does not say draining", tc.path, er.Error)
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // TestHTTPErrorConformance is the table-driven contract every endpoint's
@@ -60,6 +62,12 @@ func TestHTTPErrorConformance(t *testing.T) {
 		{"mine negative timeout", raw("POST", "/v1/mine",
 			`{"targets":["x"],"timeout_ms":-5}`), http.StatusBadRequest, "mine"},
 		{"batch empty", raw("POST", "/v1/mine:batch", `{"sets":[]}`), http.StatusBadRequest, "mine_batch"},
+		// One request type on every mining endpoint: a field the endpoint
+		// does not use must still have its type, as on the router.
+		{"mine sets of the wrong type", raw("POST", "/v1/mine",
+			`{"targets":["x"],"sets":5}`), http.StatusBadRequest, "mine"},
+		{"batch targets of the wrong type", raw("POST", "/v1/mine:batch",
+			`{"sets":[["x"]],"targets":5}`), http.StatusBadRequest, "mine_batch"},
 		{"batch oversized", raw("POST", "/v1/mine:batch",
 			`{"sets":[["a"],["b"],["c"],["d"],["e"]]}`), http.StatusBadRequest, "mine_batch"},
 		{"summarize empty entity", raw("POST", "/v1/summarize", `{}`), http.StatusBadRequest, "summarize"},
@@ -157,7 +165,7 @@ func TestHTTPErrorConformance(t *testing.T) {
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q, want application/json", tc.name, ct)
 		}
-		var er ErrorResponse
+		var er wire.ErrorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 			t.Errorf("%s: body is not an ErrorResponse: %q", tc.name, rec.Body.String())
 		} else if er.Error == "" {
@@ -197,7 +205,7 @@ func TestMineTimeoutClamped(t *testing.T) {
 		{3600000, 2000}, // clamped to MaxTimeout
 	}
 	for _, tc := range cases {
-		q := MineRequest{Targets: []string{tinyNS + "Paris"}, TimeoutMS: tc.in}
+		q := wire.MineRequest{Targets: []string{tinyNS + "Paris"}, TimeoutMS: tc.in}
 		if _, err := s.mineOptions(&q); err != nil {
 			t.Fatalf("timeout %d: %v", tc.in, err)
 		}
@@ -207,7 +215,7 @@ func TestMineTimeoutClamped(t *testing.T) {
 	}
 	// No default, only a ceiling: unbounded requests are still capped.
 	s2 := tinyServer(t, Options{MaxTimeout: time.Second})
-	q := MineRequest{Targets: []string{tinyNS + "Paris"}}
+	q := wire.MineRequest{Targets: []string{tinyNS + "Paris"}}
 	if _, err := s2.mineOptions(&q); err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +230,8 @@ func TestSuccessResponsesAreJSON(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 	reqs := []*http.Request{
-		newJSONRequest(t, "POST", "/v1/mine", MineRequest{Targets: []string{tinyNS + "Paris"}}),
-		newJSONRequest(t, "POST", "/v1/mine:batch", BatchMineRequest{Sets: [][]string{{tinyNS + "Paris"}}}),
+		newJSONRequest(t, "POST", "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Paris"}}),
+		newJSONRequest(t, "POST", "/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}}),
 		newJSONRequest(t, "POST", "/v1/summarize", SummarizeRequest{Entity: tinyNS + "Paris"}),
 		httptest.NewRequest("GET", "/v1/describe?entity="+tinyNS+"Paris", nil),
 		httptest.NewRequest("GET", "/v1/stats", nil),
@@ -256,12 +264,12 @@ func FuzzMineKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, t1a, t1b, t2a, t2b, m1, m2 string,
 		w1, w2 int, to1, to2 int64, k1, k2, e1, e2 int) {
 
-		q1 := MineRequest{Targets: []string{t1a, t1b}, Metric: m1, Workers: w1, TimeoutMS: to1, TopK: k1, Exceptions: e1}
-		q2 := MineRequest{Targets: []string{t2a, t2b}, Metric: m2, Workers: w2, TimeoutMS: to2, TopK: k2, Exceptions: e2}
-		q1.normalize()
-		q2.normalize()
+		q1 := wire.MineRequest{Targets: []string{t1a, t1b}, Metric: m1, Workers: w1, TimeoutMS: to1, TopK: k1, Exceptions: e1}
+		q2 := wire.MineRequest{Targets: []string{t2a, t2b}, Metric: m2, Workers: w2, TimeoutMS: to2, TopK: k2, Exceptions: e2}
+		q1.Normalize()
+		q2.Normalize()
 		same := reflect.DeepEqual(q1, q2)
-		k1s, k2s := q1.key(), q2.key()
+		k1s, k2s := q1.Key(), q2.Key()
 		if same && k1s != k2s {
 			t.Fatalf("equal normalized requests got distinct keys:\n%q\n%q", k1s, k2s)
 		}
@@ -274,14 +282,14 @@ func FuzzMineKey(f *testing.F) {
 // TestMineKeyLengthPrefix pins the specific collision the key format
 // defends against: a crafted IRI embedding another target list.
 func TestMineKeyLengthPrefix(t *testing.T) {
-	a := MineRequest{Targets: []string{"3:abc"}}
-	b := MineRequest{Targets: []string{"abc"}}
-	a.normalize()
-	b.normalize()
-	if a.key() == b.key() {
+	a := wire.MineRequest{Targets: []string{"3:abc"}}
+	b := wire.MineRequest{Targets: []string{"abc"}}
+	a.Normalize()
+	b.Normalize()
+	if a.Key() == b.Key() {
 		t.Fatal("length-prefix bypass: crafted IRI collides with plain target")
 	}
-	if !bytes.Contains([]byte(a.key()), []byte("3:abc")) {
-		t.Fatalf("unexpected key layout: %q", a.key())
+	if !bytes.Contains([]byte(a.Key()), []byte("3:abc")) {
+		t.Fatalf("unexpected key layout: %q", a.Key())
 	}
 }

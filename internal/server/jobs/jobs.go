@@ -157,29 +157,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a point-in-time snapshot of the registry, rendered by the
-// server under /v1/stats.
+// Stats is a point-in-time snapshot of the registry; the server renders it
+// as the jobs block of /v1/stats, in this field order.
 type Stats struct {
-	Workers       int
-	QueueCapacity int
-	Queued        int // jobs waiting for a worker
-	Running       int // pool workers currently executing
-	Tracked       int // jobs currently registered (any state)
+	Workers       int `json:"workers"`
+	QueueCapacity int `json:"queue_capacity"`
+	Queued        int `json:"queued"`  // jobs waiting for a worker
+	Running       int `json:"running"` // pool workers currently executing
+	Tracked       int `json:"tracked"` // jobs currently registered (any state)
 
-	Submitted      int64 // pool submissions accepted
-	External       int64 // externally-executed jobs registered
-	Joined         int64 // callers deduplicated onto an in-flight job
-	Rejected       int64 // submissions shed with ErrSaturated
-	RejectedBatch  int64 // of Rejected: batch-priority kept out of the interactive reserve
-	Completed      int64 // jobs finished in StateDone
-	Failed         int64 // jobs finished in StateFailed
-	Cancelled      int64 // jobs finished in StateCancelled (explicit or abandoned)
-	Expired        int64 // finished jobs dropped by TTL GC
-	WatchdogKilled int64 // jobs failed by the watchdog for exceeding deadline+grace
+	Submitted int64 `json:"submitted"` // pool submissions accepted
+	External  int64 `json:"external"`  // externally-executed jobs registered
+	Joined    int64 `json:"joined"`    // callers deduplicated onto an in-flight job
+	Rejected  int64 `json:"rejected"`  // submissions shed with ErrSaturated
+	Completed int64 `json:"completed"` // jobs finished in StateDone
+	Failed    int64 `json:"failed"`    // jobs finished in StateFailed
+	Cancelled int64 `json:"cancelled"` // jobs finished in StateCancelled (explicit or abandoned)
+	Expired   int64 `json:"expired"`   // finished jobs dropped by TTL GC
 
-	Draining bool // Drain was called; new submissions are rejected
+	AvgRunMS float64 `json:"avg_run_ms"` // EWMA of pool job run time
 
-	AvgRunMS float64 // EWMA of pool job run time
+	// RejectedBatch counts, of Rejected, the batch-priority submissions
+	// kept out of the interactive reserve.
+	RejectedBatch int64 `json:"rejected_batch,omitempty"`
+	// WatchdogKilled counts jobs failed by the watchdog for exceeding
+	// deadline+grace.
+	WatchdogKilled int64 `json:"watchdog_kills,omitempty"`
+	// Draining reports that Drain was called: new submissions are rejected.
+	Draining bool `json:"draining,omitempty"`
 }
 
 // Registry owns the job table, the flight-key namespace and the worker

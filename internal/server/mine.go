@@ -37,11 +37,11 @@ func metricOptions(metric string) ([]remi.MineOption, error) {
 // effective canonical values (the configured default for unset workers,
 // then the tiers' shared alias canonicalisation, then the clamps), so the
 // dedup key built afterwards matches every semantically identical query.
-func (s *Server) mineOptions(q *MineRequest) ([]remi.MineOption, error) {
+func (s *Server) mineOptions(q *wire.MineRequest) ([]remi.MineOption, error) {
 	if q.Workers == 0 && s.opts.DefaultWorkers > 0 {
 		q.Workers = s.opts.DefaultWorkers
 	}
-	(*wire.MineRequest)(q).Canonicalize()
+	q.Canonicalize()
 	opts, err := metricOptions(q.Metric)
 	if err != nil {
 		return nil, err
@@ -110,23 +110,23 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *counter, v an
 // marks a batch set, which is admitted at batch priority.
 type mineQuery struct {
 	e     *kbEntry
-	q     MineRequest
+	q     wire.MineRequest
 	opts  []remi.MineOption
 	key   string
 	reqID string
 	batch bool
 }
 
-// prepareMine validates an already-decoded MineRequest against the server
-// limits, resolves its KB and builds the flight key. On error the returned
-// status is the HTTP code to answer with.
-func (s *Server) prepareMine(r *http.Request, q MineRequest) (*mineQuery, int, error) {
+// prepareMine validates the single query of an already-decoded request
+// against the server limits, resolves its KB and builds the flight key. On
+// error the returned status is the HTTP code to answer with.
+func (s *Server) prepareMine(r *http.Request, q wire.MineRequest) (*mineQuery, int, error) {
 	e, err := s.kbFromRequest(r, q.KB)
 	if err != nil {
 		return nil, errStatus(err), err
 	}
 	q.KB = e.name
-	q.normalize()
+	q.Normalize()
 	if len(q.Targets) == 0 {
 		return nil, http.StatusBadRequest, errors.New("targets is required")
 	}
@@ -138,7 +138,7 @@ func (s *Server) prepareMine(r *http.Request, q MineRequest) (*mineQuery, int, e
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return &mineQuery{e: e, q: q, opts: opts, key: s.cacheKey(e, q.key()), reqID: requestIDOf(r)}, 0, nil
+	return &mineQuery{e: e, q: q, opts: opts, key: s.cacheKey(e, q.Key()), reqID: requestIDOf(r)}, 0, nil
 }
 
 // cachedResult consults the result LRU (nil-safe).
@@ -278,7 +278,7 @@ func (s *Server) admitMining(w http.ResponseWriter, r *http.Request, c *counter,
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	s.cMine.requests.Add(1)
-	var q MineRequest
+	var q wire.MineRequest
 	if !s.decode(w, r, &s.cMine, &q) {
 		return
 	}

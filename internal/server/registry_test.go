@@ -15,6 +15,7 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 // snapSystem opens the snapshot tinySnapshot writes, so the returned
@@ -50,7 +51,7 @@ func mappings(t *testing.T, sub string) int {
 // with no readers, and with mines racing every swap.
 func TestReloadsMapOneImage(t *testing.T) {
 	mappings(t, "")
-	mine := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	mine := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 	for _, readers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("%d readers", readers), func(t *testing.T) {
 			dir := t.TempDir()
@@ -108,13 +109,13 @@ func TestReaderKeepsItsGeneration(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		opts     Options
-		req      MineRequest
+		req      wire.MineRequest
 		watchdog bool
 	}{
 		{"run returns", Options{DefaultTimeout: 10 * time.Second, ResultCache: -1},
-			MineRequest{Targets: pair}, false},
+			wire.MineRequest{Targets: pair}, false},
 		{"run outlives the watchdog", Options{DefaultTimeout: 10 * time.Second, ResultCache: -1, WatchdogGrace: 20 * time.Millisecond},
-			MineRequest{Targets: pair, TimeoutMS: 20}, true},
+			wire.MineRequest{Targets: pair, TimeoutMS: 20}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/wire"
 )
 
 const tinyNS = "http://tiny.demo/resource/"
@@ -46,9 +47,9 @@ func tinyServer(t *testing.T, opts Options) *Server {
 
 // flightKeyOf computes the unified flight/cache key a request would get,
 // for tests poking the job registry directly.
-func flightKeyOf(t *testing.T, s *Server, q MineRequest) string {
+func flightKeyOf(t *testing.T, s *Server, q wire.MineRequest) string {
 	t.Helper()
-	q.normalize()
+	q.Normalize()
 	if _, err := s.mineOptions(&q); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func flightKeyOf(t *testing.T, s *Server, q MineRequest) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.cacheKey(e, q.key())
+	return s.cacheKey(e, q.Key())
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -83,7 +84,7 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 func TestMineHappyPath(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/mine", MineRequest{
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{
 		Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"},
 	})
 	if rec.Code != http.StatusOK {
@@ -113,18 +114,18 @@ func TestMineValidation(t *testing.T) {
 		body any
 		want int
 	}{
-		{"unknown entity", MineRequest{Targets: []string{tinyNS + "Nowhere"}}, http.StatusNotFound},
-		{"empty targets", MineRequest{}, http.StatusBadRequest},
-		{"bad metric", MineRequest{Targets: []string{tinyNS + "Paris"}, Metric: "xx"}, http.StatusBadRequest},
-		{"bad language", MineRequest{Targets: []string{tinyNS + "Paris"}, Language: "xx"}, http.StatusBadRequest},
-		{"negative workers", MineRequest{Targets: []string{tinyNS + "Paris"}, Workers: -1}, http.StatusBadRequest},
+		{"unknown entity", wire.MineRequest{Targets: []string{tinyNS + "Nowhere"}}, http.StatusNotFound},
+		{"empty targets", wire.MineRequest{}, http.StatusBadRequest},
+		{"bad metric", wire.MineRequest{Targets: []string{tinyNS + "Paris"}, Metric: "xx"}, http.StatusBadRequest},
+		{"bad language", wire.MineRequest{Targets: []string{tinyNS + "Paris"}, Language: "xx"}, http.StatusBadRequest},
+		{"negative workers", wire.MineRequest{Targets: []string{tinyNS + "Paris"}, Workers: -1}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rec := postJSON(t, h, "/v1/mine", tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
-		out := decode[ErrorResponse](t, rec)
+		out := decode[wire.ErrorResponse](t, rec)
 		if out.Error == "" {
 			t.Errorf("%s: missing error message", tc.name)
 		}
@@ -155,7 +156,7 @@ func TestMineCancelledRequest(t *testing.T) {
 	}
 	h := s.Handler()
 
-	buf, _ := json.Marshal(MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
+	buf, _ := json.Marshal(wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
 	req := httptest.NewRequest("POST", "/v1/mine", bytes.NewReader(buf))
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
@@ -209,12 +210,12 @@ func TestMineDeduplicated(t *testing.T) {
 	}
 	h := s.Handler()
 	// Same query, different target order: normalization must unify the key.
-	bodies := []MineRequest{
+	bodies := []wire.MineRequest{
 		{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}},
 		{Targets: []string{tinyNS + "Nantes", tinyNS + "Rennes"}},
 	}
 
-	key := flightKeyOf(t, s, MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
+	key := flightKeyOf(t, s, wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
 	recs := make([]*httptest.ResponseRecorder, 2)
 	var wg sync.WaitGroup
 	for i := range bodies {
@@ -258,11 +259,11 @@ func TestMineDeduplicated(t *testing.T) {
 // TestDedupKeyCollisionResistance: a crafted IRI must not produce the same
 // flight key as a different target list.
 func TestDedupKeyCollisionResistance(t *testing.T) {
-	a := MineRequest{Targets: []string{"http://x/a\nhttp://x/b"}}
-	b := MineRequest{Targets: []string{"http://x/a", "http://x/b"}}
-	a.normalize()
-	b.normalize()
-	if a.key() == b.key() {
+	a := wire.MineRequest{Targets: []string{"http://x/a\nhttp://x/b"}}
+	b := wire.MineRequest{Targets: []string{"http://x/a", "http://x/b"}}
+	a.Normalize()
+	b.Normalize()
+	if a.Key() == b.Key() {
 		t.Fatal("crafted single target collides with a two-target query")
 	}
 }
@@ -271,19 +272,19 @@ func TestDedupKeyCollisionResistance(t *testing.T) {
 // flight key with one that omits them.
 func TestDedupKeyCanonicalization(t *testing.T) {
 	s := tinyServer(t, Options{DefaultWorkers: 4, DefaultTimeout: time.Second})
-	a := MineRequest{Targets: []string{tinyNS + "Paris"}}
-	b := MineRequest{Targets: []string{tinyNS + "Paris"},
+	a := wire.MineRequest{Targets: []string{tinyNS + "Paris"}}
+	b := wire.MineRequest{Targets: []string{tinyNS + "Paris"},
 		Metric: "fr", Language: "extended", Workers: 4, TimeoutMS: 1000, TopK: 1}
-	a.normalize()
-	b.normalize()
+	a.Normalize()
+	b.Normalize()
 	if _, err := s.mineOptions(&a); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.mineOptions(&b); err != nil {
 		t.Fatal(err)
 	}
-	if a.key() != b.key() {
-		t.Fatalf("equivalent queries got different keys:\n%q\n%q", a.key(), b.key())
+	if a.Key() != b.Key() {
+		t.Fatalf("equivalent queries got different keys:\n%q\n%q", a.Key(), b.Key())
 	}
 }
 
@@ -291,7 +292,7 @@ func TestDedupKeyCanonicalization(t *testing.T) {
 // clamped, not rejected, matching the workers/timeout behavior.
 func TestMineClampsExcessiveOptions(t *testing.T) {
 	s := tinyServer(t, Options{})
-	q := MineRequest{Targets: []string{tinyNS + "Paris"}, TopK: 9999, Exceptions: 1 << 30}
+	q := wire.MineRequest{Targets: []string{tinyNS + "Paris"}, TopK: 9999, Exceptions: 1 << 30}
 	if _, err := s.mineOptions(&q); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +328,11 @@ func TestMinePanicRecovered(t *testing.T) {
 		panic("boom")
 	}
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Paris"}})
+	rec := postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Paris"}})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	out := decode[ErrorResponse](t, rec)
+	out := decode[wire.ErrorResponse](t, rec)
 	if out.Error == "" {
 		t.Fatal("missing error message")
 	}
@@ -394,8 +395,8 @@ func TestStatsAndHealth(t *testing.T) {
 	s := tinyServer(t, Options{})
 	h := s.Handler()
 
-	postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
-	postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Nowhere"}})
+	postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
+	postJSON(t, h, "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Nowhere"}})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -439,7 +440,7 @@ func TestStatsAndHealth(t *testing.T) {
 func TestMineResultCache(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	body := MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
+	body := wire.MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}}
 
 	first := decode[MineResponse](t, postJSON(t, h, "/v1/mine", body))
 	if !first.Found || first.Cached {
@@ -450,7 +451,7 @@ func TestMineResultCache(t *testing.T) {
 	}
 
 	// Same query, shuffled target order: normalization must make it a hit.
-	shuffled := MineRequest{Targets: []string{tinyNS + "Nantes", tinyNS + "Rennes"}}
+	shuffled := wire.MineRequest{Targets: []string{tinyNS + "Nantes", tinyNS + "Rennes"}}
 	second := decode[MineResponse](t, postJSON(t, h, "/v1/mine", shuffled))
 	if !second.Cached {
 		t.Fatalf("second response not cached: %+v", second)
@@ -490,7 +491,7 @@ func TestMineResultCache(t *testing.T) {
 func TestMineResultCacheDisabled(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
 	h := s.Handler()
-	body := MineRequest{Targets: []string{tinyNS + "Paris"}}
+	body := wire.MineRequest{Targets: []string{tinyNS + "Paris"}}
 	for i := 0; i < 2; i++ {
 		out := decode[MineResponse](t, postJSON(t, h, "/v1/mine", body))
 		if out.Cached {
@@ -510,7 +511,7 @@ func TestMineResultCacheSkipsTimedOut(t *testing.T) {
 		return &remi.Result{Stats: remi.MineStats{TimedOut: true}}, nil
 	}
 	h := s.Handler()
-	body := MineRequest{Targets: []string{tinyNS + "Paris"}}
+	body := wire.MineRequest{Targets: []string{tinyNS + "Paris"}}
 	for i := 0; i < 2; i++ {
 		out := decode[MineResponse](t, postJSON(t, h, "/v1/mine", body))
 		if out.Cached {

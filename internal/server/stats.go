@@ -106,25 +106,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"not_found":     s.cNotFound.stats(),
 	}
 	js := s.jobs.Snapshot()
-	out.Jobs = &JobsStats{
-		Workers:       js.Workers,
-		QueueCapacity: js.QueueCapacity,
-		Queued:        js.Queued,
-		Running:       js.Running,
-		Tracked:       js.Tracked,
-		Submitted:     js.Submitted,
-		External:      js.External,
-		Joined:        js.Joined,
-		Rejected:      js.Rejected,
-		Completed:     js.Completed,
-		Failed:        js.Failed,
-		Cancelled:     js.Cancelled,
-		Expired:       js.Expired,
-		AvgRunMS:      js.AvgRunMS,
-		RejectedBatch: js.RejectedBatch,
-		WatchdogKills: js.WatchdogKilled,
-		Draining:      js.Draining,
-	}
+	out.Jobs = &js
 	out.Draining = s.draining.Load()
 	if s.quota != nil {
 		out.Quota = &QuotaStats{

@@ -6,14 +6,20 @@ import (
 	"strings"
 )
 
-// MineRequest is the body of POST /v1/mine, and the identity of one mining
-// query on both tiers: after Normalize and Canonicalize, Key is what a
-// replica deduplicates and caches on and what the router hashes onto the
-// ring, so two bodies that mean the same query meet on one replica, in one
-// cache entry.
+// MineRequest is the one request body of the four mining endpoints
+// (POST /v1/mine, /v1/mine:batch, /v1/mine:async and /v1/mine:stream):
+// Targets for one query or Sets for a batch, plus the options every set
+// shares. One query is also the identity both tiers key on: after Normalize
+// and Canonicalize, Key is what a replica deduplicates and caches on and
+// what the router hashes onto the ring, so two bodies that mean the same
+// query meet on one replica, in one cache entry.
 type MineRequest struct {
-	// Targets are the entity IRIs to describe (required, deduplicated).
+	// Targets are the entity IRIs to describe, deduplicated: required on
+	// /v1/mine; on :async and :stream exactly one of Targets and Sets.
 	Targets []string `json:"targets"`
+	// Sets are the target sets of a batch, one query each under the shared
+	// options (required on /v1/mine:batch; not part of Key).
+	Sets [][]string `json:"sets,omitempty"`
 	// KB routes the request to a registered knowledge base (optional; the
 	// default KB when empty, and it must agree with a /v1/kb/{name}/ path).
 	KB string `json:"kb,omitempty"`

@@ -1,10 +1,11 @@
 // Package wire is the HTTP contract the routing tier (internal/cluster) and
 // the serving tier (internal/server) share, defined once: the cross-tier
-// headers, request-id minting, the JSON, error and Retry-After writers, and
-// the identity of a mining query — target-set normalisation, option-alias
-// canonicalisation and the key both the replica's result cache and the
-// router's hash ring are built from. It imports only the standard library,
-// so remi-router links it without linking the miner.
+// headers, request-id minting, the JSON, error and Retry-After writers, the
+// request body of every mining endpoint, and the identity of a mining
+// query — target-set normalisation, option-alias canonicalisation and the
+// key both the replica's result cache and the router's hash ring are built
+// from. It imports only the standard library, so remi-router links it
+// without linking the miner.
 package wire
 
 import (

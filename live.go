@@ -174,6 +174,8 @@ func decodeRecord(payload []byte) ([]delta.Op, string, error) {
 // different base) are skipped rather than failing the boot — the WAL is a
 // redo log, not a schema.
 func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
+	_, statErr := os.Stat(dir)
+	created := errors.Is(statErr, os.ErrNotExist)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("remi: live dir: %w", err)
 	}
@@ -195,11 +197,18 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	}
 	l.log = log
 	l.overlay = delta.New(base)
-	// The WAL may have just been created: its name must be durable before
-	// an append to it is acknowledged.
-	if err := kb.SyncDir(dir); err != nil {
-		l.Close()
-		return nil, fmt.Errorf("remi: live KB %q: syncing %s: %w", name, dir, err)
+	// The WAL may have just been created, and on a first boot the directory
+	// too: their names must be durable, the directory's first, before an
+	// append to the WAL is acknowledged.
+	syncs := []string{dir}
+	if created {
+		syncs = []string{filepath.Dir(dir), dir}
+	}
+	for _, d := range syncs {
+		if err := kb.SyncDir(d); err != nil {
+			l.Close()
+			return nil, fmt.Errorf("remi: live KB %q: syncing %s: %w", name, d, err)
+		}
 	}
 	l.recoveryDropped = rec.DroppedBytes
 	var ops []delta.Op

@@ -471,6 +471,30 @@ func TestLiveKBDurabilityOrder(t *testing.T) {
 	}
 }
 
+// TestLiveKBFirstBootSyncsParent: a first boot creates the live directory,
+// and its entry in the parent must be durable before the WAL inside it is:
+// OpenLive syncs the parent, then the live directory.
+func TestLiveKBFirstBootSyncsParent(t *testing.T) {
+	parent := t.TempDir()
+	src, _ := writeTinySource(t, parent)
+	dir := filepath.Join(parent, "new")
+	var synced []string
+	sync := kb.SyncDir
+	defer func() { kb.SyncDir = sync }()
+	kb.SyncDir = func(d string) error {
+		synced = append(synced, d)
+		return sync(d)
+	}
+	live, err := OpenLive(dir, "tiny", LiveOptions{Source: src, Build: liveBuildOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Close()
+	if want := []string{parent, dir}; !slices.Equal(synced, want) {
+		t.Fatalf("first boot synced %q, want %q", synced, want)
+	}
+}
+
 // assertSameKB compares two KBs element for element: the id spaces, the
 // facts of every predicate by id, and the per-entity statistics.
 func assertSameKB(t *testing.T, label string, got, want *kb.KB) {

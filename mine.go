@@ -81,21 +81,22 @@ type Progress struct {
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
+// The tags are its JSON form, as the HTTP service answers it.
 type Solution struct {
 	// Expression is the formal rendering, e.g.
 	// "cityIn(x, France) ∧ mayor(x, y) ∧ party(y, Socialist)".
-	Expression string
+	Expression string `json:"expression"`
 	// Subgraphs lists the component subgraph expressions.
-	Subgraphs []string
+	Subgraphs []string `json:"subgraphs,omitempty"`
 	// NL is an automatic English verbalization.
-	NL string
+	NL string `json:"nl"`
 	// SPARQL is an equivalent SELECT query over the original data (inverse
 	// predicates are folded back into base triple patterns).
-	SPARQL string
+	SPARQL string `json:"sparql"`
 	// Bits is the estimated Kolmogorov complexity Ĉ.
-	Bits float64
+	Bits float64 `json:"bits"`
 	// Atoms counts atoms across the expression.
-	Atoms int
+	Atoms int `json:"atoms"`
 }
 
 // MineStats summarizes the search effort.
