@@ -12,6 +12,7 @@ package remi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -706,7 +707,7 @@ func BenchmarkLiveRecover(b *testing.B) {
 		}
 		batch := lb.batches()
 		for i := range n {
-			payload, err := encodeRecord(batch(i), "")
+			payload, err := json.Marshal(walRecord{Ops: batch(i)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/kb"
@@ -61,18 +60,9 @@ func main() {
 	var d *datagen.Dataset
 	opts := kb.DefaultOptions()
 	if *in == "" {
-		switch strings.ToLower(*dataset) {
-		case "dbpedia":
-			d = datagen.DBpediaLike(datagen.Config{Seed: *seed, Scale: *scale})
-		case "wikidata":
-			d = datagen.WikidataLike(datagen.Config{Seed: *seed, Scale: *scale})
-		case "tiny":
-			d = datagen.TinyGeo()
-			// Mirror remi.GenerateDemo: on the ~100-entity demo the equivalent
-			// of the paper's top-1% inverse materialization is the top 10%.
-			opts.InverseTopFraction = 0.10
-		default:
-			log.Fatalf("unknown dataset %q", *dataset)
+		var err error
+		if d, opts, err = datagen.Named(*dataset, datagen.Config{Seed: *seed, Scale: *scale}); err != nil {
+			log.Fatal(err)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,8 +249,8 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		HedgeDisabled:    true,
 	})
 	primaryName := h.router.ring.Primary(func() string {
-		req := httptest.NewRequest("POST", "/v1/mine", nil)
-		k, _, _, _ := h.router.routeKey(req, []byte(chaosMine))
+		req := httptest.NewRequest("POST", "/v1/mine", strings.NewReader(chaosMine))
+		k, _, _, _, _ := h.router.routeKey(httptest.NewRecorder(), req)
 		return k
 	}())
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,9 +61,6 @@ type Options struct {
 	// requests without a budget run unbounded — a deadline mid-stream
 	// would cut legitimate long-running mines.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps the buffered request body (default 1 MiB); larger
-	// bodies answer 413.
-	MaxBodyBytes int64
 	// Transport overrides the forwarding round-tripper (tests).
 	Transport http.RoundTripper
 }
@@ -96,9 +92,6 @@ func (o *Options) fill() {
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 }
 
@@ -222,37 +215,19 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routeBody is the superset of every POST body the router forwards: the
-// mining request the replicas decode, plus a summary's entity and size. It
-// parses leniently (unknown fields pass through untouched — the replica
-// validates) and only extracts what affinity needs.
-type routeBody struct {
-	wire.MineRequest
-	Entity string `json:"entity"`
-	Size   int    `json:"size"`
-}
-
-// key is the body's share of the route key: the replicas' own dedup key of
-// the canonicalised query (wire.MineRequest.Key), so every spelling of one
-// query — and its sync, async and stream forms — hashes to the replica
-// whose result cache holds it. A batch concatenates its sets' keys; a
-// summary is keyed on its entity and size as well.
-func (rb *routeBody) key() string {
-	q := rb.MineRequest
+// queryKey is a mining body's share of the route key: the replicas' own
+// dedup key of the canonicalised query (wire.MineRequest.Key), so every
+// spelling of one query — and its sync, async and stream forms — hashes to
+// the replica whose result cache holds it. A batch concatenates its sets'
+// keys.
+func queryKey(q wire.MineRequest) string {
 	q.Canonicalize()
-	var b strings.Builder
-	if rb.Entity != "" {
-		b.WriteString("e:")
-		b.WriteString(rb.Entity)
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(rb.Size))
-		b.WriteByte('|')
-	}
-	if len(rb.Sets) == 0 {
+	if len(q.Sets) == 0 {
 		q.Normalize()
-		b.WriteString(q.Key())
+		return q.Key()
 	}
-	for _, set := range rb.Sets {
+	var b strings.Builder
+	for _, set := range q.Sets {
 		q.Targets = set
 		q.Normalize()
 		b.WriteString(q.Key())
@@ -261,12 +236,14 @@ func (rb *routeBody) key() string {
 	return b.String()
 }
 
-// routeKey derives the consistent-hash key for a request: the KB name plus
-// the same query identity the replicas deduplicate on, so identical queries
-// land on the same replica's result cache regardless of endpoint. GET
-// endpoints key on KB + path + query. The error return is a client-visible
-// status (non-zero means: don't forward, answer it).
-func (rt *Router) routeKey(r *http.Request, body []byte) (key string, stream bool, status int, err error) {
+// routeKey reads the request body through wire.ReadJSON, into the type the
+// replica decodes for the endpoint, and derives the consistent-hash key:
+// the KB name plus the query identity the replicas deduplicate on, so
+// identical queries land on the same replica's result cache regardless of
+// endpoint. A summary is keyed on its entity, size and metric, a facts or
+// compile body on its KB alone; GETs and empty bodies key on KB + path +
+// query. A non-zero status is the client's answer: don't forward.
+func (rt *Router) routeKey(w http.ResponseWriter, r *http.Request) (key string, body []byte, stream bool, status int, err error) {
 	path := r.URL.Path
 	kb := ""
 	if rest, ok := strings.CutPrefix(path, "/v1/kb/"); ok {
@@ -275,39 +252,54 @@ func (rt *Router) routeKey(r *http.Request, body []byte) (key string, stream boo
 		}
 	}
 	stream = path == "/v1/mine:stream"
-	if r.Method == http.MethodPost && len(body) > 0 {
-		var rb routeBody
-		if jerr := json.Unmarshal(body, &rb); jerr != nil {
-			return "", false, http.StatusBadRequest, fmt.Errorf("parsing request body: %w", jerr)
+	var (
+		q              wire.MineRequest // the query the body keys on
+		bodyKB, prefix string
+	)
+	decoded := r.Method == http.MethodPost
+	switch {
+	case decoded && (path == "/v1/mine" || path == "/v1/mine:batch" || path == "/v1/mine:async" || stream):
+		body, status, err = wire.ReadJSON(w, r, &q)
+		bodyKB = q.KB
+	case decoded && path == "/v1/summarize":
+		var sr wire.SummarizeRequest
+		body, status, err = wire.ReadJSON(w, r, &sr)
+		bodyKB, q.Metric = sr.KB, sr.Metric
+		prefix = "e:" + sr.Entity + "|" + strconv.Itoa(sr.Size) + "|"
+	case decoded && (path == "/v1/facts" || path == "/v1/admin/compile"):
+		var wr struct {
+			KB string `json:"kb"`
 		}
+		body, status, err = wire.ReadJSON(w, r, &wr)
+		bodyKB = wr.KB
+		// A facts body's ops are the replica's to parse, and its first
+		// error may be an op's, ahead of a kb the router failed on: the
+		// write plane's 400s are left to the replica, which words them.
+		if status == http.StatusBadRequest {
+			status, err = 0, nil
+		}
+	default:
+		decoded = false
+		body, status, err = wire.ReadJSON(w, r, nil)
+	}
+	if status != 0 {
+		return "", nil, false, status, err
+	}
+	if decoded && len(body) > 0 {
 		if kb == "" {
-			kb = rb.KB
+			kb = bodyKB
 		}
-		return kb + "\x00" + rb.key(), stream, 0, nil
+		return kb + "\x00" + prefix + queryKey(q), body, stream, 0, nil
 	}
 	// GETs (describe, stats) and empty-body POSTs: path + canonical query
 	// (Encode sorts by parameter name).
-	return kb + "\x00" + path + "\x00" + r.URL.Query().Encode(), stream, 0, nil
+	return kb + "\x00" + path + "\x00" + r.URL.Query().Encode(), body, stream, 0, nil
 }
 
-// forwardKeyed buffers the body, derives the routing key and runs the
+// forwardKeyed reads the body, derives the routing key and runs the
 // robustness envelope.
 func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	if r.Body != nil {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes+1))
-		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-			return
-		}
-		if int64(len(body)) > rt.opts.MaxBodyBytes {
-			wire.WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", rt.opts.MaxBodyBytes))
-			return
-		}
-	}
-	key, stream, status, err := rt.routeKey(r, body)
+	key, body, stream, status, err := rt.routeKey(w, r)
 	if status != 0 {
 		wire.WriteError(w, status, err)
 		return

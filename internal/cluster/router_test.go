@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/remi-kb/remi/internal/faults"
-	"github.com/remi-kb/remi/internal/server"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
@@ -139,8 +138,8 @@ func servingReplica(t *testing.T, rt *Router, body string) string {
 // the backup).
 func ringPrimary(t *testing.T, rt *Router, path, body string) string {
 	t.Helper()
-	req := httptest.NewRequest("POST", path, nil)
-	key, _, status, err := rt.routeKey(req, []byte(body))
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	key, _, _, status, err := rt.routeKey(httptest.NewRecorder(), req)
 	if status != 0 {
 		t.Fatalf("routeKey: %v", err)
 	}
@@ -350,11 +349,9 @@ func TestRouterTimeoutBudget(t *testing.T) {
 
 func TestRouterBodyLimits(t *testing.T) {
 	fleet := newFleet(t, "r1")
-	opts := fastOpts()
-	opts.MaxBodyBytes = 256
-	rt := newTestRouter(t, fleet, opts)
+	rt := newTestRouter(t, fleet, fastOpts())
 
-	big := `{"targets":["` + strings.Repeat("a", 512) + `"]}`
+	big := `{"targets":["` + strings.Repeat("a", wire.MaxBodyBytes+1-len(`{"targets":[""]}`)) + `"]}`
 	if rec := doRouted(rt, "POST", "/v1/mine", big, nil); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", rec.Code)
 	}
@@ -366,34 +363,19 @@ func TestRouterBodyLimits(t *testing.T) {
 	}
 }
 
-// TestRouterAndReplicaAgreeOnBodyTypes: both tiers decode one request
-// type, so a body whose unused sets or targets field has the wrong JSON
-// type is a 400 ErrorResponse from the router and from a replica reached
-// directly alike — and the router answers it without forwarding.
+// TestRouterAndReplicaAgreeOnBodyTypes: both tiers read a body with one
+// function into one type, so on every tierRows body the router answers the
+// status and error text a replica reached directly answers — and a mining
+// or summary body that does not decode, or breaks the cap, is answered
+// without a forward.
 func TestRouterAndReplicaAgreeOnBodyTypes(t *testing.T) {
-	srv := server.New(tinySystem(t), server.Options{DefaultTimeout: 10 * time.Second})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	rt, err := New([]Replica{{Name: "r1", URL: ts.URL}}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/mine", `{"targets":["x"],"sets":5}`},
-		{"/v1/mine:batch", `{"sets":[["x"]],"targets":5}`},
-	} {
-		direct := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(direct, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
-		routed := doRouted(rt, "POST", tc.path, tc.body, nil)
-		for tier, rec := range map[string]*httptest.ResponseRecorder{"replica": direct, "router": routed} {
-			var er wire.ErrorResponse
-			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
-				t.Errorf("%s %s on the %s: %d %s, want a 400 ErrorResponse", tc.path, tc.body, tier, rec.Code, rec.Body.String())
-			}
-		}
-		if name := routed.Header().Get(HeaderReplica); name != "" {
-			t.Errorf("%s %s: the router forwarded an invalid body to %s", tc.path, tc.body, name)
+	p := newTierPair(t)
+	for _, row := range tierRows {
+		routed := p.agree(t, row.path, []byte(row.body))
+		undecoded := routed.Code == http.StatusRequestEntityTooLarge ||
+			row.path != "/v1/facts" && strings.Contains(routed.Body.String(), "decoding request")
+		if name := routed.Header().Get(HeaderReplica); undecoded && name != "" {
+			t.Errorf("%s %.40q: the router forwarded an invalid body to %s", row.path, row.body, name)
 		}
 	}
 }
@@ -660,8 +642,8 @@ func TestRouterStreamingPassThrough(t *testing.T) {
 func TestRouteKeyAffinity(t *testing.T) {
 	rt := newTestRouter(t, newFleet(t, "r1"), fastOpts())
 	key := func(method, path, body string) string {
-		req := httptest.NewRequest(method, path, nil)
-		k, _, status, err := rt.routeKey(req, []byte(body))
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		k, _, _, status, err := rt.routeKey(httptest.NewRecorder(), req)
 		if status != 0 {
 			t.Fatalf("routeKey(%s %s): %v", method, path, err)
 		}
@@ -711,15 +693,48 @@ func TestRouteKeyAffinity(t *testing.T) {
 	}
 
 	// Stream detection follows the KB prefix strip.
-	req := httptest.NewRequest("POST", "/v1/kb/geo/mine:stream", nil)
-	if _, stream, _, _ := rt.routeKey(req, []byte(`{"targets":["a"]}`)); !stream {
+	req := httptest.NewRequest("POST", "/v1/kb/geo/mine:stream", strings.NewReader(`{"targets":["a"]}`))
+	if _, _, stream, _, _ := rt.routeKey(httptest.NewRecorder(), req); !stream {
 		t.Fatal("kb-prefixed stream path not detected as streaming")
 	}
 
 	// A body that does not parse is the client's error, not a routing one.
-	badReq := httptest.NewRequest("POST", "/v1/mine", nil)
-	if _, _, status, err := rt.routeKey(badReq, []byte(`{"targets":`)); status != http.StatusBadRequest || err == nil {
+	badReq := httptest.NewRequest("POST", "/v1/mine", strings.NewReader(`{"targets":`))
+	if _, _, _, status, err := rt.routeKey(httptest.NewRecorder(), badReq); status != http.StatusBadRequest || err == nil {
 		t.Fatalf("bad JSON: status %d, err %v", status, err)
+	}
+}
+
+// TestRouteKeysPinned: the route key of a well-formed body — and with it
+// placement on the ring and the replica cache it meets — stays what the
+// router has always built, on every POST endpoint and a GET or two.
+func TestRouteKeysPinned(t *testing.T) {
+	rt := newTestRouter(t, newFleet(t, "r1"), fastOpts())
+	for _, tc := range []struct{ method, path, body, key string }{
+		{"POST", "/v1/mine", "{\"targets\":[\"b\",\"a\"],\"metric\":\"pr\",\"top_k\":3}", "\x001:a1:bpr|remi|1|0|3|0"},
+		{"POST", "/v1/mine", "{\"targets\":[\"a\"],\"kb\":\"geo\",\"language\":\"extended\",\"workers\":2,\"timeout_ms\":500,\"exceptions\":1}", "geo\x001:afr|remi|2|500|1|1"},
+		{"POST", "/v1/kb/geo/mine", "{\"targets\":[\"a\"]}", "geo\x001:afr|remi|1|0|1|0"},
+		{"POST", "/v1/mine:batch", "{\"sets\":[[\"b\",\"a\"],[\"c\"]],\"metric\":\"fr\"}", "\x001:a1:bfr|remi|1|0|1|0\x001:cfr|remi|1|0|1|0\x00"},
+		{"POST", "/v1/mine:async", "{\"targets\":[\"a\",\"b\",\"a\"]}", "\x001:a1:bfr|remi|1|0|1|0"},
+		{"POST", "/v1/mine:async", "{\"sets\":[[\"a\"]],\"top_k\":2}", "\x001:afr|remi|1|0|2|0\x00"},
+		{"POST", "/v1/mine:stream", "{\"targets\":[\"a\"],\"top_k\":0}", "\x001:afr|remi|1|0|1|0"},
+		{"POST", "/v1/kb/geo/mine:stream", "{\"targets\":[\"a\"],\"language\":\"standard\"}", "geo\x001:afr|standard|1|0|1|0"},
+		{"POST", "/v1/summarize", "{\"entity\":\"http://x/e\",\"size\":3}", "\x00e:http://x/e|3|fr|remi|1|0|1|0"},
+		{"POST", "/v1/summarize", "{\"entity\":\"e\",\"kb\":\"geo\",\"metric\":\"pr\"}", "geo\x00e:e|0|pr|remi|1|0|1|0"},
+		{"POST", "/v1/kb/geo/summarize", "{\"entity\":\"e\"}", "geo\x00e:e|0|fr|remi|1|0|1|0"},
+		{"POST", "/v1/facts", "{\"kb\":\"geo\",\"ops\":[{\"s\":\"<a:s>\",\"p\":\"<a:p>\",\"o\":\"<a:o>\"}]}", "geo\x00fr|remi|1|0|1|0"},
+		{"POST", "/v1/kb/geo/facts", "{\"ops\":[{\"op\":\"retract\",\"s\":\"<a:s>\",\"p\":\"<a:p>\",\"o\":\"<a:o>\"}]}", "geo\x00fr|remi|1|0|1|0"},
+		{"POST", "/v1/admin/compile", "", "\x00/v1/admin/compile\x00"},
+		{"POST", "/v1/admin/compile", "{\"kb\":\"geo\"}", "geo\x00fr|remi|1|0|1|0"},
+		{"POST", "/v1/kb/geo/admin/compile", "", "geo\x00/v1/admin/compile\x00"},
+		{"GET", "/v1/describe?metric=fr&entity=x", "", "\x00/v1/describe\x00entity=x&metric=fr"},
+		{"GET", "/v1/kb/geo/stats", "", "geo\x00/v1/stats\x00"},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		key, _, _, status, err := rt.routeKey(httptest.NewRecorder(), req)
+		if status != 0 || key != tc.key {
+			t.Errorf("%s %s %s: key %q (status %d, %v), want %q", tc.method, tc.path, tc.body, key, status, err, tc.key)
+		}
 	}
 }
 

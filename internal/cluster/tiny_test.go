@@ -17,7 +17,7 @@ var (
 
 // tinySystem shares one generated demo KB across the package's tests
 // (building it is the expensive part).
-func tinySystem(t *testing.T) *remi.System {
+func tinySystem(t testing.TB) *remi.System {
 	t.Helper()
 	tinyOnce.Do(func() { tinySys, tinyErr = remi.GenerateDemo("tiny", 42, 0) })
 	if tinyErr != nil {

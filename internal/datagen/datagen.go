@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"github.com/remi-kb/remi/internal/kb"
 	"github.com/remi-kb/remi/internal/rdf"
@@ -45,6 +46,28 @@ type Dataset struct {
 	// Members lists the entity IRIs of each short class name, most popular
 	// first.
 	Members map[string][]string
+}
+
+// Named generates the bundled dataset called name, case-insensitive —
+// "tiny" (or "tiny-geo"), "dbpedia" ("dbpedia-like") or "wikidata"
+// ("wikidata-like") — and returns it with the KB options it is indexed
+// with. tiny ignores cfg; the others take it as given, so each caller keeps
+// its own default scale.
+func Named(name string, cfg Config) (*Dataset, kb.Options, error) {
+	opts := kb.DefaultOptions()
+	switch strings.ToLower(name) {
+	case "tiny", "tiny-geo":
+		// The paper materializes inverse facts for the top 1% most frequent
+		// entities of multi-million-entity KBs; on the ~100-entity demo the
+		// equivalent head of the frequency distribution is the top 10%.
+		opts.InverseTopFraction = 0.10
+		return TinyGeo(), opts, nil
+	case "dbpedia", "dbpedia-like":
+		return DBpediaLike(cfg), opts, nil
+	case "wikidata", "wikidata-like":
+		return WikidataLike(cfg), opts, nil
+	}
+	return nil, opts, fmt.Errorf("unknown dataset %q (tiny|dbpedia|wikidata)", name)
 }
 
 // BuildKB indexes the dataset with the paper's KB options.

@@ -43,6 +43,7 @@ package delta
 
 import (
 	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -57,19 +58,62 @@ import (
 var ErrInvalidOp = errors.New("invalid mutation")
 
 // Op is a single mutation: an upsert (Retract=false) or retract
-// (Retract=true) of the fact P(S,O).
+// (Retract=true) of the fact P(S,O). Its JSON form is the one a facts
+// request carries and a WAL record stores: {"op":"upsert"|"retract",
+// "s","p","o"} with the terms in N-Triples syntax; "op" may be left out on
+// input, and then the op is an upsert.
 type Op struct {
 	Retract bool
 	S, P, O rdf.Term
 }
 
+// opJSON is the JSON form of an Op.
+type opJSON struct {
+	Op string `json:"op"`
+	S  string `json:"s"`
+	P  string `json:"p"`
+	O  string `json:"o"`
+}
+
+func (op Op) verb() string {
+	if op.Retract {
+		return "retract"
+	}
+	return "upsert"
+}
+
 // String renders the op for error messages and logs.
 func (op Op) String() string {
-	verb := "upsert"
-	if op.Retract {
-		verb = "retract"
+	return fmt.Sprintf("%s %s %s %s", op.verb(), op.S, op.P, op.O)
+}
+
+// MarshalJSON writes the op's JSON form, "op" always present.
+func (op Op) MarshalJSON() ([]byte, error) {
+	return json.Marshal(opJSON{Op: op.verb(), S: op.S.String(), P: op.P.String(), O: op.O.String()})
+}
+
+// UnmarshalJSON reads the op's JSON form: a missing or empty "op" is an
+// upsert, and each term must parse as N-Triples.
+func (op *Op) UnmarshalJSON(b []byte) error {
+	var j opJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
 	}
-	return fmt.Sprintf("%s %s %s %s", verb, op.S, op.P, op.O)
+	if j.Op != "" && j.Op != "upsert" && j.Op != "retract" {
+		return fmt.Errorf("unknown op %q (upsert|retract)", j.Op)
+	}
+	op.Retract = j.Op == "retract"
+	var err error
+	if op.S, err = rdf.ParseTerm(j.S); err != nil {
+		return fmt.Errorf("subject: %w", err)
+	}
+	if op.P, err = rdf.ParseTerm(j.P); err != nil {
+		return fmt.Errorf("predicate: %w", err)
+	}
+	if op.O, err = rdf.ParseTerm(j.O); err != nil {
+		return fmt.Errorf("object: %w", err)
+	}
+	return nil
 }
 
 // Overlay is the newest generation of a live KB plus what it needs to

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -597,5 +598,43 @@ func TestOverlayStatsCounters(t *testing.T) {
 	}
 	if fmt.Sprint(ops[0]) == "" {
 		t.Fatal("op string empty")
+	}
+}
+
+// TestOpJSON: an op's JSON form round-trips every term kind, writes "op"
+// always, reads a missing "op" as an upsert, and refuses an unknown verb or
+// a term that does not parse, naming which.
+func TestOpJSON(t *testing.T) {
+	ops := []Op{
+		{S: iri("a&b"), P: iri("p"), O: iri("c")},
+		{S: rdf.NewBlank("b1"), P: iri("label"), O: lit("say \"hi\"\n\"@en")},
+		{Retract: true, S: iri("a"), P: iri("n"), O: lit(`1\2"^^<http://www.w3.org/2001/XMLSchema#integer>`)},
+	}
+	b, err := json.Marshal(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"op":"upsert","s":"\u003chttp://e/a\u0026b\u003e","p":"\u003chttp://e/p\u003e","o":"\u003chttp://e/c\u003e"}`; !strings.HasPrefix(string(b), "["+want+",") {
+		t.Fatalf("first op wrote %s, want %s", b, want)
+	}
+	var back []Op
+	if err := json.Unmarshal(b, &back); err != nil || !slices.Equal(back, ops) {
+		t.Fatalf("round trip: %v, %v", back, err)
+	}
+	var op Op
+	if err := json.Unmarshal([]byte(`{"s":"<http://e/a>","p":"<http://e/p>","o":"_:x"}`), &op); err != nil ||
+		op != (Op{S: iri("a"), P: iri("p"), O: rdf.NewBlank("x")}) {
+		t.Fatalf("op without a verb: %v, %v", op, err)
+	}
+	for body, want := range map[string]string{
+		`{"op":"move","s":"<a>","p":"<p>","o":"<o>"}`: `unknown op "move" (upsert|retract)`,
+		`{"s":"a","p":"<p>","o":"<o>"}`:               "subject: ",
+		`{"s":"<a>","p":"","o":"<o>"}`:                "predicate: ",
+		`{"s":"<a>","p":"<p>","o":"\"x"}`:             "object: ",
+		`{"s":5}`:                                     "cannot unmarshal number",
+	} {
+		if err := json.Unmarshal([]byte(body), &op); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want %q", body, err, want)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/kb/delta"
-	"github.com/remi-kb/remi/internal/rdf"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
@@ -29,8 +28,8 @@ var errNotLive = errors.New("knowledge base is not live (no WAL-backed delta lay
 var errCompacting = errors.New("compaction already in progress")
 
 // maxFactOps caps the ops of one mutation batch; the request body cap
-// already bounds bytes, this bounds the per-op work (parse, validate,
-// mirror) independently of op size.
+// already bounds bytes (and so the parse), this bounds the per-op work
+// (validate, mirror, WAL write) independently of op size.
 const maxFactOps = 10000
 
 // AddLiveKB registers a live (mutable) knowledge base under name: its
@@ -53,32 +52,6 @@ func (s *Server) BindLive(name string, live *remi.LiveKB) error {
 	}
 	e.live = live
 	return nil
-}
-
-// parseFactOps decodes the wire batch into delta ops: terms are N-Triples
-// encoded, op is "upsert" (default) or "retract".
-func parseFactOps(in []FactOp) ([]delta.Op, error) {
-	ops := make([]delta.Op, len(in))
-	for i, f := range in {
-		switch f.Op {
-		case "", "upsert":
-		case "retract":
-			ops[i].Retract = true
-		default:
-			return nil, fmt.Errorf("op %d: unknown op %q (upsert|retract)", i, f.Op)
-		}
-		var err error
-		if ops[i].S, err = rdf.ParseTerm(f.S); err != nil {
-			return nil, fmt.Errorf("op %d: subject: %w", i, err)
-		}
-		if ops[i].P, err = rdf.ParseTerm(f.P); err != nil {
-			return nil, fmt.Errorf("op %d: predicate: %w", i, err)
-		}
-		if ops[i].O, err = rdf.ParseTerm(f.O); err != nil {
-			return nil, fmt.Errorf("op %d: object: %w", i, err)
-		}
-	}
-	return ops, nil
 }
 
 // handleFacts is POST /v1/kb/{name}/facts (and /v1/facts with a kb field):
@@ -108,16 +81,11 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%d ops exceed the batch limit of %d", len(q.Ops), maxFactOps))
 		return
 	}
-	ops, err := parseFactOps(q.Ops)
-	if err != nil {
-		s.writeError(w, &s.cFacts, http.StatusBadRequest, err)
-		return
-	}
 	// reloadMu serializes this swap against reloads and compactions of the
 	// same KB, and orders concurrent mutation batches: the System swapped
 	// in always reflects every batch acked before it.
 	e.reloadMu.Lock()
-	sys, changed, err := e.live.Apply(r.Context(), ops, requestIDOf(r))
+	sys, changed, err := e.live.Apply(r.Context(), q.Ops, requestIDOf(r))
 	if err != nil {
 		e.reloadMu.Unlock()
 		status := http.StatusInternalServerError
@@ -133,7 +101,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	st := e.live.Stats()
 	wire.WriteJSON(w, http.StatusOK, FactsResponse{
 		KB:         e.name,
-		Applied:    len(ops),
+		Applied:    len(q.Ops),
 		Changed:    changed,
 		Generation: gen,
 		WalBytes:   st.WalBytes,
@@ -151,7 +119,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.cCompile.requests.Add(1)
 	var q CompileRequest
-	if r.ContentLength != 0 && !s.decode(w, r, &s.cCompile, &q) {
+	if !s.decode(w, r, &s.cCompile, &q) {
 		return
 	}
 	e, err := s.kbFromRequest(r, q.KB)

@@ -20,6 +20,8 @@ import (
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/datagen"
 	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/kb/delta"
+	"github.com/remi-kb/remi/internal/rdf"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
@@ -52,8 +54,8 @@ func liveServer(t *testing.T, opts Options) (*Server, *remi.LiveKB) {
 	return s, live
 }
 
-func upsertJSON(s, p, o string) FactOp {
-	return FactOp{S: "<" + s + ">", P: "<" + p + ">", O: "<" + o + ">"}
+func upsertJSON(s, p, o string) delta.Op {
+	return delta.Op{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)}
 }
 
 func liveKBStats(t *testing.T, h http.Handler, name string) KBInfo {
@@ -70,10 +72,10 @@ func TestFactsEndpointDurableAck(t *testing.T) {
 	s, live := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 
-	body, _ := json.Marshal(FactsRequest{Ops: []FactOp{
+	body, _ := json.Marshal(FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", tinyOnt+"City"),
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
-		{Op: "retract", S: "<" + tinyNS + "Rennes>", P: "<" + tinyOnt + "mayor>", O: "<" + tinyNS + "MayorRennes>"},
+		{Retract: true, S: rdf.NewIRI(tinyNS + "Rennes"), P: rdf.NewIRI(tinyOnt + "mayor"), O: rdf.NewIRI(tinyNS + "MayorRennes")},
 	}})
 	req := httptest.NewRequest("POST", "/v1/kb/geo/facts", strings.NewReader(string(body)))
 	req.Header.Set(wire.HeaderRequestID, "facts-req-1")
@@ -110,7 +112,7 @@ func TestFactsEndpointDurableAck(t *testing.T) {
 		t.Fatalf("mine on mutated KB: %d %s", rec.Code, rec.Body.String())
 	}
 	// An idempotent re-send acks with changed=0 and a fresh generation.
-	rec = postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec = postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
 	}})
 	if rec.Code != http.StatusOK {
@@ -140,7 +142,7 @@ func TestFactsMutationInvalidatesCachedAnswers(t *testing.T) {
 	// Give Nantes the same mayor: whatever discriminated Rennes via that
 	// mayor is no longer a referring expression, so a cached answer would
 	// now be wrong.
-	rec = postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec = postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Nantes", tinyOnt+"mayor", tinyNS+"MayorRennes"),
 	}})
 	if rec.Code != http.StatusOK {
@@ -163,9 +165,9 @@ func TestFactsValidationErrors(t *testing.T) {
 
 	// Terms stay minimal so the batch clears the byte cap and exercises the
 	// op-count cap specifically.
-	tooMany := FactsRequest{Ops: make([]FactOp, maxFactOps+1)}
+	tooMany := FactsRequest{Ops: make([]delta.Op, maxFactOps+1)}
 	for i := range tooMany.Ops {
-		tooMany.Ops[i] = FactOp{S: "<a:s>", P: "<a:p>", O: "<a:o>"}
+		tooMany.Ops[i] = upsertJSON("a:s", "a:p", "a:o")
 	}
 	tooManyBody, _ := json.Marshal(tooMany)
 
@@ -207,7 +209,7 @@ func TestCompileEndpoint(t *testing.T) {
 	s, live := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
 	}})
 	if rec.Code != http.StatusOK {
@@ -257,7 +259,7 @@ func TestCompileEndpoint(t *testing.T) {
 func TestCompileKeepsCacheAndServingSystem(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
 	}})
 	if rec.Code != http.StatusOK {
@@ -327,7 +329,7 @@ func TestCompileWhileCompacting(t *testing.T) {
 func TestFactsChaosWalSyncFailure(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	ops := FactsRequest{Ops: []FactOp{upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica")}}
+	ops := FactsRequest{Ops: []delta.Op{upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica")}}
 
 	disarm := faults.Arm(faults.WalSync, faults.Injection{Err: fmt.Errorf("injected: disk full")})
 	rec := postJSON(t, h, "/v1/kb/geo/facts", ops)
@@ -355,7 +357,7 @@ func TestFactsChaosWalSyncFailure(t *testing.T) {
 func TestFactsChaosTornAppend(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	ops := FactsRequest{Ops: []FactOp{upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica")}}
+	ops := FactsRequest{Ops: []delta.Op{upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica")}}
 
 	disarm := faults.Arm(faults.WalTorn, faults.Injection{Err: fmt.Errorf("injected: power loss")})
 	rec := postJSON(t, h, "/v1/kb/geo/facts", ops)
@@ -381,7 +383,7 @@ func TestFactsChaosTornAppend(t *testing.T) {
 func TestCompileChaosCrashContainment(t *testing.T) {
 	s, live := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"in", tinyNS+"SouthAmerica"),
 	}})
 	if rec.Code != http.StatusOK {
@@ -426,7 +428,7 @@ func TestSwapsKeepServingGeneration(t *testing.T) {
 	s, _ := liveServer(t, Options{DefaultTimeout: 10 * time.Second})
 	h := s.Handler()
 	for i := 0; i < 3; i++ {
-		rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+		rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 			upsertJSON(tinyNS+"Atlantis", tinyOnt+fmt.Sprintf("p%d", i), tinyNS+"SouthAmerica"),
 		}})
 		if rec.Code != http.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	remi "github.com/remi-kb/remi"
+	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/server/jobs"
 )
 
@@ -33,16 +34,6 @@ type MineResponse struct {
 	// Cached reports that this response was served from the completed-result
 	// LRU without running a search.
 	Cached bool `json:"cached,omitempty"`
-}
-
-// SummarizeRequest is the body of POST /v1/summarize.
-type SummarizeRequest struct {
-	Entity string `json:"entity"`
-	// KB routes the request to a registered knowledge base (optional).
-	KB string `json:"kb,omitempty"`
-	// Size is the number of features to return (default 5).
-	Size   int    `json:"size,omitempty"`
-	Metric string `json:"metric,omitempty"`
 }
 
 // BatchMineItem is the outcome of one target set of a batch: exactly one of
@@ -83,14 +74,8 @@ type BatchMineResponse struct {
 
 // SummarizeResponse is the body of a successful POST /v1/summarize.
 type SummarizeResponse struct {
-	Entity   string    `json:"entity"`
-	Features []Feature `json:"features"`
-}
-
-// Feature is one predicate–object pair of an entity summary.
-type Feature struct {
-	Predicate string `json:"predicate"`
-	Object    string `json:"object"`
+	Entity   string              `json:"entity"`
+	Features []remi.SummaryEntry `json:"features"`
 }
 
 // DescribeResponse is the body of GET /v1/describe.
@@ -136,19 +121,13 @@ type KBInfo struct {
 	PendingDels              int   `json:"pending_dels,omitempty"`
 }
 
-// FactOp is one mutation of a facts batch. Terms are N-Triples encoded
-// (<iri>, "literal", _:blank); op is "upsert" (default) or "retract".
-type FactOp struct {
-	Op string `json:"op,omitempty"`
-	S  string `json:"s"`
-	P  string `json:"p"`
-	O  string `json:"o"`
-}
-
-// FactsRequest is the body of POST /v1/kb/{name}/facts.
+// FactsRequest is the body of POST /v1/kb/{name}/facts. Each op is in the
+// JSON form a WAL record stores (delta.Op): {"op","s","p","o"}, terms in
+// N-Triples syntax (<iri>, "literal", _:blank), op "upsert" (default) or
+// "retract".
 type FactsRequest struct {
-	KB  string   `json:"kb,omitempty"` // alternative to the path form
-	Ops []FactOp `json:"ops"`
+	KB  string     `json:"kb,omitempty"` // alternative to the path form
+	Ops []delta.Op `json:"ops"`
 }
 
 // FactsResponse acknowledges a durable mutation batch: by the time a

@@ -14,6 +14,7 @@ import (
 
 	remi "github.com/remi-kb/remi"
 	"github.com/remi-kb/remi/internal/faults"
+	"github.com/remi-kb/remi/internal/kb/delta"
 	"github.com/remi-kb/remi/internal/wire"
 )
 
@@ -338,11 +339,11 @@ func TestMultiKBSummarizeAndDescribe(t *testing.T) {
 	}
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/v1/kb/geo2/summarize", SummarizeRequest{Entity: tinyNS + "Paris", Size: 3})
+	rec := postJSON(t, h, "/v1/kb/geo2/summarize", wire.SummarizeRequest{Entity: tinyNS + "Paris", Size: 3})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("summarize via path: %d: %s", rec.Code, rec.Body.String())
 	}
-	rec = postJSON(t, h, "/v1/summarize", SummarizeRequest{Entity: tinyNS + "Paris", KB: "nope"})
+	rec = postJSON(t, h, "/v1/summarize", wire.SummarizeRequest{Entity: tinyNS + "Paris", KB: "nope"})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("summarize unknown kb: %d", rec.Code)
 	}
@@ -382,7 +383,7 @@ func TestBatchSetAfterSwapMinesCurrentGeneration(t *testing.T) {
 	}()
 	// The first set holds the only worker before reading any System.
 	waitFor(t, func() bool { return faults.Hits(faults.JobStuck) == 1 })
-	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []FactOp{
+	rec := postJSON(t, h, "/v1/kb/geo/facts", FactsRequest{Ops: []delta.Op{
 		upsertJSON(tinyNS+"Atlantis", tinyOnt+"sunkIn", tinyNS+"SouthAmerica"),
 	}})
 	if rec.Code != http.StatusOK {

@@ -38,7 +38,7 @@ func TestHTTPErrorConformance(t *testing.T) {
 		return r
 	}
 	oversized := func(pad string) string {
-		return `{"targets":["` + strings.Repeat("a", maxBodyBytes+1024) + `"]` + pad + `}`
+		return `{"targets":["` + strings.Repeat("a", wire.MaxBodyBytes+1024) + `"]` + pad + `}`
 	}
 
 	cases := []struct {
@@ -232,7 +232,7 @@ func TestSuccessResponsesAreJSON(t *testing.T) {
 	reqs := []*http.Request{
 		newJSONRequest(t, "POST", "/v1/mine", wire.MineRequest{Targets: []string{tinyNS + "Paris"}}),
 		newJSONRequest(t, "POST", "/v1/mine:batch", wire.MineRequest{Sets: [][]string{{tinyNS + "Paris"}}}),
-		newJSONRequest(t, "POST", "/v1/summarize", SummarizeRequest{Entity: tinyNS + "Paris"}),
+		newJSONRequest(t, "POST", "/v1/summarize", wire.SummarizeRequest{Entity: tinyNS + "Paris"}),
 		httptest.NewRequest("GET", "/v1/describe?entity="+tinyNS+"Paris", nil),
 		httptest.NewRequest("GET", "/v1/stats", nil),
 		httptest.NewRequest("GET", "/v1/kb/"+DefaultKBName+"/stats", nil),

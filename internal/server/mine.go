@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -88,21 +87,16 @@ func (s *Server) mineOptions(q *wire.MineRequest) ([]remi.MineOption, error) {
 	return opts, nil
 }
 
-// decode reads a size-capped JSON request body into v. A body that does not
-// decode is answered here — 400, or 413 past the cap — against the
-// endpoint's counter, and false tells the handler to return.
+// decode reads the request body into v as the router does (wire.ReadJSON).
+// A body that does not decode is answered here against the endpoint's
+// counter, and false tells the handler to return.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *counter, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
+	_, status, err := wire.ReadJSON(w, r, v)
+	if err != nil {
+		s.writeError(w, c, status, err)
+		return false
 	}
-	status := http.StatusBadRequest
-	var maxErr *http.MaxBytesError
-	if errors.As(err, &maxErr) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	s.writeError(w, c, status, fmt.Errorf("decoding request: %w", err))
-	return false
+	return true
 }
 
 // mineQuery is a validated single-target-set mining request bound to its
@@ -312,7 +306,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	s.cSummarize.requests.Add(1)
-	var q SummarizeRequest
+	var q wire.SummarizeRequest
 	if !s.decode(w, r, &s.cSummarize, &q) {
 		return
 	}
@@ -343,11 +337,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &s.cSummarize, errStatus(err), err)
 		return
 	}
-	out := SummarizeResponse{Entity: q.Entity, Features: make([]Feature, len(entries))}
-	for i, en := range entries {
-		out.Features[i] = Feature{Predicate: en.Predicate, Object: en.Object}
-	}
-	wire.WriteJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, SummarizeResponse{Entity: q.Entity, Features: entries})
 }
 
 func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {

@@ -148,9 +148,6 @@ const (
 	maxReloadBackoff     = 5 * time.Minute
 	defaultSummary       = 5
 	maxSummary           = 100
-	// maxBodyBytes caps request bodies before decoding so an oversized
-	// payload cannot balloon memory ahead of validation.
-	maxBodyBytes = 1 << 20
 )
 
 type counter struct {

@@ -309,7 +309,7 @@ func TestMineClampsExcessiveOptions(t *testing.T) {
 func TestMineBodyTooLarge(t *testing.T) {
 	s := tinyServer(t, Options{})
 	h := s.Handler()
-	big := bytes.Repeat([]byte("a"), maxBodyBytes+1024)
+	big := bytes.Repeat([]byte("a"), wire.MaxBodyBytes+1024)
 	body := append([]byte(`{"targets":["`), big...)
 	body = append(body, []byte(`"]}`)...)
 	req := httptest.NewRequest("POST", "/v1/mine", bytes.NewReader(body))
@@ -353,7 +353,7 @@ func TestSummarizeAndDescribe(t *testing.T) {
 	s := tinyServer(t, Options{})
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/v1/summarize", SummarizeRequest{Entity: tinyNS + "Paris", Size: 3})
+	rec := postJSON(t, h, "/v1/summarize", wire.SummarizeRequest{Entity: tinyNS + "Paris", Size: 3})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("summarize: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -367,7 +367,7 @@ func TestSummarizeAndDescribe(t *testing.T) {
 		}
 	}
 
-	rec = postJSON(t, h, "/v1/summarize", SummarizeRequest{Entity: tinyNS + "Nowhere"})
+	rec = postJSON(t, h, "/v1/summarize", wire.SummarizeRequest{Entity: tinyNS + "Nowhere"})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("summarize unknown: status %d", rec.Code)
 	}

@@ -20,11 +20,12 @@ func masked(body string) string {
 	return volatileField.ReplaceAllString(strings.TrimSpace(body), `"$1":"*"`)
 }
 
-// TestWirePin pins the bytes of four documents — key order and values,
+// TestWirePin pins the bytes of five documents — key order and values,
 // with only the volatile fields masked — so a change to the types behind
 // them cannot change what a client reads: a found /v1/mine response with
 // alternatives, a /v1/mine:batch response with one repeat and one invalid
-// set, a finished async job document, and the /v1/stats jobs block. The
+// set, a finished async job document, the /v1/stats jobs block, and a
+// /v1/summarize response. The
 // bodies are raw JSON so the test depends on no request type.
 func TestWirePin(t *testing.T) {
 	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second})
@@ -69,4 +70,7 @@ func TestWirePin(t *testing.T) {
 
 	stats := serve("GET", "/v1/stats", "", http.StatusOK)
 	check("stats jobs", regexp.MustCompile(`"jobs":\{"workers":[^}]*\}`).FindString(stats), `"jobs":{"workers":4,"queue_capacity":64,"queued":0,"running":0,"tracked":1,"submitted":3,"external":0,"joined":0,"rejected":0,"completed":3,"failed":0,"cancelled":0,"expired":0,"avg_run_ms":"*"}`)
+
+	check("summarize", serve("POST", "/v1/summarize", `{"entity":"`+tinyNS+`Paris","size":3}`, http.StatusOK),
+		`{"entity":"http://tiny.demo/resource/Paris","features":[{"predicate":"http://tiny.demo/ontology/cityIn","object":"France"},{"predicate":"http://tiny.demo/ontology/placeOf","object":"Epitech"}]}`)
 }

@@ -38,6 +38,18 @@ type MineRequest struct {
 	Exceptions int `json:"exceptions,omitempty"`
 }
 
+// SummarizeRequest is the body of POST /v1/summarize: the size most
+// intuitive features of one entity. The router keys it on the entity, the
+// size and the metric.
+type SummarizeRequest struct {
+	Entity string `json:"entity"`
+	// KB routes the request to a registered knowledge base (optional).
+	KB string `json:"kb,omitempty"`
+	// Size is the number of features to return (default 5).
+	Size   int    `json:"size,omitempty"`
+	Metric string `json:"metric,omitempty"`
+}
+
 // Normalize sorts and deduplicates the targets in place so that equal
 // queries share one key regardless of target order.
 func (q *MineRequest) Normalize() {

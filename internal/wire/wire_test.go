@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -100,5 +102,70 @@ func TestWriters(t *testing.T) {
 	SetRetryAfter(rec, 0)
 	if got := rec.Header().Get("Retry-After"); got != "1" {
 		t.Errorf("Retry-After for a zero hint %q, want the floor of 1", got)
+	}
+}
+
+// failingBody is a request body whose read fails midway.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+func (failingBody) Close() error             { return nil }
+
+// TestReadJSON: the one body reader answers in the body's own terms —
+// JSON keys and JSON types — and returns the bytes it read.
+func TestReadJSON(t *testing.T) {
+	read := func(body string, v any) ([]byte, int, error) {
+		return ReadJSON(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/mine", strings.NewReader(body)), v)
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+		err    string
+	}{
+		{`{"targets":["a"],"top_k":2}`, 0, ""},
+		{``, 0, ""},
+		{`{"targets":["a"]} x`, http.StatusBadRequest, "decoding request: invalid character 'x' after top-level value"},
+		{`{"targets":`, http.StatusBadRequest, "decoding request: unexpected end of JSON input"},
+		{`{"targets":5}`, http.StatusBadRequest, `decoding request: "targets": got a JSON number, want an array`},
+		{`{"sets":[[true]]}`, http.StatusBadRequest, `decoding request: "sets": got a JSON boolean, want a string`},
+		{`{"top_k":1e99}`, http.StatusBadRequest, `decoding request: "top_k": got a JSON number, want a number`},
+		{`{"kb":{}}`, http.StatusBadRequest, `decoding request: "kb": got a JSON object, want a string`},
+		{`["a"]`, http.StatusBadRequest, "decoding request: got a JSON array, want an object"},
+		{`{"targets":["` + strings.Repeat("a", MaxBodyBytes) + `"]}`, http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes"},
+	} {
+		var q MineRequest
+		body, status, err := read(tc.body, &q)
+		if status != tc.status || (err == nil) != (tc.err == "") || (err != nil && err.Error() != tc.err) {
+			t.Errorf("%.40q: status %d, error %v; want %d %q", tc.body, status, err, tc.status, tc.err)
+		}
+		if status != http.StatusRequestEntityTooLarge && string(body) != tc.body {
+			t.Errorf("%.40q: read %q", tc.body, body)
+		}
+	}
+	var q MineRequest
+	if _, _, err := read(`{"targets":["b","a"],"top_k":2}`, &q); err != nil || len(q.Targets) != 2 || q.TopK != 2 {
+		t.Errorf("decoded %+v, %v", q, err)
+	}
+	// A nil target reads and checks nothing but the cap.
+	if body, status, err := read(`not JSON`, nil); status != 0 || err != nil || string(body) != "not JSON" {
+		t.Errorf("read-only: %q %d %v", body, status, err)
+	}
+	req := httptest.NewRequest("POST", "/v1/mine", nil)
+	req.Body = failingBody{}
+	if _, status, err := ReadJSON(httptest.NewRecorder(), req, &MineRequest{}); status != http.StatusBadRequest ||
+		err == nil || !strings.Contains(err.Error(), "reading request body") {
+		t.Errorf("failed read: %d %v", status, err)
+	}
+	// Every Go kind a body field can have words as its JSON type.
+	for v, want := range map[any]string{
+		new(struct{ B bool }):           `"B": got a JSON string, want a boolean`,
+		new(struct{ M map[string]int }): `"M": got a JSON string, want an object`,
+		new(struct{ P []float64 }):      `"P": got a JSON string, want an array`,
+		new(struct{ U uint8 }):          `"U": got a JSON string, want a number`,
+	} {
+		field := reflect.TypeOf(v).Elem().Field(0).Name
+		if _, _, err := read(`{"`+field+`":"x"}`, v); err == nil || err.Error() != "decoding request: "+want {
+			t.Errorf("%s: %v, want %q", field, err, want)
+		}
 	}
 }

@@ -107,62 +107,14 @@ func (l *LiveKB) snapPath() string { return filepath.Join(l.dir, l.name+".snap")
 func (l *LiveKB) walPath() string  { return filepath.Join(l.dir, l.name+".wal") }
 
 // walRecord is the JSON payload of one WAL record: a mutation batch with
-// the request id that acked it, terms in N-Triples syntax. JSON+text keeps
+// the request id that acked it, each op in its own JSON form (terms in
+// N-Triples syntax, as a facts request carries them). JSON+text keeps
 // records self-describing across format evolution — the WAL is small and
 // short-lived (truncated at every compaction), so wire compactness does
 // not matter the way it does for the snapshot.
 type walRecord struct {
-	RequestID string  `json:"request_id,omitempty"`
-	Ops       []walOp `json:"ops"`
-}
-
-type walOp struct {
-	Op string `json:"op"` // "upsert" | "retract"
-	S  string `json:"s"`
-	P  string `json:"p"`
-	O  string `json:"o"`
-}
-
-func encodeRecord(ops []delta.Op, requestID string) ([]byte, error) {
-	rec := walRecord{RequestID: requestID, Ops: make([]walOp, len(ops))}
-	for i, op := range ops {
-		verb := "upsert"
-		if op.Retract {
-			verb = "retract"
-		}
-		rec.Ops[i] = walOp{Op: verb, S: op.S.String(), P: op.P.String(), O: op.O.String()}
-	}
-	return json.Marshal(rec)
-}
-
-func decodeRecord(payload []byte) ([]delta.Op, string, error) {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, "", fmt.Errorf("remi: wal record: %w", err)
-	}
-	ops := make([]delta.Op, len(rec.Ops))
-	for i, wo := range rec.Ops {
-		op := delta.Op{}
-		switch wo.Op {
-		case "", "upsert":
-		case "retract":
-			op.Retract = true
-		default:
-			return nil, "", fmt.Errorf("remi: wal record: unknown op %q", wo.Op)
-		}
-		var err error
-		if op.S, err = rdf.ParseTerm(wo.S); err != nil {
-			return nil, "", fmt.Errorf("remi: wal record subject: %w", err)
-		}
-		if op.P, err = rdf.ParseTerm(wo.P); err != nil {
-			return nil, "", fmt.Errorf("remi: wal record predicate: %w", err)
-		}
-		if op.O, err = rdf.ParseTerm(wo.O); err != nil {
-			return nil, "", fmt.Errorf("remi: wal record object: %w", err)
-		}
-		ops[i] = op
-	}
-	return ops, rec.RequestID, nil
+	RequestID string     `json:"request_id,omitempty"`
+	Ops       []delta.Op `json:"ops"`
 }
 
 // OpenLive opens (or creates) the live KB <name> rooted at dir: the base
@@ -174,8 +126,17 @@ func decodeRecord(payload []byte) ([]delta.Op, string, error) {
 // different base) are skipped rather than failing the boot — the WAL is a
 // redo log, not a schema.
 func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
-	_, statErr := os.Stat(dir)
-	created := errors.Is(statErr, os.ErrNotExist)
+	// The WAL may be about to be created, and on a first boot dir and any
+	// missing ancestors too: every new name must be durable before an append
+	// is acknowledged, so syncs lists the parent of the outermost new
+	// directory, then each new one outermost first, dir last.
+	syncs := []string{dir}
+	for d := dir; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, os.ErrNotExist) || filepath.Dir(d) == d {
+			break
+		}
+		syncs = append([]string{filepath.Dir(d)}, syncs...)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("remi: live dir: %w", err)
 	}
@@ -197,13 +158,6 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	}
 	l.log = log
 	l.overlay = delta.New(base)
-	// The WAL may have just been created, and on a first boot the directory
-	// too: their names must be durable, the directory's first, before an
-	// append to the WAL is acknowledged.
-	syncs := []string{dir}
-	if created {
-		syncs = []string{filepath.Dir(dir), dir}
-	}
 	for _, d := range syncs {
 		if err := kb.SyncDir(d); err != nil {
 			l.Close()
@@ -213,14 +167,14 @@ func OpenLive(dir, name string, opts LiveOptions) (*LiveKB, error) {
 	l.recoveryDropped = rec.DroppedBytes
 	var ops []delta.Op
 	for _, payload := range rec.Records {
-		recOps, _, err := decodeRecord(payload)
-		if err != nil {
+		var r walRecord
+		if err := json.Unmarshal(payload, &r); err != nil {
 			continue // unreadable but CRC-intact record from an older build
 		}
-		if err := l.overlay.Validate(recOps); err != nil {
+		if err := l.overlay.Validate(r.Ops); err != nil {
 			continue // no longer valid against this base
 		}
-		ops = append(ops, recOps...)
+		ops = append(ops, r.Ops...)
 		l.recoveryReplayed++
 	}
 	// The valid records replay as one batch, one patch: ops in a batch take
@@ -312,7 +266,7 @@ func (l *LiveKB) Apply(ctx context.Context, ops []delta.Op, requestID string) (s
 	if err := faults.Fire(ctx, faults.DeltaApply); err != nil {
 		return nil, 0, fmt.Errorf("remi: staging mutation batch: %w", err)
 	}
-	payload, err := encodeRecord(ops, requestID)
+	payload, err := json.Marshal(walRecord{RequestID: requestID, Ops: ops})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,6 +10,7 @@ package remi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -471,13 +472,16 @@ func TestLiveKBDurabilityOrder(t *testing.T) {
 	}
 }
 
-// TestLiveKBFirstBootSyncsParent: a first boot creates the live directory,
-// and its entry in the parent must be durable before the WAL inside it is:
-// OpenLive syncs the parent, then the live directory.
+// TestLiveKBFirstBootSyncsParent: a first boot creates the live directory
+// and every missing ancestor, and each new entry must be durable before the
+// WAL inside them is: OpenLive syncs the parent of the outermost new
+// directory, then each new directory outermost first, the live one last.
 func TestLiveKBFirstBootSyncsParent(t *testing.T) {
 	parent := t.TempDir()
 	src, _ := writeTinySource(t, parent)
-	dir := filepath.Join(parent, "new")
+	a := filepath.Join(parent, "a")
+	b := filepath.Join(a, "b")
+	dir := filepath.Join(b, "c")
 	var synced []string
 	sync := kb.SyncDir
 	defer func() { kb.SyncDir = sync }()
@@ -490,9 +494,77 @@ func TestLiveKBFirstBootSyncsParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.Close()
-	if want := []string{parent, dir}; !slices.Equal(synced, want) {
+	if want := []string{parent, a, b, dir}; !slices.Equal(synced, want) {
 		t.Fatalf("first boot synced %q, want %q", synced, want)
 	}
+}
+
+// walPinRecord is the payload of one WAL record as the format has written
+// it since the WAL began: walPinOps applied under request id "pin-1".
+const walPinRecord = `{"request_id":"pin-1","ops":[{"op":"upsert","s":"\u003chttp://tiny.demo/resource/Atlantis\u0026Co\u003e","p":"\u003chttp://tiny.demo/ontology/in\u003e","o":"\u003chttp://tiny.demo/resource/SouthAmerica\u003e"},{"op":"upsert","s":"\u003chttp://tiny.demo/resource/Atlantis\u0026Co\u003e","p":"\u003chttp://www.w3.org/2000/01/rdf-schema#label\u003e","o":"\"Atlantis \\\"Lost\\\"\\n\\tCité\"@fr"},{"op":"upsert","s":"\u003chttp://tiny.demo/resource/Atlantis\u0026Co\u003e","p":"\u003chttp://tiny.demo/ontology/population\u003e","o":"\"1\\\\2\"^^\u003chttp://www.w3.org/2001/XMLSchema#integer\u003e"},{"op":"upsert","s":"_:b1","p":"\u003chttp://tiny.demo/ontology/in\u003e","o":"\u003chttp://tiny.demo/resource/Atlantis\u0026Co\u003e"},{"op":"retract","s":"\u003chttp://tiny.demo/resource/Rennes\u003e","p":"\u003chttp://tiny.demo/ontology/mayor\u003e","o":"\u003chttp://tiny.demo/resource/MayorRennes\u003e"}]}`
+
+// walPinOps spells every term form a record holds: IRIs (one with a
+// character JSON escapes), a language-tagged and a datatype-tagged literal
+// with escapes, a blank node, and a retract.
+func walPinOps() []delta.Op {
+	atl := rdf.NewIRI(tinyNS + "Atlantis&Co")
+	return []delta.Op{
+		{S: atl, P: rdf.NewIRI(tinyOnt + "in"), O: rdf.NewIRI(tinyNS + "SouthAmerica")},
+		{S: atl, P: rdf.NewIRI("http://www.w3.org/2000/01/rdf-schema#label"), O: rdf.NewLiteral("Atlantis \"Lost\"\n\tCité\"@fr")},
+		{S: atl, P: rdf.NewIRI(tinyOnt + "population"), O: rdf.NewLiteral(`1\2"^^<http://www.w3.org/2001/XMLSchema#integer>`)},
+		{S: rdf.NewBlank("b1"), P: rdf.NewIRI(tinyOnt + "in"), O: atl},
+		retractOp(tinyNS+"Rennes", tinyOnt+"mayor", tinyNS+"MayorRennes"),
+	}
+}
+
+// TestWALRecordPin: Apply writes walPinOps as the byte-exact walPinRecord,
+// and a live directory whose WAL holds that record — and a second one that
+// leaves "op" out, as a facts request may — boots to the facts the batch
+// applied live.
+func TestWALRecordPin(t *testing.T) {
+	dir := t.TempDir()
+	src, _ := writeTinySource(t, dir)
+	open := func(sub string) *LiveKB {
+		t.Helper()
+		l, err := OpenLive(filepath.Join(dir, sub), "tiny", LiveOptions{Source: src, Build: liveBuildOpts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	written := open("written")
+	if _, _, err := written.Apply(context.Background(), walPinOps(), "pin-1"); err != nil {
+		t.Fatal(err)
+	}
+	log, rec, err := wal.Open(filepath.Join(dir, "written", "tiny.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if len(rec.Records) != 1 || string(rec.Records[0]) != walPinRecord {
+		t.Fatalf("WAL records %q, want [%q]", rec.Records, walPinRecord)
+	}
+
+	if err := os.Mkdir(filepath.Join(dir, "replayed"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err = wal.Open(filepath.Join(dir, "replayed", "tiny.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noVerb := `{"ops":[{"s":"<` + tinyNS + `Atlantis&Co>","p":"<` + tinyOnt + `in>","o":"<` + tinyNS + `SouthAmerica>"}]}`
+	for _, payload := range []string{walPinRecord, noVerb} {
+		if err := log.Append(context.Background(), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.Close()
+	replayed := open("replayed")
+	if got := replayed.Stats().RecoveryReplayed; got != 2 {
+		t.Fatalf("replayed %d records, want 2", got)
+	}
+	assertSameKB(t, "booted from the pinned record", replayed.System().kb, written.System().kb)
 }
 
 // assertSameKB compares two KBs element for element: the id spaces, the
@@ -767,7 +839,7 @@ func TestLiveRecoverMatchesChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, ops := range records {
-			payload, err := encodeRecord(ops, "")
+			payload, err := json.Marshal(walRecord{Ops: ops})
 			if err != nil {
 				t.Fatal(err)
 			}

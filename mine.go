@@ -276,8 +276,8 @@ func (s *System) coreConfig(cfg mineConfig) core.Config {
 
 // SummaryEntry is one predicate–object feature in an entity summary.
 type SummaryEntry struct {
-	Predicate string
-	Object    string
+	Predicate string `json:"predicate"`
+	Object    string `json:"object"`
 }
 
 // Summarize returns the size most intuitive single-atom features of an

@@ -116,27 +116,12 @@ func FromNTriples(text string) (*System, error) {
 // paper's running examples), "dbpedia" or "wikidata" (Zipf-shaped KBs used
 // by the experiment harness). Scale <= 0 picks a small default.
 func GenerateDemo(dataset string, seed int64, scale float64) (*System, error) {
-	var d *datagen.Dataset
-	opts := kb.DefaultOptions()
-	switch strings.ToLower(dataset) {
-	case "tiny", "tiny-geo":
-		d = datagen.TinyGeo()
-		// The paper materializes inverse facts for the top 1% most frequent
-		// entities of multi-million-entity KBs; on the ~100-entity demo the
-		// equivalent head of the frequency distribution is the top 10%.
-		opts.InverseTopFraction = 0.10
-	case "dbpedia", "dbpedia-like":
-		if scale <= 0 {
-			scale = 0.2
-		}
-		d = datagen.DBpediaLike(datagen.Config{Seed: seed, Scale: scale})
-	case "wikidata", "wikidata-like":
-		if scale <= 0 {
-			scale = 0.2
-		}
-		d = datagen.WikidataLike(datagen.Config{Seed: seed, Scale: scale})
-	default:
-		return nil, fmt.Errorf("remi: unknown demo dataset %q (tiny|dbpedia|wikidata)", dataset)
+	if scale <= 0 {
+		scale = 0.2
+	}
+	d, opts, err := datagen.Named(dataset, datagen.Config{Seed: seed, Scale: scale})
+	if err != nil {
+		return nil, fmt.Errorf("remi: %w", err)
 	}
 	k, err := d.BuildKB(opts)
 	if err != nil {
